@@ -35,12 +35,20 @@
 #            diffed against the committed SCENARIO_matrix.json golden.
 #            Too slow for every push; run nightly
 #            (.github/workflows/nightly.yml) and on demand.
+# e2e        the end-to-end perf ledger (benchmarks/e2e/README.md): four
+#            real-cell workloads, host cost + simulated service + a
+#            per-layer budget, written to e2e_ledger.json and compared
+#            against the committed PR 13 baseline with BENCHMARK.json's
+#            bounds.  Fails on a correctness miss, a `worse` row, or
+#            more failed operations than the baseline.  ~3 min of
+#            repetitions in child processes, so nightly-only, beside
+#            `matrix`.
 #
 # The GitHub Actions workflows (.github/workflows/ci.yml, nightly.yml)
 # run the stages as separate jobs and upload BENCH_perf.json,
-# SCENARIO_smoke.json and SCENARIO_matrix.json as artifacts.  When
-# GITHUB_STEP_SUMMARY is set, a per-stage wall-clock table is appended to
-# it after the last stage.
+# SCENARIO_smoke.json, SCENARIO_matrix.json and e2e_ledger.json as
+# artifacts.  When GITHUB_STEP_SUMMARY is set, a per-stage wall-clock
+# table is appended to it after the last stage.
 #
 # Perf/scenario serialization: the perf stage gates *same-host speedup
 # ratios*, so it must never share the host with a --jobs matrix run --
@@ -260,6 +268,20 @@ EOF
     fi
 )
 
+# Subshell body: takes the host lock like perf -- the ledger reports
+# host seconds, and a concurrent --jobs matrix run would inflate them.
+stage_e2e() (
+    acquire_host_lock
+    echo "== e2e: end-to-end perf ledger vs the committed baseline =="
+    # run.py exits non-zero on any correctness or determinism miss (and
+    # still writes the ledger, so the artifact shows what missed).
+    python3 benchmarks/e2e/run.py --seed 0 --out e2e_ledger.json
+    # compare.py exits non-zero on a `worse` row or on more failed
+    # operations than the baseline; `better`/`unresolved` rows pass.
+    python3 benchmarks/e2e/compare.py \
+        benchmarks/e2e/baseline/pr13-seed0-a.json e2e_ledger.json
+)
+
 STAGES=("$@")
 if [ ${#STAGES[@]} -eq 0 ]; then
     STAGES=(lint tier1 perf scenarios)
@@ -268,10 +290,10 @@ STAGE_TIMES=()
 for stage in "${STAGES[@]}"; do
     stage_start=$SECONDS
     case "$stage" in
-        lint|tier1|perf|scenarios|matrix) "stage_$stage" ;;
+        lint|tier1|perf|scenarios|matrix|e2e) "stage_$stage" ;;
         *)
             echo "unknown stage '$stage' (known: lint tier1 perf" \
-                 "scenarios matrix)" >&2
+                 "scenarios matrix e2e)" >&2
             exit 2
             ;;
     esac

@@ -229,10 +229,12 @@ class FrozenMessageMutationRule(Rule):
     """``object.__setattr__`` outside ``__post_init__`` breaks the
     digest-cache immutability contract.
 
-    ``digest_of`` memoizes digests on frozen wire-message instances and
-    never invalidates them: a message mutated after its first digest
-    would keep authenticating under the stale digest, silently
-    defeating content tampering detection.  Frozen dataclasses may
+    The canonical encoder keeps every frozen wire message's encoding on
+    the instance, and carried digests (``Request.body_digest``, the
+    ``payload_digest`` of signed messages) sit there too; none is ever
+    invalidated: a message mutated after its first digest would keep
+    authenticating under the stale digest, silently defeating content
+    tampering detection.  Frozen dataclasses may
     initialise derived fields in ``__post_init__`` (the instance has
     not escaped yet), and ``crypto/primitives.py`` owns the sanctioned
     memoization hook (:func:`cache_on_instance`); every other
@@ -273,7 +275,7 @@ class FrozenMessageMutationRule(Rule):
                 node,
                 "object.__setattr__ outside __post_init__ mutates a "
                 "frozen instance; messages are immutable once digested "
-                "(the digest cache is never invalidated) -- initialise "
+                "(the digest memo is never invalidated) -- initialise "
                 "derived fields in __post_init__, or memoize derived "
                 "values via crypto.primitives.cache_on_instance")
         self.generic_visit(node)

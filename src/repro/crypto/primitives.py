@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, fields, is_dataclass
-from operator import itemgetter
-from typing import Any, Dict, Tuple
+from functools import wraps
+from operator import attrgetter, itemgetter
+from typing import Any, Callable, Dict, Tuple
 
 from repro.common.errors import SignatureError
 
@@ -39,16 +40,20 @@ def client_principal(client_id: int) -> Principal:
 
 
 def _canonical(obj: Any) -> bytes:
-    """Encode ``obj`` deterministically for hashing.
+    """Encode ``obj`` deterministically for hashing (the one encoder).
 
     Handles the payload types that appear inside protocol messages: scalars,
     bytes, tuples/lists, dicts, dataclasses, signatures and digests.
 
     The exact-type tests up front are the hot path: wire payloads are
-    overwhelmingly tuples of ints/strs/bytes, and dispatching on
-    ``obj.__class__`` skips the generic isinstance chain.  Subclasses
-    (enums, user types) still route through :func:`_canonical_general`
-    and encode byte-identically to the pre-fast-path encoder.
+    overwhelmingly tuples of ints/strs/bytes.  Every other class is
+    dispatched through ``_ENCODERS`` on its exact type: ``Digest``,
+    ``Signature``, ``Mac`` and ``None`` have fixed entries, and
+    a dataclass gets a plan compiled on first sight
+    (:func:`_compile_encoder`).  Subclasses of the structural types
+    (enums, named tuples), bools and dicts route through
+    :func:`_canonical_general`.  All paths are byte-identical to the
+    seed encoder (``tests/crypto/test_canonical_oracle.py``).
     """
     cls = obj.__class__
     if cls is tuple or cls is list:
@@ -63,11 +68,19 @@ def _canonical(obj: Any) -> bytes:
         return b"b%d:%b" % (len(obj), obj)
     if cls is float:
         return b"f" + repr(obj).encode()
-    return _canonical_general(obj)
+    encoder = _ENCODERS.get(cls)
+    if encoder is None:
+        encoder = _compile_encoder(cls)
+    return encoder(obj)
 
 
 def _canonical_general(obj: Any) -> bytes:
-    """Structural encoding for everything off the exact-type fast path."""
+    """Cold fallback: subclasses of the structural types, bools, dicts.
+
+    Dataclasses never get here -- :func:`_compile_encoder` gives each
+    its own plan -- unless they also subclass a structural type, in
+    which case the structural encoding wins, as it always has.
+    """
     if obj is None:
         return b"N"
     if isinstance(obj, bool):
@@ -94,12 +107,6 @@ def _canonical_general(obj: Any) -> bytes:
         items = sorted(obj.items(), key=lambda kv: _canonical(kv[0]))
         parts = b"".join(_canonical(k) + _canonical(v) for k, v in items)
         return b"d" + str(len(obj)).encode() + b":" + parts
-    if is_dataclass(obj) and not isinstance(obj, type):
-        parts = [type(obj).__name__.encode()]
-        for f in fields(obj):
-            parts.append(_canonical(f.name))
-            parts.append(_canonical(getattr(obj, f.name)))
-        return b"c" + b"".join(parts)
     raise TypeError(f"cannot canonically encode {type(obj).__name__}")
 
 
@@ -130,54 +137,49 @@ class Digest:
 
 _sha256 = hashlib.sha256
 
-#: Attribute used to memoize ``digest_of`` on frozen message instances.
-_DIGEST_CACHE_ATTR = "_cached_digest"
+#: Where a frozen dataclass instance keeps its canonical encoding.
+_ENCODING_ATTR = "_canonical_encoding"
 
-#: Per-class cacheability memo: a class maps to True when its instances
-#: are frozen dataclasses (immutable by contract, enforced by lint rule
-#: A002) that accept the cache attribute.
-_CACHEABLE: Dict[type, bool] = {}
+# Memo events since process start, bumped by the compiled dataclass
+# encoders; ``digest_of`` reads them around each encode to classify the
+# call for ``digest_cache_stats``.
+_memo_hits = 0
+_memo_stores = 0
 
-_cache_hits = 0
-_cache_stores = 0
-_cache_uncached = 0
+_calls_hit = 0
+_calls_stored = 0
+_calls_uncached = 0
 
 
 def digest_of(obj: Any) -> Digest:
     """Compute ``D(obj)`` over the canonical encoding.
 
-    Memoized per message: frozen wire-message dataclasses carry their
-    digest in a ``_cached_digest`` instance attribute after the first
-    call, so re-digesting a message (leader stamps it per receiver, every
-    receiver verifies it, quorum certificates re-reference it) costs one
-    attribute probe instead of a canonical encode + SHA-256.  The cache
-    is never invalidated -- messages are immutable by contract (enforced
-    by lint rule A002 and the mutation-after-digest guard test).  Plain
-    tuples/lists/dicts are never cached.
+    Every frozen dataclass instance met while encoding -- ``obj`` itself
+    or anything nested in it -- keeps its canonical encoding after the
+    first time, so a ``FastCommit`` embedded in sixteen replies or a
+    ``ViewChange`` inside every ``VC-FINAL`` set is encoded once per
+    object rather than once per enclosing digest.  The memo is never
+    invalidated: messages are immutable by contract (lint rule A002 and
+    the mutation-after-digest guard test).  Payloads whose digest is
+    needed at several hops carry it themselves (``Request.body_digest``,
+    ``Batch.bodies_digest``, the ``payload_digest`` of signed XPaxos
+    messages) and never come back here.
     """
-    global _cache_hits, _cache_stores, _cache_uncached
-    cached = getattr(obj, _DIGEST_CACHE_ATTR, None)
-    if cached is not None:
-        _cache_hits += 1
-        return cached
-    digest = Digest(_sha256(_canonical(obj)).digest())
-    cls = obj.__class__
-    cacheable = _CACHEABLE.get(cls)
-    if cacheable is None:
-        params = getattr(cls, "__dataclass_params__", None)
-        cacheable = _CACHEABLE[cls] = bool(params is not None
-                                           and params.frozen)
-    if cacheable:
-        try:
-            object.__setattr__(obj, _DIGEST_CACHE_ATTR, digest)
-            _cache_stores += 1
-        except (AttributeError, TypeError):
-            # Slotted or otherwise closed class: remember and stop trying.
-            _CACHEABLE[cls] = False
-            _cache_uncached += 1
+    global _calls_hit, _calls_stored, _calls_uncached
+    if obj.__class__ is bytes:
+        # Application results: no dispatch, nothing to memoize.
+        _calls_uncached += 1
+        return Digest(_sha256(b"b%d:%b" % (len(obj), obj)).digest())
+    hits = _memo_hits
+    stores = _memo_stores
+    encoding = _canonical(obj)
+    if _memo_hits != hits:
+        _calls_hit += 1
+    elif _memo_stores != stores:
+        _calls_stored += 1
     else:
-        _cache_uncached += 1
-    return digest
+        _calls_uncached += 1
+    return Digest(_sha256(encoding).digest())
 
 
 def cache_on_instance(obj: Any, attr: str, value: Any) -> None:
@@ -185,28 +187,65 @@ def cache_on_instance(obj: Any, attr: str, value: Any) -> None:
 
     The sanctioned mutation point for frozen dataclasses: lint rule A002
     flags any other ``object.__setattr__`` on message instances.  Only
-    derived values (digests of immutable fields) may be cached -- the
-    attribute must never feed back into equality, hashing, or the wire
-    encoding.
+    derived values (encodings and digests of immutable fields) may be
+    cached -- the attribute must never feed back into equality, hashing,
+    or the wire encoding.
     """
     object.__setattr__(obj, attr, value)
 
 
+def memoized(method: Callable[[Any], Any]) -> Callable[[Any], Any]:
+    """Compute a zero-argument method of a frozen dataclass once per
+    instance and keep the value on it (via :func:`cache_on_instance`).
+
+    For digests derived from the instance's own immutable fields that
+    several hops need: every verifier and every client holding the same
+    in-process object shares one encode.  The value is only ever computed
+    from the instance it is stored on, so two instances never share a
+    memo, equal by value or not.
+
+    ``Class.method.seed(instance, value)`` stores a value the caller
+    already holds -- for the code that builds the instance and has just
+    signed the very payload the method digests, nobody else.
+    """
+    attr = "_memo_" + method.__name__
+
+    @wraps(method)
+    def cached(self: Any) -> Any:
+        # getattr, not ``self.__dict__``: touching ``__dict__`` makes
+        # CPython materialise a dict per instance (+64 B each).
+        value = getattr(self, attr, None)
+        if value is None:
+            value = method(self)
+            cache_on_instance(self, attr, value)
+        return value
+
+    def seed(self: Any, value: Any) -> None:
+        cache_on_instance(self, attr, value)
+
+    cached.seed = seed
+    return cached
+
+
 def digest_cache_stats() -> Dict[str, int]:
-    """Digest-cache counters for ``repro profile`` (docs/profiling.md)."""
+    """``digest_of`` calls by what the encoding memo did for them
+    (``repro profile``, docs/profiling.md): ``hits`` reused at least one
+    kept encoding, ``stores`` reused none but kept at least one new one,
+    ``uncached`` met no frozen dataclass at all.  The three sum to the
+    number of ``digest_of`` calls."""
     return {
-        "hits": _cache_hits,
-        "stores": _cache_stores,
-        "uncached": _cache_uncached,
+        "hits": _calls_hit,
+        "stores": _calls_stored,
+        "uncached": _calls_uncached,
     }
 
 
 def reset_digest_cache_stats() -> None:
     """Zero the digest-cache counters (profiling harness hook)."""
-    global _cache_hits, _cache_stores, _cache_uncached
-    _cache_hits = 0
-    _cache_stores = 0
-    _cache_uncached = 0
+    global _calls_hit, _calls_stored, _calls_uncached
+    _calls_hit = 0
+    _calls_stored = 0
+    _calls_uncached = 0
 
 
 class Signature(tuple):
@@ -263,6 +302,79 @@ class Mac(tuple):
 
     def __repr__(self) -> str:
         return f"Mac({self.sender}->{self.receiver},{self.digest.hex()[:8]})"
+
+
+def _encode_signature(sig: Signature) -> bytes:
+    signer = sig[0].encode()
+    value = sig[1].value
+    return b"Sl2:s%d:%bb%d:%b" % (len(signer), signer, len(value), value)
+
+
+def _encode_mac(mac: Mac) -> bytes:
+    sender = mac[0].encode()
+    receiver = mac[1].encode()
+    value = mac[2].value
+    return b"Ml3:s%d:%bs%d:%bb%d:%b" % (len(sender), sender, len(receiver),
+                                        receiver, len(value), value)
+
+
+#: Exact class -> encoder, for everything off ``_canonical``'s inline
+#: scalar/sequence tests.  Grows by one entry per class on first sight.
+_ENCODERS: Dict[type, Callable[[Any], bytes]] = {
+    type(None): lambda obj: b"N",
+    Digest: lambda obj: b"D" + obj.value,
+    Signature: _encode_signature,
+    Mac: _encode_mac,
+}
+
+#: Types whose subclasses encode structurally, dataclass or not
+#: (``Signature`` and ``Mac`` are tuples).
+_STRUCTURAL = (int, float, str, bytes, tuple, list, dict, Digest)
+
+
+def _compile_encoder(cls: type) -> Callable[[Any], bytes]:
+    """Build, register and return the encoder for instances of ``cls``.
+
+    A dataclass gets a plan: one bytes template holding the class name
+    and every field name already encoded, filled with the encoded field
+    values -- no ``fields()`` call, no isinstance cascade and no name
+    encoding per instance.  Instances of a frozen dataclass also keep
+    the result (see :func:`digest_of`).  Everything else falls back to
+    :func:`_canonical_general`.
+    """
+    if not is_dataclass(cls) or issubclass(cls, _STRUCTURAL):
+        encoder = _canonical_general
+    else:
+        names = [f.name for f in fields(cls)]
+        # Field names are identifiers, so only the class name (which
+        # ``type()`` lets be anything) can hold a stray ``%``.
+        template = (b"c" + cls.__name__.encode().replace(b"%", b"%%")
+                    + b"".join(_canonical(name) + b"%b" for name in names))
+        if len(names) > 1:
+            values = attrgetter(*names)
+        else:  # attrgetter returns a bare value for one name
+            def values(obj: Any) -> Tuple[Any, ...]:
+                return tuple(getattr(obj, name) for name in names)
+
+        def encoder(obj: Any) -> bytes:
+            return template % tuple(map(_canonical, values(obj)))
+
+        if cls.__dataclass_params__.frozen and cls.__dictoffset__:
+            encode = encoder
+
+            def encoder(obj: Any) -> bytes:
+                global _memo_hits, _memo_stores
+                encoding = getattr(obj, _ENCODING_ATTR, None)
+                if encoding is None:
+                    encoding = encode(obj)
+                    cache_on_instance(obj, _ENCODING_ATTR, encoding)
+                    _memo_stores += 1
+                else:
+                    _memo_hits += 1
+                return encoding
+
+    _ENCODERS[cls] = encoder
+    return encoder
 
 
 class KeyStore:

@@ -44,6 +44,7 @@ from repro.harness.runner import ExperimentRunner
 from repro.net.bandwidth import BandwidthModel
 from repro.net.latency import LatencyModel
 from repro.net.network import Endpoint, Network
+from repro.protocols.xpaxos.messages import FastCommit, ReplyMsg
 from repro.sim.core import Simulator
 
 # ----------------------------------------------------------------------
@@ -617,37 +618,51 @@ def _seed_digest_of(obj: Any) -> Digest:
 
 def _digest_cache_workload(digest_fn: Callable[[Any], Digest],
                            count: int, fanout: int) -> Dict[str, Any]:
-    """Digest ``count`` fresh wire batches ``fanout`` times each.
+    """Digest ``count`` batches' worth of XPaxos t = 1 reply traffic.
 
-    The re-digest pattern of every ordering protocol: the leader hashes
-    a batch once to stamp it, then each of ``fanout - 1`` receivers
-    hashes the same (shared, in-process) object to verify.  Batches are
-    built inside the timed region so the cached side starts cold; the
-    rolling checksum over every returned digest is the equivalence
-    check between the cached and seed implementations.
+    The shape the end-to-end ledger shows on ``xpaxos-lan-closed``: per
+    batch, the primary's reply to each of ``fanout`` clients embeds the
+    *same* follower ``FastCommit`` and is digested once (the reply's
+    channel MAC), and the batch itself is digested by leader and
+    follower.  Everything is built inside the timed region so the
+    memoizing side starts cold; the rolling checksum over every returned
+    digest is the equivalence check between the current and seed
+    implementations.
     """
     checksum = hashlib.sha256()
     update = checksum.update
+    keystore = KeyStore()
     for i in range(count):
         batch = Batch(tuple(
             Request(op=("put", f"key-{i}-{j}", b"v" * 24),
                     timestamp=i * 4 + j, client=j, size_bytes=64)
             for j in range(4)))
-        for _ in range(fanout):
-            update(digest_fn(batch).value)
-    return {"digests": count * fanout, "checksum": checksum.hexdigest()}
+        batch_digest = digest_fn(batch)
+        update(batch_digest.value)
+        update(digest_fn(batch).value)
+        fast = FastCommit(0, i, batch_digest, batch_digest,
+                          keystore.sign_digest("r1", batch_digest))
+        for client in range(fanout):
+            reply = ReplyMsg(replica=0, view=0, seqno=i, timestamp=i,
+                             client=client, result=b"",
+                             result_digest=batch_digest,
+                             follower_commit=fast)
+            update(digest_fn(reply).value)
+    return {"digests": count * (fanout + 2),
+            "checksum": checksum.hexdigest()}
 
 
-def bench_digest_cache(count: int = 3_000, fanout: int = 9,
+def bench_digest_cache(count: int = 1_500, fanout: int = 16,
                        repeat: int = 3) -> Dict[str, Any]:
-    """Per-message digest cache + fast canonical encoding vs the seed
-    encoder, on the protocol re-digest pattern (stamp once, verify
-    ``fanout - 1`` times).  Byte-identical digests are asserted via the
-    rolling checksum in ``results_match``."""
+    """Compiled canonical encoder + per-instance encoding memo vs the
+    seed encoder, on the reply-digest pattern of the XPaxos common case
+    (one shared ``FastCommit`` inside ``fanout`` replies, batch digested
+    twice).  Byte-identical digests are asserted via the rolling
+    checksum in ``results_match``."""
     return _compare(
         lambda: _digest_cache_workload(digest_of, count, fanout),
         lambda: _digest_cache_workload(_seed_digest_of, count, fanout),
-        count * fanout, repeat)
+        count * (fanout + 2), repeat)
 
 
 def bench_xpaxos_closed_loop(num_clients: int = 16,

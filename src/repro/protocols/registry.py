@@ -7,6 +7,7 @@ they describe the deployment with :class:`ClusterConfig` and call
 
 from __future__ import annotations
 
+import gc
 from typing import Callable, Optional, Sequence
 
 from repro.common.config import ClusterConfig, ProtocolName, sites_for
@@ -85,16 +86,30 @@ def build_cluster(
 
     replica_cls, client_cls = PROTOCOL_BUILDERS[config.protocol]
     factory = app_factory or NullService
-    for replica_id in range(config.n):
-        replica = replica_cls(
-            replica_id, config, sim, network, keystore, factory,
-            site=sites[replica_id], cost_model=cost_model)
-        runtime.add_replica(replica)
+    # Every node built below lives as long as the cluster, so a cyclic
+    # collection in here can free none of it -- but a *full* collection
+    # that happens to come due mid-build bills the previous cell's
+    # garbage (25-55 ms) to this cell's set-up, and whether it does
+    # flips with any change to allocation counts elsewhere (the e2e
+    # ledger's ``setup_s`` on ``wan-open-ladder`` moved +-20% on that
+    # alone).  Hold the collector until the cluster stands.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        for replica_id in range(config.n):
+            replica = replica_cls(
+                replica_id, config, sim, network, keystore, factory,
+                site=sites[replica_id], cost_model=cost_model)
+            runtime.add_replica(replica)
 
-    # The paper places clients in the primary's datacenter (Section 5.1.3).
-    at_site = client_site or sites[0]
-    for client_id in range(num_clients):
-        client = client_cls(client_id, config, sim, network, keystore,
-                            site=at_site, cost_model=cost_model)
-        runtime.add_client(client)
+        # The paper places clients in the primary's datacenter
+        # (Section 5.1.3).
+        at_site = client_site or sites[0]
+        for client_id in range(num_clients):
+            client = client_cls(client_id, config, sim, network, keystore,
+                                site=at_site, cost_model=cost_model)
+            runtime.add_client(client)
+    finally:
+        if collecting:
+            gc.enable()
     return runtime

@@ -67,10 +67,8 @@ class XPaxosClient(SmrClientBase):
             raise RuntimeError(
                 f"client {self.client_id} already has a request in flight")
         ts = self.next_timestamp()
-        body = (op, ts, self.client_id)
-        sig = self.sign(body)
-        request = Request(op=op, timestamp=ts, client=self.client_id,
-                          size_bytes=size_bytes, signature=sig)
+        request = Request.signed(op, ts, self.client_id, size_bytes,
+                                 self.sign)
         self._outstanding = _Outstanding(request=request, sent_at=self.sim.now)
         primary = self.groups.primary(self.view)
         self.send_authenticated(f"r{primary}", msg.Replicate(request),
@@ -116,9 +114,7 @@ class XPaxosClient(SmrClientBase):
             return
         follower = self.groups.followers(reply.view)[0]
         self.cpu.charge_verify()
-        if not self.keystore.verify(
-                fc.m1, msg.commit1_payload(fc.batch_digest, fc.seqno,
-                                           fc.view, fc.reply_digest)) \
+        if not self.keystore.verify_digest(fc.m1, fc.payload_digest()) \
                 or fc.m1.signer != replica_principal(follower):
             return
         if fc.view != reply.view or fc.seqno != reply.seqno:

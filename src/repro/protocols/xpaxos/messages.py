@@ -16,10 +16,10 @@ and verifier hash exactly the same bytes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional, Tuple
+from typing import Any, Callable, Optional, Tuple
 
 from repro.crypto.authenticators import MAC_VECTOR, NULL, register
-from repro.crypto.primitives import Digest, Signature
+from repro.crypto.primitives import Digest, Signature, digest_of, memoized
 from repro.smr.log import CommitEntry, PrepareEntry
 from repro.smr.messages import Batch, Request
 
@@ -108,6 +108,27 @@ def signed_reply_payload(seqno: int, view: int, timestamp: int,
 # ---------------------------------------------------------------------------
 # Common case
 # ---------------------------------------------------------------------------
+#
+# The four signed messages below each carry the digest of the payload
+# their signature covers (``payload_digest``): derived from the message's
+# own fields on first use, or seeded by ``signed`` -- the constructor the
+# honest signer uses, where the signature was made over exactly those
+# fields a line earlier.  A message built any other way (a forged or
+# replayed signature attached to different fields) starts unseeded, so
+# verification always compares against what the fields really hash to.
+
+#: A node's signing facade (``ReplicaBase.sign``): charges CPU and signs.
+Signer = Callable[[Any], Signature]
+
+
+def _signed(cls: Any, sign: Signer, payload: tuple, *fields: Any) -> Any:
+    """``cls(*fields, sign(payload))`` with ``payload_digest`` seeded
+    from the fresh signature.  Private to the ``signed`` constructors
+    below, which build ``payload`` from the same ``fields``."""
+    sig = sign(payload)
+    message = cls(*fields, sig)
+    cls.payload_digest.seed(message, sig.digest)
+    return message
 
 
 @dataclass(frozen=True)
@@ -127,6 +148,20 @@ class Prepare:
     batch_digest: Digest
     primary_sig: Signature
 
+    @memoized
+    def payload_digest(self) -> Digest:
+        """Digest of the ``prepare`` payload ``primary_sig`` must cover,
+        shared by every follower verifying this object."""
+        return digest_of(prepare_payload(self.batch_digest, self.seqno,
+                                         self.view))
+
+    @classmethod
+    def signed(cls, view: int, seqno: int, batch: Batch,
+               batch_digest: Digest, sign: Signer) -> "Prepare":
+        """Build the message around the primary's fresh signature."""
+        return _signed(cls, sign, prepare_payload(batch_digest, seqno, view),
+                       view, seqno, batch, batch_digest)
+
 
 @dataclass(frozen=True)
 class CommitVote:
@@ -137,6 +172,21 @@ class CommitVote:
     batch_digest: Digest
     sender: int
     sig: Signature
+
+    @memoized
+    def payload_digest(self) -> Digest:
+        """Digest of the ``commit`` payload ``sig`` must cover, shared by
+        every active replica verifying this object."""
+        return digest_of(commit_payload(self.batch_digest, self.seqno,
+                                        self.view, self.sender))
+
+    @classmethod
+    def signed(cls, view: int, seqno: int, batch_digest: Digest,
+               sender: int, sign: Signer) -> "CommitVote":
+        """Build the vote around the follower's fresh signature."""
+        return _signed(cls, sign,
+                       commit_payload(batch_digest, seqno, view, sender),
+                       view, seqno, batch_digest, sender)
 
 
 @dataclass(frozen=True)
@@ -149,6 +199,19 @@ class FastPrepare:
     batch_digest: Digest
     m0: Signature
 
+    @memoized
+    def payload_digest(self) -> Digest:
+        """Digest of the ``commit0`` payload ``m0`` must cover."""
+        return digest_of(commit0_payload(self.batch_digest, self.seqno,
+                                         self.view))
+
+    @classmethod
+    def signed(cls, view: int, seqno: int, batch: Batch,
+               batch_digest: Digest, sign: Signer) -> "FastPrepare":
+        """Build the message around the primary's fresh ``m0``."""
+        return _signed(cls, sign, commit0_payload(batch_digest, seqno, view),
+                       view, seqno, batch, batch_digest)
+
 
 @dataclass(frozen=True)
 class FastCommit:
@@ -159,6 +222,23 @@ class FastCommit:
     batch_digest: Digest
     reply_digest: Digest
     m1: Signature
+
+    @memoized
+    def payload_digest(self) -> Digest:
+        """Digest of the ``commit1`` payload ``m1`` must cover.  The
+        primary embeds this object in the reply to every client of the
+        batch, so primary and clients share one encode."""
+        return digest_of(commit1_payload(self.batch_digest, self.seqno,
+                                         self.view, self.reply_digest))
+
+    @classmethod
+    def signed(cls, view: int, seqno: int, batch_digest: Digest,
+               reply_digest: Digest, sign: Signer) -> "FastCommit":
+        """Build the message around the follower's fresh ``m1``."""
+        return _signed(cls, sign,
+                       commit1_payload(batch_digest, seqno, view,
+                                       reply_digest),
+                       view, seqno, batch_digest, reply_digest)
 
 
 @dataclass(frozen=True)

@@ -68,6 +68,12 @@ class _RetransmissionState:
     retries: int = 0
 
 
+def _wire_len(result: Any) -> int:
+    """Reply bytes on the wire: the length of a sized application result,
+    0 for scalars and ``None``."""
+    return len(result) if hasattr(result, "__len__") else 0
+
+
 class XPaxosReplica(ReplicaBase):
     """One XPaxos replica (active or passive depending on the view)."""
 
@@ -95,6 +101,9 @@ class XPaxosReplica(ReplicaBase):
         # Per-slot transient state for the general (t >= 2) path.
         self._commit_votes: Dict[int, Dict[int, msg.CommitVote]] = {}
         self._pending_prepares: Dict[int, Any] = {}  # out-of-order buffer
+        # t = 1: the follower's FastCommit per slot, until the primary
+        # has executed the slot and embedded it in the replies.
+        self._fast_commits_pending: Dict[int, msg.FastCommit] = {}
 
         # Reply cache: client -> (timestamp, ReplyMsg fields) for dedup.
         self._last_reply: Dict[int, msg.ReplyMsg] = {}
@@ -135,6 +144,28 @@ class XPaxosReplica(ReplicaBase):
         # Metrics hooks.
         self.on_commit_batch: Optional[Callable[[int, Batch], None]] = None
 
+        self._handlers: Dict[type, Callable[[str, Any], None]] = {
+            msg.Replicate: self._on_replicate,
+            msg.Prepare: self._on_prepare,
+            msg.CommitVote: self._on_commit_vote,
+            msg.FastPrepare: self._on_fast_prepare,
+            msg.FastCommit: self._on_fast_commit,
+            msg.Suspect: self._on_suspect,
+            msg.ViewChange: self._on_view_change,
+            msg.VcFinal: self._on_vc_final,
+            msg.VcConfirm: self._on_vc_confirm,
+            msg.NewView: self._on_new_view,
+            msg.PreChk: self._on_prechk,
+            msg.Chkpt: self._on_chkpt,
+            msg.LazyChk: self._on_lazychk,
+            msg.LazyCommit: self._on_lazy_commit,
+            msg.FetchEntries: self._on_fetch,
+            msg.FetchReply: self._on_fetch_reply,
+            msg.ReSend: self._on_resend,
+            msg.SignedReplyShare: self._on_signed_reply_share,
+            msg.FaultAccusation: self._on_fault_accusation,
+        }
+
     # ------------------------------------------------------------------
     # Role helpers
     # ------------------------------------------------------------------
@@ -165,28 +196,7 @@ class XPaxosReplica(ReplicaBase):
     # Message dispatch
     # ------------------------------------------------------------------
     def on_message(self, src: str, payload: Any) -> None:
-        handlers = {
-            msg.Replicate: self._on_replicate,
-            msg.Prepare: self._on_prepare,
-            msg.CommitVote: self._on_commit_vote,
-            msg.FastPrepare: self._on_fast_prepare,
-            msg.FastCommit: self._on_fast_commit,
-            msg.Suspect: self._on_suspect,
-            msg.ViewChange: self._on_view_change,
-            msg.VcFinal: self._on_vc_final,
-            msg.VcConfirm: self._on_vc_confirm,
-            msg.NewView: self._on_new_view,
-            msg.PreChk: self._on_prechk,
-            msg.Chkpt: self._on_chkpt,
-            msg.LazyChk: self._on_lazychk,
-            msg.LazyCommit: self._on_lazy_commit,
-            msg.FetchEntries: self._on_fetch,
-            msg.FetchReply: self._on_fetch_reply,
-            msg.ReSend: self._on_resend,
-            msg.SignedReplyShare: self._on_signed_reply_share,
-            msg.FaultAccusation: self._on_fault_accusation,
-        }
-        handler = handlers.get(type(payload))
+        handler = self._handlers.get(type(payload))
         if handler is None:
             return  # unknown message types are ignored, not fatal
         try:
@@ -215,7 +225,8 @@ class XPaxosReplica(ReplicaBase):
         if request.signature is None:
             return False
         self.cpu.charge_verify()
-        return self.keystore.verify(request.signature, request.body())
+        return self.keystore.verify_digest(request.signature,
+                                           request.body_digest())
 
     def _already_executed(self, request: Request) -> bool:
         cached = self._last_reply.get(request.client)
@@ -237,10 +248,10 @@ class XPaxosReplica(ReplicaBase):
     # -- general case (t >= 2) ------------------------------------------
     def _propose(self, seqno: int, batch: Batch) -> None:
         batch_digest = self._batch_digest(batch)
-        sig = self.sign(msg.prepare_payload(batch_digest, seqno, self.view))
-        entry = PrepareEntry(seqno, self.view, batch, sig)
+        prepare = msg.Prepare.signed(self.view, seqno, batch, batch_digest,
+                                     self.sign)
+        entry = PrepareEntry(seqno, self.view, batch, prepare.primary_sig)
         self.prepare_log.put(seqno, entry)
-        prepare = msg.Prepare(self.view, seqno, batch, batch_digest, sig)
         self.multicast_authenticated(
             [self.replica_name(f) for f in self.groups.followers(self.view)],
             prepare, size_bytes=batch.size_bytes)
@@ -273,9 +284,8 @@ class XPaxosReplica(ReplicaBase):
         if expected != m.batch_digest:
             raise ProtocolViolation("prepare digest mismatch")
         self.cpu.charge_verify()
-        if not self.keystore.verify(
-                m.primary_sig,
-                msg.prepare_payload(m.batch_digest, m.seqno, m.view)) \
+        if not self.keystore.verify_digest(m.primary_sig,
+                                           m.payload_digest()) \
                 or m.primary_sig.signer != replica_principal(primary):
             raise ProtocolViolation("bad primary signature on prepare")
         for request in m.batch:
@@ -286,10 +296,8 @@ class XPaxosReplica(ReplicaBase):
         self.sn = m.seqno
         entry = PrepareEntry(m.seqno, m.view, m.batch, m.primary_sig)
         self.prepare_log.put(m.seqno, entry)
-        sig = self.sign(msg.commit_payload(m.batch_digest, m.seqno, m.view,
-                                           self.replica_id))
-        vote = msg.CommitVote(m.view, m.seqno, m.batch_digest,
-                              self.replica_id, sig)
+        vote = msg.CommitVote.signed(m.view, m.seqno, m.batch_digest,
+                                     self.replica_id, self.sign)
         # Record our own vote at this replica's position in the active list
         # so the send (and latency draw) order matches a sequential loop.
         self._fanout_with_self(self._active_names(), vote, 64,
@@ -303,9 +311,7 @@ class XPaxosReplica(ReplicaBase):
         if m.sender not in self.groups.followers(self.view):
             return
         self.cpu.charge_verify()
-        if not self.keystore.verify(
-                m.sig, msg.commit_payload(m.batch_digest, m.seqno, m.view,
-                                          m.sender)) \
+        if not self.keystore.verify_digest(m.sig, m.payload_digest()) \
                 or m.sig.signer != replica_principal(m.sender):
             raise ProtocolViolation("bad follower signature on commit")
         self._record_commit_vote(m)
@@ -341,10 +347,10 @@ class XPaxosReplica(ReplicaBase):
     # -- fast path (t = 1) ------------------------------------------------
     def _fast_propose(self, seqno: int, batch: Batch) -> None:
         batch_digest = self._batch_digest(batch)
-        m0 = self.sign(msg.commit0_payload(batch_digest, seqno, self.view))
-        entry = PrepareEntry(seqno, self.view, batch, m0)
+        fast = msg.FastPrepare.signed(self.view, seqno, batch, batch_digest,
+                                      self.sign)
+        entry = PrepareEntry(seqno, self.view, batch, fast.m0)
         self.prepare_log.put(seqno, entry)
-        fast = msg.FastPrepare(self.view, seqno, batch, batch_digest, m0)
         follower = self.groups.followers(self.view)[0]
         self.send_authenticated(self.replica_name(follower), fast,
                                 size_bytes=batch.size_bytes)
@@ -365,8 +371,7 @@ class XPaxosReplica(ReplicaBase):
         if self._batch_digest(m.batch) != m.batch_digest:
             raise ProtocolViolation("fast-prepare digest mismatch")
         self.cpu.charge_verify()
-        if not self.keystore.verify(
-                m.m0, msg.commit0_payload(m.batch_digest, m.seqno, m.view)) \
+        if not self.keystore.verify_digest(m.m0, m.payload_digest()) \
                 or m.m0.signer != replica_principal(primary):
             raise ProtocolViolation("bad m0 signature")
         for request in m.batch:
@@ -386,17 +391,16 @@ class XPaxosReplica(ReplicaBase):
         self.sn = m.seqno
         results = self._execute_batch(m.seqno, m.batch)
         reply_digest = digest_of(tuple(results))
-        m1 = self.sign(msg.commit1_payload(m.batch_digest, m.seqno, m.view,
-                                           reply_digest))
-        entry = CommitEntry(m.seqno, m.view, m.batch, (m.m0, m1))
+        fast_commit = msg.FastCommit.signed(m.view, m.seqno, m.batch_digest,
+                                            reply_digest, self.sign)
+        entry = CommitEntry(m.seqno, m.view, m.batch,
+                            (m.m0, fast_commit.m1))
         self.commit_log.put(m.seqno, entry)
         self.ex = m.seqno
         # The follower does not answer clients in the fast path, but it
         # must cache its replies so the retransmission protocol
         # (Algorithm 4) can later produce its signed reply share.
         self._cache_replies(m.seqno, m.batch, results)
-        fast_commit = msg.FastCommit(m.view, m.seqno, m.batch_digest,
-                                     reply_digest, m1)
         primary = self.groups.primary(self.view)
         self.send_authenticated(self.replica_name(primary), fast_commit,
                                 size_bytes=96)
@@ -416,9 +420,7 @@ class XPaxosReplica(ReplicaBase):
         if entry is None or self._batch_digest(entry.batch) != m.batch_digest:
             return
         self.cpu.charge_verify()
-        if not self.keystore.verify(
-                m.m1, msg.commit1_payload(m.batch_digest, m.seqno, m.view,
-                                          m.reply_digest)) \
+        if not self.keystore.verify_digest(m.m1, m.payload_digest()) \
                 or m.m1.signer != replica_principal(follower):
             raise ProtocolViolation("bad m1 signature")
         if m.seqno in self.commit_log:
@@ -426,8 +428,6 @@ class XPaxosReplica(ReplicaBase):
         commit_entry = CommitEntry(m.seqno, m.view, entry.batch,
                                    (entry.primary_sig, m.m1))
         self.commit_log.put(m.seqno, commit_entry)
-        self._fast_commits_pending = getattr(self, "_fast_commits_pending",
-                                             {})
         self._fast_commits_pending[m.seqno] = m
         self._execute_ready()
 
@@ -480,8 +480,7 @@ class XPaxosReplica(ReplicaBase):
                           results: List[Any]) -> None:
         fast = None
         if self.config.t == 1 and self.is_primary:
-            pending = getattr(self, "_fast_commits_pending", {})
-            fast = pending.pop(seqno, None)
+            fast = self._fast_commits_pending.pop(seqno, None)
             if fast is not None:
                 # Cross-check our reply digest against the follower's.
                 if digest_of(tuple(results)) != fast.reply_digest:
@@ -496,8 +495,7 @@ class XPaxosReplica(ReplicaBase):
                 result=result if full else None,
                 result_digest=reply_digest,
                 follower_commit=fast,
-                size_bytes=(getattr(result, "__len__", lambda: 0)()
-                            if full else 32),
+                size_bytes=_wire_len(result) if full else 32,
             )
             self._last_reply[request.client] = reply
             if request.rid in self._retransmissions:

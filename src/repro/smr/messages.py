@@ -11,13 +11,13 @@ every protocol needs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional, Tuple
+from typing import Any, Callable, Optional, Tuple
 
 from repro.crypto.primitives import (
     Digest,
     Signature,
-    cache_on_instance,
     digest_of,
+    memoized,
 )
 
 
@@ -39,6 +39,29 @@ class Request:
     def body(self) -> Tuple[Any, int, int]:
         """The signed portion (everything but the signature itself)."""
         return (self.op, self.timestamp, self.client)
+
+    @memoized
+    def body_digest(self) -> Digest:
+        """``digest_of(self.body())``, computed once per request object.
+
+        Primary and followers verify the client's signature on the same
+        in-process ``Request``, so they share the encode.  Always derived
+        from the fields, never from ``signature.digest``: an attached
+        signature over some other body must fail verification, not
+        redefine what the body hashes to.
+        """
+        return digest_of(self.body())
+
+    @classmethod
+    def signed(cls, op: Any, timestamp: int, client: int, size_bytes: int,
+               sign: Callable[[Any], Signature]) -> "Request":
+        """Build a request and sign its body with ``sign`` (the client's
+        own signing facade).  The signature was made over exactly this
+        body a line earlier, so its digest seeds :meth:`body_digest`."""
+        signature = sign((op, timestamp, client))
+        request = cls(op, timestamp, client, size_bytes, signature)
+        cls.body_digest.seed(request, signature.digest)
+        return request
 
     def __repr__(self) -> str:
         return f"Request(c{self.client}#{self.timestamp})"
@@ -92,21 +115,18 @@ class Batch:
         """Wire size: sum of request payloads (headers are negligible)."""
         return sum(r.size_bytes for r in self.requests)
 
+    @memoized
     def bodies_digest(self) -> Digest:
-        """Digest over the signed request bodies, cached per instance.
+        """Digest over the signed request bodies, computed once per batch.
 
         Byte-identical to ``digest_of(tuple(r.body() for r in batch))``.
         The batch is frozen, and in-process delivery shares one Batch
         object across every replica, so the body-tuple hash is computed
         once per batch instead of once per (replica, certificate,
         history-extension).  Callers still charge digest CPU per
-        derivation -- the cache models memoized code, not free hashing.
+        derivation -- the memo models memoized code, not free hashing.
         """
-        cached = getattr(self, "_bodies_digest", None)
-        if cached is None:
-            cached = digest_of(tuple(r.body() for r in self.requests))
-            cache_on_instance(self, "_bodies_digest", cached)
-        return cached
+        return digest_of(tuple(r.body() for r in self.requests))
 
     def __len__(self) -> int:
         return len(self.requests)

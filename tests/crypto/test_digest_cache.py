@@ -1,20 +1,27 @@
-"""Digest-cache correctness: the per-message cache must be invisible.
+"""Digest-memo correctness: kept encodings and carried digests must be
+invisible.
 
-Three obligations (docs/profiling.md):
+Obligations (docs/profiling.md):
 
-* cached digests are byte-identical to the seed encoder's output for
-  every wire-message shape (the cache may only change *when* hashing
-  happens, never *what* is hashed);
+* digests are byte-identical to the seed encoder's output for every
+  wire-message shape (the memo may only change *when* encoding happens,
+  never *what* is hashed; ``test_canonical_oracle.py`` is the property
+  version of this);
+* a carried digest (``Request.body_digest``, ``payload_digest`` of the
+  signed XPaxos messages) is only ever derived from the instance it sits
+  on -- never from an attached signature, never from an equal-looking
+  sibling;
 * MAC vectors are unchanged whether a fan-out rides the coalesced batch
   path or the per-receiver path -- the authenticator depends only on
   (sender, receiver, body digest), never on delivery scheduling;
-* the cache is never invalidated, which is exactly why mutating a frozen
+* the memo is never invalidated, which is exactly why mutating a frozen
   message after it has been digested is forbidden (lint rule A002): the
   stale digest this test demonstrates is the bug the rule prevents.
 """
 
 import dataclasses
 
+from repro.common.config import ProtocolName
 from repro.crypto.authenticators import (
     MAC_VECTOR,
     MacVectorAuthenticator,
@@ -23,8 +30,6 @@ from repro.crypto.authenticators import (
 from repro.crypto.primitives import (
     Digest,
     KeyStore,
-    Mac,
-    Signature,
     digest_cache_stats,
     digest_of,
     reset_digest_cache_stats,
@@ -32,9 +37,11 @@ from repro.crypto.primitives import (
 from repro.harness.perf import _seed_digest_of
 from repro.net.latency import LatencyModel
 from repro.net.network import Endpoint, Network
-from repro.protocols.xpaxos.messages import PreChk, ReplyMsg
+from repro.protocols.xpaxos import messages as msg
+from repro.protocols.xpaxos.messages import FastCommit, PreChk, ReplyMsg
 from repro.sim.core import Simulator
 from repro.smr.messages import Batch, Reply, Request
+from tests.conftest import make_cluster
 
 
 def make_batch(i=0, n=4):
@@ -89,25 +96,148 @@ class TestByteIdentity:
             assert cls.__dataclass_params__.frozen, cls
 
 
+def call_kinds(fn):
+    """``digest_cache_stats()`` deltas over one call of ``fn``."""
+    before = digest_cache_stats()
+    fn()
+    after = digest_cache_stats()
+    return {key: after[key] - before[key] for key in after}
+
+
 class TestMemoization:
-    def test_frozen_message_is_cached(self):
+    """The one memo: frozen dataclass instances keep their encoding."""
+
+    def test_nested_message_is_encoded_once_across_enclosing_digests(self):
+        # The ledger's shape: one FastCommit embedded in the reply to
+        # every client of its batch.
+        keystore = KeyStore()
+        fast = FastCommit.signed(
+            0, 3, digest_of(("batch", 3)), digest_of(("replies", 3)),
+            lambda payload: keystore.sign("r1", payload))
+        replies = [ReplyMsg(replica=0, view=0, seqno=3, timestamp=9,
+                            client=c, result=b"", result_digest=digest_of(b""),
+                            follower_commit=fast) for c in range(4)]
         reset_digest_cache_stats()
+        digests = [digest_of(reply) for reply in replies]
+        assert digest_cache_stats() == {"hits": 3, "stores": 1,
+                                        "uncached": 0}
+        for reply, digest in zip(replies, digests):
+            assert digest.value == _seed_digest_of(reply).value
+
+    def test_redigesting_a_message_hits(self):
         batch = make_batch(2)
         first = digest_of(batch)
-        second = digest_of(batch)
-        assert second is first  # the cached Digest object itself
-        stats = digest_cache_stats()
-        assert stats["hits"] >= 1
-        assert stats["stores"] >= 1
+        assert call_kinds(lambda: digest_of(batch)) == {
+            "hits": 1, "stores": 0, "uncached": 0}
+        assert digest_of(batch).value == first.value
 
-    def test_plain_tuples_are_never_cached(self):
+    def test_plain_payloads_are_uncached(self):
+        body = ("batch", b"x" * 64, Digest(b"\x07" * 32))
+        for payload in (body, b"application result"):
+            assert call_kinds(lambda: digest_of(payload)) == {
+                "hits": 0, "stores": 0, "uncached": 1}
+            assert digest_of(payload).value == _seed_digest_of(payload).value
+
+    def test_counters_sum_to_digest_of_calls(self):
         reset_digest_cache_stats()
-        body = ("batch", b"x" * 64)
-        digest_of(body)
-        digest_of(body)
-        stats = digest_cache_stats()
-        assert stats["hits"] == 0
-        assert stats["uncached"] == 2
+        batch = make_batch(5)
+        for payload in (batch, batch, (1, 2), b"r", [batch], None):
+            digest_of(payload)
+        assert sum(digest_cache_stats().values()) == 6
+
+    def test_mutable_dataclasses_are_never_memoized(self):
+        @dataclasses.dataclass
+        class Scratch:
+            value: int
+
+        scratch = Scratch(1)
+        before = digest_of(scratch)
+        scratch.value = 2
+        assert digest_of(scratch).value != before.value
+        assert digest_of(scratch).value == _seed_digest_of(scratch).value
+
+
+class TestCarriedDigests:
+    """Digests that travel with their object are derived from that
+    object's own fields and from nothing else."""
+
+    def test_honest_request_carries_the_signers_digest(self):
+        keystore = KeyStore()
+        reset_digest_cache_stats()
+        request = Request.signed(("put", "k", b"v"), 1, 0, 64,
+                                 lambda body: keystore.sign("c0", body))
+        assert request.body_digest() is request.signature.digest
+        assert request.body_digest().value == \
+            _seed_digest_of(request.body()).value
+        # One encode in total: the signer's.
+        assert sum(digest_cache_stats().values()) == 1
+
+    def test_mismatched_signature_never_seeds_the_body_digest(self):
+        keystore = KeyStore()
+        # A perfectly valid signature by c0 -- over a *different* body.
+        stolen = keystore.sign("c0", (("put", "k", b"old"), 1, 0))
+        request = Request(op=("put", "k", b"EVIL"), timestamp=1, client=0,
+                          signature=stolen)
+        assert request.body_digest() == digest_of(request.body())
+        assert request.body_digest() != stolen.digest
+        assert not keystore.verify_digest(stolen, request.body_digest())
+
+    def test_replica_rejects_request_with_mismatched_signature(self):
+        runtime = make_cluster(ProtocolName.XPAXOS, t=1)
+        primary = runtime.replica(0)
+        stolen = runtime.keystore.sign("c0", (("put", "k", b"old"), 1, 0))
+        forged = runtime.keystore.forge_attempt(
+            "c9", "c0", (("put", "k", b"EVIL"), 1, 0))
+        for signature in (stolen, forged):
+            request = Request(op=("put", "k", b"EVIL"), timestamp=1,
+                              client=0, signature=signature)
+            assert not primary._verify_request(request)
+            primary.on_message("c0", msg.Replicate(request))
+        runtime.sim.run(until=500.0)
+        assert primary.committed_requests == 0
+
+    def test_payload_digest_memo_is_per_instance(self):
+        keystore = KeyStore()
+        batch_digest = digest_of(("batch", 1))
+        honest = FastCommit.signed(
+            0, 1, batch_digest, digest_of(("replies", "a")),
+            lambda payload: keystore.sign("r1", payload))
+        assert honest.payload_digest() is honest.m1.digest
+        # Same m1 replayed around a different reply digest: the new
+        # instance starts unseeded and hashes its own fields.
+        replayed = FastCommit(0, 1, batch_digest, digest_of(("replies", "b")),
+                              honest.m1)
+        assert replayed.payload_digest() != honest.payload_digest()
+        assert replayed.payload_digest() == digest_of(msg.commit1_payload(
+            batch_digest, 1, 0, replayed.reply_digest))
+        assert not keystore.verify_digest(replayed.m1,
+                                          replayed.payload_digest())
+        # An equal-by-value twin shares the value, not the memo.
+        twin = FastCommit(0, 1, batch_digest, honest.reply_digest, honest.m1)
+        assert twin == honest
+        assert "_memo_payload_digest" not in vars(twin)
+        assert twin.payload_digest() == honest.payload_digest()
+        assert twin.payload_digest() is not honest.payload_digest()
+
+    def test_payload_digests_match_their_payload_constructors(self):
+        keystore = KeyStore()
+        sig = keystore.sign("r0", ("any", 0))
+        batch = make_batch(6)
+        digest = batch.bodies_digest()
+        cases = [
+            (msg.Prepare(2, 7, batch, digest, sig),
+             msg.prepare_payload(digest, 7, 2)),
+            (msg.CommitVote(2, 7, digest, 1, sig),
+             msg.commit_payload(digest, 7, 2, 1)),
+            (msg.FastPrepare(2, 7, batch, digest, sig),
+             msg.commit0_payload(digest, 7, 2)),
+            (FastCommit(2, 7, digest, digest, sig),
+             msg.commit1_payload(digest, 7, 2, digest)),
+        ]
+        for message, payload in cases:
+            assert message.payload_digest().value == \
+                _seed_digest_of(payload).value, type(message)
+            assert message.payload_digest() is message.payload_digest()
 
 
 def _auth_net(sites, coalesce):
@@ -179,12 +309,16 @@ class TestMutationAfterDigestGuard:
     def test_mutation_after_digest_serves_stale_digest(self):
         request = Request(op=("put", "k", b"old"), timestamp=1, client=1)
         before = digest_of(request)
+        body_before = request.body_digest()
         # The forbidden write A002 flags in real code -- performed here
         # deliberately to pin down the failure mode it prevents.
         object.__setattr__(request, "timestamp", 999)  # repro: lint-ok[A002]
-        assert digest_of(request) is before  # stale: cache never revalidates
+        # Stale: neither the kept encoding nor a carried digest revalidates.
+        assert digest_of(request).value == before.value
+        assert request.body_digest() is body_before
         fresh = Request(op=("put", "k", b"old"), timestamp=999, client=1)
         assert digest_of(fresh).value != before.value
+        assert fresh.body_digest() != body_before
 
     def test_unmutated_messages_never_go_stale(self):
         batch = make_batch(3)

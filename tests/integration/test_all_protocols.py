@@ -64,3 +64,42 @@ class TestRelativePerformanceShapes:
 
     def test_all_latencies_positive(self, latencies):
         assert all(v > 0 for v in latencies.values())
+
+
+class TestBuildHoldsTheCollector:
+    """``build_cluster`` pauses the cyclic GC while it allocates the
+    cluster and leaves the collector as it found it."""
+
+    def build(self, **kwargs):
+        # 300 clients: several times the young-generation threshold.
+        config = ClusterConfig(t=1, protocol=ProtocolName.XPAXOS,
+                               **FAST_TIMEOUTS)
+        return build_cluster(config, num_clients=300, **kwargs)
+
+    def test_no_collection_runs_during_a_build(self):
+        import gc
+
+        collections = []
+        probe = lambda phase, info: collections.append(phase)  # noqa: E731
+        gc.callbacks.append(probe)
+        try:
+            gc.collect()
+            collections.clear()
+            self.build()
+        finally:
+            gc.callbacks.remove(probe)
+        assert collections == [] and gc.isenabled()
+
+    def test_collector_state_is_restored(self):
+        import gc
+
+        gc.disable()
+        try:
+            self.build()
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+        # A constructor that raises must not leave the collector off.
+        with pytest.raises(TypeError):
+            self.build(app_factory=lambda unexpected: None)
+        assert gc.isenabled()

@@ -208,7 +208,7 @@ class TestPreChk:
     def drop_prechk(self, harness, receivers):
         """Receiver-side loss of every PreChk at the given replicas."""
         for replica in receivers:
-            replica._on_prechk = lambda src, m: None
+            replica._handlers[msg.PreChk] = lambda src, m: None
 
     def test_checkpoints_form_with_healthy_prechk(self):
         harness = committed_harness(seed=25, checkpoint_period=8)
