@@ -1,7 +1,8 @@
 """Perf micro-benchmark suite (`repro bench`), exercised at CI scale.
 
 Each benchmark runs the same workload against the preserved seed
-implementation and the current hot paths (see ``repro.harness.perf``).
+implementation (``repro.harness.seed_reference``) and the current hot
+paths (see ``repro.harness.perf``).
 Correctness equivalences (identical delivered/committed counts, identical
 determinism) are asserted strictly; wall-clock speedups are asserted with a
 wide margin below the typical measured ratios (~3x event churn, ~1.8x
@@ -20,7 +21,6 @@ from repro.harness.perf import (
     bench_event_churn,
     bench_heap_churn_1m,
     bench_message_storm,
-    bench_same_tick_drain,
     bench_xpaxos_closed_loop,
     format_suite,
     run_suite,
@@ -74,7 +74,7 @@ def test_authenticated_broadcast_speedup(benchmark):
         lambda: bench_authenticated_broadcast(1_500, repeat=2),
         rounds=1, iterations=1)
     # Every delivery's MAC verified on both fabrics, same counts: the
-    # delivery-time MAC vector is observationally identical to the
+    # transport-stamped MAC vector is observationally identical to the
     # payload-embedded encoding.
     assert result["results_match"]
     assert result["result"]["verified"] == result["result"]["delivered"]
@@ -88,19 +88,8 @@ def test_heap_churn_speedup(benchmark):
         lambda: bench_heap_churn_1m(backlog=100_000, churn=10_000,
                                     repeat=2),
         rounds=1, iterations=1)
-    # Executed/pending counts must agree exactly: the adaptive pool and
+    # Executed/pending counts must agree exactly: the entry arena and
     # compaction policy change allocation, never the schedule.
-    assert result["results_match"]
-    assert result["speedup"] > 1.05
-
-
-def test_same_tick_drain_speedup(benchmark):
-    result = benchmark.pedantic(
-        lambda: bench_same_tick_drain(ticks=300, chain=50, backlog=50_000,
-                                      repeat=2),
-        rounds=1, iterations=1)
-    # The FIFO fast lane must fire the same callbacks in the same order
-    # as heap-only draining.
     assert result["results_match"]
     assert result["speedup"] > 1.05
 
@@ -117,15 +106,14 @@ def test_closed_loop_xpaxos_deterministic(benchmark):
 def test_suite_payload_shape():
     payload = run_suite(events=2_000, messages=1_000, broadcast_rounds=100,
                         clients=2, duration_ms=400.0, repeat=1,
-                        heap_backlog=20_000, heap_churn=2_000,
-                        same_tick_ticks=50)
+                        heap_backlog=20_000, heap_churn=2_000)
     assert set(payload["benchmarks"]) == {
-        "event_churn", "heap_churn_1m", "same_tick_drain",
+        "event_churn", "heap_churn_1m",
         "message_storm", "broadcast_storm",
         "authenticated_broadcast", "digest_cache", "xpaxos_closed_loop",
         "pipelined_throughput", "cohort_driver"}
     assert payload["params"]["only"] is None
-    for key in ("heap_backlog", "heap_churn", "same_tick_ticks"):
+    for key in ("heap_backlog", "heap_churn"):
         assert key in payload["params"]
     # Host facts for gate-trip triage ride every payload (docs/ci.md).
     assert "nproc" in payload["host"]
@@ -139,7 +127,6 @@ def test_suite_only_subset():
     payload = run_suite(events=2_000, messages=1_000, broadcast_rounds=100,
                         clients=2, duration_ms=400.0, repeat=1,
                         heap_backlog=20_000, heap_churn=2_000,
-                        same_tick_ticks=50,
                         only=["message_storm", "event_churn"])
     # Registry order is preserved regardless of the order given.
     assert list(payload["benchmarks"]) == ["event_churn", "message_storm"]

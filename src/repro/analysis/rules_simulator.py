@@ -99,9 +99,9 @@ class MutableDefaultRule(Rule):
 class HeapOutsideCoreRule(Rule):
     """Direct ``heapq`` use belongs to ``sim/core.py`` alone.
 
-    The event heap's invariants (light 5-tuple entries vs ``Event``
-    objects, the same-tick fast lane, lazy cancellation, compaction)
-    live behind ``Simulator.schedule``/``post``/``cancel``.  A second
+    The event heap's invariants (uniform ``[time, sequence, callback,
+    args]`` entries, in-place tombstones, recycling, compaction) live
+    behind ``Simulator.schedule`` and the handles it feeds.  A second
     ``heapq`` user either duplicates those invariants or silently breaks
     them -- both have cost; schedule through the ``Simulator`` API
     instead.  Flagged at the import, one finding per module.
@@ -116,7 +116,7 @@ class HeapOutsideCoreRule(Rule):
         if "heapq" in names:
             self.report(node, "direct heapq use outside sim/core.py; "
                               "go through the Simulator "
-                              "schedule/post/cancel API")
+                              "schedule/call_at API")
 
     def visit_Import(self, node: ast.Import) -> None:
         self._check_import(node, [a.name for a in node.names])

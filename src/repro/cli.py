@@ -16,8 +16,8 @@ Examples::
     python -m repro lint --only B001
 
 ``bench`` runs the performance micro-benchmark suite (event churn, heap
-churn at 10^6 pending, same-tick drain, point-to-point message storm,
-n-way broadcast storm, closed-loop XPaxos; see :mod:`repro.harness.perf`)
+churn at 10^6 pending, point-to-point message storm, n-way broadcast
+storm, closed-loop XPaxos; see :mod:`repro.harness.perf`)
 against both the current hot paths and the preserved seed implementation,
 and writes ``BENCH_perf.json`` so every PR records a perf trajectory
 point.  ``--only``/``--profile`` narrow or instrument a run for triage
@@ -126,7 +126,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             broadcast_rounds=args.broadcast_rounds, clients=args.clients,
             duration_ms=args.duration * 1_000.0, seed=args.seed,
             repeat=args.repeat, heap_backlog=args.heap_pending,
-            heap_churn=args.heap_churn, same_tick_ticks=args.same_tick,
+            heap_churn=args.heap_churn,
             only=args.only or None)
 
     try:
@@ -478,8 +478,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="heap_churn_1m standing backlog size")
     bench.add_argument("--heap-churn", type=int, default=100_000,
                        help="heap_churn_1m cancel/re-arm operations")
-    bench.add_argument("--same-tick", type=int, default=2_000,
-                       help="same_tick_drain tick count")
     bench.add_argument("--only", action="append", default=[],
                        metavar="NAME",
                        help="run only these benchmarks (repeatable); the "

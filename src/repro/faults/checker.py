@@ -128,8 +128,7 @@ class SafetyChecker:
         One live event at a time (``Simulator.call_every``): arming a
         long horizon costs O(1) heap entries, not O(until/period).
         """
-        self.runtime.sim.call_every(period_ms, self.observe, until_ms,
-                                    label="safety-obs")
+        self.runtime.sim.call_every(period_ms, self.observe, until_ms)
 
     # ------------------------------------------------------------------
     def benign_traces(self) -> Dict[int, Sequence[tuple]]:

@@ -174,9 +174,7 @@ class FaultInjector:
         """Schedule every event on the cluster's simulator."""
         for event in schedule.events:
             self.runtime.sim.call_at(
-                event.at_ms,
-                lambda e=event: self._fire(e),
-                label=f"fault:{event.kind}")
+                event.at_ms, lambda e=event: self._fire(e))
 
     def _fire(self, event: FaultEvent) -> None:
         self.injected.append(event)

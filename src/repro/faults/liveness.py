@@ -105,8 +105,7 @@ class LivenessChecker:
     def watch(self, until_ms: float) -> None:
         """Sample every ``period_ms`` until ``until_ms`` (inclusive),
         one live simulator event at a time."""
-        self.runtime.sim.call_every(self.period_ms, self.sample, until_ms,
-                                    label="liveness-obs")
+        self.runtime.sim.call_every(self.period_ms, self.sample, until_ms)
 
     # ------------------------------------------------------------------
     def assert_live(self) -> None:

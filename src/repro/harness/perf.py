@@ -8,174 +8,46 @@ point-to-point message storm, an n-way broadcast storm, and one end-to-end
 closed-loop XPaxos run -- and writes the results to ``BENCH_perf.json`` so
 each PR leaves a perf data point behind.
 
-To make the speedup measurable *within* one checkout, the seed
-implementations of the simulator and the network (as of the original
-import: ``@dataclass(order=True)`` events, per-send delivery closures,
-f-string labels, O(n) ``pending`` scans) are preserved here verbatim as
-baselines.  The micro-benchmarks run the same workload against the seed
-baseline and the current implementation and report the ratio.
+To make the speedup measurable *within* one checkout, the micro-benchmarks
+run the same workload against the seed implementations preserved in
+:mod:`repro.harness.seed_reference` and the current ones, and report the
+ratio.  These ratios say how far the hot paths have come since the seed;
+whether a mechanism is worth its code is judged by the end-to-end ledger
+(``benchmarks/e2e/``), not here.
 
 Wall-clock numbers are host-dependent; the committed/delivered counts are
 deterministic (same seed, same counts) and double as a regression check
-that the optimized paths are observationally identical to the seed.
+that the current paths are observationally identical to the seed.
 """
 
 from __future__ import annotations
 
 import gc
 import hashlib
-# The heap-churn benchmarks measure the raw event heap against the seed
-# implementation by design.  # repro: lint-ok[S002]
-import heapq
 import json
 import os
 import platform
 import time
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import replace
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.common.config import ProtocolName, WorkloadConfig
 from repro.crypto.authenticators import MAC_VECTOR
 from repro.crypto.costs import CostModel, CpuMeter
-from repro.crypto.primitives import Digest, KeyStore, Mac, Signature, digest_of
+from repro.crypto.primitives import Digest, KeyStore, digest_of
 from repro.smr.messages import Batch, Request
 from repro.harness.configs import paper_config
 from repro.harness.runner import ExperimentRunner
+from repro.harness.seed_reference import (
+    SeedNetwork,
+    SeedSimulator,
+    seed_digest_of,
+)
 from repro.net.bandwidth import BandwidthModel
 from repro.net.latency import LatencyModel
 from repro.net.network import Endpoint, Network
 from repro.protocols.xpaxos.messages import FastCommit, ReplyMsg
 from repro.sim.core import Simulator
-
-# ----------------------------------------------------------------------
-# Seed baselines (the implementation this repo started from), kept so the
-# suite can report a speedup on the machine it runs on.
-# ----------------------------------------------------------------------
-
-
-@dataclass(order=True)
-class _SeedEvent:
-    """The seed's Event: ordered dataclass, no __slots__."""
-
-    time: float
-    sequence: int
-    callback: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
-    label: str = field(default="", compare=False)
-
-
-class _SeedEventHandle:
-    __slots__ = ("_event",)
-
-    def __init__(self, event: _SeedEvent):
-        self._event = event
-
-    def cancel(self) -> None:
-        self._event.cancelled = True
-
-
-class SeedSimulator:
-    """The seed's event loop: heap of orderable Event objects, lazy
-    cancellation without compaction, O(n) ``pending`` scans."""
-
-    def __init__(self) -> None:
-        self._now = 0.0
-        self._queue: List[_SeedEvent] = []
-        self._sequence = 0
-        self._executed = 0
-
-    @property
-    def now(self) -> float:
-        return self._now
-
-    @property
-    def pending(self) -> int:
-        return sum(1 for e in self._queue if not e.cancelled)
-
-    @property
-    def executed(self) -> int:
-        return self._executed
-
-    def call_at(self, time: float, callback: Callable[[], None],
-                label: str = "") -> _SeedEventHandle:
-        event = _SeedEvent(time=time, sequence=self._sequence,
-                           callback=callback, label=label)
-        self._sequence += 1
-        heapq.heappush(self._queue, event)
-        return _SeedEventHandle(event)
-
-    def call_after(self, delay: float, callback: Callable[[], None],
-                   label: str = "") -> _SeedEventHandle:
-        return self.call_at(self._now + delay, callback, label=label)
-
-    def run(self, until: Optional[float] = None) -> int:
-        executed = 0
-        while self._queue:
-            event = self._queue[0]
-            if event.cancelled:
-                heapq.heappop(self._queue)
-                continue
-            if until is not None and event.time > until:
-                break
-            heapq.heappop(self._queue)
-            self._now = event.time
-            self._executed += 1
-            executed += 1
-            event.callback()
-        if until is not None and self._now < until:
-            self._now = until
-        return executed
-
-
-class SeedNetwork:
-    """The seed's send path: endpoint lookups per message, a delivery
-    closure and an f-string label per message, FIFO dict probed always."""
-
-    def __init__(self, sim: SeedSimulator, latency: LatencyModel,
-                 bandwidth: Optional[BandwidthModel] = None,
-                 fifo: bool = False) -> None:
-        self.sim = sim
-        self.latency = latency
-        self.bandwidth = bandwidth
-        self.fifo = fifo
-        self.delivered = 0
-        self._endpoints: Dict[str, Endpoint] = {}
-        self._last_delivery: Dict[tuple, float] = {}
-
-    def attach(self, endpoint: Endpoint) -> None:
-        self._endpoints[endpoint.name] = endpoint
-
-    def send(self, src: str, dst: str, payload: Any,
-             size_bytes: int = 0) -> None:
-        source = self._endpoints[src]
-        target = self._endpoints[dst]
-        if not source.is_up():
-            return
-        depart = self.sim.now
-        if (self.bandwidth is not None and size_bytes > 0
-                and source.site != target.site):
-            depart = self.bandwidth.serialize(src, size_bytes, self.sim.now)
-        delay = self.latency.sample_one_way(source.site, target.site,
-                                            now=depart)
-        arrival = depart + delay
-        if self.fifo:
-            key = (src, dst)
-            arrival = max(arrival, self._last_delivery.get(key, 0.0))
-            self._last_delivery[key] = arrival
-
-        def deliver() -> None:
-            if not target.is_up():
-                return
-            self.delivered += 1
-            target.deliver(src, payload)
-
-        self.sim.call_at(arrival, deliver, label=f"{src}->{dst}")
-
-    def broadcast(self, src: str, dsts: List[str], payload: Any,
-                  size_bytes: int = 0) -> None:
-        for dst in dsts:
-            self.send(src, dst, payload, size_bytes=size_bytes)
-
 
 # ----------------------------------------------------------------------
 # Workloads (run identically against seed and current implementations)
@@ -198,11 +70,11 @@ def _churn_workload(sim, num_events: int) -> Dict[str, Any]:
         handle = handles[slot]
         if handle is not None:
             handle.cancel()
-        handles[slot] = sim.call_after(10_000.0, noop, label="retransmit")
+        handles[slot] = sim.call_after(10_000.0, noop)
         if count < num_events:
-            sim.call_after(0.01, pump, label="reply")
+            sim.call_after(0.01, pump)
 
-    sim.call_after(0.0, pump, label="reply")
+    sim.call_after(0.0, pump)
     sim.run(until=num_events * 0.01 + 1.0)
     return {"executed": sim.executed, "pending": sim.pending}
 
@@ -216,7 +88,7 @@ def _heap_churn_workload(sim, backlog: int, churn: int) -> Dict[str, Any]:
 
     base = 1_000_000.0
     for i in range(backlog):
-        sim.call_at(base + i, noop, label="backlog")
+        sim.call_at(base + i, noop)
 
     slots = 128
     handles: List[Any] = [None] * slots
@@ -229,48 +101,20 @@ def _heap_churn_workload(sim, backlog: int, churn: int) -> Dict[str, Any]:
         handle = handles[slot]
         if handle is not None:
             handle.cancel()
-        handles[slot] = sim.call_after(10_000.0, noop, label="retransmit")
+        handles[slot] = sim.call_after(10_000.0, noop)
         if count < churn:
-            sim.call_after(0.01, pump, label="reply")
+            sim.call_after(0.01, pump)
 
-    sim.call_after(0.0, pump, label="reply")
+    sim.call_after(0.0, pump)
     sim.run(until=churn * 0.01 + 1.0)
     return {"executed": sim.executed, "pending": sim.pending}
 
 
-def _same_tick_workload(sim, ticks: int, chain: int,
-                        backlog: int) -> Dict[str, Any]:
-    """Same-tick cascades over a deep heap: each tick fires a chain of
-    zero-delay events (the ``call_soon``/parked-flush pump pattern), with
-    a far-future backlog keeping the heap deep.  The current simulator
-    drains each chain through the FIFO fast lane; the seed pays a
-    ``log(backlog)`` heap push and pop per link."""
-    def noop() -> None:
-        pass
-
-    base = 1_000_000.0
-    for i in range(backlog):
-        sim.call_at(base + i, noop, label="backlog")
-
-    state = {"tick": 0, "left": 0, "fired": 0}
-
-    def link() -> None:
-        state["fired"] += 1
-        left = state["left"]
-        if left > 0:
-            state["left"] = left - 1
-            sim.call_at(sim.now, link, label="pump")
-        else:
-            tick = state["tick"]
-            if tick < ticks:
-                state["tick"] = tick + 1
-                state["left"] = chain
-                sim.call_after(0.25, link, label="tick")
-
-    sim.call_after(0.0, link, label="tick")
-    sim.run(until=ticks * 0.25 + 1.0)
-    return {"executed": sim.executed, "fired": state["fired"],
-            "pending": sim.pending}
+#: Horizon for the fabric storms: they drain through ``run(until=...)``,
+#: the loop every real cell, sweep point and ledger workload uses.  One
+#: virtual hour is far past the last delivery at any practical size (the
+#: full-size storms end within two virtual seconds).
+_STORM_HORIZON_MS = 3_600_000.0
 
 
 def _storm_endpoints(network, count: int = 9) -> List[str]:
@@ -303,11 +147,9 @@ def _storm_workload(sim, network, num_messages: int) -> Dict[str, Any]:
         if src == dst:
             dst = names[(i * 5 + 2) % k]
         network.send(src, dst, i, size_bytes=256)
-    sim.run()
-    # Delivered count is the cross-fabric equivalence check; raw event
-    # counts differ by design once the current fabric coalesces same-tick
-    # deliveries into shared events.
-    return {"delivered": network._bench_sink["delivered"]}
+    sim.run(until=_STORM_HORIZON_MS)
+    return {"delivered": network._bench_sink["delivered"],
+            "pending": sim.pending}
 
 
 def _broadcast_workload(sim, network, rounds: int) -> Dict[str, Any]:
@@ -318,8 +160,9 @@ def _broadcast_workload(sim, network, rounds: int) -> Dict[str, Any]:
     payload = ("batch", b"x" * 64)
     for _ in range(rounds):
         network.broadcast(leader, peers, payload, size_bytes=1024)
-    sim.run()
-    return {"delivered": network._bench_sink["delivered"]}
+    sim.run(until=_STORM_HORIZON_MS)
+    return {"delivered": network._bench_sink["delivered"],
+            "pending": sim.pending}
 
 
 def _auth_endpoints(network, keystore, count: int = 9):
@@ -358,7 +201,7 @@ def _auth_endpoints(network, keystore, count: int = 9):
 
 def _auth_broadcast_current(sim, network, rounds, keystore):
     """Transport-level MAC vector: one payload digest per fan-out, the
-    per-receiver MAC stamped at delivery fan-out time by multicast."""
+    per-receiver MAC stamped by the transport as it fans out."""
     names = _auth_endpoints(network, keystore)
     leader, peers = names[0], names[1:]
     payload = ("batch", b"x" * 64)
@@ -367,9 +210,10 @@ def _auth_broadcast_current(sim, network, rounds, keystore):
                                         size_bytes=1004,
                                         authenticator=MAC_VECTOR,
                                         keystore=keystore)
-    sim.run()
+    sim.run(until=_STORM_HORIZON_MS)
     sink = network._bench_sink
-    return {"delivered": sink["delivered"], "verified": sink["verified"]}
+    return {"delivered": sink["delivered"], "verified": sink["verified"],
+            "pending": sim.pending}
 
 
 def _auth_broadcast_seed(sim, network, rounds, keystore):
@@ -383,9 +227,10 @@ def _auth_broadcast_seed(sim, network, rounds, keystore):
         for dst in peers:
             mac = keystore.mac(leader, dst, body)
             network.send(leader, dst, (body, mac), size_bytes=1024)
-    sim.run()
+    sim.run(until=_STORM_HORIZON_MS)
     sink = network._bench_sink
-    return {"delivered": sink["delivered"], "verified": sink["verified"]}
+    return {"delivered": sink["delivered"], "verified": sink["verified"],
+            "pending": sim.pending}
 
 
 # ----------------------------------------------------------------------
@@ -471,7 +316,7 @@ def bench_heap_churn_1m(backlog: int = 1_000_000, churn: int = 100_000,
                         repeat: int = 3) -> Dict[str, Any]:
     """Reply churn against a 10⁶-entry standing backlog, seed vs current.
 
-    Isolates pure heap cost at depth: the adaptive event pool and the
+    Isolates pure heap cost at depth: the entry arena and the
     compaction policy must hold up when every push and pop traverses a
     twenty-level heap.
     """
@@ -479,22 +324,6 @@ def bench_heap_churn_1m(backlog: int = 1_000_000, churn: int = 100_000,
         lambda: _heap_churn_workload(Simulator(), backlog, churn),
         lambda: _heap_churn_workload(SeedSimulator(), backlog, churn),
         backlog + churn, repeat)
-
-
-def bench_same_tick_drain(ticks: int = 2_000, chain: int = 50,
-                          backlog: int = 200_000,
-                          repeat: int = 3) -> Dict[str, Any]:
-    """Zero-delay cascades over a deep heap, seed vs current.
-
-    The batch-drain lane's home turf: the current simulator routes each
-    ``call_at(now, ...)`` link through the same-tick FIFO, paying zero
-    heap operations per link; the seed pays ``2 log(backlog)`` heap moves
-    for every one.
-    """
-    return _compare(
-        lambda: _same_tick_workload(Simulator(), ticks, chain, backlog),
-        lambda: _same_tick_workload(SeedSimulator(), ticks, chain, backlog),
-        ticks * chain, repeat)
 
 
 def _current_net(seed: int):
@@ -547,7 +376,7 @@ def bench_broadcast_storm(rounds: int = 12_500, seed: int = 0,
 
 def bench_authenticated_broadcast(rounds: int = 4_000, seed: int = 0,
                                   repeat: int = 3) -> Dict[str, Any]:
-    """MAC'd 8-way fan-out: delivery-time MAC vector on the multicast
+    """MAC'd 8-way fan-out: transport-stamped MAC vector on the multicast
     path vs the seed's payload-embedded MACs over sequential sends.
 
     Every delivery verifies its MAC on both sides, and both fabrics draw
@@ -567,54 +396,8 @@ def bench_authenticated_broadcast(rounds: int = 4_000, seed: int = 0,
 
 
 # ----------------------------------------------------------------------
-# Digest-cache micro-benchmark (seed encoder preserved verbatim)
+# Digest-cache micro-benchmark (against the seed encoder)
 # ----------------------------------------------------------------------
-
-def _seed_canonical(obj: Any) -> bytes:
-    """The seed's canonical encoder, preserved verbatim as the baseline
-    for :func:`bench_digest_cache`: one generic isinstance chain, no
-    exact-type fast path, byte-identical output to the current encoder."""
-    if obj is None:
-        return b"N"
-    if isinstance(obj, bool):
-        return b"T" if obj else b"F"
-    if isinstance(obj, int):
-        return b"i" + str(obj).encode()
-    if isinstance(obj, float):
-        return b"f" + repr(obj).encode()
-    if isinstance(obj, str):
-        data = obj.encode()
-        return b"s" + str(len(data)).encode() + b":" + data
-    if isinstance(obj, bytes):
-        return b"b" + str(len(obj)).encode() + b":" + obj
-    if isinstance(obj, Digest):
-        return b"D" + obj.value
-    if isinstance(obj, Signature):
-        return b"S" + _seed_canonical((obj.signer, obj.digest.value))
-    if isinstance(obj, Mac):
-        return b"M" + _seed_canonical((obj.sender, obj.receiver,
-                                       obj.digest.value))
-    if isinstance(obj, (tuple, list)):
-        parts = b"".join(_seed_canonical(x) for x in obj)
-        return b"l" + str(len(obj)).encode() + b":" + parts
-    if isinstance(obj, dict):
-        items = sorted(obj.items(), key=lambda kv: _seed_canonical(kv[0]))
-        parts = b"".join(_seed_canonical(k) + _seed_canonical(v)
-                         for k, v in items)
-        return b"d" + str(len(obj)).encode() + b":" + parts
-    if is_dataclass(obj) and not isinstance(obj, type):
-        parts = [type(obj).__name__.encode()]
-        for f in fields(obj):
-            parts.append(_seed_canonical(f.name))
-            parts.append(_seed_canonical(getattr(obj, f.name)))
-        return b"c" + b"".join(parts)
-    raise TypeError(f"cannot canonically encode {type(obj).__name__}")
-
-
-def _seed_digest_of(obj: Any) -> Digest:
-    """The seed's ``digest_of``: always re-encode, never memoize."""
-    return Digest(hashlib.sha256(_seed_canonical(obj)).digest())
-
 
 def _digest_cache_workload(digest_fn: Callable[[Any], Digest],
                            count: int, fanout: int) -> Dict[str, Any]:
@@ -661,7 +444,7 @@ def bench_digest_cache(count: int = 1_500, fanout: int = 16,
     checksum in ``results_match``."""
     return _compare(
         lambda: _digest_cache_workload(digest_of, count, fanout),
-        lambda: _digest_cache_workload(_seed_digest_of, count, fanout),
+        lambda: _digest_cache_workload(seed_digest_of, count, fanout),
         count * (fanout + 2), repeat)
 
 
@@ -820,7 +603,6 @@ def suite_benchmarks(events: int = 200_000, messages: int = 100_000,
                      duration_ms: float = 2_000.0, seed: int = 0,
                      repeat: int = 3, heap_backlog: int = 1_000_000,
                      heap_churn: int = 100_000,
-                     same_tick_ticks: int = 2_000,
                      ) -> Dict[str, Callable[[], Dict[str, Any]]]:
     """The suite registry: benchmark name -> ready-to-run thunk.
 
@@ -832,8 +614,6 @@ def suite_benchmarks(events: int = 200_000, messages: int = 100_000,
         "event_churn": lambda: bench_event_churn(events, repeat=repeat),
         "heap_churn_1m": lambda: bench_heap_churn_1m(
             heap_backlog, heap_churn, repeat=repeat),
-        "same_tick_drain": lambda: bench_same_tick_drain(
-            same_tick_ticks, repeat=repeat),
         "message_storm": lambda: bench_message_storm(
             messages, seed=seed, repeat=repeat),
         "broadcast_storm": lambda: bench_broadcast_storm(
@@ -889,7 +669,7 @@ def run_suite(events: int = 200_000, messages: int = 100_000,
               broadcast_rounds: int = 12_500, clients: int = 16,
               duration_ms: float = 2_000.0, seed: int = 0,
               repeat: int = 3, heap_backlog: int = 1_000_000,
-              heap_churn: int = 100_000, same_tick_ticks: int = 2_000,
+              heap_churn: int = 100_000,
               only: Optional[List[str]] = None) -> Dict[str, Any]:
     """Run the suite; returns the ``BENCH_perf.json`` payload.
 
@@ -901,8 +681,7 @@ def run_suite(events: int = 200_000, messages: int = 100_000,
         events=events, messages=messages,
         broadcast_rounds=broadcast_rounds, clients=clients,
         duration_ms=duration_ms, seed=seed, repeat=repeat,
-        heap_backlog=heap_backlog, heap_churn=heap_churn,
-        same_tick_ticks=same_tick_ticks)
+        heap_backlog=heap_backlog, heap_churn=heap_churn)
     if only:
         unknown = sorted(set(only) - set(benchmarks))
         if unknown:
@@ -926,7 +705,6 @@ def run_suite(events: int = 200_000, messages: int = 100_000,
             "broadcast_rounds": broadcast_rounds, "clients": clients,
             "duration_ms": duration_ms, "seed": seed, "repeat": repeat,
             "heap_backlog": heap_backlog, "heap_churn": heap_churn,
-            "same_tick_ticks": same_tick_ticks,
             "only": sorted(only) if only else None,
         },
         "benchmarks": {name: thunk() for name, thunk in benchmarks.items()},

@@ -9,15 +9,15 @@ Two complementary views of where time goes:
   ``python -m pstats`` or snakeviz) and/or rendered with
   :func:`format_stats`.
 * **Subsystem counters** -- the simulator's and network's own hot-loop
-  counters (heap ops, fast-lane traffic, pool hit-rate, compactions,
-  coalesced deliveries, MAC stamps/verifies), collected for free as the
-  run executes.  :func:`format_subsystems` renders them side by side;
+  counters (heap ops, cancellations, compactions, arena hit-rate,
+  drops, MAC stamps/verifies), collected for free as the run executes.
+  :func:`format_subsystems` renders them side by side;
   ``docs/profiling.md`` explains how to read them.
 
 The two disagree on purpose: cProfile says where *wall time* went under
 instrumentation overhead; the counters say what the hot loops *did*.
-Regressions usually show in the counters first (fast-lane fraction
-drops, pool hit-rate collapses) before they are big enough to see in a
+Regressions usually show in the counters first (events per commit
+climb, arena hit-rate collapses) before they are big enough to see in a
 profile.
 """
 

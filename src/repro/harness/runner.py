@@ -106,8 +106,7 @@ class ExperimentRunner:
         runtime.sim.call_at(
             workload.warmup_ms,
             lambda: busy_at_warmup.update(
-                (r.replica_id, r.cpu.busy_us) for r in runtime.replicas),
-            label="cpu-warmup-mark")
+                (r.replica_id, r.cpu.busy_us) for r in runtime.replicas))
         driver.run()
         summary = driver.latency.summary()
         measured_ms = workload.duration_ms - workload.warmup_ms

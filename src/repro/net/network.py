@@ -1,56 +1,49 @@
 """Message delivery: endpoints, sends, latency + bandwidth + partitions.
 
 The :class:`Network` connects named :class:`Endpoint` objects (replicas and
-clients).  A send samples a one-way delay from the latency model, adds the
-sender's uplink serialization delay for inter-site traffic, and schedules
-delivery unless the pair is partitioned or either end is crashed at delivery
-time.  Channels are reliable point-to-point (Section 2) -- no duplication,
-no corruption -- but unordered, like independent TCP connections racing.
+clients).  Channels are reliable point-to-point (Section 2) -- no
+duplication, no corruption -- but unordered, like independent TCP
+connections racing.  An optional FIFO mode delivers messages between each
+ordered pair in send order, which some baseline protocols (Zab) assume.
 
-An optional FIFO mode delivers messages between each ordered pair in send
-order, which some baseline protocols (Zab) assume.
+One delivery pipeline
+---------------------
 
-Hot path: :meth:`Network.send` is executed once per protocol message, which
-makes it (with the event loop) the throughput ceiling of every experiment.
-It therefore avoids per-message closures, :class:`EventHandle` creation and
-the :class:`Event` object itself (deliveries are never cancelled, so they
-ride :meth:`Simulator.post` as bare heap tuples with the target passed as
-args), touches FIFO bookkeeping only when FIFO is on, and looks
-each endpoint up exactly once.  :meth:`multicast` amortizes the sender-side
-checks across an n-way broadcast while remaining observationally identical
-to n sequential sends (same stats, same RNG draw order, same delivery
-order).
+The four public verbs -- :meth:`Network.send`, :meth:`Network.multicast`
+and their ``*_authenticated`` flavours -- are thin entries into one
+fan-out routine, so each rule lives in one place:
 
-Coalesced delivery
-------------------
+* **Resolve first.**  Every endpoint name is looked up before stats, RNG
+  or the uplink are touched; an unknown name raises with no side effects.
+* **Sender-side drops are judged at send time**: a crashed sender, a
+  partitioned pair or a ``send_filter`` veto drops the message there and
+  then.  A partition raised or healed mid-flight changes nothing for
+  messages already sent.
+* **Timing**: inter-site traffic first queues on the sender's uplink
+  (serialization delay), then draws a one-way delay from the latency
+  model, in destination order -- a fan-out draws exactly what the same
+  sends issued one by one would.
+* **Authentication is a stage, not a sibling path**: given an
+  authenticator, the shared context (typically the payload digest) is
+  computed once per fan-out, each receiver's authenticator is stamped as
+  its delivery is scheduled, and each receiver is charged the
+  authenticator bytes it sees on the wire.  No authenticator = plain.
+* **Receiver crashes are judged at delivery time**, per receiver: every
+  delivery is its own event, and a message to a node that crashed
+  mid-flight is lost.
 
-A fan-out whose receivers share an arrival instant (same-site peers behind
-the constant intra-site delay, or inter-site receivers sharing a
-correlated latency draw) schedules **one** event per distinct arrival tick
-instead of one per receiver; the batch callback walks its receivers in
-destination order.  This is observationally identical to per-receiver
-entries: within one fan-out no other event can acquire a sequence number
-between two batch members (the fan-out loop schedules nothing else), and
-batch members fire back-to-back in destination order exactly as their
-per-receiver entries would have.  Crash checks still happen per receiver
-at delivery time, *inside* the drain.  On the authenticated path the
-per-receiver MAC vector is stamped inside the drain too, so a receiver
-that crashed mid-flight never costs a MAC.  ``Network(coalesce=False)``
-restores per-receiver scheduling for the equivalence tests.
-
-Authenticated deliveries also publish the fan-out's body digest through
-:attr:`Network.delivery_digest` for the duration of the delivery callback.
-The digest was computed by the transport from the very body object being
-delivered, so the receiving runtime may hand it to
-``Authenticator.verify(..., body_digest=...)`` and skip re-hashing the
-payload -- a forged injection that bypasses the transport sees ``None``
-and pays the full check.
+Authenticated deliveries publish the fan-out's body digest through
+:attr:`Network.delivery_digest` while the delivery callback runs.  The
+transport computed it from the very body object being delivered, so the
+receiving runtime may hand it to ``Authenticator.verify(...,
+body_digest=...)`` and skip re-hashing the payload -- a forged injection
+that bypasses the transport sees ``None`` and pays the full check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Callable, Dict, Iterable, Optional, Sequence
 
 from repro.common.errors import ConfigurationError
 from repro.net.bandwidth import BandwidthModel
@@ -85,6 +78,10 @@ class Endpoint:
 #: Sentinel: no precomputed authenticator context was supplied.
 _NO_CONTEXT = object()
 
+#: Sentinel in a delivery's ``auth`` slot: a plain send.  (``None`` is a
+#: real authenticator value -- the null policy stamps it.)
+_PLAIN = object()
+
 
 @dataclass(slots=True)
 class NetworkStats:
@@ -98,9 +95,10 @@ class NetworkStats:
     messages_dropped_partition: int = 0
     messages_dropped_crash: int = 0
     bytes_sent: int = 0
-    #: Shared delivery events scheduled by the coalesced fan-out path.
+    #: Coalesced delivery is gone; the ledger (benchmarks/e2e/workloads.py)
+    #: still reads these two, so they stay 0 until a benchmark-only PR
+    #: retires the rows.
     coalesced_ticks: int = 0
-    #: Receivers whose delivery rode a shared (coalesced) event.
     coalesced_deliveries: int = 0
     #: Per-receiver authenticators stamped by the transport.
     auth_stamped: int = 0
@@ -118,10 +116,6 @@ class Network:
         bandwidth: optional uplink model; None disables serialization delay
             (unit tests).
         fifo: deliver per ordered pair in send order.
-        coalesce: schedule one delivery event per distinct fan-out arrival
-            tick (see module notes).  ``False`` restores per-receiver
-            scheduling -- observably identical, kept for the equivalence
-            tests.
     """
 
     def __init__(
@@ -130,25 +124,18 @@ class Network:
         latency: LatencyModel,
         bandwidth: Optional[BandwidthModel] = None,
         fifo: bool = False,
-        coalesce: bool = True,
     ) -> None:
         self.sim = sim
         self.latency = latency
         self.bandwidth = bandwidth
         self.partitions = PartitionController()
         self.fifo = fifo
-        self.coalesce = coalesce
         self.stats = NetworkStats()
         self._endpoints: Dict[str, Endpoint] = {}
         self._last_delivery: Dict[tuple, float] = {}
-        # Pre-bound hot-path callables.  send() runs once per protocol
-        # message; loading ``sim.post`` or ``self._deliver`` there would
-        # build a fresh bound-method object per call, so both are bound
-        # once here (instance attributes shadow the class methods).
-        self._post = sim.post
+        # Bound once (the instance attribute shadows the method):
+        # loading it per delivery would build a bound method each time.
         self._deliver = self._deliver
-        self._deliver_batch = self._deliver_batch
-        self._deliver_auth = self._deliver_auth
         #: Body digest of the authenticated delivery currently in flight
         #: (set around the ``deliver_auth`` callback, ``None`` otherwise).
         #: The receiver runtime passes it to ``Authenticator.verify`` as
@@ -179,184 +166,115 @@ class Network:
         return self._endpoints.keys()
 
     # ------------------------------------------------------------------
-    def _deliver(self, target: Endpoint, src: str, payload: Any) -> None:
-        """Delivery-time half of a send (scheduled, crash check included)."""
-        if not target.is_up():
-            self.stats.messages_dropped_crash += 1
-            return
-        self.stats.messages_delivered += 1
-        target.deliver(src, payload)
+    def _fan_out(self, src: str, dsts: Sequence[str], payload: Any,
+                 size_bytes: int, authenticator: Any, keystore: Any,
+                 context: Any) -> None:
+        """The send pipeline behind all four verbs (see module notes).
 
-    def _deliver_batch(self, targets: Sequence[Endpoint], src: str,
-                       payload: Any) -> None:
-        """Coalesced delivery: one event, several same-tick receivers.
-
-        Receivers are walked in destination order; crash checks happen
-        here, per receiver, exactly as they would in per-receiver events.
-        """
-        stats = self.stats
-        for target in targets:
-            if not target.is_up():
-                stats.messages_dropped_crash += 1
-                continue
-            stats.messages_delivered += 1
-            target.deliver(src, payload)
-
-    def _schedule_deliveries(self, deliveries: List[tuple], src: str,
-                             payload: Any) -> None:
-        """Second half of a fan-out: one event per distinct arrival tick.
-
-        ``deliveries`` is the fan-out's ``(arrival, target)`` list in
-        destination order (latency/bandwidth already drawn, drops already
-        filtered).  Grouping preserves delivery order: distinct arrivals
-        never tie, and within one arrival the batch fires in destination
-        order -- the same order per-receiver entries would have, since no
-        other event can be scheduled between two members of one fan-out.
-        """
-        post = self._post
-        deliver = self._deliver
-        if not self.coalesce or len(deliveries) < 2:
-            for arrival, target in deliveries:
-                post(arrival, deliver, (target, src, payload))
-            return
-        groups: Dict[float, Any] = {}
-        for arrival, target in deliveries:
-            prev = groups.get(arrival)
-            if prev is None:
-                groups[arrival] = target
-            elif type(prev) is list:
-                prev.append(target)
-            else:
-                groups[arrival] = [prev, target]
-        if len(groups) == len(deliveries):
-            for arrival, target in deliveries:
-                post(arrival, deliver, (target, src, payload))
-            return
-        stats = self.stats
-        deliver_batch = self._deliver_batch
-        for arrival, entry in groups.items():
-            if type(entry) is list:
-                stats.coalesced_ticks += 1
-                stats.coalesced_deliveries += len(entry)
-                post(arrival, deliver_batch, (tuple(entry), src, payload))
-            else:
-                post(arrival, deliver, (entry, src, payload))
-
-    def send(self, src: str, dst: str, payload: Any,
-             size_bytes: int = 0) -> None:
-        """Send ``payload`` from ``src`` to ``dst``.
-
-        The partition check happens at *send* time (a blocked pair drops the
-        message), and crash checks happen at *delivery* time (a message to a
-        node that crashed mid-flight is lost).  Loopback sends are delivered
-        with intra-site latency so a node's self-messages still go through
-        the event queue (keeps handler re-entrancy simple).
+        ``authenticator is None`` is a plain send; otherwise ``context``
+        is the fan-out's shared authenticator context, or
+        :data:`_NO_CONTEXT` to compute it here.
         """
         endpoints = self._endpoints
         try:
             source = endpoints[src]
-            target = endpoints[dst]
-        except KeyError:
+            for dst in dsts:  # resolve first (cheaper than a list)
+                endpoints[dst]
+        except KeyError as unknown:
             raise ConfigurationError(
-                f"unknown endpoint {src if src not in endpoints else dst}")
+                f"unknown endpoint {unknown.args[0]}") from None
         stats = self.stats
-        stats.messages_sent += 1
-        stats.bytes_sent += size_bytes
-
+        if authenticator is not None:
+            size_bytes += authenticator.auth_bytes
+        fan = len(dsts)
+        stats.messages_sent += fan
+        stats.bytes_sent += size_bytes * fan
         if not source.is_up():
             # A crashed node cannot send; callers normally guard, but the
             # fault injector can race a crash with an in-progress handler.
-            stats.messages_dropped_crash += 1
+            stats.messages_dropped_crash += fan
             return
+        auth = _PLAIN
+        digest = None
+        if authenticator is not None:
+            if context is _NO_CONTEXT:
+                context = authenticator.begin(keystore, src, payload)
+            digest = authenticator.context_digest(context)
         partitions = self.partitions
-        if partitions._blocked and partitions.blocked(src, dst):
-            stats.messages_dropped_partition += 1
-            return
-        if self.send_filter is not None and not self.send_filter(
-                src, dst, payload):
-            stats.messages_dropped_partition += 1
-            return
-
+        bandwidth = self.bandwidth if size_bytes > 0 else None
         sim = self.sim
-        depart = sim._now  # property bypass: once per protocol message
-        if (self.bandwidth is not None and size_bytes > 0
-                and source.site != target.site):
-            depart = self.bandwidth.serialize(src, size_bytes, depart)
-        arrival = depart + self.latency.sample_one_way(
-            source.site, target.site, depart)
-
-        if self.fifo:
-            key = (src, dst)
-            last = self._last_delivery.get(key, 0.0)
-            if last > arrival:
-                arrival = last
-            self._last_delivery[key] = arrival
-
-        self._post(arrival, self._deliver, (target, src, payload))
-
-    def multicast(self, src: str, dsts: Sequence[str], payload: Any,
-                  size_bytes: int = 0) -> None:
-        """Send the same payload to each destination, in order.
-
-        Observationally identical to ``for dst in dsts: send(...)`` -- same
-        stats, same per-destination uplink serialization and latency draws
-        (in the same RNG order), same FIFO interaction -- but the sender
-        side (endpoint lookup, liveness check, filter probe, bandwidth and
-        latency model dereferences) is resolved once instead of n times,
-        and receivers sharing an arrival tick share one delivery event.
-        """
-        endpoints = self._endpoints
-        source = endpoints.get(src)
-        if source is None:
-            raise ConfigurationError(f"unknown endpoint {src}")
-        stats = self.stats
-        up = source.is_up()
-
-        sim = self.sim
-        blocked_pairs = self.partitions._blocked
-        blocked = self.partitions.blocked
-        send_filter = self.send_filter
-        bandwidth = self.bandwidth
-        sample = self.latency.sample_one_way
-        fifo = self.fifo
-        src_site = source.site
-        charge_uplink = bandwidth is not None and size_bytes > 0
         now = sim._now  # property bypass: once per fan-out
-
-        deliveries: List[tuple] = []
-        append = deliveries.append
-        # Send-side counters are per-destination-unconditional, so the
-        # whole fan-out is accounted in two adds instead of 2n.
-        n_dsts = len(dsts)
-        stats.messages_sent += n_dsts
-        stats.bytes_sent += size_bytes * n_dsts
+        # Nothing else is hoisted: real traffic is 1.0-1.2 receivers per
+        # call (end-to-end ledger), where binding a method to a local
+        # costs more than calling it once.
         for dst in dsts:
-            target = endpoints.get(dst)
-            if target is None:
-                raise ConfigurationError(f"unknown endpoint {dst}")
-            if not up:
-                stats.messages_dropped_crash += 1
-                continue
-            if blocked_pairs and blocked(src, dst):
+            target = endpoints[dst]
+            if partitions._blocked and partitions.blocked(src, dst):
                 stats.messages_dropped_partition += 1
                 continue
-            if send_filter is not None and not send_filter(
+            if self.send_filter is not None and not self.send_filter(
                     src, dst, payload):
                 stats.messages_dropped_partition += 1
                 continue
             depart = now
-            if charge_uplink and src_site != target.site:
+            if bandwidth is not None and source.site != target.site:
                 depart = bandwidth.serialize(src, size_bytes, now)
-            arrival = depart + sample(src_site, target.site, now=depart)
-            if fifo:
+            arrival = depart + self.latency.sample_one_way(
+                source.site, target.site, depart)
+            if self.fifo:
                 key = (src, dst)
                 last = self._last_delivery.get(key, 0.0)
                 if last > arrival:
                     arrival = last
                 self._last_delivery[key] = arrival
-            append((arrival, target))
-        if deliveries:
-            self._schedule_deliveries(deliveries, src, payload)
+            if authenticator is not None:
+                auth = authenticator.stamp(keystore, src, dst, context)
+                stats.auth_stamped += 1
+            sim.schedule(arrival, self._deliver,
+                         (target, src, payload, auth, size_bytes, digest))
+
+    def _deliver(self, target: Endpoint, src: str, payload: Any,
+                 auth: Any, size_bytes: int, digest: Any) -> None:
+        """Delivery-time half of every send: the receiver's crash check,
+        then its inbox (``auth`` is :data:`_PLAIN` for a plain send)."""
+        if not target.is_up():
+            self.stats.messages_dropped_crash += 1
+            return
+        self.stats.messages_delivered += 1
+        deliver_auth = target.deliver_auth
+        if auth is _PLAIN or deliver_auth is None:
+            target.deliver(src, payload)
+            return
+        self.delivery_digest = digest
+        try:
+            deliver_auth(src, payload, auth, size_bytes)
+        finally:
+            self.delivery_digest = None
+
+    # ------------------------------------------------------------------
+    # The public verbs.  Each calls _fan_out directly, never another
+    # verb: the end-to-end ledger counts calls to these four names.
+    # ------------------------------------------------------------------
+    def send(self, src: str, dst: str, payload: Any,
+             size_bytes: int = 0) -> None:
+        """Send ``payload`` from ``src`` to ``dst``.
+
+        Loopback sends are delivered with intra-site latency so a node's
+        self-messages still go through the event queue (keeps handler
+        re-entrancy simple).
+        """
+        self._fan_out(src, (dst,), payload, size_bytes, None, None, None)
+
+    def multicast(self, src: str, dsts: Sequence[str], payload: Any,
+                  size_bytes: int = 0) -> None:
+        """Send the same payload to each destination, in order.
+
+        Observationally identical to ``for dst in dsts: send(...)`` --
+        same stats, same per-destination uplink serialization and latency
+        draws (in the same RNG order), same FIFO interaction -- with the
+        sender side resolved once instead of n times.
+        """
+        self._fan_out(src, dsts, payload, size_bytes, None, None, None)
 
     def broadcast(self, src: str, dsts: Iterable[str], payload: Any,
                   size_bytes: int = 0) -> None:
@@ -366,112 +284,12 @@ class Network:
         dsts = dsts if isinstance(dsts, (list, tuple)) else list(dsts)
         self.multicast(src, dsts, payload, size_bytes=size_bytes)
 
-    # ------------------------------------------------------------------
-    # Authenticated delivery (per-receiver MACs stamped at fan-out time)
-    # ------------------------------------------------------------------
-    def _deliver_auth(self, target: Endpoint, src: str, body: Any,
-                      auth: Any, size_bytes: int,
-                      digest: Any = None) -> None:
-        """Delivery-time half of an authenticated send."""
-        if not target.is_up():
-            self.stats.messages_dropped_crash += 1
-            return
-        self.stats.messages_delivered += 1
-        deliver_auth = target.deliver_auth
-        if deliver_auth is not None:
-            self.delivery_digest = digest
-            try:
-                deliver_auth(src, body, auth, size_bytes)
-            finally:
-                self.delivery_digest = None
-        else:
-            target.deliver(src, body)
-
-    def _deliver_auth_batch(self, targets: Sequence[Endpoint],
-                            shared: tuple) -> None:
-        """Coalesced authenticated delivery: the per-receiver MAC vector
-        is stamped here, inside the drain, so a receiver that crashed
-        mid-flight never costs a stamp.  Stamps are pure functions of
-        ``(keystore, src, receiver, context)``, so drain-time stamping is
-        byte-identical to fan-out-time stamping."""
-        src, body, context, digest, wire_bytes, authenticator, keystore = \
-            shared
-        stats = self.stats
-        stamp = authenticator.stamp
-        # One digest set/reset brackets the whole drain instead of one
-        # pair per receiver; deliveries are synchronous, so no other
-        # delivery can interleave and observe the wrong digest.
-        self.delivery_digest = digest
-        try:
-            for target in targets:
-                if not target.is_up():
-                    stats.messages_dropped_crash += 1
-                    continue
-                stats.messages_delivered += 1
-                auth = stamp(keystore, src, target.name, context)
-                stats.auth_stamped += 1
-                deliver_auth = target.deliver_auth
-                if deliver_auth is not None:
-                    deliver_auth(src, body, auth, wire_bytes)
-                else:
-                    target.deliver(src, body)
-        finally:
-            self.delivery_digest = None
-
     def send_authenticated(self, src: str, dst: str, payload: Any,
                            size_bytes: int = 0, *,
                            authenticator, keystore) -> None:
-        """Point-to-point flavour of :meth:`multicast_authenticated`.
-
-        Mirrors :meth:`send` (this path carries every protocol's
-        request/reply traffic, so it stays as lean as the plain send hot
-        path) with the authenticator stamped before scheduling.
-        """
-        endpoints = self._endpoints
-        try:
-            source = endpoints[src]
-            target = endpoints[dst]
-        except KeyError:
-            raise ConfigurationError(
-                f"unknown endpoint {src if src not in endpoints else dst}")
-        stats = self.stats
-        wire_bytes = size_bytes + authenticator.auth_bytes
-        stats.messages_sent += 1
-        stats.bytes_sent += wire_bytes
-
-        if not source.is_up():
-            stats.messages_dropped_crash += 1
-            return
-        partitions = self.partitions
-        if partitions._blocked and partitions.blocked(src, dst):
-            stats.messages_dropped_partition += 1
-            return
-        if self.send_filter is not None and not self.send_filter(
-                src, dst, payload):
-            stats.messages_dropped_partition += 1
-            return
-
-        sim = self.sim
-        depart = sim._now  # property bypass: once per protocol message
-        if (self.bandwidth is not None and wire_bytes > 0
-                and source.site != target.site):
-            depart = self.bandwidth.serialize(src, wire_bytes, depart)
-        arrival = depart + self.latency.sample_one_way(
-            source.site, target.site, depart)
-
-        if self.fifo:
-            key = (src, dst)
-            last = self._last_delivery.get(key, 0.0)
-            if last > arrival:
-                arrival = last
-            self._last_delivery[key] = arrival
-
-        context = authenticator.begin(keystore, src, payload)
-        auth = authenticator.stamp(keystore, src, dst, context)
-        stats.auth_stamped += 1
-        self._post(arrival, self._deliver_auth,
-                     (target, src, payload, auth, wire_bytes,
-                      authenticator.context_digest(context)))
+        """Point-to-point flavour of :meth:`multicast_authenticated`."""
+        self._fan_out(src, (dst,), payload, size_bytes, authenticator,
+                      keystore, _NO_CONTEXT)
 
     def multicast_authenticated(self, src: str, dsts: Sequence[str],
                                 payload: Any, size_bytes: int = 0, *,
@@ -479,119 +297,20 @@ class Network:
                                 context: Any = _NO_CONTEXT) -> None:
         """Fan ``payload`` out with a per-receiver authenticator.
 
-        The per-receiver MAC (or shared signature) is computed at
-        delivery time, not embedded in the payload by the protocol layer:
-        the payload stays identical across receivers (so the fan-out
-        shares one pass over the sender-side bookkeeping, like
-        :meth:`multicast`), the policy's shared context -- typically the
-        payload digest -- is computed once, and each receiver is charged
-        ``size_bytes + authenticator.auth_bytes``, the authenticator
-        bytes that receiver actually sees on the wire.  Receivers sharing
-        an arrival tick share one delivery event and are stamped inside
-        its drain.
+        The per-receiver MAC (or shared signature) is stamped by the
+        transport, not embedded in the payload by the protocol layer: the
+        payload stays identical across receivers, the policy's shared
+        context -- typically the payload digest -- is computed once, and
+        each receiver is charged ``size_bytes + authenticator.auth_bytes``,
+        the authenticator bytes that receiver actually sees on the wire.
+        A split fan-out (self-processing mid-list) passes the shared
+        ``context`` in so the payload digest stays one-per-fan-out.
 
         Latency/bandwidth draws happen in destination order, exactly as
         in :meth:`multicast`.
         """
-        endpoints = self._endpoints
-        source = endpoints.get(src)
-        if source is None:
-            raise ConfigurationError(f"unknown endpoint {src}")
-        stats = self.stats
-        up = source.is_up()
-
-        sim = self.sim
-        blocked_pairs = self.partitions._blocked
-        blocked = self.partitions.blocked
-        send_filter = self.send_filter
-        bandwidth = self.bandwidth
-        sample = self.latency.sample_one_way
-        fifo = self.fifo
-        src_site = source.site
-        wire_bytes = size_bytes + authenticator.auth_bytes
-        charge_uplink = bandwidth is not None and wire_bytes > 0
-        now = sim._now  # property bypass: once per fan-out
-        # A split fan-out (self-processing mid-list) passes the shared
-        # context in so the payload digest stays one-per-fan-out.
-        if context is _NO_CONTEXT:
-            context = authenticator.begin(keystore, src, payload) \
-                if up else None
-
-        deliveries: List[tuple] = []
-        append = deliveries.append
-        # Send-side counters are per-destination-unconditional, so the
-        # whole fan-out is accounted in two adds instead of 2n.
-        n_dsts = len(dsts)
-        stats.messages_sent += n_dsts
-        stats.bytes_sent += wire_bytes * n_dsts
-        for dst in dsts:
-            target = endpoints.get(dst)
-            if target is None:
-                raise ConfigurationError(f"unknown endpoint {dst}")
-            if not up:
-                stats.messages_dropped_crash += 1
-                continue
-            if blocked_pairs and blocked(src, dst):
-                stats.messages_dropped_partition += 1
-                continue
-            if send_filter is not None and not send_filter(
-                    src, dst, payload):
-                stats.messages_dropped_partition += 1
-                continue
-            depart = now
-            if charge_uplink and src_site != target.site:
-                depart = bandwidth.serialize(src, wire_bytes, now)
-            arrival = depart + sample(src_site, target.site, now=depart)
-            if fifo:
-                key = (src, dst)
-                last = self._last_delivery.get(key, 0.0)
-                if last > arrival:
-                    arrival = last
-                self._last_delivery[key] = arrival
-            append((arrival, target))
-        if not deliveries:
-            return
-
-        digest = authenticator.context_digest(context)
-        post = sim.post
-        stamp = authenticator.stamp
-        deliver = self._deliver_auth
-        if not self.coalesce or len(deliveries) < 2:
-            stats.auth_stamped += len(deliveries)
-            for arrival, target in deliveries:
-                auth = stamp(keystore, src, target.name, context)
-                post(arrival, deliver,
-                         (target, src, payload, auth, wire_bytes, digest))
-            return
-        groups: Dict[float, Any] = {}
-        for arrival, target in deliveries:
-            prev = groups.get(arrival)
-            if prev is None:
-                groups[arrival] = target
-            elif type(prev) is list:
-                prev.append(target)
-            else:
-                groups[arrival] = [prev, target]
-        if len(groups) == len(deliveries):
-            stats.auth_stamped += len(deliveries)
-            for arrival, target in deliveries:
-                auth = stamp(keystore, src, target.name, context)
-                post(arrival, deliver,
-                         (target, src, payload, auth, wire_bytes, digest))
-            return
-        shared = (src, payload, context, digest, wire_bytes,
-                  authenticator, keystore)
-        deliver_batch = self._deliver_auth_batch
-        for arrival, entry in groups.items():
-            if type(entry) is list:
-                stats.coalesced_ticks += 1
-                stats.coalesced_deliveries += len(entry)
-                post(arrival, deliver_batch, (tuple(entry), shared))
-            else:
-                auth = stamp(keystore, src, entry.name, context)
-                stats.auth_stamped += 1
-                post(arrival, deliver,
-                         (entry, src, payload, auth, wire_bytes, digest))
+        self._fan_out(src, dsts, payload, size_bytes, authenticator,
+                      keystore, context)
 
     # ------------------------------------------------------------------
     def timely(self, a: str, b: str, delta_ms: float) -> bool:

@@ -1107,8 +1107,7 @@ class XPaxosReplica(ReplicaBase):
             [name for name in self._active_names() if name != self.name],
             request, size_bytes=48)
         # Allow a re-fetch if the reply is lost.
-        self.after(2 * self.config.delta_ms, self._clear_fetch_pending,
-                   label="fetch-retry")
+        self.after(2 * self.config.delta_ms, self._clear_fetch_pending)
 
     def _clear_fetch_pending(self) -> None:
         self._fetch_pending = False

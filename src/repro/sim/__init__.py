@@ -5,7 +5,7 @@ and CPU costs are expressed in virtual milliseconds, and every run with the
 same seed is bit-for-bit reproducible.
 """
 
-from repro.sim.core import Event, EventHandle, Simulator
+from repro.sim.core import EventHandle, Simulator
 from repro.sim.process import Process, Timer
 
-__all__ = ["Simulator", "Event", "EventHandle", "Process", "Timer"]
+__all__ = ["Simulator", "EventHandle", "Process", "Timer"]

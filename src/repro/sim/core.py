@@ -4,136 +4,83 @@ Design notes
 ------------
 
 * **Virtual time** is a ``float`` number of milliseconds starting at 0.
-* **Determinism**: events that fire at the same instant are delivered in
-  insertion order (a monotonically increasing tiebreaker is part of the heap
-  key), so a run is a pure function of (code, seed).
-* **Cancellation** is lazy: cancelling marks the event and the entry is
-  skipped when popped, which keeps cancellation O(1) -- important because
-  protocols cancel retransmission timers on virtually every reply.  When
-  cancelled entries outnumber live ones the heap is compacted in one pass
-  (the same strategy asyncio uses), so a cancel-heavy run never drags a
-  long tail of dead timers through every push and pop.
-* **Allocation discipline**: the heap stores uniform 5-slot ``[time,
-  sequence, event_or_None, callback, args]`` list entries (C-speed
-  element-wise comparisons that never get past the unique ``sequence``),
-  :class:`Event` has ``__slots__``, and executed or compacted events are
-  recycled through a free pool.  The entry lists themselves are recycled
-  through an arena freelist: a popped entry is returned to the arena
-  *before* its callback runs (its slots are overwritten on reuse and
-  cleared at run exit), so at steady state the hot loop
-  schedules and fires events with **zero** per-event allocation -- the
-  entry a delivery vacates is immediately reused by the deliveries it
-  causes, which also keeps the GC generation-0 counter flat (GC tracking
-  of per-message heap tuples used to be the floor under the delivery
-  path, ~2.5x the schedule() cost with GC on).  Both the event pool and
-  the arena share a cap that scales with the peak number of pending
-  events (bounded by :data:`_POOL_CAP_MAX`), so a run holding 10⁶ events
-  in flight recycles at the same rate as a small one instead of
-  thrashing the allocator.  Callers that never cancel can use
-  :meth:`Simulator.schedule` to skip the :class:`EventHandle`, or
-  :meth:`Simulator.post` (message delivery) to skip the :class:`Event`
-  object entirely -- a light posting is a bare ``[time, sequence, None,
-  callback, args]`` entry.
-* **Same-tick fast lane**: events scheduled at exactly ``now`` --
-  ``call_soon`` kicks, zero-latency deliveries, parked-flush pumps -- go
-  to a plain FIFO instead of the heap and are drained without a
-  ``heappush``/``heappop`` per event.  Ordering is unchanged: every heap
-  entry was pushed with a strictly earlier ``now`` (scheduling in the
-  past raises, and ``time == now`` routes to the FIFO), so at any instant
-  all heap entries due at ``now`` carry *smaller* sequence numbers than
-  every FIFO entry, and the drain takes the heap first while its head is
-  due.  ``Simulator(batch_drain=False)`` disables the lane; the
-  equivalence tests in ``tests/sim/test_core.py`` drive both modes
-  through identical schedules.
+* **One entry shape**: a protocol timer, a ``call_soon`` kick and a message
+  delivery are all a 4-slot list ``[time, sequence, callback, args]`` in
+  one binary heap.  Lists, not objects, because ``heapq`` then orders
+  entries with C-speed element-wise comparisons that never get past the
+  unique ``sequence``; lists, not tuples, because cancellation and
+  recycling write slots in place.
+* **Determinism**: ``sequence`` increases with every scheduling, so events
+  due at the same instant fire in insertion order and a run is a pure
+  function of (code, seed).
+* **Cancellation** is lazy: cancelling tombstones the entry (``callback =
+  None``) and the drain skips it when popped, which keeps cancellation
+  O(1) -- protocols cancel a retransmission timer on virtually every
+  reply.  When tombstones outnumber live entries the heap is compacted in
+  one pass (as asyncio does), so a cancel-heavy run never drags a long
+  tail of dead timers through every push and pop.
+* **Handles** (:class:`EventHandle`, :class:`repro.sim.process.Timer`) pin
+  the ``(entry, sequence)`` pair they were given.  ``sequence`` doubles as
+  the generation tag: a fired entry has no callback and a recycled one
+  carries a different sequence, so a stale handle is inert.
+* **Arena**: the drain hands every popped entry to a freelist *before* its
+  callback runs, so the entry a delivery vacates is reused by the
+  deliveries it causes and the steady state allocates nothing per event
+  -- which also keeps the GC's generation-0 counter flat (entry lists are
+  GC-tracked).  The arena needs no cap: it only holds entries the heap
+  released, so it is bounded by the peak heap size.
 
-:meth:`Simulator.stats` exposes the hot-loop counters (heap ops, fast-lane
-traffic, pool hit-rate, compactions) for ``repro profile`` and
-``repro bench --profile``; see ``docs/profiling.md``.
+:meth:`Simulator.stats` exposes the loop's counters for ``repro profile``
+and ``repro bench --profile``; see ``docs/profiling.md``.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import deque
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+import sys
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.common.errors import SimulationError
 
 Callback = Callable[..., None]
 
-#: Recycled-event pool floor; the effective cap scales with the peak
-#: number of pending events up to :data:`_POOL_CAP_MAX` (a pool never
-#: holds more events than were simultaneously live, so it cannot raise
-#: peak memory -- it only delays the GC).
-_POOL_CAP = 8192
-
-#: Hard bound on the recycled-event pool.
-_POOL_CAP_MAX = 1 << 20
-
 #: Compact the heap when more than this many entries are cancelled *and*
 #: they outnumber the live entries (both conditions, like asyncio).
 _COMPACT_MIN_CANCELLED = 64
 
-#: Hot-loop aliases: skip the module-attribute (and __init__ frame) per
-#: scheduled event.
-_heappush = heapq.heappush
-
-
-class Event:
-    """A scheduled callback, ordered in the heap by ``(time, sequence)``.
-
-    ``sequence`` doubles as a generation tag: it is reset to ``-1`` when the
-    event fires and reassigned when the object is recycled for a new
-    scheduling, which lets stale :class:`EventHandle` objects detect that
-    "their" event is gone in O(1).
-    """
-
-    __slots__ = ("time", "sequence", "callback", "args", "cancelled", "label")
-
-    def __init__(self, time: float = 0.0, sequence: int = -1,
-                 callback: Optional[Callback] = None,
-                 args: Tuple[Any, ...] = (), label: str = "") -> None:
-        self.time = time
-        self.sequence = sequence
-        self.callback = callback
-        self.args = args
-        self.cancelled = False
-        self.label = label
-
-
-_new_event = Event.__new__
+_INF = float("inf")
 
 
 class EventHandle:
     """Caller-facing handle allowing an event to be cancelled.
 
-    The handle pins the ``(event, sequence)`` pair observed at scheduling
-    time; once the event has fired (or its object has been recycled) the
+    The handle pins the ``(entry, sequence)`` pair observed at scheduling
+    time; once the event has fired (or its entry has been recycled) the
     handle becomes inert: ``active`` is False and ``cancel()`` is a no-op.
     """
 
-    __slots__ = ("_sim", "_event", "_sequence")
+    __slots__ = ("_sim", "_entry", "_sequence")
 
-    def __init__(self, sim: "Simulator", event: Event, sequence: int):
+    def __init__(self, sim: "Simulator", entry: List[Any]):
         self._sim = sim
-        self._event = event
-        self._sequence = sequence
+        self._entry = entry
+        self._sequence = entry[1]
 
     @property
     def time(self) -> float:
         """Virtual time at which the event will fire (meaningful only
         while ``active``)."""
-        return self._event.time
+        return self._entry[0]
 
     @property
     def active(self) -> bool:
         """True while the event is scheduled and not yet fired/cancelled."""
-        event = self._event
-        return event.sequence == self._sequence and not event.cancelled
+        entry = self._entry
+        return entry[1] == self._sequence and entry[2] is not None
 
     def cancel(self) -> None:
         """Prevent the event from firing. Idempotent."""
-        self._sim._cancel_event(self._event, self._sequence)
+        self._sim._cancel(self._entry, self._sequence)
 
 
 class Simulator:
@@ -147,40 +94,20 @@ class Simulator:
 
     The simulator never advances past an event without executing it, and it
     raises :class:`SimulationError` on attempts to schedule in the past.
-
-    Args:
-        batch_drain: route events scheduled at exactly ``now`` through the
-            same-tick FIFO lane (see the module design notes).  ``False``
-            forces every event through the heap -- observably identical,
-            kept for the equivalence tests.
     """
 
-    def __init__(self, batch_drain: bool = True) -> None:
+    def __init__(self) -> None:
         self._now: float = 0.0
-        # Heap entries are uniform 5-slot lists:
-        #   [time, sequence, event_or_None, callback, args]
-        # Event entries leave slots 3/4 as None; light postings leave
-        # slot 2 as None.  Uniformity matters: heapq compares entries
-        # element-wise, and mixing tuples with lists would raise.
         self._queue: List[List[Any]] = []
-        self._fifo: Deque[Event] = deque()
-        self._batch_drain = batch_drain
+        self._arena: List[List[Any]] = []
         self._sequence: int = 0
         self._executed: int = 0
         self._live: int = 0
         self._peak_live: int = 0
         self._cancelled_queued: int = 0
-        self._pool: List[Event] = []
-        self._pool_cap: int = _POOL_CAP
-        self._pool_hits: int = 0
-        # Arena freelist of vacated heap-entry lists (recycled by the
-        # drain, drained by schedule()/post(); shares the adaptive pool
-        # cap).
-        # Misses (cold allocations) are counted instead of hits: every
-        # heap push is either a hit or a miss, so hits are derived.
-        self._arena: List[List[Any]] = []
+        # Cold allocations are counted instead of arena hits: every
+        # scheduling is one or the other, so hits are derived.
         self._arena_misses: int = 0
-        self._fast_lane: int = 0
         self._compactions: int = 0
         self._compaction_dropped: int = 0
         self._running = False
@@ -195,151 +122,70 @@ class Simulator:
 
     @property
     def pending(self) -> int:
-        """Number of live (not cancelled, not fired) events still queued.
-
-        Maintained as an O(1) counter; the heap may additionally hold
-        cancelled entries awaiting lazy removal.
-        """
+        """Number of live (not cancelled, not fired) events still queued:
+        an O(1) counter, blind to tombstones awaiting lazy removal."""
         return self._live
 
     @property
     def executed(self) -> int:
-        """Total events executed so far (statistics/debugging)."""
+        """Total events executed so far, exact at any moment -- including
+        from inside a callback (the running event is already counted)."""
         return self._executed
 
     def stats(self) -> Dict[str, Any]:
-        """Hot-loop subsystem counters (see ``docs/profiling.md``).
+        """The loop's counters (see ``docs/profiling.md``).
 
-        All counters are maintained for free or nearly so: heap pops and
-        total cancellations are derived from conservation identities
-        (``scheduled = executed + pending + cancelled``; every entry
-        leaves the heap by pop or by compaction) rather than counted in
-        the hot loop.
+        Cancellations, heap pops and arena hits are derived (``scheduled
+        = executed + pending + cancelled``; an entry leaves the heap by
+        pop or by compaction; a push reuses an entry or allocates one)
+        rather than counted per event.
         """
         scheduled = self._sequence
-        fast = self._fast_lane
-        heap_pushes = scheduled - fast
-        heap_pops = heap_pushes - len(self._queue) - self._compaction_dropped
-        # Every heap push either reuses an arena entry or allocates one,
-        # so hits fall out of the miss count kept off the hot path.
-        arena_hits = heap_pushes - self._arena_misses
+        arena_hits = scheduled - self._arena_misses
         return {
             "now_ms": self._now,
             "scheduled": scheduled,
             "executed": self._executed,
             "pending": self._live,
             "cancelled": scheduled - self._executed - self._live,
-            "heap_pushes": heap_pushes,
-            "heap_pops": heap_pops,
-            "fast_lane": fast,
-            "fast_lane_fraction": fast / scheduled if scheduled else 0.0,
+            "heap_pushes": scheduled,
+            "heap_pops": (scheduled - len(self._queue)
+                          - self._compaction_dropped),
             "compactions": self._compactions,
             "compaction_dropped": self._compaction_dropped,
             "peak_pending": self._peak_live,
-            "pool_cap": self._pool_cap,
-            "pool_size": len(self._pool),
-            "pool_hits": self._pool_hits,
-            "pool_hit_rate": self._pool_hits / scheduled if scheduled
-            else 0.0,
-            "arena_cap": self._pool_cap,
             "arena_size": len(self._arena),
             "arena_hits": arena_hits,
-            "arena_hit_rate": (arena_hits / heap_pushes
-                               if heap_pushes else 0.0),
+            "arena_hit_rate": arena_hits / scheduled if scheduled else 0.0,
+            # Same-tick lane and Event pool are gone; the ledger
+            # (benchmarks/e2e/workloads.py) still indexes these, so they
+            # read 0 until a benchmark-only PR retires the rows.
+            "fast_lane": 0,
+            "pool_hits": 0,
         }
 
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
     def schedule(self, time: float, callback: Callback,
-                 args: Tuple[Any, ...] = (), label: str = "") -> Event:
-        """Hot-path scheduling: no :class:`EventHandle` is created.
+                 args: Tuple[Any, ...] = ()) -> List[Any]:
+        """Schedule ``callback(*args)`` at absolute virtual ``time``.
 
-        Use when the caller will never cancel (message deliveries, one-shot
-        kicks).  ``args`` are passed to ``callback`` at fire time, which
-        lets callers avoid building a closure per event.
+        The one way onto the heap: deliveries and one-shot kicks call it
+        directly, :meth:`call_at` adds an :class:`EventHandle` for
+        callers that may cancel.  ``args`` saves a closure per event.
 
         Returns:
-            The raw :class:`Event` (with its current ``sequence`` as the
-            generation tag) -- :class:`repro.sim.process.Timer` uses the
-            pair to cancel without a handle.
+            The heap entry; ``entry[1]`` is the generation tag a
+            canceller must pin (see :meth:`_cancel`).
 
         Raises:
             SimulationError: if ``time`` is in the past.
         """
-        now = self._now
-        if time < now:
+        if time < self._now:
             raise SimulationError(
                 f"cannot schedule at t={time} (now is t={self._now})"
             )
-        sequence = self._sequence
-        self._sequence = sequence + 1
-        pool = self._pool
-        if pool:
-            self._pool_hits += 1
-            event = pool.pop()
-        else:
-            # Bare allocation: __new__ skips the __init__ frame, the six
-            # stores below are shared with the pool-hit branch.
-            event = _new_event(Event)
-        event.time = time
-        event.sequence = sequence
-        event.callback = callback
-        event.args = args
-        event.cancelled = False
-        event.label = label
-        if time == now and self._batch_drain:
-            self._fifo.append(event)
-            self._fast_lane += 1
-        else:
-            # An event entry only stores slots 0..2: slots 3/4 may hold
-            # stale refs from a recycled light posting, but they are
-            # never read while slot 2 is non-None, and run()'s exit pass
-            # clears whatever the arena retains.
-            arena = self._arena
-            if arena:
-                entry = arena.pop()
-                entry[0] = time
-                entry[1] = sequence
-                entry[2] = event
-            else:
-                self._arena_misses += 1
-                entry = [time, sequence, event, None, None]
-            _heappush(self._queue, entry)
-        live = self._live + 1
-        self._live = live
-        if live > self._peak_live:
-            self._peak_live = live
-            if live > self._pool_cap:
-                self._pool_cap = (live if live < _POOL_CAP_MAX
-                                  else _POOL_CAP_MAX)
-        return event
-
-    def post(self, time: float, callback: Callback,
-             args: Tuple[Any, ...] = ()) -> None:
-        """Fire-and-forget scheduling: no :class:`Event`, no handle.
-
-        The heap entry is a bare ``[time, sequence, None, callback,
-        args]`` list drawn from the arena freelist -- at steady state
-        zero tracked allocations per posting, and no cancelled-check on
-        the drain.  This is the message-delivery path: the network posts
-        every delivery (they are never cancelled), which makes this the
-        most frequently executed scheduling call in the repository.
-
-        Same-tick postings fall back to :meth:`schedule` so the FIFO
-        fast lane keeps carrying homogeneous :class:`Event` objects.
-
-        Raises:
-            SimulationError: if ``time`` is in the past.
-        """
-        now = self._now
-        if time <= now:
-            if time < now:
-                raise SimulationError(
-                    f"cannot schedule at t={time} (now is t={now})"
-                )
-            self.schedule(time, callback, args)
-            return
         sequence = self._sequence
         self._sequence = sequence + 1
         arena = self._arena
@@ -347,32 +193,29 @@ class Simulator:
             entry = arena.pop()
             entry[0] = time
             entry[1] = sequence
-            entry[3] = callback
-            entry[4] = args
+            entry[2] = callback
+            entry[3] = args
         else:
             self._arena_misses += 1
-            entry = [time, sequence, None, callback, args]
-        _heappush(self._queue, entry)
+            entry = [time, sequence, callback, args]
+        heapq.heappush(self._queue, entry)
         live = self._live + 1
         self._live = live
         if live > self._peak_live:
             self._peak_live = live
-            if live > self._pool_cap:
-                self._pool_cap = (live if live < _POOL_CAP_MAX
-                                  else _POOL_CAP_MAX)
+        return entry
 
     def call_at(self, time: float, callback: Callback,
-                label: str = "", args: Tuple[Any, ...] = ()) -> EventHandle:
+                args: Tuple[Any, ...] = ()) -> EventHandle:
         """Schedule ``callback`` to run at absolute virtual ``time``.
 
         Raises:
             SimulationError: if ``time`` is in the past.
         """
-        event = self.schedule(time, callback, args, label)
-        return EventHandle(self, event, event.sequence)
+        return EventHandle(self, self.schedule(time, callback, args))
 
     def call_after(self, delay: float, callback: Callback,
-                   label: str = "", args: Tuple[Any, ...] = ()) -> EventHandle:
+                   args: Tuple[Any, ...] = ()) -> EventHandle:
         """Schedule ``callback`` to run ``delay`` ms from now.
 
         Raises:
@@ -380,16 +223,15 @@ class Simulator:
         """
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
-        return self.call_at(self._now + delay, callback, label=label,
-                            args=args)
+        return self.call_at(self._now + delay, callback, args)
 
-    def call_soon(self, callback: Callback, label: str = "",
+    def call_soon(self, callback: Callback,
                   args: Tuple[Any, ...] = ()) -> EventHandle:
         """Schedule ``callback`` at the current instant (after queued peers)."""
-        return self.call_at(self._now, callback, label=label, args=args)
+        return self.call_at(self._now, callback, args)
 
     def call_every(self, period_ms: float, callback: Callback,
-                   until_ms: float, label: str = "") -> None:
+                   until_ms: float) -> None:
         """Run ``callback`` now and every ``period_ms`` until ``until_ms``
         (inclusive).
 
@@ -409,141 +251,49 @@ class Simulator:
             callback()
             next_ms = at_ms + period_ms
             if next_ms <= until_ms:
-                self.call_at(next_ms, tick, args=(next_ms,), label=label)
+                self.schedule(next_ms, tick, (next_ms,))
 
         if self._now <= until_ms:
-            self.call_at(self._now, tick, args=(self._now,), label=label)
+            self.schedule(self._now, tick, (self._now,))
 
     # ------------------------------------------------------------------
     # Cancellation (internal; EventHandle and Timer delegate here)
     # ------------------------------------------------------------------
-    def _cancel_event(self, event: Event, sequence: int) -> bool:
-        """Cancel a scheduled event if ``sequence`` still matches.
-
-        Returns True if the event was live and is now cancelled.  The
-        queue entry (heap or FIFO) is removed lazily; when dead entries
-        pile up both structures are compacted in one pass.
-        """
-        if event.sequence != sequence or event.cancelled:
+    def _cancel(self, entry: List[Any], sequence: int) -> bool:
+        """Tombstone ``entry`` if it is still the scheduling ``sequence``
+        names and has not fired; True if it was live and is now cancelled.
+        The entry stays in the heap until popped or compacted away."""
+        if entry[1] != sequence or entry[2] is None:
             return False
-        event.cancelled = True
-        event.callback = None
-        event.args = ()
+        entry[2] = None
+        entry[3] = None
         self._live -= 1
-        self._cancelled_queued += 1
-        if (self._cancelled_queued > _COMPACT_MIN_CANCELLED
-                and self._cancelled_queued * 2
-                > len(self._queue) + len(self._fifo)):
+        cancelled = self._cancelled_queued + 1
+        self._cancelled_queued = cancelled
+        if (cancelled > _COMPACT_MIN_CANCELLED
+                and cancelled * 2 > len(self._queue)):
             self._compact()
         return True
 
     def _compact(self) -> None:
-        """Drop cancelled entries and re-heapify; pops stay in the same
-        order because heap keys are unique ``(time, sequence)`` pairs.
+        """Drop tombstones and re-heapify; pops stay in the same order
+        because heap keys are unique ``(time, sequence)`` pairs.
 
-        Mutates the queue (and the FIFO) in place: ``run()`` holds
-        references to both across callbacks, and callbacks may trigger
-        compaction.
+        Mutates the queue in place: ``run()`` holds a reference to it
+        across callbacks, and callbacks may trigger compaction.
         """
-        pool = self._pool
-        pool_cap = self._pool_cap
-        arena = self._arena
         queue = self._queue
-        keep = []
-        for entry in queue:
-            event = entry[2]
-            if event is not None and event.cancelled:
-                if len(pool) < pool_cap:
-                    pool.append(event)
-                if len(arena) < pool_cap:
-                    entry[2] = None
-                    arena.append(entry)
-            else:
-                keep.append(entry)
+        keep = [entry for entry in queue if entry[2] is not None]
+        self._arena.extend(entry for entry in queue if entry[2] is None)
         self._compaction_dropped += len(queue) - len(keep)
         queue[:] = keep
         heapq.heapify(queue)
-        fifo = self._fifo
-        if fifo:
-            keep_fifo = []
-            for event in fifo:
-                if event.cancelled:
-                    if len(pool) < pool_cap:
-                        pool.append(event)
-                else:
-                    keep_fifo.append(event)
-            if len(keep_fifo) != len(fifo):
-                fifo.clear()
-                fifo.extend(keep_fifo)
         self._cancelled_queued = 0
         self._compactions += 1
-
-    def _retire(self, event: Event) -> None:
-        """Tombstone a popped event and return it to the free pool."""
-        event.sequence = -1
-        event.callback = None
-        event.args = ()
-        if len(self._pool) < self._pool_cap:
-            self._pool.append(event)
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def step(self) -> bool:
-        """Execute the single next event.
-
-        Returns:
-            True if an event was executed; False if the queue was empty.
-        """
-        queue = self._queue
-        fifo = self._fifo
-        arena = self._arena
-        while True:
-            if fifo and (not queue or queue[0][0] > self._now):
-                event = fifo.popleft()
-                if event.cancelled:
-                    self._cancelled_queued -= 1
-                    self._retire(event)
-                    continue
-            elif queue:
-                entry = heapq.heappop(queue)
-                event = entry[2]
-                if event is None:
-                    self._now = entry[0]
-                    self._executed += 1
-                    self._live -= 1
-                    callback = entry[3]
-                    args = entry[4]
-                    entry[3] = None
-                    entry[4] = None
-                    if len(arena) < self._pool_cap:
-                        arena.append(entry)
-                    callback(*args)
-                    return True
-                # Event entry: slots 3/4 are never read while slot 2 is
-                # non-None, so the shell is recyclable as soon as slot 2
-                # is cleared.
-                entry[2] = None
-                if len(arena) < self._pool_cap:
-                    arena.append(entry)
-                if event.cancelled:
-                    self._cancelled_queued -= 1
-                    self._retire(event)
-                    continue
-            else:
-                return False
-            self._now = event.time
-            self._executed += 1
-            self._live -= 1
-            callback = event.callback
-            args = event.args
-            self._retire(event)
-            if args:
-                callback(*args)
-            else:
-                callback()
-            return True
-
     def run(self, until: Optional[float] = None,
             max_events: Optional[int] = None) -> int:
         """Run until the queue is empty, ``until`` is reached, or the budget
@@ -555,162 +305,57 @@ class Simulator:
 
         Returns:
             Number of events executed by this call.
+
+        Raises:
+            SimulationError: if called from inside a callback.
         """
         if self._running:
             raise SimulationError("simulator is not re-entrant")
         self._running = True
-        executed = 0
         queue = self._queue
-        fifo = self._fifo
-        pool = self._pool
-        arena = self._arena
-        # Recycling inside the drain appends unconditionally (no len/cap
-        # check per event); the finally clause trims both freelists back
-        # to the cap in one pass.  Transient growth is bounded by the
-        # peak number of in-flight entries -- the same memory the heap
-        # itself just released.
-        pool_append = pool.append
-        arena_append = arena.append
+        recycle = self._arena.append
         pop = heapq.heappop
+        deadline = _INF if until is None else until
+        first = executed = self._executed
+        last = sys.maxsize if max_events is None else first + max_events
         try:
-            if until is None and max_events is None:
-                # Run-to-quiescence drain: no deadline to peek for, so
-                # every event is popped straight off -- one less index and
-                # branch per event on the hottest loop in the repo.
-                while True:
-                    if fifo and (not queue or queue[0][0] > self._now):
-                        event = fifo.popleft()
-                        if event.cancelled:
-                            self._cancelled_queued -= 1
-                            event.sequence = -1
-                            pool_append(event)
-                            continue
-                        self._now = event.time
-                    else:
-                        if not queue:
-                            break
-                        entry = pop(queue)
-                        event = entry[2]
-                        if event is None:
-                            # Light posting: fire straight off the entry.
-                            # The shell goes back to the arena *before*
-                            # the callback runs, so the entry a delivery
-                            # vacates is immediately reused by the
-                            # deliveries it causes.  Slots 3/4 are left
-                            # stale here (post() overwrites them on
-                            # reuse, event entries never read them); the
-                            # finally clause clears whatever the arena
-                            # still holds at exit.
-                            self._now = entry[0]
-                            executed += 1
-                            self._live -= 1
-                            callback = entry[3]
-                            args = entry[4]
-                            arena_append(entry)
-                            callback(*args)
-                            continue
-                        entry[2] = None
-                        arena_append(entry)
-                        if event.cancelled:
-                            self._cancelled_queued -= 1
-                            event.sequence = -1
-                            pool_append(event)
-                            continue
-                        self._now = entry[0]
-                    executed += 1
-                    self._live -= 1
-                    callback = event.callback
-                    args = event.args
-                    event.sequence = -1
-                    event.callback = None
-                    event.args = ()
-                    pool_append(event)
-                    if args:
-                        callback(*args)
-                    else:
-                        callback()
-                return executed
-            while True:
-                if max_events is not None and executed >= max_events:
+            while queue and executed < last:
+                entry = queue[0]
+                time = entry[0]
+                if time > deadline:
                     break
-                # Same-tick FIFO entries always carry larger sequence
-                # numbers than heap entries due at `now` (see module
-                # notes), so the heap drains first while its head is due.
-                if fifo and (not queue or queue[0][0] > self._now):
-                    event = fifo[0]
-                    if event.cancelled:
-                        fifo.popleft()
-                        self._cancelled_queued -= 1
-                        event.sequence = -1
-                        pool_append(event)
-                        continue
-                    if until is not None and event.time > until:
-                        break
-                    fifo.popleft()
-                    self._now = event.time
-                else:
-                    if not queue:
-                        break
-                    entry = queue[0]
-                    event = entry[2]
-                    if event is None:
-                        if until is not None and entry[0] > until:
-                            break
-                        pop(queue)
-                        self._now = entry[0]
-                        executed += 1
-                        self._live -= 1
-                        callback = entry[3]
-                        args = entry[4]
-                        arena_append(entry)
-                        callback(*args)
-                        continue
-                    if event.cancelled:
-                        pop(queue)
-                        self._cancelled_queued -= 1
-                        event.sequence = -1
-                        pool_append(event)
-                        entry[2] = None
-                        arena_append(entry)
-                        continue
-                    if until is not None and entry[0] > until:
-                        break
-                    pop(queue)
-                    self._now = entry[0]
-                    entry[2] = None
-                    arena_append(entry)
+                pop(queue)
+                # Recycled before the callback runs, so the deliveries it
+                # causes reuse the entry it vacated.
+                recycle(entry)
+                callback = entry[2]
+                if callback is None:
+                    self._cancelled_queued -= 1
+                    continue
+                args = entry[3]
+                # Cleared slots make this event's handle inert and keep
+                # a parked entry from pinning a delivered payload.
+                entry[2] = entry[3] = None
+                self._now = time
+                # Stored per event: `executed` and stats() must be
+                # exact inside the callback and after it raises.
                 executed += 1
+                self._executed = executed
                 self._live -= 1
-                callback = event.callback
-                args = event.args
-                event.sequence = -1
-                event.callback = None
-                event.args = ()
-                pool_append(event)
-                if args:
-                    callback(*args)
-                else:
-                    callback()
+                callback(*args)
         finally:
             self._running = False
-            # Deferred bookkeeping: the executed counter is only read
-            # between runs, so the hot loops keep a local and commit it
-            # here (exceptions included).
-            self._executed += executed
-            # Trim both freelists back to the cap, and clear the stale
-            # callback/args slots light postings left behind so parked
-            # arena entries never pin delivered payloads between runs.
-            cap = self._pool_cap
-            if len(arena) > cap:
-                del arena[cap:]
-            if len(pool) > cap:
-                del pool[cap:]
-            for entry in arena:
-                entry[3] = None
-                entry[4] = None
         if until is not None and self._now < until:
             self._now = until
-        return executed
+        return executed - first
+
+    def step(self) -> bool:
+        """Execute the single next event.
+
+        Returns:
+            True if an event was executed; False if the queue was empty.
+        """
+        return self.run(max_events=1) == 1
 
     def drain(self, max_events: int = 10_000_000) -> int:
         """Run to quiescence; guard against runaway event loops.

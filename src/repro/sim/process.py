@@ -8,10 +8,10 @@ in-memory timer wheel.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Any, Callable, List, Optional
 
 from repro.common.errors import SimulationError
-from repro.sim.core import Event, EventHandle, Simulator
+from repro.sim.core import EventHandle, Simulator
 
 
 class Timer:
@@ -21,36 +21,37 @@ class Timer:
     ``timer_net``, ``timer_vc``, ``timer_req``): ``start`` arms it,
     ``stop`` disarms it, and re-``start`` while armed restarts it.
 
-    Protocols restart these on virtually every reply, so arming goes
-    through the simulator's pooled fast path (:meth:`Simulator.schedule`)
-    and cancellation talks to the scheduler directly -- no
-    :class:`EventHandle` or closure is allocated per start/stop cycle.
+    Protocols restart these on virtually every reply, so the timer holds
+    the heap entry :meth:`Simulator.schedule` returns and cancels through
+    the scheduler directly -- no :class:`EventHandle` or closure is
+    allocated per start/stop cycle.
     """
 
-    __slots__ = ("_process", "_callback", "_label", "_event", "_sequence")
+    __slots__ = ("_process", "_callback", "label", "_entry", "_sequence")
 
     def __init__(self, process: "Process", callback: Callable[[], None],
                  label: str = "timer"):
         self._process = process
         self._callback = callback
-        self._label = label
-        self._event: Optional[Event] = None
+        #: The paper's name for this timer; identifies it when debugging.
+        self.label = label
+        self._entry: Optional[List[Any]] = None
         self._sequence = -1
         process._register_timer(self)
 
     @property
     def armed(self) -> bool:
         """True if the timer is counting down."""
-        event = self._event
-        return (event is not None and event.sequence == self._sequence
-                and not event.cancelled)
+        entry = self._entry
+        return (entry is not None and entry[1] == self._sequence
+                and entry[2] is not None)
 
     @property
     def deadline(self) -> Optional[float]:
         """Virtual time at which the timer will fire, or None if disarmed."""
         if self.armed:
-            assert self._event is not None
-            return self._event.time
+            assert self._entry is not None
+            return self._entry[0]
         return None
 
     def start(self, delay_ms: float) -> None:
@@ -59,23 +60,26 @@ class Timer:
         if delay_ms < 0:
             raise SimulationError(f"negative delay {delay_ms}")
         sim = self._process.sim
-        event = sim.schedule(sim.now + delay_ms, self._fire,
-                             label=self._label)
-        self._event = event
-        self._sequence = event.sequence
+        entry = sim.schedule(sim.now + delay_ms, self._fire)
+        self._entry = entry
+        self._sequence = entry[1]
 
     def stop(self) -> None:
         """Disarm the timer. Idempotent."""
-        event = self._event
-        if event is not None:
-            self._process.sim._cancel_event(event, self._sequence)
-            self._event = None
+        entry = self._entry
+        if entry is not None:
+            self._process.sim._cancel(entry, self._sequence)
+            self._entry = None
 
     def _fire(self) -> None:
-        self._event = None
+        self._entry = None
         if self._process.crashed:
             return
         self._callback()
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        state = "armed" if self.armed else "idle"
+        return f"<Timer {self.label} of {self._process.name} ({state})>"
 
 
 class Process:
@@ -111,12 +115,11 @@ class Process:
         self._crashed = False
 
     # ------------------------------------------------------------------
-    def after(self, delay_ms: float, callback: Callable[[], None],
-              label: str = "") -> EventHandle:
+    def after(self, delay_ms: float,
+              callback: Callable[[], None]) -> EventHandle:
         """Schedule ``callback`` unless the process is crashed when it fires."""
         return self.sim.call_after(delay_ms, self._run_unless_crashed,
-                                   label=label or self.name,
-                                   args=(callback,))
+                                   (callback,))
 
     def _run_unless_crashed(self, callback: Callable[[], None]) -> None:
         if not self._crashed:

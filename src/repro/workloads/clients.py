@@ -88,8 +88,7 @@ class ClosedLoopDriver(WorkloadDriver):
         for index, client in enumerate(clients):
             client.on_commit = self._make_on_commit(client)
             self.runtime.sim.call_at(
-                base + index * spacing, self._issue, args=(client,),
-                label=f"start-{client.name}")
+                base + index * spacing, self._issue, args=(client,))
 
     def _make_on_commit(self, client) -> Callable[[tuple, float], None]:
         def on_commit(rid: tuple, latency_ms: float) -> None:

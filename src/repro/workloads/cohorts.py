@@ -56,7 +56,7 @@ class _Cohort:
         at = sim.now + gap_ms
         if at >= self.driver.workload.duration_ms:
             return
-        sim.call_at(at, self._arrive, label=f"cohort-{self.index}")
+        sim.call_at(at, self._arrive)
 
     def _arrive(self) -> None:
         driver = self.driver

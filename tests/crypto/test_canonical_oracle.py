@@ -1,6 +1,6 @@
 """The compiled canonical encoder against the verbatim seed encoder.
 
-``repro.harness.perf._seed_canonical`` is the seed's encoder, kept
+``repro.harness.seed_reference.seed_canonical`` is the seed's encoder, kept
 unchanged as the reference.  Whatever the current encoder does to be fast
 -- exact-type dispatch, per-dataclass plans, encodings kept on frozen
 instances -- its output must stay byte-identical, or every signature and
@@ -21,7 +21,7 @@ from repro.crypto.primitives import (
     _canonical,
     digest_of,
 )
-from repro.harness.perf import _seed_canonical, _seed_digest_of
+from repro.harness.seed_reference import seed_canonical, seed_digest_of
 from repro.protocols.xpaxos.messages import FastCommit
 from repro.smr.log import CommitEntry
 from repro.smr.messages import Batch, Request
@@ -89,7 +89,7 @@ class DigestSubclass(Digest):
 @settings(max_examples=300, deadline=None)
 @given(payloads)
 def test_random_nestings_match_seed_encoder(payload):
-    assert _canonical(payload) == _seed_canonical(payload)
+    assert _canonical(payload) == seed_canonical(payload)
 
 
 @settings(max_examples=150, deadline=None)
@@ -98,20 +98,20 @@ def test_dataclasses_around_random_payloads_match_seed_encoder(tag, a, b):
     inner = FrozenEnvelope(tag, a)
     for obj in (inner, MutableEnvelope(b), FrozenEnvelope(tag, (inner, b),
                                                           inner)):
-        assert _canonical(obj) == _seed_canonical(obj)
+        assert _canonical(obj) == seed_canonical(obj)
         # Second pass: frozen instances now answer from the kept encoding.
-        assert _canonical(obj) == _seed_canonical(obj)
+        assert _canonical(obj) == seed_canonical(obj)
 
 
 def test_corner_case_dataclasses_match_seed_encoder():
     for obj in (Empty(), DigestSubclass(b"\x05" * 32), MutableEnvelope(None)):
-        assert _canonical(obj) == _seed_canonical(obj)
+        assert _canonical(obj) == seed_canonical(obj)
 
 
 def test_percent_in_class_name_is_not_a_format_directive():
     odd = dataclasses.make_dataclass("Odd%bName", [("value", int)],
                                      frozen=True)
-    assert _canonical(odd(7)) == _seed_canonical(odd(7))
+    assert _canonical(odd(7)) == seed_canonical(odd(7))
 
 
 def _sample_values():
@@ -141,5 +141,5 @@ def test_one_instance_of_every_registered_class_matches_seed_encoder():
                 for i in range(len(fields))]
         cursor += len(fields)
         message = cls(*args)
-        assert _canonical(message) == _seed_canonical(message), cls
-        assert digest_of(message).value == _seed_digest_of(message).value
+        assert _canonical(message) == seed_canonical(message), cls
+        assert digest_of(message).value == seed_digest_of(message).value

@@ -11,9 +11,9 @@ Obligations (docs/profiling.md):
   signed XPaxos messages) is only ever derived from the instance it sits
   on -- never from an attached signature, never from an equal-looking
   sibling;
-* MAC vectors are unchanged whether a fan-out rides the coalesced batch
-  path or the per-receiver path -- the authenticator depends only on
-  (sender, receiver, body digest), never on delivery scheduling;
+* MAC vectors are unchanged whether a message leaves in a fan-out or in
+  ``n`` sequential sends -- the authenticator depends only on (sender,
+  receiver, body digest), never on how the send was issued;
 * the memo is never invalidated, which is exactly why mutating a frozen
   message after it has been digested is forbidden (lint rule A002): the
   stale digest this test demonstrates is the bug the rule prevents.
@@ -34,7 +34,7 @@ from repro.crypto.primitives import (
     digest_of,
     reset_digest_cache_stats,
 )
-from repro.harness.perf import _seed_digest_of
+from repro.harness.seed_reference import seed_digest_of
 from repro.net.latency import LatencyModel
 from repro.net.network import Endpoint, Network
 from repro.protocols.xpaxos import messages as msg
@@ -74,7 +74,7 @@ class TestByteIdentity:
             ["list", ("nested", Digest(b"\x02" * 32))],
         ]
         for obj in samples:
-            assert digest_of(obj).value == _seed_digest_of(obj).value, obj
+            assert digest_of(obj).value == seed_digest_of(obj).value, obj
 
     def test_repeated_digests_stay_identical(self):
         batch = make_batch(1)
@@ -122,7 +122,7 @@ class TestMemoization:
         assert digest_cache_stats() == {"hits": 3, "stores": 1,
                                         "uncached": 0}
         for reply, digest in zip(replies, digests):
-            assert digest.value == _seed_digest_of(reply).value
+            assert digest.value == seed_digest_of(reply).value
 
     def test_redigesting_a_message_hits(self):
         batch = make_batch(2)
@@ -136,7 +136,7 @@ class TestMemoization:
         for payload in (body, b"application result"):
             assert call_kinds(lambda: digest_of(payload)) == {
                 "hits": 0, "stores": 0, "uncached": 1}
-            assert digest_of(payload).value == _seed_digest_of(payload).value
+            assert digest_of(payload).value == seed_digest_of(payload).value
 
     def test_counters_sum_to_digest_of_calls(self):
         reset_digest_cache_stats()
@@ -154,7 +154,7 @@ class TestMemoization:
         before = digest_of(scratch)
         scratch.value = 2
         assert digest_of(scratch).value != before.value
-        assert digest_of(scratch).value == _seed_digest_of(scratch).value
+        assert digest_of(scratch).value == seed_digest_of(scratch).value
 
 
 class TestCarriedDigests:
@@ -168,7 +168,7 @@ class TestCarriedDigests:
                                  lambda body: keystore.sign("c0", body))
         assert request.body_digest() is request.signature.digest
         assert request.body_digest().value == \
-            _seed_digest_of(request.body()).value
+            seed_digest_of(request.body()).value
         # One encode in total: the signer's.
         assert sum(digest_cache_stats().values()) == 1
 
@@ -236,19 +236,17 @@ class TestCarriedDigests:
         ]
         for message, payload in cases:
             assert message.payload_digest().value == \
-                _seed_digest_of(payload).value, type(message)
+                seed_digest_of(payload).value, type(message)
             assert message.payload_digest() is message.payload_digest()
 
 
-def _auth_net(sites, coalesce):
+def _auth_net(sites):
     """A network with one auth-recording sink per (name, site) pair."""
     sim = Simulator()
     latency = LatencyModel.uniform(
         tuple(sorted(set(site for _, site in sites))) + ("S",),
         one_way_ms=5.0, jitter=0.0, seed=7)
-    # No bandwidth model: uplink serialization would spread the arrival
-    # ticks and keep the receivers off the coalesced path.
-    net = Network(sim, latency, coalesce=coalesce)
+    net = Network(sim, latency)
     inboxes = {}
     for name, site in sites:
         inbox = inboxes[name] = []
@@ -262,37 +260,37 @@ def _auth_net(sites, coalesce):
     return sim, net, inboxes
 
 
-class TestMacVectorsBothPaths:
-    """The same fan-out through the coalesced batch path and the
-    per-receiver path must stamp byte-identical MAC vectors."""
+class TestMacVectorsBothVerbs:
+    """The same wire message sent as one fan-out and as ``n`` sequential
+    sends must carry byte-identical MAC vectors."""
 
-    def run_fanout(self, coalesce):
+    def run_fanout(self, sequential):
         sim, net, inboxes = _auth_net(
-            [("b", "Y"), ("c", "Y"), ("d", "Z")], coalesce)
+            [("b", "Y"), ("c", "Y"), ("d", "Z")])
         keystore = KeyStore()
         body = PreChk(seqno=11, view=0, state_digest=b"\x03" * 32, sender=0)
-        net.multicast_authenticated("s", sorted(inboxes), body,
-                                    size_bytes=44,
-                                    authenticator=MAC_VECTOR,
-                                    keystore=keystore)
+        if sequential:
+            for name in sorted(inboxes):
+                net.send_authenticated("s", name, body, size_bytes=44,
+                                       authenticator=MAC_VECTOR,
+                                       keystore=keystore)
+        else:
+            net.multicast_authenticated("s", sorted(inboxes), body,
+                                        size_bytes=44,
+                                        authenticator=MAC_VECTOR,
+                                        keystore=keystore)
         sim.run()
         macs = {}
         for name, inbox in inboxes.items():
             (auth,) = inbox
             assert keystore.verify_mac(auth, body)
             macs[name] = tuple(auth)  # full layout, token bytes included
-        return net.stats, macs
+        return macs
 
-    def test_coalesced_and_per_receiver_macs_are_byte_identical(self):
-        # Same topology, both delivery paths: with coalescing on, the
-        # zero-jitter arrivals share one batch event (`_deliver_auth_batch`
-        # hoists the digest across the drain); with it off, every
-        # receiver rides its own event.  The MAC vector must not notice.
-        coalesced_stats, coalesced = self.run_fanout(coalesce=True)
-        split_stats, split = self.run_fanout(coalesce=False)
-        assert coalesced_stats.coalesced_deliveries == 3
-        assert split_stats.coalesced_deliveries == 0
-        assert coalesced == split
+    def test_fanout_and_sequential_macs_are_byte_identical(self):
+        # One body digest shared across the fan-out, or one per send:
+        # the MAC vector must not notice.
+        assert self.run_fanout(False) == self.run_fanout(True)
 
     def test_transport_stamp_matches_keystore_mac_digest(self):
         # The inlined fan-out stamp and the KeyStore API derive the
@@ -322,4 +320,4 @@ class TestMutationAfterDigestGuard:
 
     def test_unmutated_messages_never_go_stale(self):
         batch = make_batch(3)
-        assert digest_of(batch).value == _seed_digest_of(batch).value
+        assert digest_of(batch).value == seed_digest_of(batch).value

@@ -1,13 +1,16 @@
-"""Tests for the network's multicast fast path.
+"""Tests for the network's multicast verb.
 
 The contract: ``multicast(src, dsts, p)`` is observationally identical to
 ``for dst in dsts: send(src, dst, p)`` -- same delivery order, same stats,
-same RNG draw order -- it just amortizes the sender-side bookkeeping.
+same RNG draw order -- it just resolves the sender side once.  Sequential
+sends are the reference throughout.
 """
 
 import pytest
 
 from repro.common.errors import ConfigurationError
+from repro.crypto.authenticators import MAC_VECTOR
+from repro.crypto.primitives import KeyStore
 from repro.net.bandwidth import BandwidthModel
 from repro.net.latency import LatencyModel
 from repro.net.network import Endpoint, Network
@@ -93,6 +96,29 @@ class TestEquivalence:
 
         assert run(True) == run(False)
 
+    def test_matches_sequential_sends_when_receivers_share_a_tick(self):
+        # Zero jitter: b and c sit in one site and get the same arrival
+        # instant, round after round.  Each receiver still has its own
+        # delivery event, and ties resolve in destination order.
+        def run(sequential):
+            sim, net, nodes = build()
+            log = []
+            for node in nodes.values():
+                node.inbox = log
+            for round_no in range(25):
+                if sequential:
+                    for dst in ("b", "c", "d"):
+                        net.send("a", dst, ("m", round_no), size_bytes=256)
+                else:
+                    net.multicast("a", ("b", "c", "d"), ("m", round_no),
+                                  size_bytes=256)
+            sim.run()
+            return log, stats_tuple(net), sim.now, sim.stats()["executed"]
+
+        multi = run(False)
+        assert multi == run(True)
+        assert multi[3] == 75  # one event per receiver
+
 
 class TestDropAccounting:
     def test_partitioned_destination_counted_per_message(self):
@@ -151,6 +177,34 @@ class TestErrors:
         _, net, _ = build()
         with pytest.raises(ConfigurationError):
             net.multicast("a", ["b", "ghost"], "m")
+
+    @pytest.mark.parametrize("authenticated", [False, True])
+    def test_unknown_destination_mid_list_has_no_side_effects(
+            self, authenticated):
+        # Every name is resolved before stats, RNG or the uplink are
+        # touched: a fan-out that raises must not have half-happened.
+        # (It used to count all n as sent and draw latency for the
+        # receivers before the bad name, then deliver to none of them.)
+        sim, net, nodes = build(bandwidth=True, jitter=2.0)
+        draws = []
+        sample = net.latency.sample_one_way
+        net.latency.sample_one_way = (
+            lambda *args, **kwargs: draws.append(args) or sample(
+                *args, **kwargs))
+        with pytest.raises(ConfigurationError, match="ghost"):
+            if authenticated:
+                net.multicast_authenticated(
+                    "a", ["b", "ghost", "d"], "m", size_bytes=500,
+                    authenticator=MAC_VECTOR, keystore=KeyStore())
+            else:
+                net.multicast("a", ["b", "ghost", "d"], "m", size_bytes=500)
+        assert stats_tuple(net) == (0, 0, 0, 0, 0)
+        assert net.stats.auth_stamped == 0
+        assert draws == []
+        assert net.bandwidth.backlog_ms("a", sim.now) == 0.0
+        assert sim.pending == 0
+        sim.run()
+        assert all(node.inbox == [] for node in nodes.values())
 
 
 class TestBandwidthInteraction:

@@ -161,6 +161,96 @@ class TestRun:
         assert sim.executed == 5
 
 
+class TestCountersMidRun:
+    """``executed`` and ``stats()`` are exact from inside a callback and
+    after one raises, not only between runs."""
+
+    @staticmethod
+    def _ledger(sim, cancels):
+        """The conservation identity, with ``cancelled`` checked against
+        the test's own count (``stats()`` derives it from the others, so
+        a wrong ``executed`` shows up here)."""
+        stats = sim.stats()
+        assert stats["executed"] == sim.executed
+        assert stats["cancelled"] == cancels
+        assert stats["scheduled"] == (stats["executed"] + stats["pending"]
+                                      + stats["cancelled"])
+        return stats
+
+    def test_exact_from_inside_a_callback_halfway_through_a_run(self):
+        sim = Simulator()
+        fired = []
+        seen = []
+        doomed = [sim.call_at(90.0 + i, lambda: None) for i in range(5)]
+
+        def tick(i):
+            fired.append(i)
+            if i == 10:
+                for handle in doomed[:3]:
+                    handle.cancel()
+                stats = self._ledger(sim, cancels=3)
+                seen.append((stats["executed"], stats["pending"]))
+
+        for i in range(20):
+            sim.call_at(float(i + 1), tick, args=(i,))
+        sim.run(until=50.0)
+        # The running event counts as executed; 9 ticks and 2 far-future
+        # events are still pending at that moment.
+        assert seen == [(11, 11)]
+        assert sim.executed == len(fired) == 20
+        self._ledger(sim, cancels=3)
+
+    def test_exact_after_a_callback_raises(self):
+        sim = Simulator()
+
+        def boom():
+            raise RuntimeError("boom")
+
+        for i in range(3):
+            sim.call_at(float(i + 1), lambda: None)
+        sim.call_at(4.0, boom)
+        sim.call_at(5.0, lambda: None).cancel()
+        sim.call_at(6.0, lambda: None)
+        with pytest.raises(RuntimeError):
+            sim.run(until=10.0)
+        assert sim.executed == 4 and sim.pending == 1 and sim.now == 4.0
+        self._ledger(sim, cancels=1)
+
+
+class TestReentrancy:
+    def test_run_inside_a_callback_raises(self):
+        sim = Simulator()
+        sim.call_at(1.0, sim.run)
+        with pytest.raises(SimulationError, match="re-entrant"):
+            sim.run()
+
+    def test_step_inside_a_callback_raises(self):
+        # step() used to pop the outer loop's next event silently.
+        sim = Simulator()
+        seen = []
+        sim.call_at(1.0, sim.step)
+        sim.call_at(2.0, lambda: seen.append("later"))
+        with pytest.raises(SimulationError, match="re-entrant"):
+            sim.run(until=10.0)
+        assert seen == []
+        assert sim.pending == 1
+
+    def test_running_flag_cleared_when_a_callback_raises(self):
+        sim = Simulator()
+        seen = []
+
+        def boom():
+            raise RuntimeError("boom")
+
+        sim.call_at(1.0, boom)
+        sim.call_at(2.0, lambda: seen.append("after"))
+        with pytest.raises(RuntimeError):
+            sim.run()
+        assert sim.step()  # neither step() nor run() is wedged
+        assert seen == ["after"]
+        assert sim.run(until=5.0) == 0 and sim.now == 5.0
+
+
 class TestLiveCount:
     """The live-event counter behind the O(1) ``pending`` property."""
 
