@@ -5,10 +5,11 @@ runs are deterministic and expensive, so each benchmark executes its run
 exactly once via ``benchmark.pedantic(..., rounds=1, iterations=1)`` and
 prints the regenerated rows/series next to the paper's expectations.
 
-Calibration notes (see DESIGN.md section 7): virtual time is milliseconds;
-the latency model embeds the paper's Table 3; absolute throughput numbers
-are not comparable to the paper's testbed, but the *shapes* (who wins, by
-what rough factor, where crossovers fall) are asserted.
+Calibration notes (see docs/workloads.md and docs/profiling.md): virtual
+time is milliseconds; the latency model embeds the paper's Table 3;
+absolute throughput numbers are not comparable to the paper's testbed, but
+the *shapes* (who wins, by what rough factor, where crossovers fall) are
+asserted.
 """
 
 from __future__ import annotations

@@ -16,7 +16,9 @@
 #            src+tests+benchmarks, failing on any non-baselined finding
 #            and writing lint_report.json for the CI artifact.
 # tier1      the full unit + figure-regeneration suite (the repo's
-#            correctness gate; see ROADMAP.md).
+#            correctness gate; see ROADMAP.md), with pytest's 25 slowest
+#            tests printed at the end so the stage log says where the
+#            seconds in ci_stage_times.json went.
 # perf       `repro bench` compares the current simulator/network hot
 #            paths against the preserved seed implementation, refreshes
 #            BENCH_perf.json, gates it against the best recorded point in
@@ -102,7 +104,7 @@ stage_lint() {
 
 stage_tier1() {
     echo "== tier1: unit + figure-regeneration tests =="
-    python -m pytest -x -q
+    python -m pytest -x -q --durations=25
 }
 
 # Subshell body: the host lock (fd 9) releases when the stage exits.

@@ -42,7 +42,7 @@ state and resumes ordering); see the pbft/zyzzyva/zab modules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.common.config import ClusterConfig
@@ -53,8 +53,8 @@ from repro.net.network import Network
 from repro.sim.core import Simulator
 from repro.sim.process import Timer
 from repro.smr.app import StateMachine
-from repro.smr.log import CommitEntry, CommitLog
-from repro.smr.messages import Batch, Reply, Request
+from repro.smr.log import CommitEntry
+from repro.smr.messages import Batch, Request
 from repro.smr.runtime import ReplicaBase, SmrClientBase
 
 
@@ -109,126 +109,6 @@ class SyncReply:
     entries: Tuple[Tuple[int, Batch], ...]
 
 
-class PipelinedSequencer:
-    """Leader-side batching and slot pipelining, shared by every protocol.
-
-    One instance lives on each replica (baseline and XPaxos alike) and owns
-    the queue of client requests awaiting a slot, the request-dedup set,
-    the batch timer, and the pipeline window: the leader may have at most
-    ``config.pipeline_depth`` slots issued but not yet executed.  When the
-    window is full a flush parks instead of proposing; executing a slot
-    re-opens the window and :meth:`pump` resumes the parked flush.  While
-    the window never fills, the event sequence is identical to an
-    unbounded pipeline -- which is what keeps byte-identical determinism
-    goldens stable for workloads that never push the window.
-
-    Slots re-proposed during a view change or ballot merge are *carried*
-    state, not new issues: :meth:`carry_over` excludes everything up to
-    the current ``sn`` from the window, so a fresh leader is never blocked
-    on its own catch-up traffic.
-
-    The host replica provides:
-
-    * ``sn`` / ``ex`` attributes (highest issued / highest executed slot),
-    * ``may_propose()`` -- whether this replica may cut batches right now,
-    * ``propose(seqno, batch)`` -- start the protocol's ordering exchange.
-    """
-
-    def __init__(self, replica, may_propose: Callable[[], bool],
-                 propose: Callable[[int, "Batch"], None]) -> None:
-        self.replica = replica
-        self.config = replica.config
-        self._may_propose = may_propose
-        self._propose = propose
-        self.pending: List[Request] = []
-        self.seen: set = set()
-        self._timer = Timer(replica, self.flush, "batch")
-        self._parked = False
-        self._carried_upto = 0
-        #: Flushes deferred because the window was full (statistics).
-        self.stalls = 0
-
-    # -- window -----------------------------------------------------------
-    @property
-    def in_flight(self) -> int:
-        """Slots issued by this leader and not yet executed, excluding
-        carried-over re-proposals."""
-        replica = self.replica
-        return replica.sn - max(replica.ex, self._carried_upto)
-
-    def carry_over(self) -> None:
-        """Exclude every slot up to the current ``sn`` from the window
-        (called after a view install / ballot merge re-proposed them)."""
-        self._carried_upto = max(self._carried_upto, self.replica.sn)
-
-    # -- intake -----------------------------------------------------------
-    def offer(self, request: Request) -> bool:
-        """Enqueue one deduplicated request; cut a batch when full.
-
-        Returns False when the request id was already seen.
-        """
-        if request.rid in self.seen:
-            return False
-        self.seen.add(request.rid)
-        self.pending.append(request)
-        if len(self.pending) >= self.config.batch_size:
-            self.flush()
-        elif not self._timer.armed:
-            self._timer.start(self.config.batch_timeout_ms)
-        return True
-
-    # -- slot issue -------------------------------------------------------
-    def flush(self) -> None:
-        """Cut one batch, assign it the next slot, and propose it --
-        unless the pipeline window is full, in which case the flush parks
-        until :meth:`pump` re-opens it."""
-        self._timer.stop()
-        if not self.pending or not self._may_propose():
-            return
-        if self.in_flight >= self.config.pipeline_depth:
-            self._parked = True
-            self.stalls += 1
-            return
-        requests = tuple(self.pending[: self.config.batch_size])
-        del self.pending[: len(requests)]
-        batch = Batch(requests)
-        self.replica.sn += 1
-        self._propose(self.replica.sn, batch)
-        if self.pending:
-            self.replica.sim.call_soon(self.flush)
-
-    def pump(self) -> None:
-        """Resume a parked flush after execution advanced the window."""
-        if self._parked:
-            self._parked = False
-            if self.pending:
-                self.replica.sim.call_soon(self.flush)
-
-    def kick(self) -> None:
-        """Schedule a flush if anything is pending (leader-change entry
-        points use this instead of calling :meth:`flush` inline)."""
-        if self.pending:
-            self.replica.sim.call_soon(self.flush)
-
-    # -- leader-change housekeeping ---------------------------------------
-    def stop_timer(self) -> None:
-        """Disarm the batch timer (stepping out of the leader role)."""
-        self._timer.stop()
-
-    def drain(self) -> List[Request]:
-        """Hand back (and forget) every queued request, un-marking their
-        ids so retransmissions to a new leader are not dropped as dups."""
-        pending, self.pending = self.pending, []
-        for request in pending:
-            self.seen.discard(request.rid)
-        return pending
-
-    def reset_seen(self, rids) -> None:
-        """Replace the dedup set (a fresh leader rebuilds it from its
-        committed log)."""
-        self.seen = set(rids)
-
-
 class BaselineReplica(ReplicaBase):
     """Skeleton replica: batching at the leader + ordered execution.
 
@@ -243,16 +123,6 @@ class BaselineReplica(ReplicaBase):
                  cost_model: Optional[CostModel] = None) -> None:
         super().__init__(replica_id, config, sim, network, keystore,
                          app_factory, site, cost_model)
-        self.view = 0
-        self.sn = 0
-        self.ex = 0
-        self.commit_log = CommitLog()
-        self.sequencer = PipelinedSequencer(
-            self,
-            may_propose=lambda: self.is_leader and not self.campaigning,
-            propose=lambda seqno, batch: self.propose_batch(seqno, batch))
-        self._last_reply: Dict[int, GenericReply] = {}
-        self.on_commit_batch: Optional[Callable[[int, Batch], None]] = None
         # Leader-change state (see the module docstring).
         self._election_timer = Timer(self, self._on_election_timeout,
                                      "election")
@@ -293,17 +163,14 @@ class BaselineReplica(ReplicaBase):
 
     # -- batching at the leader ------------------------------------------
     def handle_client_request(self, request: Request) -> None:
-        """Entry point for client requests: the leader batches; a
-        non-leader answers from its reply cache, forwards to the leader,
-        and arms the election timer (the leader may be down)."""
-        if self.is_leader:
-            self.receive_request(request)
+        """Entry point for client requests: answered from the reply cache
+        if already executed; otherwise the leader batches it, and a
+        non-leader forwards it to the leader and arms the election timer
+        (the leader may be down)."""
+        if self.answer_from_cache(request):
             return
-        cached = self._last_reply.get(request.client)
-        if cached is not None and cached.timestamp >= request.timestamp:
-            if cached.timestamp == request.timestamp:
-                self.send_authenticated(f"c{request.client}", cached,
-                                        size_bytes=cached.size_bytes)
+        if self.is_leader:
+            self.sequencer.offer(request)
             return
         self.send_authenticated(f"r{self.leader_id}",
                                 ClientRequestMsg(request),
@@ -311,21 +178,9 @@ class BaselineReplica(ReplicaBase):
         if self.supports_view_change() and not self._election_timer.armed:
             self._election_timer.start(self.config.request_retransmit_ms)
 
-    def receive_request(self, request: Request) -> None:
-        """Enqueue a client request for batching (leader only)."""
-        if not self.is_leader:
-            return
-        cached = self._last_reply.get(request.client)
-        if cached is not None and cached.timestamp >= request.timestamp:
-            if cached.timestamp == request.timestamp:
-                self.send_authenticated(f"c{request.client}", cached,
-                                        size_bytes=cached.size_bytes)
-            return
-        self.sequencer.offer(request)
-
-    def flush_batch(self) -> None:
-        """Assign the next sequence number to a batch and propose it."""
-        self.sequencer.flush()
+    def may_propose(self) -> bool:
+        """May this replica cut batches right now (sequencer hook)?"""
+        return self.is_leader and not self.campaigning
 
     def propose_batch(self, seqno: int, batch: Batch) -> None:
         """Protocol-specific ordering exchange. Subclasses implement."""
@@ -339,52 +194,36 @@ class BaselineReplica(ReplicaBase):
                 seqno, CommitEntry(seqno, self.view, batch, ()))
         self.execute_ready()
 
-    def execute_ready(self) -> None:
-        """Execute committed batches in order; subclass hook for replies."""
-        progressed = False
-        while True:
-            entry = self.commit_log.get(self.ex + 1)
-            if entry is None:
-                break
-            progressed = True
-            # Execution progress means the current leader is doing its
-            # job: call off any pending election.
-            self._election_timer.stop()
-            seqno = self.ex + 1
-            results = []
-            for request in entry.batch:
-                results.append(self.app.execute(request.op))
-                self.execution_trace.append((seqno, request.rid))
-                self.committed_requests += 1
-            self.ex = seqno
-            if self.on_commit_batch is not None:
-                self.on_commit_batch(seqno, entry.batch)
-            self.after_execute(seqno, entry.batch, results)
-            if seqno % self.config.checkpoint_period == 0:
-                self.commit_log.truncate_to(
-                    seqno - self.config.checkpoint_period)
-        if progressed:
-            self.sequencer.pump()
-
-    def after_execute(self, seqno: int, batch: Batch,
+    def after_execute(self, seqno: int, entry: CommitEntry,
                       results: List[Any]) -> None:
-        """Called once per executed batch. Default: no-op."""
+        """Execution progress means the current leader is doing its job:
+        call off any pending election; every ``checkpoint_period`` slots
+        drop the log below the previous period.  Subclasses extend this
+        with their reply rule (:meth:`reply_to_clients`)."""
+        self._election_timer.stop()
+        if seqno % self.config.checkpoint_period == 0:
+            self.commit_log.truncate_to(
+                seqno - self.config.checkpoint_period)
 
     def reply_to_clients(self, seqno: int, batch: Batch,
-                         results: List[Any]) -> None:
-        """Send one MAC-authenticated reply per request in the batch."""
+                         results: List[Any], send: bool = True) -> None:
+        """Cache one reply per request in the batch (dedup and failover)
+        and, with ``send``, ship it MAC-authenticated to its client."""
         for request, result in zip(batch, results):
             # 64 nominal reply bytes: keeps the sender's modeled MAC cost
             # at the seed's charge_mac(64) (the policy charges over
-            # size_bytes) and puts an honest reply size on the wire.
+            # size_bytes) and puts an honest reply size on the wire.  A
+            # reply cached without being sent claims no wire bytes, also
+            # when a later leader re-sends it from the cache.
             reply = GenericReply(
                 replica=self.replica_id, view=self.view, seqno=seqno,
                 timestamp=request.timestamp, client=request.client,
                 result=result, result_digest=digest_of(result),
-                size_bytes=64)
+                size_bytes=64 if send else 0)
             self._last_reply[request.client] = reply
-            self.send_authenticated(f"c{request.client}", reply,
-                                    size_bytes=reply.size_bytes)
+            if send:
+                self.send_authenticated(f"c{request.client}", reply,
+                                        size_bytes=reply.size_bytes)
 
     def batch_digest(self, batch: Batch) -> Digest:
         """Digest over the signed request bodies of a batch, charging CPU."""
@@ -573,9 +412,7 @@ class BaselineReplica(ReplicaBase):
             if not replayable:
                 # Too far behind to replay the log (the peers checkpointed
                 # past our horizon): state transfer.
-                self.app.restore(m.snapshot)
-                self.ex = m.executed_upto
-                self.sn = max(self.sn, self.ex)
+                self.restore_to(m.executed_upto, m.snapshot)
         for sn, batch in m.entries:
             if sn > self.ex and sn not in self.commit_log:
                 self.commit_log.put(
@@ -600,45 +437,22 @@ class QuorumClient(SmrClientBase):
         if reply_quorum < 1:
             raise ValueError("reply_quorum must be >= 1")
         self.reply_quorum = reply_quorum
-        self.view = 0
-        self._request: Optional[Request] = None
-        self._sent_at = 0.0
-        self._replies: Dict[int, GenericReply] = {}
-        self._timer = Timer(self, self._on_timeout, "timer_c")
-        self.on_result: Optional[Callable[[Any], None]] = None
-        self.timeouts = 0
 
-    @property
-    def busy(self) -> bool:
-        """True while a request is in flight."""
-        return self._request is not None
+    def make_request(self, op: Any, timestamp: int,
+                     size_bytes: int) -> Request:
+        return Request(op=op, timestamp=timestamp, client=self.client_id,
+                       size_bytes=size_bytes, signature=None)
 
-    def leader_name(self) -> str:
-        """Network name of the node the client sends to."""
+    def send_request(self, request: Request) -> None:
         assert self.config.n is not None
-        return f"r{self.view % self.config.n}"
-
-    def propose(self, op: Any, size_bytes: int = 0) -> Request:
-        """Invoke one operation (closed loop)."""
-        if self._request is not None:
-            raise RuntimeError(
-                f"client {self.client_id} already has a request in flight")
-        ts = self.next_timestamp()
-        request = Request(op=op, timestamp=ts, client=self.client_id,
-                          size_bytes=size_bytes, signature=None)
-        self._request = request
-        self._sent_at = self.sim.now
-        self._replies.clear()
-        self.send_authenticated(self.leader_name(),
+        self.send_authenticated(f"r{self.view % self.config.n}",
                                 ClientRequestMsg(request),
-                                size_bytes=size_bytes)
-        self._timer.start(self.config.request_retransmit_ms)
-        return request
+                                size_bytes=request.size_bytes)
 
     def on_message(self, src: str, payload: Any) -> None:
         if not isinstance(payload, GenericReply):
             return
-        request = self._request
+        request = self.request
         if request is None or payload.timestamp != request.timestamp:
             return
         self.cpu.charge_mac(64)
@@ -646,28 +460,12 @@ class QuorumClient(SmrClientBase):
             # A leader change happened: follow the replies to the new
             # leader instead of waiting out a timeout per request.
             self.view = payload.view
-        self._replies[payload.replica] = payload
-        matching = [r for r in self._replies.values()
-                    if (r.seqno, r.result_digest) == (payload.seqno,
-                                                      payload.result_digest)]
-        if len(matching) >= self.reply_quorum:
-            full = next((r.result for r in matching
-                         if r.result is not None), matching[0].result)
-            self._complete(request, full)
+        key = (payload.seqno, payload.result_digest)
+        self.tally.add(payload.replica, key, payload)
+        if self.tally.quorum(key, self.reply_quorum):
+            self.complete(self.tally.result(key))
 
-    def _complete(self, request: Request, result: Any) -> None:
-        """Commit the in-flight request and hand the result up."""
-        self._request = None
-        self._timer.stop()
-        self.record_completion(request.rid, self._sent_at)
-        if self.on_result is not None:
-            self.on_result(result)
-
-    def _on_timeout(self) -> None:
-        request = self._request
-        if request is None:
-            return
-        self.timeouts += 1
+    def retransmit(self, request: Request) -> None:
         # Re-send to every replica; the leader deduplicates.
         assert self.config.n is not None
         self.multicast_authenticated(

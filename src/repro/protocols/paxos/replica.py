@@ -28,12 +28,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Set, Tuple
 
-from repro.crypto.primitives import Digest, digest_of
-from repro.protocols.base import (
-    BaselineReplica,
-    GenericReply,
-    register_modeled,
-)
+from repro.crypto.primitives import Digest
+from repro.protocols.base import BaselineReplica, register_modeled
+from repro.smr.log import CommitEntry
 from repro.smr.messages import Batch
 
 
@@ -193,19 +190,13 @@ class PaxosReplica(BaselineReplica):
         self._accepted[m.seqno] = (m.view, m.batch)
         self.commit_batch(m.seqno, m.batch)
 
-    def after_execute(self, seqno: int, batch: Batch,
+    def after_execute(self, seqno: int, entry: CommitEntry,
                       results: List[Any]) -> None:
+        super().after_execute(seqno, entry, results)
         # Only the leader answers clients (CFT: one reply suffices), but
         # every replica caches its replies for dedup and failover.
-        self._election_timer.stop()
-        if self.is_leader:
-            self.reply_to_clients(seqno, batch, results)
-        else:
-            for request, result in zip(batch, results):
-                self._last_reply[request.client] = GenericReply(
-                    replica=self.replica_id, view=self.view, seqno=seqno,
-                    timestamp=request.timestamp, client=request.client,
-                    result=result, result_digest=digest_of(result))
+        self.reply_to_clients(seqno, entry.batch, results,
+                              send=self.is_leader)
 
     def on_enter_view(self, view: int) -> None:
         # Adopting a ballot someone else established (e.g. via a recovery

@@ -194,11 +194,12 @@ class PbftReplica(BaselineReplica):
             del self._votes[key]
         self.commit_batch(seqno, batch)
 
-    def after_execute(self, seqno: int, batch: Batch,
+    def after_execute(self, seqno: int, entry: CommitEntry,
                       results: List[Any]) -> None:
+        super().after_execute(seqno, entry, results)
         # Every active replica replies; the client needs t + 1 matching.
         if self.is_active:
-            self.reply_to_clients(seqno, batch, results)
+            self.reply_to_clients(seqno, entry.batch, results)
 
     # -- view change ------------------------------------------------------
     def on_enter_view(self, view: int) -> None:

@@ -17,8 +17,7 @@ and follow ``SUSPECT`` messages into the next view.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Optional
 
 from repro.common.config import ClusterConfig
 from repro.crypto.costs import CostModel
@@ -27,20 +26,8 @@ from repro.net.network import Network
 from repro.protocols.xpaxos import messages as msg
 from repro.protocols.xpaxos.groups import SynchronousGroups
 from repro.sim.core import Simulator
-from repro.sim.process import Timer
 from repro.smr.messages import Request
 from repro.smr.runtime import SmrClientBase
-
-
-@dataclass
-class _Outstanding:
-    """State of the client's single in-flight request (closed loop)."""
-
-    request: Request
-    sent_at: float
-    replies: Dict[int, msg.ReplyMsg] = field(default_factory=dict)
-    result: Any = None
-    retries: int = 0
 
 
 class XPaxosClient(SmrClientBase):
@@ -53,33 +40,17 @@ class XPaxosClient(SmrClientBase):
                          cost_model)
         assert config.n is not None
         self.groups = SynchronousGroups(config.n, config.t)
-        self.view = 0
-        self._outstanding: Optional[_Outstanding] = None
-        self._timer = Timer(self, self._on_timeout, "timer_c")
-        #: Called with the committed result when the in-flight op finishes.
-        self.on_result: Optional[Callable[[Any], None]] = None
-        self.timeouts = 0
 
     # ------------------------------------------------------------------
-    def propose(self, op: Any, size_bytes: int = 0) -> Request:
-        """Invoke one operation (the client must be idle -- closed loop)."""
-        if self._outstanding is not None:
-            raise RuntimeError(
-                f"client {self.client_id} already has a request in flight")
-        ts = self.next_timestamp()
-        request = Request.signed(op, ts, self.client_id, size_bytes,
-                                 self.sign)
-        self._outstanding = _Outstanding(request=request, sent_at=self.sim.now)
+    def make_request(self, op: Any, timestamp: int,
+                     size_bytes: int) -> Request:
+        return Request.signed(op, timestamp, self.client_id, size_bytes,
+                              self.sign)
+
+    def send_request(self, request: Request) -> None:
         primary = self.groups.primary(self.view)
         self.send_authenticated(f"r{primary}", msg.Replicate(request),
-                                size_bytes=size_bytes)
-        self._timer.start(self.config.request_retransmit_ms)
-        return request
-
-    @property
-    def busy(self) -> bool:
-        """True while a request is in flight."""
-        return self._outstanding is not None
+                                size_bytes=request.size_bytes)
 
     # ------------------------------------------------------------------
     def on_message(self, src: str, payload: Any) -> None:
@@ -93,8 +64,8 @@ class XPaxosClient(SmrClientBase):
     def _on_reply(self, reply: msg.ReplyMsg) -> None:
         # The reply's channel MAC was stamped and verified by the
         # transport (MAC_VECTOR policy); only content checks remain here.
-        out = self._outstanding
-        if out is None or reply.timestamp != out.request.timestamp:
+        request = self.request
+        if request is None or reply.timestamp != request.timestamp:
             return
         if reply.view > self.view:
             self.view = reply.view
@@ -102,13 +73,10 @@ class XPaxosClient(SmrClientBase):
         if self.config.t == 1:
             self._fast_commit_rule(reply)
         else:
-            out.replies[reply.replica] = reply
             self._general_commit_rule(reply)
 
     def _fast_commit_rule(self, reply: msg.ReplyMsg) -> None:
         """t = 1: one primary reply embedding the follower's m1."""
-        out = self._outstanding
-        assert out is not None
         fc = reply.follower_commit
         if fc is None:
             return
@@ -121,34 +89,30 @@ class XPaxosClient(SmrClientBase):
             return
         if digest_of(reply.result) != reply.result_digest:
             return
-        self._commit(reply.result)
+        self.complete(reply.result)
 
     def _general_commit_rule(self, reply: msg.ReplyMsg) -> None:
-        """t >= 2: t+1 matching replies from all active replicas."""
-        out = self._outstanding
-        assert out is not None
-        active = set(self.groups.group(reply.view))
-        matching = [r for r in out.replies.values()
-                    if r.view == reply.view and r.seqno == reply.seqno
-                    and r.result_digest == reply.result_digest
-                    and r.replica in active]
-        if len(matching) < self.config.t + 1:
+        """t >= 2: t+1 matching replies, one from each active replica of
+        the reply's view, one of them (the primary's) with the result."""
+        if reply.replica not in self.groups.group(reply.view):
             return
-        full = next((r.result for r in matching if r.result is not None),
-                    None)
-        if full is None:
-            return  # need at least the primary's full result
+        key = (reply.view, reply.seqno, reply.result_digest)
+        self.tally.add(reply.replica, key, reply,
+                       full=reply.result is not None)
+        if not self.tally.quorum(key, self.config.t + 1):
+            return
+        full = self.tally.result(key)
         if digest_of(full) != reply.result_digest:
             return
-        self._commit(full)
+        self.complete(full)
 
     def _on_signed_replies(self, bundle: msg.SignedReplies) -> None:
         """Retransmission answer: t+1 signed replies (Algorithm 4)."""
-        out = self._outstanding
-        if out is None:
+        request = self.request
+        if request is None:
             return
         shares = [s for s in bundle.shares
-                  if s.timestamp == out.request.timestamp
+                  if s.timestamp == request.timestamp
                   and s.client == self.client_id]
         if len(shares) < self.config.t + 1:
             return
@@ -168,7 +132,7 @@ class XPaxosClient(SmrClientBase):
         full = next((s.result for s in shares if s.result is not None), None)
         if bundle.view > self.view:
             self.view = bundle.view
-        self._commit(full)
+        self.complete(full)
 
     def _on_suspect(self, suspect: msg.Suspect) -> None:
         """Algorithm 4 lines 11-15: follow the view change."""
@@ -182,43 +146,26 @@ class XPaxosClient(SmrClientBase):
                 msg.suspect_payload(suspect.view, suspect.sender)):
             return
         self.view = suspect.view + 1
-        out = self._outstanding
-        if out is None:
+        if self.request is None:
             return
         # Forward the suspicion to the new actives and re-send the request.
         self.multicast_authenticated(
             [f"r{r}" for r in self.groups.group(self.view)],
             suspect, size_bytes=48)
-        primary = self.groups.primary(self.view)
-        self.send_authenticated(f"r{primary}", msg.Replicate(out.request),
-                                size_bytes=out.request.size_bytes)
+        self.send_request(self.request)
         self._timer.start(self.config.request_retransmit_ms)
 
     # ------------------------------------------------------------------
-    def _commit(self, result: Any) -> None:
-        out = self._outstanding
-        assert out is not None
-        self._outstanding = None
-        self._timer.stop()
-        self.record_completion(out.request.rid, out.sent_at)
-        if self.on_result is not None:
-            self.on_result(result)
-
-    def _on_timeout(self) -> None:
+    def retransmit(self, request: Request) -> None:
         """Client timer expiry: broadcast RE-SEND to all actives.
 
         The retry timer backs off exponentially (capped): during a view
         change the request cannot commit anyway, and re-sending faster than
         the view-change period only feeds the suspicion cascade.
         """
-        out = self._outstanding
-        if out is None:
-            return
-        self.timeouts += 1
-        out.retries += 1
         self.multicast_authenticated(
             [f"r{r}" for r in self.groups.group(self.view)],
-            msg.ReSend(out.request), size_bytes=out.request.size_bytes)
-        backoff = (2.0 if out.retries > 1 else 1.0) \
+            msg.ReSend(request), size_bytes=request.size_bytes)
+        backoff = (2.0 if self.retries > 1 else 1.0) \
             * self.config.request_retransmit_ms
         self._timer.start(backoff)

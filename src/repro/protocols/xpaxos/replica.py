@@ -32,14 +32,13 @@ from repro.crypto.primitives import (
     replica_principal,
 )
 from repro.net.network import Network
-from repro.protocols.base import PipelinedSequencer
 from repro.protocols.xpaxos import messages as msg
 from repro.protocols.xpaxos.detection import FaultDetector
 from repro.protocols.xpaxos.groups import SynchronousGroups
 from repro.sim.core import Simulator
 from repro.sim.process import Timer
 from repro.smr.app import StateMachine
-from repro.smr.log import CommitEntry, CommitLog, PrepareEntry, PrepareLog
+from repro.smr.log import CommitEntry, PrepareEntry, PrepareLog
 from repro.smr.messages import Batch, Request
 from repro.smr.runtime import ReplicaBase
 
@@ -85,18 +84,8 @@ class XPaxosReplica(ReplicaBase):
                          app_factory, site, cost_model)
         assert config.n is not None
         self.groups = SynchronousGroups(config.n, config.t)
-        self.view = 0
-        self.sn = 0          # highest prepared sequence number
-        self.ex = 0          # highest executed sequence number
         self.prepare_log = PrepareLog()
-        self.commit_log = CommitLog()
         self.prepare_view = 0   # view in which prepare_log was generated (FD)
-
-        # Batching and slot pipelining at the primary (shared sequencer).
-        self.sequencer = PipelinedSequencer(
-            self,
-            may_propose=lambda: self.is_primary and not self.in_view_change,
-            propose=self._propose_slot)
 
         # Per-slot transient state for the general (t >= 2) path.
         self._commit_votes: Dict[int, Dict[int, msg.CommitVote]] = {}
@@ -105,13 +94,13 @@ class XPaxosReplica(ReplicaBase):
         # has executed the slot and embedded it in the replies.
         self._fast_commits_pending: Dict[int, msg.FastCommit] = {}
 
-        # Reply cache: client -> (timestamp, ReplyMsg fields) for dedup.
-        self._last_reply: Dict[int, msg.ReplyMsg] = {}
-
         # View change.
         self._suspected_views: Set[int] = set()
         self._forwarded_suspects: Set[tuple] = set()
         self._vc: Dict[int, _ViewChangeState] = {}
+        # Our own (view, selection, checkpoint) while waiting, as a
+        # follower, for the primary's NEW-VIEW to cross-check against.
+        self._pending_selection: Optional[Tuple] = None
         self._net_timer = Timer(self, self._on_net_timer, "timer_net")
         self._vc_timer = Timer(self, self._on_vc_timer, "timer_vc")
         self._vc_retx_timer = Timer(self, self._on_vc_retransmit,
@@ -140,9 +129,6 @@ class XPaxosReplica(ReplicaBase):
         # Fault-injection hooks (see repro.faults): mutate outgoing
         # view-change content to model non-crash faults.
         self.byzantine: Optional[Any] = None
-
-        # Metrics hooks.
-        self.on_commit_batch: Optional[Callable[[int, Batch], None]] = None
 
         self._handlers: Dict[type, Callable[[str, Any], None]] = {
             msg.Replicate: self._on_replicate,
@@ -215,10 +201,8 @@ class XPaxosReplica(ReplicaBase):
             return
         if not self.is_primary or self.in_view_change:
             return  # clients retransmit to the right primary eventually
-        if self._already_executed(request):
-            self._resend_cached_reply(request)
-            return
-        self.sequencer.offer(request)
+        if not self.answer_from_cache(request):
+            self.sequencer.offer(request)
 
     def _verify_request(self, request: Request) -> bool:
         """Verify the client's signature on a request."""
@@ -228,17 +212,11 @@ class XPaxosReplica(ReplicaBase):
         return self.keystore.verify_digest(request.signature,
                                            request.body_digest())
 
-    def _already_executed(self, request: Request) -> bool:
-        cached = self._last_reply.get(request.client)
-        return cached is not None and cached.timestamp >= request.timestamp
+    def may_propose(self) -> bool:
+        """May this replica cut batches right now (sequencer hook)?"""
+        return self.is_primary and not self.in_view_change
 
-    def _resend_cached_reply(self, request: Request) -> None:
-        cached = self._last_reply.get(request.client)
-        if cached is not None and cached.timestamp == request.timestamp:
-            self.send_authenticated(f"c{request.client}", cached,
-                                    size_bytes=cached.size_bytes)
-
-    def _propose_slot(self, seqno: int, batch: Batch) -> None:
+    def propose_batch(self, seqno: int, batch: Batch) -> None:
         """Start ordering one sequencer-cut batch on the configured path."""
         if self.config.t == 1:
             self._fast_propose(seqno, batch)
@@ -342,7 +320,7 @@ class XPaxosReplica(ReplicaBase):
         self.commit_log.put(
             seqno, CommitEntry(seqno, entry.view, entry.batch, proof))
         self._commit_votes.pop(seqno, None)
-        self._execute_ready()
+        self.execute_ready()
 
     # -- fast path (t = 1) ------------------------------------------------
     def _fast_propose(self, seqno: int, batch: Batch) -> None:
@@ -389,18 +367,19 @@ class XPaxosReplica(ReplicaBase):
     def _accept_fast_prepare(self, m: msg.FastPrepare) -> None:
         """Follower side of the t = 1 pattern: execute, sign m1, log."""
         self.sn = m.seqno
-        results = self._execute_batch(m.seqno, m.batch)
+        # The slot executes before its commit entry can exist (m1 signs
+        # the reply digest), so this path bypasses execute_ready().
+        results = self.execute_slot(m.seqno, m.batch)
         reply_digest = digest_of(tuple(results))
         fast_commit = msg.FastCommit.signed(m.view, m.seqno, m.batch_digest,
                                             reply_digest, self.sign)
         entry = CommitEntry(m.seqno, m.view, m.batch,
                             (m.m0, fast_commit.m1))
         self.commit_log.put(m.seqno, entry)
-        self.ex = m.seqno
         # The follower does not answer clients in the fast path, but it
         # must cache its replies so the retransmission protocol
         # (Algorithm 4) can later produce its signed reply share.
-        self._cache_replies(m.seqno, m.batch, results)
+        self._reply_to_clients(m.seqno, m.batch, results, answer=False)
         primary = self.groups.primary(self.view)
         self.send_authenticated(self.replica_name(primary), fast_commit,
                                 size_bytes=96)
@@ -429,82 +408,52 @@ class XPaxosReplica(ReplicaBase):
                                    (entry.primary_sig, m.m1))
         self.commit_log.put(m.seqno, commit_entry)
         self._fast_commits_pending[m.seqno] = m
-        self._execute_ready()
+        self.execute_ready()
 
     # -- execution ---------------------------------------------------------
-    def _execute_ready(self) -> None:
-        """Execute committed batches in sequence order."""
-        progressed = False
-        while True:
-            entry = self.commit_log.get(self.ex + 1)
-            if entry is None:
-                break
-            progressed = True
-            seqno = self.ex + 1
-            results = self._execute_batch(seqno, entry.batch)
-            self.ex = seqno
-            if self.is_active:
-                self._reply_to_clients(seqno, entry, results)
-                if self.config.t >= 2 and self.is_follower:
-                    self._lazy_replicate(entry)
-            else:
-                self._cache_replies(seqno, entry.batch, results)
-            self._maybe_checkpoint(seqno)
-        if progressed:
-            self.sequencer.pump()
+    def after_execute(self, seqno: int, entry: CommitEntry,
+                      results: List[Any]) -> None:
+        active = self.is_active
+        self._reply_to_clients(seqno, entry.batch, results, answer=active)
+        if active and self.config.t >= 2 and self.is_follower:
+            self._lazy_replicate(entry)
+        self._maybe_checkpoint(seqno)
 
-    def _execute_batch(self, seqno: int, batch: Batch) -> List[Any]:
-        results = []
-        for request in batch:
-            results.append(self.app.execute(request.op))
-            self.execution_trace.append((seqno, request.rid))
-            self.committed_requests += 1
-        if self.on_commit_batch is not None:
-            self.on_commit_batch(seqno, batch)
-        return results
-
-    def _cache_replies(self, seqno: int, batch: Batch,
-                       results: List[Any]) -> None:
-        """Record this replica's reply per request (dedup + Algorithm 4)
-        without sending anything to clients."""
-        for request, result in zip(batch, results):
-            reply_digest = digest_of(result)
-            self._last_reply[request.client] = msg.ReplyMsg(
-                replica=self.replica_id, view=self.view, seqno=seqno,
-                timestamp=request.timestamp, client=request.client,
-                result=result, result_digest=reply_digest)
-            if request.rid in self._retransmissions:
-                self._emit_signed_reply_share(request)
-
-    def _reply_to_clients(self, seqno: int, entry: CommitEntry,
-                          results: List[Any]) -> None:
+    def _reply_to_clients(self, seqno: int, batch: Batch,
+                          results: List[Any], answer: bool) -> None:
+        """Cache this replica's reply per request (dedup + Algorithm 4)
+        and, with ``answer`` (an active replica executing a committed
+        slot), send it: the full result from the primary -- at t = 1
+        embedding the follower's ``m1`` -- and the digest alone from the
+        t >= 2 followers.  The t = 1 follower stays silent (its vote
+        travels as ``m1``), as do passive replicas, which keep the full
+        result for the signed shares Algorithm 4 may ask of them later."""
+        primary = answer and self.is_primary
         fast = None
-        if self.config.t == 1 and self.is_primary:
+        if primary and self.config.t == 1:
             fast = self._fast_commits_pending.pop(seqno, None)
-            if fast is not None:
-                # Cross-check our reply digest against the follower's.
-                if digest_of(tuple(results)) != fast.reply_digest:
-                    raise ProtocolViolation(
-                        "follower reply digest mismatch (divergent state)")
-        for request, result in zip(entry.batch, results):
-            reply_digest = digest_of(result)
-            full = self.is_primary
+            # Cross-check our reply digest against the follower's.
+            if fast is not None \
+                    and digest_of(tuple(results)) != fast.reply_digest:
+                raise ProtocolViolation(
+                    "follower reply digest mismatch (divergent state)")
+        full = primary or not answer
+        send = primary or (answer and self.config.t >= 2)
+        for request, result in zip(batch, results):
+            # A reply cached without being sent claims no wire bytes.
+            size = 0 if not answer else _wire_len(result) if full else 32
             reply = msg.ReplyMsg(
                 replica=self.replica_id, view=self.view, seqno=seqno,
                 timestamp=request.timestamp, client=request.client,
                 result=result if full else None,
-                result_digest=reply_digest,
-                follower_commit=fast,
-                size_bytes=_wire_len(result) if full else 32,
-            )
+                result_digest=digest_of(result),
+                follower_commit=fast, size_bytes=size)
             self._last_reply[request.client] = reply
             if request.rid in self._retransmissions:
                 self._emit_signed_reply_share(request)
-            # t = 1: only the primary replies (the reply carries m1).
-            if self.config.t == 1 and not self.is_primary:
-                continue
-            self.send_authenticated(f"c{request.client}", reply,
-                                    size_bytes=reply.size_bytes)
+            if send:
+                self.send_authenticated(f"c{request.client}", reply,
+                                        size_bytes=size)
 
     def _batch_digest(self, batch: Batch) -> Digest:
         self.cpu.charge_digest(batch.size_bytes)
@@ -801,10 +750,12 @@ class XPaxosReplica(ReplicaBase):
         selection: Dict[int, CommitEntry] = {}
         best_checkpoint: Optional[msg.CheckpointProof] = None
         for vc in state.vcset.values():
-            if vc.checkpoint is not None:
-                if (best_checkpoint is None
-                        or vc.checkpoint.seqno > best_checkpoint.seqno):
-                    best_checkpoint = vc.checkpoint
+            proof = vc.checkpoint
+            if proof is not None \
+                    and (best_checkpoint is None
+                         or proof.seqno > best_checkpoint.seqno) \
+                    and self._checkpoint_proof_valid(proof):
+                best_checkpoint = proof
             for seqno, entry in vc.commit_entries:
                 current = selection.get(seqno)
                 if current is None or entry.view > current.view:
@@ -837,7 +788,7 @@ class XPaxosReplica(ReplicaBase):
             return
         # Verify the primary's selection against our own (Algorithm 3
         # line 26): mismatch means a faulty primary -> suspect.
-        pending = getattr(self, "_pending_selection", None)
+        pending = self._pending_selection
         if pending is not None and pending[0] == m.new_view:
             _, selection, _ = pending
             expected = {sn: msg.batch_digest_of(e.batch)
@@ -857,16 +808,13 @@ class XPaxosReplica(ReplicaBase):
         state = self._vc.get(m.new_view)
         if state is not None and state.processed_new_view:
             return
+        # State transfer: restore from the checkpoint if we are behind it.
+        if not self._install_checkpoint(m.checkpoint):
+            # Only a faulty primary announces a proof that does not verify.
+            self.suspect_view(self.view)
+            return
         if state is not None:
             state.processed_new_view = True
-        # State transfer: restore from the checkpoint if we are behind it.
-        if m.checkpoint is not None and self.ex < m.checkpoint.seqno:
-            self.app.restore(m.checkpoint.snapshot)
-            self.ex = m.checkpoint.seqno
-            self.sn = max(self.sn, m.checkpoint.seqno)
-            self.stable_checkpoint = m.checkpoint
-            self.commit_log.truncate_to(m.checkpoint.seqno)
-            self.prepare_log.truncate_to(m.checkpoint.seqno)
         # Re-commit every selected request in the new view.
         for entry in m.entries:
             self.prepare_log.put(entry.seqno,
@@ -889,7 +837,7 @@ class XPaxosReplica(ReplicaBase):
         self.sn = highest
         for stale in [s for s, _ in self.prepare_log.items() if s > highest]:
             self.prepare_log.drop(stale)
-        self._execute_ready()
+        self.execute_ready()
         # Catch up execution over any holes left by a sparse selection: a
         # hole below the highest selected seqno means no request committed
         # there in any previous view, so it is skipped.
@@ -898,8 +846,8 @@ class XPaxosReplica(ReplicaBase):
                 if seqno not in self.commit_log:
                     self.ex = seqno
                 else:
-                    self._execute_ready()
-            self._execute_ready()
+                    self.execute_ready()
+            self.execute_ready()
         self._vc_timer.stop()
         self._vc_retx_timer.stop()
         self.in_view_change = False
@@ -984,8 +932,6 @@ class XPaxosReplica(ReplicaBase):
                        state_digest: bytes) -> None:
         votes = self._prechk_votes.setdefault(seqno, {})
         votes[sender] = state_digest
-        matching = [s for s, d in votes.items()
-                    if d == votes.get(self.replica_id, d)]
         if self.replica_id not in votes or len(votes) < self.config.t + 1:
             return
         my_digest = votes[self.replica_id]
@@ -1036,23 +982,47 @@ class XPaxosReplica(ReplicaBase):
                                      msg.LazyChk(proof), size_bytes=512)
 
     def _on_lazychk(self, src: str, m: msg.LazyChk) -> None:
-        proof = m.proof
-        if len(proof.sigs) < self.config.t + 1:
-            return
-        for sig in proof.sigs:
+        # Modelled cost of checking the proof's signatures, paid whether
+        # or not the checkpoint turns out to be ahead of us.
+        for _ in m.proof.sigs:
             self.cpu.charge_verify()
-            if not self.keystore.verify_digest(
-                    sig, sig.digest):
-                return
-        if self.ex >= proof.seqno:
-            return
-        self.app.restore(proof.snapshot)
-        self.ex = proof.seqno
-        self.sn = max(self.sn, proof.seqno)
+        if self._install_checkpoint(m.proof):
+            self.execute_ready()
+
+    def _checkpoint_proof_valid(self, proof: msg.CheckpointProof) -> bool:
+        """Is ``proof`` signed by t + 1 distinct members of its view's
+        synchronous group, each over this very (seqno, view, state digest)?
+
+        The snapshot is not hashed against ``state_digest``:
+        ``NullService.restore`` deliberately does not round-trip its
+        running hash, so honest proofs would fail that check.
+        """
+        members = {replica_principal(r): r
+                   for r in self.groups.group(proof.view)}
+        signers = set()
+        for sig in proof.sigs:
+            signer = members.get(sig.signer)
+            if signer is None or not self.keystore.verify(
+                    sig, msg.chkpt_payload(proof.seqno, proof.view,
+                                           proof.state_digest, signer)):
+                return False
+            signers.add(signer)
+        return len(signers) >= self.config.t + 1
+
+    def _install_checkpoint(self,
+                            proof: Optional[msg.CheckpointProof]) -> bool:
+        """State transfer from a stable checkpoint ahead of our execution
+        horizon (LAZYCHK, FETCH-REPLY and NEW-VIEW all land here).  False
+        only for a proof that is ahead of us and does not verify."""
+        if proof is None or proof.seqno <= self.ex:
+            return True
+        if not self._checkpoint_proof_valid(proof):
+            return False
+        self.restore_to(proof.seqno, proof.snapshot)
         self.stable_checkpoint = proof
         self.commit_log.truncate_to(proof.seqno)
         self.prepare_log.truncate_to(proof.seqno)
-        self._execute_ready()
+        return True
 
     # ==================================================================
     # Lazy replication -- Section 4.5.2
@@ -1092,7 +1062,7 @@ class XPaxosReplica(ReplicaBase):
         if m.seqno in self.commit_log or m.seqno <= self.ex:
             return
         self.commit_log.put(m.seqno, m.entry)
-        self._execute_ready()
+        self.execute_ready()
         if self.ex + 1 < m.seqno:
             # A hole below this entry: some lazy messages were lost while
             # we were down.  Retrieve the missing state (Section 4.5.2).
@@ -1124,18 +1094,11 @@ class XPaxosReplica(ReplicaBase):
 
     def _on_fetch_reply(self, src: str, m: msg.FetchReply) -> None:
         self._fetch_pending = False
-        if (m.checkpoint is not None and m.checkpoint.seqno > self.ex
-                and len(m.checkpoint.sigs) >= self.config.t + 1):
-            self.app.restore(m.checkpoint.snapshot)
-            self.ex = m.checkpoint.seqno
-            self.sn = max(self.sn, m.checkpoint.seqno)
-            self.stable_checkpoint = m.checkpoint
-            self.commit_log.truncate_to(m.checkpoint.seqno)
-            self.prepare_log.truncate_to(m.checkpoint.seqno)
+        self._install_checkpoint(m.checkpoint)
         for entry in m.entries:
             if entry.seqno > self.ex and entry.seqno not in self.commit_log:
                 self.commit_log.put(entry.seqno, entry)
-        self._execute_ready()
+        self.execute_ready()
 
     # ==================================================================
     # Request retransmission -- Algorithm 4
@@ -1151,8 +1114,7 @@ class XPaxosReplica(ReplicaBase):
         request = m.request
         if not self._verify_request(request):
             return
-        cached = self._last_reply.get(request.client)
-        if cached is not None and cached.timestamp >= request.timestamp:
+        if self.cached_reply(request.client, request.timestamp) is not None:
             # Already executed: re-answer immediately with signed replies.
             self._start_retransmission(request, already_executed=True)
             return
@@ -1185,15 +1147,13 @@ class XPaxosReplica(ReplicaBase):
             self._emit_signed_reply_share(request)
 
     def _emit_signed_reply_share(self, request: Request) -> None:
-        cached = self._last_reply.get(request.client)
+        cached = self.cached_reply(request.client, request.timestamp)
         if cached is None:
             return
         if cached.timestamp > request.timestamp:
             # The client already committed this request and moved on; the
             # retransmission is settled, not a liveness problem.
             self._settle_retransmission(request.rid)
-            return
-        if cached.timestamp != request.timestamp:
             return
         payload = msg.signed_reply_payload(
             cached.seqno, self.view, cached.timestamp, cached.client,
@@ -1215,11 +1175,8 @@ class XPaxosReplica(ReplicaBase):
             # A peer is collecting signed replies for this request
             # (Algorithm 4 line 7: every active replica is asked to sign):
             # join in, contributing our own share once we have executed it.
-            cached = self._last_reply.get(m.client)
-            if cached is None or cached.timestamp < m.timestamp:
+            if self.cached_reply(m.client, m.timestamp) is None:
                 return  # not executed here yet; our share will follow
-            from repro.smr.messages import Request
-
             placeholder = Request(op=None, timestamp=m.timestamp,
                                   client=m.client)
             self._start_retransmission(placeholder, already_executed=True)
@@ -1260,13 +1217,12 @@ class XPaxosReplica(ReplicaBase):
         if state is None or state.done:
             return
         client, timestamp = rid
-        cached = self._last_reply.get(client)
+        cached = self.cached_reply(client, timestamp)
         if cached is not None and cached.timestamp > timestamp:
             # The client committed this request and moved past it: settled.
             self._settle_retransmission(rid)
             return
-        if (cached is not None and cached.timestamp == timestamp
-                and state.retries == 0):
+        if cached is not None and state.retries == 0:
             # We executed the request but the signed-reply quorum has not
             # formed (a peer may have missed the RE-SEND or a share was
             # lost).  Retry the collection once before suspecting; the

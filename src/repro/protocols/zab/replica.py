@@ -30,9 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Set, Tuple
 
-from repro.crypto.primitives import digest_of
-from repro.protocols.base import BaselineReplica, GenericReply, \
-    register_modeled
+from repro.protocols.base import BaselineReplica, register_modeled
+from repro.smr.log import CommitEntry
 from repro.smr.messages import Batch
 
 
@@ -182,18 +181,14 @@ class ZabReplica(BaselineReplica):
         batch = self._pending_commits.pop(seqno)
         self.commit_batch(seqno, batch)
 
-    def after_execute(self, seqno: int, batch: Batch,
+    def after_execute(self, seqno: int, entry: CommitEntry,
                       results: List[Any]) -> None:
-        if self.is_leader:
-            self.reply_to_clients(seqno, batch, results)
-        else:
-            # Followers cache their replies so a later leader answers
-            # retried requests from the cache instead of re-ordering them.
-            for request, result in zip(batch, results):
-                self._last_reply[request.client] = GenericReply(
-                    replica=self.replica_id, view=self.view, seqno=seqno,
-                    timestamp=request.timestamp, client=request.client,
-                    result=result, result_digest=digest_of(result))
+        super().after_execute(seqno, entry, results)
+        # The leader answers; followers cache their replies so a later
+        # leader answers retried requests from the cache instead of
+        # re-ordering them.
+        self.reply_to_clients(seqno, entry.batch, results,
+                              send=self.is_leader)
 
     # -- epoch change -----------------------------------------------------
     def on_enter_view(self, view: int) -> None:

@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
-
-from repro.protocols.base import GenericReply, QuorumClient
+from repro.protocols.base import QuorumClient
 from repro.protocols.zyzzyva.replica import CommitCert
 
 
@@ -26,29 +24,24 @@ class ZyzzyvaClient(QuorumClient):
         self.fallback_commits = 0
 
     def _on_timeout(self) -> None:
-        request = self._request
+        request = self.request
         if request is None:
             return
-        groups: Dict[Tuple, List[GenericReply]] = {}
-        for reply in self._replies.values():
-            groups.setdefault((reply.seqno, reply.result_digest),
-                              []).append(reply)
         need = 2 * self.config.t + 1
-        for (seqno, digest), replies in sorted(groups.items(),
-                                               key=lambda kv: kv[0][0]):
-            if len(replies) < need:
+        for key in self.tally:
+            if not self.tally.quorum(key, need):
                 continue
+            replies = self.tally.voters(key)
+            seqno, digest = key
             cert = CommitCert(
-                view=max(r.view for r in replies), seqno=seqno,
+                view=max(r.view for r in replies.values()), seqno=seqno,
                 result_digest=digest, client=self.client_id,
                 timestamp=request.timestamp,
-                repliers=tuple(sorted(r.replica for r in replies)))
+                repliers=tuple(sorted(replies)))
             assert self.config.n is not None
             names = [f"r{r}" for r in range(self.config.n)]
             self.multicast_authenticated(names, cert, size_bytes=96)
             self.fallback_commits += 1
-            full = next((r.result for r in replies
-                         if r.result is not None), replies[0].result)
-            self._complete(request, full)
+            self.complete(self.tally.result(key))
             return
         super()._on_timeout()

@@ -257,11 +257,12 @@ class ZyzzyvaReplica(BaselineReplica):
         self._claimed_history.clear()
         self._order_digests.clear()
 
-    def after_execute(self, seqno: int, batch: Batch,
+    def after_execute(self, seqno: int, entry: CommitEntry,
                       results: List[Any]) -> None:
-        self._advance_history(seqno, batch)
+        super().after_execute(seqno, entry, results)
+        self._advance_history(seqno, entry.batch)
         # Every replica sends a speculative response to the client.
-        self.reply_to_clients(seqno, batch, results)
+        self.reply_to_clients(seqno, entry.batch, results)
 
     # -- view change ------------------------------------------------------
     def make_view_change(self, target: int) -> ViewChange:

@@ -11,7 +11,7 @@ safety-checking hooks the harness and tests use.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.common.config import ClusterConfig
 from repro.common.errors import ConfigurationError
@@ -24,8 +24,11 @@ from repro.crypto.primitives import (
 )
 from repro.net.network import Endpoint, Network
 from repro.sim.core import Simulator
-from repro.sim.process import Process
+from repro.sim.process import Process, Timer
 from repro.smr.app import StateMachine
+from repro.smr.log import CommitEntry, CommitLog
+from repro.smr.messages import Batch, Request
+from repro.smr.sequencer import PipelinedSequencer
 
 
 class NodeBase(Process):
@@ -142,8 +145,16 @@ class NodeBase(Process):
 class ReplicaBase(NodeBase):
     """Base class for protocol replicas.
 
-    A replica owns a state machine instance, a signing principal, and
-    standard counters.  Subclasses implement the protocol proper.
+    A replica owns a state machine instance, a signing principal, the
+    ordering state every protocol shares (``view``, ``sn``, ``ex``, the
+    commit log, the sequencer, the reply cache) and the one execute ->
+    reply core (docs/execution.md): a protocol commits by putting a
+    :class:`CommitEntry` into ``commit_log`` and calling
+    :meth:`execute_ready`; what happens after a slot executes (replies,
+    lazy replication, checkpoints) is its :meth:`after_execute`.
+    Subclasses implement the ordering exchange proper, plus
+    ``may_propose()`` and ``propose_batch(seqno, batch)`` for the
+    sequencer.
     """
 
     def __init__(self, replica_id: int, config: ClusterConfig,
@@ -163,6 +174,87 @@ class ReplicaBase(NodeBase):
         self.execution_trace: List[tuple] = []
         #: Count of committed requests (not batches).
         self.committed_requests = 0
+        self.view = 0
+        self.sn = 0  # highest sequence number issued / prepared locally
+        self.ex = 0  # highest sequence number executed
+        self.commit_log = CommitLog()
+        self.sequencer = PipelinedSequencer(self)
+        #: Reply cache: client id -> this replica's reply to that client's
+        #: latest executed request.
+        self._last_reply: Dict[int, Any] = {}
+        #: Metrics hook, called once per executed slot.
+        self.on_commit_batch: Optional[Callable[[int, Batch], None]] = None
+
+    # -- execute -> reply core ------------------------------------------
+    def execute_slot(self, seqno: int, batch: Batch) -> List[Any]:
+        """Apply one slot to the application: trace, count, advance ``ex``,
+        fire ``on_commit_batch``; returns the per-request results.
+
+        :meth:`execute_ready` is the caller for committed slots; a replica
+        that executes before its commit entry can exist (the XPaxos t = 1
+        follower) calls this directly.
+        """
+        results = []
+        for request in batch:
+            results.append(self.app.execute(request.op))
+            self.execution_trace.append((seqno, request.rid))
+            self.committed_requests += 1
+        self.ex = seqno
+        if self.on_commit_batch is not None:
+            self.on_commit_batch(seqno, batch)
+        return results
+
+    def execute_ready(self) -> None:
+        """Execute committed slots in sequence order up to the first hole,
+        handing each to :meth:`after_execute`; executing re-opens the
+        pipeline window, so the sequencer is pumped once if anything ran."""
+        progressed = False
+        while True:
+            seqno = self.ex + 1
+            entry = self.commit_log.get(seqno)
+            if entry is None:
+                break
+            progressed = True
+            results = self.execute_slot(seqno, entry.batch)
+            self.after_execute(seqno, entry, results)
+        if progressed:
+            self.sequencer.pump()
+
+    def after_execute(self, seqno: int, entry: CommitEntry,
+                      results: List[Any]) -> None:
+        """Called once per slot :meth:`execute_ready` executed, with ``ex``
+        already advanced: cache / send replies, checkpoint, propagate."""
+
+    def cached_reply(self, client: int, timestamp: int) -> Optional[Any]:
+        """This replica's cached reply to ``client`` if it has executed that
+        client's request ``timestamp`` or a later one (the request must not
+        be ordered again), else None.  The reply answers ``timestamp``
+        itself only when its own timestamp is equal."""
+        cached = self._last_reply.get(client)
+        if cached is not None and cached.timestamp >= timestamp:
+            return cached
+        return None
+
+    def answer_from_cache(self, request: Request) -> bool:
+        """Duplicate suppression at the request intake: True when
+        ``request`` was already executed here, re-sending the cached reply
+        if it is still the client's latest."""
+        cached = self.cached_reply(request.client, request.timestamp)
+        if cached is None:
+            return False
+        if cached.timestamp == request.timestamp:
+            self.send_authenticated(f"c{request.client}", cached,
+                                    size_bytes=cached.size_bytes)
+        return True
+
+    def restore_to(self, seqno: int, snapshot: Any) -> None:
+        """State transfer: replace the application state with ``snapshot``
+        taken after slot ``seqno`` and move ``ex`` / ``sn`` up to it --
+        never backwards.  The caller has verified where it came from."""
+        if seqno > self.ex:
+            self.app.restore(snapshot)
+            self.ex = seqno
+            self.sn = max(self.sn, seqno)
 
     # -- fan-out helper ---------------------------------------------------
     def _fanout_with_self(self, names: Sequence[str], payload: Any,
@@ -243,11 +335,69 @@ class ReplicaBase(NodeBase):
         return [n for n in self.all_replica_names() if n != self.name]
 
 
+class ReplyTally:
+    """Which replicas vouch for which outcome of the in-flight request.
+
+    A reply votes for a ``key`` -- ``(seqno, result_digest)``, with the
+    view in front for XPaxos.  A replica counts once: its newer reply
+    replaces its older vote.  The first full result seen for a key is kept
+    (digest-only replies vote without one), and a quorum is only reported
+    once one is held.  O(1) per reply.
+    """
+
+    __slots__ = ("_vote", "_voters", "_result")
+
+    def __init__(self) -> None:
+        self._vote: Dict[int, tuple] = {}
+        self._voters: Dict[tuple, Dict[int, Any]] = {}
+        self._result: Dict[tuple, Any] = {}
+
+    def clear(self) -> None:
+        """Forget everything (a new request goes in flight)."""
+        self._vote.clear()
+        self._voters.clear()
+        self._result.clear()
+
+    def add(self, replica: int, key: tuple, reply: Any,
+            full: bool = True) -> None:
+        """Record ``reply`` as ``replica``'s vote for ``key``; ``full``
+        says whether it carries the result itself (``reply.result``)."""
+        previous = self._vote.get(replica)
+        if previous is not None and previous != key:
+            del self._voters[previous][replica]
+        self._vote[replica] = key
+        self._voters.setdefault(key, {})[replica] = reply
+        if full:
+            self._result.setdefault(key, reply.result)
+
+    def voters(self, key: tuple) -> Dict[int, Any]:
+        """``replica -> reply`` of the replicas currently voting ``key``."""
+        return self._voters.get(key, {})
+
+    def quorum(self, key: tuple, need: int) -> bool:
+        """Do ``need`` replicas vote ``key`` and is its full result held?"""
+        return (len(self._voters.get(key, ())) >= need
+                and key in self._result)
+
+    def result(self, key: tuple) -> Any:
+        """The full result held for ``key`` (None if none is)."""
+        return self._result.get(key)
+
+    def __iter__(self):
+        return iter(self._voters)
+
+
 class SmrClientBase(NodeBase):
     """Base class for protocol clients.
 
-    Provides signed request construction and per-request latency recording;
-    the closed-loop driving logic lives in :mod:`repro.workloads.clients`.
+    Owns the single in-flight request of a closed-loop client -- the
+    request, when it was sent, the retry timer, the :class:`ReplyTally` of
+    the replies so far and the one completion method -- plus signed
+    request construction and per-request latency recording.  Subclasses
+    say how a request is built and sent (:meth:`make_request`,
+    :meth:`send_request`, :meth:`retransmit`) and implement the commit
+    rule in ``on_message``; the closed-loop driving logic lives in
+    :mod:`repro.workloads.clients`.
     """
 
     def __init__(self, client_id: int, config: ClusterConfig,
@@ -260,6 +410,18 @@ class SmrClientBase(NodeBase):
         self.config = config
         self.principal = client_principal(client_id)
         self.timestamp = 0
+        #: Highest view seen in any reply; decides whom requests go to.
+        self.view = 0
+        #: The request in flight (None when idle) and its bookkeeping.
+        self.request: Optional[Request] = None
+        self._sent_at = 0.0
+        self.retries = 0  # retry-timer expiries of the request in flight
+        self.tally = ReplyTally()
+        self._timer = Timer(self, self._on_timeout, "timer_c")
+        #: Retry-timer expiries that led to a retransmission, all requests.
+        self.timeouts = 0
+        #: Called with the committed result when the in-flight op finishes.
+        self.on_result: Optional[Callable[[Any], None]] = None
         #: Completed operations: list of (send time, commit time, rid).
         self.completions: List[tuple] = []
         #: Callback invoked on each commit: ``on_commit(rid, latency_ms)``.
@@ -274,6 +436,58 @@ class SmrClientBase(NodeBase):
         """Monotonically increasing per-client timestamp ``ts_c``."""
         self.timestamp += 1
         return self.timestamp
+
+    # -- the single in-flight request -------------------------------------
+    @property
+    def busy(self) -> bool:
+        """True while a request is in flight."""
+        return self.request is not None
+
+    def propose(self, op: Any, size_bytes: int = 0) -> Request:
+        """Invoke one operation (the client must be idle -- closed loop)."""
+        if self.request is not None:
+            raise RuntimeError(
+                f"client {self.client_id} already has a request in flight")
+        request = self.make_request(op, self.next_timestamp(), size_bytes)
+        self.request = request
+        self._sent_at = self.sim.now
+        self.retries = 0
+        self.tally.clear()
+        self.send_request(request)
+        self._timer.start(self.config.request_retransmit_ms)
+        return request
+
+    def make_request(self, op: Any, timestamp: int,
+                     size_bytes: int) -> Request:
+        """Build (and, where the protocol signs, sign) one request."""
+        raise NotImplementedError
+
+    def send_request(self, request: Request) -> None:
+        """Send ``request`` to the leader of ``self.view``."""
+        raise NotImplementedError
+
+    def retransmit(self, request: Request) -> None:
+        """The retry timer expired with ``request`` still in flight:
+        re-send it and re-arm the timer."""
+        raise NotImplementedError
+
+    def _on_timeout(self) -> None:
+        request = self.request
+        if request is None:
+            return
+        self.timeouts += 1
+        self.retries += 1
+        self.retransmit(request)
+
+    def complete(self, result: Any) -> None:
+        """Commit the in-flight request and hand ``result`` up."""
+        request = self.request
+        assert request is not None
+        self.request = None
+        self._timer.stop()
+        self.record_completion(request.rid, self._sent_at)
+        if self.on_result is not None:
+            self.on_result(result)
 
     def record_completion(self, rid: tuple, sent_at: float) -> None:
         """Record a committed request and fire the harness callback."""

@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import pytest
 
 from repro.common.config import ClusterConfig, ProtocolName, WorkloadConfig
+from repro.crypto.primitives import replica_principal
 from repro.faults.checker import SafetyChecker
 from repro.faults.injector import FaultInjector, FaultSchedule
 from repro.harness.matrix import CELL_TIMEOUTS
 from repro.protocols.registry import build_cluster
+from repro.protocols.xpaxos import messages as xmsg
 from repro.smr.runtime import ClusterRuntime
 from repro.workloads.clients import ClosedLoopDriver
 
@@ -41,6 +44,42 @@ def run_workload(runtime, duration_ms=3_000.0, warmup_ms=100.0,
     driver = ClosedLoopDriver(runtime, workload)
     driver.run()
     return driver
+
+
+def checkpoint_proof(keystore, seqno=10, view=0, signers=(0, 1),
+                     state_digest=b"\x01" * 32, snapshot=(10, "aa")):
+    """An XPaxos ``CheckpointProof`` (NullService snapshot) in which each of
+    ``signers`` genuinely signed its own CHKPT payload over exactly these
+    fields.  The defaults are honest for a t = 1 cluster in view 0."""
+    sigs = tuple(
+        keystore.sign(
+            replica_principal(signer),
+            xmsg.chkpt_payload(seqno, view, state_digest, signer))
+        for signer in signers)
+    return xmsg.CheckpointProof(seqno, view, state_digest, sigs, snapshot)
+
+
+_EVIL_SNAPSHOT = (999, "ee")
+
+#: name -> ``forge(keystore)``: proofs a non-crash-faulty replica could
+#: assemble from genuine signatures (its own, or lifted from an honest
+#: proof) to make a t = 1 replica restore a snapshot nobody vouched for.
+#: Each carries t + 1 signatures that verify against *something*.
+FORGERIES = {
+    "one-signer-twice": lambda keystore: checkpoint_proof(
+        keystore, seqno=50, signers=(0, 0), snapshot=_EVIL_SNAPSHOT),
+    "lifted-from-another-seqno": lambda keystore: dataclasses.replace(
+        checkpoint_proof(keystore), seqno=50, snapshot=_EVIL_SNAPSHOT),
+    "lifted-from-another-state-digest":
+        lambda keystore: dataclasses.replace(
+            checkpoint_proof(keystore), state_digest=b"\x02" * 32,
+            snapshot=_EVIL_SNAPSHOT),
+    "signer-outside-the-group": lambda keystore: checkpoint_proof(
+        keystore, seqno=50, signers=(0, 2), snapshot=_EVIL_SNAPSHOT),
+}
+#: ``@forgeries``: run a test once per forged proof (argument ``forge``).
+forgeries = pytest.mark.parametrize("forge", list(FORGERIES.values()),
+                                    ids=list(FORGERIES))
 
 
 @dataclass

@@ -78,15 +78,16 @@ class TestSequencerWindow:
         depth = 2
         workload = saturating_workload(32)
         runtime = build_wan_cluster(protocol, depth, workload)
-        sequencer = runtime.replica(0).sequencer
+        leader = runtime.replica(0)
+        sequencer = leader.sequencer
         observed = []
-        inner = sequencer._propose
+        inner = leader.propose_batch
 
         def spy(seqno, batch):
             inner(seqno, batch)
             observed.append(sequencer.in_flight)
 
-        sequencer._propose = spy
+        leader.propose_batch = spy
         CohortDriver(runtime, workload).run()
         assert observed
         assert max(observed) <= depth

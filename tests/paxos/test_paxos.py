@@ -52,17 +52,3 @@ class TestCommonCase:
         driver = run_workload(paxos_t1)
         assert driver.mean_latency_ms() < 20.0
 
-
-class TestDeduplication:
-    def test_duplicate_request_not_reexecuted(self, paxos_t1):
-        from repro.protocols.base import ClientRequestMsg
-        from repro.smr.messages import Request
-
-        leader = paxos_t1.replica(0)
-        request = Request(op="x", timestamp=1, client=0, size_bytes=8)
-        leader.on_message("c0", ClientRequestMsg(request))
-        leader.on_message("c0", ClientRequestMsg(request))
-        paxos_t1.sim.run(until=500.0)
-        executed = [rid for _, rid in leader.execution_trace
-                    if rid == request.rid]
-        assert len(executed) == 1

@@ -1,8 +1,9 @@
 """End-to-end determinism: identical seeds yield identical experiments.
 
-Reproducibility is the substrate's core promise (DESIGN.md §7): any run is
-a pure function of (code, seed).  These tests pin that down at the system
-level -- full protocol runs, fault schedules and all.
+Reproducibility is the substrate's core promise (docs/static-analysis.md,
+rules D001-D003): any run is a pure function of (code, seed).  These tests
+pin that down at the system level -- full protocol runs, fault schedules
+and all.
 """
 
 import pytest

@@ -1,9 +1,21 @@
 """Tests for checkpointing and lazy replication (Section 4.5)."""
 
+import dataclasses
+
 import pytest
 
 from repro.common.config import ProtocolName
-from tests.conftest import make_cluster, run_workload
+from repro.faults.adversary import Adversary
+from repro.faults.injector import FaultSchedule
+from repro.protocols.xpaxos import messages as msg
+from repro.protocols.xpaxos.replica import _ViewChangeState
+from tests.conftest import (
+    checkpoint_proof,
+    forgeries,
+    make_cluster,
+    make_harness,
+    run_workload,
+)
 
 
 class TestCheckpointing:
@@ -21,8 +33,8 @@ class TestCheckpointing:
         run_workload(runtime, duration_ms=2_000.0)
         proof = runtime.replica(0).stable_checkpoint
         assert len(proof.sigs) == runtime.config.t + 1
-        for sig in proof.sigs:
-            assert runtime.keystore.verify_digest(sig, sig.digest)
+        # What the protocol itself produces passes the receivers' check.
+        assert runtime.replica(2)._checkpoint_proof_valid(proof)
 
     def test_checkpoints_advance(self):
         runtime = make_cluster(checkpoint_period=10, num_clients=4)
@@ -47,6 +59,103 @@ class TestCheckpointing:
         digests = {runtime.replica(i).stable_checkpoint.state_digest
                    for i in (0, 1)}
         assert len(digests) == 1
+
+
+def untouched(replica):
+    """No state transfer happened on this (fresh) replica."""
+    return (replica.ex == 0 and replica.app.executed_count == 0
+            and replica.stable_checkpoint is None)
+
+
+class _ForgedCheckpointAdversary(Adversary):
+    """Reports a checkpoint far ahead of everyone, 'proved' by its own
+    signature twice, in every VIEW-CHANGE it sends."""
+
+    def mutate_view_change(self, replica, vc):
+        forged = checkpoint_proof(
+            replica.keystore, seqno=10_000, view=vc.new_view,
+            signers=(replica.replica_id, replica.replica_id),
+            snapshot=(10_000, "ee"))
+        payload = msg.view_change_payload(
+            vc.new_view, vc.sender, vc.commit_entries, vc.prepare_entries,
+            None)
+        return dataclasses.replace(
+            vc, checkpoint=forged,
+            sig=replica.keystore.sign(replica.principal, payload))
+
+
+class TestCheckpointProofVerification:
+    """A checkpoint is installed only on t + 1 distinct signatures by
+    members of its view's synchronous group over exactly its (seqno, view,
+    state digest) -- on every path that can call ``restore``."""
+
+    def test_honest_proof_installed_by_lazychk(self, xpaxos_t1):
+        passive = xpaxos_t1.replica(2)
+        proof = checkpoint_proof(xpaxos_t1.keystore)
+        passive._on_lazychk("r0", msg.LazyChk(proof))
+        assert (passive.ex, passive.sn) == (10, 10)
+        assert passive.app.executed_count == 10
+        assert passive.stable_checkpoint is proof
+
+    @forgeries
+    def test_forged_proof_rejected_by_lazychk(self, xpaxos_t1, forge):
+        passive = xpaxos_t1.replica(2)
+        proof = forge(xpaxos_t1.keystore)
+        passive._on_lazychk("r0", msg.LazyChk(proof))
+        assert untouched(passive)
+
+    @forgeries
+    def test_forged_proof_in_view_change_not_selected(self, xpaxos_t1, forge):
+        """VIEW-CHANGE entry point: the forged proof claims the highest
+        seqno, yet selection falls back to the best proof that verifies."""
+        honest = checkpoint_proof(xpaxos_t1.keystore, seqno=5)
+        forged = forge(xpaxos_t1.keystore)
+        state = _ViewChangeState()
+        for sender, proof in ((1, honest), (2, forged)):
+            state.vcset[sender] = msg.ViewChange(
+                new_view=1, sender=sender, commit_entries=(),
+                checkpoint=proof, sig=None)
+        _, selected = xpaxos_t1.replica(0)._select_state(state)
+        assert selected is honest
+
+    @forgeries
+    def test_forged_proof_in_new_view_rejected_and_suspected(
+            self, xpaxos_t1, forge):
+        """NEW-VIEW entry point: a primary announcing a proof that does
+        not verify is faulty -- the follower moves on instead of adopting
+        the view, and restores nothing."""
+        follower = xpaxos_t1.replica(2)  # follower of view 1 = (0, 2)
+        follower._enter_view(1)
+        forged = forge(xpaxos_t1.keystore)
+        follower._adopt_new_view(msg.NewView(1, (), forged, None), {})
+        assert untouched(follower)
+        assert follower.view == 2 and follower.in_view_change
+
+    def test_honest_proof_in_new_view_installed(self, xpaxos_t1):
+        follower = xpaxos_t1.replica(2)
+        follower._enter_view(1)
+        proof = checkpoint_proof(xpaxos_t1.keystore)
+        follower._adopt_new_view(msg.NewView(1, (), proof, None), {})
+        assert follower.ex == 10 and follower.stable_checkpoint is proof
+        assert follower.view == 1 and not follower.in_view_change
+
+    def test_byzantine_view_change_cannot_move_correct_replicas(self):
+        """End to end, outside anarchy (one non-crash fault, t = 1): the
+        passive replica lies about a checkpoint during a view change; no
+        correct replica restores it and the cluster keeps committing."""
+        harness = make_harness(num_clients=3, non_crash_faulty=(2,))
+        harness.replica(2).byzantine = _ForgedCheckpointAdversary()
+        harness.arm(FaultSchedule().suspect(1_000.0, 1))
+        driver = harness.drive(duration_ms=3_000.0)
+        assert any(r.view_changes_completed for r in harness.replicas)
+        for replica in harness.replicas[:2]:
+            assert replica.ex < 10_000
+            assert replica.stable_checkpoint is None \
+                or replica.stable_checkpoint.seqno < 10_000
+        late = [done for c in harness.runtime.clients
+                for _, done, _ in c.completions if done > 2_000.0]
+        assert late and driver.throughput.total > 0
+        assert harness.checker.violations() == []
 
 
 class TestLazyReplication:

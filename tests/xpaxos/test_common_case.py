@@ -93,20 +93,6 @@ class TestBatching:
         # 2 clients can never fill a 100-batch; the timer must flush.
         assert driver.throughput.total > 0
 
-    def test_duplicate_request_executed_once(self, xpaxos_t1):
-        client = xpaxos_t1.clients[0]
-        primary = xpaxos_t1.replica(0)
-        from repro.protocols.xpaxos import messages as msg
-
-        request = client.propose("op-a", size_bytes=10)
-        # Maliciously duplicate the REPLICATE message.
-        client.send("r0", msg.Replicate(request))
-        client.send("r0", msg.Replicate(request))
-        xpaxos_t1.sim.run(until=1_000.0)
-        executed = [rid for _, rid in primary.execution_trace
-                    if rid == request.rid]
-        assert len(executed) == 1
-
 
 class TestRequestValidation:
     def test_unsigned_request_ignored(self, xpaxos_t1):

@@ -4,7 +4,12 @@ the missing state from others") and view fast-forwarding."""
 import pytest
 
 from repro.protocols.xpaxos import messages as msg
-from tests.conftest import make_cluster, run_workload
+from tests.conftest import (
+    checkpoint_proof,
+    forgeries,
+    make_cluster,
+    run_workload,
+)
 
 
 class TestFetchOnGap:
@@ -93,6 +98,27 @@ class TestFetchOnGap:
         xpaxos_t1.sim.run(
             until=xpaxos_t1.sim.now + 2 * xpaxos_t1.config.delta_ms + 1.0)
         assert not passive._fetch_pending
+
+
+class TestFetchReplyCheckpoint:
+    """FETCH-REPLY is the third way a snapshot reaches ``restore``; its
+    checkpoint is verified like LAZYCHK's and the view change's (see
+    tests/xpaxos/test_checkpoint.py)."""
+
+    def test_honest_checkpoint_installed(self, xpaxos_t1):
+        passive = xpaxos_t1.replica(2)
+        proof = checkpoint_proof(xpaxos_t1.keystore)
+        passive._on_fetch_reply("r0", msg.FetchReply((), proof))
+        assert (passive.ex, passive.sn) == (10, 10)
+        assert passive.stable_checkpoint is proof
+
+    @forgeries
+    def test_forged_checkpoint_rejected(self, xpaxos_t1, forge):
+        passive = xpaxos_t1.replica(2)
+        proof = forge(xpaxos_t1.keystore)
+        passive._on_fetch_reply("r0", msg.FetchReply((), proof))
+        assert passive.ex == 0 and passive.app.executed_count == 0
+        assert passive.stable_checkpoint is None
 
 
 class TestViewFastForward:
