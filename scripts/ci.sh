@@ -2,8 +2,8 @@
 # CI pipeline, split into named stages so jobs (and humans) can run them
 # independently:
 #
-#   scripts/ci.sh                # all stages: lint tier1 perf scenarios
-#   scripts/ci.sh perf           # just the perf stage
+#   scripts/ci.sh                # the per-push stages: lint tier1 scenarios
+#   scripts/ci.sh scenarios      # just the scenario stage
 #   scripts/ci.sh lint tier1     # any subset, in the given order
 #
 # Stages
@@ -11,23 +11,14 @@
 # lint       byte-compiles every Python tree (and runs pyflakes when the
 #            host has it) -- catches syntax/undefined-name rot cheaply --
 #            then runs `repro lint`, the AST determinism & safety linter
-#            (src/repro/analysis/; docs/static-analysis.md): bench
-#            registration (B001) plus the D/A/S rule families over
-#            src+tests+benchmarks, failing on any non-baselined finding
-#            and writing lint_report.json for the CI artifact.
+#            (src/repro/analysis/; docs/static-analysis.md): the D/A/S
+#            rule families over src+tests+benchmarks, failing on any
+#            non-baselined finding and writing lint_report.json for the
+#            CI artifact.
 # tier1      the full unit + figure-regeneration suite (the repo's
 #            correctness gate; see ROADMAP.md), with pytest's 25 slowest
 #            tests printed at the end so the stage log says where the
 #            seconds in ci_stage_times.json went.
-# perf       `repro bench` compares the current simulator/network hot
-#            paths against the preserved seed implementation, refreshes
-#            BENCH_perf.json, gates it against the best recorded point in
-#            benchmarks/perf/history/ (>20% speedup drop fails -- see
-#            `repro trajectory`), then archives this run as a new point.
-#            REPRO_BENCH_ONLY=name,name narrows the suite for triage
-#            (gated but never recorded); REPRO_BENCH_REPEAT=N raises the
-#            best-of count.  A gate failure re-runs the suite under
-#            --profile so CI can upload BENCH_perf.pstats.
 # scenarios  a conformance-matrix slice through the CLI path (run with
 #            --jobs $(nproc); the merged JSON is byte-identical to a
 #            sequential run), diffed against the committed
@@ -44,25 +35,25 @@
 #            bounds.  Fails on a correctness miss, a `worse` row, or
 #            more failed operations than the baseline.  ~3 min of
 #            repetitions in child processes, so nightly-only, beside
-#            `matrix`.
+#            `matrix`.  The only judge of speed in this repository.
 #
 # The GitHub Actions workflows (.github/workflows/ci.yml, nightly.yml)
-# run the stages as separate jobs and upload BENCH_perf.json,
-# SCENARIO_smoke.json, SCENARIO_matrix.json and e2e_ledger.json as
-# artifacts.  After the last stage the per-stage wall clock is printed,
-# appended to GITHUB_STEP_SUMMARY when that is set, and written to
-# ci_stage_times.json ({"commit": ..., "stages": {stage: seconds}}),
-# which every workflow job uploads -- the archive of what tier-1 and
-# the full matrix cost per CI run.
+# run the stages as separate jobs and upload SCENARIO_smoke.json,
+# SCENARIO_matrix.json and e2e_ledger.json as artifacts.  When the
+# script exits -- after the last stage or at the first failing one --
+# the per-stage wall clock is printed, appended to GITHUB_STEP_SUMMARY
+# when that is set, and written to ci_stage_times.json
+# ({"commit": ..., "stages": {stage: seconds}}, plus "failed": stage
+# and that stage's partial time when one failed), which every workflow
+# job uploads -- the archive of what tier-1 and the full matrix cost
+# per CI run.
 #
-# Perf/scenario serialization: the perf stage gates *same-host speedup
-# ratios*, so it must never share the host with a --jobs matrix run --
-# worker processes competing for cores skew the ratio and trip the
-# trajectory gate spuriously (a trip under a loaded host is host
-# contention, not a regression; see docs/parallelism.md).  Within one
+# Host serialization: the e2e stage reports *host seconds*, so it must
+# never share the host with a --jobs matrix run -- worker processes
+# competing for cores inflate them (docs/parallelism.md).  Within one
 # ci.sh invocation the stages already run strictly in order; the flock
-# below additionally serializes perf against any *concurrent* ci.sh
-# running the scenario stage on the same host.
+# below additionally serializes e2e against any *concurrent* ci.sh
+# running a scenario stage on the same host.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -87,12 +78,7 @@ stage_lint() {
     else
         echo "pyflakes not installed; byte-compile only"
     fi
-    # Every bench_* function must be registered in the gated suite --
-    # an unregistered benchmark silently escapes the trajectory gate.
-    # (Rule B001 of the repro linter; this used to be an inline check.)
-    echo "== lint: bench registration (repro lint --only B001) =="
-    python -m repro lint --only B001
-    # The full determinism & safety linter: module-level RNG draws,
+    # The determinism & safety linter: module-level RNG draws,
     # wall-clock reads, hash-ordered set iteration, unregistered wire
     # messages, simulator hygiene (docs/static-analysis.md).  Fails on
     # any finding that is neither suppressed inline nor in the committed
@@ -108,78 +94,6 @@ stage_tier1() {
 }
 
 # Subshell body: the host lock (fd 9) releases when the stage exits.
-# The benchmarks themselves stay serial -- farming the suite's current
-# and seed sides to concurrent workers would skew the gated ratios.
-stage_perf() (
-    acquire_host_lock
-    echo "== perf: micro-benchmarks + trajectory gate =="
-    # REPRO_BENCH_ONLY ("name,name,...") narrows the suite for triage --
-    # the resulting partial payload is gated on the benchmarks present
-    # but is never recorded.  REPRO_BENCH_REPEAT raises the best-of
-    # count on noisy hosts.
-    #
-    # The gated benchmarks run at the `repro bench` default sizes: the
-    # speedup-vs-seed ratio grows with workload size (the seed's GC and
-    # allocation costs scale superlinearly), so points recorded at
-    # different sizes are not comparable and would trip the gate on size
-    # alone.  Only the ungated closed-loop/cohort cells are shrunk.
-    bench_args=(--clients 8 --duration 1 \
-        --repeat "${REPRO_BENCH_REPEAT:-2}")
-    if [ -n "${REPRO_BENCH_ONLY:-}" ]; then
-        for name in ${REPRO_BENCH_ONLY//,/ }; do
-            bench_args+=(--only "$name")
-        done
-    fi
-    python -m repro bench "${bench_args[@]}"
-
-    if [ -z "${REPRO_BENCH_ONLY:-}" ]; then
-        python - <<'EOF'
-import json
-
-with open("BENCH_perf.json") as fh:
-    payload = json.load(fh)
-benches = payload["benchmarks"]
-assert benches["event_churn"]["results_match"]
-assert benches["heap_churn_1m"]["results_match"]
-assert benches["message_storm"]["results_match"]
-assert benches["broadcast_storm"]["results_match"]
-assert benches["authenticated_broadcast"]["results_match"]
-# The digest cache must be invisible byte-for-byte: cached and seed
-# encoders produce identical digest streams.
-assert benches["digest_cache"]["results_match"]
-assert benches["xpaxos_closed_loop"]["deterministic"]
-# Leader pipelining must beat a depth-1 pipeline under saturating
-# open-loop load, and the open-loop driver must agree with the closed
-# loop at matched offered load.
-assert benches["pipelined_throughput"]["results_match"]
-assert benches["pipelined_throughput"]["speedup"] > 1.0
-assert benches["cohort_driver"]["agreement"]
-assert benches["cohort_driver"]["deterministic"]
-print("perf smoke ok: " + ", ".join(
-    f"{name} {bench['speedup']:.2f}x"
-    for name, bench in benches.items() if "speedup" in bench))
-EOF
-    fi
-
-    # Trajectory gate: any benchmark's speedup-vs-seed falling >20% below
-    # the best archived point fails the stage; a passing full run is
-    # archived as the next point on the trajectory.  On a gate failure,
-    # re-run the tripping subset under --profile so the CI artifact
-    # carries a pstats file pointing at where the time went.
-    if ! python -m repro trajectory check BENCH_perf.json; then
-        echo "trajectory gate failed; capturing profile artifact" >&2
-        python -m repro bench "${bench_args[@]}" \
-            --profile BENCH_perf.pstats --output BENCH_perf_profiled.json \
-            || true
-        exit 1
-    fi
-    if [ -z "${REPRO_BENCH_ONLY:-}" ]; then
-        python -m repro trajectory record BENCH_perf.json
-    else
-        echo "REPRO_BENCH_ONLY set: partial payload not recorded"
-    fi
-)
-
 stage_scenarios() (
     acquire_host_lock
     echo "== scenarios: conformance matrix slice =="
@@ -272,8 +186,8 @@ EOF
     fi
 )
 
-# Subshell body: takes the host lock like perf -- the ledger reports
-# host seconds, and a concurrent --jobs matrix run would inflate them.
+# Subshell body: takes the host lock -- the ledger reports host
+# seconds, and a concurrent --jobs matrix run would inflate them.
 stage_e2e() (
     acquire_host_lock
     echo "== e2e: end-to-end perf ledger vs the committed baseline =="
@@ -288,21 +202,12 @@ stage_e2e() (
 
 STAGES=("$@")
 if [ ${#STAGES[@]} -eq 0 ]; then
-    STAGES=(lint tier1 perf scenarios)
+    STAGES=(lint tier1 scenarios)
 fi
 STAGE_TIMES=()
-for stage in "${STAGES[@]}"; do
-    stage_start=$SECONDS
-    case "$stage" in
-        lint|tier1|perf|scenarios|matrix|e2e) "stage_$stage" ;;
-        *)
-            echo "unknown stage '$stage' (known: lint tier1 perf" \
-                 "scenarios matrix e2e)" >&2
-            exit 2
-            ;;
-    esac
-    STAGE_TIMES+=("$stage $((SECONDS - stage_start))")
-done
+# The stage running now; still set when the script exits = it failed.
+current_stage=""
+stage_start=0
 
 # Per-stage wall clock, into the Actions job summary when available (and
 # onto stdout always, so local runs see it too).
@@ -313,6 +218,9 @@ print_stage_times() {
     for entry in "${STAGE_TIMES[@]}"; do
         echo "| ${entry%% *} | ${entry#* }s |"
     done
+    if [ -n "$current_stage" ]; then
+        echo "| **failed** | $current_stage |"
+    fi
 }
 # The same numbers as a machine-readable artifact, tagged with the
 # commit they were measured on.
@@ -325,16 +233,45 @@ write_stage_times() {
             printf '%s"%s": %s' "$sep" "${entry%% *}" "${entry#* }"
             sep=", "
         done
-        printf '}}\n'
+        printf '}'
+        if [ -n "$current_stage" ]; then
+            printf ', "failed": "%s"' "$current_stage"
+        fi
+        printf '}\n'
     } > ci_stage_times.json
 }
-echo "== stage wall-clock =="
-print_stage_times
-write_stage_times
-if [ -n "${GITHUB_STEP_SUMMARY:-}" ]; then
-    {
-        echo "### ci.sh stage wall-clock"
-        echo
-        print_stage_times
-    } >> "$GITHUB_STEP_SUMMARY"
-fi
+# Runs from the EXIT trap, so a failing stage (set -e ends the script
+# there) still leaves its timings behind: the run whose numbers matter
+# most is the one that broke.  The failed stage is reported with the
+# time it ran before failing.
+report_stage_times() {
+    if [ -n "$current_stage" ]; then
+        STAGE_TIMES+=("$current_stage $((SECONDS - stage_start))")
+    fi
+    echo "== stage wall-clock =="
+    print_stage_times
+    write_stage_times
+    if [ -n "${GITHUB_STEP_SUMMARY:-}" ]; then
+        {
+            echo "### ci.sh stage wall-clock"
+            echo
+            print_stage_times
+        } >> "$GITHUB_STEP_SUMMARY"
+    fi
+}
+trap report_stage_times EXIT
+
+for stage in "${STAGES[@]}"; do
+    current_stage=$stage
+    stage_start=$SECONDS
+    case "$stage" in
+        lint|tier1|scenarios|matrix|e2e) "stage_$stage" ;;
+        *)
+            echo "unknown stage '$stage' (known: lint tier1" \
+                 "scenarios matrix e2e)" >&2
+            exit 2
+            ;;
+    esac
+    STAGE_TIMES+=("$stage $((SECONDS - stage_start))")
+    current_stage=""
+done

@@ -10,15 +10,13 @@ walks ``src``/``tests``/``benchmarks`` before a matrix run ever starts.
 Rule families (full catalog with rationale: ``docs/static-analysis.md``):
 
 * **D-series, determinism** -- module-level RNG draws and unseedable
-  entropy (D001), wall-clock reads outside the timing harness (D002),
-  hash-ordered set iteration (D003).
+  entropy (D001), wall-clock reads (D002), hash-ordered set iteration
+  (D003).
 * **A-series, authentication** -- wire messages sent without a static
   authenticator binding (A001).
 * **S-series, simulator hygiene** -- mutable default args (S001),
   ``heapq`` outside ``sim/core.py`` (S002), hot-loop classes without
   ``__slots__`` (S003), blocking host I/O in simulated layers (S004).
-* **B-series, bench/harness** -- ``bench_*`` functions missing from the
-  gated suite (B001).
 
 Findings carry ``file:line``, a rule id and a message; one occurrence is
 silenced inline with ``# repro: lint-ok[RULE-ID]``, inherited debt lives

@@ -144,7 +144,6 @@ def all_rule_classes() -> Dict[str, Type[Rule]]:
     # a half-filled registry.
     from repro.analysis import (  # noqa: F401
         rules_authentication,
-        rules_bench,
         rules_determinism,
         rules_simulator,
     )

@@ -1,8 +1,8 @@
 """D-series: determinism rules.
 
 Every experiment in this repository must replay byte-identically from
-its seed (the scenario golden, the parallel-merge contract and the perf
-``results_match`` assertions all depend on it).  The runtime already
+its seed (the scenario golden, the parallel-merge contract and the
+seed-oracle tests all depend on it).  The runtime already
 guards part of this -- ``guard_global_rng`` raises on a module-level RNG
 draw inside a matrix cell -- but a static pass catches the whole class
 of bug at lint time, before an 85-cell matrix run ever starts.
@@ -40,8 +40,7 @@ _ENTROPY_CALLS = frozenset({
     ("secrets", "randbits"),
 })
 
-#: Wall-clock reads.  Virtual time comes from ``Simulator.now``; real
-#: time may only be read by the benchmark/profiling harness.
+#: Wall-clock reads.  Virtual time comes from ``Simulator.now``.
 _WALL_CLOCK = frozenset({
     ("time", "time"), ("time", "time_ns"),
     ("time", "perf_counter"), ("time", "perf_counter_ns"),
@@ -51,11 +50,6 @@ _WALL_CLOCK = frozenset({
 
 #: ``datetime``-style "what time is it" constructors.
 _NOW_ATTRS = frozenset({"now", "utcnow", "today"})
-
-#: The only modules allowed to read the host clock: the perf harness
-#: times real seconds by definition, and the profiler wraps cProfile.
-_WALL_CLOCK_ALLOWED = ("repro/harness/perf.py",
-                      "repro/harness/profiling.py")
 
 #: The seeded-stream helpers themselves.
 _RNG_ALLOWED = ("repro/common/rng.py",)
@@ -106,33 +100,30 @@ class GlobalRngRule(Rule):
 
 @rule
 class WallClockRule(Rule):
-    """Wall-clock reads outside the benchmark/profiling harness.
+    """Wall-clock reads.
 
     Simulated components must take time from ``Simulator.now`` (virtual
     milliseconds); a host-clock read smuggles nondeterminism into
-    schedules, timeouts or serialized output.  Only ``harness/perf.py``
-    and ``harness/profiling.py`` are allowed to call
-    ``time.perf_counter`` and friends -- measuring real seconds is their
-    entire job.
+    schedules, timeouts or serialized output.  Code whose job is
+    measuring real seconds (``benchmarks/e2e/clock.py``) says so at the
+    call with ``# repro: lint-ok[D002]`` and a why-comment.
     """
 
     id = "D002"
-    title = "wall-clock read outside the harness-timing allowlist"
+    title = "wall-clock read"
 
     def visit_Call(self, node: ast.Call) -> None:
-        if not path_endswith(self._module, *_WALL_CLOCK_ALLOWED):
-            pair = _dotted_pair(node.func)
-            if pair in _WALL_CLOCK:
-                self.report(node, f"{pair[0]}.{pair[1]}() reads the host "
-                                  "clock; simulated code must use "
-                                  "Simulator.now (allowlist: "
-                                  + ", ".join(_WALL_CLOCK_ALLOWED) + ")")
-            elif (isinstance(node.func, ast.Attribute)
-                    and node.func.attr in _NOW_ATTRS
-                    and self._names_datetime(node.func.value)):
-                self.report(node, f"datetime.{node.func.attr}() reads "
-                                  "the host clock; simulated code must "
-                                  "use Simulator.now")
+        pair = _dotted_pair(node.func)
+        if pair in _WALL_CLOCK:
+            self.report(node, f"{pair[0]}.{pair[1]}() reads the host "
+                              "clock; simulated code must use "
+                              "Simulator.now")
+        elif (isinstance(node.func, ast.Attribute)
+                and node.func.attr in _NOW_ATTRS
+                and self._names_datetime(node.func.value)):
+            self.report(node, f"datetime.{node.func.attr}() reads "
+                              "the host clock; simulated code must "
+                              "use Simulator.now")
         self.generic_visit(node)
 
     @staticmethod

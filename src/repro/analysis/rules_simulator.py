@@ -2,9 +2,9 @@
 
 The simulator core is both a correctness boundary (callbacks run in a
 single virtual-time loop; anything that blocks or aliases state corrupts
-every protocol above it) and the hottest code in the repository (the
-perf trajectory gates its event loop).  These rules pin the invariants
-that keep it that way.
+every protocol above it) and the hottest shared code in the repository
+(the ``sim`` and ``net`` rows of the end-to-end ledger's layer budget).
+These rules pin the invariants that keep it that way.
 """
 
 from __future__ import annotations
@@ -131,8 +131,8 @@ class MissingSlotsHotClassRule(Rule):
 
     Objects created per event / per message inside the ``sim``/``net``
     loops dominate allocation; a ``__dict__``-bearing instance costs an
-    extra allocation and roughly doubles the footprint, which the
-    event-churn and storm benchmarks pay directly.  Any class defined in
+    extra allocation and roughly doubles the footprint, which every
+    cell pays per event and per message.  Any class defined in
     a hot module (``repro/sim``, ``repro/net``) whose constructor runs
     inside a ``for``/``while`` body or comprehension of a hot module
     must declare ``__slots__`` (``@dataclass(slots=True)`` counts).

@@ -3,27 +3,21 @@
 Examples::
 
     python -m repro sweep --protocol xpaxos --clients 8 32 96
-    python -m repro compare --t 1
+    python -m repro sweep --protocol all --clients 64
     python -m repro faults --duration 60
     python -m repro scenarios --protocol all
     python -m repro reliability --nines-benign 4 --nines-correct 3 \
         --nines-synchrony 3
     python -m repro tables --which 5
-    python -m repro bench --output BENCH_perf.json
-    python -m repro bench --only message_storm --profile
     python -m repro profile fault-free --protocol xpaxos
     python -m repro lint --json lint_report.json
-    python -m repro lint --only B001
+    python -m repro lint --only D001
 
-``bench`` runs the performance micro-benchmark suite (event churn, heap
-churn at 10^6 pending, point-to-point message storm, n-way broadcast
-storm, closed-loop XPaxos; see :mod:`repro.harness.perf`)
-against both the current hot paths and the preserved seed implementation,
-and writes ``BENCH_perf.json`` so every PR records a perf trajectory
-point.  ``--only``/``--profile`` narrow or instrument a run for triage
-(such payloads are never recordable); ``profile`` runs one scenario cell
-under cProfile and prints the simulator's and network's hot-loop
-counters next to the wall-clock profile (see ``docs/profiling.md``).
+``profile`` runs one scenario cell under cProfile and prints the
+simulator's and network's hot-loop counters next to the wall-clock
+profile (see ``docs/profiling.md``).  What a cell *costs* is not judged
+here but by the end-to-end ledger (``benchmarks/e2e/``,
+``BENCHMARK.json``).
 
 ``scenarios`` runs the conformance matrix: every scenario of the built-in
 library (crash cadences, partitions, Byzantine adversaries, anarchy
@@ -32,10 +26,9 @@ selected protocols, grading each cell's safety/liveness invariants.
 
 ``lint`` runs the AST determinism & safety linter
 (:mod:`repro.analysis`): module-level RNG draws, wall-clock reads,
-hash-ordered set iteration, unregistered wire messages, simulator
-hygiene and unregistered benchmarks -- the same invariants the runtime
-enforces late, caught before a matrix run starts (see
-``docs/static-analysis.md``).
+hash-ordered set iteration, unregistered wire messages and simulator
+hygiene -- the same invariants the runtime enforces late, caught before
+a matrix run starts (see ``docs/static-analysis.md``).
 
 ``scenarios`` and ``sweep`` accept ``--jobs N`` to farm their
 deterministic, independent cells/points to worker processes; merged
@@ -75,16 +68,16 @@ def _bench_config(protocol: ProtocolName, t: int) -> ClusterConfig:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    """Latency-vs-throughput sweep for one protocol."""
-    protocol = ProtocolName(args.protocol)
+    """Latency-vs-throughput sweep for one protocol, or for all five
+    (``--protocol all``; with one client count, a mini Figure 7)."""
+    if args.protocol == "all":
+        protocols = list(ProtocolName)
+    else:
+        protocols = [ProtocolName(args.protocol)]
     runner = _runner(args.seed, args.uplink)
-    config = _bench_config(protocol, args.t)
-    print(f"{protocol.value} t={args.t} "
-          f"{args.request_size}B requests, EC2 WAN")
-    print(f"{'clients':>8} {'kops/s':>9} {'lat ms':>9} {'cpu %':>7}")
-    # Points are independent deterministic runs, so --jobs N farms them
-    # to worker processes; results come back in client-count order and
-    # are identical to a sequential sweep.
+    print(f"t={args.t} {args.request_size}B requests, EC2 WAN")
+    print(f"{'protocol':>9} {'clients':>8} {'kops/s':>9} {'lat ms':>9} "
+          f"{'cpu %':>7}")
     workloads = [
         WorkloadConfig(
             num_clients=clients, request_size=args.request_size,
@@ -93,73 +86,18 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             client_site="CA")
         for clients in args.clients
     ]
-    results = runner.run_points(config, workloads, jobs=args.jobs)
-    for clients, result in zip(args.clients, results):
-        lat = (f"{result.mean_latency_ms:9.1f}"
-               if result.mean_latency_ms is not None else "      n/a")
-        print(f"{clients:>8} {result.throughput_kops:9.3f} {lat} "
-              f"{result.cpu_percent_most_loaded:7.1f}")
-    return 0
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    """Performance micro-benchmark suite; writes ``BENCH_perf.json``."""
-    from repro.harness.perf import format_suite, run_suite, write_suite
-
-    # Fail on an unwritable output path before spending benchmark time --
-    # without leaving an empty file behind if the suite is interrupted.
-    import os
-
-    existed = os.path.exists(args.output)
-    try:
-        with open(args.output, "a"):
-            pass
-        if not existed:
-            os.remove(args.output)
-    except OSError as exc:
-        print(f"cannot write {args.output}: {exc}", file=sys.stderr)
-        return 2
-
-    def _run():
-        return run_suite(
-            events=args.events, messages=args.messages,
-            broadcast_rounds=args.broadcast_rounds, clients=args.clients,
-            duration_ms=args.duration * 1_000.0, seed=args.seed,
-            repeat=args.repeat, heap_backlog=args.heap_pending,
-            heap_churn=args.heap_churn,
-            only=args.only or None)
-
-    try:
-        if args.profile is not None:
-            from repro.harness.profiling import (
-                dump_stats,
-                format_stats,
-                profile_call,
-            )
-
-            payload, profiler = profile_call(_run)
-            # Instrumented timings are not comparable to clean ones;
-            # marking the payload makes `trajectory record` refuse it.
-            payload["params"]["profiled"] = True
-        else:
-            payload = _run()
-    except ValueError as exc:
-        # e.g. --only with an unknown benchmark name.
-        print(str(exc), file=sys.stderr)
-        return 2
-    print("perf suite: current hot paths vs preserved seed implementation")
-    print(format_suite(payload))
-    if args.profile is not None:
-        dump_stats(profiler, args.profile)
-        print()
-        print(format_stats(profiler))
-        print(f"wrote profile {args.profile} "
-              f"(load with `python -m pstats {args.profile}`)")
-        print("note: timings above ran under cProfile; the payload is "
-              "marked profiled and cannot be recorded as a trajectory "
-              "point")
-    write_suite(payload, args.output)
-    print(f"wrote {args.output}")
+    for protocol in protocols:
+        # Points are independent deterministic runs, so --jobs N farms
+        # them to worker processes; results come back in client-count
+        # order and are identical to a sequential sweep.
+        results = runner.run_points(_bench_config(protocol, args.t),
+                                    workloads, jobs=args.jobs)
+        for clients, result in zip(args.clients, results):
+            lat = (f"{result.mean_latency_ms:9.1f}"
+                   if result.mean_latency_ms is not None else "      n/a")
+            print(f"{protocol.value:>9} {clients:>8} "
+                  f"{result.throughput_kops:9.3f} {lat} "
+                  f"{result.cpu_percent_most_loaded:7.1f}")
     return 0
 
 
@@ -167,7 +105,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
     """Profile one scenario cell: cProfile plus subsystem counters."""
     from repro.harness.matrix import MatrixRunner
     from repro.harness.profiling import (
-        dump_stats,
         profile_call,
         profile_report,
         subsystem_counters,
@@ -198,7 +135,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
     print(profile_report(profiler, counters, sort=args.sort,
                          limit=args.limit))
     if args.pstats:
-        dump_stats(profiler, args.pstats)
+        profiler.dump_stats(args.pstats)
         print(f"wrote profile {args.pstats}")
     return 0
 
@@ -245,89 +182,6 @@ def cmd_lint(args: argparse.Namespace) -> int:
             fh.write(report.to_json())
         print(f"wrote {args.json}")
     return 0 if report.ok else 1
-
-
-def cmd_trajectory(args: argparse.Namespace) -> int:
-    """Perf-trajectory gate over ``benchmarks/perf/history/``.
-
-    ``check`` compares a ``BENCH_perf.json`` against the best recorded
-    speedups and fails (exit 1) on a >tolerance drop; ``record`` archives
-    the payload as a new trajectory point.
-    """
-    import json
-
-    from repro.harness.trajectory import (
-        best_point_for,
-        check_point,
-        describe_host,
-        format_check,
-        load_history,
-        record_point,
-    )
-
-    try:
-        with open(args.payload) as fh:
-            payload = json.load(fh)
-    except (OSError, ValueError) as exc:
-        # ValueError covers a truncated/corrupt JSON payload (e.g. a
-        # bench run killed mid-write).
-        print(f"cannot read {args.payload}: {exc}", file=sys.stderr)
-        return 2
-    if args.action == "record":
-        try:
-            path = record_point(payload, history_dir=args.history_dir,
-                                label=args.label)
-        except ValueError as exc:
-            # Partial (--only) or profiled payload: never recordable.
-            print(str(exc), file=sys.stderr)
-            return 2
-        print(f"recorded trajectory point {path}")
-        return 0
-    history = load_history(args.history_dir)
-    print(format_check(payload, history, tolerance=args.tolerance))
-    problems = check_point(payload, history, tolerance=args.tolerance)
-    for problem in problems:
-        print(f"PERF REGRESSION: {problem}", file=sys.stderr)
-    if problems:
-        # Host facts, current run vs the best point per tripped
-        # benchmark: different machine / fewer cores / nonzero loadavg
-        # is contention, not a regression.
-        print(f"host (this run): {describe_host(payload.get('host', {}))}",
-              file=sys.stderr)
-        for name in sorted({p.split(":", 1)[0] for p in problems}):
-            best = best_point_for(history, name)
-            if best is not None:
-                print(f"host (best {name}, {best.get('_file', '?')}): "
-                      f"{describe_host(best.get('host', {}))}",
-                      file=sys.stderr)
-        print("note: the gate compares same-host speedup ratios -- if "
-              "anything else was loading this host (e.g. a parallel "
-              "`repro scenarios --jobs N` run), this can be a "
-              "host-contention false trip rather than a regression. "
-              "Re-run `scripts/ci.sh perf` alone on an idle host before "
-              "treating it as real; see docs/parallelism.md.",
-              file=sys.stderr)
-    return 1 if problems else 0
-
-
-def cmd_compare(args: argparse.Namespace) -> int:
-    """One run per protocol at a fixed client count (mini Figure 7)."""
-    runner = _runner(args.seed, args.uplink)
-    print(f"all protocols, t={args.t}, {args.clients} clients, "
-          f"{args.request_size}B requests")
-    print(f"{'protocol':>9} {'kops/s':>9} {'lat ms':>9} {'cpu %':>7}")
-    for protocol in ProtocolName:
-        config = _bench_config(protocol, args.t)
-        workload = WorkloadConfig(
-            num_clients=args.clients, request_size=args.request_size,
-            duration_ms=args.duration * 1_000.0, warmup_ms=500.0,
-            client_site="CA")
-        result = runner.run_point(config, workload)
-        lat = (f"{result.mean_latency_ms:9.1f}"
-               if result.mean_latency_ms is not None else "      n/a")
-        print(f"{protocol.value:>9} {result.throughput_kops:9.3f} {lat} "
-              f"{result.cpu_percent_most_loaded:7.1f}")
-    return 0
 
 
 def cmd_faults(args: argparse.Namespace) -> int:
@@ -425,13 +279,9 @@ def cmd_tables(args: argparse.Namespace) -> int:
     if which in (5, 6):
         t = 1 if which == 5 else 2
         print(format_consistency_table(consistency_table(t)))
-    elif which in (7, 8):
+    else:
         t = 1 if which == 7 else 2
         print(format_availability_table(availability_table(t)))
-    else:
-        print(f"unknown table {which}; choose 5, 6, 7 or 8",
-              file=sys.stderr)
-        return 2
     return 0
 
 
@@ -447,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="latency-vs-throughput sweep")
     sweep.add_argument("--protocol", default="xpaxos",
-                       choices=[p.value for p in ProtocolName])
+                       choices=["all"] + [p.value for p in ProtocolName])
     sweep.add_argument("--t", type=int, default=1)
     sweep.add_argument("--clients", type=int, nargs="+",
                        default=[8, 32, 96])
@@ -459,38 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "(0 = one per core); results are identical "
                             "to a sequential sweep")
     sweep.set_defaults(func=cmd_sweep)
-
-    bench = sub.add_parser(
-        "bench", help="perf micro-benchmarks; writes BENCH_perf.json")
-    bench.add_argument("--events", type=int, default=200_000,
-                       help="event-churn iterations")
-    bench.add_argument("--messages", type=int, default=100_000,
-                       help="point-to-point storm size")
-    bench.add_argument("--broadcast-rounds", type=int, default=12_500,
-                       help="8-way broadcast rounds")
-    bench.add_argument("--clients", type=int, default=16,
-                       help="closed-loop XPaxos clients")
-    bench.add_argument("--duration", type=float, default=2.0,
-                       help="closed-loop virtual seconds")
-    bench.add_argument("--repeat", type=int, default=3,
-                       help="timing repetitions (best-of)")
-    bench.add_argument("--heap-pending", type=int, default=1_000_000,
-                       help="heap_churn_1m standing backlog size")
-    bench.add_argument("--heap-churn", type=int, default=100_000,
-                       help="heap_churn_1m cancel/re-arm operations")
-    bench.add_argument("--only", action="append", default=[],
-                       metavar="NAME",
-                       help="run only these benchmarks (repeatable); the "
-                            "payload is marked partial and `trajectory "
-                            "record` will refuse it")
-    bench.add_argument("--profile", nargs="?", const="BENCH_perf.pstats",
-                       default=None, metavar="PSTATS",
-                       help="run the suite under cProfile, dump raw "
-                            "pstats (default %(const)s) and print the "
-                            "top functions; the payload is marked "
-                            "profiled and not recordable")
-    bench.add_argument("--output", default="BENCH_perf.json")
-    bench.set_defaults(func=cmd_bench)
 
     profile = sub.add_parser(
         "profile",
@@ -518,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument("--only", action="append", default=[],
                       metavar="RULE",
                       help="run only these rule ids (repeatable or "
-                           "comma-separated, e.g. --only B001)")
+                           "comma-separated, e.g. --only D001)")
     lint.add_argument("--json", default=None, metavar="PATH",
                       help="also write the full report as JSON")
     lint.add_argument("--baseline",
@@ -535,28 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument("--verbose", action="store_true",
                       help="also print suppressed and baselined findings")
     lint.set_defaults(func=cmd_lint)
-
-    trajectory = sub.add_parser(
-        "trajectory",
-        help="perf-trajectory gate over benchmarks/perf/history/")
-    trajectory.add_argument("action", choices=["check", "record"])
-    trajectory.add_argument("payload", nargs="?", default="BENCH_perf.json",
-                            help="benchmark payload to gate/archive")
-    trajectory.add_argument("--history-dir",
-                            default="benchmarks/perf/history")
-    trajectory.add_argument("--tolerance", type=float, default=0.2,
-                            help="allowed drop below the best recorded "
-                                 "speedup (0.2 = 20%%)")
-    trajectory.add_argument("--label", default=None,
-                            help="suffix for the recorded point's filename")
-    trajectory.set_defaults(func=cmd_trajectory)
-
-    compare = sub.add_parser("compare", help="all protocols, one load")
-    compare.add_argument("--t", type=int, default=1)
-    compare.add_argument("--clients", type=int, default=64)
-    compare.add_argument("--request-size", type=int, default=1024)
-    compare.add_argument("--duration", type=float, default=4.0)
-    compare.set_defaults(func=cmd_compare)
 
     faults = sub.add_parser("faults", help="Figure 9-style crash timeline")
     faults.add_argument("--clients", type=int, default=32)

@@ -26,10 +26,9 @@ Contract enforced here:
   functions use it, which is what lets every cell derive its randomness
   purely from its own string-derived seed.
 
-The perf micro-benchmarks (``repro bench``) intentionally do **not** use
-this layer: the trajectory gate compares same-host speedup *ratios*, and
-running both sides of a ratio while sibling workers compete for cores
-skews the measurement (see ``docs/parallelism.md``).
+The end-to-end ledger (``benchmarks/e2e/``) intentionally does **not**
+use this layer: it reports host seconds, and sibling workers competing
+for cores would inflate them (see ``docs/parallelism.md``).
 """
 
 from __future__ import annotations

@@ -1,13 +1,12 @@
-"""First-class profiling for the hot paths (``repro bench --profile``,
-``repro profile``).
+"""First-class profiling for the hot paths (``repro profile``).
 
 Two complementary views of where time goes:
 
 * **cProfile/pstats** -- wall-clock attribution by function, for finding
-  the next thing to optimize.  :func:`profile_call` wraps any thunk;
-  the stats can be dumped to a ``.pstats`` file (loadable with
-  ``python -m pstats`` or snakeviz) and/or rendered with
-  :func:`format_stats`.
+  the next thing to optimize.  :func:`profile_call` wraps any thunk
+  and hands back the ``cProfile.Profile``, whose ``dump_stats(path)``
+  writes a ``.pstats`` file (loadable with ``python -m pstats`` or
+  snakeviz); :func:`format_stats` renders the top rows.
 * **Subsystem counters** -- the simulator's and network's own hot-loop
   counters (heap ops, cancellations, compactions, arena hit-rate,
   drops, MAC stamps/verifies), collected for free as the run executes.
@@ -48,15 +47,6 @@ def profile_call(thunk: Callable[[], Any]) -> Tuple[Any, cProfile.Profile]:
     finally:
         profiler.disable()
     return result, profiler
-
-
-def dump_stats(profiler: cProfile.Profile, path: str) -> None:
-    """Write the raw profile to ``path`` (pstats format).
-
-    The file round-trips through ``pstats.Stats(path)``,
-    ``python -m pstats``, snakeviz, gprof2dot, etc.
-    """
-    profiler.dump_stats(path)
 
 
 def format_stats(profiler: cProfile.Profile, sort: str = "cumulative",

@@ -3,16 +3,12 @@
 This repository started from a simulator with ``@dataclass(order=True)``
 events and O(n) ``pending`` scans, a network that built a delivery closure
 and an f-string label per message, and a canonical encoder that was one
-generic ``isinstance`` chain.  All three are kept here, unchanged, for two
-jobs:
-
-* **Oracle**: the tests drive the current implementations and these
-  through identical schedules / payloads and demand identical fire order,
-  clock, pending counts and digest bytes (``tests/sim/test_against_seed.py``,
-  ``tests/crypto/test_canonical_oracle.py``).
-* **Baseline**: ``repro bench`` (:mod:`repro.harness.perf`) times the same
-  workload against both and reports the ratio, so a speedup is measurable
-  within one checkout.
+generic ``isinstance`` chain.  All three are kept here, unchanged, as the
+oracle: the tests drive the current implementations and these through
+identical schedules / payloads and demand identical fire order, clock,
+pending counts, delivery traces and digest bytes
+(``tests/sim/test_against_seed.py``, ``tests/net/test_against_seed.py``,
+``tests/crypto/test_canonical_oracle.py``).
 
 Nothing here may be optimized: its value is that it is the simple version.
 """
@@ -106,10 +102,10 @@ class SeedSimulator:
 
     def step(self) -> bool:
         """Fire the single next live event, taken the way :meth:`run`
-        takes it.  Not part of the preserved copy (the benchmarks never
-        needed it); added so the oracle tests can compare ``step()`` and
-        ``run(max_events=k)`` -- which is ``k`` steps -- against the seed
-        without touching the timed :meth:`run` loop."""
+        takes it.  Not part of the preserved copy; added so the oracle
+        tests can compare ``step()`` and ``run(max_events=k)`` -- which
+        is ``k`` steps -- against the seed without touching the
+        preserved :meth:`run` loop."""
         while self._queue:
             event = heapq.heappop(self._queue)
             if event.cancelled:

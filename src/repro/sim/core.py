@@ -30,8 +30,8 @@ Design notes
   GC-tracked).  The arena needs no cap: it only holds entries the heap
   released, so it is bounded by the peak heap size.
 
-:meth:`Simulator.stats` exposes the loop's counters for ``repro profile``
-and ``repro bench --profile``; see ``docs/profiling.md``.
+:meth:`Simulator.stats` exposes the loop's counters for ``repro
+profile``; see ``docs/profiling.md``.
 """
 
 from __future__ import annotations

@@ -31,8 +31,8 @@ class TestParser:
 
     def test_only_accepts_repeats_and_commas(self):
         args = build_parser().parse_args(
-            ["lint", "--only", "B001,D001", "--only", "S002"])
-        assert args.only == ["B001,D001", "S002"]
+            ["lint", "--only", "S001,D001", "--only", "S002"])
+        assert args.only == ["S001,D001", "S002"]
 
 
 class TestLintCommand:
@@ -64,23 +64,20 @@ class TestLintCommand:
         assert payload["files_checked"] == 1
         assert "D001" in payload["rules_run"]
 
-    def test_only_b001_ignores_other_families(self, capsys, tmp_path):
+    def test_only_one_rule_ignores_other_families(self, capsys, tmp_path):
         write_tree(tmp_path, {
-            "pkg/sampler.py": DIRTY,  # D001: invisible to a B001-only run
-            "pkg/perf.py": """\
-                def bench_orphan(n):
-                    return n
-
-
-                def suite_benchmarks(n=10):
-                    return {}
+            "pkg/sampler.py": DIRTY,  # D001: invisible to an S001-only run
+            "pkg/helpers.py": """\
+                def collect(item, acc=[]):
+                    acc.append(item)
+                    return acc
             """,
         })
         code = main(["lint", str(tmp_path), "--no-baseline",
-                     "--only", "B001"])
+                     "--only", "S001"])
         assert code == 1
         out = capsys.readouterr().out
-        assert "B001" in out
+        assert "S001" in out
         assert "D001" not in out
 
     def test_unknown_rule_is_usage_error(self, capsys, tmp_path):
@@ -111,7 +108,7 @@ class TestLintCommand:
         assert code == 0
         out = capsys.readouterr().out
         for rid in ("D001", "D002", "D003", "A001",
-                    "S001", "S002", "S003", "S004", "B001"):
+                    "S001", "S002", "S003", "S004"):
             assert rid in out
 
     def test_real_tree_is_clean(self, capsys, monkeypatch):

@@ -78,13 +78,6 @@ class TestD002WallClock:
         assert len(hits) == 3
         assert rules_fired(report) == ["D002"]
 
-    def test_harness_timing_modules_are_allowlisted(self, lint_tree):
-        report = lint_tree({
-            "repro/harness/perf.py": D002_SRC,
-            "repro/harness/profiling.py": D002_SRC,
-        })
-        assert found(report, "D002") == []
-
 
 D003_SRC = """\
     def grade(slots_a, slots_b, names):
@@ -439,43 +432,3 @@ class TestS004BlockingCall:
                     fh.write(payload)
         """})
         assert found(report, "S004") == []
-
-
-# ---------------------------------------------------------------------------
-# B-series: bench registration
-# ---------------------------------------------------------------------------
-
-B001_SRC = """\
-    def bench_event_churn(n):
-        return n
-
-
-    def bench_forgotten(n):
-        return n
-
-
-    def suite_benchmarks(n=100):
-        return {
-            "event_churn": lambda: bench_event_churn(n),
-        }
-"""
-
-
-class TestB001UnregisteredBenchmark:
-    def test_unreferenced_bench_fires_at_def_line(self, lint_tree):
-        report = lint_tree({"repro/harness/perf.py": B001_SRC})
-        assert found(report, "B001") == [
-            ("harness/perf.py", line_of(B001_SRC, "def bench_forgotten"))]
-
-    def test_modules_without_a_suite_are_ignored(self, lint_tree):
-        report = lint_tree({
-            "pkg/helpers.py": "def bench_loose(n):\n    return n\n"})
-        assert found(report, "B001") == []
-
-    def test_real_perf_module_is_clean(self):
-        from repro.analysis import run_lint
-        import repro.harness.perf as perf
-
-        report = run_lint([perf.__file__], only=["B001"])
-        assert report.findings == []
-        assert report.files_checked == 1

@@ -116,11 +116,11 @@ class TestBaseline:
     def test_only_run_ignores_other_rules_entries(self, tmp_path):
         root = _dirty_tree(tmp_path)
         baseline = tmp_path / "lint_baseline.json"
-        # Baseline carries a D001 entry; a B001-only run has no opinion
+        # Baseline carries a D001 entry; an S001-only run has no opinion
         # on it -- neither matched nor stale.
         write_baseline(str(baseline),
                        run_lint([str(root)], baseline_path=None).findings)
-        report = run_lint([str(root)], only=["B001"],
+        report = run_lint([str(root)], only=["S001"],
                           baseline_path=str(baseline))
         assert report.ok
         assert report.stale_baseline == []
