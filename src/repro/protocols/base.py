@@ -199,31 +199,36 @@ class BaselineReplica(ReplicaBase):
         """Execution progress means the current leader is doing its job:
         call off any pending election; every ``checkpoint_period`` slots
         drop the log below the previous period.  Subclasses extend this
-        with their reply rule (:meth:`reply_to_clients`)."""
+        with their reply rule (:meth:`reply_to_clients` where the replica
+        answers, :meth:`cache_unsent` where it only remembers)."""
         self._election_timer.stop()
         if seqno % self.config.checkpoint_period == 0:
             self.commit_log.truncate_to(
                 seqno - self.config.checkpoint_period)
 
+    def make_reply(self, view: int, seqno: int, request: Request,
+                   result: Any, size_bytes: int = 0) -> GenericReply:
+        """The one place a :class:`GenericReply` is built.  A reply cached
+        without being sent claims no wire bytes (``size_bytes`` 0), also
+        when a later leader re-sends it from the cache."""
+        return GenericReply(self.replica_id, view, seqno, request.timestamp,
+                            request.client, result, digest_of(result),
+                            size_bytes)
+
     def reply_to_clients(self, seqno: int, batch: Batch,
-                         results: List[Any], send: bool = True) -> None:
-        """Cache one reply per request in the batch (dedup and failover)
-        and, with ``send``, ship it MAC-authenticated to its client."""
-        for request, result in zip(batch, results):
+                         results: List[Any]) -> None:
+        """Answer a slot's clients: per request, cache the reply (dedup
+        and failover), then ship it MAC-authenticated.  A replica that
+        executes without answering calls :meth:`cache_unsent` instead."""
+        view = self.view
+        last_reply = self._last_reply
+        for request, result in zip(batch.requests, results):
             # 64 nominal reply bytes: keeps the sender's modeled MAC cost
             # at the seed's charge_mac(64) (the policy charges over
-            # size_bytes) and puts an honest reply size on the wire.  A
-            # reply cached without being sent claims no wire bytes, also
-            # when a later leader re-sends it from the cache.
-            reply = GenericReply(
-                replica=self.replica_id, view=self.view, seqno=seqno,
-                timestamp=request.timestamp, client=request.client,
-                result=result, result_digest=digest_of(result),
-                size_bytes=64 if send else 0)
-            self._last_reply[request.client] = reply
-            if send:
-                self.send_authenticated(f"c{request.client}", reply,
-                                        size_bytes=reply.size_bytes)
+            # size_bytes) and puts an honest reply size on the wire.
+            reply = self.make_reply(view, seqno, request, result, 64)
+            last_reply[request.client] = reply
+            self.send_authenticated(f"c{request.client}", reply, 64)
 
     def batch_digest(self, batch: Batch) -> Digest:
         """Digest over the signed request bodies of a batch, charging CPU."""

@@ -195,8 +195,10 @@ class PaxosReplica(BaselineReplica):
         super().after_execute(seqno, entry, results)
         # Only the leader answers clients (CFT: one reply suffices), but
         # every replica caches its replies for dedup and failover.
-        self.reply_to_clients(seqno, entry.batch, results,
-                              send=self.is_leader)
+        if self.is_leader:
+            self.reply_to_clients(seqno, entry.batch, results)
+        else:
+            self.cache_unsent(seqno, entry.batch, results)
 
     def on_enter_view(self, view: int) -> None:
         # Adopting a ballot someone else established (e.g. via a recovery

@@ -107,19 +107,26 @@ class XPaxosClient(SmrClientBase):
         self.complete(full)
 
     def _on_signed_replies(self, bundle: msg.SignedReplies) -> None:
-        """Retransmission answer: t+1 signed replies (Algorithm 4)."""
+        """Retransmission answer (Algorithm 4): signed replies from t + 1
+        distinct replicas, each signed by the replica it names, all for
+        the same ``(seqno, reply digest)``, one of them carrying a result
+        that hashes to that digest.  Anything less is ignored and the
+        client keeps waiting: ``result`` is outside the signed payload,
+        so only the digest check ties it to the signatures."""
         request = self.request
         if request is None:
             return
         shares = [s for s in bundle.shares
                   if s.timestamp == request.timestamp
                   and s.client == self.client_id]
-        if len(shares) < self.config.t + 1:
+        if len({s.sender for s in shares}) < self.config.t + 1:
             return
         reference = shares[0]
         for share in shares:
             if (share.seqno, share.reply_digest) != (
                     reference.seqno, reference.reply_digest):
+                return
+            if share.sig.signer != replica_principal(share.sender):
                 return
             self.cpu.charge_verify()
             if not self.keystore.verify(
@@ -129,10 +136,14 @@ class XPaxosClient(SmrClientBase):
                                              share.reply_digest,
                                              share.sender)):
                 return
-        full = next((s.result for s in shares if s.result is not None), None)
+        for share in shares:
+            if digest_of(share.result) == reference.reply_digest:
+                break
+        else:
+            return  # digests only, or a result nobody signed for
         if bundle.view > self.view:
             self.view = bundle.view
-        self.complete(full)
+        self.complete(share.result)
 
     def _on_suspect(self, suspect: msg.Suspect) -> None:
         """Algorithm 4 lines 11-15: follow the view change."""

@@ -377,9 +377,9 @@ class XPaxosReplica(ReplicaBase):
                             (m.m0, fast_commit.m1))
         self.commit_log.put(m.seqno, entry)
         # The follower does not answer clients in the fast path, but it
-        # must cache its replies so the retransmission protocol
+        # must remember its replies so the retransmission protocol
         # (Algorithm 4) can later produce its signed reply share.
-        self._reply_to_clients(m.seqno, m.batch, results, answer=False)
+        self.cache_unsent(m.seqno, m.batch, results)
         primary = self.groups.primary(self.view)
         self.send_authenticated(self.replica_name(primary), fast_commit,
                                 size_bytes=96)
@@ -414,21 +414,47 @@ class XPaxosReplica(ReplicaBase):
     def after_execute(self, seqno: int, entry: CommitEntry,
                       results: List[Any]) -> None:
         active = self.is_active
-        self._reply_to_clients(seqno, entry.batch, results, answer=active)
+        # The primary and the t >= 2 followers answer; the t = 1 follower
+        # (its vote travels as ``m1``) and passive replicas stay silent
+        # and keep the full result for the signed shares Algorithm 4 may
+        # ask of them later.
+        if active and (self.config.t >= 2 or self.is_primary):
+            self._reply_to_clients(seqno, entry.batch, results)
+        else:
+            self.cache_unsent(seqno, entry.batch, results)
         if active and self.config.t >= 2 and self.is_follower:
             self._lazy_replicate(entry)
         self._maybe_checkpoint(seqno)
 
+    def make_reply(self, view: int, seqno: int, request: Request,
+                   result: Any, full: bool = True,
+                   follower_commit: Optional[msg.FastCommit] = None,
+                   size_bytes: int = 0) -> msg.ReplyMsg:
+        """The one place a :class:`ReplyMsg` is built.  A reply cached
+        without being sent claims no wire bytes (``size_bytes`` 0)."""
+        return msg.ReplyMsg(self.replica_id, view, seqno, request.timestamp,
+                            request.client, result if full else None,
+                            digest_of(result), follower_commit, size_bytes)
+
+    def cache_unsent(self, seqno: int, batch: Batch,
+                     results: List[Any]) -> None:
+        """A silent replica executed a slot: remember it, and give any
+        retransmission already waiting on one of its requests its share
+        now."""
+        super().cache_unsent(seqno, batch, results)
+        if self._retransmissions:
+            for request in batch.requests:
+                if request.rid in self._retransmissions:
+                    self._emit_signed_reply_share(request)
+
     def _reply_to_clients(self, seqno: int, batch: Batch,
-                          results: List[Any], answer: bool) -> None:
-        """Cache this replica's reply per request (dedup + Algorithm 4)
-        and, with ``answer`` (an active replica executing a committed
-        slot), send it: the full result from the primary -- at t = 1
-        embedding the follower's ``m1`` -- and the digest alone from the
-        t >= 2 followers.  The t = 1 follower stays silent (its vote
-        travels as ``m1``), as do passive replicas, which keep the full
-        result for the signed shares Algorithm 4 may ask of them later."""
-        primary = answer and self.is_primary
+                          results: List[Any]) -> None:
+        """An active replica answers a committed slot: per request, cache
+        the reply (dedup + Algorithm 4), emit its signed share if a
+        retransmission is waiting on it, then send -- the full result from
+        the primary, at t = 1 embedding the follower's ``m1``, and the
+        digest alone from the t >= 2 followers."""
+        primary = self.is_primary
         fast = None
         if primary and self.config.t == 1:
             fast = self._fast_commits_pending.pop(seqno, None)
@@ -437,23 +463,22 @@ class XPaxosReplica(ReplicaBase):
                     and digest_of(tuple(results)) != fast.reply_digest:
                 raise ProtocolViolation(
                     "follower reply digest mismatch (divergent state)")
-        full = primary or not answer
-        send = primary or (answer and self.config.t >= 2)
-        for request, result in zip(batch, results):
-            # A reply cached without being sent claims no wire bytes.
-            size = 0 if not answer else _wire_len(result) if full else 32
-            reply = msg.ReplyMsg(
-                replica=self.replica_id, view=self.view, seqno=seqno,
-                timestamp=request.timestamp, client=request.client,
-                result=result if full else None,
-                result_digest=digest_of(result),
-                follower_commit=fast, size_bytes=size)
-            self._last_reply[request.client] = reply
-            if request.rid in self._retransmissions:
+        view = self.view
+        last_reply = self._last_reply
+        waiting = self._retransmissions
+        # A follower sends the digest alone but remembers the full result,
+        # as a silent replica does: the t + 1 shares Algorithm 4 gathers
+        # must carry it even when none comes from the slot's primary.
+        slot = (view, seqno, batch, results)
+        for index, request in enumerate(batch.requests):
+            result = results[index]
+            size = _wire_len(result) if primary else 32
+            reply = self.make_reply(view, seqno, request, result, primary,
+                                    fast, size)
+            last_reply[request.client] = reply if primary else (slot, index)
+            if waiting and request.rid in waiting:
                 self._emit_signed_reply_share(request)
-            if send:
-                self.send_authenticated(f"c{request.client}", reply,
-                                        size_bytes=size)
+            self.send_authenticated(f"c{request.client}", reply, size)
 
     def _batch_digest(self, batch: Batch) -> Digest:
         self.cpu.charge_digest(batch.size_bytes)
@@ -1186,10 +1211,13 @@ class XPaxosReplica(ReplicaBase):
         if state.done:
             return
         self.cpu.charge_verify()
-        if not self.keystore.verify(
-                m.sig, msg.signed_reply_payload(m.seqno, m.view, m.timestamp,
-                                                m.client, m.reply_digest,
-                                                m.sender)):
+        # Shares are filed under the sender they name, so that must be
+        # who signed: one replica may not vote under several names.
+        if m.sig.signer != replica_principal(m.sender) \
+                or not self.keystore.verify(
+                    m.sig, msg.signed_reply_payload(
+                        m.seqno, m.view, m.timestamp, m.client,
+                        m.reply_digest, m.sender)):
             return
         state.shares[m.sender] = m
         matching = [s for s in state.shares.values()

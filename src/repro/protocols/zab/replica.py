@@ -187,8 +187,10 @@ class ZabReplica(BaselineReplica):
         # The leader answers; followers cache their replies so a later
         # leader answers retried requests from the cache instead of
         # re-ordering them.
-        self.reply_to_clients(seqno, entry.batch, results,
-                              send=self.is_leader)
+        if self.is_leader:
+            self.reply_to_clients(seqno, entry.batch, results)
+        else:
+            self.cache_unsent(seqno, entry.batch, results)
 
     # -- epoch change -----------------------------------------------------
     def on_enter_view(self, view: int) -> None:

@@ -180,7 +180,11 @@ class ReplicaBase(NodeBase):
         self.commit_log = CommitLog()
         self.sequencer = PipelinedSequencer(self)
         #: Reply cache: client id -> this replica's reply to that client's
-        #: latest executed request.
+        #: latest executed request -- the reply itself where it was sent
+        #: with the full result, else ``(slot, index)`` into a ``(view,
+        #: seqno, batch, results)`` record the slot's requests share
+        #: (:meth:`cache_unsent`), from which :meth:`cached_reply` builds
+        #: the reply if anyone asks.
         self._last_reply: Dict[int, Any] = {}
         #: Metrics hook, called once per executed slot.
         self.on_commit_batch: Optional[Callable[[int, Batch], None]] = None
@@ -225,15 +229,44 @@ class ReplicaBase(NodeBase):
         """Called once per slot :meth:`execute_ready` executed, with ``ex``
         already advanced: cache / send replies, checkpoint, propagate."""
 
+    def make_reply(self, view: int, seqno: int, request: Request,
+                   result: Any) -> Any:
+        """This protocol's reply to ``request``, executed in slot
+        ``seqno`` of ``view`` with ``result``, as a replica that does not
+        send it caches it (full result, no wire bytes).  Subclasses
+        implement; their send path builds its replies through the same
+        method."""
+        raise NotImplementedError
+
+    def cache_unsent(self, seqno: int, batch: Batch,
+                     results: List[Any]) -> None:
+        """Reply cache of a replica that executed a slot it does not
+        answer: one shared record for the slot and a pointer per client.
+        No reply is built (and no result digested) unless
+        :meth:`cached_reply` is asked for it."""
+        slot = (self.view, seqno, batch, results)
+        last_reply = self._last_reply
+        for index, request in enumerate(batch.requests):
+            last_reply[request.client] = (slot, index)
+
     def cached_reply(self, client: int, timestamp: int) -> Optional[Any]:
         """This replica's cached reply to ``client`` if it has executed that
         client's request ``timestamp`` or a later one (the request must not
         be ordered again), else None.  The reply answers ``timestamp``
-        itself only when its own timestamp is equal."""
+        itself only when its own timestamp is equal.  A reply cached
+        unsent is built on the first ask and kept."""
         cached = self._last_reply.get(client)
-        if cached is not None and cached.timestamp >= timestamp:
+        if cached is None:
+            return None
+        if cached.__class__ is tuple:
+            (view, seqno, batch, results), index = cached
+            request = batch.requests[index]
+            if request.timestamp < timestamp:
+                return None
+            cached = self.make_reply(view, seqno, request, results[index])
+            self._last_reply[client] = cached
             return cached
-        return None
+        return cached if cached.timestamp >= timestamp else None
 
     def answer_from_cache(self, request: Request) -> bool:
         """Duplicate suppression at the request intake: True when
