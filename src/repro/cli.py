@@ -126,7 +126,8 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
     def collect(runtime):
         counters.update(subsystem_counters(sim=runtime.sim,
-                                           network=runtime.network))
+                                           network=runtime.network,
+                                           replicas=runtime.replicas))
 
     cell, profiler = profile_call(
         lambda: runner.run_cell(protocol, scenario, probe=collect))

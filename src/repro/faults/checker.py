@@ -16,7 +16,7 @@ The checker implements the paper's correctness criteria directly:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
 from repro.net.partition import partitioned_replicas
 from repro.reliability.models import anarchy
@@ -42,21 +42,22 @@ def check_total_order(traces: Dict[int, Sequence[tuple]]) -> List[SafetyViolatio
     """Cross-check execution traces of benign replicas.
 
     Args:
-        traces: ``replica id -> [(seqno, rid), ...]`` in execution order.
+        traces: ``replica id -> [(seqno, rids), ...]`` in execution order,
+            one entry per executed slot (``ReplicaBase.execution_trace``).
 
     Returns:
         All pairwise per-slot divergences (empty list = total order holds).
 
-    Each slot may carry several requests (a batch); the per-slot request
-    tuple must agree across replicas that executed the slot.
+    A slot carries a batch; its request-id tuple must agree across the
+    replicas that executed the slot.  A replica executes a slot once; a
+    trace naming one twice is graded on everything it ran there.
     """
-    per_replica_slots: Dict[int, Dict[int, Tuple[tuple, ...]]] = {}
+    per_replica_slots: Dict[int, Dict[int, tuple]] = {}
     for replica, trace in traces.items():
-        slots: Dict[int, List[tuple]] = {}
-        for seqno, rid in trace:
-            slots.setdefault(seqno, []).append(rid)
-        per_replica_slots[replica] = {sn: tuple(rids)
-                                      for sn, rids in slots.items()}
+        slots: Dict[int, tuple] = {}
+        for seqno, rids in trace:
+            slots[seqno] = slots[seqno] + rids if seqno in slots else rids
+        per_replica_slots[replica] = slots
     violations: List[SafetyViolation] = []
     replicas = sorted(per_replica_slots)
     for i, ra in enumerate(replicas):

@@ -9,7 +9,8 @@ Two complementary views of where time goes:
   snakeviz); :func:`format_stats` renders the top rows.
 * **Subsystem counters** -- the simulator's and network's own hot-loop
   counters (heap ops, cancellations, compactions, arena hit-rate,
-  drops, MAC stamps/verifies), collected for free as the run executes.
+  drops, MAC stamps/verifies), collected for free as the run executes,
+  and the sizes of what the replicas still hold when it ends.
   :func:`format_subsystems` renders them side by side;
   ``docs/profiling.md`` explains how to read them.
 
@@ -26,7 +27,7 @@ import cProfile
 import io
 import pstats
 from dataclasses import asdict, is_dataclass
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 from repro.crypto.primitives import digest_cache_stats
 
@@ -60,14 +61,18 @@ def format_stats(profiler: cProfile.Profile, sort: str = "cumulative",
     return stream.getvalue().rstrip()
 
 
-def subsystem_counters(sim: Any = None,
-                       network: Any = None) -> Dict[str, Dict[str, Any]]:
+def subsystem_counters(sim: Any = None, network: Any = None,
+                       replicas: Sequence[Any] = ()
+                       ) -> Dict[str, Dict[str, Any]]:
     """Collect the per-subsystem hot-loop counters of one run.
 
     ``sim`` is a :class:`repro.sim.core.Simulator` (its ``stats()``
     dict is taken as-is); ``network`` is a
     :class:`repro.net.network.Network` (its ``stats`` dataclass is
-    flattened).  Either may be None.
+    flattened); ``replicas`` are the cluster's
+    :class:`repro.smr.runtime.ReplicaBase` instances, whose
+    ``retained()`` sizes are reported as the largest over all of them
+    (``[state]``).  Any may be omitted.
     """
     out: Dict[str, Dict[str, Any]] = {}
     if sim is not None:
@@ -76,6 +81,14 @@ def subsystem_counters(sim: Any = None,
         stats = network.stats
         out["network"] = (asdict(stats) if is_dataclass(stats)
                          else dict(vars(stats)))
+    if replicas:
+        # What a replica holds on to at the end of the run: the worst
+        # replica per structure, so one that never truncates shows.
+        state: Dict[str, int] = {}
+        for replica in replicas:
+            for key, size in replica.retained().items():
+                state[key] = max(state.get(key, 0), size)
+        out["state"] = state
     # Digest-cache counters are process-global (the cache lives on the
     # message instances, not on a sim or network), so they are always
     # reported; probes = every digest_of() call in the process.

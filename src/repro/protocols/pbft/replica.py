@@ -100,8 +100,18 @@ class PbftReplica(BaselineReplica):
         # the same slot.
         self._votes: Dict[Tuple[int, Digest], Set[int]] = {}
         self._digests: Dict[int, Digest] = {}
+        self._enter_active_set()
 
     # -- roles ------------------------------------------------------------
+    def _enter_active_set(self) -> None:
+        """Work out the current view's common-case quorum once: the hot
+        handlers ask per delivered message."""
+        active = self.active_ids()
+        self.is_active = self.replica_id in active
+        self._active_names = tuple(f"r{a}" for a in active)
+        self._active_peers = tuple(name for name in self._active_names
+                                   if name != self.name)
+
     def active_ids(self, view: Optional[int] = None) -> List[int]:
         """The 2t + 1 replicas involved in the common case of ``view``
         (default: the current one): the primary and its 2t successors."""
@@ -110,11 +120,6 @@ class PbftReplica(BaselineReplica):
         leader = v % self.config.n
         return [(leader + i) % self.config.n
                 for i in range(2 * self.config.t + 1)]
-
-    @property
-    def is_active(self) -> bool:
-        """Is this replica in the common-case quorum?"""
-        return self.replica_id in self.active_ids()
 
     def supports_view_change(self) -> bool:
         return True
@@ -138,9 +143,7 @@ class PbftReplica(BaselineReplica):
         self._batches[seqno] = batch
         self._digests[seqno] = digest
         pre_prepare = PrePrepare(self.view, seqno, batch, digest)
-        peers = [f"r{a}" for a in self.active_ids()
-                 if a != self.replica_id]
-        self.multicast_authenticated(peers, pre_prepare,
+        self.multicast_authenticated(self._active_peers, pre_prepare,
                                      size_bytes=batch.size_bytes)
         self._vote(seqno, digest)
 
@@ -161,8 +164,7 @@ class PbftReplica(BaselineReplica):
         vote = CommitMsg(self.view, seqno, digest, self.replica_id)
         # Our own vote is recorded at this replica's position in the
         # active list (see ReplicaBase._fanout_with_self).
-        self._fanout_with_self([f"r{a}" for a in self.active_ids()],
-                               vote, 48,
+        self._fanout_with_self(self._active_names, vote, 48,
                                lambda: self._record_vote(vote))
 
     def _on_commit(self, m: CommitMsg) -> None:
@@ -215,6 +217,7 @@ class PbftReplica(BaselineReplica):
                        if key[0] > self.ex}
         self._batches.clear()
         self._digests.clear()
+        self._enter_active_set()
 
     def make_view_change(self, target: int) -> ViewChange:
         committed = tuple((sn, entry.batch)

@@ -1008,7 +1008,7 @@ class XPaxosReplica(ReplicaBase):
 
     def _on_lazychk(self, src: str, m: msg.LazyChk) -> None:
         # Modelled cost of checking the proof's signatures, paid whether
-        # or not the checkpoint turns out to be ahead of us.
+        # or not the checkpoint turns out to be news to us.
         for _ in m.proof.sigs:
             self.cpu.charge_verify()
         if self._install_checkpoint(m.proof):
@@ -1036,18 +1036,27 @@ class XPaxosReplica(ReplicaBase):
 
     def _install_checkpoint(self,
                             proof: Optional[msg.CheckpointProof]) -> bool:
-        """State transfer from a stable checkpoint ahead of our execution
-        horizon (LAZYCHK, FETCH-REPLY and NEW-VIEW all land here).  False
-        only for a proof that is ahead of us and does not verify."""
-        if proof is None or proof.seqno <= self.ex:
+        """Adopt a stable checkpoint newer than ours (LAZYCHK, FETCH-REPLY
+        and NEW-VIEW all land here): verify the proof, restore from its
+        snapshot only if it is ahead of our execution horizon, and
+        truncate both logs either way -- this is what garbage-collects a
+        replica that takes no part in checkpointing (a passive one kept up
+        to date by lazy replication).  A proof that does not verify changes
+        nothing.  False only for an unverifiable proof ahead of us."""
+        stable = self.stable_checkpoint
+        if proof is None \
+                or (stable is not None and proof.seqno <= stable.seqno):
             return True
         if not self._checkpoint_proof_valid(proof):
-            return False
+            return proof.seqno <= self.ex
         self.restore_to(proof.seqno, proof.snapshot)
         self.stable_checkpoint = proof
         self.commit_log.truncate_to(proof.seqno)
         self.prepare_log.truncate_to(proof.seqno)
         return True
+
+    def retained(self) -> Dict[str, int]:
+        return {**super().retained(), "prepare_log": len(self.prepare_log)}
 
     # ==================================================================
     # Lazy replication -- Section 4.5.2

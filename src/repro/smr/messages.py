@@ -16,6 +16,7 @@ from typing import Any, Callable, Optional, Tuple
 from repro.crypto.primitives import (
     Digest,
     Signature,
+    cache_on_instance,
     digest_of,
     memoized,
 )
@@ -23,7 +24,14 @@ from repro.crypto.primitives import (
 
 @dataclass(frozen=True)
 class Request:
-    """A signed client request (the paper's ``req``)."""
+    """A signed client request (the paper's ``req``).
+
+    ``rid`` is the canonical request identifier ``(client, timestamp)``:
+    one tuple per request, built with it and shared by everything that
+    files the request under its id (dedup set, execution traces, client
+    completions).  It is derived, not a field -- outside equality,
+    hashing and the canonical encoding.
+    """
 
     op: Any
     timestamp: int
@@ -31,10 +39,8 @@ class Request:
     size_bytes: int = 0
     signature: Optional[Signature] = None
 
-    @property
-    def rid(self) -> Tuple[int, int]:
-        """Canonical request identifier ``(client, timestamp)``."""
-        return (self.client, self.timestamp)
+    def __post_init__(self) -> None:
+        cache_on_instance(self, "rid", (self.client, self.timestamp))
 
     def body(self) -> Tuple[Any, int, int]:
         """The signed portion (everything but the signature itself)."""
@@ -127,6 +133,13 @@ class Batch:
         derivation -- the memo models memoized code, not free hashing.
         """
         return digest_of(tuple(r.body() for r in self.requests))
+
+    @memoized
+    def rids(self) -> Tuple[Tuple[int, int], ...]:
+        """The requests' ids in batch order, built once per batch: every
+        replica that executes the batch puts this very tuple into its
+        execution trace."""
+        return tuple(r.rid for r in self.requests)
 
     def __len__(self) -> int:
         return len(self.requests)

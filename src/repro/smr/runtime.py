@@ -170,7 +170,8 @@ class ReplicaBase(NodeBase):
         self._app_factory = app_factory
         self.principal = replica_principal(replica_id)
         #: Execution order observed by this replica, recorded for the safety
-        #: checker: list of (seqno, request id) pairs.
+        #: checker: one ``(seqno, rids)`` entry per executed slot, ``rids``
+        #: being the batch's own ``Batch.rids()`` tuple.
         self.execution_trace: List[tuple] = []
         #: Count of committed requests (not batches).
         self.committed_requests = 0
@@ -198,11 +199,13 @@ class ReplicaBase(NodeBase):
         that executes before its commit entry can exist (the XPaxos t = 1
         follower) calls this directly.
         """
-        results = []
-        for request in batch:
-            results.append(self.app.execute(request.op))
-            self.execution_trace.append((seqno, request.rid))
-            self.committed_requests += 1
+        results = [self.app.execute(request.op)
+                   for request in batch.requests]
+        rids = batch.rids()
+        self.execution_trace.append((seqno, rids))
+        self.committed_requests += len(rids)
+        # From here on the reply cache answers duplicates of these requests.
+        self.sequencer.forget(rids)
         self.ex = seqno
         if self.on_commit_batch is not None:
             self.on_commit_batch(seqno, batch)
@@ -288,6 +291,17 @@ class ReplicaBase(NodeBase):
             self.app.restore(snapshot)
             self.ex = seqno
             self.sn = max(self.sn, seqno)
+
+    def retained(self) -> Dict[str, int]:
+        """Sizes of the structures this replica keeps as it runs (``repro
+        profile``'s ``[state]`` block; docs/execution.md says what bounds
+        each).  Computed on request: nothing is counted while running."""
+        return {
+            "commit_log": len(self.commit_log),
+            "sequencer_seen": len(self.sequencer.seen),
+            "reply_cache": len(self._last_reply),
+            "trace_entries": len(self.execution_trace),
+        }
 
     # -- fan-out helper ---------------------------------------------------
     def _fanout_with_self(self, names: Sequence[str], payload: Any,

@@ -12,14 +12,14 @@ class PipelinedSequencer:
     """Leader-side batching and slot pipelining, shared by every protocol.
 
     One instance lives on each replica (baseline and XPaxos alike) and owns
-    the queue of client requests awaiting a slot, the request-dedup set,
-    the batch timer, and the pipeline window: the leader may have at most
-    ``config.pipeline_depth`` slots issued but not yet executed.  When the
-    window is full a flush parks instead of proposing; executing a slot
-    re-opens the window and :meth:`pump` resumes the parked flush.  While
-    the window never fills, the event sequence is identical to an
-    unbounded pipeline -- which is what keeps byte-identical determinism
-    goldens stable for workloads that never push the window.
+    the queue of client requests awaiting a slot, the dedup set of requests
+    offered and not yet executed, the batch timer, and the pipeline window:
+    the leader may have at most ``config.pipeline_depth`` slots issued but
+    not yet executed.  When the window is full a flush parks instead of
+    proposing; executing a slot re-opens the window and :meth:`pump` resumes
+    the parked flush.  While the window never fills, the event sequence is
+    identical to an unbounded pipeline -- which is what keeps byte-identical
+    determinism goldens stable for workloads that never push the window.
 
     Slots re-proposed during a view change or ballot merge are *carried*
     state, not new issues: :meth:`carry_over` excludes everything up to
@@ -73,6 +73,15 @@ class PipelinedSequencer:
         elif not self._timer.armed:
             self._timer.start(self.config.batch_timeout_ms)
         return True
+
+    def forget(self, rids) -> None:
+        """The requests ``rids`` were executed on this replica.  Both
+        request intakes ask its reply cache (``answer_from_cache``) before
+        they :meth:`offer`, so a duplicate of an executed request never
+        gets here and the dedup set need not keep it: ``seen`` holds what
+        was offered and is not yet executed, not every id ever offered."""
+        if self.seen:
+            self.seen.difference_update(rids)
 
     # -- slot issue -------------------------------------------------------
     def flush(self) -> None:

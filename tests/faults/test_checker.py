@@ -7,31 +7,72 @@ from tests.conftest import make_cluster
 
 
 class TestTotalOrderChecker:
+    """Traces are ``[(seqno, rids), ...]``: one entry per executed slot,
+    ``rids`` the request ids of the slot's batch in execution order."""
+
     def test_identical_traces_pass(self):
-        traces = {0: [(1, ("c0", 1)), (2, ("c1", 1))],
-                  1: [(1, ("c0", 1)), (2, ("c1", 1))]}
+        traces = {0: [(1, (("c0", 1),)), (2, (("c1", 1),))],
+                  1: [(1, (("c0", 1),)), (2, (("c1", 1),))]}
         assert check_total_order(traces) == []
 
     def test_divergent_slot_detected(self):
-        traces = {0: [(1, ("c0", 1))],
-                  1: [(1, ("c1", 1))]}
+        traces = {0: [(1, (("c0", 1),))],
+                  1: [(1, (("c1", 1),))]}
         violations = check_total_order(traces)
         assert len(violations) == 1
         assert violations[0].seqno == 1
 
+    def test_divergent_slot_names_both_replicas_and_what_each_ran(self):
+        traces = {0: [(1, (("c0", 1), ("c1", 1))), (2, (("c2", 1),))],
+                  1: [(1, (("c0", 1), ("c1", 1))), (2, (("c3", 1),))],
+                  2: [(1, (("c0", 1), ("c1", 1))), (2, (("c2", 1),))]}
+        violations = check_total_order(traces)
+        assert [(v.seqno, v.replica_a, v.replica_b, v.rid_a, v.rid_b)
+                for v in violations] == [
+            (2, 0, 1, (("c2", 1),), (("c3", 1),)),
+            (2, 1, 2, (("c3", 1),), (("c2", 1),))]
+        assert "sn 2: r0 executed" in str(violations[0])
+
     def test_prefix_traces_pass(self):
         """A replica that is simply behind is not divergent."""
-        traces = {0: [(1, ("c0", 1)), (2, ("c1", 1))],
-                  1: [(1, ("c0", 1))]}
+        traces = {0: [(1, (("c0", 1),)), (2, (("c1", 1),))],
+                  1: [(1, (("c0", 1),))]}
+        assert check_total_order(traces) == []
+
+    def test_slot_only_one_replica_executed_passes(self):
+        """Holes are not divergence: a slot is compared only among the
+        replicas that executed it (a passive replica restored past it, an
+        XPaxos view change skipped it)."""
+        traces = {0: [(1, (("c0", 1),)), (2, (("c1", 1),)),
+                      (3, (("c2", 1),))],
+                  1: [(1, (("c0", 1),)), (3, (("c2", 1),))],
+                  2: [(3, (("c2", 1),))]}
         assert check_total_order(traces) == []
 
     def test_batch_slots_compared_as_tuples(self):
-        traces = {0: [(1, ("c0", 1)), (1, ("c1", 1))],
-                  1: [(1, ("c0", 1)), (1, ("c1", 1))]}
-        assert check_total_order(traces) == []
-        traces_swapped = {0: [(1, ("c0", 1)), (1, ("c1", 1))],
-                          1: [(1, ("c1", 1)), (1, ("c0", 1))]}
-        assert check_total_order(traces_swapped)
+        batch = (("c0", 1), ("c1", 1))
+        assert check_total_order({0: [(1, batch)], 1: [(1, batch)]}) == []
+        swapped = {0: [(1, batch)], 1: [(1, batch[::-1])]}
+        assert check_total_order(swapped)
+
+    def test_batch_split_differently_across_replicas_detected(self):
+        """The same requests in the same order, but cut into slots
+        differently: slot 1 differs (two requests against one), and so
+        would every state digest taken between the two cuts."""
+        traces = {0: [(1, (("c0", 1), ("c1", 1)))],
+                  1: [(1, (("c0", 1),)), (2, (("c1", 1),))]}
+        violations = check_total_order(traces)
+        assert [v.seqno for v in violations] == [1]
+
+    def test_slot_named_twice_in_one_trace_counts_everything_it_ran(self):
+        """A replica executes a slot once.  A trace that names one twice
+        is graded on the concatenation, as the flat trace was."""
+        twice = {0: [(1, (("c0", 1),)), (1, (("c1", 1),))],
+                 1: [(1, (("c0", 1),))]}
+        assert [v.seqno for v in check_total_order(twice)] == [1]
+        whole = {0: [(1, (("c0", 1),)), (1, (("c1", 1),))],
+                 1: [(1, (("c0", 1), ("c1", 1)))]}
+        assert check_total_order(whole) == []
 
     def test_empty_traces_pass(self):
         assert check_total_order({0: [], 1: []}) == []
@@ -89,8 +130,8 @@ class TestAnarchyAccounting:
     def test_assert_safe_raises_on_divergence_outside_anarchy(self):
         runtime = make_cluster()
         checker = SafetyChecker(runtime)
-        runtime.replica(0).execution_trace.append((1, ("c0", 1)))
-        runtime.replica(1).execution_trace.append((1, ("c9", 9)))
+        runtime.replica(0).execution_trace.append((1, (("c0", 1),)))
+        runtime.replica(1).execution_trace.append((1, (("c9", 9),)))
         with pytest.raises(AssertionError):
             checker.assert_safe()
 
@@ -125,6 +166,6 @@ class TestAnarchyAccounting:
         checker = SafetyChecker(runtime, non_crash_faulty=[2])
         runtime.replica(1).crash()
         checker.observe()  # anarchy latched
-        runtime.replica(0).execution_trace.append((1, ("c0", 1)))
-        runtime.replica(1).execution_trace.append((1, ("c9", 9)))
+        runtime.replica(0).execution_trace.append((1, (("c0", 1),)))
+        runtime.replica(1).execution_trace.append((1, (("c9", 9),)))
         checker.assert_safe()  # no exception: anarchy was observed

@@ -62,6 +62,12 @@ class TestCommands:
         # Subsystem counters precede the wall-clock profile.
         assert "[sim]" in out and "[network]" in out
         assert "arena_hit_rate" in out and "auth_stamped" in out
+        # What the replicas still hold, largest replica per structure.
+        state = out[out.index("[state]"):out.index("[digest_cache]")]
+        sizes = dict(line.split() for line in state.splitlines()[1:])
+        assert set(sizes) == {"commit_log", "sequencer_seen", "reply_cache",
+                              "trace_entries"}
+        assert 0 < int(sizes["commit_log"]) <= int(sizes["trace_entries"])
         assert "cumulative" in out
         assert pstats_path.exists()
 

@@ -49,7 +49,7 @@ def test_duplicate_request_ordered_once_then_answered_from_cache(protocol):
     harness.sim.run(until=500.0)
     assert len(results) == 1 and not client.busy
     times_executed = [
-        sum(rid == request.rid for _, rid in replica.execution_trace)
+        sum(rids.count(request.rid) for _, rids in replica.execution_trace)
         for replica in harness.replicas]
     assert times_executed[0] == 1 and max(times_executed) == 1
     slots, executed = leader.sn, leader.committed_requests

@@ -1,0 +1,121 @@
+"""What a run keeps resident is its checkpoint window plus one compact
+history, on every replica (docs/execution.md, "What a replica retains").
+
+Three properties, each of which failed before the structures named here
+were bounded: a passive XPaxos replica kept every commit entry it ever
+learned (it adopted no checkpoint it was not behind), the dedup set kept
+every request id ever offered, and the live heap grew by ~1.07 kB per
+committed request (a trace pair and a fresh id tuple per request per
+replica, the request itself in the passive replica's log).
+"""
+
+import gc
+import tracemalloc
+
+import pytest
+
+from repro.common.config import ProtocolName
+from tests.conftest import make_cluster, run_workload
+
+PERIOD = 10
+
+CLUSTERS = pytest.mark.parametrize(
+    "protocol, t",
+    [(ProtocolName.XPAXOS, 1), (ProtocolName.XPAXOS, 2),
+     (ProtocolName.ZAB, 1)],
+    ids=["xpaxos-t1", "xpaxos-t2", "zab-t1"])
+
+
+@CLUSTERS
+def test_every_replica_holds_one_checkpoint_window_of_log(protocol, t):
+    runtime = make_cluster(protocol, t=t, num_clients=4,
+                           checkpoint_period=PERIOD)
+    run_workload(runtime, duration_ms=1_000.0)
+    config = runtime.config
+    window = 2 * PERIOD + config.pipeline_depth
+    assert min(r.ex for r in runtime.replicas) >= 3 * PERIOD
+    for replica in runtime.replicas:  # passive ones too
+        logs = len(replica.commit_log) \
+            + len(getattr(replica, "prepare_log", ()))
+        assert logs <= window, (replica.name, logs)
+        if protocol is ProtocolName.XPAXOS:
+            stable = replica.stable_checkpoint
+            assert stable is not None, replica.name
+            assert replica.ex - stable.seqno <= PERIOD, replica.name
+            assert replica.commit_log.low_water == stable.seqno
+        else:
+            # The baselines keep the previous period as well.
+            assert replica.ex - replica.commit_log.low_water < 2 * PERIOD
+        # One trace entry per executed slot, none per request.
+        assert len(replica.execution_trace) <= replica.ex
+        assert replica.retained()["trace_entries"] \
+            == len(replica.execution_trace)
+
+
+@CLUSTERS
+def test_dedupe_set_holds_only_requests_offered_and_not_yet_executed(
+        protocol, t):
+    clients = 4
+    runtime = make_cluster(protocol, t=t, num_clients=clients,
+                           checkpoint_period=PERIOD)
+    offered = {replica.name: set() for replica in runtime.replicas}
+    for replica in runtime.replicas:
+        offer = replica.sequencer.offer
+
+        def recording(request, offer=offer, mine=offered[replica.name]):
+            accepted = offer(request)
+            if accepted:
+                mine.add(request.rid)
+            return accepted
+
+        replica.sequencer.offer = recording
+    samples = []
+
+    def sample():
+        for replica in runtime.replicas:
+            executed = {rid for _, rids in replica.execution_trace
+                        for rid in rids}
+            seen = replica.sequencer.seen
+            assert seen <= offered[replica.name] - executed, replica.name
+            # Closed loop: one request in flight per client.
+            assert len(seen) <= clients
+            samples.append(len(seen))
+
+    runtime.sim.call_every(25.0, sample, 1_000.0)
+    run_workload(runtime, duration_ms=1_000.0)
+    sample()
+    leader = runtime.replica(0)
+    assert len(offered[leader.name]) > 100  # it did deduplicate all along
+    assert max(samples) > 0 and len(leader.sequencer.seen) <= clients
+
+
+def live_heap_after(duration_ms):
+    """``(live bytes, committed requests)`` of one XPaxos t = 1 cell, 16
+    closed-loop clients, read when the run ends."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        runtime = make_cluster(num_clients=16, checkpoint_period=PERIOD)
+        run_workload(runtime, duration_ms=duration_ms, request_size=64)
+        gc.collect()
+        live = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    return live, sum(len(c.completions) for c in runtime.clients)
+
+
+def test_live_heap_grows_by_a_budget_per_extra_commit():
+    """Twice the slots, and the heap grows only by what the run's record
+    takes: a completion and a request id per commit at the clients, a
+    trace entry per slot per replica.  Measured 0.18 kB per extra commit
+    (1.07 kB before this bound existed); the budget leaves headroom for
+    the allocator, not for a per-request-per-replica structure (a pair
+    and a list slot on each of three replicas: +0.19 kB at the least)."""
+    budget_bytes = 300
+    live_n, commits_n = live_heap_after(400.0)
+    live_2n, commits_2n = live_heap_after(800.0)
+    extra = commits_2n - commits_n
+    assert extra > 1_000
+    per_commit = (live_2n - live_n) / extra
+    assert per_commit < budget_bytes, per_commit

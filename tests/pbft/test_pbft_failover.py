@@ -141,7 +141,7 @@ class TestVoteKeying:
         # The pre-prepare lands: replica votes and the slot completes.
         replica._on_pre_prepare("r0", PrePrepare(0, 1, batch, good))
         assert replica.ex == 1
-        assert [rid for sn, rid in replica.execution_trace] == [(0, 1)]
+        assert replica.execution_trace == [(1, ((0, 1),))]
 
     def test_conflicting_then_matching_votes_commit_the_right_batch(self):
         replica = self.make_replica()
@@ -156,4 +156,4 @@ class TestVoteKeying:
         replica._on_commit(CommitMsg(0, 1, good, 0))
         replica._on_commit(CommitMsg(0, 1, good, 2))
         assert replica.ex == 1
-        assert [rid for sn, rid in replica.execution_trace] == [(0, 1)]
+        assert replica.execution_trace == [(1, ((0, 1),))]

@@ -124,8 +124,8 @@ class TestExecutionCore:
         replica.commit(1, "a", "b")
         replica.commit(2, "c")
         replica.execute_ready()
-        assert replica.execution_trace == [(1, (0, 1)), (1, (1, 1)),
-                                           (2, (0, 2))]
+        assert replica.execution_trace == [(1, ((0, 1), (1, 1))),
+                                           (2, ((0, 2),))]
         assert replica.committed_requests == 3
         # Per slot: ex already advanced when on_commit_batch fires, then
         # after_execute with one result per request; one pump at the end.
@@ -152,6 +152,33 @@ class TestExecutionCore:
         assert replica.execute_slot(1, batch) == [None]
         assert replica.ex == 1 and replica.committed_requests == 1
         assert replica.events == [("on_commit_batch", 1, 1)]
+
+    def test_trace_entry_is_the_batch_own_rids_tuple(self):
+        """One trace entry per slot, and no copy of the ids per replica:
+        every replica that executes a batch appends the same tuple."""
+        batch = Batch((Request(op=("put", "a", 1), timestamp=1, client=0),
+                       Request(op=("put", "b", 1), timestamp=1, client=1)))
+        traces = []
+        for _ in range(2):
+            replica = _CoreReplica()
+            replica.execute_slot(1, batch)
+            traces.append(replica.execution_trace)
+        assert traces[0] == traces[1] == [(1, ((0, 1), (1, 1)))]
+        assert traces[0][0][1] is traces[1][0][1] is batch.rids()
+        assert all(rid is request.rid
+                   for rid, request in zip(batch.rids(), batch))
+
+    def test_executed_requests_leave_the_dedupe_set(self):
+        replica = _CoreReplica()
+        replica.may_propose = lambda: False  # queue, never cut a batch
+        executed, waiting = (
+            Request(op=("put", "a", 1), timestamp=1, client=c)
+            for c in (0, 1))
+        assert replica.sequencer.offer(executed)
+        assert replica.sequencer.offer(waiting)
+        replica.execute_slot(1, Batch((executed,)))
+        assert replica.sequencer.seen == {waiting.rid}
+        assert not replica.sequencer.offer(waiting)  # still a duplicate
 
     def test_restore_to_moves_forward_only(self):
         replica = _CoreReplica()

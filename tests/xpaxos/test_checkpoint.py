@@ -9,6 +9,8 @@ from repro.faults.adversary import Adversary
 from repro.faults.injector import FaultSchedule
 from repro.protocols.xpaxos import messages as msg
 from repro.protocols.xpaxos.replica import _ViewChangeState
+from repro.smr.log import CommitEntry, PrepareEntry
+from repro.smr.messages import Batch, Request
 from tests.conftest import (
     checkpoint_proof,
     forgeries,
@@ -156,6 +158,120 @@ class TestCheckpointProofVerification:
                 for _, done, _ in c.completions if done > 2_000.0]
         assert late and driver.throughput.total > 0
         assert harness.checker.violations() == []
+
+
+def caught_up(replica, slots):
+    """Have ``replica`` commit and execute ``slots`` one-request slots, as
+    a passive replica fed by lazy replication does."""
+    for seqno in range(1, slots + 1):
+        batch = Batch((Request(op="op", timestamp=seqno, client=0),))
+        replica.commit_log.put(seqno, CommitEntry(seqno, 0, batch, ()))
+        replica.prepare_log.put(seqno, PrepareEntry(seqno, 0, batch, None))
+    replica.execute_ready()
+    assert replica.ex == slots
+    return replica
+
+
+def observable(replica):
+    """Everything adopting a checkpoint may change."""
+    return (replica.ex, replica.sn, replica.app.snapshot(),
+            replica.stable_checkpoint,
+            [sn for sn, _ in replica.commit_log.items()],
+            [sn for sn, _ in replica.prepare_log.items()],
+            replica.commit_log.low_water, replica.prepare_log.low_water)
+
+
+class TestCheckpointAdoptionWhenNotBehind:
+    """Checkpointing garbage-collects every replica (Section 4.5.1): one
+    that lazy replication keeps level with the actives takes no part in
+    the PRECHK / CHKPT exchange, so the proof LAZYCHK brings is what
+    truncates its logs -- restoring nothing, it needs no state."""
+
+    def test_honest_proof_at_or_below_ex_is_adopted_without_restore(
+            self, xpaxos_t1):
+        passive = caught_up(xpaxos_t1.replica(2), 12)
+        state = passive.app.snapshot()
+        proof = checkpoint_proof(xpaxos_t1.keystore)  # seqno 10
+        passive._on_lazychk("r0", msg.LazyChk(proof))
+        assert passive.stable_checkpoint is proof
+        for log in (passive.commit_log, passive.prepare_log):
+            assert [sn for sn, _ in log.items()] == [11, 12]
+            assert log.low_water == 10
+        # Not the snapshot's (10, "aa"): its own twelve executions.
+        assert passive.ex == 12
+        assert passive.app.snapshot() == state
+        assert passive.app.executed_count == 12
+
+    def test_proof_exactly_at_ex_is_adopted_without_restore(self, xpaxos_t1):
+        passive = caught_up(xpaxos_t1.replica(2), 10)
+        state = passive.app.snapshot()
+        proof = checkpoint_proof(xpaxos_t1.keystore)
+        assert passive._install_checkpoint(proof)
+        assert passive.stable_checkpoint is proof
+        assert len(passive.commit_log) == len(passive.prepare_log) == 0
+        assert passive.app.snapshot() == state
+
+    @forgeries
+    def test_forged_proof_at_or_below_ex_changes_nothing(self, xpaxos_t1,
+                                                         forge):
+        passive = caught_up(xpaxos_t1.replica(2), 60)  # forgeries: 10, 50
+        before = observable(passive)
+        forged = forge(xpaxos_t1.keystore)
+        assert forged.seqno <= passive.ex
+        passive._on_lazychk("r0", msg.LazyChk(forged))
+        assert observable(passive) == before
+        # Not ahead of us, so not grounds to suspect whoever sent it.
+        assert passive._install_checkpoint(forged) is True
+        assert observable(passive) == before
+
+    def test_proof_no_newer_than_the_stable_one_is_not_even_verified(
+            self, xpaxos_t1):
+        passive = caught_up(xpaxos_t1.replica(2), 12)
+        stable = checkpoint_proof(xpaxos_t1.keystore)
+        passive._on_lazychk("r0", msg.LazyChk(stable))
+        before = observable(passive)
+        checked = []
+        passive._checkpoint_proof_valid = \
+            lambda proof: checked.append(proof) or True
+        same = checkpoint_proof(xpaxos_t1.keystore)
+        older = checkpoint_proof(xpaxos_t1.keystore, seqno=5)
+        for proof in (stable, same, older, None):
+            assert passive._install_checkpoint(proof) is True
+        assert checked == [] and observable(passive) == before
+        assert passive.stable_checkpoint is stable
+        # A newer one still is.
+        newer = checkpoint_proof(xpaxos_t1.keystore, seqno=11)
+        assert passive._install_checkpoint(newer) and checked == [newer]
+        assert passive.stable_checkpoint is newer
+
+    def test_passive_replica_truncates_with_the_actives_in_a_real_run(self):
+        runtime = make_cluster(checkpoint_period=10, num_clients=4)
+        run_workload(runtime, duration_ms=2_000.0)
+        primary, passive = runtime.replica(0), runtime.replica(2)
+        assert primary.stable_checkpoint.seqno >= 20
+        assert passive.stable_checkpoint is not None
+        assert passive.stable_checkpoint.seqno \
+            >= primary.stable_checkpoint.seqno - 10
+        assert passive.commit_log.low_water \
+            == passive.stable_checkpoint.seqno
+        # It executed every request itself; no snapshot was installed.
+        assert passive.app.executed_count == passive.committed_requests
+
+    def test_view_change_of_a_former_passive_carries_one_window(self):
+        """What an ex-passive replica reports in its VIEW-CHANGE is its
+        stable checkpoint plus the entries above it, not its history
+        (before it adopted checkpoints: every slot it ever learned)."""
+        period = 10
+        runtime = make_cluster(checkpoint_period=period, num_clients=4)
+        run_workload(runtime, duration_ms=2_000.0)
+        passive = runtime.replica(2)
+        assert passive.ex > 5 * period
+        assert passive.stable_checkpoint.seqno >= 2 * period
+        vc = passive._build_view_change(passive.view + 1)
+        assert vc.checkpoint is passive.stable_checkpoint
+        carried = [sn for sn, _ in vc.commit_entries]
+        assert carried and min(carried) > vc.checkpoint.seqno
+        assert len(carried) <= period + runtime.config.pipeline_depth
 
 
 class TestLazyReplication:

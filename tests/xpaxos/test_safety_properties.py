@@ -130,7 +130,6 @@ def test_client_commit_implies_majority_persistence():
     for rid in committed_rids:
         holders = sum(
             1 for replica in runtime.replicas
-            if any(trace_rid == rid
-                   for _, trace_rid in replica.execution_trace))
+            if any(rid in rids for _, rids in replica.execution_trace))
         assert holders >= runtime.config.t + 1, (
             f"{rid} committed by client but held by only {holders} replicas")

@@ -94,7 +94,7 @@ class TestEarlyCommitBuffering:
         assert follower.ex == 0  # nothing lost, nothing delivered yet
         follower._on_proposal("r0", Proposal(0, 1, batch))
         assert follower.ex == 1
-        assert [rid for sn, rid in follower.execution_trace] == [(0, 1)]
+        assert follower.execution_trace == [(1, ((0, 1),))]
 
     def test_in_order_delivery_still_works(self):
         follower = self.make_follower()
@@ -121,5 +121,5 @@ class TestEarlyCommitBuffering:
         assert follower.ex == 1
         follower._on_proposal("r0", Proposal(0, 2, _batch(1, 1)))
         assert follower.ex == 2
-        assert [rid for sn, rid in follower.execution_trace] == \
-            [(0, 1), (1, 1)]
+        assert follower.execution_trace == [(1, ((0, 1),)),
+                                            (2, ((1, 1),))]
