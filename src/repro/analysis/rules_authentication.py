@@ -34,6 +34,9 @@ def _callee_name(func: ast.AST) -> str:
     if isinstance(func, ast.Name):
         return func.id
     if isinstance(func, ast.Attribute):
+        if func.attr == "signed":
+            # ``msg.Vote.signed(sign, ...)`` constructs a ``Vote``.
+            return _callee_name(func.value)
         return func.attr
     return ""
 
@@ -56,7 +59,8 @@ class UnregisteredWireMessageRule(Rule):
 
     For every ``@dataclass`` defined in a messages module
     (``protocols/*/messages.py``, ``smr/messages.py``) that appears as a
-    payload of a transport send -- constructed directly inside a
+    payload of a transport send -- constructed (``Cls(...)`` or its
+    ``Cls.signed(...)`` constructor) directly inside a
     ``send*``/``multicast*`` call, or assigned to a local that is then
     passed to one -- there must be a static ``register(<Class>,
     <policy>)`` binding (direct call, ``register_*`` wrapper or

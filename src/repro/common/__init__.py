@@ -5,7 +5,6 @@ from repro.common.errors import (
     ConfigurationError,
     ProtocolViolation,
     ReproError,
-    SignatureError,
 )
 from repro.common.ids import ClientId, ReplicaId, RequestId, ViewNumber
 
@@ -16,7 +15,6 @@ __all__ = [
     "ReproError",
     "ConfigurationError",
     "ProtocolViolation",
-    "SignatureError",
     "ClientId",
     "ReplicaId",
     "RequestId",

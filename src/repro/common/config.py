@@ -207,20 +207,6 @@ class WorkloadConfig:
                    **kwargs)
 
 
-@dataclass
-class MetricsConfig:
-    """Controls what the harness records during a run."""
-
-    record_latencies: bool = True
-    record_cpu: bool = True
-    throughput_window_ms: float = 1_000.0
-    latency_reservoir: int = 100_000
-
-    def __post_init__(self) -> None:
-        if self.throughput_window_ms <= 0:
-            raise ConfigurationError("throughput_window_ms must be positive")
-
-
 #: Datacenter layout used throughout Section 5 for ``t = 1`` (Table 4): the
 #: primary and clients sit in US-West (CA), the follower in US-East (VA), the
 #: XPaxos passive replica in Tokyo (JP) and the PBFT passive one in Europe.

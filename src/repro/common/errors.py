@@ -28,20 +28,6 @@ class ProtocolViolation(ReproError):
     """
 
 
-class SignatureError(ProtocolViolation):
-    """A digital signature or MAC failed verification.
-
-    The simulated crypto layer raises this whenever a message claims an
-    authenticator that its sender's key could not have produced -- the
-    simulator's equivalent of "cannot break cryptographic primitives"
-    (Section 2 of the paper).
-    """
-
-
-class CrashedError(ReproError):
-    """An operation was attempted on a crashed node (test-harness misuse)."""
-
-
 class SimulationError(ReproError):
     """The discrete-event simulator was driven incorrectly.
 

@@ -26,8 +26,3 @@ SequenceNumber = int
 #: A request is uniquely identified by ``(client id, client timestamp)``:
 #: the client timestamp ``tsc`` increases by one per request (Algorithm 1).
 RequestId = Tuple[ClientId, int]
-
-
-def request_id(client: ClientId, timestamp: int) -> RequestId:
-    """Build the canonical identifier for a client request."""
-    return (client, timestamp)

@@ -22,8 +22,6 @@ from functools import wraps
 from operator import attrgetter, itemgetter
 from typing import Any, Callable, Dict, Tuple
 
-from repro.common.errors import SignatureError
-
 #: Canonical principal name of machine ``p``: replicas are ``"r<i>"``,
 #: clients ``"c<i>"``.
 Principal = str
@@ -436,18 +434,6 @@ class KeyStore:
                 self._sig_prefix + signer.encode() + digest.value
             ).digest()
         )
-
-    def check(self, signature: Signature, payload: Any,
-              expected_signer: Principal) -> None:
-        """Verify and raise :class:`SignatureError` on failure."""
-        if signature.signer != expected_signer:
-            raise SignatureError(
-                f"signature by {signature.signer}, expected {expected_signer}"
-            )
-        if not self.verify(signature, payload):
-            raise SignatureError(
-                f"invalid signature by {signature.signer}"
-            )
 
     def mac(self, sender: Principal, receiver: Principal,
             payload: Any) -> Mac:

@@ -12,8 +12,9 @@ the anarchy experiments of the safety suite.
 
 from __future__ import annotations
 
-import random
-from typing import TYPE_CHECKING, Iterable, Optional, Set
+from typing import TYPE_CHECKING, Iterable, Set
+
+from repro.smr.log import PrepareEntry
 
 from repro.protocols.xpaxos import messages as msg
 
@@ -55,14 +56,8 @@ class DataLossAdversary(Adversary):
                 if sn <= self.keep_upto)
         # Re-sign: the adversary owns its key, so the truncated message is
         # validly signed -- the *content* is the fault, not the signature.
-        payload = msg.view_change_payload(
-            vc.new_view, vc.sender, commit_entries, prepare_entries, None)
-        sig = replica.keystore.sign(replica.principal, payload)
-        return msg.ViewChange(
-            new_view=vc.new_view, sender=vc.sender,
-            commit_entries=commit_entries, checkpoint=None, sig=sig,
-            prepare_entries=prepare_entries,
-            prepare_view=vc.prepare_view, final_proof=vc.final_proof)
+        return vc.resigned(replica.sign, commit_entries=commit_entries,
+                           prepare_entries=prepare_entries, checkpoint=None)
 
 
 class StaleViewAdversary(Adversary):
@@ -73,22 +68,14 @@ class StaleViewAdversary(Adversary):
 
     def mutate_view_change(self, replica: "XPaxosReplica",
                            vc: msg.ViewChange) -> msg.ViewChange:
-        from repro.smr.log import PrepareEntry
-
         if vc.prepare_entries is None:
             return vc
         stale = tuple(
             (sn, PrepareEntry(e.seqno, self.stale_view, e.batch,
                               e.primary_sig))
             for sn, e in vc.prepare_entries)
-        payload = msg.view_change_payload(
-            vc.new_view, vc.sender, vc.commit_entries, stale, None)
-        sig = replica.keystore.sign(replica.principal, payload)
-        return msg.ViewChange(
-            new_view=vc.new_view, sender=vc.sender,
-            commit_entries=vc.commit_entries, checkpoint=vc.checkpoint,
-            sig=sig, prepare_entries=stale,
-            prepare_view=self.stale_view, final_proof=None)
+        return vc.resigned(replica.sign, prepare_entries=stale,
+                           prepare_view=self.stale_view, final_proof=None)
 
 
 class SilentAdversary(Adversary):
@@ -101,13 +88,9 @@ class SilentAdversary(Adversary):
 
     def mutate_view_change(self, replica: "XPaxosReplica",
                            vc: msg.ViewChange) -> msg.ViewChange:
-        payload = msg.view_change_payload(vc.new_view, vc.sender, (), None,
-                                          None)
-        sig = replica.keystore.sign(replica.principal, payload)
-        return msg.ViewChange(
-            new_view=vc.new_view, sender=vc.sender, commit_entries=(),
-            checkpoint=None, sig=sig, prepare_entries=None,
-            prepare_view=0, final_proof=None)
+        return vc.resigned(
+            replica.sign, commit_entries=(), checkpoint=None,
+            prepare_entries=None, prepare_view=0, final_proof=None)
 
 
 class EquivocatingAdversary(Adversary):
@@ -129,11 +112,5 @@ class EquivocatingAdversary(Adversary):
             prepare_entries = tuple(
                 (sn, e) for sn, e in prepare_entries
                 if sn in self.report_only)
-        payload = msg.view_change_payload(
-            vc.new_view, vc.sender, commit_entries, prepare_entries, None)
-        sig = replica.keystore.sign(replica.principal, payload)
-        return msg.ViewChange(
-            new_view=vc.new_view, sender=vc.sender,
-            commit_entries=commit_entries, checkpoint=None, sig=sig,
-            prepare_entries=prepare_entries,
-            prepare_view=vc.prepare_view, final_proof=vc.final_proof)
+        return vc.resigned(replica.sign, commit_entries=commit_entries,
+                           prepare_entries=prepare_entries, checkpoint=None)

@@ -87,10 +87,6 @@ class SafetyChecker:
         self.anarchy_observed = False
         self._observations: List[Tuple[float, bool]] = []
 
-    def declare_non_crash_faulty(self, replica: int) -> None:
-        """Mark a replica as Byzantine for anarchy accounting."""
-        self.non_crash_faulty.add(replica)
-
     # ------------------------------------------------------------------
     def fault_counts(self) -> Tuple[int, int, int]:
         """Current ``(tnc, tc, tp)`` per Definitions 1-2."""

@@ -21,7 +21,7 @@ from typing import Any, Optional
 
 from repro.common.config import ClusterConfig
 from repro.crypto.costs import CostModel
-from repro.crypto.primitives import KeyStore, digest_of, replica_principal
+from repro.crypto.primitives import KeyStore, digest_of
 from repro.net.network import Network
 from repro.protocols.xpaxos import messages as msg
 from repro.protocols.xpaxos.groups import SynchronousGroups
@@ -78,14 +78,9 @@ class XPaxosClient(SmrClientBase):
     def _fast_commit_rule(self, reply: msg.ReplyMsg) -> None:
         """t = 1: one primary reply embedding the follower's m1."""
         fc = reply.follower_commit
-        if fc is None:
+        if fc is None or fc.view != reply.view or fc.seqno != reply.seqno:
             return
-        follower = self.groups.followers(reply.view)[0]
-        self.cpu.charge_verify()
-        if not self.keystore.verify_digest(fc.m1, fc.payload_digest()) \
-                or fc.m1.signer != replica_principal(follower):
-            return
-        if fc.view != reply.view or fc.seqno != reply.seqno:
+        if not msg.verify_signed(self, fc):
             return
         if digest_of(reply.result) != reply.result_digest:
             return
@@ -126,15 +121,7 @@ class XPaxosClient(SmrClientBase):
             if (share.seqno, share.reply_digest) != (
                     reference.seqno, reference.reply_digest):
                 return
-            if share.sig.signer != replica_principal(share.sender):
-                return
-            self.cpu.charge_verify()
-            if not self.keystore.verify(
-                    share.sig,
-                    msg.signed_reply_payload(share.seqno, share.view,
-                                             share.timestamp, share.client,
-                                             share.reply_digest,
-                                             share.sender)):
+            if not msg.verify_signed(self, share):
                 return
         for share in shares:
             if digest_of(share.result) == reference.reply_digest:
@@ -151,10 +138,7 @@ class XPaxosClient(SmrClientBase):
             return
         if not self.groups.is_active(suspect.view, suspect.sender):
             return
-        self.cpu.charge_verify()
-        if not self.keystore.verify(
-                suspect.sig,
-                msg.suspect_payload(suspect.view, suspect.sender)):
+        if not msg.verify_signed(self, suspect):
             return
         self.view = suspect.view + 1
         if self.request is None:

@@ -27,8 +27,9 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Set, Tuple
 
-from repro.crypto.primitives import digest_of
+from repro.crypto.primitives import replica_principal
 from repro.protocols.xpaxos import messages as msg
+from repro.smr.log import CommitEntry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.protocols.xpaxos.replica import XPaxosReplica
@@ -123,14 +124,36 @@ class FaultDetector:
         return None
 
     # ------------------------------------------------------------------
-    def _commit_proof_valid(self, entry) -> bool:
-        """Spot-check a commit entry's signatures (witness credibility)."""
+    def _commit_proof_valid(self, entry: CommitEntry) -> bool:
+        """Is the witness's commit entry backed by the signatures its
+        slot must carry?  The first signature is re-derived in full: the
+        view's primary over the configured path's prepare for this very
+        ``(D(batch), seqno, view)``.  The rest must be by distinct
+        followers of that view; at t >= 2 they are the followers' COMMIT
+        votes and are re-derived too.  What a :class:`CommitEntry` cannot
+        re-derive is the t = 1 ``m1``: it also covers the follower's
+        reply digest, which the entry does not carry, so there only its
+        signer is checked.  (An entry re-committed by a view change
+        carries the new primary's signature alone.)"""
         if not entry.proof:
             return False
-        keystore = self.replica.keystore
-        for sig in entry.proof:
-            self.replica.cpu.charge_verify()
-            if not keystore.verify_digest(sig, sig.digest):
+        replica = self.replica
+        fast = replica.config.t == 1
+        ordering = msg.FastPrepare if fast else msg.Prepare
+        batch_digest = msg.batch_digest_of(entry.batch)
+        primary_sig, *follower_sigs = entry.proof
+        if not msg.verify_signed(replica, ordering(
+                entry.view, entry.seqno, entry.batch, batch_digest,
+                primary_sig)):
+            return False
+        followers = {replica_principal(f): f
+                     for f in self.groups.followers(entry.view)}
+        for sig in follower_sigs:
+            follower = followers.pop(sig.signer, None)
+            if follower is None:
+                return False  # not a follower, or one counted already
+            if not fast and not msg.verify_signed(replica, msg.CommitVote(
+                    entry.view, entry.seqno, batch_digest, follower, sig)):
                 return False
         return True
 

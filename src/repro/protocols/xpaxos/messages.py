@@ -9,23 +9,27 @@ active-to-active ``PRECHK`` exchange -- use the transport-level
 MAC is stamped by the network at delivery fan-out time instead of being
 embedded in the payload, so these fan-outs ride the multicast fast path.
 
-Signed payloads are tuples built by the ``*_payload`` helpers so that signer
-and verifier hash exactly the same bytes.
+A signed message (the paper's ``<m>_sigma``) declares once, on its class,
+what its signature covers and which replica must have made it
+(:class:`Signed`); :func:`verify_signed` is the one check built on that
+declaration (docs/authenticators.md, "Signed payloads").
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, Optional, Tuple
+from dataclasses import dataclass, fields as dataclass_fields
+from typing import Any, Callable, ClassVar, Optional, Tuple
 
 from repro.crypto.authenticators import MAC_VECTOR, NULL, register
-from repro.crypto.primitives import Digest, Signature, digest_of, memoized
+from repro.crypto.primitives import (
+    Digest,
+    Signature,
+    digest_of,
+    memoized,
+    replica_principal,
+)
 from repro.smr.log import CommitEntry, PrepareEntry
 from repro.smr.messages import Batch, Request
-
-# ---------------------------------------------------------------------------
-# Signed-payload constructors (the tuples that actually get hashed/signed)
-# ---------------------------------------------------------------------------
 
 
 def batch_digest_of(batch: Batch) -> Digest:
@@ -38,97 +42,87 @@ def batch_digest_of(batch: Batch) -> Digest:
     return batch.bodies_digest()
 
 
-def prepare_payload(batch_digest: Digest, seqno: int, view: int) -> tuple:
-    """``<PREPARE, D(req), sn, i>`` -- signed by the primary (t >= 2)."""
-    return ("prepare", batch_digest, seqno, view)
-
-
-def commit_payload(batch_digest: Digest, seqno: int, view: int,
-                   sender: int) -> tuple:
-    """``<COMMIT, D(req), sn, i>`` -- signed by a follower (t >= 2)."""
-    return ("commit", batch_digest, seqno, view, sender)
-
-
-def commit0_payload(batch_digest: Digest, seqno: int, view: int) -> tuple:
-    """``m0`` of the t = 1 fast path -- the primary's signed commit."""
-    return ("commit0", batch_digest, seqno, view)
-
-
-def commit1_payload(batch_digest: Digest, seqno: int, view: int,
-                    reply_digest: Digest) -> tuple:
-    """``m1`` of the t = 1 fast path -- the follower's signed commit, also
-    covering the digest of the replies it computed."""
-    return ("commit1", batch_digest, seqno, view, reply_digest)
-
-
-def suspect_payload(view: int, sender: int) -> tuple:
-    """``<SUSPECT, i, sj>``."""
-    return ("suspect", view, sender)
-
-
-def view_change_payload(new_view: int, sender: int,
-                        commit_entries: tuple,
-                        prepare_entries: Optional[tuple],
-                        checkpoint_digest: Optional[Digest]) -> tuple:
-    """``<VIEW-CHANGE, i+1, sj, CommitLog [, PrepareLog]>``."""
-    return ("view-change", new_view, sender, commit_entries,
-            prepare_entries, checkpoint_digest)
-
-
-def vc_final_payload(new_view: int, sender: int, vcset_digest: Digest) -> tuple:
-    """``<VC-FINAL, i+1, sj, VCSet>`` -- signs the digest of the set."""
-    return ("vc-final", new_view, sender, vcset_digest)
-
-
-def vc_confirm_payload(new_view: int, sender: int,
-                       vcset_digest: Digest) -> tuple:
-    """``<VC-CONFIRM, i+1, D(VCSet)>`` (fault-detection mode)."""
-    return ("vc-confirm", new_view, sender, vcset_digest)
-
-
-def new_view_payload(new_view: int, entries_digest: Digest) -> tuple:
-    """``<NEW-VIEW, i+1, PrepareLog>`` -- signs the digest of the log."""
-    return ("new-view", new_view, entries_digest)
-
-
-def chkpt_payload(seqno: int, view: int, state_digest: bytes,
-                  sender: int) -> tuple:
-    """``<CHKPT, sn, i, D(st), sj>``."""
-    return ("chkpt", seqno, view, state_digest, sender)
-
-
-def signed_reply_payload(seqno: int, view: int, timestamp: int,
-                         client: int, reply_digest: Digest,
-                         sender: int) -> tuple:
-    """Per-replica signed reply used by the retransmission protocol."""
-    return ("signed-reply", seqno, view, timestamp, client, reply_digest,
-            sender)
-
-
 # ---------------------------------------------------------------------------
-# Common case
+# The signed-message contract
 # ---------------------------------------------------------------------------
-#
-# The four signed messages below each carry the digest of the payload
-# their signature covers (``payload_digest``): derived from the message's
-# own fields on first use, or seeded by ``signed`` -- the constructor the
-# honest signer uses, where the signature was made over exactly those
-# fields a line earlier.  A message built any other way (a forged or
-# replayed signature attached to different fields) starts unseeded, so
-# verification always compares against what the fields really hash to.
 
 #: A node's signing facade (``ReplicaBase.sign``): charges CPU and signs.
 Signer = Callable[[Any], Signature]
 
 
-def _signed(cls: Any, sign: Signer, payload: tuple, *fields: Any) -> Any:
-    """``cls(*fields, sign(payload))`` with ``payload_digest`` seeded
-    from the fresh signature.  Private to the ``signed`` constructors
-    below, which build ``payload`` from the same ``fields``."""
-    sig = sign(payload)
-    message = cls(*fields, sig)
-    cls.payload_digest.seed(message, sig.digest)
-    return message
+class Signed:
+    """Base of every signed message: the class says once what is signed.
+
+    * ``tag`` and ``covers`` -- the signature is over the tuple
+      ``(tag, *values of the covered fields)``, in that order;
+    * ``signature_field`` -- the dataclass field that holds it;
+    * :meth:`signer` -- the replica that must have made it: the ``sender``
+      the message names unless the class names a role of its view.
+
+    Everything else is derived here.  :meth:`payload_digest` is computed
+    from the message's own fields on first use, or seeded by
+    :meth:`signed` -- the constructor every honest signer uses, where the
+    signature was made over exactly those fields a line earlier.  A
+    message built any other way (a forged or replayed signature attached
+    to different fields) starts unseeded, so verification always compares
+    against what the fields really hash to.
+    """
+
+    tag: ClassVar[str]
+    covers: ClassVar[Tuple[str, ...]]
+    signature_field: ClassVar[str] = "sig"
+
+    def signer(self, groups: Any) -> int:
+        """Id of the replica whose signature this message must carry."""
+        return self.sender  # type: ignore[attr-defined]
+
+    @classmethod
+    def payload_of(cls, **fields: Any) -> tuple:
+        """The signed tuple for bare field values, where no message
+        exists (a log entry's signature, one signature of a proof).
+        Fields the signature does not cover may be passed and are
+        ignored."""
+        return (cls.tag, *[fields[name] for name in cls.covers])
+
+    @memoized
+    def payload_digest(self) -> Digest:
+        """Digest of the payload the signature must cover, shared by
+        every verifier holding this object."""
+        return digest_of(self.payload_of(
+            **{name: getattr(self, name) for name in self.covers}))
+
+    @classmethod
+    def signed(cls, sign: Signer, **fields: Any) -> Any:
+        """Build the message from its other ``fields`` around a fresh
+        signature by ``sign``."""
+        signature = sign(cls.payload_of(**fields))
+        message = cls(**fields, **{cls.signature_field: signature})
+        cls.payload_digest.seed(message, signature.digest)
+        return message
+
+    def resigned(self, sign: Signer, **changes: Any) -> Any:
+        """This message with ``changes`` applied, signed afresh by
+        ``sign`` over exactly the fields the result carries."""
+        kept = {f.name: getattr(self, f.name) for f in dataclass_fields(self)
+                if f.name != self.signature_field}
+        return self.signed(sign, **{**kept, **changes})
+
+
+def verify_signed(node: Any, m: Signed) -> bool:
+    """The one signature check of XPaxos, for a replica or a client
+    (``node`` brings ``cpu``, ``keystore`` and ``groups``): charge one
+    verification, require the signature to be by the replica the message
+    declares as its signer, and to cover what the message's fields hash
+    to."""
+    signature = getattr(m, m.signature_field)
+    node.cpu.charge_verify()
+    return (signature.signer == replica_principal(m.signer(node.groups))
+            and node.keystore.verify_digest(signature, m.payload_digest()))
+
+
+# ---------------------------------------------------------------------------
+# Common case
+# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -139,8 +133,9 @@ class Replicate:
 
 
 @dataclass(frozen=True)
-class Prepare:
-    """Primary -> followers (t >= 2): ``<req, prep>``."""
+class Prepare(Signed):
+    """Primary -> followers (t >= 2): ``<req, prep>``, the primary's
+    signed ``<PREPARE, D(req), sn, i>``."""
 
     view: int
     seqno: int
@@ -148,24 +143,18 @@ class Prepare:
     batch_digest: Digest
     primary_sig: Signature
 
-    @memoized
-    def payload_digest(self) -> Digest:
-        """Digest of the ``prepare`` payload ``primary_sig`` must cover,
-        shared by every follower verifying this object."""
-        return digest_of(prepare_payload(self.batch_digest, self.seqno,
-                                         self.view))
+    tag = "prepare"
+    covers = ("batch_digest", "seqno", "view")
+    signature_field = "primary_sig"
 
-    @classmethod
-    def signed(cls, view: int, seqno: int, batch: Batch,
-               batch_digest: Digest, sign: Signer) -> "Prepare":
-        """Build the message around the primary's fresh signature."""
-        return _signed(cls, sign, prepare_payload(batch_digest, seqno, view),
-                       view, seqno, batch, batch_digest)
+    def signer(self, groups: Any) -> int:
+        return groups.primary(self.view)
 
 
 @dataclass(frozen=True)
-class CommitVote:
-    """Follower -> active replicas (t >= 2): a signed commit message."""
+class CommitVote(Signed):
+    """Follower -> active replicas (t >= 2): its signed
+    ``<COMMIT, D(req), sn, i>``."""
 
     view: int
     seqno: int
@@ -173,25 +162,14 @@ class CommitVote:
     sender: int
     sig: Signature
 
-    @memoized
-    def payload_digest(self) -> Digest:
-        """Digest of the ``commit`` payload ``sig`` must cover, shared by
-        every active replica verifying this object."""
-        return digest_of(commit_payload(self.batch_digest, self.seqno,
-                                        self.view, self.sender))
-
-    @classmethod
-    def signed(cls, view: int, seqno: int, batch_digest: Digest,
-               sender: int, sign: Signer) -> "CommitVote":
-        """Build the vote around the follower's fresh signature."""
-        return _signed(cls, sign,
-                       commit_payload(batch_digest, seqno, view, sender),
-                       view, seqno, batch_digest, sender)
+    tag = "commit"
+    covers = ("batch_digest", "seqno", "view", "sender")
 
 
 @dataclass(frozen=True)
-class FastPrepare:
-    """Primary -> follower (t = 1): ``<req, m0>``."""
+class FastPrepare(Signed):
+    """Primary -> follower (t = 1): ``<req, m0>``, ``m0`` being the
+    primary's signed commit."""
 
     view: int
     seqno: int
@@ -199,23 +177,20 @@ class FastPrepare:
     batch_digest: Digest
     m0: Signature
 
-    @memoized
-    def payload_digest(self) -> Digest:
-        """Digest of the ``commit0`` payload ``m0`` must cover."""
-        return digest_of(commit0_payload(self.batch_digest, self.seqno,
-                                         self.view))
+    tag = "commit0"
+    covers = ("batch_digest", "seqno", "view")
+    signature_field = "m0"
 
-    @classmethod
-    def signed(cls, view: int, seqno: int, batch: Batch,
-               batch_digest: Digest, sign: Signer) -> "FastPrepare":
-        """Build the message around the primary's fresh ``m0``."""
-        return _signed(cls, sign, commit0_payload(batch_digest, seqno, view),
-                       view, seqno, batch, batch_digest)
+    def signer(self, groups: Any) -> int:
+        return groups.primary(self.view)
 
 
 @dataclass(frozen=True)
-class FastCommit:
-    """Follower -> primary (t = 1): ``m1`` plus the reply digest it covers."""
+class FastCommit(Signed):
+    """Follower -> primary (t = 1): ``m1``, the follower's signed commit,
+    also covering the digest of the replies it computed.  The primary
+    embeds this object in the reply to every client of the batch, so
+    primary and clients share one payload digest."""
 
     view: int
     seqno: int
@@ -223,22 +198,12 @@ class FastCommit:
     reply_digest: Digest
     m1: Signature
 
-    @memoized
-    def payload_digest(self) -> Digest:
-        """Digest of the ``commit1`` payload ``m1`` must cover.  The
-        primary embeds this object in the reply to every client of the
-        batch, so primary and clients share one encode."""
-        return digest_of(commit1_payload(self.batch_digest, self.seqno,
-                                         self.view, self.reply_digest))
+    tag = "commit1"
+    covers = ("batch_digest", "seqno", "view", "reply_digest")
+    signature_field = "m1"
 
-    @classmethod
-    def signed(cls, view: int, seqno: int, batch_digest: Digest,
-               reply_digest: Digest, sign: Signer) -> "FastCommit":
-        """Build the message around the follower's fresh ``m1``."""
-        return _signed(cls, sign,
-                       commit1_payload(batch_digest, seqno, view,
-                                       reply_digest),
-                       view, seqno, batch_digest, reply_digest)
+    def signer(self, groups: Any) -> int:
+        return groups.followers(self.view)[0]
 
 
 @dataclass(frozen=True)
@@ -268,13 +233,16 @@ class ReplyMsg:
 
 
 @dataclass(frozen=True)
-class Suspect:
+class Suspect(Signed):
     """``<SUSPECT, i, sj>`` broadcast to all replicas (and to clients that
     asked for retransmission)."""
 
     view: int
     sender: int
     sig: Signature
+
+    tag = "suspect"
+    covers = ("view", "sender")
 
 
 @dataclass(frozen=True)
@@ -290,7 +258,7 @@ class CheckpointProof:
 
 
 @dataclass(frozen=True)
-class ViewChange:
+class ViewChange(Signed):
     """``<VIEW-CHANGE, i+1, sj, CommitLog, ...>``.
 
     ``commit_entries`` / ``prepare_entries`` are tuples of ``(sn, entry)``
@@ -308,10 +276,25 @@ class ViewChange:
     prepare_view: int = 0
     final_proof: Optional[Tuple[Signature, ...]] = None
 
+    tag = "view-change"
+    covers = ("new_view", "sender", "commit_entries", "prepare_entries",
+              "checkpoint", "prepare_view", "final_proof")
+
+    @classmethod
+    def payload_of(cls, **fields: Any) -> tuple:
+        # The checkpoint proof certifies itself (t + 1 CHKPT signatures,
+        # ``_checkpoint_proof_valid``) and drags a snapshot along; the
+        # sender's signature only pins which state it vouches for.
+        proof = fields["checkpoint"]
+        fields["checkpoint"] = \
+            digest_of(proof.state_digest) if proof is not None else None
+        return super().payload_of(**fields)
+
 
 @dataclass(frozen=True)
-class VcFinal:
-    """``<VC-FINAL, i+1, sj, VCSet>``."""
+class VcFinal(Signed):
+    """``<VC-FINAL, i+1, sj, VCSet>``: the signature covers the digest of
+    the set, which the receiver compares with ``digest_of(vcset)``."""
 
     new_view: int
     sender: int
@@ -319,9 +302,12 @@ class VcFinal:
     vcset_digest: Digest
     sig: Signature
 
+    tag = "vc-final"
+    covers = ("new_view", "sender", "vcset_digest")
+
 
 @dataclass(frozen=True)
-class VcConfirm:
+class VcConfirm(Signed):
     """``<VC-CONFIRM, i+1, D(VCSet)>`` (fault-detection mode only)."""
 
     new_view: int
@@ -329,15 +315,25 @@ class VcConfirm:
     vcset_digest: Digest
     sig: Signature
 
+    tag = "vc-confirm"
+    covers = ("new_view", "sender", "vcset_digest")
+
 
 @dataclass(frozen=True)
-class NewView:
-    """``<NEW-VIEW, i+1, PrepareLog>`` from the new primary."""
+class NewView(Signed):
+    """``<NEW-VIEW, i+1, PrepareLog>`` from the new primary.  The
+    checkpoint proof certifies itself and stays outside the signature."""
 
     new_view: int
     entries: Tuple[PrepareEntry, ...]
     checkpoint: Optional[CheckpointProof]
     sig: Signature
+
+    tag = "new-view"
+    covers = ("new_view", "entries")
+
+    def signer(self, groups: Any) -> int:
+        return groups.primary(self.new_view)
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +369,7 @@ class PreChk:
 
 
 @dataclass(frozen=True)
-class Chkpt:
+class Chkpt(Signed):
     """``<CHKPT, sn, i, D(st), sj>`` signed (the durable proof)."""
 
     seqno: int
@@ -381,6 +377,9 @@ class Chkpt:
     state_digest: bytes
     sender: int
     sig: Signature
+
+    tag = "chkpt"
+    covers = ("seqno", "view", "state_digest", "sender")
 
 
 @dataclass(frozen=True)
@@ -434,9 +433,10 @@ class ReSend:
 
 
 @dataclass(frozen=True)
-class SignedReplyShare:
+class SignedReplyShare(Signed):
     """Active -> active: one replica's signed reply for a retransmitted
-    request (Algorithm 4, lines 16-17)."""
+    request (Algorithm 4, lines 16-17).  ``result`` travels outside the
+    signature; only ``digest_of(result) == reply_digest`` ties it in."""
 
     view: int
     seqno: int
@@ -446,6 +446,10 @@ class SignedReplyShare:
     result: Any
     sender: int
     sig: Signature
+
+    tag = "signed-reply"
+    covers = ("seqno", "view", "timestamp", "client", "reply_digest",
+              "sender")
 
 
 @dataclass(frozen=True)

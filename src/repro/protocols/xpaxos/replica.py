@@ -20,6 +20,7 @@ State layout mirrors the pseudocode:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.common.config import ClusterConfig
@@ -130,12 +131,20 @@ class XPaxosReplica(ReplicaBase):
         # view-change content to model non-crash faults.
         self.byzantine: Optional[Any] = None
 
+        # Only the configured ordering path is wired: the t = 1 pattern
+        # (FastPrepare / FastCommit) or the general one (Prepare /
+        # CommitVote); the other path's messages are unknown types here.
+        if config.t == 1:
+            self._accept_ordered = self._accept_fast_prepare
+            ordering = {msg.FastPrepare: self._on_prepare,
+                        msg.FastCommit: self._on_fast_commit}
+        else:
+            self._accept_ordered = self._accept_prepare
+            ordering = {msg.Prepare: self._on_prepare,
+                        msg.CommitVote: self._on_commit_vote}
         self._handlers: Dict[type, Callable[[str, Any], None]] = {
+            **ordering,
             msg.Replicate: self._on_replicate,
-            msg.Prepare: self._on_prepare,
-            msg.CommitVote: self._on_commit_vote,
-            msg.FastPrepare: self._on_fast_prepare,
-            msg.FastCommit: self._on_fast_commit,
             msg.Suspect: self._on_suspect,
             msg.ViewChange: self._on_view_change,
             msg.VcFinal: self._on_vc_final,
@@ -226,17 +235,18 @@ class XPaxosReplica(ReplicaBase):
     # -- general case (t >= 2) ------------------------------------------
     def _propose(self, seqno: int, batch: Batch) -> None:
         batch_digest = self._batch_digest(batch)
-        prepare = msg.Prepare.signed(self.view, seqno, batch, batch_digest,
-                                     self.sign)
+        prepare = msg.Prepare.signed(self.sign, view=self.view, seqno=seqno,
+                                     batch=batch, batch_digest=batch_digest)
         entry = PrepareEntry(seqno, self.view, batch, prepare.primary_sig)
         self.prepare_log.put(seqno, entry)
         self.multicast_authenticated(
             [self.replica_name(f) for f in self.groups.followers(self.view)],
             prepare, size_bytes=batch.size_bytes)
 
-    def _on_prepare(self, src: str, m: msg.Prepare) -> None:
-        if self.config.t == 1:
-            return
+    def _on_prepare(self, src: str, m: Any) -> None:
+        """The one ordering intake of a follower, for the configured
+        path's ``Prepare`` / ``FastPrepare``: gate, verify, accept in
+        sequence order (docs/execution.md)."""
         if m.view != self.view or not self.is_follower:
             return
         if self.in_view_change:
@@ -244,53 +254,42 @@ class XPaxosReplica(ReplicaBase):
             # adopted it a moment before us.  Buffer and drain on adoption.
             self._pending_prepares[m.seqno] = m
             return
-        primary = self.groups.primary(self.view)
-        if src != self.replica_name(primary):
+        if src != self.replica_name(self.groups.primary(self.view)):
             return
-        self._verify_prepare(m, primary)
-        if m.seqno != self.sn + 1:
-            if m.seqno > self.sn + 1:
-                self._pending_prepares[m.seqno] = m  # out-of-order buffer
-            return
-        self._accept_prepare(m)
-        # Drain any buffered successors that are now in order.
-        while self.sn + 1 in self._pending_prepares:
-            self._accept_prepare(self._pending_prepares.pop(self.sn + 1))
-
-    def _verify_prepare(self, m: msg.Prepare, primary: int) -> None:
-        expected = self._batch_digest(m.batch)
-        if expected != m.batch_digest:
+        if self._batch_digest(m.batch) != m.batch_digest:
             raise ProtocolViolation("prepare digest mismatch")
-        self.cpu.charge_verify()
-        if not self.keystore.verify_digest(m.primary_sig,
-                                           m.payload_digest()) \
-                or m.primary_sig.signer != replica_principal(primary):
+        if not msg.verify_signed(self, m):
             raise ProtocolViolation("bad primary signature on prepare")
         for request in m.batch:
             if not self._verify_request(request):
                 raise ProtocolViolation("bad client signature in batch")
+        if m.seqno != self.sn + 1:
+            if m.seqno > self.sn + 1:
+                self._pending_prepares[m.seqno] = m  # out-of-order buffer
+            return
+        self._accept_ordered(m)
+        # Drain any buffered successors that are now in order.
+        while self.sn + 1 in self._pending_prepares:
+            self._accept_ordered(self._pending_prepares.pop(self.sn + 1))
 
     def _accept_prepare(self, m: msg.Prepare) -> None:
         self.sn = m.seqno
         entry = PrepareEntry(m.seqno, m.view, m.batch, m.primary_sig)
         self.prepare_log.put(m.seqno, entry)
-        vote = msg.CommitVote.signed(m.view, m.seqno, m.batch_digest,
-                                     self.replica_id, self.sign)
+        vote = msg.CommitVote.signed(
+            self.sign, view=m.view, seqno=m.seqno,
+            batch_digest=m.batch_digest, sender=self.replica_id)
         # Record our own vote at this replica's position in the active list
         # so the send (and latency draw) order matches a sequential loop.
         self._fanout_with_self(self._active_names(), vote, 64,
                                lambda: self._record_commit_vote(vote))
 
     def _on_commit_vote(self, src: str, m: msg.CommitVote) -> None:
-        if self.config.t == 1:
-            return
         if m.view != self.view or not self.is_active or self.in_view_change:
             return
         if m.sender not in self.groups.followers(self.view):
             return
-        self.cpu.charge_verify()
-        if not self.keystore.verify_digest(m.sig, m.payload_digest()) \
-                or m.sig.signer != replica_principal(m.sender):
+        if not msg.verify_signed(self, m):
             raise ProtocolViolation("bad follower signature on commit")
         self._record_commit_vote(m)
 
@@ -325,44 +324,14 @@ class XPaxosReplica(ReplicaBase):
     # -- fast path (t = 1) ------------------------------------------------
     def _fast_propose(self, seqno: int, batch: Batch) -> None:
         batch_digest = self._batch_digest(batch)
-        fast = msg.FastPrepare.signed(self.view, seqno, batch, batch_digest,
-                                      self.sign)
+        fast = msg.FastPrepare.signed(
+            self.sign, view=self.view, seqno=seqno, batch=batch,
+            batch_digest=batch_digest)
         entry = PrepareEntry(seqno, self.view, batch, fast.m0)
         self.prepare_log.put(seqno, entry)
         follower = self.groups.followers(self.view)[0]
         self.send_authenticated(self.replica_name(follower), fast,
                                 size_bytes=batch.size_bytes)
-
-    def _on_fast_prepare(self, src: str, m: msg.FastPrepare) -> None:
-        if self.config.t != 1:
-            return
-        if m.view != self.view or not self.is_follower:
-            return
-        if self.in_view_change:
-            # Same-view prepare racing our own view-change completion:
-            # buffer it and drain once the NEW-VIEW is adopted.
-            self._pending_prepares[m.seqno] = m
-            return
-        primary = self.groups.primary(self.view)
-        if src != self.replica_name(primary):
-            return
-        if self._batch_digest(m.batch) != m.batch_digest:
-            raise ProtocolViolation("fast-prepare digest mismatch")
-        self.cpu.charge_verify()
-        if not self.keystore.verify_digest(m.m0, m.payload_digest()) \
-                or m.m0.signer != replica_principal(primary):
-            raise ProtocolViolation("bad m0 signature")
-        for request in m.batch:
-            if not self._verify_request(request):
-                raise ProtocolViolation("bad client signature in batch")
-        if m.seqno != self.sn + 1:
-            if m.seqno > self.sn + 1:
-                self._pending_prepares[m.seqno] = m
-            return
-        self._accept_fast_prepare(m)
-        while self.sn + 1 in self._pending_prepares:
-            self._accept_fast_prepare(
-                self._pending_prepares.pop(self.sn + 1))
 
     def _accept_fast_prepare(self, m: msg.FastPrepare) -> None:
         """Follower side of the t = 1 pattern: execute, sign m1, log."""
@@ -371,8 +340,9 @@ class XPaxosReplica(ReplicaBase):
         # the reply digest), so this path bypasses execute_ready().
         results = self.execute_slot(m.seqno, m.batch)
         reply_digest = digest_of(tuple(results))
-        fast_commit = msg.FastCommit.signed(m.view, m.seqno, m.batch_digest,
-                                            reply_digest, self.sign)
+        fast_commit = msg.FastCommit.signed(
+            self.sign, view=m.view, seqno=m.seqno,
+            batch_digest=m.batch_digest, reply_digest=reply_digest)
         entry = CommitEntry(m.seqno, m.view, m.batch,
                             (m.m0, fast_commit.m1))
         self.commit_log.put(m.seqno, entry)
@@ -387,8 +357,6 @@ class XPaxosReplica(ReplicaBase):
         self._maybe_checkpoint(m.seqno)
 
     def _on_fast_commit(self, src: str, m: msg.FastCommit) -> None:
-        if self.config.t != 1:
-            return
         if m.view != self.view or not self.is_primary \
                 or self.in_view_change:
             return
@@ -398,9 +366,7 @@ class XPaxosReplica(ReplicaBase):
         entry = self.prepare_log.get(m.seqno)
         if entry is None or self._batch_digest(entry.batch) != m.batch_digest:
             return
-        self.cpu.charge_verify()
-        if not self.keystore.verify_digest(m.m1, m.payload_digest()) \
-                or m.m1.signer != replica_principal(follower):
+        if not msg.verify_signed(self, m):
             raise ProtocolViolation("bad m1 signature")
         if m.seqno in self.commit_log:
             return
@@ -494,8 +460,8 @@ class XPaxosReplica(ReplicaBase):
         if not self.groups.is_active(view, self.replica_id):
             return  # only active replicas may initiate
         self._suspected_views.add(view)
-        sig = self.sign(msg.suspect_payload(view, self.replica_id))
-        suspect = msg.Suspect(view, self.replica_id, sig)
+        suspect = msg.Suspect.signed(self.sign, view=view,
+                                     sender=self.replica_id)
         self.multicast_authenticated(self.other_replica_names(), suspect,
                                      size_bytes=48)
         self._process_suspect(suspect)
@@ -503,10 +469,7 @@ class XPaxosReplica(ReplicaBase):
     def _on_suspect(self, src: str, m: msg.Suspect) -> None:
         if not self.groups.is_active(m.view, m.sender):
             return  # only active replicas of that view may suspect it
-        self.cpu.charge_verify()
-        if not self.keystore.verify(
-                m.sig, msg.suspect_payload(m.view, m.sender)) \
-                or m.sig.signer != replica_principal(m.sender):
+        if not msg.verify_signed(self, m):
             return
         key = (m.view, m.sender)
         if key not in self._forwarded_suspects:
@@ -580,15 +543,10 @@ class XPaxosReplica(ReplicaBase):
         if self.config.use_fault_detection:
             prepare_entries = tuple(self.prepare_log.items())
             final_proof = self.final_proofs.get(self.prepare_view)
-        payload = msg.view_change_payload(
-            new_view, self.replica_id, commit_entries, prepare_entries,
-            digest_of(self.stable_checkpoint.state_digest)
-            if self.stable_checkpoint else None)
-        sig = self.sign(payload)
-        vc = msg.ViewChange(
-            new_view=new_view, sender=self.replica_id,
+        vc = msg.ViewChange.signed(
+            self.sign, new_view=new_view, sender=self.replica_id,
             commit_entries=commit_entries,
-            checkpoint=self.stable_checkpoint, sig=sig,
+            checkpoint=self.stable_checkpoint,
             prepare_entries=prepare_entries,
             prepare_view=self.prepare_view,
             final_proof=final_proof)
@@ -607,7 +565,7 @@ class XPaxosReplica(ReplicaBase):
         return size
 
     def _on_view_change(self, src: str, m: msg.ViewChange) -> None:
-        if m.new_view < self.view:
+        if m.new_view < self.view or not msg.verify_signed(self, m):
             return
         if m.new_view > self.view:
             # We are behind: a view change for a future view implies its
@@ -651,11 +609,9 @@ class XPaxosReplica(ReplicaBase):
         state.sent_vc_final = True
         self._net_timer.stop()
         vcset = tuple(sorted(state.vcset.values(), key=lambda v: v.sender))
-        vcset_digest = digest_of(vcset)
-        sig = self.sign(msg.vc_final_payload(new_view, self.replica_id,
-                                             vcset_digest))
-        final = msg.VcFinal(new_view, self.replica_id, vcset, vcset_digest,
-                            sig)
+        final = msg.VcFinal.signed(
+            self.sign, new_view=new_view, sender=self.replica_id,
+            vcset=vcset, vcset_digest=digest_of(vcset))
         self._fanout_with_self(self._active_names(new_view), final, 256,
                                lambda: self._record_vc_final(final))
 
@@ -666,11 +622,18 @@ class XPaxosReplica(ReplicaBase):
             return
         if m.sender not in self.groups.group(m.new_view):
             return
-        self.cpu.charge_verify()
-        if not self.keystore.verify(
-                m.sig, msg.vc_final_payload(m.new_view, m.sender,
-                                            m.vcset_digest)):
+        if not msg.verify_signed(self, m) \
+                or digest_of(m.vcset) != m.vcset_digest:
             return
+        # Nothing is merged unless every piggybacked VIEW-CHANGE is one
+        # its sender signed for this view; the ones we already hold as
+        # the very same object were checked on arrival.
+        held = self._vc.setdefault(m.new_view, _ViewChangeState()).vcset
+        for vc in m.vcset:
+            if vc.new_view != m.new_view or (
+                    held.get(vc.sender) is not vc
+                    and not msg.verify_signed(self, vc)):
+                return
         self._record_vc_final(m)
 
     def _record_vc_final(self, m: msg.VcFinal) -> None:
@@ -707,9 +670,9 @@ class XPaxosReplica(ReplicaBase):
         vcset = tuple(sorted(clean.values(), key=lambda v: v.sender))
         vcset_digest = digest_of(vcset)
         state.confirmed_digest = vcset_digest
-        sig = self.sign(msg.vc_confirm_payload(new_view, self.replica_id,
-                                               vcset_digest))
-        confirm = msg.VcConfirm(new_view, self.replica_id, vcset_digest, sig)
+        confirm = msg.VcConfirm.signed(
+            self.sign, new_view=new_view, sender=self.replica_id,
+            vcset_digest=vcset_digest)
         self._fanout_with_self(self._active_names(new_view), confirm, 96,
                                lambda: self._record_vc_confirm(confirm))
 
@@ -718,10 +681,8 @@ class XPaxosReplica(ReplicaBase):
             return
         if not self.groups.is_active(m.new_view, self.replica_id):
             return
-        self.cpu.charge_verify()
-        if not self.keystore.verify(
-                m.sig, msg.vc_confirm_payload(m.new_view, m.sender,
-                                              m.vcset_digest)):
+        if m.sender not in self.groups.group(m.new_view) \
+                or not msg.verify_signed(self, m):
             return
         self._record_vc_confirm(m)
 
@@ -745,23 +706,18 @@ class XPaxosReplica(ReplicaBase):
                             state: _ViewChangeState) -> None:
         selection, checkpoint = self._select_state(state)
         if self.groups.is_primary(new_view, self.replica_id):
-            entries = []
-            for seqno in sorted(selection):
-                batch = selection[seqno].batch
-                batch_digest = msg.batch_digest_of(batch)
-                if self.config.t == 1:
-                    payload = msg.commit0_payload(batch_digest, seqno,
-                                                  new_view)
-                else:
-                    payload = msg.prepare_payload(batch_digest, seqno,
-                                                  new_view)
-                sig = self.sign(payload)
-                entries.append(PrepareEntry(seqno, new_view, batch, sig))
-            entries_tuple = tuple(entries)
-            sig = self.sign(msg.new_view_payload(new_view,
-                                                 digest_of(entries_tuple)))
-            new_view_msg = msg.NewView(new_view, entries_tuple, checkpoint,
-                                       sig)
+            # Re-propose every selected slot in the new view, signed as
+            # the configured path's prepare would be.
+            ordering = msg.FastPrepare if self.config.t == 1 else msg.Prepare
+            entries = tuple(
+                PrepareEntry(seqno, new_view, entry.batch, self.sign(
+                    ordering.payload_of(
+                        batch_digest=msg.batch_digest_of(entry.batch),
+                        seqno=seqno, view=new_view)))
+                for seqno, entry in sorted(selection.items()))
+            new_view_msg = msg.NewView.signed(
+                self.sign, new_view=new_view, entries=entries,
+                checkpoint=checkpoint)
             self._fanout_with_self(
                 self._active_names(new_view), new_view_msg, 1024,
                 lambda: self._adopt_new_view(new_view_msg, selection))
@@ -805,10 +761,7 @@ class XPaxosReplica(ReplicaBase):
         primary = self.groups.primary(m.new_view)
         if src != self.replica_name(primary):
             return
-        self.cpu.charge_verify()
-        if not self.keystore.verify(
-                m.sig, msg.new_view_payload(m.new_view,
-                                            digest_of(m.entries))):
+        if not msg.verify_signed(self, m):
             self.suspect_view(self.view)
             return
         # Verify the primary's selection against our own (Algorithm 3
@@ -887,14 +840,8 @@ class XPaxosReplica(ReplicaBase):
                 if getattr(p, "view", -1) == self.view]
             self._pending_prepares.clear()
             for prepared in buffered_prepares:
-                if isinstance(prepared, msg.FastPrepare):
-                    self.sim.call_soon(
-                        lambda p=prepared: self._on_fast_prepare(
-                            primary_name, p))
-                elif isinstance(prepared, msg.Prepare):
-                    self.sim.call_soon(
-                        lambda p=prepared: self._on_prepare(
-                            primary_name, p))
+                self.sim.call_soon(
+                    lambda p=prepared: self._on_prepare(primary_name, p))
         # Replay client retransmissions that arrived during the change, and
         # re-drive every still-unresolved retransmission: requests prepared
         # but not committed in the old view were dropped by the state
@@ -966,19 +913,17 @@ class XPaxosReplica(ReplicaBase):
         if seqno in self._chkpt_sigs and self.replica_id in \
                 self._chkpt_sigs[seqno]:
             return
-        sig = self.sign(msg.chkpt_payload(seqno, self.view, my_digest,
-                                          self.replica_id))
-        chkpt = msg.Chkpt(seqno, self.view, my_digest, self.replica_id, sig)
+        chkpt = msg.Chkpt.signed(
+            self.sign, seqno=seqno, view=self.view, state_digest=my_digest,
+            sender=self.replica_id)
         self._fanout_with_self(self._active_names(), chkpt, 96,
                                lambda: self._record_chkpt(chkpt))
 
     def _on_chkpt(self, src: str, m: msg.Chkpt) -> None:
         if m.view != self.view or not self.is_active:
             return
-        self.cpu.charge_verify()
-        if not self.keystore.verify(
-                m.sig, msg.chkpt_payload(m.seqno, m.view, m.state_digest,
-                                         m.sender)):
+        if m.sender not in self.groups.group(m.view) \
+                or not msg.verify_signed(self, m):
             return
         self._record_chkpt(m)
 
@@ -1028,8 +973,9 @@ class XPaxosReplica(ReplicaBase):
         for sig in proof.sigs:
             signer = members.get(sig.signer)
             if signer is None or not self.keystore.verify(
-                    sig, msg.chkpt_payload(proof.seqno, proof.view,
-                                           proof.state_digest, signer)):
+                    sig, msg.Chkpt.payload_of(
+                        seqno=proof.seqno, view=proof.view,
+                        state_digest=proof.state_digest, sender=signer)):
                 return False
             signers.add(signer)
         return len(signers) >= self.config.t + 1
@@ -1189,14 +1135,11 @@ class XPaxosReplica(ReplicaBase):
             # retransmission is settled, not a liveness problem.
             self._settle_retransmission(request.rid)
             return
-        payload = msg.signed_reply_payload(
-            cached.seqno, self.view, cached.timestamp, cached.client,
-            cached.result_digest, self.replica_id)
-        sig = self.sign(payload)
-        share = msg.SignedReplyShare(
-            view=self.view, seqno=cached.seqno, timestamp=cached.timestamp,
-            client=cached.client, reply_digest=cached.result_digest,
-            result=cached.result, sender=self.replica_id, sig=sig)
+        share = msg.SignedReplyShare.signed(
+            self.sign, view=self.view, seqno=cached.seqno,
+            timestamp=cached.timestamp, client=cached.client,
+            reply_digest=cached.result_digest, result=cached.result,
+            sender=self.replica_id)
         self._fanout_with_self(
             self._active_names(), share, 96,
             lambda: self._on_signed_reply_share(self.name, share))
@@ -1219,14 +1162,9 @@ class XPaxosReplica(ReplicaBase):
                 return
         if state.done:
             return
-        self.cpu.charge_verify()
         # Shares are filed under the sender they name, so that must be
         # who signed: one replica may not vote under several names.
-        if m.sig.signer != replica_principal(m.sender) \
-                or not self.keystore.verify(
-                    m.sig, msg.signed_reply_payload(
-                        m.seqno, m.view, m.timestamp, m.client,
-                        m.reply_digest, m.sender)):
+        if not msg.verify_signed(self, m):
             return
         state.shares[m.sender] = m
         matching = [s for s in state.shares.values()
@@ -1273,10 +1211,12 @@ class XPaxosReplica(ReplicaBase):
         # Algorithm 4 lines 8-10: suspect the view and tell the client.
         view = self.view
         self.suspect_view(view)
-        sig_payload = msg.suspect_payload(view, self.replica_id)
-        sig = self.keystore.sign(self.principal, sig_payload)
-        self.send_authenticated(f"c{state.request.client}",
-                                msg.Suspect(view, self.replica_id, sig),
+        # Signed straight from the keystore: this copy for the client has
+        # never been charged to the modelled CPU.
+        suspect = msg.Suspect.signed(
+            partial(self.keystore.sign, self.principal), view=view,
+            sender=self.replica_id)
+        self.send_authenticated(f"c{state.request.client}", suspect,
                                 size_bytes=48)
 
     # ==================================================================

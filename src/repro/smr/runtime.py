@@ -87,20 +87,6 @@ class NodeBase(Process):
         """Handle one delivered message. Subclasses implement."""
         raise NotImplementedError
 
-    def send(self, dst: str, payload: Any, size_bytes: int = 0) -> None:
-        """Send a message through the network."""
-        self.network.send(self.name, dst, payload, size_bytes=size_bytes)
-
-    def multicast(self, dsts: Sequence[str], payload: Any,
-                  size_bytes: int = 0) -> None:
-        """Send the same payload to each destination in order.
-
-        Equivalent to sending sequentially, but the network resolves the
-        sender-side bookkeeping once for the whole broadcast.
-        """
-        self.network.multicast(self.name, dsts, payload,
-                               size_bytes=size_bytes)
-
     def _policy_for(self, payload: Any):
         policy = authenticator_for(type(payload))
         if policy is None:
@@ -345,16 +331,6 @@ class ReplicaBase(NodeBase):
         """Sign as this replica, charging signature CPU cost."""
         self.cpu.charge_sign()
         return self.keystore.sign(self.principal, payload)
-
-    def verify(self, signature, payload: Any) -> bool:
-        """Verify a signature, charging CPU cost."""
-        self.cpu.charge_verify()
-        return self.keystore.verify(signature, payload)
-
-    def mac_for(self, receiver: str, payload: Any, size_bytes: int = 0):
-        """MAC a payload for ``receiver``, charging CPU cost."""
-        self.cpu.charge_mac(size_bytes)
-        return self.keystore.mac(self.principal, receiver, payload)
 
     # -- lifecycle --------------------------------------------------------
     def recover(self) -> None:

@@ -211,6 +211,63 @@ class TestA001UnregisteredWireMessage:
         # sent) must all stay silent.
         assert len(hits) == 2
 
+    def test_signed_constructor_resolves_to_its_class(self, lint_tree):
+        """``msg.Vote.signed(...)`` builds a ``Vote``: sent unregistered
+        it fires, whether built inline or through a local."""
+        messages = """\
+            from dataclasses import dataclass
+
+
+            def register(cls, policy):
+                return cls
+
+
+            class Signed:
+                @classmethod
+                def signed(cls, sign, **fields):
+                    return cls(**fields, sig=sign(fields))
+
+
+            @dataclass(frozen=True)
+            class Vote(Signed):
+                seq: int
+                sig: object
+
+
+            @dataclass(frozen=True)
+            class Share(Signed):
+                seq: int
+                sig: object
+
+
+            @dataclass(frozen=True)
+            class Final(Signed):
+                seq: int
+                sig: object
+
+
+            register(Final, "null")
+        """
+        report = lint_tree({
+            "pkg/protocols/demo/messages.py": messages,
+            "pkg/protocols/demo/replica.py": """\
+                from pkg.protocols.demo import messages as msg
+
+
+                def vote(node, names):
+                    vote = msg.Vote.signed(node.sign, seq=1)
+                    node.multicast_authenticated(names, vote)
+                    node.send_authenticated(
+                        "r0", msg.Share.signed(node.sign, seq=2))
+                    final = msg.Final.signed(node.sign, seq=3)
+                    node.send_authenticated("r0", final)
+            """,
+        })
+        assert sorted(found(report, "A001")) == [
+            ("demo/messages.py", line_of(messages, "class Vote")),
+            ("demo/messages.py", line_of(messages, "class Share")),
+        ]
+
     def test_smr_messages_path_is_in_scope(self, lint_tree):
         report = lint_tree({
             "pkg/smr/messages.py": """\

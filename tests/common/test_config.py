@@ -4,7 +4,6 @@ import pytest
 
 from repro.common.config import (
     ClusterConfig,
-    MetricsConfig,
     ProtocolName,
     ReplicaCount,
     WorkloadConfig,
@@ -94,9 +93,3 @@ class TestSites:
     def test_t2_placement_lengths(self):
         assert len(sites_for(ProtocolName.XPAXOS, 2)) == 5
         assert len(sites_for(ProtocolName.ZYZZYVA, 2)) == 7
-
-
-class TestMetricsConfig:
-    def test_invalid_window_rejected(self):
-        with pytest.raises(ConfigurationError):
-            MetricsConfig(throughput_window_ms=0.0)

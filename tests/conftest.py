@@ -54,7 +54,8 @@ def checkpoint_proof(keystore, seqno=10, view=0, signers=(0, 1),
     sigs = tuple(
         keystore.sign(
             replica_principal(signer),
-            xmsg.chkpt_payload(seqno, view, state_digest, signer))
+            xmsg.Chkpt.payload_of(seqno=seqno, view=view,
+                                  state_digest=state_digest, sender=signer))
         for signer in signers)
     return xmsg.CheckpointProof(seqno, view, state_digest, sigs, snapshot)
 

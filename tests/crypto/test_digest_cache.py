@@ -112,8 +112,9 @@ class TestMemoization:
         # every client of its batch.
         keystore = KeyStore()
         fast = FastCommit.signed(
-            0, 3, digest_of(("batch", 3)), digest_of(("replies", 3)),
-            lambda payload: keystore.sign("r1", payload))
+            lambda payload: keystore.sign("r1", payload), view=0, seqno=3,
+            batch_digest=digest_of(("batch", 3)),
+            reply_digest=digest_of(("replies", 3)))
         replies = [ReplyMsg(replica=0, view=0, seqno=3, timestamp=9,
                             client=c, result=b"", result_digest=digest_of(b""),
                             follower_commit=fast) for c in range(4)]
@@ -200,16 +201,17 @@ class TestCarriedDigests:
         keystore = KeyStore()
         batch_digest = digest_of(("batch", 1))
         honest = FastCommit.signed(
-            0, 1, batch_digest, digest_of(("replies", "a")),
-            lambda payload: keystore.sign("r1", payload))
+            lambda payload: keystore.sign("r1", payload), view=0, seqno=1,
+            batch_digest=batch_digest,
+            reply_digest=digest_of(("replies", "a")))
         assert honest.payload_digest() is honest.m1.digest
         # Same m1 replayed around a different reply digest: the new
         # instance starts unseeded and hashes its own fields.
         replayed = FastCommit(0, 1, batch_digest, digest_of(("replies", "b")),
                               honest.m1)
         assert replayed.payload_digest() != honest.payload_digest()
-        assert replayed.payload_digest() == digest_of(msg.commit1_payload(
-            batch_digest, 1, 0, replayed.reply_digest))
+        assert replayed.payload_digest() == digest_of(
+            ("commit1", batch_digest, 1, 0, replayed.reply_digest))
         assert not keystore.verify_digest(replayed.m1,
                                           replayed.payload_digest())
         # An equal-by-value twin shares the value, not the memo.
@@ -219,20 +221,20 @@ class TestCarriedDigests:
         assert twin.payload_digest() == honest.payload_digest()
         assert twin.payload_digest() is not honest.payload_digest()
 
-    def test_payload_digests_match_their_payload_constructors(self):
+    def test_payload_digests_match_their_declared_payloads(self):
         keystore = KeyStore()
         sig = keystore.sign("r0", ("any", 0))
         batch = make_batch(6)
         digest = batch.bodies_digest()
         cases = [
             (msg.Prepare(2, 7, batch, digest, sig),
-             msg.prepare_payload(digest, 7, 2)),
+             ("prepare", digest, 7, 2)),
             (msg.CommitVote(2, 7, digest, 1, sig),
-             msg.commit_payload(digest, 7, 2, 1)),
+             ("commit", digest, 7, 2, 1)),
             (msg.FastPrepare(2, 7, batch, digest, sig),
-             msg.commit0_payload(digest, 7, 2)),
+             ("commit0", digest, 7, 2)),
             (FastCommit(2, 7, digest, digest, sig),
-             msg.commit1_payload(digest, 7, 2, digest)),
+             ("commit1", digest, 7, 2, digest)),
         ]
         for message, payload in cases:
             assert message.payload_digest().value == \

@@ -14,7 +14,7 @@ import pytest
 
 import repro
 from repro.common.config import ProtocolName
-from repro.crypto.primitives import digest_of, replica_principal
+from repro.crypto.primitives import digest_of
 from repro.protocols.base import GenericReply
 from repro.protocols.xpaxos import messages as xmsg
 from repro.smr.messages import Batch, Request
@@ -178,15 +178,11 @@ class SignedReplyProbe:
     def assert_committed_through(self, senders, request):
         """The client committed on a bundle of valid shares from exactly
         ``senders``, each carrying the full result it signed for."""
-        keystore = self.harness.runtime.keystore
         assert len(self.results) == 1 and not self.client.busy
         bundle = self.bundles[0]
         assert sorted(s.sender for s in bundle.shares) == senders
         for share in bundle.shares:
-            assert share.sig.signer == replica_principal(share.sender)
-            assert keystore.verify(share.sig, xmsg.signed_reply_payload(
-                share.seqno, share.view, share.timestamp, share.client,
-                share.reply_digest, share.sender))
+            assert xmsg.verify_signed(self.client, share)
             assert (share.client, share.timestamp) == request.rid
             assert share.result == self.results[0]
             assert digest_of(share.result) == share.reply_digest

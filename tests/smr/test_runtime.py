@@ -41,7 +41,7 @@ class TestNodeBase:
         keystore = KeyStore()
         a = _EchoNode(sim, network, "a", "X", keystore)
         b = _EchoNode(sim, network, "b", "X", keystore)
-        a.send("b", "hello")
+        network.send("a", "b", "hello")
         sim.run()
         assert b.received == [("a", "hello")]
         assert b.messages_received == 1
@@ -53,7 +53,7 @@ class TestNodeBase:
         a = _EchoNode(sim, network, "a", "X", keystore)
         b = _EchoNode(sim, network, "b", "X", keystore)
         b.crash()
-        a.send("b", "hello")
+        network.send("a", "b", "hello")
         sim.run()
         assert b.received == []
 
@@ -78,8 +78,9 @@ class TestReplicaBase:
         runtime = make_cluster()
         replica = runtime.replica(0)
         sig = replica.sign(("data", 1))
-        assert replica.verify(sig, ("data", 1))
-        assert not replica.verify(sig, ("data", 2))
+        assert sig.signer == replica.principal
+        assert runtime.keystore.verify(sig, ("data", 1))
+        assert not runtime.keystore.verify(sig, ("data", 2))
 
 
 class _CoreReplica(ReplicaBase):

@@ -1,6 +1,5 @@
 """Tests for checkpointing and lazy replication (Section 4.5)."""
 
-import dataclasses
 
 import pytest
 
@@ -78,12 +77,7 @@ class _ForgedCheckpointAdversary(Adversary):
             replica.keystore, seqno=10_000, view=vc.new_view,
             signers=(replica.replica_id, replica.replica_id),
             snapshot=(10_000, "ee"))
-        payload = msg.view_change_payload(
-            vc.new_view, vc.sender, vc.commit_entries, vc.prepare_entries,
-            None)
-        return dataclasses.replace(
-            vc, checkpoint=forged,
-            sig=replica.keystore.sign(replica.principal, payload))
+        return vc.resigned(replica.sign, checkpoint=forged)
 
 
 class TestCheckpointProofVerification:

@@ -43,14 +43,9 @@ def rebuild_vc(replica, vc, commit_entries=None, prepare_entries=None,
         prepare_entries = None
     checkpoint = vc.checkpoint if checkpoint == "keep" else checkpoint
     final_proof = vc.final_proof if final_proof == "keep" else final_proof
-    payload = msg.view_change_payload(
-        vc.new_view, vc.sender, commit_entries, prepare_entries, None)
-    sig = replica.keystore.sign(replica.principal, payload)
-    return msg.ViewChange(
-        new_view=vc.new_view, sender=vc.sender,
-        commit_entries=commit_entries, checkpoint=checkpoint, sig=sig,
-        prepare_entries=prepare_entries, prepare_view=vc.prepare_view,
-        final_proof=final_proof)
+    return vc.resigned(replica.sign, commit_entries=commit_entries,
+                       prepare_entries=prepare_entries,
+                       checkpoint=checkpoint, final_proof=final_proof)
 
 
 class TestCheckPair:

@@ -58,12 +58,8 @@ class TestClientTimeout:
         xpaxos_t1.network.partitions.block_pair("c0", "r0")
         client.propose("op", size_bytes=16)
         xpaxos_t1.sim.run(until=3_000.0)
-        keystore = xpaxos_t1.keystore
         for share in bundles[0].shares:
-            payload = msg.signed_reply_payload(
-                share.seqno, share.view, share.timestamp, share.client,
-                share.reply_digest, share.sender)
-            assert keystore.verify(share.sig, payload)
+            assert msg.verify_signed(client, share)
 
 
 class TestReplicaSideTimeout:

@@ -3,7 +3,7 @@
 The client commits on t + 1 signed replies, so the bundle must prove that
 t + 1 *different* replicas signed the *same* outcome and that the result
 handed up is the one they signed for.  ``result`` travels outside
-``signed_reply_payload``; only ``digest_of(result) == reply_digest`` ties
+the signed payload; only ``digest_of(result) == reply_digest`` ties
 it to the signatures.  Each forgery below is assembled by one passive
 replica (or around genuine signatures) for a request no replica executed.
 """
@@ -11,7 +11,7 @@ replica (or around genuine signatures) for a request no replica executed.
 import pytest
 
 from repro.common.config import ProtocolName
-from repro.crypto.primitives import digest_of, replica_principal
+from repro.crypto.primitives import digest_of
 from repro.protocols.xpaxos import messages as msg
 from tests.conftest import make_cluster
 
@@ -23,13 +23,10 @@ def share(runtime, request, signer, sender, result, signed_for=None):
     """A ``SignedReplyShare`` naming ``sender``, genuinely signed by
     ``signer`` over the digest of ``signed_for`` (default: ``result``)."""
     reply_digest = digest_of(result if signed_for is None else signed_for)
-    sig = runtime.keystore.sign(
-        replica_principal(signer),
-        msg.signed_reply_payload(1, 0, request.timestamp, request.client,
-                                 reply_digest, sender))
-    return msg.SignedReplyShare(
-        view=0, seqno=1, timestamp=request.timestamp, client=request.client,
-        reply_digest=reply_digest, result=result, sender=sender, sig=sig)
+    return msg.SignedReplyShare.signed(
+        runtime.replica(signer).sign, view=0, seqno=1,
+        timestamp=request.timestamp, client=request.client,
+        reply_digest=reply_digest, result=result, sender=sender)
 
 
 def one_signer_many_names(runtime, request, passive):

@@ -149,9 +149,8 @@ class TestViewChangeMechanics:
 
         passive = xpaxos_t1.replica(2)
         primary = xpaxos_t1.replica(0)
-        sig = xpaxos_t1.keystore.sign(passive.principal,
-                                      msg.suspect_payload(0, 2))
-        primary.on_message("r2", msg.Suspect(0, 2, sig))
+        primary.on_message("r2", msg.Suspect.signed(passive.sign, view=0,
+                                                    sender=2))
         xpaxos_t1.sim.run(until=500.0)
         assert primary.view == 0
 
@@ -160,7 +159,7 @@ class TestViewChangeMechanics:
 
         primary = xpaxos_t1.replica(0)
         forged = xpaxos_t1.keystore.forge_attempt(
-            "r2", "r1", msg.suspect_payload(0, 1))
+            "r2", "r1", msg.Suspect.payload_of(view=0, sender=1))
         primary.on_message("r2", msg.Suspect(0, 1, forged))
         xpaxos_t1.sim.run(until=500.0)
         assert primary.view == 0
@@ -170,8 +169,7 @@ class TestViewChangeMechanics:
 
         follower = xpaxos_t1.replica(1)
         primary = xpaxos_t1.replica(0)
-        sig = xpaxos_t1.keystore.sign(follower.principal,
-                                      msg.suspect_payload(0, 1))
-        primary.on_message("r1", msg.Suspect(0, 1, sig))
+        primary.on_message("r1", msg.Suspect.signed(follower.sign, view=0,
+                                                    sender=1))
         xpaxos_t1.sim.run(until=2_000.0)
         assert primary.view >= 1
