@@ -1,17 +1,34 @@
 """XPaxos: the first XFT state-machine-replication protocol (Section 4).
 
-Components:
+Modules:
 
 * :mod:`repro.protocols.xpaxos.groups` -- the view-to-synchronous-group
   mapping (Section 4.3.1, generalizing Table 2).
 * :mod:`repro.protocols.xpaxos.messages` -- every wire message of the
   protocol (common case, view change, fault detection, checkpointing,
-  lazy replication, retransmission).
-* :mod:`repro.protocols.xpaxos.replica` -- Algorithms 1-5: the replica.
+  lazy replication, retransmission);
+  :mod:`repro.protocols.xpaxos.signed` -- what a signed one declares and
+  the one check built on it.
+* :mod:`repro.protocols.xpaxos.replica` -- the replica's core: roles,
+  dispatch, Algorithms 1-2, replies, recovery.  It hands the rest to four
+  components, each of which owns its state and registers its own
+  messages:
+
+  * :mod:`repro.protocols.xpaxos.view_change` -- ``ViewChanger``:
+    suspicion, Algorithm 3, the hand-off to fault detection (Algorithm
+    5), with the selection rule of Section 4.3.3 in
+    :mod:`repro.protocols.xpaxos.selection`;
+  * :mod:`repro.protocols.xpaxos.checkpoint` -- ``Checkpointer``:
+    PRECHK / CHKPT / LAZYCHK, proof validation, ``install`` (4.5.1);
+  * :mod:`repro.protocols.xpaxos.lazy` -- ``LazyReplicator``: LAZY-COMMIT,
+    FETCH-ENTRIES / FETCH-REPLY (4.5.2);
+  * :mod:`repro.protocols.xpaxos.retransmission` -- ``Retransmitter``:
+    the replica side of Algorithm 4.
+* :mod:`repro.protocols.xpaxos.detection` -- ``FaultDetector``: Algorithm
+  6's predicates (state-loss, fork-I, fork-II) and accusations; built by
+  the ``ViewChanger`` only when fault detection is configured.
 * :mod:`repro.protocols.xpaxos.client` -- signed requests, the commit rule,
-  and the retransmission protocol of Algorithm 4.
-* :mod:`repro.protocols.xpaxos.detection` -- Algorithm 6's fault-detection
-  predicates (state-loss, fork-I, fork-II).
+  and the client side of Algorithm 4.
 """
 
 from repro.protocols.xpaxos.groups import SynchronousGroups

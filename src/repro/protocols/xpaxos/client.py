@@ -25,6 +25,7 @@ from repro.crypto.primitives import KeyStore, digest_of
 from repro.net.network import Network
 from repro.protocols.xpaxos import messages as msg
 from repro.protocols.xpaxos.groups import SynchronousGroups
+from repro.protocols.xpaxos.signed import verify_signed
 from repro.sim.core import Simulator
 from repro.smr.messages import Request
 from repro.smr.runtime import SmrClientBase
@@ -80,7 +81,7 @@ class XPaxosClient(SmrClientBase):
         fc = reply.follower_commit
         if fc is None or fc.view != reply.view or fc.seqno != reply.seqno:
             return
-        if not msg.verify_signed(self, fc):
+        if not verify_signed(self, fc):
             return
         if digest_of(reply.result) != reply.result_digest:
             return
@@ -121,7 +122,7 @@ class XPaxosClient(SmrClientBase):
             if (share.seqno, share.reply_digest) != (
                     reference.seqno, reference.reply_digest):
                 return
-            if not msg.verify_signed(self, share):
+            if not verify_signed(self, share):
                 return
         for share in shares:
             if digest_of(share.result) == reference.reply_digest:
@@ -138,7 +139,7 @@ class XPaxosClient(SmrClientBase):
             return
         if not self.groups.is_active(suspect.view, suspect.sender):
             return
-        if not msg.verify_signed(self, suspect):
+        if not verify_signed(self, suspect):
             return
         self.view = suspect.view + 1
         if self.request is None:

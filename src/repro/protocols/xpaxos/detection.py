@@ -1,4 +1,7 @@
-"""Fault detection (Section 4.4 and Algorithm 6).
+"""Fault detection (Section 4.4 and Algorithm 6): the predicates and the
+accusations.  Where they enter the view change (Algorithm 5) is
+:class:`~repro.protocols.xpaxos.view_change.ViewChanger`'s business, which
+builds a :class:`FaultDetector` only when fault detection is configured.
 
 The detector inspects the set of ``VIEW-CHANGE`` messages gathered during a
 view change and flags replicas whose logs betray a fault that *would* have
@@ -25,10 +28,11 @@ exercises heavily.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Set, Tuple
+from typing import TYPE_CHECKING, List, Set, Tuple
 
 from repro.crypto.primitives import replica_principal
 from repro.protocols.xpaxos import messages as msg
+from repro.protocols.xpaxos.signed import verify_signed
 from repro.smr.log import CommitEntry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -52,7 +56,6 @@ class FaultDetector:
         """Return the set of replica ids convicted by the evidence in
         ``vcset``; broadcast an accusation for each conviction."""
         faulty: Set[int] = set()
-        by_sender: Dict[int, msg.ViewChange] = {vc.sender: vc for vc in vcset}
         for vc in vcset:
             for other in vcset:
                 if vc.sender == other.sender:
@@ -63,8 +66,26 @@ class FaultDetector:
                     accusation = msg.FaultAccusation(
                         kind=kind, accused=vc.sender, seqno=-1,
                         view=new_view, evidence=(vc.sender, other.sender))
-                    self.replica.broadcast_accusation(accusation)
+                    self._broadcast(accusation)
         return faulty
+
+    # -- accusations (Algorithm 6 lines 17-18) ---------------------------
+    def _broadcast(self, accusation: msg.FaultAccusation) -> None:
+        replica = self.replica
+        replica.detected_faulty.add(accusation.accused)
+        replica.multicast_authenticated(replica.other_replica_names(),
+                                        accusation, size_bytes=256)
+
+    def on_accusation(self, src: str, m: msg.FaultAccusation) -> None:
+        """A peer convicted someone: note it and pass it on, once."""
+        replica = self.replica
+        if m.accused in replica.detected_faulty:
+            return
+        replica.detected_faulty.add(m.accused)
+        replica.multicast_authenticated(
+            [n for n in replica.all_replica_names()
+             if n != replica.name and n != src],
+            m, size_bytes=256)
 
     # ------------------------------------------------------------------
     def _check_pair(self, new_view: int, suspect_vc: msg.ViewChange,
@@ -142,7 +163,7 @@ class FaultDetector:
         ordering = msg.FastPrepare if fast else msg.Prepare
         batch_digest = msg.batch_digest_of(entry.batch)
         primary_sig, *follower_sigs = entry.proof
-        if not msg.verify_signed(replica, ordering(
+        if not verify_signed(replica, ordering(
                 entry.view, entry.seqno, entry.batch, batch_digest,
                 primary_sig)):
             return False
@@ -152,7 +173,7 @@ class FaultDetector:
             follower = followers.pop(sig.signer, None)
             if follower is None:
                 return False  # not a follower, or one counted already
-            if not fast and not msg.verify_signed(replica, msg.CommitVote(
+            if not fast and not verify_signed(replica, msg.CommitVote(
                     entry.view, entry.seqno, batch_digest, follower, sig)):
                 return False
         return True

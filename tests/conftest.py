@@ -46,6 +46,29 @@ def run_workload(runtime, duration_ms=3_000.0, warmup_ms=100.0,
     return driver
 
 
+class Outbox(list):
+    """``(src, dst, payload)`` for every message handed to the network."""
+
+    def of(self, cls):
+        """``(dst, payload)`` of the recorded messages of class ``cls``."""
+        return [(dst, m) for _, dst, m in self if isinstance(m, cls)]
+
+
+def isolate(runtime) -> Outbox:
+    """Cut every wire of ``runtime`` and return the :class:`Outbox` that
+    records what its nodes try to send -- for tests that drive one
+    replica's component by hand (``tests/xpaxos/test_*er.py``) and speak
+    for its peers themselves."""
+    sent = Outbox()
+
+    def record_and_drop(src, dst, payload):
+        sent.append((src, dst, payload))
+        return False
+
+    runtime.network.send_filter = record_and_drop
+    return sent
+
+
 def checkpoint_proof(keystore, seqno=10, view=0, signers=(0, 1),
                      state_digest=b"\x01" * 32, snapshot=(10, "aa")):
     """An XPaxos ``CheckpointProof`` (NullService snapshot) in which each of

@@ -71,6 +71,19 @@ class TestCommands:
         assert "cumulative" in out
         assert pstats_path.exists()
 
+    def test_profile_state_block_of_an_xpaxos_cell(self, capsys):
+        code = main(["profile", "crash-primary", "--protocol", "xpaxos",
+                     "--limit", "1"])
+        assert code == 0
+        out = capsys.readouterr().out
+        state = out[out.index("[state]"):out.index("[digest_cache]")]
+        sizes = dict(line.split() for line in state.splitlines()[1:])
+        assert set(sizes) == {"commit_log", "sequencer_seen", "reply_cache",
+                              "trace_entries", "prepare_log",
+                              "view_change_entries", "retransmissions"}
+        # The view change the crash forced is still held.
+        assert int(sizes["view_change_entries"]) > 0
+
     def test_profile_unknown_scenario(self, capsys):
         code = main(["profile", "no-such"])
         assert code == 2

@@ -17,6 +17,7 @@ from repro.common.config import ProtocolName
 from repro.crypto.primitives import digest_of
 from repro.protocols.base import GenericReply
 from repro.protocols.xpaxos import messages as xmsg
+from repro.protocols.xpaxos.signed import verify_signed
 from repro.smr.messages import Batch, Request
 from tests.conftest import make_harness
 
@@ -182,7 +183,7 @@ class SignedReplyProbe:
         bundle = self.bundles[0]
         assert sorted(s.sender for s in bundle.shares) == senders
         for share in bundle.shares:
-            assert xmsg.verify_signed(self.client, share)
+            assert verify_signed(self.client, share)
             assert (share.client, share.timestamp) == request.rid
             assert share.result == self.results[0]
             assert digest_of(share.result) == share.reply_digest
@@ -233,7 +234,7 @@ def test_waiting_retransmission_gets_its_share_when_the_slot_executes():
     harness.runtime.network.partitions.block_pair("c0", "r0")
     request = probe.client.propose("op", size_bytes=16)
     harness.sim.run(until=3_000.0)
-    assert request.rid in follower._retransmissions
+    assert request.rid in follower.retransmitter.waiting
     share_times = [now for now, share in probe.shares if share.sender == 1]
     assert share_times[:1] == executed_at
     probe.assert_committed_through([0, 1], request)

@@ -15,7 +15,8 @@ import tracemalloc
 import pytest
 
 from repro.common.config import ProtocolName
-from tests.conftest import make_cluster, run_workload
+from repro.faults.injector import FaultSchedule
+from tests.conftest import make_cluster, make_harness, run_workload
 
 PERIOD = 10
 
@@ -87,6 +88,32 @@ def test_dedupe_set_holds_only_requests_offered_and_not_yet_executed(
     leader = runtime.replica(0)
     assert len(offered[leader.name]) > 100  # it did deduplicate all along
     assert max(samples) > 0 and len(leader.sequencer.seen) <= clients
+
+
+@pytest.mark.parametrize("t", [1, 2])
+def test_view_change_state_is_one_views_worth_however_many_views(t):
+    """A replica holds the VCSet and VC-FINALs of the view change in
+    progress (or the last one), not of every view it ever entered: after
+    k scripted suspicions, at most n VIEW-CHANGEs of one checkpoint window
+    each.  Kept per target view it grew with k (measured at k = 8: up to
+    97 entries at t = 1 and 155 at t = 2, against bounds of 54 and 90;
+    12 and 40 now)."""
+    k = 8
+    harness = make_harness(ProtocolName.XPAXOS, t=t, num_clients=4,
+                           checkpoint_period=PERIOD)
+    config = harness.runtime.config
+    groups = harness.replica(0).groups
+    schedule = FaultSchedule()
+    for view in range(k):
+        schedule.suspect(400.0 + 500.0 * view, groups.primary(view))
+    harness.arm(schedule)
+    harness.drive(duration_ms=400.0 + 500.0 * k)
+    bound = config.n * (PERIOD + config.pipeline_depth)
+    held = {replica.name: replica.retained()["view_change_entries"]
+            for replica in harness.runtime.replicas}
+    assert min(r.view for r in harness.runtime.replicas) >= k
+    assert max(held.values()) > 0, "the view changes carried no entries"
+    assert {name: n for name, n in held.items() if n > bound} == {}
 
 
 def live_heap_after(duration_ms):

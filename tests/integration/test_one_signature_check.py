@@ -19,8 +19,7 @@ XPAXOS = SRC / "protocols" / "xpaxos"
 #: The only functions under ``protocols/xpaxos/`` that may call the
 #: keystore's verify primitives: the shared verifier, the client-request
 #: check, and the checkpoint-proof check (bare signatures, uncharged).
-VERIFY_CALLERS = {"verify_signed", "_verify_request",
-                  "_checkpoint_proof_valid"}
+VERIFY_CALLERS = {"verify_signed", "_verify_request", "proof_valid"}
 
 
 def keystore_verify_callers(tree):

@@ -318,4 +318,4 @@ class TestNodeRuntimeVerification:
                             runtime.keystore.mac("r0", "r1", "not-it"), 64)
         assert r1.auth_failures == 1
         assert r1.messages_received == received + 1
-        assert 64 not in r1._prechk_votes
+        assert 64 not in r1.checkpointer._prechk_votes

@@ -77,7 +77,7 @@ class TestForgedMessages:
             "r2", "r1", msg.ViewChange.payload_of(**fields))
         replica.on_message("r2", msg.ViewChange(sig=forged, **fields))
         assert replica.view == 0 and not replica.in_view_change
-        assert 1 not in replica._vc
+        assert replica.view_changer._state is None
 
 
 class TestReplayAttacks:

@@ -7,7 +7,7 @@ from repro.common.config import ProtocolName
 from repro.faults.adversary import Adversary
 from repro.faults.injector import FaultSchedule
 from repro.protocols.xpaxos import messages as msg
-from repro.protocols.xpaxos.replica import _ViewChangeState
+from repro.protocols.xpaxos.selection import select_state
 from repro.smr.log import CommitEntry, PrepareEntry
 from repro.smr.messages import Batch, Request
 from tests.conftest import (
@@ -35,7 +35,7 @@ class TestCheckpointing:
         proof = runtime.replica(0).stable_checkpoint
         assert len(proof.sigs) == runtime.config.t + 1
         # What the protocol itself produces passes the receivers' check.
-        assert runtime.replica(2)._checkpoint_proof_valid(proof)
+        assert runtime.replica(2).checkpointer.proof_valid(proof)
 
     def test_checkpoints_advance(self):
         runtime = make_cluster(checkpoint_period=10, num_clients=4)
@@ -88,7 +88,7 @@ class TestCheckpointProofVerification:
     def test_honest_proof_installed_by_lazychk(self, xpaxos_t1):
         passive = xpaxos_t1.replica(2)
         proof = checkpoint_proof(xpaxos_t1.keystore)
-        passive._on_lazychk("r0", msg.LazyChk(proof))
+        passive.checkpointer._on_lazychk("r0", msg.LazyChk(proof))
         assert (passive.ex, passive.sn) == (10, 10)
         assert passive.app.executed_count == 10
         assert passive.stable_checkpoint is proof
@@ -97,7 +97,7 @@ class TestCheckpointProofVerification:
     def test_forged_proof_rejected_by_lazychk(self, xpaxos_t1, forge):
         passive = xpaxos_t1.replica(2)
         proof = forge(xpaxos_t1.keystore)
-        passive._on_lazychk("r0", msg.LazyChk(proof))
+        passive.checkpointer._on_lazychk("r0", msg.LazyChk(proof))
         assert untouched(passive)
 
     @forgeries
@@ -106,12 +106,12 @@ class TestCheckpointProofVerification:
         seqno, yet selection falls back to the best proof that verifies."""
         honest = checkpoint_proof(xpaxos_t1.keystore, seqno=5)
         forged = forge(xpaxos_t1.keystore)
-        state = _ViewChangeState()
-        for sender, proof in ((1, honest), (2, forged)):
-            state.vcset[sender] = msg.ViewChange(
-                new_view=1, sender=sender, commit_entries=(),
-                checkpoint=proof, sig=None)
-        _, selected = xpaxos_t1.replica(0)._select_state(state)
+        vcset = [msg.ViewChange(new_view=1, sender=sender, commit_entries=(),
+                                checkpoint=proof, sig=None)
+                 for sender, proof in ((1, honest), (2, forged))]
+        _, selected = select_state(
+            vcset, xpaxos_t1.replica(0).checkpointer.proof_valid,
+            with_prepare_logs=False)
         assert selected is honest
 
     @forgeries
@@ -121,17 +121,21 @@ class TestCheckpointProofVerification:
         not verify is faulty -- the follower moves on instead of adopting
         the view, and restores nothing."""
         follower = xpaxos_t1.replica(2)  # follower of view 1 = (0, 2)
-        follower._enter_view(1)
+        changer = follower.view_changer
+        changer._enter_view(1)
         forged = forge(xpaxos_t1.keystore)
-        follower._adopt_new_view(msg.NewView(1, (), forged, None), {})
+        changer._adopt_new_view(changer._state,
+                                msg.NewView(1, (), forged, None))
         assert untouched(follower)
         assert follower.view == 2 and follower.in_view_change
 
     def test_honest_proof_in_new_view_installed(self, xpaxos_t1):
         follower = xpaxos_t1.replica(2)
-        follower._enter_view(1)
+        changer = follower.view_changer
+        changer._enter_view(1)
         proof = checkpoint_proof(xpaxos_t1.keystore)
-        follower._adopt_new_view(msg.NewView(1, (), proof, None), {})
+        changer._adopt_new_view(changer._state,
+                                msg.NewView(1, (), proof, None))
         assert follower.ex == 10 and follower.stable_checkpoint is proof
         assert follower.view == 1 and not follower.in_view_change
 
@@ -186,7 +190,7 @@ class TestCheckpointAdoptionWhenNotBehind:
         passive = caught_up(xpaxos_t1.replica(2), 12)
         state = passive.app.snapshot()
         proof = checkpoint_proof(xpaxos_t1.keystore)  # seqno 10
-        passive._on_lazychk("r0", msg.LazyChk(proof))
+        passive.checkpointer._on_lazychk("r0", msg.LazyChk(proof))
         assert passive.stable_checkpoint is proof
         for log in (passive.commit_log, passive.prepare_log):
             assert [sn for sn, _ in log.items()] == [11, 12]
@@ -200,7 +204,7 @@ class TestCheckpointAdoptionWhenNotBehind:
         passive = caught_up(xpaxos_t1.replica(2), 10)
         state = passive.app.snapshot()
         proof = checkpoint_proof(xpaxos_t1.keystore)
-        assert passive._install_checkpoint(proof)
+        assert passive.checkpointer.install(proof)
         assert passive.stable_checkpoint is proof
         assert len(passive.commit_log) == len(passive.prepare_log) == 0
         assert passive.app.snapshot() == state
@@ -212,30 +216,30 @@ class TestCheckpointAdoptionWhenNotBehind:
         before = observable(passive)
         forged = forge(xpaxos_t1.keystore)
         assert forged.seqno <= passive.ex
-        passive._on_lazychk("r0", msg.LazyChk(forged))
+        passive.checkpointer._on_lazychk("r0", msg.LazyChk(forged))
         assert observable(passive) == before
         # Not ahead of us, so not grounds to suspect whoever sent it.
-        assert passive._install_checkpoint(forged) is True
+        assert passive.checkpointer.install(forged) is True
         assert observable(passive) == before
 
     def test_proof_no_newer_than_the_stable_one_is_not_even_verified(
             self, xpaxos_t1):
         passive = caught_up(xpaxos_t1.replica(2), 12)
         stable = checkpoint_proof(xpaxos_t1.keystore)
-        passive._on_lazychk("r0", msg.LazyChk(stable))
+        passive.checkpointer._on_lazychk("r0", msg.LazyChk(stable))
         before = observable(passive)
         checked = []
-        passive._checkpoint_proof_valid = \
+        passive.checkpointer.proof_valid = \
             lambda proof: checked.append(proof) or True
         same = checkpoint_proof(xpaxos_t1.keystore)
         older = checkpoint_proof(xpaxos_t1.keystore, seqno=5)
         for proof in (stable, same, older, None):
-            assert passive._install_checkpoint(proof) is True
+            assert passive.checkpointer.install(proof) is True
         assert checked == [] and observable(passive) == before
         assert passive.stable_checkpoint is stable
         # A newer one still is.
         newer = checkpoint_proof(xpaxos_t1.keystore, seqno=11)
-        assert passive._install_checkpoint(newer) and checked == [newer]
+        assert passive.checkpointer.install(newer) and checked == [newer]
         assert passive.stable_checkpoint is newer
 
     def test_passive_replica_truncates_with_the_actives_in_a_real_run(self):
@@ -261,7 +265,7 @@ class TestCheckpointAdoptionWhenNotBehind:
         passive = runtime.replica(2)
         assert passive.ex > 5 * period
         assert passive.stable_checkpoint.seqno >= 2 * period
-        vc = passive._build_view_change(passive.view + 1)
+        vc = passive.view_changer.build_view_change(passive.view + 1)
         assert vc.checkpoint is passive.stable_checkpoint
         carried = [sn for sn, _ in vc.commit_entries]
         assert carried and min(carried) > vc.checkpoint.seqno

@@ -124,7 +124,7 @@ class TestVcConfirmPhase:
         actives = harness.replica(0).groups.group(new_view)
         for rid in actives:
             replica = harness.replica(rid)
-            assert new_view in replica.final_proofs
+            assert new_view in replica.view_changer.final_proofs
             # t+1 confirm signatures form the proof.
-            assert len(replica.final_proofs[new_view]) == \
+            assert len(replica.view_changer.final_proofs[new_view]) == \
                 harness.runtime.config.t + 1

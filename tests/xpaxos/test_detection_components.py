@@ -54,8 +54,8 @@ class TestCheckPair:
     def test_benign_logs_pass_both_directions(self):
         harness = committed_harness()
         primary, follower = harness.replica(0), harness.replica(1)
-        vc0 = primary._build_view_change(1)
-        vc1 = follower._build_view_change(1)
+        vc0 = primary.view_changer.build_view_change(1)
+        vc1 = follower.view_changer.build_view_change(1)
         detector = FaultDetector(follower)
         assert detector._check_pair(1, vc0, vc1) is None
         assert detector._check_pair(1, vc1, vc0) is None
@@ -63,14 +63,14 @@ class TestCheckPair:
     def test_truncated_prepare_log_is_state_loss(self):
         harness = committed_harness()
         primary, follower = harness.replica(0), harness.replica(1)
-        vc0 = primary._build_view_change(1)
+        vc0 = primary.view_changer.build_view_change(1)
         assert vc0.prepare_entries, "need real prepare entries"
         top = max(sn for sn, _ in vc0.prepare_entries)
         lossy = rebuild_vc(
             primary, vc0,
             prepare_entries=[(sn, e) for sn, e in vc0.prepare_entries
                              if sn < top])
-        witness = follower._build_view_change(1)
+        witness = follower.view_changer.build_view_change(1)
         assert any(sn == top for sn, _ in witness.commit_entries)
         detector = FaultDetector(follower)
         assert detector._check_pair(1, lossy, witness) == "state-loss"
@@ -80,15 +80,15 @@ class TestCheckPair:
         harness = committed_harness(seed=22)
         primary, follower = harness.replica(0), harness.replica(1)
         primary.byzantine = DataLossAdversary(keep_upto=1)
-        lossy = primary._build_view_change(1)
-        witness = follower._build_view_change(1)
+        lossy = primary.view_changer.build_view_change(1)
+        witness = follower.view_changer.build_view_change(1)
         detector = FaultDetector(follower)
         assert detector._check_pair(1, lossy, witness) == "state-loss"
 
     def test_wrong_batch_same_view_is_fork_i(self):
         harness = committed_harness()
         primary, follower = harness.replica(0), harness.replica(1)
-        vc0 = primary._build_view_change(1)
+        vc0 = primary.view_changer.build_view_change(1)
         entries = dict(vc0.prepare_entries)
         seqnos = sorted(entries)
         assert len(seqnos) >= 2, "need two slots to cross-wire"
@@ -99,7 +99,7 @@ class TestCheckPair:
                                   ea.primary_sig)
         forked = rebuild_vc(primary, vc0,
                             prepare_entries=sorted(entries.items()))
-        witness = follower._build_view_change(1)
+        witness = follower.view_changer.build_view_change(1)
         detector = FaultDetector(follower)
         assert detector._check_pair(1, forked, witness) == "fork-i"
 
@@ -118,8 +118,8 @@ class TestCheckPair:
             for rid in harness.replica(2).groups.group(view)
             if rid != new_primary.replica_id)
         new_primary.byzantine = StaleViewAdversary(stale_view=0)
-        stale = new_primary._build_view_change(view + 1)
-        witness = witness_replica._build_view_change(view + 1)
+        stale = new_primary.view_changer.build_view_change(view + 1)
+        witness = witness_replica.view_changer.build_view_change(view + 1)
         # Only meaningful if the new view actually committed something.
         assert any(e.view == view for _, e in witness.commit_entries)
         detector = FaultDetector(witness_replica)
@@ -128,7 +128,7 @@ class TestCheckPair:
     def test_later_view_prepare_without_final_proof_is_fork_ii(self):
         harness = committed_harness()
         primary, follower = harness.replica(0), harness.replica(1)
-        vc0 = primary._build_view_change(1)
+        vc0 = primary.view_changer.build_view_change(1)
         entries = dict(vc0.prepare_entries)
         sn = min(entries)
         e = entries[sn]
@@ -139,7 +139,7 @@ class TestCheckPair:
         forked = rebuild_vc(primary, vc0,
                             prepare_entries=sorted(entries.items()),
                             final_proof=None)
-        witness = follower._build_view_change(1)
+        witness = follower.view_changer.build_view_change(1)
         detector = FaultDetector(follower)
         assert detector._check_pair(1, forked, witness) == "fork-ii"
 
@@ -148,13 +148,13 @@ class TestCheckPair:
         convict anyone (Algorithm 6 trusts evidence, not claims)."""
         harness = committed_harness()
         primary, follower = harness.replica(0), harness.replica(1)
-        vc0 = primary._build_view_change(1)
+        vc0 = primary.view_changer.build_view_change(1)
         top = max(sn for sn, _ in vc0.prepare_entries)
         lossy = rebuild_vc(
             primary, vc0,
             prepare_entries=[(sn, e) for sn, e in vc0.prepare_entries
                              if sn < top])
-        witness = follower._build_view_change(1)
+        witness = follower.view_changer.build_view_change(1)
         stripped = rebuild_vc(
             follower, witness,
             commit_entries=[
@@ -168,9 +168,9 @@ class TestCheckPair:
         vacuous -- the basis of the FD-off mode."""
         harness = committed_harness()
         primary, follower = harness.replica(0), harness.replica(1)
-        vc0 = rebuild_vc(primary, primary._build_view_change(1),
+        vc0 = rebuild_vc(primary, primary.view_changer.build_view_change(1),
                          prepare_entries="none")
-        witness = follower._build_view_change(1)
+        witness = follower.view_changer.build_view_change(1)
         detector = FaultDetector(follower)
         assert detector._check_pair(1, vc0, witness) is None
 
@@ -179,9 +179,9 @@ class TestCheckPair:
         follower reporting an empty one is never state-loss."""
         harness = committed_harness()
         follower, other = harness.replica(1), harness.replica(0)
-        vc1 = follower._build_view_change(1)
+        vc1 = follower.view_changer.build_view_change(1)
         assert not vc1.prepare_entries  # followers hold no prepare log
-        witness = other._build_view_change(1)
+        witness = other.view_changer.build_view_change(1)
         detector = FaultDetector(other)
         assert detector._check_pair(1, vc1, witness) is None
 
@@ -189,8 +189,8 @@ class TestCheckPair:
         harness = committed_harness(seed=24)
         primary, follower = harness.replica(0), harness.replica(1)
         primary.byzantine = DataLossAdversary(keep_upto=1)
-        lossy = primary._build_view_change(1)
-        witness = follower._build_view_change(1)
+        lossy = primary.view_changer.build_view_change(1)
+        witness = follower.view_changer.build_view_change(1)
         detector = FaultDetector(follower)
         faulty = detector.detect(1, [lossy, witness])
         assert faulty == {0}
@@ -243,12 +243,12 @@ class TestPreChk:
                                          ("prechk", "wrong", "body")), 64)
         # MAC minted for a different receiver's channel (replay).
         r1._on_deliver_auth("r0", bad, keystore.mac("r0", "r2", bad), 64)
-        assert 4096 not in r1._prechk_votes
+        assert 4096 not in r1.checkpointer._prechk_votes
         assert r1.auth_failures == failures + 2
         # A replica relaying a peer's correctly MAC'd PreChk from its own
         # address cannot inject the vote either: the source check holds.
         r1._on_deliver_auth("r2", bad, keystore.mac("r2", "r1", bad), 64)
-        assert 4096 not in r1._prechk_votes
+        assert 4096 not in r1.checkpointer._prechk_votes
 
     def test_wrong_digest_prechk_never_reaches_agreement(self):
         """A vote whose digest disagrees with ours counts for nothing:
@@ -257,7 +257,7 @@ class TestPreChk:
         r1 = harness.replica(1)
         seqno = 4096
         own = r1.app.state_digest()
-        r1._record_prechk(seqno, r1.replica_id, own)
+        r1.checkpointer._record_prechk(seqno, r1.replica_id, own)
         evil = msg.PreChk(seqno=seqno, view=r1.view,
                           state_digest=b"y" * 32, sender=0)
         # Correctly MAC'd for the r0 -> r1 channel: the faulty active can
@@ -265,8 +265,8 @@ class TestPreChk:
         r1._on_deliver_auth("r0", evil,
                             harness.runtime.keystore.mac("r0", "r1", evil),
                             64)
-        assert r1._prechk_votes[seqno][0] == b"y" * 32  # vote recorded
-        assert seqno not in r1._chkpt_sigs  # but no CHKPT signed
+        assert r1.checkpointer._prechk_votes[seqno][0] == b"y" * 32  # vote recorded
+        assert seqno not in r1.checkpointer._chkpt_sigs  # but no CHKPT signed
 
 
 class TestViewChangeInterleavings:

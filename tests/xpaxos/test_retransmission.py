@@ -3,6 +3,7 @@
 import pytest
 
 from repro.protocols.xpaxos import messages as msg
+from repro.protocols.xpaxos.signed import verify_signed
 from tests.conftest import make_cluster
 
 
@@ -59,7 +60,7 @@ class TestClientTimeout:
         client.propose("op", size_bytes=16)
         xpaxos_t1.sim.run(until=3_000.0)
         for share in bundles[0].shares:
-            assert msg.verify_signed(client, share)
+            assert verify_signed(client, share)
 
 
 class TestReplicaSideTimeout:

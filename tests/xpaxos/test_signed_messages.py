@@ -30,6 +30,7 @@ from repro.faults.adversary import (
     StaleViewAdversary,
 )
 from repro.protocols.xpaxos import messages as msg
+from repro.protocols.xpaxos.signed import Signed, verify_signed
 from repro.smr.log import PrepareEntry
 from repro.smr.messages import Batch
 from tests.conftest import make_cluster, make_harness, run_workload
@@ -64,20 +65,27 @@ FORGERIES = {"wrong-principal": wrong_principal, "tampered": tampered,
              "zeroed-token": zeroed_token}
 
 
+def vc_state(replica):
+    """The view change ``replica`` has in progress (None before any)."""
+    return replica.view_changer._state
+
+
 def fingerprint(node):
     """Everything a forged message could have moved."""
     if not hasattr(node, "commit_log"):  # a client
         return (node.view, node.busy, len(node.completions))
+    vc = vc_state(node)
     return (
         node.view, node.in_view_change, node.view_changes_completed,
         node.sn, node.ex, node.stable_checkpoint,
         dict(node.commit_log.items()), dict(node.prepare_log.items()),
-        {view: (dict(s.vcset), dict(s.vc_finals), dict(s.vc_confirms))
-         for view, s in node._vc.items()},
-        {seqno: dict(v) for seqno, v in node._chkpt_sigs.items()},
+        vc and (dict(vc.vcset), dict(vc.vc_finals), dict(vc.vc_confirms)),
+        {seqno: dict(v)
+         for seqno, v in node.checkpointer._chkpt_sigs.items()},
         {seqno: dict(v) for seqno, v in node._commit_votes.items()},
         dict(node._fast_commits_pending),
-        {rid: dict(s.shares) for rid, s in node._retransmissions.items()},
+        {rid: dict(s.shares)
+         for rid, s in node.retransmitter.waiting.items()},
     )
 
 
@@ -112,7 +120,7 @@ def signed_batch(runtime):
 def in_view_one(runtime, replica_id):
     """``replica_id`` in the middle of the change to view 1."""
     replica = runtime.replica(replica_id)
-    replica._enter_view(1)
+    replica.view_changer._enter_view(1)
     return replica
 
 
@@ -191,23 +199,23 @@ def suspect_at_client_case(runtime):
 def view_change_case(runtime):
     receiver = runtime.replica(0)  # still in view 0
     sender = other_active(receiver, 1)
-    honest = runtime.replica(sender)._build_view_change(1)
+    honest = runtime.replica(sender).view_changer.build_view_change(1)
     return Case(receiver, honest, {"prepare_view": 7},
-                lambda: 1 in receiver._vc
-                and receiver._vc[1].vcset.get(sender) is honest,
+                lambda: receiver.view == 1
+                and vc_state(receiver).vcset.get(sender) is honest,
                 src=f"r{sender}")
 
 
 def vc_final_case(runtime):
     receiver = in_view_one(runtime, 0)
     sender = other_active(receiver, 1)
-    vcset = (runtime.replica(sender)._build_view_change(1),)
+    vcset = (runtime.replica(sender).view_changer.build_view_change(1),)
     honest = msg.VcFinal.signed(
         runtime.replica(sender).sign, new_view=1, sender=sender,
         vcset=vcset, vcset_digest=digest_of(vcset))
     return Case(receiver, honest, {"vcset_digest": digest_of("other")},
-                lambda: sender in receiver._vc[1].vc_finals
-                and sender in receiver._vc[1].vcset, src=f"r{sender}")
+                lambda: sender in vc_state(receiver).vc_finals
+                and sender in vc_state(receiver).vcset, src=f"r{sender}")
 
 
 def vc_confirm_case(runtime):
@@ -217,7 +225,7 @@ def vc_confirm_case(runtime):
         runtime.replica(sender).sign, new_view=1, sender=sender,
         vcset_digest=digest_of("vcset"))
     return Case(receiver, honest, {"vcset_digest": digest_of("other")},
-                lambda: sender in receiver._vc[1].vc_confirms,
+                lambda: sender in vc_state(receiver).vc_confirms,
                 src=f"r{sender}")
 
 
@@ -238,7 +246,7 @@ def chkpt_case(runtime):
     honest = msg.Chkpt.signed(runtime.replica(1).sign, seqno=64, view=0,
                               state_digest=STATE_DIGEST, sender=1)
     return Case(receiver, honest, {"state_digest": b"\x08" * 32},
-                lambda: 1 in receiver._chkpt_sigs.get(64, {}), src="r1")
+                lambda: 1 in receiver.checkpointer._chkpt_sigs.get(64, {}), src="r1")
 
 
 def signed_reply_share_case(runtime):
@@ -246,15 +254,21 @@ def signed_reply_share_case(runtime):
     request = client.propose("op", size_bytes=8)
     runtime.sim.run(until=100.0)
     assert not client.busy  # executed and answered
-    primary._start_retransmission(request, already_executed=True)
+    primary.retransmitter._start(request)
     cached = primary.cached_reply(request.client, request.timestamp)
     honest = msg.SignedReplyShare.signed(
         runtime.replica(1).sign, view=0, seqno=cached.seqno,
         timestamp=cached.timestamp, client=cached.client,
         reply_digest=cached.result_digest, result=cached.result, sender=1)
-    shares = primary._retransmissions[request.rid].shares
+    shares = primary.retransmitter.waiting[request.rid].shares
     return Case(primary, honest, {"reply_digest": digest_of("other")},
                 lambda: 1 in shares, src="r1")
+
+
+def cluster_for(builder, t):
+    """VC-CONFIRM exists (and has a handler) only under fault detection."""
+    return make_cluster(ProtocolName.XPAXOS, t=t,
+                        use_fault_detection=builder is vc_confirm_case)
 
 
 #: name -> (builder, the t it applies to)
@@ -278,7 +292,7 @@ CASE_PARAMS = [pytest.param(builder, t, id=f"{name}-t{t}")
 
 
 def test_every_signed_class_has_a_case():
-    signed = {cls.__name__ for cls in msg.Signed.__subclasses__()}
+    signed = {cls.__name__ for cls in Signed.__subclasses__()}
     assert signed == {name.split("@")[0] for name in CASES}
 
 
@@ -287,7 +301,7 @@ def test_every_signed_class_has_a_case():
 @pytest.mark.parametrize("builder, t", CASE_PARAMS)
 def test_forgery_is_dropped_and_the_honest_message_accepted(builder, t,
                                                             forge):
-    runtime = make_cluster(ProtocolName.XPAXOS, t=t)
+    runtime = cluster_for(builder, t)
     case = builder(runtime)
     forged = forge(runtime, case)
     assert forged != case.honest and not case.accepted()
@@ -308,14 +322,14 @@ def test_forgery_is_dropped_and_the_honest_message_accepted(builder, t,
 def test_honest_message_is_seeded_and_a_copy_rederives_the_same(builder, t):
     """``signed`` seeds ``payload_digest`` from the signature; a message
     rebuilt from the same fields starts unseeded and hashes to it."""
-    case = builder(make_cluster(ProtocolName.XPAXOS, t=t))
+    case = builder(cluster_for(builder, t))
     honest = case.honest
     signature = getattr(honest, honest.signature_field)
     assert honest.payload_digest() is signature.digest
     twin = dataclasses.replace(honest)
     assert "_memo_payload_digest" not in vars(twin)
     assert twin.payload_digest() == signature.digest
-    assert msg.verify_signed(case.receiver, twin)
+    assert verify_signed(case.receiver, twin)
 
 
 # ---------------------------------------------------------------------------
@@ -325,14 +339,15 @@ def test_honest_message_is_seeded_and_a_copy_rederives_the_same(builder, t):
 
 @pytest.mark.parametrize("t", [1, 2])
 def test_vc_confirm_from_outside_the_group_is_dropped(t):
-    runtime = make_cluster(ProtocolName.XPAXOS, t=t)
+    runtime = make_cluster(ProtocolName.XPAXOS, t=t,
+                           use_fault_detection=True)
     receiver = in_view_one(runtime, 0)
     outsider = receiver.groups.passive(1)[0]
     confirm = msg.VcConfirm.signed(
         runtime.replica(outsider).sign, new_view=1, sender=outsider,
         vcset_digest=digest_of("vcset"))
-    receiver._on_vc_confirm(f"r{outsider}", confirm)
-    assert receiver._vc[1].vc_confirms == {}
+    receiver.view_changer._on_vc_confirm(f"r{outsider}", confirm)
+    assert vc_state(receiver).vc_confirms == {}
 
 
 @pytest.mark.parametrize("t", [1, 2])
@@ -343,8 +358,8 @@ def test_chkpt_from_outside_the_group_is_dropped(t):
     chkpt = msg.Chkpt.signed(runtime.replica(outsider).sign, seqno=64,
                              view=0, state_digest=STATE_DIGEST,
                              sender=outsider)
-    receiver._on_chkpt(f"r{outsider}", chkpt)
-    assert receiver._chkpt_sigs == {}
+    receiver.checkpointer._on_chkpt(f"r{outsider}", chkpt)
+    assert receiver.checkpointer._chkpt_sigs == {}
 
 
 @pytest.mark.parametrize("t", [1, 2])
@@ -387,10 +402,10 @@ class TestVcFinalSet:
 
     def test_set_that_does_not_hash_to_its_digest_merges_nothing(self, t):
         runtime, receiver, sender, victim = self.setup(t)
-        real = runtime.replica(sender)._build_view_change(1)
-        other = runtime.replica(victim)._build_view_change(1)
+        real = runtime.replica(sender).view_changer.build_view_change(1)
+        other = runtime.replica(victim).view_changer.build_view_change(1)
         before = fingerprint(receiver)
-        receiver._on_vc_final(f"r{sender}", vc_final_around(
+        receiver.view_changer._on_vc_final(f"r{sender}", vc_final_around(
             runtime, sender, (real, other), digest_of((real,))))
         assert fingerprint(receiver) == before
 
@@ -398,33 +413,33 @@ class TestVcFinalSet:
         """The sender's own VIEW-CHANGE is genuine; the one it carries in
         the victim's name is its own work."""
         runtime, receiver, sender, victim = self.setup(t)
-        real = runtime.replica(sender)._build_view_change(1)
-        honest = runtime.replica(victim)._build_view_change(1)
+        real = runtime.replica(sender).view_changer.build_view_change(1)
+        honest = runtime.replica(victim).view_changer.build_view_change(1)
         forged = honest.resigned(runtime.replica(sender).sign,
                                  prepare_view=7)
         before = fingerprint(receiver)
-        receiver._on_vc_final(f"r{sender}",
+        receiver.view_changer._on_vc_final(f"r{sender}",
                               vc_final_around(runtime, sender,
                                               (forged, real)))
         assert fingerprint(receiver) == before
 
     def test_view_change_for_another_view_spoils_the_set(self, t):
         runtime, receiver, sender, victim = self.setup(t)
-        real = runtime.replica(sender)._build_view_change(1)
-        stray = runtime.replica(victim)._build_view_change(2)
+        real = runtime.replica(sender).view_changer.build_view_change(1)
+        stray = runtime.replica(victim).view_changer.build_view_change(2)
         before = fingerprint(receiver)
-        receiver._on_vc_final(f"r{sender}",
+        receiver.view_changer._on_vc_final(f"r{sender}",
                               vc_final_around(runtime, sender,
                                               (real, stray)))
         assert fingerprint(receiver) == before
 
     def test_genuine_set_is_merged(self, t):
         runtime, receiver, sender, victim = self.setup(t)
-        vcset = (runtime.replica(sender)._build_view_change(1),
-                 runtime.replica(victim)._build_view_change(1))
-        receiver._on_vc_final(f"r{sender}",
+        vcset = (runtime.replica(sender).view_changer.build_view_change(1),
+                 runtime.replica(victim).view_changer.build_view_change(1))
+        receiver.view_changer._on_vc_final(f"r{sender}",
                               vc_final_around(runtime, sender, vcset))
-        state = receiver._vc[1]
+        state = vc_state(receiver)
         assert sender in state.vc_finals
         assert {sender, victim} <= set(state.vcset)
 
@@ -433,11 +448,11 @@ def test_vc_final_from_a_passive_replica_is_dropped(xpaxos_t1):
     """r1 is passive in view 1 = (r0, r2): its genuine signature under
     r2's name must not file a VC-FINAL as r2."""
     receiver = in_view_one(xpaxos_t1, 0)
-    vcset = (xpaxos_t1.replica(1)._build_view_change(1),)
-    receiver._on_vc_final("r1", msg.VcFinal.signed(
+    vcset = (xpaxos_t1.replica(1).view_changer.build_view_change(1),)
+    receiver.view_changer._on_vc_final("r1", msg.VcFinal.signed(
         xpaxos_t1.replica(1).sign, new_view=1, sender=2, vcset=vcset,
         vcset_digest=digest_of(vcset)))
-    assert receiver._vc[1].vc_finals == {}
+    assert vc_state(receiver).vc_finals == {}
 
 
 # ---------------------------------------------------------------------------
@@ -469,13 +484,13 @@ def test_mutated_view_change_verifies(make, checkpointed):
     run_workload(runtime, duration_ms=400.0)
     faulty, receiver = runtime.replica(0), runtime.replica(2)
     assert (faulty.stable_checkpoint is not None) == checkpointed
-    honest = faulty._build_view_change(1)
+    honest = faulty.view_changer.build_view_change(1)
     assert honest.commit_entries and honest.prepare_entries
     faulty.byzantine = make()
-    mutated = faulty._build_view_change(1)
+    mutated = faulty.view_changer.build_view_change(1)
     assert mutated != honest
-    assert msg.verify_signed(receiver, mutated)
-    assert msg.verify_signed(receiver, dataclasses.replace(mutated))
+    assert verify_signed(receiver, mutated)
+    assert verify_signed(receiver, dataclasses.replace(mutated))
 
 
 # ---------------------------------------------------------------------------
@@ -554,7 +569,7 @@ class TestCommitProofValid:
         follower = runtime.replica(1)
         entry = follower.commit_log.get(follower.commit_log.end)
         assert len(entry.proof) == t + 1
-        return runtime, follower.detector, entry
+        return runtime, follower.view_changer.detector, entry
 
     def test_honest_entries_pass(self, t):
         runtime, detector, _ = self.witness(t)

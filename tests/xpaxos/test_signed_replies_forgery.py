@@ -109,5 +109,5 @@ def test_replica_files_a_share_only_under_its_signer(xpaxos_t1):
     forged = share(xpaxos_t1, request, 2, 1, cached.result)
     assert forged.reply_digest == cached.result_digest
     primary.on_message("r2", forged)
-    state = primary._retransmissions[request.rid]
+    state = primary.retransmitter.waiting[request.rid]
     assert sorted(state.shares) == [0] and not state.done

@@ -1,9 +1,14 @@
 """Tests for passive-replica state retrieval (Section 4.5.2's "retrieve
 the missing state from others") and view fast-forwarding."""
 
+import signal
+from contextlib import contextmanager
+
 import pytest
 
 from repro.protocols.xpaxos import messages as msg
+from repro.smr.log import CommitEntry
+from repro.smr.messages import Batch, Request
 from tests.conftest import (
     checkpoint_proof,
     forgeries,
@@ -40,7 +45,7 @@ class TestFetchOnGap:
         passive = xpaxos_t1.replica(2)
         end = primary.commit_log.end
         assert end >= 2
-        primary._on_fetch("r2", msg.FetchEntries(1, end, 2))
+        primary.lazy._on_fetch("r2", msg.FetchEntries(1, end, 2))
         xpaxos_t1.sim.run(until=xpaxos_t1.sim.now + 100.0)
         # The reply is consumed by the passive replica transparently; its
         # log covers the range.
@@ -55,16 +60,8 @@ class TestFetchOnGap:
         primary = runtime.replica(0)
         assert primary.stable_checkpoint is not None
         floor = primary.commit_log.low_water
-        collected = []
-        original_send = primary.send_authenticated
-
-        def spy(dst, payload, size_bytes=0):
-            if isinstance(payload, msg.FetchReply):
-                collected.append(payload)
-            original_send(dst, payload, size_bytes=size_bytes)
-
-        primary.send_authenticated = spy
-        primary._on_fetch("r2", msg.FetchEntries(1, floor, 2))
+        collected = spy_on_fetch_replies(primary)
+        primary.lazy._on_fetch("r2", msg.FetchEntries(1, floor, 2))
         assert collected
         reply = collected[0]
         # Entries below the floor are gone; the checkpoint substitutes.
@@ -72,20 +69,33 @@ class TestFetchOnGap:
         assert reply.checkpoint is not None
         assert reply.checkpoint.seqno >= floor
 
+    def test_huge_fetch_range_is_served_from_the_log(self):
+        """The range is unvalidated wire input: one FETCH-ENTRIES for
+        [1, 10**9] must cost a walk over the responder's own log (a
+        checkpoint window), not a billion iterations, and return exactly
+        what asking for the log's real extent returns."""
+        runtime = make_cluster(checkpoint_period=10, num_clients=4)
+        run_workload(runtime, duration_ms=1_000.0)
+        primary = runtime.replica(0)
+        assert len(primary.commit_log) >= 2
+        replies = spy_on_fetch_replies(primary)
+        with within(seconds=5.0):
+            primary.lazy._on_fetch(
+                "r2", msg.FetchEntries(1, primary.commit_log.end, 2))
+            primary.lazy._on_fetch("r2", msg.FetchEntries(1, 10**9, 2))
+            primary.lazy._on_fetch("r2",
+                                   msg.FetchEntries(-10**9, 10**9, 2))
+        exact, huge, both_ways = replies
+        assert exact.entries == huge.entries == both_ways.entries
+        assert [e.seqno for e in exact.entries] == \
+            [sn for sn, _ in primary.commit_log.items()]
+
     def test_fetch_pending_flag_prevents_storms(self, xpaxos_t1):
         passive = xpaxos_t1.replica(2)
-        sent = []
-        original = passive.multicast_authenticated
-
-        def spy(dsts, payload, size_bytes=0):
-            if isinstance(payload, msg.FetchEntries):
-                sent.extend(payload for _ in dsts)
-            original(dsts, payload, size_bytes=size_bytes)
-
-        passive.multicast_authenticated = spy
-        passive._fetch_missing(1, 5)
-        passive._fetch_missing(1, 5)
-        passive._fetch_missing(1, 5)
+        sent = spy_on_fetches(passive)
+        passive.lazy.fetch_missing(1, 5)
+        passive.lazy.fetch_missing(1, 5)
+        passive.lazy.fetch_missing(1, 5)
         # One request per active replica, once.
         assert len(sent) == xpaxos_t1.config.t + 1 or \
             len(sent) == len(passive._active_names()) - (
@@ -93,11 +103,78 @@ class TestFetchOnGap:
 
     def test_fetch_retry_allowed_after_window(self, xpaxos_t1):
         passive = xpaxos_t1.replica(2)
-        passive._fetch_missing(1, 5)
-        assert passive._fetch_pending
+        passive.lazy.fetch_missing(1, 5)
+        assert passive.lazy._fetch_pending
         xpaxos_t1.sim.run(
             until=xpaxos_t1.sim.now + 2 * xpaxos_t1.config.delta_ms + 1.0)
-        assert not passive._fetch_pending
+        assert not passive.lazy._fetch_pending
+
+    def test_fetch_outstanding_at_a_crash_does_not_block_the_next(
+            self, xpaxos_t1):
+        """A passive replica issues a fetch, crashes, and is still down
+        when the 2-Delta re-fetch window closes (``Process.after`` runs
+        nothing on a crashed process).  Once recovered, a LAZY-COMMIT
+        above a hole must send FETCH-ENTRIES again."""
+        passive = xpaxos_t1.replica(2)
+        sim, delta = xpaxos_t1.sim, xpaxos_t1.config.delta_ms
+        sent = spy_on_fetches(passive)
+        passive.lazy.fetch_missing(1, 5)
+        assert len(sent) == 2
+        passive.crash()
+        sim.run(until=sim.now + 10 * delta)
+        passive.recover()
+        sim.run(until=sim.now + 10 * delta)
+        batch = Batch((Request(op=1, timestamp=1, client=0),))
+        sig = xpaxos_t1.keystore.sign("r1", ("e", 7))
+        passive.lazy._on_lazy_commit("r1", msg.LazyCommit(
+            0, 7, CommitEntry(7, 0, batch, (sig,))))
+        assert [(f.from_seqno, f.to_seqno) for f in sent[2:]] == \
+            [(1, 6), (1, 6)]
+
+
+@contextmanager
+def within(seconds):
+    """Fail, instead of hanging the suite, if the body is still running
+    after ``seconds`` of wall clock."""
+    def expired(signum, frame):
+        raise AssertionError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def spy_on_fetches(replica):
+    """Every FETCH-ENTRIES ``replica`` sends from now on, one per
+    destination."""
+    sent = []
+    original = replica.multicast_authenticated
+
+    def spy(dsts, payload, size_bytes=0):
+        if isinstance(payload, msg.FetchEntries):
+            sent.extend(payload for _ in dsts)
+        original(dsts, payload, size_bytes=size_bytes)
+
+    replica.multicast_authenticated = spy
+    return sent
+
+
+def spy_on_fetch_replies(replica):
+    """Every FETCH-REPLY ``replica`` sends from now on."""
+    collected = []
+    original = replica.send_authenticated
+
+    def spy(dst, payload, size_bytes=0):
+        if isinstance(payload, msg.FetchReply):
+            collected.append(payload)
+        original(dst, payload, size_bytes=size_bytes)
+
+    replica.send_authenticated = spy
+    return collected
 
 
 class TestFetchReplyCheckpoint:
@@ -108,7 +185,7 @@ class TestFetchReplyCheckpoint:
     def test_honest_checkpoint_installed(self, xpaxos_t1):
         passive = xpaxos_t1.replica(2)
         proof = checkpoint_proof(xpaxos_t1.keystore)
-        passive._on_fetch_reply("r0", msg.FetchReply((), proof))
+        passive.lazy._on_fetch_reply("r0", msg.FetchReply((), proof))
         assert (passive.ex, passive.sn) == (10, 10)
         assert passive.stable_checkpoint is proof
 
@@ -116,32 +193,26 @@ class TestFetchReplyCheckpoint:
     def test_forged_checkpoint_rejected(self, xpaxos_t1, forge):
         passive = xpaxos_t1.replica(2)
         proof = forge(xpaxos_t1.keystore)
-        passive._on_fetch_reply("r0", msg.FetchReply((), proof))
+        passive.lazy._on_fetch_reply("r0", msg.FetchReply((), proof))
         assert passive.ex == 0 and passive.app.executed_count == 0
         assert passive.stable_checkpoint is None
 
 
 class TestViewFastForward:
     def test_lazy_commit_from_newer_view_advances_view(self, xpaxos_t1):
-        from repro.smr.log import CommitEntry
-        from repro.smr.messages import Batch, Request
-
         passive = xpaxos_t1.replica(0)  # passive in view 2
         batch = Batch((Request(op=1, timestamp=1, client=0),))
         sig = xpaxos_t1.keystore.sign("r1", ("e", 1))
         entry = CommitEntry(1, 2, batch, (sig,))
-        passive._on_lazy_commit("r2", msg.LazyCommit(2, 1, entry))
+        passive.lazy._on_lazy_commit("r2", msg.LazyCommit(2, 1, entry))
         assert passive.view == 2
 
     def test_no_fast_forward_when_active_in_that_view(self, xpaxos_t1):
         """A replica that is ACTIVE in the newer view must go through the
         real view change, not silently jump."""
-        from repro.smr.log import CommitEntry
-        from repro.smr.messages import Batch, Request
-
         replica = xpaxos_t1.replica(0)  # active (primary) in view 1
         batch = Batch((Request(op=1, timestamp=1, client=0),))
         sig = xpaxos_t1.keystore.sign("r2", ("e", 1))
         entry = CommitEntry(1, 1, batch, (sig,))
-        replica._on_lazy_commit("r2", msg.LazyCommit(1, 1, entry))
+        replica.lazy._on_lazy_commit("r2", msg.LazyCommit(1, 1, entry))
         assert replica.view == 0
