@@ -20,6 +20,21 @@ timer; on expiry it advances the ballot, broadcasts ``NEW-BALLOT``, gathers
 a majority of ``PROMISE`` messages carrying accepted entries, re-proposes
 the merged log, and resumes the common case.
 
+Who the ``t`` acceptors are: in view 0 the lowest ids after the leader
+(the paper places them in the closest datacenters, which the site layout
+reflects); for the winner of a ballot, ``t`` of the replicas whose PROMISE
+made its majority.  A leader that ordered through the lowest ids whoever
+it was would keep the crashed leader of view 0 as its acceptor, gather
+``t`` acknowledgements for nothing until that replica came back, and be
+voted out every retransmission timeout meanwhile: fail-over has to cost
+one election, not the crashed replica's downtime.
+
+What a replica keeps for phase 1: the values it accepted in the current
+checkpoint window (``_accepted``, pruned where the base class truncates
+the commit log), so a PROMISE -- and an election -- costs the window, not
+the run's history; a leader elected from behind the windows it was shown
+catches up by state transfer (``SyncRequest``), as after a crash.
+
 Only MACs are used -- crash faults cannot forge messages.
 """
 
@@ -103,22 +118,28 @@ class PaxosReplica(BaselineReplica):
         # Election state (the election timer itself lives in the base).
         self._promises: Dict[int, Promise] = {}
         self._pending_ballot: Optional[int] = None
+        # Whom this replica orders through while it leads: the lowest ids
+        # after itself -- for the leader of view 0 the paper's placement
+        # (the closest datacenters in the site layout) -- until it wins a
+        # ballot, from then on replicas that promised.
+        assert self.config.n is not None
+        self._acceptors: List[int] = [
+            r for r in range(self.config.n)
+            if r != self.replica_id][: self.config.t]
 
     # -- roles ------------------------------------------------------------
     def supports_view_change(self) -> bool:
         return True
+
     def common_case_acceptors(self) -> List[int]:
-        """The ``t`` acceptors contacted in the common case: the lowest
-        replica ids after the leader (the paper places them in the closest
-        datacenters, which the site layout reflects)."""
-        assert self.config.n is not None
-        others = [r for r in range(self.config.n) if r != self.leader_id]
-        return others[: self.config.t]
+        """The ``t`` acceptors this replica contacts in the common case
+        of a view it leads."""
+        return self._acceptors
 
     def passive_ids(self) -> List[int]:
         """Replicas outside the common case (learn lazily)."""
         assert self.config.n is not None
-        active = {self.leader_id, *self.common_case_acceptors()}
+        active = {self.replica_id, *self._acceptors}
         return [r for r in range(self.config.n) if r not in active]
 
     # -- message handling ---------------------------------------------------
@@ -193,6 +214,13 @@ class PaxosReplica(BaselineReplica):
     def after_execute(self, seqno: int, entry: CommitEntry,
                       results: List[Any]) -> None:
         super().after_execute(seqno, entry, results)
+        if seqno % self.config.checkpoint_period == 0:
+            # The commit log was just truncated: an accepted value below
+            # it is executed here, and a replica that still misses it is
+            # brought up by state transfer, not by a later ballot's merge.
+            low_water = self.commit_log.low_water
+            for stale in [sn for sn in self._accepted if sn <= low_water]:
+                del self._accepted[stale]
         # Only the leader answers clients (CFT: one reply suffices), but
         # every replica caches its replies for dedup and failover.
         if self.is_leader:
@@ -248,9 +276,10 @@ class PaxosReplica(BaselineReplica):
                         and m.view > self._pending_ballot:
                     self._pending_ballot = None
                 self._election_timer.stop()
-        # Ship every retained accepted entry: the new leader's merge picks
-        # the highest-ballot value per slot and discards what it already
-        # executed, so over-reporting is safe and simplest.
+        # Ship every retained accepted entry (one checkpoint window): the
+        # new leader's merge picks the highest-ballot value per slot and
+        # discards what every promiser already executed, so over-reporting
+        # is safe and simplest.
         entries = tuple(
             (seqno, ballot, batch)
             for seqno, (ballot, batch) in sorted(self._accepted.items()))
@@ -266,30 +295,39 @@ class PaxosReplica(BaselineReplica):
         self._promises[m.sender] = m
         if len(self._promises) < self.config.quorum:
             return
-        # Majority promised: become leader of the new ballot.
+        # Majority promised: become leader of the new ballot, ordering
+        # through t of the replicas that just answered -- they are up, which
+        # nothing says of the lowest ids.
         ballot = self._pending_ballot
         self._pending_ballot = None
         self.view = ballot
         self.view_changes_completed += 1
         self._election_timer.stop()
+        promises, self._promises = self._promises, {}
+        self._acceptors = sorted(
+            p for p in promises if p != self.replica_id)[: self.config.t]
         # Merge: per slot, the entry accepted at the highest ballot wins.
         merged: Dict[int, Tuple[int, Batch]] = {}
-        for promise in self._promises.values():
+        for promise in promises.values():
             for seqno, accepted_ballot, batch in promise.entries:
                 current = merged.get(seqno)
                 if current is None or accepted_ballot > current[0]:
                     merged[seqno] = (accepted_ballot, batch)
-        self._promises = {}
-        # Re-propose merged entries above our execution horizon, then
-        # resume normal operation; sequence numbering continues after the
-        # highest merged slot.
-        highest = max(merged, default=self.ex)
-        self.sn = max(self.sn, highest, self.ex)
+        # Re-propose the merged entries some promiser has yet to execute
+        # (an acceptor of the old leader may hold slots nobody else was
+        # told about), then resume normal operation; sequence numbering
+        # continues after everything a promiser has accepted or executed.
+        behind = min(p.executed_upto for p in promises.values())
+        ahead = max(promises.values(), key=lambda p: p.executed_upto)
+        self.sn = max(self.sn, self.ex, ahead.executed_upto,
+                      max(merged, default=0))
         for seqno in sorted(merged):
-            if seqno <= self.ex and seqno in self.commit_log:
-                continue
-            _, batch = merged[seqno]
-            self.propose_batch(seqno, batch)
+            if seqno > behind:
+                self.propose_batch(seqno, merged[seqno][1])
+        if ahead.executed_upto > self.ex:
+            # Promisers only report their current window: what lies below
+            # it we fetch from the one furthest ahead.
+            self.request_sync(ahead.sender)
         # Merged re-proposals are carried state, outside the pipeline
         # window; requests queued while campaigning flow through a flush.
         self.sequencer.carry_over()

@@ -3,7 +3,11 @@
 Modules:
 
 * :mod:`repro.protocols.xpaxos.groups` -- the view-to-synchronous-group
-  mapping (Section 4.3.1, generalizing Table 2).
+  mapping (Section 4.3.1).  The paper fixes the rotation for t = 1
+  (Table 2, reproduced exactly) and asks only for "a mapping known to all
+  replicas" otherwise; for t >= 2 each group is followed by the unused
+  one that does not contain its primary and shares the fewest replicas
+  with it, so that a crashed primary costs one view change.
 * :mod:`repro.protocols.xpaxos.messages` -- every wire message of the
   protocol (common case, view change, fault detection, checkpointing,
   lazy replication, retransmission);

@@ -11,7 +11,7 @@ class is its only writer.  It reaches the core through ``commit_log`` /
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import TYPE_CHECKING, Any, Dict, Optional
 
 from repro.crypto.primitives import replica_principal
 from repro.protocols.xpaxos import messages as msg
@@ -27,6 +27,8 @@ class Checkpointer:
     def __init__(self, replica: "XPaxosReplica") -> None:
         self.replica = replica
         self._prechk_votes: Dict[int, Dict[int, bytes]] = {}
+        #: The application as it was right after each slot we voted on.
+        self._snapshots: Dict[int, Any] = {}
         self._chkpt_sigs: Dict[int, Dict[int, msg.Chkpt]] = {}
         replica._handlers.update({
             msg.PreChk: self._on_prechk,
@@ -36,13 +38,16 @@ class Checkpointer:
 
     def maybe_checkpoint(self, seqno: int) -> None:
         """Slot ``seqno`` executed: an active replica starts a checkpoint
-        every ``checkpoint_period`` slots."""
+        every ``checkpoint_period`` slots.  The snapshot a proof of it
+        will carry is taken here, beside the digest it is voted under: by
+        the time the CHKPT quorum forms the pipeline has executed on."""
         replica = self.replica
         if seqno % replica.config.checkpoint_period != 0:
             return
         if not replica.is_active:
             return
         state_digest = replica.app.state_digest()
+        self._snapshots[seqno] = replica.app.snapshot()
         prechk = msg.PreChk(seqno, replica.view, state_digest,
                             replica.replica_id)
         # 44 payload bytes + the 20-byte transport MAC = the 64 bytes the
@@ -103,15 +108,13 @@ class Checkpointer:
         stable = replica.stable_checkpoint
         if stable is not None and stable.seqno >= m.seqno:
             return
+        if m.seqno not in self._snapshots:
+            return  # signatures for a slot we never voted on ourselves
         proof = msg.CheckpointProof(
             seqno=m.seqno, view=m.view, state_digest=m.state_digest,
             sigs=tuple(c.sig for c in matching[:quorum]),
-            snapshot=replica.app.snapshot())
+            snapshot=self._snapshots[m.seqno])
         self._adopt(proof)
-        self._prechk_votes = {sn: v for sn, v in self._prechk_votes.items()
-                              if sn > m.seqno}
-        self._chkpt_sigs = {sn: v for sn, v in self._chkpt_sigs.items()
-                            if sn > m.seqno}
         replica.multicast_authenticated(replica._passive_names(),
                                         msg.LazyChk(proof), size_bytes=512)
 
@@ -127,9 +130,8 @@ class Checkpointer:
         """Is ``proof`` signed by t + 1 distinct members of its view's
         synchronous group, each over this very (seqno, view, state digest)?
 
-        The snapshot is not hashed against ``state_digest``:
-        ``NullService.restore`` deliberately does not round-trip its
-        running hash, so honest proofs would fail that check.
+        The snapshot is not restored here: :meth:`install` checks it
+        against ``state_digest`` where it is about to be used.
         """
         replica = self.replica
         members = {replica_principal(r): r
@@ -151,8 +153,9 @@ class Checkpointer:
         snapshot only if it is ahead of our execution horizon, and
         truncate both logs either way -- this is what garbage-collects a
         replica that takes no part in checkpointing (a passive one kept up
-        to date by lazy replication).  A proof that does not verify changes
-        nothing.  False only for an unverifiable proof ahead of us."""
+        to date by lazy replication).  A proof that does not verify, or
+        whose snapshot does not restore to the state digest it proves,
+        changes nothing.  False only for such a proof ahead of us."""
         replica = self.replica
         stable = replica.stable_checkpoint
         if proof is None \
@@ -160,14 +163,20 @@ class Checkpointer:
             return True
         if not self.proof_valid(proof):
             return proof.seqno <= replica.ex
-        replica.restore_to(proof.seqno, proof.snapshot)
+        if not replica.restore_to(proof.seqno, proof.snapshot,
+                                  proof.state_digest):
+            return False
         self._adopt(proof)
         return True
 
     def _adopt(self, proof: msg.CheckpointProof) -> None:
         """``proof`` is the stable checkpoint: nothing at or below it is
-        needed in either log any more."""
+        needed in either log, or of our own votes, any more."""
         replica = self.replica
         replica.stable_checkpoint = proof
         replica.commit_log.truncate_to(proof.seqno)
         replica.prepare_log.truncate_to(proof.seqno)
+        for table in (self._prechk_votes, self._snapshots,
+                      self._chkpt_sigs):
+            for seqno in [sn for sn in table if sn <= proof.seqno]:
+                del table[seqno]

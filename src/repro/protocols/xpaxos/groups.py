@@ -7,7 +7,8 @@ remaining ``t`` replicas are passive.  The paper enumerates all
 "eventually, view change in XPaxos will complete with t + 1 correct and
 synchronous active replicas" (Section 4.6, availability).
 
-For ``t = 1`` this reproduces Table 2 exactly:
+What the paper fixes is the rotation for ``t = 1``, Table 2, which this
+module reproduces exactly:
 
 ====================  =====  ======  ======
 view (mod 3)            i     i + 1   i + 2
@@ -16,6 +17,14 @@ primary                s0     s0      s1
 follower               s1     s2      s2
 passive                s2     s1      s0
 ====================  =====  ======  ======
+
+For general ``t`` it asks only for "a mapping known to all replicas"
+(Section 4.3.1): which of the combinations follows which is left open,
+and it decides what a crash costs.  A view is most often abandoned
+because its primary stopped answering, so the order used here moves away
+from the suspected group (see :class:`SynchronousGroups`); enumerating
+the combinations lexicographically would instead try, at ``t = 2``, five
+more groups led by the crashed ``s0`` before the first one without it.
 """
 
 from __future__ import annotations
@@ -26,12 +35,51 @@ from typing import List, Sequence, Tuple
 from repro.common.errors import ConfigurationError
 
 
+def _rotation(n: int, t: int) -> List[Tuple[int, ...]]:
+    """All ``C(n, t + 1)`` groups in rotation order (a pure function of
+    ``(n, t)``, so every replica computes the same list)."""
+    combos = list(itertools.combinations(range(n), t + 1))
+    if t == 1:
+        return combos  # Table 2
+    order, unused = combos[:1], combos[1:]
+    while unused:
+        primary, abandoned = order[-1][0], set(order[-1])
+        # Away from the suspected primary while a group without it is
+        # left, and in any case into the group that shares the fewest
+        # replicas with the one being abandoned.
+        candidates = [g for g in unused if primary not in g] or unused
+        following = min(
+            candidates, key=lambda g: (len(abandoned.intersection(g)), g))
+        unused.remove(following)
+        order.append(following)
+    return order
+
+
 class SynchronousGroups:
     """The deterministic ``view -> synchronous group`` mapping.
 
-    The combination list is ordered lexicographically, and within a group
-    the lowest replica id is the primary -- the convention that makes the
-    ``t = 1`` rotation match the paper's Table 2.
+    Within a group the lowest replica id is the primary.  For ``t = 1``
+    the groups rotate as in the paper's Table 2.  For ``t >= 2`` view 0 is
+    ``(0, ..., t)`` and each view's group is followed by the one, among
+    those not yet used in the cycle, that does not contain its primary and
+    shares the fewest replicas with it (ties go to the lexicographically
+    smallest; once every unused group contains the primary, the
+    fewest-shared rule alone decides).  The order is still a permutation
+    of all ``C(2t+1, t+1)`` combinations, so every group gets its turn
+    once per cycle -- which is all Section 4.6's availability argument
+    needs -- but a crashed replica spoils at most 4 consecutive views at
+    ``t = 2`` (7 at ``t = 3``) where the lexicographic enumeration gives
+    it 6 (20), and a crashed *primary* is not in the next view.  Two
+    groups of ``t + 1`` out of ``2t + 1`` always share a replica, so when
+    it was a follower that crashed the next group may still contain it,
+    and that view costs one more ``view_change_timeout_ms``.
+
+    The alternative the paper names is not implemented: "For a large
+    number of replicas, the combinatorial number of synchronous groups
+    may be inefficient.  To this end, XPaxos can be modified to rotate
+    only the leader, which may then resort to deterministic verifiable
+    pseudorandom selection of the set of f followers in each view"
+    (Section 4.3.1).
     """
 
     def __init__(self, n: int, t: int) -> None:
@@ -41,9 +89,7 @@ class SynchronousGroups:
             )
         self.n = n
         self.t = t
-        self._groups: List[Tuple[int, ...]] = [
-            combo for combo in itertools.combinations(range(n), t + 1)
-        ]
+        self._groups = _rotation(n, t)
 
     @property
     def group_count(self) -> int:
@@ -90,84 +136,3 @@ class SynchronousGroups:
         while base <= after_view:
             base += cycle
         return base
-
-
-class LeaderRotationGroups:
-    """The paper's sketched alternative for large clusters (Section 4.3.1).
-
-    "For a large number of replicas, the combinatorial number of
-    synchronous groups may be inefficient.  To this end, XPaxos can be
-    modified to rotate only the leader, which may then resort to
-    deterministic verifiable pseudorandom selection of the set of f
-    followers in each view."
-
-    The primary of view ``i`` is ``i mod n``; the ``t`` followers are
-    drawn from the remaining replicas by a deterministic PRF over
-    ``(seed, view)`` that every replica can recompute and verify.  The
-    scheme keeps the properties the view change relies on:
-
-    * the mapping is a pure function of the view number (all replicas
-      agree without communication);
-    * every replica is the primary infinitely often; and
-    * every replica appears as a follower with frequency ~t/(n-1), so a
-      correct synchronous group recurs with bounded expected wait.
-    """
-
-    def __init__(self, n: int, t: int, seed: int = 0) -> None:
-        if n != 2 * t + 1:
-            raise ConfigurationError(
-                f"XPaxos requires n = 2t+1; got n={n}, t={t}"
-            )
-        self.n = n
-        self.t = t
-        self.seed = seed
-
-    @property
-    def group_count(self) -> int:
-        """Distinct (primary, follower-set) pairs is unbounded in view
-        space; the rotation period of the *primary* is ``n``."""
-        return self.n
-
-    def primary(self, view: int) -> int:
-        """Round-robin leader rotation."""
-        if view < 0:
-            raise ValueError(f"view must be >= 0, got {view}")
-        return view % self.n
-
-    def followers(self, view: int) -> Tuple[int, ...]:
-        """The ``t`` pseudorandomly selected followers of ``view``.
-
-        Selection is a Fisher-Yates prefix over the non-primary replicas,
-        driven by SHA-256 of ``(seed, view)`` -- deterministic, uniform,
-        and verifiable by any replica.
-        """
-        import hashlib
-
-        primary = self.primary(view)
-        candidates = [r for r in range(self.n) if r != primary]
-        digest = hashlib.sha256(
-            f"{self.seed}/{view}".encode()).digest()
-        state = int.from_bytes(digest, "big")
-        chosen = []
-        for slot in range(self.t):
-            index = state % len(candidates)
-            state //= max(len(candidates), 1)
-            chosen.append(candidates.pop(index))
-        return tuple(sorted(chosen))
-
-    def group(self, view: int) -> Tuple[int, ...]:
-        """Active replicas (sorted ids) of ``view``."""
-        return tuple(sorted((self.primary(view), *self.followers(view))))
-
-    def passive(self, view: int) -> Tuple[int, ...]:
-        """The ``t`` passive replicas of ``view``."""
-        active = set(self.group(view))
-        return tuple(r for r in range(self.n) if r not in active)
-
-    def is_active(self, view: int, replica: int) -> bool:
-        """Is ``replica`` in the synchronous group of ``view``?"""
-        return replica in self.group(view)
-
-    def is_primary(self, view: int, replica: int) -> bool:
-        """Is ``replica`` the primary of ``view``?"""
-        return replica == self.primary(view)

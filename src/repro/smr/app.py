@@ -18,15 +18,25 @@ from __future__ import annotations
 
 import hashlib
 from abc import ABC, abstractmethod
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 
 class StateMachine(ABC):
-    """Interface every replicated application implements."""
+    """Interface every replicated application implements.
+
+    Replicas execute whole slots (:meth:`execute_batch`) and read
+    :meth:`state_digest` / :meth:`snapshot` only between slots, so a slot
+    boundary is the only place two replicas' states have to compare equal.
+    """
 
     @abstractmethod
     def execute(self, operation: Any) -> Any:
         """Apply ``operation`` and return its reply. Must be deterministic."""
+
+    def execute_batch(self, operations: Sequence[Any]) -> List[Any]:
+        """Apply one slot's operations in order and return their replies.
+        An application with work to share across a slot overrides this."""
+        return [self.execute(operation) for operation in operations]
 
     @abstractmethod
     def state_digest(self) -> bytes:
@@ -35,7 +45,11 @@ class StateMachine(ABC):
 
     @abstractmethod
     def snapshot(self) -> Any:
-        """Serializable copy of the state (checkpoint payload)."""
+        """Serializable copy of the state (checkpoint payload).  Changes
+        nothing, and round-trips: a fresh instance that ``restore``s it
+        has this instance's ``state_digest()`` now and after the same
+        further slots -- a replica brought up to date by state transfer
+        votes in the next checkpoint like any other."""
 
     @abstractmethod
     def restore(self, snapshot: Any) -> None:
@@ -46,8 +60,11 @@ class NullService(StateMachine):
     """The microbenchmark application: no execution work, sized replies.
 
     Section 5.1.3: "each server replicates a null service (this means that
-    there is no execution of requests)".  The state digest counts executed
-    operations so that order divergence is still observable in tests.
+    there is no execution of requests)".  The state is the number of
+    executed operations and a hash chained over the executed slots, so
+    that order divergence is still observable in tests: one 32-byte link
+    per slot, which a snapshot can carry (a running ``hashlib`` object
+    cannot be resumed elsewhere).
     """
 
     def __init__(self, reply_size: int = 0) -> None:
@@ -55,27 +72,26 @@ class NullService(StateMachine):
             raise ValueError("reply_size must be >= 0")
         self.reply_size = reply_size
         self._executed = 0
-        self._order_hash = hashlib.sha256()
+        self._order = b""
 
     def execute(self, operation: Any) -> Any:
-        self._executed += 1
-        self._order_hash.update(repr(operation).encode())
-        return b"\x00" * self.reply_size
+        return self.execute_batch((operation,))[0]
+
+    def execute_batch(self, operations: Sequence[Any]) -> List[Any]:
+        self._executed += len(operations)
+        self._order = hashlib.sha256(
+            self._order + "".join(map(repr, operations)).encode()).digest()
+        return [b"\x00" * self.reply_size] * len(operations)
 
     def state_digest(self) -> bytes:
-        h = self._order_hash.copy()
-        h.update(str(self._executed).encode())
-        return h.digest()
+        return hashlib.sha256(
+            self._order + str(self._executed).encode()).digest()
 
     def snapshot(self) -> Any:
-        return (self._executed, self._order_hash.hexdigest())
+        return (self._executed, self._order)
 
     def restore(self, snapshot: Any) -> None:
-        executed, order_hex = snapshot
-        self._executed = executed
-        # The running hash cannot be resumed from hex; fold the checkpoint
-        # digest in as the new seed, preserving divergence detection.
-        self._order_hash = hashlib.sha256(order_hex.encode())
+        self._executed, self._order = snapshot
 
     @property
     def executed_count(self) -> int:

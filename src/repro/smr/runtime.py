@@ -185,8 +185,8 @@ class ReplicaBase(NodeBase):
         that executes before its commit entry can exist (the XPaxos t = 1
         follower) calls this directly.
         """
-        results = [self.app.execute(request.op)
-                   for request in batch.requests]
+        results = self.app.execute_batch(
+            [request.op for request in batch.requests])
         rids = batch.rids()
         self.execution_trace.append((seqno, rids))
         self.committed_requests += len(rids)
@@ -269,14 +269,24 @@ class ReplicaBase(NodeBase):
                                     size_bytes=cached.size_bytes)
         return True
 
-    def restore_to(self, seqno: int, snapshot: Any) -> None:
-        """State transfer: replace the application state with ``snapshot``
-        taken after slot ``seqno`` and move ``ex`` / ``sn`` up to it --
-        never backwards.  The caller has verified where it came from."""
-        if seqno > self.ex:
-            self.app.restore(snapshot)
-            self.ex = seqno
-            self.sn = max(self.sn, seqno)
+    def restore_to(self, seqno: int, snapshot: Any,
+                   state_digest: Optional[bytes] = None) -> bool:
+        """State transfer: replace the application with a fresh one
+        restored from ``snapshot``, taken after slot ``seqno``, and move
+        ``ex`` / ``sn`` up to it -- never backwards.  The caller has
+        verified where ``state_digest`` came from; given one, a snapshot
+        that does not restore to it is refused (False, nothing changed)."""
+        if seqno <= self.ex:
+            return True
+        replaced, self.app = self.app, self._app_factory()
+        self.app.restore(snapshot)
+        if state_digest is not None \
+                and self.app.state_digest() != state_digest:
+            self.app = replaced
+            return False
+        self.ex = seqno
+        self.sn = max(self.sn, seqno)
+        return True
 
     def retained(self) -> Dict[str, int]:
         """Sizes of the structures this replica keeps as it runs (``repro

@@ -14,6 +14,7 @@ from repro.faults.injector import FaultInjector, FaultSchedule
 from repro.harness.matrix import CELL_TIMEOUTS
 from repro.protocols.registry import build_cluster
 from repro.protocols.xpaxos import messages as xmsg
+from repro.smr.app import NullService
 from repro.smr.runtime import ClusterRuntime
 from repro.workloads.clients import ClosedLoopDriver
 
@@ -69,11 +70,24 @@ def isolate(runtime) -> Outbox:
     return sent
 
 
+def null_state_digest(snapshot):
+    """What a ``NullService`` restored from ``snapshot`` hashes to."""
+    app = NullService()
+    app.restore(snapshot)
+    return app.state_digest()
+
+
+_EVIL_SNAPSHOT = (999, b"\xee" * 32)
+
+
 def checkpoint_proof(keystore, seqno=10, view=0, signers=(0, 1),
-                     state_digest=b"\x01" * 32, snapshot=(10, "aa")):
+                     snapshot=(10, b"\xaa" * 32), state_digest=None):
     """An XPaxos ``CheckpointProof`` (NullService snapshot) in which each of
     ``signers`` genuinely signed its own CHKPT payload over exactly these
-    fields.  The defaults are honest for a t = 1 cluster in view 0."""
+    fields; ``state_digest`` defaults to what ``snapshot`` restores to.
+    The defaults are honest for a t = 1 cluster in view 0."""
+    if state_digest is None:
+        state_digest = null_state_digest(snapshot)
     sigs = tuple(
         keystore.sign(
             replica_principal(signer),
@@ -83,21 +97,21 @@ def checkpoint_proof(keystore, seqno=10, view=0, signers=(0, 1),
     return xmsg.CheckpointProof(seqno, view, state_digest, sigs, snapshot)
 
 
-_EVIL_SNAPSHOT = (999, "ee")
-
 #: name -> ``forge(keystore)``: proofs a non-crash-faulty replica could
 #: assemble from genuine signatures (its own, or lifted from an honest
 #: proof) to make a t = 1 replica restore a snapshot nobody vouched for.
-#: Each carries t + 1 signatures that verify against *something*.
+#: Each carries t + 1 signatures that verify against *something*, and a
+#: snapshot that does restore to the state digest it claims: only the
+#: signature check stands between it and the application.
 FORGERIES = {
     "one-signer-twice": lambda keystore: checkpoint_proof(
         keystore, seqno=50, signers=(0, 0), snapshot=_EVIL_SNAPSHOT),
     "lifted-from-another-seqno": lambda keystore: dataclasses.replace(
-        checkpoint_proof(keystore), seqno=50, snapshot=_EVIL_SNAPSHOT),
+        checkpoint_proof(keystore, snapshot=_EVIL_SNAPSHOT), seqno=50),
     "lifted-from-another-state-digest":
         lambda keystore: dataclasses.replace(
-            checkpoint_proof(keystore), state_digest=b"\x02" * 32,
-            snapshot=_EVIL_SNAPSHOT),
+            checkpoint_proof(keystore), snapshot=_EVIL_SNAPSHOT,
+            state_digest=null_state_digest(_EVIL_SNAPSHOT)),
     "signer-outside-the-group": lambda keystore: checkpoint_proof(
         keystore, seqno=50, signers=(0, 2), snapshot=_EVIL_SNAPSHOT),
 }

@@ -53,6 +53,48 @@ def test_every_replica_holds_one_checkpoint_window_of_log(protocol, t):
             == len(replica.execution_trace)
 
 
+@pytest.mark.parametrize("protocol",
+                         [ProtocolName.XPAXOS, ProtocolName.PAXOS],
+                         ids=lambda p: p.value)
+def test_the_window_still_bounds_the_logs_after_state_transfer(protocol):
+    """t = 2.  The leader of view 0 is down while the others checkpoint
+    past its horizon, so it comes back through state transfer; then the
+    leader that replaced it goes down for good and the restored replica
+    has to work again.  Restored to a state that no longer hashed like its
+    peers', it kept every XPaxos group it joined from ever agreeing on a
+    checkpoint (the logs grew with the run); and a Paxos replica kept
+    every value it ever accepted, for the next election to ship."""
+    harness = make_harness(protocol, t=2, num_clients=4,
+                           checkpoint_period=PERIOD)
+    config = harness.runtime.config
+
+    def leader():
+        view = max(r.view for r in harness.replicas if not r.crashed)
+        if protocol is ProtocolName.XPAXOS:
+            return harness.replica(harness.replica(0).groups.primary(view))
+        return harness.replica(view % config.n)
+
+    first = leader()
+    harness.arm(FaultSchedule().crash_for(300.0, first.replica_id, 900.0))
+    harness.drive(duration_ms=1_500.0)
+    assert first.ex > 3 * PERIOD and not first.crashed
+    assert leader() is not first
+    leader().crash()
+    harness.drive(duration_ms=4_000.0)
+    harness.checker.assert_safe()
+
+    window = 2 * PERIOD + config.pipeline_depth
+    live = [r for r in harness.replicas if not r.crashed]
+    assert first in live
+    assert min(r.ex for r in live) > first.ex - PERIOD > 6 * PERIOD
+    for replica in live:
+        logs = len(replica.commit_log) \
+            + len(getattr(replica, "prepare_log", ()))
+        assert logs <= window, (replica.name, logs)
+        if protocol is ProtocolName.PAXOS:
+            assert len(replica._accepted) <= window, replica.name
+
+
 @CLUSTERS
 def test_dedupe_set_holds_only_requests_offered_and_not_yet_executed(
         protocol, t):

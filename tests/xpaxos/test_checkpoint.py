@@ -76,7 +76,7 @@ class _ForgedCheckpointAdversary(Adversary):
         forged = checkpoint_proof(
             replica.keystore, seqno=10_000, view=vc.new_view,
             signers=(replica.replica_id, replica.replica_id),
-            snapshot=(10_000, "ee"))
+            snapshot=(10_000, b"\xee" * 32))
         return vc.resigned(replica.sign, checkpoint=forged)
 
 
@@ -195,7 +195,7 @@ class TestCheckpointAdoptionWhenNotBehind:
         for log in (passive.commit_log, passive.prepare_log):
             assert [sn for sn, _ in log.items()] == [11, 12]
             assert log.low_water == 10
-        # Not the snapshot's (10, "aa"): its own twelve executions.
+        # Not the snapshot's ten: its own twelve executions.
         assert passive.ex == 12
         assert passive.app.snapshot() == state
         assert passive.app.executed_count == 12

@@ -1,5 +1,6 @@
 """Tests for synchronous-group selection (Section 4.3.1, Table 2)."""
 
+import itertools
 import math
 
 import pytest
@@ -91,3 +92,66 @@ class TestGeneral:
         groups = SynchronousGroups(n=3, t=1)
         with pytest.raises(ValueError):
             groups.next_view_with_group(0, (0, 1, 2))
+
+
+def one_cycle(t):
+    groups = SynchronousGroups(n=2 * t + 1, t=t)
+    return groups, [groups.group(v) for v in range(groups.group_count)]
+
+
+def longest_spoiled_run(cycle, n):
+    """Most consecutive views (the rotation wraps) whose group contains
+    one and the same replica: what a single crashed replica can cost."""
+    longest = 0
+    for replica in range(n):
+        run = 0
+        for group in cycle + cycle:
+            run = run + 1 if replica in group else 0
+            longest = max(longest, min(run, len(cycle)))
+    return longest
+
+
+class TestRotationOrder:
+    """Which group follows which (the paper fixes it for t = 1 only)."""
+
+    @pytest.mark.parametrize("t", [1, 2, 3, 4])
+    def test_one_cycle_is_a_permutation_of_all_combinations(self, t):
+        n = 2 * t + 1
+        groups, cycle = one_cycle(t)
+        assert sorted(cycle) == list(itertools.combinations(range(n), t + 1))
+        assert cycle[0] == tuple(range(t + 1))
+        assert groups.group(groups.group_count) == cycle[0]
+
+    def test_table_2_exactly_at_t1(self):
+        _, cycle = one_cycle(1)
+        assert cycle == [(0, 1), (0, 2), (1, 2)]
+
+    @pytest.mark.parametrize("t", [2, 3, 4])
+    def test_next_group_avoids_the_primary_and_shares_the_fewest(self, t):
+        groups, cycle = one_cycle(t)
+        for view in range(len(cycle) - 1):
+            primary, unused = groups.primary(view), cycle[view + 1:]
+            without = [g for g in unused if primary not in g]
+            if without:
+                assert primary not in groups.group(view + 1), view
+
+            def shared(group):
+                return len(set(group) & set(cycle[view]))
+            assert (shared(cycle[view + 1]), cycle[view + 1]) == min(
+                (shared(g), g) for g in without or unused), view
+
+    @pytest.mark.parametrize("t, bound, lexicographic", [
+        (1, 2, 2), (2, 4, 6), (3, 7, 20), (4, 17, 70)])
+    def test_longest_run_one_crashed_replica_can_spoil(self, t, bound,
+                                                       lexicographic):
+        n = 2 * t + 1
+        _, cycle = one_cycle(t)
+        assert longest_spoiled_run(cycle, n) <= bound
+        assert longest_spoiled_run(
+            list(itertools.combinations(range(n), t + 1)), n) \
+            == lexicographic
+
+    def test_first_five_views_at_t2(self):
+        groups, _ = one_cycle(2)
+        assert [groups.group(v) for v in range(5)] == [
+            (0, 1, 2), (1, 3, 4), (0, 2, 3), (1, 2, 4), (0, 3, 4)]

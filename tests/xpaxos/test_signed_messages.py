@@ -117,9 +117,16 @@ def signed_batch(runtime):
     return request, batch, msg.batch_digest_of(batch)
 
 
-def in_view_one(runtime, replica_id):
-    """``replica_id`` in the middle of the change to view 1."""
-    replica = runtime.replica(replica_id)
+def primary_of(runtime, view):
+    """The replica that leads ``view``."""
+    return runtime.replica(runtime.replica(0).groups.primary(view))
+
+
+def in_view_one(runtime, replica_id=None):
+    """``replica_id`` (default: view 1's primary) in the middle of the
+    change to view 1."""
+    replica = primary_of(runtime, 1) if replica_id is None \
+        else runtime.replica(replica_id)
     replica.view_changer._enter_view(1)
     return replica
 
@@ -197,7 +204,7 @@ def suspect_at_client_case(runtime):
 
 
 def view_change_case(runtime):
-    receiver = runtime.replica(0)  # still in view 0
+    receiver = primary_of(runtime, 1)  # still in view 0
     sender = other_active(receiver, 1)
     honest = runtime.replica(sender).view_changer.build_view_change(1)
     return Case(receiver, honest, {"prepare_view": 7},
@@ -207,7 +214,7 @@ def view_change_case(runtime):
 
 
 def vc_final_case(runtime):
-    receiver = in_view_one(runtime, 0)
+    receiver = in_view_one(runtime)
     sender = other_active(receiver, 1)
     vcset = (runtime.replica(sender).view_changer.build_view_change(1),)
     honest = msg.VcFinal.signed(
@@ -219,7 +226,7 @@ def vc_final_case(runtime):
 
 
 def vc_confirm_case(runtime):
-    receiver = in_view_one(runtime, 0)
+    receiver = in_view_one(runtime)
     sender = other_active(receiver, 1)
     honest = msg.VcConfirm.signed(
         runtime.replica(sender).sign, new_view=1, sender=sender,
@@ -230,15 +237,16 @@ def vc_confirm_case(runtime):
 
 
 def new_view_case(runtime):
-    follower_id = runtime.replica(0).groups.followers(1)[0]
-    follower = in_view_one(runtime, follower_id)
+    primary = primary_of(runtime, 1)
+    follower = in_view_one(runtime, primary.groups.followers(1)[0])
     _, batch, _ = signed_batch(runtime)
-    honest = msg.NewView.signed(runtime.replica(0).sign, new_view=1,
+    honest = msg.NewView.signed(primary.sign, new_view=1,
                                 entries=(), checkpoint=None)
     smuggled = PrepareEntry(1, 1, batch, honest.sig)
     return Case(follower, honest, {"entries": (smuggled,)},
                 lambda: follower.view_changes_completed == 1
-                and not follower.in_view_change, src="r0", suspects=True)
+                and not follower.in_view_change, src=primary.name,
+                suspects=True)
 
 
 def chkpt_case(runtime):
@@ -341,7 +349,7 @@ def test_honest_message_is_seeded_and_a_copy_rederives_the_same(builder, t):
 def test_vc_confirm_from_outside_the_group_is_dropped(t):
     runtime = make_cluster(ProtocolName.XPAXOS, t=t,
                            use_fault_detection=True)
-    receiver = in_view_one(runtime, 0)
+    receiver = in_view_one(runtime)
     outsider = receiver.groups.passive(1)[0]
     confirm = msg.VcConfirm.signed(
         runtime.replica(outsider).sign, new_view=1, sender=outsider,
@@ -395,7 +403,7 @@ def vc_final_around(runtime, sender, vcset, vcset_digest=None):
 class TestVcFinalSet:
     def setup(self, t):
         runtime = make_cluster(ProtocolName.XPAXOS, t=t)
-        receiver = in_view_one(runtime, 0)
+        receiver = in_view_one(runtime)
         sender = other_active(receiver, 1)
         victim = receiver.groups.passive(1)[0]
         return runtime, receiver, sender, victim
@@ -615,7 +623,7 @@ class TestCommitProofValid:
         runtime, detector, entry = self.witness(t)
         runtime.replica(1).suspect_view(0)
         runtime.sim.run(until=runtime.sim.now + 2_000.0)
-        primary = runtime.replica(0)
+        primary = primary_of(runtime, runtime.replica(1).view)
         assert primary.view_changes_completed >= 1
         recommitted = [e for _, e in primary.commit_log.items()
                        if len(e.proof) == 1]

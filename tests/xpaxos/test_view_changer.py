@@ -13,20 +13,24 @@ T = pytest.mark.parametrize("t", [1, 2])
 
 
 def entering_view_one(t, **overrides):
-    """``(runtime, sent, replica 0 a moment after it entered view 1)``:
-    active there, its own VIEW-CHANGE filed, both timers running."""
+    """``(runtime, sent, the primary of view 1 a moment after it entered
+    that view)``: its own VIEW-CHANGE filed, both timers running."""
     runtime = make_cluster(t=t, **overrides)
     sent = isolate(runtime)
-    replica = runtime.replica(0)
-    assert replica.groups.is_active(1, 0)
+    replica = runtime.replica(runtime.replica(0).groups.primary(1))
     replica.view_changer._enter_view(1)
     return runtime, sent, replica
 
 
-def peer_view_changes(runtime, count):
-    """Genuine VIEW-CHANGEs for view 1 from ``count`` peers of replica 0."""
+def peers_of(runtime, replica):
+    """Every other replica's id, in id order."""
+    return [r for r in range(runtime.config.n) if r != replica.replica_id]
+
+
+def peer_view_changes(runtime, replica, count):
+    """Genuine VIEW-CHANGEs for view 1 from ``count`` peers of ``replica``."""
     return [runtime.replica(r).view_changer.build_view_change(1)
-            for r in range(1, count + 1)]
+            for r in peers_of(runtime, replica)[:count]]
 
 
 @T
@@ -34,10 +38,11 @@ def test_entering_a_view_stops_ordering_and_sends_one_view_change(t):
     runtime, sent, replica = entering_view_one(t)
     assert (replica.view, replica.in_view_change) == (1, True)
     assert not replica.may_propose()
-    others = [f"r{r}" for r in replica.groups.group(1) if r != 0]
+    others = [f"r{r}" for r in replica.groups.group(1)
+              if r != replica.replica_id]
     assert [dst for dst, _ in sent.of(msg.ViewChange)] == others
     changer = replica.view_changer
-    assert list(changer._state.vcset) == [0]
+    assert list(changer._state.vcset) == [replica.replica_id]
     assert changer._net_timer.armed and changer._vc_timer.armed
 
 
@@ -45,17 +50,18 @@ def test_entering_a_view_stops_ordering_and_sends_one_view_change(t):
 def test_vc_final_goes_out_at_n_without_waiting_for_the_timer(t):
     runtime, sent, replica = entering_view_one(t)
     changer, n = replica.view_changer, runtime.config.n
-    for vc in peer_view_changes(runtime, n - 2):
+    for vc in peer_view_changes(runtime, replica, n - 2):
         changer._on_view_change(f"r{vc.sender}", vc)
     assert sent.of(msg.VcFinal) == []
-    last = runtime.replica(n - 1).view_changer.build_view_change(1)
-    changer._on_view_change(f"r{n - 1}", last)
+    last = runtime.replica(peers_of(runtime, replica)[-1]) \
+        .view_changer.build_view_change(1)
+    changer._on_view_change(f"r{last.sender}", last)
     finals = sent.of(msg.VcFinal)
     assert len(finals) == t  # one per other active replica
     assert [vc.sender for vc in finals[0][1].vcset] == list(range(n))
     assert not changer._net_timer.armed
     # Once: a straggler's duplicate changes nothing.
-    changer._on_view_change(f"r{n - 1}", last)
+    changer._on_view_change(f"r{last.sender}", last)
     assert len(sent.of(msg.VcFinal)) == t
 
 
@@ -63,7 +69,8 @@ def test_vc_final_goes_out_at_n_without_waiting_for_the_timer(t):
 def test_vc_final_at_n_minus_t_only_after_the_two_delta_timer(t):
     runtime, sent, replica = entering_view_one(t)
     changer, config = replica.view_changer, runtime.config
-    for vc in peer_view_changes(runtime, config.n - config.t - 1):
+    for vc in peer_view_changes(runtime, replica,
+                                config.n - config.t - 1):
         changer._on_view_change(f"r{vc.sender}", vc)
     assert len(changer._state.vcset) == config.n - config.t
     runtime.sim.run(until=runtime.sim.now + 2 * config.delta_ms - 1.0)
@@ -78,14 +85,16 @@ def test_vc_final_at_n_minus_t_only_after_the_two_delta_timer(t):
 def test_fewer_than_n_minus_t_never_suffice(t):
     runtime, sent, replica = entering_view_one(t)
     changer, config = replica.view_changer, runtime.config
-    for vc in peer_view_changes(runtime, config.n - config.t - 2):
+    for vc in peer_view_changes(runtime, replica,
+                                config.n - config.t - 2):
         changer._on_view_change(f"r{vc.sender}", vc)
     runtime.sim.run(until=runtime.sim.now + 2 * config.delta_ms + 1.0)
     assert changer._state.net_timer_expired
     assert sent.of(msg.VcFinal) == []
     # The one that was missing arrives late: now it is n - t, timer long
     # expired.
-    late = runtime.replica(config.n - 1).view_changer.build_view_change(1)
+    late = runtime.replica(peers_of(runtime, replica)[-1]) \
+        .view_changer.build_view_change(1)
     changer._on_view_change(f"r{late.sender}", late)
     assert len(sent.of(msg.VcFinal)) == t
 
@@ -97,26 +106,27 @@ def test_the_view_change_in_progress_is_one_value(t):
     filed anywhere."""
     runtime, sent, replica = entering_view_one(t)
     changer = replica.view_changer
-    for vc in peer_view_changes(runtime, 1):
+    for vc in peer_view_changes(runtime, replica, 1):
         changer._on_view_change(f"r{vc.sender}", vc)
     gathered = changer._state
     assert len(gathered.vcset) == 2
-    stale = runtime.replica(1).view_changer.build_view_change(1)
+    peer = peers_of(runtime, replica)[0]
+    stale = runtime.replica(peer).view_changer.build_view_change(1)
     changer._enter_view(2)
     assert changer._state is not gathered
     before = dict(changer._state.vcset)
-    changer._on_view_change("r1", stale)
+    changer._on_view_change(f"r{peer}", stale)
     assert changer._state.vcset == before and len(gathered.vcset) == 2
     assert replica.retained()["view_change_entries"] == 0
 
 
 def all_vc_finals_in(t, **overrides):
-    """Replica 0, primary of view 1, with every active replica's VC-FINAL
+    """The primary of view 1 with every active replica's VC-FINAL
     over the same full VCSet filed; returns what it sent because of the
     last one."""
     runtime, sent, replica = entering_view_one(t, **overrides)
     changer, n = replica.view_changer, runtime.config.n
-    for vc in peer_view_changes(runtime, n - 1):
+    for vc in peer_view_changes(runtime, replica, n - 1):
         changer._on_view_change(f"r{vc.sender}", vc)
     vcset = sent.of(msg.VcFinal)[0][1].vcset
     del sent[:]
