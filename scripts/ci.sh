@@ -136,7 +136,14 @@ for failover_row in ("crash-primary", "crash-primary-t2"):
     for protocol in ("xpaxos", "paxos"):
         share = committed[failover_row, protocol] \
             / committed["fault-free", protocol]
-        assert share >= 0.74, (failover_row, protocol, share)
+        # At t = 1 a crashed XPaxos primary always makes the next view a
+        # doomed one (Table 2: r0 is in the groups of views 0 and 1), so
+        # this pair guards the gather rule: a view whose member sent no
+        # VIEW-CHANGE within 2 Delta is abandoned then (79.0%), not when
+        # the view-change timer fires 300 ms later (76.1%).
+        floor = 0.78 if (failover_row, protocol) \
+            == ("crash-primary", "xpaxos") else 0.74
+        assert share >= floor, (failover_row, protocol, share, floor)
 # The open-loop row drives every protocol with cohort arrivals; all five
 # must absorb the offered rate.
 open_row = [c for c in cells if c["scenario"] == "fault-free-openloop"]

@@ -75,6 +75,22 @@ class ClusterConfig:
         use_lazy_replication: propagate commit logs to passive replicas
             (Section 4.5.2), which shortens view changes.
         pipeline_depth: number of batches the primary may have in flight.
+        request_retransmit_ms: the client's timer: how long it waits for
+            a commit before it re-sends (XPaxos: RE-SEND to every active
+            replica, Algorithm 4; the baselines: to every replica), and
+            how long a baseline follower lets a forwarded request sit
+            before it starts an election.  Bounds the detection part of
+            a fail-over; the replicas' own Algorithm 4 timer is derived
+            from ``delta_ms`` and ``batch_timeout_ms``.
+        view_change_timeout_ms: how long a view change (a baseline
+            campaign) may take before the view it installs is itself
+            suspected (Section 4.3.2 (iii)), and the cadence at which an
+            XPaxos replica passive in that view re-sends its VIEW-CHANGE.
+            In XPaxos it no longer bounds a view whose group holds a
+            silent member -- the 2 * ``delta_ms`` gather abandons that
+            one -- only the cases the gather cannot see: a member that
+            sent its VIEW-CHANGE and then nothing, a NEW-VIEW that never
+            comes.
     """
 
     t: int = 1

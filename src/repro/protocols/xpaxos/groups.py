@@ -72,7 +72,8 @@ class SynchronousGroups:
     it 6 (20), and a crashed *primary* is not in the next view.  Two
     groups of ``t + 1`` out of ``2t + 1`` always share a replica, so when
     it was a follower that crashed the next group may still contain it,
-    and that view costs one more ``view_change_timeout_ms``.
+    and that view costs one more 2-Delta gather before it is abandoned
+    (``ViewChanger._on_net_timer``).
 
     The alternative the paper names is not implemented: "For a large
     number of replicas, the combinatorial number of synchronous groups

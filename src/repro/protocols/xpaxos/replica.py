@@ -326,11 +326,9 @@ class XPaxosReplica(ReplicaBase):
         retransmission already waiting on one of its requests its share
         now."""
         super().cache_unsent(seqno, batch, results)
-        waiting = self.retransmitter.waiting
-        if waiting:
+        if self.retransmitter.waiting:
             for request in batch.requests:
-                if request.rid in waiting:
-                    self.retransmitter.emit_share(request.rid)
+                self.retransmitter.executed(request)
 
     def _reply_to_clients(self, seqno: int, batch: Batch,
                           results: List[Any]) -> None:
@@ -361,8 +359,8 @@ class XPaxosReplica(ReplicaBase):
             reply = self.make_reply(view, seqno, request, result, primary,
                                     fast, size)
             last_reply[request.client] = reply if primary else (slot, index)
-            if waiting and request.rid in waiting:
-                self.retransmitter.emit_share(request.rid)
+            if waiting:
+                self.retransmitter.executed(request)
             self.send_authenticated(f"c{request.client}", reply, size)
 
     def _batch_digest(self, batch: Batch) -> Digest:
@@ -427,7 +425,7 @@ class XPaxosReplica(ReplicaBase):
         self._commit_votes.clear()
         self._pending_prepares.clear()
         self.sequencer.pending.clear()
-        self.retransmitter.waiting.clear()  # their timers died in the crash
+        self.retransmitter.recovered()
         self.lazy.fetch_settled()
         # A recovering replica cannot tell whether its view is stale; it
         # rejoins and relies on suspect/view-change traffic to catch up.

@@ -7,8 +7,8 @@ as SIGNED-REPLIES -- or suspect the view if none of that happens in time.
 state and timers and the RE-SENDs buffered during a view change.  It
 reaches the core through ``cached_reply``, ``_on_replicate``,
 ``_verify_request``, ``sign``, ``_fanout_with_self`` and ``suspect_view``;
-the core tells it when a slot with a waiting request executed
-(``waiting`` / ``emit_share``) and when a view is left or installed.
+the core tells it when a request executed while any is waiting
+(``waiting`` / ``executed``) and when a view is left or installed.
 """
 
 from __future__ import annotations
@@ -47,7 +47,9 @@ class Retransmitter:
 
     def __init__(self, replica: "XPaxosReplica") -> None:
         self.replica = replica
-        #: Retransmitted requests by ``rid``, resolved ones included.
+        #: Retransmitted requests by ``rid``: each client's latest,
+        #: resolved or not (a late share or RE-SEND for it must add
+        #: nothing), and none the client has moved past.
         self.waiting: Dict[tuple, _RetransmissionState] = {}
         self._buffered_resends: List[msg.ReSend] = []
         replica._handlers.update({
@@ -67,7 +69,8 @@ class Retransmitter:
         request = m.request
         if not replica._verify_request(request):
             return
-        if replica.cached_reply(request.client, request.timestamp) is None:
+        cached = replica.cached_reply(request.client, request.timestamp)
+        if cached is None:
             # Not executed yet: get it ordered.
             if not replica.is_primary:
                 replica.send_authenticated(
@@ -76,6 +79,8 @@ class Retransmitter:
                     msg.Replicate(request), size_bytes=request.size_bytes)
             else:
                 replica._on_replicate(src, msg.Replicate(request))
+        elif cached.timestamp > request.timestamp:
+            return  # a stale RE-SEND: the client has moved past it
         self._start(request)
 
     def _start(self, request: Request) -> _RetransmissionState:
@@ -104,8 +109,29 @@ class Retransmitter:
         retransmission is settled, not a liveness problem."""
         if cached is None or cached.timestamp <= state.request.timestamp:
             return False
-        state.settle()
+        self._drop(state)
         return True
+
+    def _drop(self, state: _RetransmissionState) -> None:
+        """Nothing can ask about ``state``'s request again: neither its
+        record nor its timer is kept."""
+        state.done = True
+        state.timer.discard()
+        del self.waiting[state.request.rid]
+
+    def executed(self, request: Request) -> None:
+        """The core executed ``request`` and cached its reply (called
+        while anything is waiting): a retransmission waiting on it gets
+        our share, and the client has moved past its earlier ones -- the
+        records nobody is timing go now, one still timed when its timer
+        finds the same."""
+        client, timestamp = request.rid
+        for rid, state in [item for item in self.waiting.items()
+                           if item[0][0] == client]:
+            if rid[1] == timestamp:
+                self.emit_share(rid)
+            elif rid[1] < timestamp and not state.timer.armed:
+                self._drop(state)
 
     def emit_share(self, rid: tuple) -> None:
         """Sign and circulate our reply to the waiting request ``rid``,
@@ -163,8 +189,8 @@ class Retransmitter:
         replica = self.replica
         request = state.request
         cached = replica.cached_reply(request.client, request.timestamp)
-        if self._moved_past(state, cached):
-            return
+        if self._moved_past(state, cached) or not replica.is_active:
+            return  # the rest is for an active replica of this view
         if cached is not None and state.retries == 0:
             # We executed the request but the signed-reply quorum has not
             # formed (a peer may have missed the RE-SEND or a share was
@@ -186,15 +212,28 @@ class Retransmitter:
         replica.send_authenticated(f"c{request.client}", suspect,
                                    size_bytes=48)
 
-    # -- the core's side of a view change ----------------------------------
+    # -- the core's side of a crash and of a view change -------------------
+    def recovered(self) -> None:
+        """The records are volatile, and their timers died in the crash."""
+        for state in list(self.waiting.values()):
+            self._drop(state)
+
     def view_left(self) -> None:
         """Give pending retransmissions a fresh window: the new view needs
-        time to form before it can possibly commit them."""
-        config = self.replica.config
+        time to form before it can possibly commit them.  A replica that
+        is not active in the view it enters has nothing to time: its
+        timers are disarmed and the records stay, for ``view_installed``
+        to replay if it turns active again."""
+        replica = self.replica
+        config = replica.config
+        active = replica.is_active
         for state in self.waiting.values():
             if not state.done and state.timer.armed:
-                state.timer.start(4 * config.delta_ms
-                                  + 8 * config.batch_timeout_ms)
+                if active:
+                    state.timer.start(4 * config.delta_ms
+                                      + 8 * config.batch_timeout_ms)
+                else:
+                    state.timer.stop()
 
     def view_installed(self) -> None:
         """Replay client retransmissions that arrived during the change, and

@@ -8,6 +8,15 @@ progress, the three timers, and -- with fault detection configured -- the
 It moves the replica between views through ``leave_view`` /
 ``start_view`` and re-commits the selected slots through ``commit_log`` /
 ``prepare_log`` / ``execute_ready``.
+
+What ends the gather of a replica installing view v: all n VIEW-CHANGEs
+(VC-FINAL at once); 2 Delta with every member of sg_v heard (VC-FINAL with
+what is held -- a group is exactly n - t replicas, so Algorithm 3's count
+is implied); 2 Delta with a member silent (``suspect_view(v)``: a group
+of t + 1 needs every member, and a correct, synchronous one would have
+been heard, so v cannot form and costs its gather, not ``timer_vc``).
+``timer_vc`` keeps what the gather cannot see: a member that sent its
+VIEW-CHANGE and then fell silent, a NEW-VIEW that never comes.
 """
 
 from __future__ import annotations
@@ -35,7 +44,6 @@ class _ViewChangeState:
     vcset: Dict[int, msg.ViewChange] = field(default_factory=dict)
     vc_finals: Dict[int, msg.VcFinal] = field(default_factory=dict)
     vc_confirms: Dict[int, msg.VcConfirm] = field(default_factory=dict)
-    net_timer_expired: bool = False
     sent_vc_final: bool = False
     #: Our own selection, for a follower to cross-check the primary's
     #: NEW-VIEW against.
@@ -228,27 +236,25 @@ class ViewChanger:
         # message from live state, and actives must select from the same
         # VCSet or the NEW-VIEW cross-check would mis-fire.
         state.vcset.setdefault(m.sender, m)
-        self._maybe_send_vc_final(state)
+        if len(state.vcset) == self.replica.config.n:
+            self._send_vc_final(state)
 
     def _on_net_timer(self) -> None:
+        """The end of the 2-Delta gather (Algorithm 3 line 13): VC-FINAL
+        if every member of the group was heard, else this view can never
+        collect its VC-FINALs and is suspected now (module docstring)."""
         state = self._state
         assert state is not None  # armed by _enter_view only
-        state.net_timer_expired = True
-        self._maybe_send_vc_final(state)
+        view = self.replica.view
+        if all(member in state.vcset for member in self.groups.group(view)):
+            self._send_vc_final(state)
+        else:
+            self.suspect_view(view)
 
-    def _maybe_send_vc_final(self, state: _ViewChangeState) -> None:
-        """Algorithm 3 line 13: all n collected, or timer expired with
-        >= n - t."""
+    def _send_vc_final(self, state: _ViewChangeState) -> None:
         if state.sent_vc_final:
             return
         replica = self.replica
-        n = replica.config.n
-        assert n is not None
-        enough = (len(state.vcset) >= n
-                  or (state.net_timer_expired
-                      and len(state.vcset) >= n - replica.config.t))
-        if not enough:
-            return
         state.sent_vc_final = True
         self._net_timer.stop()
         vcset = tuple(sorted(state.vcset.values(), key=lambda v: v.sender))

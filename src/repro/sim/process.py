@@ -71,6 +71,13 @@ class Timer:
             self._process.sim._cancel(entry, self._sequence)
             self._entry = None
 
+    def discard(self) -> None:
+        """Disarm for good: the process forgets the timer.  For a timer
+        whose owner is dropped before the process is, which would
+        otherwise stay registered for the rest of the run."""
+        self.stop()
+        self._process._timers.remove(self)
+
     def _fire(self) -> None:
         self._entry = None
         if self._process.crashed:

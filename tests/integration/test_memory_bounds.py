@@ -158,6 +158,38 @@ def test_view_change_state_is_one_views_worth_however_many_views(t):
     assert {name: n for name, n in held.items() if n > bound} == {}
 
 
+def test_retransmission_records_are_one_per_client_however_many_crashes():
+    """The fault shape of the ledger (t = 2, the first three replicas
+    crash in turn), closed loop.  Every crash makes every client re-send,
+    and a replica kept a record and a registered timer per request ever
+    re-sent to it; it keeps the one per client that may still be asked
+    about (measured on this run: up to 24 records on a replica and 16 / 24
+    / 24 left on r0 / r3 / r4 at the end before, a peak of 8 and none left
+    now)."""
+    clients = 8
+    harness = make_harness(ProtocolName.XPAXOS, t=2, num_clients=clients,
+                           checkpoint_period=PERIOD)
+    harness.arm(FaultSchedule.rolling_crashes(
+        replicas=(0, 1, 2), start_ms=500.0, interval_ms=1_500.0,
+        downtime_ms=1_000.0))
+    registered = {r.name: len(r._timers) for r in harness.replicas}
+    peaks = []
+
+    def sample():
+        peaks.append(max(r.retained()["retransmissions"]
+                         for r in harness.replicas))
+
+    harness.sim.call_every(25.0, sample, 5_000.0)
+    harness.drive(duration_ms=5_000.0)
+    harness.checker.assert_safe()
+    assert sum(c.timeouts for c in harness.runtime.clients) >= 3 * clients
+    assert 0 < max(peaks) <= clients
+    for replica in harness.replicas:
+        kept = replica.retained()["retransmissions"]
+        assert kept <= clients, (replica.name, kept)
+        assert len(replica._timers) == registered[replica.name] + kept
+
+
 def live_heap_after(duration_ms):
     """``(live bytes, committed requests)`` of one XPaxos t = 1 cell, 16
     closed-loop clients, read when the run ends."""

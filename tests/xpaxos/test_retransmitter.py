@@ -144,3 +144,113 @@ def test_a_view_change_gives_waiting_requests_a_fresh_window():
     assert state.timer.deadline == pytest.approx(
         runtime.sim.now + 4 * config.delta_ms + 8 * config.batch_timeout_ms)
     assert state.timer.deadline > before
+
+
+def leaving_the_group_after_view(runtime, view):
+    """A follower of ``view`` that is passive in ``view + 1``."""
+    groups = runtime.replica(0).groups
+    return runtime.replica(next(
+        r for r in groups.followers(view)
+        if not groups.is_active(view + 1, r)))
+
+
+@T
+def test_a_replica_passive_in_the_view_it_enters_times_nothing(t):
+    """Algorithm 4 is the active replicas': entering a view it is passive
+    in, a replica disarms its retransmission timers -- it used to re-arm
+    them, and when one fired sign a SUSPECT no client accepts -- and keeps
+    the records, for the next view it is active in to replay."""
+    runtime = make_cluster(t=t)
+    sent = isolate(runtime)
+    config = runtime.config
+    request = runtime.clients[0].make_request(("put", "k", "v"), 1, 16)
+    replica = leaving_the_group_after_view(runtime, 0)
+    replica.on_message("c0", msg.ReSend(request))
+    state = replica.retransmitter.waiting[request.rid]
+    assert state.timer.armed
+    replica.view_changer._enter_view(1)
+    assert not state.timer.armed and not state.done
+    del sent[:]
+    runtime.sim.run(until=runtime.sim.now + 4 * config.delta_ms
+                    + 8 * config.batch_timeout_ms + 1.0)
+    assert sent.of(msg.Suspect) == [] and replica.view == 1
+    assert replica.retransmitter.waiting == {request.rid: state}
+    # Active again: the installed view replays the record, and the clock
+    # starts again.
+    view = next(v for v in range(2, 10)
+                if replica.groups.is_active(v, replica.replica_id))
+    replica.view_changer._advance_to(view)
+    assert not state.timer.armed
+    replica.start_view()
+    runtime.sim.run(until=runtime.sim.now + 1.0)
+    assert state.timer.armed and not state.done
+
+
+@T
+def test_a_timer_that_fires_on_a_passive_replica_signs_nothing(t):
+    """A peer's share makes a passive replica that executed the request
+    join the collection (``_start``), timer and all; what that timer may
+    do when it fires is an active replica's business."""
+    runtime, sent, request = executed_everywhere(t)
+    config = runtime.config
+    passive = runtime.replica(next(
+        r for r in range(config.n)
+        if r not in runtime.replica(0).groups.group(0)))
+    passive.on_message("r0", share_of(runtime, 0, request))
+    state = passive.retransmitter.waiting[request.rid]
+    assert state.timer.armed
+    del sent[:]
+    runtime.sim.run(until=runtime.sim.now + 3 * config.delta_ms
+                    + 8 * config.batch_timeout_ms + 1.0)
+    assert sent == [] and passive.view == 0
+    assert not state.timer.armed and not state.done
+
+
+@T
+def test_a_settled_record_goes_when_the_clients_next_slot_executes(t):
+    """One record per client, not one per request it ever re-sent: the
+    settled record stays while its request is the client's latest (a late
+    share must add nothing) and goes, timer and all, when the next one
+    executes -- here, or on a replica that executes without answering."""
+    runtime, sent, request = executed_everywhere(t)
+    primary, follower = runtime.replica(0), runtime.replica(1)
+    for replica in (primary, follower):
+        replica.on_message("c0", msg.ReSend(request))
+        for peer in replica.groups.group(0):
+            if peer != replica.replica_id:
+                replica.on_message(f"r{peer}",
+                                   share_of(runtime, peer, request))
+        state = replica.retransmitter.waiting[request.rid]
+        assert state.done and state.timer in replica._timers
+    # Somebody else's slot changes nothing.
+    other = Batch((runtime.clients[1].make_request(("get", "k"), 1, 16),))
+    primary._reply_to_clients(2, other, primary.execute_slot(2, other))
+    follower.cache_unsent(2, other, follower.execute_slot(2, other))
+    assert primary.retained()["retransmissions"] == 1
+    assert follower.retained()["retransmissions"] == 1
+    late = share_of(runtime, 1, request)
+    following = Batch((runtime.clients[0].make_request(("get", "k"), 2, 16),))
+    primary._reply_to_clients(3, following,
+                              primary.execute_slot(3, following))
+    follower.cache_unsent(3, following, follower.execute_slot(3, following))
+    for replica in (primary, follower):
+        assert replica.retained()["retransmissions"] == 0
+        assert state.timer not in replica._timers
+    # A RE-SEND or a share for the request the client has moved past
+    # leaves no record behind either.
+    del sent[:]
+    primary.on_message("c0", msg.ReSend(request))
+    primary.on_message("r1", late)
+    assert primary.retransmitter.waiting == {} and sent == []
+
+
+def test_a_crash_leaves_neither_records_nor_their_timers():
+    runtime, sent, request = executed_everywhere(1)
+    primary = runtime.replica(0)
+    registered = len(primary._timers)
+    primary.on_message("c0", msg.ReSend(request))
+    assert len(primary._timers) == registered + 1
+    primary.crash()
+    primary.recover()
+    assert primary.retransmitter.waiting == {}
+    assert len(primary._timers) == registered

@@ -10,6 +10,7 @@ from repro.protocols.xpaxos.detection import FaultDetector
 from tests.conftest import isolate, make_cluster
 
 T = pytest.mark.parametrize("t", [1, 2])
+FD = pytest.mark.parametrize("fd", [False, True], ids=["no-fd", "fd"])
 
 
 def entering_view_one(t, **overrides):
@@ -27,10 +28,11 @@ def peers_of(runtime, replica):
     return [r for r in range(runtime.config.n) if r != replica.replica_id]
 
 
-def peer_view_changes(runtime, replica, count):
-    """Genuine VIEW-CHANGEs for view 1 from ``count`` peers of ``replica``."""
-    return [runtime.replica(r).view_changer.build_view_change(1)
-            for r in peers_of(runtime, replica)[:count]]
+def hear(runtime, replica, peers):
+    """Genuine VIEW-CHANGEs for view 1 from ``peers`` reach ``replica``."""
+    for peer in peers:
+        vc = runtime.replica(peer).view_changer.build_view_change(1)
+        replica.view_changer._on_view_change(f"r{peer}", vc)
 
 
 @T
@@ -50,8 +52,7 @@ def test_entering_a_view_stops_ordering_and_sends_one_view_change(t):
 def test_vc_final_goes_out_at_n_without_waiting_for_the_timer(t):
     runtime, sent, replica = entering_view_one(t)
     changer, n = replica.view_changer, runtime.config.n
-    for vc in peer_view_changes(runtime, replica, n - 2):
-        changer._on_view_change(f"r{vc.sender}", vc)
+    hear(runtime, replica, peers_of(runtime, replica)[:-1])
     assert sent.of(msg.VcFinal) == []
     last = runtime.replica(peers_of(runtime, replica)[-1]) \
         .view_changer.build_view_change(1)
@@ -65,38 +66,118 @@ def test_vc_final_goes_out_at_n_without_waiting_for_the_timer(t):
     assert len(sent.of(msg.VcFinal)) == t
 
 
-@T
-def test_vc_final_at_n_minus_t_only_after_the_two_delta_timer(t):
-    runtime, sent, replica = entering_view_one(t)
-    changer, config = replica.view_changer, runtime.config
-    for vc in peer_view_changes(runtime, replica,
-                                config.n - config.t - 1):
-        changer._on_view_change(f"r{vc.sender}", vc)
-    assert len(changer._state.vcset) == config.n - config.t
-    runtime.sim.run(until=runtime.sim.now + 2 * config.delta_ms - 1.0)
-    assert sent.of(msg.VcFinal) == []
+def run_to_two_delta(runtime, sent):
+    """Run to the end of the 2-Delta gather of a view entered now; a tick
+    before it nothing had been decided."""
+    delta = runtime.config.delta_ms
+    runtime.sim.run(until=runtime.sim.now + 2 * delta - 1.0)
+    assert sent.of(msg.VcFinal) == [] and sent.of(msg.Suspect) == []
     runtime.sim.run(until=runtime.sim.now + 2.0)
+
+
+@T
+@FD
+def test_vc_final_at_n_minus_t_only_after_the_two_delta_timer(t, fd):
+    """Every member of the group heard, a non-member silent: at 2-Delta
+    VC-FINAL goes out with what is held (n = 2t + 1, so the t + 1 members
+    alone are already n - t)."""
+    runtime, sent, replica = entering_view_one(t, use_fault_detection=fd)
+    changer, config = replica.view_changer, runtime.config
+    group = replica.groups.group(1)
+    silent = max(r for r in range(config.n) if r not in group)
+    hear(runtime, replica,
+         [r for r in peers_of(runtime, replica) if r != silent])
+    assert len(changer._state.vcset) == config.n - 1 >= config.n - config.t
+    run_to_two_delta(runtime, sent)
     finals = sent.of(msg.VcFinal)
     assert len(finals) == t
-    assert len(finals[0][1].vcset) == config.n - config.t
+    assert [vc.sender for vc in finals[0][1].vcset] \
+        == [r for r in range(config.n) if r != silent]
+    assert set(group) <= {vc.sender for vc in finals[0][1].vcset}
+    assert sent.of(msg.Suspect) == []
+    assert (replica.view, replica.in_view_change) == (1, True)
 
 
 @T
-def test_fewer_than_n_minus_t_never_suffice(t):
-    runtime, sent, replica = entering_view_one(t)
+@FD
+@pytest.mark.parametrize("heard", ["fewer-than-n-minus-t",
+                                   "all-but-one-member"])
+def test_a_member_silent_at_two_delta_abandons_the_view(t, fd, heard):
+    """A group of t + 1 needs every member, and a correct, synchronous
+    member's VIEW-CHANGE arrives within 2-Delta: fewer than n - t at
+    2-Delta means a member is silent, and so may n - 1.  Either way the
+    view is suspected then and there, with no VC-FINAL for it."""
+    runtime, sent, replica = entering_view_one(t, use_fault_detection=fd)
     changer, config = replica.view_changer, runtime.config
-    for vc in peer_view_changes(runtime, replica,
-                                config.n - config.t - 2):
-        changer._on_view_change(f"r{vc.sender}", vc)
-    runtime.sim.run(until=runtime.sim.now + 2 * config.delta_ms + 1.0)
-    assert changer._state.net_timer_expired
+    silent = replica.groups.followers(1)[-1]
+    if heard == "fewer-than-n-minus-t":
+        peers = peers_of(runtime, replica)[:config.n - config.t - 2]
+        assert silent not in peers
+    else:
+        peers = [r for r in peers_of(runtime, replica) if r != silent]
+    hear(runtime, replica, peers)
+    gathered = changer._state
+    assert len(gathered.vcset) == len(peers) + 1
+    run_to_two_delta(runtime, sent)
+    suspects = sent.of(msg.Suspect)
+    assert [dst for dst, _ in suspects] \
+        == [f"r{r}" for r in peers_of(runtime, replica)]
+    assert {(m.view, m.sender) for _, m in suspects} \
+        == {(1, replica.replica_id)}
+    assert (replica.view, replica.in_view_change) == (2, True)
+    fresh = changer._state
+    assert fresh is not gathered and not fresh.sent_vc_final
+    assert [dst for dst, m in sent.of(msg.ViewChange) if m.new_view == 2] \
+        == [f"r{r}" for r in replica.groups.group(2)]
+    # The silent member's VIEW-CHANGE for the abandoned view arrives late:
+    # filed nowhere, and no VC-FINAL for view 1 was or will be sent.
+    before = dict(fresh.vcset)
+    late = runtime.replica(silent).view_changer.build_view_change(1)
+    changer._on_view_change(f"r{silent}", late)
+    assert fresh.vcset == before and silent not in gathered.vcset
+    runtime.sim.run(until=runtime.sim.now + config.view_change_timeout_ms)
     assert sent.of(msg.VcFinal) == []
-    # The one that was missing arrives late: now it is n - t, timer long
-    # expired.
-    late = runtime.replica(peers_of(runtime, replica)[-1]) \
-        .view_changer.build_view_change(1)
-    changer._on_view_change(f"r{late.sender}", late)
+
+
+@T
+@FD
+def test_a_member_silent_after_its_view_change_is_left_to_timer_vc(t, fd):
+    """What the gather cannot see: every member sent its VIEW-CHANGE, so
+    2-Delta ends in VC-FINAL -- and then a member never sends its own.
+    Only ``timer_vc`` suspects that view, and not before it fires."""
+    runtime, sent, replica = entering_view_one(t, use_fault_detection=fd)
+    config = runtime.config
+    entered = runtime.sim.now
+    hear(runtime, replica, replica.groups.followers(1))
+    run_to_two_delta(runtime, sent)
     assert len(sent.of(msg.VcFinal)) == t
+    runtime.sim.run(until=entered + config.view_change_timeout_ms - 1.0)
+    assert sent.of(msg.Suspect) == []
+    assert (replica.view, replica.in_view_change) == (1, True)
+    runtime.sim.run(until=runtime.sim.now + 2.0)
+    assert {(m.view, m.sender) for _, m in sent.of(msg.Suspect)} \
+        == {(1, replica.replica_id)}
+    assert replica.view == 2
+
+
+@T
+@FD
+def test_a_passive_replica_never_suspects_at_two_delta(t, fd):
+    """Only an active replica of v may suspect v: a replica passive in
+    the view it enters gathers nothing and decides nothing at 2-Delta,
+    even with the gather timer of the view before still running."""
+    runtime, sent, replica = entering_view_one(t, use_fault_detection=fd)
+    changer, config = replica.view_changer, runtime.config
+    assert not replica.groups.is_active(2, replica.replica_id)
+    changer._enter_view(2)
+    bystander = runtime.replica(next(
+        r for r in range(config.n) if r not in replica.groups.group(1)))
+    bystander.view_changer._enter_view(1)
+    assert not bystander.view_changer._net_timer.armed
+    runtime.sim.run(until=runtime.sim.now + 2 * config.delta_ms + 1.0)
+    assert sent.of(msg.Suspect) == [] and sent.of(msg.VcFinal) == []
+    assert (replica.view, bystander.view) == (2, 1)
+    assert changer._state.vcset == {}
 
 
 @T
@@ -106,8 +187,7 @@ def test_the_view_change_in_progress_is_one_value(t):
     filed anywhere."""
     runtime, sent, replica = entering_view_one(t)
     changer = replica.view_changer
-    for vc in peer_view_changes(runtime, replica, 1):
-        changer._on_view_change(f"r{vc.sender}", vc)
+    hear(runtime, replica, peers_of(runtime, replica)[:1])
     gathered = changer._state
     assert len(gathered.vcset) == 2
     peer = peers_of(runtime, replica)[0]
@@ -126,8 +206,7 @@ def all_vc_finals_in(t, **overrides):
     last one."""
     runtime, sent, replica = entering_view_one(t, **overrides)
     changer, n = replica.view_changer, runtime.config.n
-    for vc in peer_view_changes(runtime, replica, n - 1):
-        changer._on_view_change(f"r{vc.sender}", vc)
+    hear(runtime, replica, peers_of(runtime, replica))
     vcset = sent.of(msg.VcFinal)[0][1].vcset
     del sent[:]
     for peer in replica.groups.followers(1):
