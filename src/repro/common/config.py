@@ -79,9 +79,13 @@ class ClusterConfig:
             a commit before it re-sends (XPaxos: RE-SEND to every active
             replica, Algorithm 4; the baselines: to every replica), and
             how long a baseline follower lets a forwarded request sit
-            before it starts an election.  Bounds the detection part of
-            a fail-over; the replicas' own Algorithm 4 timer is derived
-            from ``delta_ms`` and ``batch_timeout_ms``.
+            before it starts an election.  In XPaxos it bounds the
+            detection part of a fail-over only when the silent replica
+            is the primary: a silent follower is detected by the
+            survivors of its group, whose prepared slot does not commit
+            (``xpaxos/progress.py``).  The replicas' own timers -- that
+            one and Algorithm 4's -- are derived from ``delta_ms`` and
+            ``batch_timeout_ms`` (``commit_bound_ms``).
         view_change_timeout_ms: how long a view change (a baseline
             campaign) may take before the view it installs is itself
             suspected (Section 4.3.2 (iii)), and the cadence at which an

@@ -14,7 +14,7 @@ Modules:
   :mod:`repro.protocols.xpaxos.signed` -- what a signed one declares and
   the one check built on it.
 * :mod:`repro.protocols.xpaxos.replica` -- the replica's core: roles,
-  dispatch, Algorithms 1-2, replies, recovery.  It hands the rest to four
+  dispatch, Algorithms 1-2, replies, recovery.  It hands the rest to five
   components, each of which owns its state and registers its own
   messages:
 
@@ -27,7 +27,10 @@ Modules:
   * :mod:`repro.protocols.xpaxos.lazy` -- ``LazyReplicator``: LAZY-COMMIT,
     FETCH-ENTRIES / FETCH-REPLY (4.5.2);
   * :mod:`repro.protocols.xpaxos.retransmission` -- ``Retransmitter``:
-    the replica side of Algorithm 4.
+    the replica side of Algorithm 4;
+  * :mod:`repro.protocols.xpaxos.progress` -- ``ProgressWatch``: an
+    active replica suspects a view whose prepared slot does not commit
+    within ``commit_bound_ms`` (Section 4.3.2 without the client).
 * :mod:`repro.protocols.xpaxos.detection` -- ``FaultDetector``: Algorithm
   6's predicates (state-loss, fork-I, fork-II) and accusations; built by
   the ``ViewChanger`` only when fault detection is configured.

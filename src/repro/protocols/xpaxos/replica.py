@@ -1,4 +1,4 @@
-"""The XPaxos replica: the common case (Algorithms 1 and 2) and the four
+"""The XPaxos replica: the common case (Algorithms 1 and 2) and the five
 machines it hands everything else to.
 
 :class:`XPaxosReplica` is the core: roles, message dispatch, ordering on
@@ -9,8 +9,9 @@ the paper's other algorithms is a component that is handed the replica,
 owns the fields and timers only it uses, and registers its own message
 classes in the replica's one ``_handlers`` table: ``ViewChanger``
 (suspicion, Algorithm 3, the hand-off to Algorithms 5-6), ``Checkpointer``
-(Section 4.5.1), ``LazyReplicator`` (Section 4.5.2) and ``Retransmitter``
-(Algorithm 4) -- docs/execution.md, "Where each algorithm lives".
+(Section 4.5.1), ``LazyReplicator`` (Section 4.5.2), ``Retransmitter``
+(Algorithm 4) and ``ProgressWatch`` (a prepared slot that does not commit)
+-- docs/execution.md, "Where each algorithm lives".
 
 State the core keeps mirrors the pseudocode: ``view`` (``i``),
 ``prepare_log`` / ``commit_log`` (``PrepareLog`` / ``CommitLog``, sparse,
@@ -31,6 +32,7 @@ from repro.protocols.xpaxos import messages as msg
 from repro.protocols.xpaxos.checkpoint import Checkpointer
 from repro.protocols.xpaxos.groups import SynchronousGroups
 from repro.protocols.xpaxos.lazy import LazyReplicator
+from repro.protocols.xpaxos.progress import ProgressWatch
 from repro.protocols.xpaxos.retransmission import Retransmitter
 from repro.protocols.xpaxos.signed import verify_signed
 from repro.protocols.xpaxos.view_change import ViewChanger
@@ -78,6 +80,7 @@ class XPaxosReplica(ReplicaBase):
         self.checkpointer = Checkpointer(self)
         self.lazy = LazyReplicator(self)
         self.retransmitter = Retransmitter(self)
+        self.progress = ProgressWatch(self)
         self.view_changer = ViewChanger(self)
 
     def _wire_ordering_path(self) -> None:
@@ -164,6 +167,7 @@ class XPaxosReplica(ReplicaBase):
                                      batch=batch, batch_digest=batch_digest)
         entry = PrepareEntry(seqno, self.view, batch, prepare.primary_sig)
         self.prepare_log.put(seqno, entry)
+        self.progress.prepared(seqno)
         self.multicast_authenticated(
             [self.replica_name(f) for f in self.groups.followers(self.view)],
             prepare, size_bytes=batch.size_bytes)
@@ -201,6 +205,7 @@ class XPaxosReplica(ReplicaBase):
         self.sn = m.seqno
         entry = PrepareEntry(m.seqno, m.view, m.batch, m.primary_sig)
         self.prepare_log.put(m.seqno, entry)
+        self.progress.prepared(m.seqno)
         vote = msg.CommitVote.signed(
             self.sign, view=m.view, seqno=m.seqno,
             batch_digest=m.batch_digest, sender=self.replica_id)
@@ -222,11 +227,12 @@ class XPaxosReplica(ReplicaBase):
         """File a vote of this view's followers (ours, or one _on_commit_vote
         admitted); commit once the prepare entry and all t votes are in."""
         seqno = vote.seqno
+        if seqno in self.commit_log or seqno <= self.ex:
+            return  # a replayed vote: a committed slot keeps no table
         votes = self._commit_votes.setdefault(seqno, {})
         votes[vote.sender] = vote
         entry = self.prepare_log.get(seqno)
-        if seqno in self.commit_log or entry is None \
-                or len(votes) < self.config.t:
+        if entry is None or len(votes) < self.config.t:
             return
         batch_digest = self._batch_digest(entry.batch)
         matching = [votes[s].sig for s in sorted(votes)
@@ -237,6 +243,7 @@ class XPaxosReplica(ReplicaBase):
         self.commit_log.put(
             seqno, CommitEntry(seqno, entry.view, entry.batch, proof))
         self._commit_votes.pop(seqno, None)
+        self.progress.committed(seqno)
         self.execute_ready()
 
     # -- fast path (t = 1) ------------------------------------------------
@@ -247,6 +254,7 @@ class XPaxosReplica(ReplicaBase):
             batch_digest=batch_digest)
         entry = PrepareEntry(seqno, self.view, batch, fast.m0)
         self.prepare_log.put(seqno, entry)
+        self.progress.prepared(seqno)
         follower = self.groups.followers(self.view)[0]
         self.send_authenticated(self.replica_name(follower), fast,
                                 size_bytes=batch.size_bytes)
@@ -292,6 +300,7 @@ class XPaxosReplica(ReplicaBase):
                                    (entry.primary_sig, m.m1))
         self.commit_log.put(m.seqno, commit_entry)
         self._fast_commits_pending[m.seqno] = m
+        self.progress.committed(m.seqno)
         self.execute_ready()
 
     # -- execution ---------------------------------------------------------
@@ -381,6 +390,7 @@ class XPaxosReplica(ReplicaBase):
         self.sequencer.stop_timer()
         self._pending_prepares.clear()
         self._commit_votes.clear()
+        self.progress.clear()
         self.retransmitter.view_left()
 
     def start_view(self) -> None:
@@ -415,16 +425,17 @@ class XPaxosReplica(ReplicaBase):
         state (the strongest practical recovery discipline): ``view``,
         ``sn``, ``ex``, both logs, the stable checkpoint and the app
         survive.  Of the volatile state, the per-slot votes and buffered
-        prepares, the sequencer's queue, the retransmissions and an
-        outstanding fetch are lost; the view change in progress (VCSet,
-        VC-FINALs) and the RE-SENDs buffered for the next NEW-VIEW are
-        kept, as they always were (ROADMAP item 5 asks the model check
-        whether they should be).
+        prepares, the sequencer's queue, the progress watch, the
+        retransmissions and an outstanding fetch are lost; the view change
+        in progress (VCSet, VC-FINALs) and the RE-SENDs buffered for the
+        next NEW-VIEW are kept, as they always were (ROADMAP item 5 asks
+        the model check whether they should be).
         """
         self._crashed = False  # Process.recover without the app reset
         self._commit_votes.clear()
         self._pending_prepares.clear()
         self.sequencer.pending.clear()
+        self.progress.clear()
         self.retransmitter.recovered()
         self.lazy.fetch_settled()
         # A recovering replica cannot tell whether its view is stale; it

@@ -18,6 +18,7 @@ from functools import partial
 from typing import TYPE_CHECKING, Any, Dict, List
 
 from repro.protocols.xpaxos import messages as msg
+from repro.protocols.xpaxos.progress import commit_bound_ms
 from repro.protocols.xpaxos.signed import verify_signed
 from repro.sim.process import Timer
 from repro.smr.messages import Request
@@ -52,6 +53,12 @@ class Retransmitter:
         #: nothing), and none the client has moved past.
         self.waiting: Dict[tuple, _RetransmissionState] = {}
         self._buffered_resends: List[msg.ReSend] = []
+        # A retransmitted request must commit within the bound a prepared
+        # slot has; one that waits out a view change gets the 2-Delta
+        # gather of the new view on top.
+        self._commit_bound_ms = commit_bound_ms(replica.config)
+        self._view_change_bound_ms = (2 * replica.config.delta_ms
+                                      + self._commit_bound_ms)
         replica._handlers.update({
             msg.ReSend: self._on_resend,
             msg.SignedReplyShare: self._on_signed_reply_share,
@@ -95,12 +102,7 @@ class Retransmitter:
         if state.done:
             return state
         if not state.timer.armed:
-            # The retransmitted request must commit within roughly one view
-            # change (bounded by the 2-Delta collection phase) plus a round
-            # of normal operation.
-            config = self.replica.config
-            state.timer.start(2 * config.delta_ms
-                              + 8 * config.batch_timeout_ms)
+            state.timer.start(self._commit_bound_ms)
         self.emit_share(request.rid)
         return state
 
@@ -224,14 +226,11 @@ class Retransmitter:
         is not active in the view it enters has nothing to time: its
         timers are disarmed and the records stay, for ``view_installed``
         to replay if it turns active again."""
-        replica = self.replica
-        config = replica.config
-        active = replica.is_active
+        active = self.replica.is_active
         for state in self.waiting.values():
             if not state.done and state.timer.armed:
                 if active:
-                    state.timer.start(4 * config.delta_ms
-                                      + 8 * config.batch_timeout_ms)
+                    state.timer.start(self._view_change_bound_ms)
                 else:
                     state.timer.stop()
 

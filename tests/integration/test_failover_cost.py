@@ -12,6 +12,16 @@ as an acceptor under every other leader.
 
 A view whose group holds the crashed replica cannot form, and its 2-Delta
 gather shows that: it costs the gather, not ``view_change_timeout_ms``.
+
+Detection is the client's timer plus Algorithm 4's only when the silent
+replica is the primary.  A silent *follower* leaves evidence with the
+survivors of its group -- a PREPARE whose vote never comes -- and a
+correct, synchronous group commits a prepared slot within
+``commit_bound_ms``: an active replica suspects its own view when that
+passes (``xpaxos/progress.py``), with the clients' timers set beyond the
+end of the run as well as with the ledger's.  And it never passes in a
+fault-free run, however loaded: at saturation requests queue in front of
+the pipeline window, not inside it.
 """
 
 import pytest
@@ -22,11 +32,16 @@ from repro.common.config import (
     WorkloadConfig,
     sites_for,
 )
+from repro.crypto.costs import CostModel
 from repro.faults.checker import SafetyChecker
 from repro.faults.injector import FaultInjector, FaultSchedule
+from repro.harness.configs import paper_config
 from repro.harness.matrix import CELL_TIMEOUTS
+from repro.harness.runner import ExperimentRunner
+from repro.net.bandwidth import BandwidthModel
 from repro.net.latency import LatencyModel
 from repro.protocols.registry import build_cluster
+from repro.protocols.xpaxos.progress import commit_bound_ms
 from repro.workloads.clients import make_driver
 
 T = 2
@@ -40,10 +55,10 @@ def run_with_r0_down(protocol):
         CRASH_MS, 0, RECOVER_MS - CRASH_MS))
 
 
-def run_with(protocol, schedule, t=T, duration_ms=DURATION_MS):
+def run_with(protocol, schedule, t=T, duration_ms=DURATION_MS, **overrides):
     sites = sites_for(protocol, t)
     config = ClusterConfig(t=t, protocol=protocol, sites=sites,
-                           **CELL_TIMEOUTS)
+                           **{**CELL_TIMEOUTS, **overrides})
     runtime = build_cluster(
         config, num_clients=CHANNELS,
         latency=LatencyModel.uniform(sorted(set(sites)), one_way_ms=1.0,
@@ -115,9 +130,12 @@ def test_a_doomed_view_costs_its_gather_not_the_view_change_timeout():
     groups = runtime.replica(0).groups
     assert 2 in groups.followers(2) and 2 in groups.group(3)
     allowance = config.request_retransmit_ms + config.view_change_timeout_ms
-    for crash_ms in (1_000.0, 3_500.0, 6_000.0):
+    for crash_ms in (1_000.0, 3_500.0):
         gap = longest_gap(commits, crash_ms, crash_ms + 1_500.0)
         assert gap < allowance, (crash_ms, gap)
+    # The follower's crash is the survivors' to detect: one commit bound,
+    # two gathers (519 ms when it took a client's timer and Algorithm 4's).
+    assert longest_gap(commits, 6_000.0, 7_500.0) < 350.0
     assert max(r.view for r in runtime.replicas) == 4
 
 
@@ -134,3 +152,73 @@ def test_at_t1_a_crashed_primary_always_dooms_the_next_view():
     gap = longest_gap(commits, CRASH_MS, RECOVER_MS)
     assert gap < 600.0, gap
     assert max(r.view for r in runtime.replicas) == 2
+
+
+@pytest.mark.parametrize("t, gathers", [(1, 1), (2, 2)])
+def test_a_crashed_follower_is_routed_around_without_any_client_timer(
+        t, gathers):
+    """r1 down for good at 1000 ms, and no client re-sends anything
+    inside the run.  t = 1: view 1 = (r0, r2) serves after one gather;
+    t = 2: view 1 = (1, 3, 4) holds r1 and is abandoned, view 2 =
+    (0, 2, 3) serves -- both under r0, whom the clients keep talking to.
+    Nothing ever suspected view 0 when only Algorithm 4 could."""
+    runtime, commits = run_with(
+        ProtocolName.XPAXOS, FaultSchedule().crash_for(CRASH_MS, 1, 10_000.0),
+        t=t, duration_ms=2_000.0, request_retransmit_ms=60_000.0)
+    config = runtime.config
+    groups = runtime.replica(0).groups
+    assert 1 in groups.followers(0) and groups.primary(gathers) == 0
+    assert sum(client.timeouts for client in runtime.clients) == 0
+    allowance = commit_bound_ms(config) + gathers * 2 * config.delta_ms + 10.0
+    assert longest_gap(commits, CRASH_MS, 2_000.0) < allowance
+    assert {r.view for r in runtime.replicas if not r.crashed} == {gathers}
+
+
+def assert_no_view_was_ever_suspected(runtime, duration_ms):
+    # The watch had the time to run out, more than once.
+    assert duration_ms > 1.5 * commit_bound_ms(runtime.config)
+    assert [(r.view, r.view_changes_completed, r.in_view_change)
+            for r in runtime.replicas] \
+        == [(0, 0, False)] * runtime.config.n
+
+
+def wan_runner():
+    return ExperimentRunner(
+        latency_factory=lambda seed: LatencyModel.ec2(seed=seed),
+        bandwidth_factory=lambda: BandwidthModel(default_rate=4_000.0),
+        cost_model=CostModel())
+
+
+def wan_config():
+    return paper_config(ProtocolName.XPAXOS, t=1,
+                        request_retransmit_ms=20_000.0,
+                        view_change_timeout_ms=10_000.0)
+
+
+def test_an_overloaded_open_loop_wan_cell_never_suspects_its_view():
+    """The shape of the ledger ladder's top rung -- EC2 delays, scaled
+    uplinks, modelled crypto CPU, 1 kB requests at 1600 req/s, four times
+    what the rung below the knee offers -- for twice the commit bound."""
+    duration_ms = 5_500.0
+    workload = WorkloadConfig(
+        num_clients=200, request_size=1024, duration_ms=duration_ms,
+        warmup_ms=500.0, client_site="CA", seed=0,
+        offered_load_rps=1_600.0, cohorts=4)
+    runtime = wan_runner().build(wan_config(), workload)
+    driver = make_driver(runtime, workload)
+    driver.run()
+    assert driver.throughput.total > 1_000
+    assert_no_view_was_ever_suspected(runtime, duration_ms)
+
+
+def test_a_saturated_closed_loop_fig7_point_never_suspects_its_view():
+    """Fig 7a's last sweep point: 96 closed-loop clients, 1/0 benchmark."""
+    duration_ms = 4_000.0
+    workload = WorkloadConfig(
+        num_clients=96, request_size=1024, reply_size=0,
+        duration_ms=duration_ms, warmup_ms=500.0, client_site="CA")
+    runtime = wan_runner().build(wan_config(), workload)
+    driver = make_driver(runtime, workload)
+    driver.run()
+    assert driver.throughput.total > 1_000
+    assert_no_view_was_ever_suspected(runtime, duration_ms)

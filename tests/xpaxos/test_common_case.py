@@ -4,7 +4,9 @@ import pytest
 
 from repro.common.config import ProtocolName
 from repro.faults.checker import SafetyChecker
-from tests.conftest import make_cluster, run_workload
+from repro.protocols.xpaxos import messages as msg
+from repro.smr.messages import Batch, Request
+from tests.conftest import isolate, make_cluster, run_workload
 
 
 class TestFastPathT1:
@@ -76,6 +78,32 @@ class TestGeneralCaseT2:
         counts = [r.committed_requests for r in actives]
         assert min(counts) > 0.9 * max(counts)
 
+    def test_a_replayed_vote_for_a_committed_slot_keeps_no_table(
+            self, xpaxos_t2):
+        """The vote table of a slot goes when the slot commits; a
+        duplicate or late vote used to re-create it until the next
+        view, one per replayed slot."""
+        isolate(xpaxos_t2)
+        primary = xpaxos_t2.replica(0)
+        request = xpaxos_t2.clients[0].make_request(("put", "k", "v"), 1, 16)
+        batch = Batch((request,))
+        primary.sn = 1
+        primary.propose_batch(1, batch)
+        votes = [msg.CommitVote.signed(
+            xpaxos_t2.replica(f).sign, view=0, seqno=1,
+            batch_digest=msg.batch_digest_of(batch), sender=f)
+            for f in primary.groups.followers(0)]
+        for vote in votes:
+            primary.on_message(f"r{vote.sender}", vote)
+        assert 1 in primary.commit_log and primary.ex == 1
+        assert len(primary._commit_votes) == 0
+        primary.on_message(f"r{votes[0].sender}", votes[0])
+        assert len(primary._commit_votes) == 0
+        # Nor once a checkpoint has truncated the slot away.
+        primary.commit_log.truncate_to(1)
+        primary.on_message(f"r{votes[1].sender}", votes[1])
+        assert len(primary._commit_votes) == 0
+
 
 class TestBatching:
     def test_batches_bounded_by_config(self):
@@ -96,9 +124,6 @@ class TestBatching:
 
 class TestRequestValidation:
     def test_unsigned_request_ignored(self, xpaxos_t1):
-        from repro.protocols.xpaxos import messages as msg
-        from repro.smr.messages import Request
-
         primary = xpaxos_t1.replica(0)
         bogus = Request(op=1, timestamp=1, client=0, signature=None)
         primary.on_message("c0", msg.Replicate(bogus))
@@ -106,9 +131,6 @@ class TestRequestValidation:
         assert primary.committed_requests == 0
 
     def test_forged_client_signature_ignored(self, xpaxos_t1):
-        from repro.protocols.xpaxos import messages as msg
-        from repro.smr.messages import Request
-
         primary = xpaxos_t1.replica(0)
         keystore = xpaxos_t1.keystore
         forged_sig = keystore.forge_attempt("c9", "c0", (1, 1, 0))
