@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.common.config import ClusterConfig, ProtocolName, WorkloadConfig
+from repro.common.config import ProtocolName, WorkloadConfig
 from repro.crypto.costs import CostModel
 from repro.harness.configs import paper_config
 from repro.harness.runner import ExperimentRunner
@@ -51,17 +51,6 @@ def wan_runner(seed: int = 0, uplink: float = WAN_UPLINK,
     )
 
 
-def bench_config(protocol: ProtocolName, t: int = 1,
-                 **overrides) -> ClusterConfig:
-    """Paper-default deployment with benchmark-friendly retry timers."""
-    defaults = dict(
-        request_retransmit_ms=20_000.0,
-        view_change_timeout_ms=10_000.0,
-    )
-    defaults.update(overrides)
-    return paper_config(protocol, t=t, **defaults)
-
-
 def one_zero(num_clients: int) -> WorkloadConfig:
     """The paper's 1/0 microbenchmark (1 kB requests, 0 kB replies)."""
     return WorkloadConfig(num_clients=num_clients, request_size=1024,
@@ -81,7 +70,7 @@ def run_sweep(protocol: ProtocolName, workload_factory, t: int = 1,
               app_factory=None):
     """Latency-vs-throughput curve for one protocol."""
     runner = wan_runner(seed=seed, uplink=uplink, app_factory=app_factory)
-    config = bench_config(protocol, t=t)
+    config = paper_config(protocol, t=t)
     points = []
     for clients in SWEEP_CLIENTS:
         result = runner.run_point(config, workload_factory(clients))

@@ -5,8 +5,9 @@ message; larger batches raise peak throughput until latency suffers.
 """
 
 from repro.common.config import ProtocolName
+from repro.harness.configs import paper_config
 
-from conftest import bench_config, one_zero, wan_runner
+from conftest import one_zero, wan_runner
 
 BATCH_SIZES = (1, 5, 20, 80)
 CLIENTS = 96
@@ -22,7 +23,7 @@ def test_batching_ablation(benchmark):
         results = {}
         for batch_size in BATCH_SIZES:
             runner = wan_runner()
-            config = bench_config(ProtocolName.XPAXOS,
+            config = paper_config(ProtocolName.XPAXOS,
                                   batch_size=batch_size,
                                   pipeline_depth=PIPELINE_DEPTH)
             results[batch_size] = runner.run_point(config,

@@ -8,16 +8,17 @@ paper picks Delta = 1.25 s from the 99.99th RTT percentile.
 
 from repro.common.config import ProtocolName, WorkloadConfig
 from repro.faults.injector import FaultSchedule
+from repro.harness.configs import paper_config
 from repro.harness.timeline import run_fault_timeline
 
-from conftest import bench_config, wan_runner
+from conftest import wan_runner
 
 DELTAS_MS = (150.0, 1_250.0, 5_000.0)
 
 
 def run_with_delta(delta_ms: float):
     runner = wan_runner()
-    config = bench_config(
+    config = paper_config(
         ProtocolName.XPAXOS,
         delta_ms=delta_ms,
         request_retransmit_ms=max(2 * delta_ms, 1_000.0),

@@ -7,9 +7,10 @@ is one extra active-to-active round trip.
 
 from repro.common.config import ProtocolName, WorkloadConfig
 from repro.faults.injector import FaultSchedule
+from repro.harness.configs import paper_config
 from repro.harness.timeline import run_fault_timeline
 
-from conftest import bench_config, one_zero, wan_runner
+from conftest import one_zero, wan_runner
 
 
 def test_fd_common_case_overhead(benchmark):
@@ -17,7 +18,7 @@ def test_fd_common_case_overhead(benchmark):
         results = {}
         for use_fd in (False, True):
             runner = wan_runner()
-            config = bench_config(ProtocolName.XPAXOS,
+            config = paper_config(ProtocolName.XPAXOS,
                                   use_fault_detection=use_fd)
             results[use_fd] = runner.run_point(config, one_zero(64))
         return results
@@ -39,7 +40,7 @@ def test_fd_view_change_overhead(benchmark):
         results = {}
         for use_fd in (False, True):
             runner = wan_runner()
-            config = bench_config(
+            config = paper_config(
                 ProtocolName.XPAXOS,
                 delta_ms=1_250.0,
                 request_retransmit_ms=2_500.0,

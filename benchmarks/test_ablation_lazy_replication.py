@@ -7,14 +7,15 @@ that becomes active must fetch the whole prefix during the view change.
 
 from repro.common.config import ProtocolName, WorkloadConfig
 from repro.faults.injector import FaultSchedule
+from repro.harness.configs import paper_config
 from repro.harness.timeline import run_fault_timeline
 
-from conftest import bench_config, wan_runner
+from conftest import wan_runner
 
 
 def run_crash(lazy: bool):
     runner = wan_runner()
-    config = bench_config(
+    config = paper_config(
         ProtocolName.XPAXOS,
         delta_ms=1_250.0,
         request_retransmit_ms=2_500.0,

@@ -8,9 +8,10 @@ all-to-all and Zyzzyva's all-replica fan-out.
 """
 
 from repro.common.config import ProtocolName, WorkloadConfig
+from repro.harness.configs import paper_config
 from repro.harness.tracing import MessageTracer
 
-from conftest import bench_config, wan_runner
+from conftest import wan_runner
 
 #: Message kinds that constitute each protocol's replica-to-replica
 #: ordering traffic (replies/requests excluded: identical everywhere).
@@ -25,7 +26,7 @@ ORDERING_KINDS = {
 
 def run_traced(protocol: ProtocolName):
     runner = wan_runner()
-    config = bench_config(protocol)
+    config = paper_config(protocol)
     workload = WorkloadConfig(num_clients=32, request_size=1024,
                               duration_ms=3_000.0, warmup_ms=0.0,
                               client_site="CA")

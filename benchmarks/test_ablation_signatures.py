@@ -10,8 +10,9 @@ necessity costs by re-running XPaxos with the signature CPU price of a MAC
 
 from repro.common.config import ProtocolName
 from repro.crypto.costs import CostModel
+from repro.harness.configs import paper_config
 
-from conftest import bench_config, one_zero, wan_runner
+from conftest import one_zero, wan_runner
 
 #: sign/verify priced like HMACs -- what CFT/BFT MAC-based protocols pay.
 MAC_PRICED = CostModel(sign_us=2.0, verify_us=2.0)
@@ -24,7 +25,7 @@ def test_signature_cost_ablation(benchmark):
                                   ("mac-priced", MAC_PRICED),
                                   ("free", CostModel.free())):
             runner = wan_runner(cost_model=cost_model)
-            config = bench_config(ProtocolName.XPAXOS)
+            config = paper_config(ProtocolName.XPAXOS)
             results[label] = runner.run_point(config, one_zero(96))
         return results
 

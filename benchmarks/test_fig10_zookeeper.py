@@ -12,9 +12,10 @@ whereas the XPaxos primary ships to only t followers.
 """
 
 from repro.common.config import ProtocolName, WorkloadConfig
+from repro.harness.configs import paper_config
 from repro.zk.service import CoordinationService, zk_write_op
 
-from conftest import RUN_MS, WARMUP_MS, bench_config, wan_runner
+from conftest import RUN_MS, WARMUP_MS, wan_runner
 
 #: A leaner uplink than the microbenchmarks: Figure 10's phenomenon is the
 #: saturation of the leader's uplink, so the sweep must reach it.
@@ -37,7 +38,7 @@ def test_fig10(benchmark):
         for protocol in PROTOCOLS:
             runner = wan_runner(uplink=ZK_UPLINK,
                                 app_factory=CoordinationService)
-            config = bench_config(protocol)
+            config = paper_config(protocol)
             points = []
             for clients in ZK_CLIENTS:
                 points.append(runner.run_point(config,
@@ -88,7 +89,7 @@ def test_fig10_leader_bandwidth_explanation(benchmark):
             runner = wan_runner(uplink=ZK_UPLINK,
                                 app_factory=CoordinationService)
             runner.bandwidth_factory = lambda b=bandwidth: b
-            config = bench_config(protocol)
+            config = paper_config(protocol)
             result = runner.run_point(config, zk_workload(64))
             stats[protocol.value] = (bandwidth.bytes_sent("r0"),
                                      result.committed)

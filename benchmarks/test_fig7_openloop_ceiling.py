@@ -16,9 +16,10 @@ results are merged in protocol order and identical to a serial run.
 import os
 
 from repro.common.config import ProtocolName, WorkloadConfig
+from repro.harness.configs import paper_config
 from repro.harness.parallel import guard_global_rng, parallel_map
 
-from conftest import WARMUP_MS, bench_config, wan_runner
+from conftest import WARMUP_MS, wan_runner
 
 PROTOCOLS = (ProtocolName.XPAXOS, ProtocolName.PAXOS, ProtocolName.PBFT,
              ProtocolName.ZYZZYVA, ProtocolName.ZAB)
@@ -61,7 +62,7 @@ def _open_points(runner, config, ceiling_kops):
 def _protocol_run(protocol):
     """Closed ceiling + open-loop points for one protocol (one worker)."""
     runner = wan_runner()
-    config = bench_config(protocol, t=1)
+    config = paper_config(protocol, t=1)
     ceiling = _closed_ceiling(runner, config)
     return ceiling, _open_points(runner, config, ceiling)
 

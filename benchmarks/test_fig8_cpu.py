@@ -9,9 +9,9 @@ XPaxos sustains higher throughput than the BFT protocols.
 """
 
 from repro.common.config import ProtocolName
+from repro.harness.configs import paper_config
 
-from conftest import SWEEP_CLIENTS, one_zero, four_zero, wan_runner, \
-    bench_config
+from conftest import SWEEP_CLIENTS, one_zero, four_zero, wan_runner
 
 PROTOCOLS = (ProtocolName.XPAXOS, ProtocolName.PAXOS, ProtocolName.PBFT,
              ProtocolName.ZYZZYVA)
@@ -21,7 +21,7 @@ def run_cpu_points(workload_factory):
     runner = wan_runner()
     points = {}
     for protocol in PROTOCOLS:
-        config = bench_config(protocol)
+        config = paper_config(protocol)
         result = runner.run_point(config,
                                   workload_factory(max(SWEEP_CLIENTS)))
         points[protocol.value] = result

@@ -14,9 +14,10 @@ shorter.
 
 from repro.common.config import ProtocolName, WorkloadConfig
 from repro.faults.injector import FaultSchedule
+from repro.harness.configs import paper_config
 from repro.harness.timeline import run_fault_timeline
 
-from conftest import bench_config, wan_runner
+from conftest import wan_runner
 
 DURATION_MS = 125_000.0
 CRASHES = ((45_000.0, 1), (75_000.0, 0), (105_000.0, 2))  # VA, CA, JP
@@ -26,7 +27,7 @@ DOWNTIME_MS = 5_000.0
 def test_fig9(benchmark):
     def build():
         runner = wan_runner()
-        config = bench_config(
+        config = paper_config(
             ProtocolName.XPAXOS,
             delta_ms=1_250.0,                   # the paper's Delta
             request_retransmit_ms=2_500.0,
@@ -74,7 +75,7 @@ def test_fig9_views_have_different_throughput(benchmark):
 
     def build():
         runner = wan_runner()
-        config = bench_config(
+        config = paper_config(
             ProtocolName.XPAXOS,
             delta_ms=1_250.0,
             request_retransmit_ms=2_500.0,

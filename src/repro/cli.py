@@ -42,7 +42,7 @@ import argparse
 import sys
 from typing import List, Optional, Sequence
 
-from repro.common.config import ClusterConfig, ProtocolName, WorkloadConfig
+from repro.common.config import ProtocolName, WorkloadConfig
 from repro.crypto.costs import CostModel
 from repro.faults.injector import FaultSchedule
 from repro.harness.configs import paper_config
@@ -59,12 +59,6 @@ def _runner(seed: int, uplink: float) -> ExperimentRunner:
         cost_model=CostModel(),
         seed=seed,
     )
-
-
-def _bench_config(protocol: ProtocolName, t: int) -> ClusterConfig:
-    return paper_config(protocol, t=t,
-                        request_retransmit_ms=20_000.0,
-                        view_change_timeout_ms=10_000.0)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -90,7 +84,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         # Points are independent deterministic runs, so --jobs N farms
         # them to worker processes; results come back in client-count
         # order and are identical to a sequential sweep.
-        results = runner.run_points(_bench_config(protocol, args.t),
+        results = runner.run_points(paper_config(protocol, t=args.t),
                                     workloads, jobs=args.jobs)
         for clients, result in zip(args.clients, results):
             lat = (f"{result.mean_latency_ms:9.1f}"
@@ -189,11 +183,9 @@ def cmd_faults(args: argparse.Namespace) -> int:
     """A Figure 9-style crash timeline on XPaxos."""
     runner = _runner(args.seed, args.uplink)
     duration_ms = args.duration * 1_000.0
-    config = _bench_config(ProtocolName.XPAXOS, 1)
-    config = ClusterConfig(
-        t=1, protocol=ProtocolName.XPAXOS, sites=config.sites,
-        delta_ms=1_250.0, request_retransmit_ms=2_500.0,
-        view_change_timeout_ms=10_000.0)
+    config = paper_config(ProtocolName.XPAXOS, delta_ms=1_250.0,
+                          request_retransmit_ms=2_500.0,
+                          view_change_timeout_ms=10_000.0)
     workload = WorkloadConfig(num_clients=args.clients, request_size=1024,
                               duration_ms=duration_ms, warmup_ms=2_000.0,
                               client_site="CA")

@@ -84,16 +84,17 @@ class ClusterConfig:
             view change abandons when a follower falls silent, which is
             why the WAN tail is cut by pacing rather than by a deeper
             default.
-        request_retransmit_ms: the client's timer: how long it waits for
-            a commit before it re-sends (XPaxos: RE-SEND to every active
-            replica, Algorithm 4; the baselines: to every replica), and
+        request_retransmit_ms: the cap of the client's retransmission
+            timeout, and its value before the client's first completed
+            request; the timeout itself is estimated from the client's
+            round trips (``SmrClientBase``).  On expiry a client re-sends
+            (XPaxos: RE-SEND to every active replica, Algorithm 4; the
+            baselines: to every replica) and then waits this long again,
+            XPaxos twice this long from the second expiry.  It is also
             how long a baseline follower lets a forwarded request sit
-            before it starts an election.  In XPaxos it bounds the
-            detection part of a fail-over only when the silent replica
-            is the primary: a silent follower is detected by the
-            survivors of its group, whose prepared slot does not commit
-            (``xpaxos/progress.py``).  The replicas' own timers -- that
-            one and Algorithm 4's -- are derived from ``delta_ms`` and
+            before it starts an election.  What suspects a leader is the
+            replicas' own timers: that one, and XPaxos's Algorithm 4 and
+            progress watch, derived from ``delta_ms`` and
             ``batch_timeout_ms`` (``commit_bound_ms``).
         view_change_timeout_ms: how long a view change (a baseline
             campaign) may take before the view it installs is itself

@@ -407,6 +407,15 @@ class BaselineReplica(ReplicaBase):
             SyncReply(self.replica_id, self.view, self.ex, snapshot,
                       entries),
             size_bytes=size)
+        if self.campaigning:
+            # The requester may have missed our campaign (it was down or
+            # behind): hand it our VIEW-CHANGE, so it joins now instead of
+            # when the campaign next escalates.
+            own = self._vc_msgs.get(self._target_view, {}).get(
+                self.replica_id)
+            if own is not None:
+                self.send_authenticated(f"r{m.sender}", own,
+                                        size_bytes=self.view_change_size(own))
 
     def _on_sync_reply(self, m: SyncReply) -> None:
         self.cpu.charge_mac(64)

@@ -148,6 +148,7 @@ class XPaxosClient(SmrClientBase):
         self.multicast_authenticated(
             [f"r{r}" for r in self.groups.group(self.view)],
             suspect, size_bytes=48)
+        self.resent = True
         self.send_request(self.request)
         self._timer.start(self.config.request_retransmit_ms)
 

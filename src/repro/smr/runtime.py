@@ -426,8 +426,25 @@ class SmrClientBase(NodeBase):
     Owns the single in-flight request of a closed-loop client -- the
     request, when it was sent, the retry timer, the :class:`ReplyTally` of
     the replies so far and the one completion method -- plus signed
-    request construction and per-request latency recording.  Subclasses
-    say how a request is built and sent (:meth:`make_request`,
+    request construction and per-request latency recording.
+
+    The retry timer ``timer_c`` is armed with a retransmission timeout
+    estimated from this client's own completions, as TCP does (RFC 6298):
+    ``SRTT + max(batch_timeout_ms, 4 RTTVAR)``, at least ``delta_ms`` and
+    at most ``request_retransmit_ms``, which is also the timeout before
+    the first sample.  ``batch_timeout_ms`` plays RFC 6298's clock
+    granularity G: a jitter-free round trip still waits one batch cut
+    longer than its mean.  ``delta_ms`` plays its minimum RTO (2.4): a
+    round trip that swings faster than the estimate follows -- the WAN
+    latency model does -- is not re-sent before one network bound has
+    passed.  Karn's rule: a request that was re-sent is never sampled.
+    Only the first wait is the estimate; :meth:`retransmit` decides the
+    later ones.  While ``delta_ms`` bounds the network, an early expiry
+    costs messages only -- what suspects a leader is the replicas' own
+    timers; below the network's real tail it starts XPaxos's Algorithm 4
+    sooner (``docs/execution.md``, "What starts a view change").
+
+    Subclasses say how a request is built and sent (:meth:`make_request`,
     :meth:`send_request`, :meth:`retransmit`) and implement the commit
     rule in ``on_message``; the closed-loop driving logic lives in
     :mod:`repro.workloads.clients`.
@@ -449,6 +466,12 @@ class SmrClientBase(NodeBase):
         self.request: Optional[Request] = None
         self._sent_at = 0.0
         self.retries = 0  # retry-timer expiries of the request in flight
+        #: Was the request in flight re-sent (Karn's rule: do not sample)?
+        self.resent = False
+        #: Smoothed round trip and its mean deviation (RFC 6298), ms;
+        #: ``srtt`` is None until the first sample.
+        self.srtt: Optional[float] = None
+        self.rttvar = 0.0
         self.tally = ReplyTally()
         self._timer = Timer(self, self._on_timeout, "timer_c")
         #: Retry-timer expiries that led to a retransmission, all requests.
@@ -485,10 +508,31 @@ class SmrClientBase(NodeBase):
         self.request = request
         self._sent_at = self.sim.now
         self.retries = 0
+        self.resent = False
         self.tally.clear()
         self.send_request(request)
-        self._timer.start(self.config.request_retransmit_ms)
+        self._timer.start(self.retransmit_timeout_ms)
         return request
+
+    @property
+    def retransmit_timeout_ms(self) -> float:
+        """What ``timer_c`` is armed with when a request goes out."""
+        cap = self.config.request_retransmit_ms
+        if self.srtt is None:
+            return cap
+        estimate = self.srtt + max(self.config.batch_timeout_ms,
+                                   4.0 * self.rttvar)
+        return min(cap, max(self.config.delta_ms, estimate))
+
+    def _sample_round_trip(self, rtt_ms: float) -> None:
+        """Fold one measured round trip into SRTT / RTTVAR (RFC 6298
+        2.2-2.3)."""
+        if self.srtt is None:
+            self.srtt = rtt_ms
+            self.rttvar = rtt_ms / 2.0
+        else:
+            self.rttvar = 0.75 * self.rttvar + 0.25 * abs(self.srtt - rtt_ms)
+            self.srtt = 0.875 * self.srtt + 0.125 * rtt_ms
 
     def make_request(self, op: Any, timestamp: int,
                      size_bytes: int) -> Request:
@@ -510,6 +554,7 @@ class SmrClientBase(NodeBase):
             return
         self.timeouts += 1
         self.retries += 1
+        self.resent = True
         self.retransmit(request)
 
     def complete(self, result: Any) -> None:
@@ -518,6 +563,8 @@ class SmrClientBase(NodeBase):
         assert request is not None
         self.request = None
         self._timer.stop()
+        if not self.resent:
+            self._sample_round_trip(self.sim.now - self._sent_at)
         self.record_completion(request.rid, self._sent_at)
         if self.on_result is not None:
             self.on_result(result)

@@ -4,22 +4,26 @@
 XPaxos, the crashes that make the *next* view a doomed one.
 
 Fail-over is one detection plus one view change: the service is back
-within ``request_retransmit_ms`` + 2 x ``view_change_timeout_ms`` of the
-crash and keeps up with the arrivals while the replica is still down --
-not when the injector brings it back.  XPaxos used to rotate through four
-more groups led by the crashed r0 first; Paxos used to order through r0
-as an acceptor under every other leader.
+within the replicas' own detection bound plus one 2-Delta gather per
+view tried, and keeps up with the arrivals while the replica is still
+down -- not when the injector brings it back.  XPaxos used to rotate
+through four more groups led by the crashed r0 first; Paxos used to
+order through r0 as an acceptor under every other leader.
 
 A view whose group holds the crashed replica cannot form, and its 2-Delta
 gather shows that: it costs the gather, not ``view_change_timeout_ms``.
 
-Detection is the client's timer plus Algorithm 4's only when the silent
-replica is the primary.  A silent *follower* leaves evidence with the
-survivors of its group -- a PREPARE whose vote never comes -- and a
-correct, synchronous group commits a prepared slot within
+A silent primary is reported by the clients: a client re-sends once its
+retransmission timeout passes, estimated from the round trips it measured
+(``SmrClientBase``), which on this LAN is its minimum, Delta, not the
+fixed ``request_retransmit_ms``.  What suspects the primary is still the
+replicas' own bound: Algorithm 4's ``timer_req`` (``commit_bound_ms``) in
+XPaxos, a backup's election timer in Paxos.  A silent *follower* leaves
+evidence with the survivors of its group -- a PREPARE whose vote never
+comes -- and a correct, synchronous group commits a prepared slot within
 ``commit_bound_ms``: an active replica suspects its own view when that
-passes (``xpaxos/progress.py``), with the clients' timers set beyond the
-end of the run as well as with the ledger's.  And it never passes in a
+passes (``xpaxos/progress.py``), before the Algorithm 4 timer the
+clients' early re-sends started can.  And it never passes in a
 fault-free run, however loaded: at saturation requests queue in front of
 the pipeline window, not inside it.
 """
@@ -41,6 +45,7 @@ from repro.harness.runner import ExperimentRunner
 from repro.net.bandwidth import BandwidthModel
 from repro.net.latency import LatencyModel
 from repro.protocols.registry import build_cluster
+from repro.protocols.xpaxos import messages as msg
 from repro.protocols.xpaxos.progress import commit_bound_ms
 from repro.workloads.clients import make_driver
 
@@ -48,6 +53,22 @@ T = 2
 CHANNELS = 24
 RATE_RPS = 800.0
 CRASH_MS, RECOVER_MS, DURATION_MS = 1_000.0, 2_500.0, 4_000.0
+#: What a fail-over costs on top of its bounds: the re-send's flight, the
+#: install and the first commit.
+MARGIN_MS = 20.0
+
+
+def failover_bound_ms(config, gathers=1):
+    """The client's retransmission timeout at its minimum (Delta; the
+    round trips of this 1 ms LAN are far below it), then the replicas' own
+    detection bound -- Algorithm 4's ``timer_req`` in XPaxos, plus one
+    2-Delta gather per view tried; the election timer a forwarded re-send
+    arms on a Paxos backup -- plus ``MARGIN_MS``."""
+    if config.protocol is ProtocolName.PAXOS:
+        replicas = config.request_retransmit_ms
+    else:
+        replicas = commit_bound_ms(config) + gathers * 2 * config.delta_ms
+    return config.delta_ms + replicas + MARGIN_MS
 
 
 def run_with_r0_down(protocol):
@@ -55,7 +76,8 @@ def run_with_r0_down(protocol):
         CRASH_MS, 0, RECOVER_MS - CRASH_MS))
 
 
-def run_with(protocol, schedule, t=T, duration_ms=DURATION_MS, **overrides):
+def run_with(protocol, schedule, t=T, duration_ms=DURATION_MS,
+             send_filter=None, **overrides):
     sites = sites_for(protocol, t)
     config = ClusterConfig(t=t, protocol=protocol, sites=sites,
                            **{**CELL_TIMEOUTS, **overrides})
@@ -64,6 +86,7 @@ def run_with(protocol, schedule, t=T, duration_ms=DURATION_MS, **overrides):
         latency=LatencyModel.uniform(sorted(set(sites)), one_way_ms=1.0,
                                      seed=0),
         client_site=sites[0], seed=0)
+    runtime.network.send_filter = send_filter
     driver = make_driver(runtime, WorkloadConfig(
         num_clients=CHANNELS, request_size=64, duration_ms=duration_ms,
         warmup_ms=0.0, seed=0, offered_load_rps=RATE_RPS, cohorts=2))
@@ -87,10 +110,11 @@ def longest_gap(commits, since_ms, until_ms):
                          [ProtocolName.XPAXOS, ProtocolName.PAXOS],
                          ids=lambda p: p.value)
 def test_a_crashed_leader_costs_one_failover_not_its_downtime(protocol):
+    """424 ms for XPaxos and 408 for Paxos when every client waited a
+    fixed ``request_retransmit_ms`` before its first re-send."""
     runtime, commits = run_with_r0_down(protocol)
     config = runtime.config
-    allowance = config.request_retransmit_ms \
-        + 2 * config.view_change_timeout_ms
+    allowance = failover_bound_ms(config)
     assert allowance < RECOVER_MS - CRASH_MS  # or the test shows nothing
 
     edges = [0.0] + commits + [DURATION_MS]
@@ -143,32 +167,47 @@ def test_at_t1_a_crashed_primary_always_dooms_the_next_view():
     """Table 2's order: r0 down means view 1 = (r0, r2) is doomed too, so
     at t = 1 the abandoned gather is the normal fail-over, not the third
     crash (820 ms when view 1 was left to ``timer_vc``; 824 in the
-    matrix's ``crash-primary``)."""
+    matrix's ``crash-primary``; 520 with a fixed client timer)."""
     runtime, commits = run_with(
         ProtocolName.XPAXOS,
         FaultSchedule().crash_for(CRASH_MS, 0, RECOVER_MS - CRASH_MS), t=1)
     groups = runtime.replica(0).groups
     assert groups.primary(0) == 0 and 0 in groups.group(1)
     gap = longest_gap(commits, CRASH_MS, RECOVER_MS)
-    assert gap < 600.0, gap
+    assert gap < failover_bound_ms(runtime.config, gathers=2), gap
     assert max(r.view for r in runtime.replicas) == 2
 
 
 @pytest.mark.parametrize("t, gathers", [(1, 1), (2, 2)])
-def test_a_crashed_follower_is_routed_around_without_any_client_timer(
+def test_a_crashed_follower_is_routed_around_before_algorithm_4_can_suspect(
         t, gathers):
-    """r1 down for good at 1000 ms, and no client re-sends anything
-    inside the run.  t = 1: view 1 = (r0, r2) serves after one gather;
-    t = 2: view 1 = (1, 3, 4) holds r1 and is abandoned, view 2 =
-    (0, 2, 3) serves -- both under r0, whom the clients keep talking to.
-    Nothing ever suspected view 0 when only Algorithm 4 could."""
+    """r1 down for good at 1000 ms.  t = 1: view 1 = (r0, r2) serves
+    after one gather; t = 2: view 1 = (1, 3, 4) holds r1 and is abandoned,
+    view 2 = (0, 2, 3) serves -- both under r0, whom the clients keep
+    talking to.  The clients re-send one Delta after their requests (their
+    timeout is estimated from the round trips they measured, whatever the
+    cap), so
+    Algorithm 4's ``timer_req`` runs as well; but it starts at a re-send,
+    after the slot the watch times was prepared.  The watch suspects
+    first, the view change moves the re-sent requests to the new view,
+    and no replica ever suspects on Algorithm 4's ground: none tells a
+    client SUSPECT, and the gap is the watch's bound plus the gathers."""
+    suspects_to_clients = []
+
+    def record(src, dst, payload):
+        if isinstance(payload, msg.Suspect) and dst.startswith("c"):
+            suspects_to_clients.append((src, dst))
+        return True
+
     runtime, commits = run_with(
         ProtocolName.XPAXOS, FaultSchedule().crash_for(CRASH_MS, 1, 10_000.0),
-        t=t, duration_ms=2_000.0, request_retransmit_ms=60_000.0)
+        t=t, duration_ms=2_000.0, send_filter=record,
+        request_retransmit_ms=60_000.0)
     config = runtime.config
     groups = runtime.replica(0).groups
     assert 1 in groups.followers(0) and groups.primary(gathers) == 0
-    assert sum(client.timeouts for client in runtime.clients) == 0
+    assert sum(client.timeouts for client in runtime.clients) > 0
+    assert suspects_to_clients == []
     allowance = commit_bound_ms(config) + gathers * 2 * config.delta_ms + 10.0
     assert longest_gap(commits, CRASH_MS, 2_000.0) < allowance
     assert {r.view for r in runtime.replicas if not r.crashed} == {gathers}
@@ -190,9 +229,7 @@ def wan_runner():
 
 
 def wan_config():
-    return paper_config(ProtocolName.XPAXOS, t=1,
-                        request_retransmit_ms=20_000.0,
-                        view_change_timeout_ms=10_000.0)
+    return paper_config(ProtocolName.XPAXOS, t=1)
 
 
 def test_an_overloaded_open_loop_wan_cell_never_suspects_its_view():

@@ -101,6 +101,24 @@ class TestQuorumBlackout:
                           if c.completions)
         assert last_commit > 7_000.0
 
+    def test_recovered_replicas_join_the_campaign_they_missed(self):
+        """r0 and r3 campaign through the blackout, re-sending on the
+        ``view_change_timeout_ms`` cadence; r1 and r2 missed every
+        VIEW-CHANGE while down.  Their recovery SyncRequest is answered
+        with the campaign's VIEW-CHANGE, so the view installs as soon as
+        they are back, not when the campaign next escalates (up to 400
+        ms later, depending on where its cadence stands)."""
+        harness = make_harness(ProtocolName.PBFT)
+        harness.arm(FaultSchedule()
+                    .crash_for(1_500.0, 1, 1_500.0)
+                    .crash_for(1_500.0, 2, 1_500.0))
+        harness.drive(duration_ms=4_000.0)
+        config = harness.runtime.config
+        first_after = min(done for c in harness.runtime.clients
+                          for _, done, _ in c.completions if done >= 3_000.0)
+        assert first_after - 3_000.0 < config.delta_ms
+        assert len({r.view for r in harness.replicas}) == 1
+
 
 def _request(client, timestamp):
     return Request(op=("noop",), timestamp=timestamp, client=client,
