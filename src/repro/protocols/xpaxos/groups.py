@@ -30,7 +30,7 @@ more groups led by the crashed ``s0`` before the first one without it.
 from __future__ import annotations
 
 import itertools
-from typing import List, Sequence, Tuple
+from typing import Collection, List, Sequence, Tuple
 
 from repro.common.errors import ConfigurationError
 
@@ -69,11 +69,23 @@ class SynchronousGroups:
     once per cycle -- which is all Section 4.6's availability argument
     needs -- but a crashed replica spoils at most 4 consecutive views at
     ``t = 2`` (7 at ``t = 3``) where the lexicographic enumeration gives
-    it 6 (20), and a crashed *primary* is not in the next view.  Two
-    groups of ``t + 1`` out of ``2t + 1`` always share a replica, so when
-    it was a follower that crashed the next group may still contain it,
-    and that view costs one more 2-Delta gather before it is abandoned
-    (``ViewChanger._on_net_timer``).
+    it 6 (20), and a crashed *primary* is not in the next view.
+
+    Two groups of ``t + 1`` out of ``2t + 1`` always share a replica, so
+    the next group may still hold a crashed *follower*.  A replica that
+    suspects a view knowing which of its members it could not hear goes
+    to :meth:`next_view_avoiding` them, instead of paying the next view's
+    2-Delta gather to learn it again.  It knows only behind a guard
+    against being the one cut off itself: another member heard for the
+    slot it watched (``ProgressWatch``), or at least ``t + 1``
+    VIEW-CHANGEs at the end of the gather (``ViewChanger._on_net_timer``).
+    Every other ground moves to ``view + 1``.  The skip is safe: entering
+    a later view is what a VIEW-CHANGE for it does anyway, the selection
+    never reads the views in between, and a skipped view never had a
+    NEW-VIEW, so nothing committed in it.  It keeps Section 4.6: a group
+    of ``t + 1`` correct, synchronous replicas is never skipped, since
+    each of its members is heard within the bound, and with at most ``t``
+    replicas to avoid the target lies within one cycle.
 
     The alternative the paper names is not implemented: "For a large
     number of replicas, the combinatorial number of synchronous groups
@@ -123,6 +135,17 @@ class SynchronousGroups:
     def is_primary(self, view: int, replica: int) -> bool:
         """Is ``replica`` the primary of ``view``?"""
         return replica == self.primary(view)
+
+    def next_view_avoiding(self, view: int, silent: Collection[int]) -> int:
+        """Smallest view after ``view`` whose group holds no replica of
+        ``silent``; ``view + 1`` when ``silent`` is empty or larger than
+        ``t`` (then every group holds one of them)."""
+        if not silent or len(silent) > self.t:
+            return view + 1
+        following = view + 1
+        while not set(silent).isdisjoint(self.group(following)):
+            following += 1
+        return following
 
     def next_view_with_group(self, after_view: int,
                              group: Sequence[int]) -> int:

@@ -18,7 +18,7 @@ clears the watch in ``leave_view`` and ``recover``; the watch reads
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Collection, Optional
 
 from repro.common.config import ClusterConfig
 from repro.sim.process import Timer
@@ -110,5 +110,17 @@ class ProgressWatch:
             return
         # The watched slot has had its whole bound.  ``suspect_view``
         # refuses a replica that is not active in its view.
-        self._seqno = None
-        self.replica.suspect_view(self.replica.view)
+        seqno, self._seqno = self._seqno, None
+        self.replica.suspect_view(self.replica.view, self._silent(seqno))
+
+    def _silent(self, seqno: int) -> Collection[int]:
+        """The followers whose vote for ``seqno`` is missing, if another
+        member was heard for it (a follower holds the primary's PREPARE,
+        a primary needs a vote); else none: who heard nobody may be the
+        one cut off (``SynchronousGroups``)."""
+        replica = self.replica
+        voters = replica.voters(seqno)
+        if replica.is_primary and not voters:
+            return ()
+        return [f for f in replica.groups.followers(replica.view)
+                if f not in voters and f != replica.replica_id]

@@ -21,7 +21,7 @@ checkpoint-truncated), ``sn`` (highest sequence number prepared locally),
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Set
+from typing import Any, Callable, Collection, Dict, List, Optional, Set
 
 from repro.common.config import ClusterConfig
 from repro.common.errors import ProtocolViolation
@@ -379,9 +379,13 @@ class XPaxosReplica(ReplicaBase):
     # ==================================================================
     # The core's side of a view change, a crash, and the memory budget
     # ==================================================================
-    def suspect_view(self, view: int) -> None:
-        """Initiate a view change for ``view`` (Section 4.3.2)."""
-        self.view_changer.suspect_view(view)
+    def suspect_view(self, view: int, silent: Collection[int] = ()) -> None:
+        """Initiate a view change for ``view`` (``ViewChanger``)."""
+        self.view_changer.suspect_view(view, silent)
+
+    def voters(self, seqno: int) -> Collection[int]:
+        """The followers whose vote for ``seqno`` this replica holds."""
+        return self._commit_votes.get(seqno, {}).keys()
 
     def leave_view(self, new_view: int) -> None:
         """Stop ordering: ``new_view`` is being installed."""
@@ -400,8 +404,7 @@ class XPaxosReplica(ReplicaBase):
         # Drain prepares for this view that arrived while we were still
         # installing it (buffered by _on_prepare).
         if self.is_follower:
-            primary_name = self.replica_name(
-                self.groups.primary(self.view))
+            primary_name = self.replica_name(self.groups.primary(self.view))
             buffered = [p for _, p in sorted(self._pending_prepares.items())]
             self._pending_prepares.clear()
             for prepared in buffered:
@@ -419,18 +422,15 @@ class XPaxosReplica(ReplicaBase):
             self.sequencer.kick()
 
     def recover(self) -> None:
-        """Recover with durable protocol state.
-
-        We model replicas with synchronously persisted logs and application
-        state (the strongest practical recovery discipline): ``view``,
-        ``sn``, ``ex``, both logs, the stable checkpoint and the app
-        survive.  Of the volatile state, the per-slot votes and buffered
-        prepares, the sequencer's queue, the progress watch, the
-        retransmissions and an outstanding fetch are lost; the view change
-        in progress (VCSet, VC-FINALs) and the RE-SENDs buffered for the
-        next NEW-VIEW are kept, as they always were (ROADMAP item 5 asks
-        the model check whether they should be).
-        """
+        """Recover with durable protocol state: logs and application are
+        modelled as synchronously persisted (the strongest practical
+        discipline), so ``view``, ``sn``, ``ex``, both logs, the stable
+        checkpoint and the app survive.  Of the volatile state, the
+        per-slot votes and buffered prepares, the sequencer's queue, the
+        progress watch, the retransmissions and an outstanding fetch are
+        lost; the view change in progress (VCSet, VC-FINALs) and the
+        RE-SENDs buffered for the next NEW-VIEW are kept (ROADMAP item 2
+        (3) asks whether they should be)."""
         self._crashed = False  # Process.recover without the app reset
         self._commit_votes.clear()
         self._pending_prepares.clear()

@@ -14,7 +14,8 @@ What ends the gather of a replica installing view v: all n VIEW-CHANGEs
 what is held -- a group is exactly n - t replicas, so Algorithm 3's count
 is implied); 2 Delta with a member silent (``suspect_view(v)``: a group
 of t + 1 needs every member, and a correct, synchronous one would have
-been heard, so v cannot form and costs its gather, not ``timer_vc``).
+been heard, so v cannot form and costs its gather, not ``timer_vc``;
+the silent members are skipped, ``SynchronousGroups`` says when).
 ``timer_vc`` keeps what the gather cannot see: a member that sent its
 VIEW-CHANGE and then fell silent, a NEW-VIEW that never comes.
 """
@@ -22,7 +23,7 @@ VIEW-CHANGE and then fell silent, a NEW-VIEW that never comes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Collection, Dict, Optional, Set, Tuple
 
 from repro.crypto.primitives import digest_of
 from repro.protocols.xpaxos import messages as msg
@@ -91,8 +92,10 @@ class ViewChanger:
     # ------------------------------------------------------------------
     # Suspicion (Section 4.3.2)
     # ------------------------------------------------------------------
-    def suspect_view(self, view: int) -> None:
-        """Initiate a view change for ``view``."""
+    def suspect_view(self, view: int, silent: Collection[int] = ()) -> None:
+        """Initiate a view change for ``view``: SUSPECT, then enter the
+        first later view whose group holds none of ``silent``, members of
+        sg_view this replica could not hear (``SynchronousGroups``)."""
         replica = self.replica
         if view != replica.view or view in self._suspected_views:
             return
@@ -103,7 +106,7 @@ class ViewChanger:
                                      sender=replica.replica_id)
         replica.multicast_authenticated(replica.other_replica_names(),
                                         suspect, size_bytes=48)
-        self._advance_to(view + 1)
+        self._enter_view(self.groups.next_view_avoiding(view, silent))
 
     def _on_suspect(self, src: str, m: msg.Suspect) -> None:
         replica = self.replica
@@ -246,9 +249,12 @@ class ViewChanger:
         state = self._state
         assert state is not None  # armed by _enter_view only
         view = self.replica.view
-        if all(member in state.vcset for member in self.groups.group(view)):
+        silent = [m for m in self.groups.group(view) if m not in state.vcset]
+        if not silent:
             self._send_vc_final(state)
-        else:
+        elif len(state.vcset) > self.replica.config.t:
+            self.suspect_view(view, silent)
+        else:  # t + 1 not heard: this replica may be the one cut off
             self.suspect_view(view)
 
     def _send_vc_final(self, state: _ViewChangeState) -> None:
@@ -301,14 +307,10 @@ class ViewChanger:
         replica = self.replica
         if replica.replica_id in state.vc_confirms:
             return  # already ran: our own VC-CONFIRM is filed
-        merged: Dict[int, msg.ViewChange] = {}
-        for final in state.vc_finals.values():
-            for vc in final.vcset:
-                merged.setdefault(vc.sender, vc)
-        merged.update(state.vcset)
-        faulty = self.detector.detect(replica.view, list(merged.values()))
+        # _record_vc_final merged every VC-FINAL's VCSet into state.vcset.
+        faulty = self.detector.detect(replica.view, list(state.vcset.values()))
         replica.detected_faulty.update(faulty)
-        state.vcset = {sender: vc for sender, vc in merged.items()
+        state.vcset = {sender: vc for sender, vc in state.vcset.items()
                        if sender not in faulty}
         vcset = tuple(sorted(state.vcset.values(), key=lambda v: v.sender))
         confirm = msg.VcConfirm.signed(

@@ -155,3 +155,34 @@ class TestRotationOrder:
         groups, _ = one_cycle(2)
         assert [groups.group(v) for v in range(5)] == [
             (0, 1, 2), (1, 3, 4), (0, 2, 3), (1, 2, 4), (0, 3, 4)]
+
+
+class TestNextViewAvoiding:
+    """Where a replica that knows which members of a view it could not
+    hear goes: the first later view whose group leaves all of them out."""
+
+    @pytest.mark.parametrize("t", [1, 2, 3])
+    def test_the_first_group_without_any_silent_member(self, t):
+        groups, cycle = one_cycle(t)
+        n = 2 * t + 1
+        for size in range(1, t + 1):
+            for silent in itertools.combinations(range(n), size):
+                for view in range(len(cycle)):
+                    target = groups.next_view_avoiding(view, silent)
+                    assert view < target <= view + len(cycle)
+                    assert not set(silent) & set(groups.group(target))
+                    assert all(set(silent) & set(groups.group(skipped))
+                               for skipped in range(view + 1, target))
+
+    @pytest.mark.parametrize("t", [1, 2, 3])
+    def test_nobody_silent_or_more_than_t_is_the_next_view(self, t):
+        groups, cycle = one_cycle(t)
+        for view in range(len(cycle)):
+            assert groups.next_view_avoiding(view, ()) == view + 1
+            for silent in itertools.combinations(range(2 * t + 1), t + 1):
+                assert groups.next_view_avoiding(view, silent) == view + 1
+
+    def test_a_crashed_follower_of_view_2_at_t2_skips_view_3(self):
+        groups, _ = one_cycle(2)
+        assert 2 in groups.followers(2) and 2 in groups.group(3)
+        assert groups.next_view_avoiding(2, [2]) == 4

@@ -214,3 +214,63 @@ def test_a_crash_forgets_the_watch_and_the_next_slot_arms_it_again(t):
     propose(runtime, primary)
     assert watch._seqno == 2
     assert watch._timer.deadline == runtime.sim.now + bound
+
+
+def in_view(runtime, view):
+    """Every replica in ``view``, installed (the wires stay cut)."""
+    for replica in runtime.replicas:
+        replica.view = view
+
+
+def a_follower_goes_silent_after_voting(t, view, silent):
+    """``view``'s primary orders slot 1, which every follower votes for
+    and commits, then slot 2, whose prepare follower ``silent`` never
+    gets: the survivors' watches run out on slot 2.  Returns ``(runtime,
+    sent, the survivors)``."""
+    runtime, sent, primary, bound = cut_cluster(t)
+    in_view(runtime, view)
+    groups = primary.groups
+    assert groups.primary(view) == primary.replica_id
+    others = [r for r in groups.followers(view) if r != silent]
+    assert len(others) == t - 1
+    propose(runtime, primary)
+    prepares_reach_followers(runtime, sent)
+    commit(runtime, sent, 1)
+    assert all(1 in runtime.replica(r).commit_log
+               for r in groups.group(view))
+    propose(runtime, primary)
+    sent[:] = [item for item in sent if item[1] != f"r{silent}"]
+    prepares_reach_followers(runtime, sent)
+    commit(runtime, sent, 2)
+    survivors = [primary] + [runtime.replica(r) for r in others]
+    assert all(2 not in r.commit_log for r in survivors)
+    runtime.sim.run(until=bound + 1.0)
+    return runtime, sent, survivors
+
+
+def test_the_survivors_of_a_silent_t2_follower_skip_the_views_holding_it():
+    """t = 2, view 2 = (0, 2, 3): r2 goes silent.  r0 holds r3's vote, r3
+    the PREPARE: each heard another member, so both know r2 is the silent
+    one and go straight past view 3 = (1, 2, 4) into view 4 = (0, 3, 4),
+    with no VIEW-CHANGE for view 3."""
+    runtime, sent, survivors = a_follower_goes_silent_after_voting(
+        2, view=2, silent=2)
+    groups = survivors[0].groups
+    assert 2 in groups.group(3)
+    assert [(r.view, r.in_view_change) for r in survivors] == [(4, True)] * 2
+    assert 2 not in groups.group(4)
+    assert suspected_views(sent) == [2]
+    assert {m.new_view for _, m in sent.of(msg.ViewChange)} == {4}
+
+
+def test_a_t1_primary_that_heard_nobody_moves_to_the_next_view():
+    """t = 1, view 1 = (r0, r2): the primary's only evidence is the
+    missing FastCommit, so it heard no other member for the slot and may
+    be the one cut off -- view 2 = (r1, r2), though it holds r2, not the
+    view 3 = (r0, r1) a skip would pick."""
+    runtime, sent, survivors = a_follower_goes_silent_after_voting(
+        1, view=1, silent=2)
+    [primary] = survivors
+    assert primary.groups.next_view_avoiding(1, [2]) == 3
+    assert (primary.view, primary.in_view_change) == (2, True)
+    assert suspected_views(sent) == [1]

@@ -98,6 +98,14 @@ def test_vc_final_at_n_minus_t_only_after_the_two_delta_timer(t, fd):
     assert (replica.view, replica.in_view_change) == (1, True)
 
 
+#: Where the replica goes from view 1 at 2-Delta: too few heard to tell
+#: who is cut off (v + 1), or t + 1 heard and the silent follower of view
+#: 1 skipped -- t = 1: view 2 = (r1, r2) holds it, view 3 = (r0, r1) not;
+#: t = 2: view 2 = (0, 2, 3) already leaves r4 out.
+ABANDONED_TO = {("fewer-than-n-minus-t", 1): 2, ("fewer-than-n-minus-t", 2): 2,
+                ("all-but-one-member", 1): 3, ("all-but-one-member", 2): 2}
+
+
 @T
 @FD
 @pytest.mark.parametrize("heard", ["fewer-than-n-minus-t",
@@ -106,10 +114,14 @@ def test_a_member_silent_at_two_delta_abandons_the_view(t, fd, heard):
     """A group of t + 1 needs every member, and a correct, synchronous
     member's VIEW-CHANGE arrives within 2-Delta: fewer than n - t at
     2-Delta means a member is silent, and so may n - 1.  Either way the
-    view is suspected then and there, with no VC-FINAL for it."""
+    view is suspected then and there, with no VC-FINAL for it.  With
+    t + 1 VIEW-CHANGEs in hand the replica knows who is silent and enters
+    the first later view whose group leaves that member out; with fewer
+    it may be the one cut off, and enters v + 1."""
     runtime, sent, replica = entering_view_one(t, use_fault_detection=fd)
-    changer, config = replica.view_changer, runtime.config
-    silent = replica.groups.followers(1)[-1]
+    changer, config, groups = replica.view_changer, runtime.config, \
+        replica.groups
+    silent = groups.followers(1)[-1]
     if heard == "fewer-than-n-minus-t":
         peers = peers_of(runtime, replica)[:config.n - config.t - 2]
         assert silent not in peers
@@ -124,11 +136,19 @@ def test_a_member_silent_at_two_delta_abandons_the_view(t, fd, heard):
         == [f"r{r}" for r in peers_of(runtime, replica)]
     assert {(m.view, m.sender) for _, m in suspects} \
         == {(1, replica.replica_id)}
-    assert (replica.view, replica.in_view_change) == (2, True)
+    target = ABANDONED_TO[heard, t]
+    if heard == "all-but-one-member":
+        assert target == groups.next_view_avoiding(1, [silent])
+        assert silent not in groups.group(target)
+    assert (replica.view, replica.in_view_change) == (target, True)
     fresh = changer._state
     assert fresh is not gathered and not fresh.sent_vc_final
-    assert [dst for dst, m in sent.of(msg.ViewChange) if m.new_view == 2] \
-        == [f"r{r}" for r in replica.groups.group(2)]
+    # Straight into the target: no VIEW-CHANGE for a view skipped.
+    assert {m.new_view for _, m in sent.of(msg.ViewChange)} == {1, target}
+    assert [dst for dst, m in sent.of(msg.ViewChange)
+            if m.new_view == target] \
+        == [f"r{r}" for r in groups.group(target)
+            if r != replica.replica_id]
     # The silent member's VIEW-CHANGE for the abandoned view arrives late:
     # filed nowhere, and no VC-FINAL for view 1 was or will be sent.
     before = dict(fresh.vcset)
@@ -137,6 +157,23 @@ def test_a_member_silent_at_two_delta_abandons_the_view(t, fd, heard):
     assert fresh.vcset == before and silent not in gathered.vcset
     runtime.sim.run(until=runtime.sim.now + config.view_change_timeout_ms)
     assert sent.of(msg.VcFinal) == []
+
+
+@T
+def test_a_gather_that_heard_only_itself_moves_to_the_next_view(t):
+    """The guard: a replica that heard no VIEW-CHANGE but its own sees
+    every other member silent, and may be the one cut off.  It enters
+    v + 1, not the far view a skip past all of them would pick -- a
+    cut-off replica that skipped would drag the cluster after it once
+    healed."""
+    runtime, sent, replica = entering_view_one(t)
+    groups = replica.groups
+    silent = [r for r in groups.group(1) if r != replica.replica_id]
+    assert groups.next_view_avoiding(1, silent) > 2
+    run_to_two_delta(runtime, sent)
+    assert {(m.view, m.sender) for _, m in sent.of(msg.Suspect)} \
+        == {(1, replica.replica_id)}
+    assert (replica.view, replica.in_view_change) == (2, True)
 
 
 @T
