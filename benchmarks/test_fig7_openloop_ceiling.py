@@ -32,9 +32,10 @@ JOBS = int(os.environ.get("REPRO_JOBS", "1"))
 #: grows the backlog without moving the measured plateau.
 OPEN_RUN_MS = 1_000.0
 
-#: Channel-pool size: enough protocol clients that a depth-8 pipeline of
-#: full batches (8 x 20 requests) never starves for in-flight requests.
-CHANNELS = 200
+#: Channel-pool size: enough protocol clients that a full window of full
+#: batches (the default 16 x 20 = 320 requests) never starves for
+#: in-flight requests, so the plateau is the protocol's, not the pool's.
+CHANNELS = 400
 
 #: Offered-load multipliers over the measured closed-loop ceiling.  The
 #: first satisfies the >= 100x headroom claim; the second confirms that

@@ -8,7 +8,7 @@ batch size 20, :math:`\\Delta` = 1.25 s, 1 kB requests with empty replies
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
 from repro.common.errors import ConfigurationError
@@ -75,15 +75,13 @@ class ClusterConfig:
         use_lazy_replication: propagate commit logs to passive replicas
             (Section 4.5.2), which shortens view changes.
         pipeline_depth: number of batches the primary may have in flight
-            (issued, not yet executed).  Once the window has been full,
-            partial batches are paced one ``L / pipeline_depth`` apart
-            while a slot is in flight, ``L`` the slot latency the
-            sequencer measured (``smr/sequencer.py``); full batches are
-            not, so the depth bounds capacity at ``pipeline_depth x
-            batch_size`` requests per round trip.  It also bounds what a
-            view change abandons when a follower falls silent, which is
-            why the WAN tail is cut by pacing rather than by a deeper
-            default.
+            (issued, not yet executed); a full window parks the next
+            batch (``smr/sequencer.py``).  It bounds capacity at
+            ``pipeline_depth x batch_size`` requests per round trip and
+            what a view change abandons when a follower falls silent.
+            16 keeps a WAN leader's timer batches from bunching at the
+            start of a round trip (``docs/workloads.md``, "Why a 16-slot
+            window").
         request_retransmit_ms: the cap of the client's retransmission
             timeout, and its value before the client's first completed
             request; the timeout itself is estimated from the client's
@@ -117,7 +115,7 @@ class ClusterConfig:
     sites: Optional[Sequence[str]] = None
     use_fault_detection: bool = False
     use_lazy_replication: bool = True
-    pipeline_depth: int = 8
+    pipeline_depth: int = 16
     request_retransmit_ms: float = 4 * DEFAULT_DELTA_MS
     view_change_timeout_ms: float = 4 * DEFAULT_DELTA_MS
 

@@ -384,7 +384,10 @@ class BaselineReplica(ReplicaBase):
     # -- recovery and catch-up --------------------------------------------
     def recover(self) -> None:
         """Rejoin after a crash: ask the peers for the current view and
-        the committed suffix we missed."""
+        the committed suffix we missed.  What the crash kept -- ``ex``,
+        the logs and the application they built -- is the one durability
+        model of all five protocols (``docs/execution.md``, "What
+        `recover()` forgets")."""
         super().recover()
         self.multicast_authenticated(self.other_replica_names(),
                                      SyncRequest(self.replica_id, self.ex),

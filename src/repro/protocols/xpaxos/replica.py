@@ -422,16 +422,14 @@ class XPaxosReplica(ReplicaBase):
             self.sequencer.kick()
 
     def recover(self) -> None:
-        """Recover with durable protocol state: logs and application are
-        modelled as synchronously persisted (the strongest practical
-        discipline), so ``view``, ``sn``, ``ex``, both logs, the stable
-        checkpoint and the app survive.  Of the volatile state, the
-        per-slot votes and buffered prepares, the sequencer's queue, the
-        progress watch, the retransmissions and an outstanding fetch are
-        lost; the view change in progress (VCSet, VC-FINALs) and the
-        RE-SENDs buffered for the next NEW-VIEW are kept (ROADMAP item 2
-        (3) asks whether they should be)."""
-        self._crashed = False  # Process.recover without the app reset
+        """Recover with durable protocol state (``docs/execution.md``,
+        "What `recover()` forgets"): ``view``, ``sn``, ``ex``, both logs,
+        the stable checkpoint and the app survive.  Of the volatile
+        state, the per-slot votes and buffered prepares, the sequencer's
+        queue, the progress watch, the retransmissions and an outstanding
+        fetch are lost; the view change in progress (VCSet, VC-FINALs)
+        and the RE-SENDs buffered for the next NEW-VIEW are kept."""
+        super().recover()
         self._commit_votes.clear()
         self._pending_prepares.clear()
         self.sequencer.pending.clear()

@@ -342,17 +342,6 @@ class ReplicaBase(NodeBase):
         self.cpu.charge_sign()
         return self.keystore.sign(self.principal, payload)
 
-    # -- lifecycle --------------------------------------------------------
-    def recover(self) -> None:
-        """Recover with a fresh volatile state.
-
-        The paper's replicas recover from their *durable* logs; our protocol
-        subclasses override to decide what survives a crash.  The base class
-        restarts the application from scratch (state transfer re-fills it).
-        """
-        super().recover()
-        self.app = self._app_factory()
-
     # -- protocol hooks -----------------------------------------------
     def replica_name(self, replica_id: int) -> str:
         """Network name of a peer replica."""

@@ -2,16 +2,10 @@
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, List, Tuple
+from typing import List
 
 from repro.sim.process import Timer
 from repro.smr.messages import Batch, Request
-
-#: A pacing wait shorter than this (ms) counts as elapsed: the timer armed
-#: for the rest of a spacing fires at ``now + rest``, which floating point
-#: may put an ulp before the deadline the rest was computed from.
-_PACING_SLACK_MS = 1e-9
 
 
 class PipelinedSequencer:
@@ -25,42 +19,20 @@ class PipelinedSequencer:
     proposing; executing a slot re-opens the window and :meth:`pump` resumes
     the parked flush.
 
-    Pacing spreads the window's slots across a round trip instead of
-    bunching them at its start, once the window has filled.  Unpaced,
-    timer batches fill the window early in a round trip, nothing is
-    proposed until its first slot executes, and the next wave of
-    executions refills it in the same clump: a request arriving in the
-    idle part waits out the rest of the round trip.  The sequencer records
-    when it issues each slot of its current leadership; :meth:`pump` takes
-    the latest executed one's propose -> execute time as the slot latency
-    ``L``.  After the window has been full once in this leadership, a
-    *partial* batch, while a slot is in flight, is proposed no sooner than
-    ``L / pipeline_depth`` after the previous issue: the batch timer is
-    re-armed for the rest, and that wait is not a stall.  A full batch, or
-    a leader with nothing in flight, never waits, so capacity (``depth x
-    batch_size`` per round trip) is unchanged.  A leader whose window never
-    filled has no clump to spread and is never paced: a closed loop of more
-    clients than ``batch_size`` otherwise held its timer-cut rest batch
-    back ``L / depth`` instead of one batch timeout.  So while the window
-    never fills, the event sequence is identical to an unbounded pipeline
-    -- which is what keeps byte-identical determinism goldens stable for
+    A slot goes out when its batch is full or the batch timer fires, and
+    the window has room.  The depth is a constant (16 by default), deep
+    enough that a WAN leader's timer batches do not bunch at the start of
+    a round trip, shallow enough that the window still bounds what a view
+    change abandons; the measurements that decided it are in
+    ``docs/workloads.md``, "Why a 16-slot window".  While the window never
+    fills, the event sequence is identical to an unbounded pipeline --
+    which is what keeps byte-identical determinism goldens stable for
     workloads that never push the window.
-
-    Why pacing and not a deeper window: depth 16 reaches a lower WAN tail
-    without pacing, but a leader whose follower falls silent keeps issuing
-    until its window is full, and a view change abandons every slot its
-    new group did not commit (Algorithm 3; their clients re-send).  At
-    depth 16 a 24-channel open loop puts every channel's request into
-    such a slot, and the service does not resume until the clients' timers
-    fire (``tests/integration/test_failover_cost.py``, crashed follower).
 
     Slots re-proposed during a view change or ballot merge are *carried*
     state, not new issues: :meth:`carry_over` excludes everything up to
     the current ``sn`` from the window, so a fresh leader is never blocked
-    on its own catch-up traffic.  Stepping out of the leader role
-    (:meth:`stop_timer`) and into it (:meth:`carry_over`) forget the issue
-    records, ``L`` and whether the window filled: a slot that straddles a
-    leadership change measures the change, not a round trip.
+    on its own catch-up traffic.
 
     The host replica provides:
 
@@ -78,15 +50,6 @@ class PipelinedSequencer:
         self._timer = Timer(replica, self.flush, "batch")
         self._parked = False
         self._carried_upto = 0
-        #: ``(seqno, issued at)`` of each slot this leadership issued and
-        #: has not seen executed, in issue order.
-        self._issued: Deque[Tuple[int, float]] = deque()
-        self._last_issue = 0.0
-        #: ``L``: propose -> execute time of the latest executed slot of
-        #: this leadership, in ms; 0 (no pacing) until one is measured.
-        self.slot_latency_ms = 0.0
-        #: Whether this leadership's window has been full (pacing is on).
-        self._window_filled = False
         #: Flushes deferred because the window was full (statistics).
         self.stalls = 0
 
@@ -102,12 +65,6 @@ class PipelinedSequencer:
         """Exclude every slot up to the current ``sn`` from the window
         (called after a view install / ballot merge re-proposed them)."""
         self._carried_upto = max(self._carried_upto, self.replica.sn)
-        self._forget_pacing()
-
-    def _forget_pacing(self) -> None:
-        self._issued.clear()
-        self.slot_latency_ms = 0.0
-        self._window_filled = False
 
     # -- intake -----------------------------------------------------------
     def offer(self, request: Request) -> bool:
@@ -138,47 +95,24 @@ class PipelinedSequencer:
     def flush(self) -> None:
         """Cut one batch, assign it the next slot, and propose it --
         unless the pipeline window is full, in which case the flush parks
-        until :meth:`pump` re-opens it, or the window has been full in
-        this leadership and the batch is partial and comes less than one
-        spacing (``L / depth``) after the previous issue, in which case the
-        batch timer is re-armed for the rest of it."""
+        until :meth:`pump` re-opens it."""
         self._timer.stop()
         if not self.pending or not self.replica.may_propose():
             return
-        config = self.config
-        in_flight = self.in_flight
-        if in_flight >= config.pipeline_depth:
+        if self.in_flight >= self.config.pipeline_depth:
             self._parked = True
-            self._window_filled = True
             self.stalls += 1
             return
-        now = self.replica.sim.now
-        if self._window_filled and in_flight \
-                and len(self.pending) < config.batch_size:
-            rest = (self._last_issue
-                    + self.slot_latency_ms / config.pipeline_depth - now)
-            if rest > _PACING_SLACK_MS:
-                self._timer.start(rest)
-                return
-        requests = tuple(self.pending[: config.batch_size])
+        requests = tuple(self.pending[: self.config.batch_size])
         del self.pending[: len(requests)]
         batch = Batch(requests)
         self.replica.sn += 1
         self.replica.propose_batch(self.replica.sn, batch)
-        self._issued.append((self.replica.sn, now))
-        self._last_issue = now
         if self.pending:
             self.replica.sim.call_soon(self.flush)
 
     def pump(self) -> None:
-        """Execution advanced: measure ``L`` on the latest executed slot
-        this leadership issued, and resume a parked flush."""
-        issued, executed = self._issued, self.replica.ex
-        issued_at = None
-        while issued and issued[0][0] <= executed:
-            issued_at = issued.popleft()[1]
-        if issued_at is not None:
-            self.slot_latency_ms = self.replica.sim.now - issued_at
+        """Resume a parked flush after execution advanced the window."""
         if self._parked:
             self._parked = False
             if self.pending:
@@ -192,10 +126,8 @@ class PipelinedSequencer:
 
     # -- leader-change housekeeping ---------------------------------------
     def stop_timer(self) -> None:
-        """Disarm the batch timer and forget ``L`` and whether the window
-        filled (stepping out of the leader role)."""
+        """Disarm the batch timer (stepping out of the leader role)."""
         self._timer.stop()
-        self._forget_pacing()
 
     def drain(self) -> List[Request]:
         """Hand back (and forget) every queued request, un-marking their

@@ -1,14 +1,12 @@
 """Leader pipelining: the shared sequencer and the depth-1 golden guard.
 
 The ``PipelinedSequencer`` bounds how many uncommitted slots a leader may
-have in flight (``pipeline_depth``) and paces partial batches across the
-slot latency it measures.  These tests pin down: the bound actually
-binds (and the parked flush resumes), the depth-8 default orders several
-times what depth 1 does under saturating open-loop load, pacing keeps a
-WAN leader's tail within one slot spacing of the round trip, and
-``pipeline_depth=1`` reproduces the committed scenario-smoke golden
-byte-for-byte for every closed-loop cell.  (Pacing's own cases, on a stub
-replica: ``tests/smr/test_sequencer.py``.)
+have in flight (``pipeline_depth``).  These tests pin down: the bound
+actually binds (and the parked flush resumes), a depth-8 window orders
+several times what depth 1 does under saturating open-loop load, the
+16-slot default does not bunch a 400 req/s WAN leader's batches at the
+start of a round trip, and ``pipeline_depth=1`` reproduces the committed
+scenario-smoke golden byte-for-byte for every closed-loop cell.
 """
 
 import json
@@ -111,14 +109,15 @@ class TestSequencerWindow:
         assert deep.throughput.total >= 4 * shallow.throughput.total
 
 
-class TestPacing:
-    def test_a_full_window_costs_one_spacing_not_the_round_trip(self):
+class TestDefaultWindow:
+    def test_the_default_window_does_not_bunch_a_400_rps_wan_leader(self):
         """XPaxos t = 1 at 400 req/s on the EC2 matrix with modelled
-        uplinks and crypto: timer batches fill the depth-8 window early in
-        each CA-VA round trip.  Paced, a request waits at most one batch
-        timeout and one slot spacing (L / depth) on top of the round trip;
-        bunched at the start of the round trip, the late arrivals wait out
-        the rest of it (p99 124 ms against 102 ms)."""
+        uplinks and crypto.  With room for a round trip's timer batches,
+        a request waits at most one batch timeout and one slot spacing
+        (rtt / depth) on top of the round trip.  A window too shallow for
+        the round trip fills early in it, and the late arrivals wait out
+        the rest: at depth 8 p99 is 124 ms against the bound's 107 ms
+        (``docs/workloads.md``, "Why a 16-slot window")."""
         protocol = ProtocolName.XPAXOS
         config = paper_config(protocol, t=1,
                               request_retransmit_ms=20_000.0,
