@@ -54,15 +54,15 @@ def wan_runner(seed: int = 0, uplink: float = WAN_UPLINK,
 def one_zero(num_clients: int) -> WorkloadConfig:
     """The paper's 1/0 microbenchmark (1 kB requests, 0 kB replies)."""
     return WorkloadConfig(num_clients=num_clients, request_size=1024,
-                          reply_size=0, duration_ms=RUN_MS,
-                          warmup_ms=WARMUP_MS, client_site="CA")
+                          duration_ms=RUN_MS, warmup_ms=WARMUP_MS,
+                          client_site="CA")
 
 
 def four_zero(num_clients: int) -> WorkloadConfig:
     """The paper's 4/0 microbenchmark (4 kB requests)."""
     return WorkloadConfig(num_clients=num_clients, request_size=4096,
-                          reply_size=0, duration_ms=RUN_MS,
-                          warmup_ms=WARMUP_MS, client_site="CA")
+                          duration_ms=RUN_MS, warmup_ms=WARMUP_MS,
+                          client_site="CA")
 
 
 def run_sweep(protocol: ProtocolName, workload_factory, t: int = 1,

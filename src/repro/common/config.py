@@ -190,7 +190,6 @@ class WorkloadConfig:
 
     num_clients: int = 100
     request_size: int = 1024
-    reply_size: int = 0
     duration_ms: float = 60_000.0
     warmup_ms: float = 5_000.0
     client_site: Optional[str] = None
@@ -204,8 +203,8 @@ class WorkloadConfig:
     def __post_init__(self) -> None:
         if self.num_clients < 1:
             raise ConfigurationError("num_clients must be >= 1")
-        if self.request_size < 0 or self.reply_size < 0:
-            raise ConfigurationError("request/reply sizes must be >= 0")
+        if self.request_size < 0:
+            raise ConfigurationError("request_size must be >= 0")
         if self.duration_ms <= 0:
             raise ConfigurationError("duration_ms must be positive")
         if self.warmup_ms < 0 or self.warmup_ms >= self.duration_ms:
@@ -225,14 +224,12 @@ class WorkloadConfig:
     @classmethod
     def one_zero(cls, num_clients: int = 100, **kwargs) -> "WorkloadConfig":
         """The paper's 1/0 benchmark: 1 kB requests, empty replies."""
-        return cls(num_clients=num_clients, request_size=1024, reply_size=0,
-                   **kwargs)
+        return cls(num_clients=num_clients, request_size=1024, **kwargs)
 
     @classmethod
     def four_zero(cls, num_clients: int = 100, **kwargs) -> "WorkloadConfig":
         """The paper's 4/0 benchmark: 4 kB requests, empty replies."""
-        return cls(num_clients=num_clients, request_size=4096, reply_size=0,
-                   **kwargs)
+        return cls(num_clients=num_clients, request_size=4096, **kwargs)
 
 
 #: Datacenter layout used throughout Section 5 for ``t = 1`` (Table 4): the

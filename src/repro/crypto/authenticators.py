@@ -9,9 +9,9 @@ accompanied by a different authenticator on every channel.  Modelling that
 by embedding a :class:`~repro.crypto.primitives.Mac` object inside the
 payload has two costs:
 
-* every fan-out degenerates into n sequential :meth:`Network.send` calls
-  (each destination needs a different payload object), locking the
-  protocol out of the multicast fast path; and
+* every fan-out degenerates into n sequential point-to-point sends (each
+  destination needs a different payload object), locking the protocol
+  out of the one-call fan-out; and
 * the payload digest is recomputed once per receiver, even though the
   MAC token derivation is the only part that actually differs per channel.
 
@@ -43,7 +43,8 @@ Policies
   evaluated under crash faults only, where forgery is not modelled).
 * :class:`NullAuthenticator` -- for message classes that are already
   self-authenticating (XPaxos protocol messages embed digital signatures
-  in their payloads); the transport adds no bytes and no checks.
+  in their payloads); the transport adds no bytes and no checks.  The
+  transport has no unauthenticated path: a plain send is this policy.
 
 Wire accounting: each receiver is charged ``size_bytes +
 policy.auth_bytes`` -- the authenticator bytes that receiver actually

@@ -18,8 +18,8 @@ Example::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Sequence, Set
 
 from repro.net.network import Network
 
@@ -55,34 +55,19 @@ class MessageTracer:
         tracer = cls()
         for name in list(network.names):
             endpoint = network.endpoint(name)
-            original = endpoint.deliver
 
-            def spying(src: str, payload: Any, _original=original,
-                       _dst=name) -> None:
-                if tracer._enabled:
-                    tracer.events.append(TraceEvent(
-                        time=network.sim.now, src=src, dst=_dst,
-                        kind=type(payload).__name__, payload=payload))
-                _original(src, payload)
-
-            endpoint.deliver = spying
-            original_auth = endpoint.deliver_auth
-            if original_auth is None:
-                continue
-
-            def spying_auth(src: str, body: Any, auth: Any,
-                            size_bytes: int, _original=original_auth,
-                            _dst=name) -> None:
-                # Authenticated deliveries are traced by their body: the
-                # transport authenticator is channel plumbing, not a
-                # protocol message.
+            def spying(src: str, body: Any, auth: Any, size_bytes: int,
+                       _original=endpoint.deliver, _dst=name) -> None:
+                # Deliveries are traced by their body: the transport
+                # authenticator is channel plumbing, not a protocol
+                # message.
                 if tracer._enabled:
                     tracer.events.append(TraceEvent(
                         time=network.sim.now, src=src, dst=_dst,
                         kind=type(body).__name__, payload=body))
                 _original(src, body, auth, size_bytes)
 
-            endpoint.deliver_auth = spying_auth
+            endpoint.deliver = spying
         return tracer
 
     # ------------------------------------------------------------------

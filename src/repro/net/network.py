@@ -9,8 +9,8 @@ ordered pair in send order, which some baseline protocols (Zab) assume.
 One delivery pipeline
 ---------------------
 
-The four public verbs -- :meth:`Network.send`, :meth:`Network.multicast`
-and their ``*_authenticated`` flavours -- are thin entries into one
+The two public verbs -- :meth:`Network.send_authenticated` and
+:meth:`Network.multicast_authenticated` -- are thin entries into one
 fan-out routine, so each rule lives in one place:
 
 * **Resolve first.**  Every endpoint name is looked up before stats, RNG
@@ -23,16 +23,17 @@ fan-out routine, so each rule lives in one place:
   (serialization delay), then draws a one-way delay from the latency
   model, in destination order -- a fan-out draws exactly what the same
   sends issued one by one would.
-* **Authentication is a stage, not a sibling path**: given an
-  authenticator, the shared context (typically the payload digest) is
-  computed once per fan-out, each receiver's authenticator is stamped as
-  its delivery is scheduled, and each receiver is charged the
-  authenticator bytes it sees on the wire.  No authenticator = plain.
+* **Authentication is a stage, not a sibling path**: every send carries
+  an authenticator policy.  Its shared context (typically the payload
+  digest) is computed once per fan-out, each receiver's authenticator is
+  stamped as its delivery is scheduled, and each receiver is charged the
+  authenticator bytes it sees on the wire.  A plain send is the ``NULL``
+  policy: no bytes, no RNG, and ``None`` stamped.
 * **Receiver crashes are judged at delivery time**, per receiver: every
   delivery is its own event, and a message to a node that crashed
   mid-flight is lost.
 
-Authenticated deliveries publish the fan-out's body digest through
+Deliveries publish the fan-out's body digest through
 :attr:`Network.delivery_digest` while the delivery callback runs.  The
 transport computed it from the very body object being delivered, so the
 receiving runtime may hand it to ``Authenticator.verify(...,
@@ -55,32 +56,24 @@ from repro.sim.core import Simulator
 class Endpoint:
     """A network-attached node: has a name, a site, and an inbox callback.
 
-    ``deliver_auth`` is the authenticated-delivery callback
-    ``(src, body, auth, size_bytes)``; endpoints that do not provide one
-    receive the bare body through ``deliver`` (the authenticator is
-    dropped, as for a node that does not check its channels).
+    ``deliver`` is called as ``(src, body, auth, size_bytes)``: the bare
+    body, the authenticator the transport stamped for this receiver, and
+    the bytes this receiver saw on the wire.
     """
 
-    __slots__ = ("name", "site", "deliver", "is_up", "deliver_auth")
+    __slots__ = ("name", "site", "deliver", "is_up")
 
     def __init__(self, name: str, site: str,
-                 deliver: Callable[[str, Any], None],
-                 is_up: Callable[[], bool],
-                 deliver_auth: Optional[
-                     Callable[[str, Any, Any, int], None]] = None) -> None:
+                 deliver: Callable[[str, Any, Any, int], None],
+                 is_up: Callable[[], bool]) -> None:
         self.name = name
         self.site = site
         self.deliver = deliver
         self.is_up = is_up
-        self.deliver_auth = deliver_auth
 
 
 #: Sentinel: no precomputed authenticator context was supplied.
 _NO_CONTEXT = object()
-
-#: Sentinel in a delivery's ``auth`` slot: a plain send.  (``None`` is a
-#: real authenticator value -- the null policy stamps it.)
-_PLAIN = object()
 
 
 @dataclass(slots=True)
@@ -136,8 +129,8 @@ class Network:
         # Bound once (the instance attribute shadows the method):
         # loading it per delivery would build a bound method each time.
         self._deliver = self._deliver
-        #: Body digest of the authenticated delivery currently in flight
-        #: (set around the ``deliver_auth`` callback, ``None`` otherwise).
+        #: Body digest of the delivery currently in flight (set around
+        #: the ``deliver`` callback, ``None`` otherwise).
         #: The receiver runtime passes it to ``Authenticator.verify`` as
         #: the trusted transport-computed digest of the delivered body.
         self.delivery_digest: Any = None
@@ -169,10 +162,9 @@ class Network:
     def _fan_out(self, src: str, dsts: Sequence[str], payload: Any,
                  size_bytes: int, authenticator: Any, keystore: Any,
                  context: Any) -> None:
-        """The send pipeline behind all four verbs (see module notes).
+        """The send pipeline behind both verbs (see module notes).
 
-        ``authenticator is None`` is a plain send; otherwise ``context``
-        is the fan-out's shared authenticator context, or
+        ``context`` is the fan-out's shared authenticator context, or
         :data:`_NO_CONTEXT` to compute it here.
         """
         endpoints = self._endpoints
@@ -184,8 +176,7 @@ class Network:
             raise ConfigurationError(
                 f"unknown endpoint {unknown.args[0]}") from None
         stats = self.stats
-        if authenticator is not None:
-            size_bytes += authenticator.auth_bytes
+        size_bytes += authenticator.auth_bytes
         fan = len(dsts)
         stats.messages_sent += fan
         stats.bytes_sent += size_bytes * fan
@@ -194,12 +185,9 @@ class Network:
             # fault injector can race a crash with an in-progress handler.
             stats.messages_dropped_crash += fan
             return
-        auth = _PLAIN
-        digest = None
-        if authenticator is not None:
-            if context is _NO_CONTEXT:
-                context = authenticator.begin(keystore, src, payload)
-            digest = authenticator.context_digest(context)
+        if context is _NO_CONTEXT:
+            context = authenticator.begin(keystore, src, payload)
+        digest = authenticator.context_digest(context)
         partitions = self.partitions
         bandwidth = self.bandwidth if size_bytes > 0 else None
         sim = self.sim
@@ -227,67 +215,38 @@ class Network:
                 if last > arrival:
                     arrival = last
                 self._last_delivery[key] = arrival
-            if authenticator is not None:
-                auth = authenticator.stamp(keystore, src, dst, context)
-                stats.auth_stamped += 1
+            auth = authenticator.stamp(keystore, src, dst, context)
+            stats.auth_stamped += 1
             sim.schedule(arrival, self._deliver,
                          (target, src, payload, auth, size_bytes, digest))
 
     def _deliver(self, target: Endpoint, src: str, payload: Any,
                  auth: Any, size_bytes: int, digest: Any) -> None:
         """Delivery-time half of every send: the receiver's crash check,
-        then its inbox (``auth`` is :data:`_PLAIN` for a plain send)."""
+        then its inbox."""
         if not target.is_up():
             self.stats.messages_dropped_crash += 1
             return
         self.stats.messages_delivered += 1
-        deliver_auth = target.deliver_auth
-        if auth is _PLAIN or deliver_auth is None:
-            target.deliver(src, payload)
-            return
         self.delivery_digest = digest
         try:
-            deliver_auth(src, payload, auth, size_bytes)
+            target.deliver(src, payload, auth, size_bytes)
         finally:
             self.delivery_digest = None
 
     # ------------------------------------------------------------------
-    # The public verbs.  Each calls _fan_out directly, never another
-    # verb: the end-to-end ledger counts calls to these four names.
+    # The public verbs.  Each calls _fan_out directly, never the other:
+    # the end-to-end ledger counts calls to these names.
     # ------------------------------------------------------------------
-    def send(self, src: str, dst: str, payload: Any,
-             size_bytes: int = 0) -> None:
-        """Send ``payload`` from ``src`` to ``dst``.
+    def send_authenticated(self, src: str, dst: str, payload: Any,
+                           size_bytes: int = 0, *,
+                           authenticator, keystore) -> None:
+        """Point-to-point flavour of :meth:`multicast_authenticated`.
 
         Loopback sends are delivered with intra-site latency so a node's
         self-messages still go through the event queue (keeps handler
         re-entrancy simple).
         """
-        self._fan_out(src, (dst,), payload, size_bytes, None, None, None)
-
-    def multicast(self, src: str, dsts: Sequence[str], payload: Any,
-                  size_bytes: int = 0) -> None:
-        """Send the same payload to each destination, in order.
-
-        Observationally identical to ``for dst in dsts: send(...)`` --
-        same stats, same per-destination uplink serialization and latency
-        draws (in the same RNG order), same FIFO interaction -- with the
-        sender side resolved once instead of n times.
-        """
-        self._fan_out(src, dsts, payload, size_bytes, None, None, None)
-
-    def broadcast(self, src: str, dsts: Iterable[str], payload: Any,
-                  size_bytes: int = 0) -> None:
-        """Send the same payload to every destination (skipping ``src``
-        duplicates is the caller's choice -- the paper's protocols sometimes
-        self-deliver)."""
-        dsts = dsts if isinstance(dsts, (list, tuple)) else list(dsts)
-        self.multicast(src, dsts, payload, size_bytes=size_bytes)
-
-    def send_authenticated(self, src: str, dst: str, payload: Any,
-                           size_bytes: int = 0, *,
-                           authenticator, keystore) -> None:
-        """Point-to-point flavour of :meth:`multicast_authenticated`."""
         self._fan_out(src, (dst,), payload, size_bytes, authenticator,
                       keystore, _NO_CONTEXT)
 
@@ -306,8 +265,8 @@ class Network:
         A split fan-out (self-processing mid-list) passes the shared
         ``context`` in so the payload digest stays one-per-fan-out.
 
-        Latency/bandwidth draws happen in destination order, exactly as
-        in :meth:`multicast`.
+        Observationally identical to one :meth:`send_authenticated` per
+        destination, in order, with the sender side resolved once.
         """
         self._fan_out(src, dsts, payload, size_bytes, authenticator,
                       keystore, context)

@@ -175,7 +175,7 @@ class BaselineReplica(ReplicaBase):
         self.send_authenticated(f"r{self.leader_id}",
                                 ClientRequestMsg(request),
                                 size_bytes=request.size_bytes)
-        if self.supports_view_change() and not self._election_timer.armed:
+        if not self._election_timer.armed:
             self._election_timer.start(self.config.request_retransmit_ms)
 
     def may_propose(self) -> bool:
@@ -236,10 +236,6 @@ class BaselineReplica(ReplicaBase):
         return batch.bodies_digest()
 
     # -- leader change ----------------------------------------------------
-    def supports_view_change(self) -> bool:
-        """Does this protocol implement a leader-change path?"""
-        return False
-
     def view_change_quorum(self) -> int:
         """VIEW-CHANGE messages needed to install a view (default:
         majority; BFT protocols override with ``2t + 1``)."""
@@ -286,7 +282,7 @@ class BaselineReplica(ReplicaBase):
     def suspect_view(self, view: int) -> None:
         """Campaign to replace the leader of ``view`` (also the hook the
         fault injector's ``suspect`` event calls)."""
-        if not self.supports_view_change() or view < self.view:
+        if view < self.view:
             return
         self._campaign(max(self.view, self._target_view) + 1)
 

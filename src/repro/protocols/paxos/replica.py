@@ -128,9 +128,6 @@ class PaxosReplica(BaselineReplica):
             if r != self.replica_id][: self.config.t]
 
     # -- roles ------------------------------------------------------------
-    def supports_view_change(self) -> bool:
-        return True
-
     def common_case_acceptors(self) -> List[int]:
         """The ``t`` acceptors this replica contacts in the common case
         of a view it leads."""

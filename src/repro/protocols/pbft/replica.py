@@ -121,9 +121,6 @@ class PbftReplica(BaselineReplica):
         return [(leader + i) % self.config.n
                 for i in range(2 * self.config.t + 1)]
 
-    def supports_view_change(self) -> bool:
-        return True
-
     def view_change_quorum(self) -> int:
         return 2 * self.config.t + 1
 

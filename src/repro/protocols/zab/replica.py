@@ -108,9 +108,6 @@ class ZabReplica(BaselineReplica):
         assert self.config.n is not None
         return [r for r in range(self.config.n) if r != self.leader_id]
 
-    def supports_view_change(self) -> bool:
-        return True
-
     def on_protocol_message(self, src: str, payload: Any) -> None:
         if isinstance(payload, Proposal):
             self._on_proposal(src, payload)

@@ -113,9 +113,6 @@ class ZyzzyvaReplica(BaselineReplica):
         self.history_divergences = 0
         self.certs_received = 0
 
-    def supports_view_change(self) -> bool:
-        return True
-
     def view_change_quorum(self) -> int:
         return 2 * self.config.t + 1
 

@@ -42,25 +42,18 @@ class NodeBase(Process):
         self.site = site
         self.keystore = keystore
         self.cpu = CpuMeter(cost_model or CostModel.free())
-        network.attach(Endpoint(name, site, self._on_deliver,
-                                lambda: not self.crashed,
-                                deliver_auth=self._on_deliver_auth))
+        network.attach(Endpoint(name, site, self._on_deliver_auth,
+                                lambda: not self.crashed))
         #: Messages received, for debugging and protocol statistics.
         self.messages_received = 0
         #: Deliveries dropped because their channel authenticator failed.
         self.auth_failures = 0
 
     # ------------------------------------------------------------------
-    def _on_deliver(self, src: str, payload: Any) -> None:
-        if self.crashed:
-            return
-        self.messages_received += 1
-        self.on_message(src, payload)
-
     def _on_deliver_auth(self, src: str, body: Any, auth: Any,
                          size_bytes: int) -> None:
-        """Authenticated delivery: verify the channel authenticator the
-        transport stamped for us, then dispatch the bare body.
+        """The one inbox: verify the channel authenticator the transport
+        stamped for us, then dispatch the bare body.
 
         A failed check drops the message before the protocol handler sees
         it -- the transport-level equivalent of the per-handler MAC checks

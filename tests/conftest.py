@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import pytest
 
 from repro.common.config import ClusterConfig, ProtocolName, WorkloadConfig
+from repro.crypto.authenticators import NULL
 from repro.crypto.primitives import replica_principal
 from repro.faults.checker import SafetyChecker
 from repro.faults.injector import FaultInjector, FaultSchedule
@@ -45,6 +46,19 @@ def run_workload(runtime, duration_ms=3_000.0, warmup_ms=100.0,
     driver = ClosedLoopDriver(runtime, workload)
     driver.run()
     return driver
+
+
+def send_plain(net, src, dst, payload, size_bytes=0):
+    """A plain send: ``payload`` under the ``NULL`` authenticator policy
+    (no authenticator bytes, no RNG draws, ``None`` stamped)."""
+    net.send_authenticated(src, dst, payload, size_bytes,
+                           authenticator=NULL, keystore=None)
+
+
+def multicast_plain(net, src, dsts, payload, size_bytes=0):
+    """:func:`send_plain` to each of ``dsts``, as one fan-out."""
+    net.multicast_authenticated(src, dsts, payload, size_bytes,
+                                authenticator=NULL, keystore=None)
 
 
 class Outbox(list):

@@ -254,11 +254,11 @@ def _auth_net(sites):
         inbox = inboxes[name] = []
         net.attach(Endpoint(
             name, site,
-            lambda src, p: None,
-            lambda: True,
-            deliver_auth=(lambda inbox: lambda src, body, auth, size:
-                          inbox.append(auth))(inbox)))
-    net.attach(Endpoint("s", "S", lambda src, p: None, lambda: True))
+            (lambda inbox: lambda src, body, auth, size:
+             inbox.append(auth))(inbox),
+            lambda: True))
+    net.attach(Endpoint("s", "S", lambda src, body, auth, size: None,
+                        lambda: True))
     return sim, net, inboxes
 
 

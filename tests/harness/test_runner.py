@@ -74,7 +74,7 @@ class TestSweep:
         import dataclasses
 
         runner = lan_runner()
-        base = WorkloadConfig(num_clients=1, request_size=256, reply_size=64,
+        base = WorkloadConfig(num_clients=1, request_size=256, cohorts=3,
                               duration_ms=400.0, warmup_ms=50.0,
                               client_site="CA", seed=9)
         seen = []

@@ -257,7 +257,7 @@ def test_a_saturated_closed_loop_fig7_point_never_suspects_its_view():
     """Fig 7a's last sweep point: 96 closed-loop clients, 1/0 benchmark."""
     duration_ms = 4_000.0
     workload = WorkloadConfig(
-        num_clients=96, request_size=1024, reply_size=0,
+        num_clients=96, request_size=1024,
         duration_ms=duration_ms, warmup_ms=500.0, client_site="CA")
     runtime = wan_runner().build(wan_config(), workload)
     driver = make_driver(runtime, workload)

@@ -4,22 +4,29 @@
 of the delivery contract -- per message: sender up?, queue on the uplink,
 draw a one-way delay, clamp to FIFO, schedule a closure that checks the
 receiver at delivery time -- with none of the current fabric's machinery
-(one ``_fan_out`` behind four verbs, resolve-first, argument-carrying
-heap entries).  Every test here plays one script against both fabrics,
-each on its own simulator, latency model and uplink model, and demands
-the same ``(time, src, dst, payload)`` delivery *trace*, the same
-``pending`` count and the same latency-RNG state.
+(one ``_fan_out`` behind two verbs, resolve-first, argument-carrying
+heap entries, authenticator stamping).  Every test here plays one script
+against both fabrics, each on its own simulator, latency model and uplink
+model, and demands the same ``(time, src, dst, payload)`` delivery
+*trace*, the same ``pending`` count and the same latency-RNG state.
 
-Only what the seed models is scripted: no partitions, no ``send_filter``,
-no authenticators (``test_multicast.py`` and
-``test_authenticated_multicast.py`` cover those against sequential
-sends).
+The current fabric is driven the way protocols drive it, through
+``send_authenticated`` / ``multicast_authenticated``, under each of the
+``NULL``, ``MODELED_MAC`` and ``MAC_VECTOR`` policies.  The seed knows no
+authenticators: it sends each message with the bytes the policy adds on
+the wire (``size_bytes + policy.auth_bytes``).
+
+Only what the seed models is scripted: no partitions and no
+``send_filter`` (``test_authenticated_multicast.py`` covers those
+against sequential sends).
 """
 
 import random
 
 import pytest
 
+from repro.crypto.authenticators import MAC_VECTOR, MODELED_MAC, NULL
+from repro.crypto.primitives import KeyStore
 from repro.harness.seed_reference import SeedNetwork, SeedSimulator
 from repro.net.bandwidth import DEFAULT_UPLINK_BYTES_PER_MS, BandwidthModel
 from repro.net.latency import LatencyModel
@@ -33,14 +40,26 @@ NAMES = tuple(f"n{i}" for i in range(9))
 #: capped below 90 virtual seconds).
 HORIZON_MS = 3_600_000.0
 
+#: Every test runs once per authenticator policy the current fabric
+#: sends under.
+pytestmark = pytest.mark.parametrize(
+    "policy", [NULL, MODELED_MAC, MAC_VECTOR],
+    ids=["null", "modeled-mac", "mac-vector"])
+
 
 class Fabric:
     """One side of the comparison: a simulator, a network on top of it,
     nine endpoints over three sites (same-site, cross-site and loopback
-    pairs all occur) and the delivery trace they write."""
+    pairs all occur) and the delivery trace they write.  Scripts send
+    through :meth:`send` and :meth:`broadcast`, which speak each
+    fabric's verbs."""
 
-    def __init__(self, current, seed=0, fifo=False, uplink_rate=None,
-                 correlation_window_ms=250.0, on_delivery=None):
+    def __init__(self, current, policy, seed=0, fifo=False,
+                 uplink_rate=None, correlation_window_ms=250.0,
+                 on_delivery=None):
+        self.current = current
+        self.policy = policy
+        self.keystore = KeyStore()
         self.sim = Simulator() if current else SeedSimulator()
         self.latency = LatencyModel.ec2(seed=seed)
         self.latency.correlation_window_ms = correlation_window_ms
@@ -59,12 +78,33 @@ class Fabric:
                 lambda name=name: self.up[name]))
 
     def _inbox(self, name, on_delivery):
-        def deliver(src, payload):
+        # The seed delivers ``(src, payload)``; the current fabric adds
+        # the stamped authenticator and the wire size.
+        def deliver(src, payload, auth=None, size_bytes=0):
             self.trace.append((self.sim.now, src, name, payload))
             if on_delivery is not None:
                 on_delivery(self, src, name, payload)
 
         return deliver
+
+    def send(self, src, dst, payload, size_bytes):
+        if self.current:
+            self.net.send_authenticated(
+                src, dst, payload, size_bytes,
+                authenticator=self.policy, keystore=self.keystore)
+        else:
+            self.net.send(src, dst, payload,
+                          size_bytes=size_bytes + self.policy.auth_bytes)
+
+    def broadcast(self, src, dsts, payload, size_bytes):
+        if self.current:
+            self.net.multicast_authenticated(
+                src, dsts, payload, size_bytes,
+                authenticator=self.policy, keystore=self.keystore)
+        else:
+            self.net.broadcast(
+                src, dsts, payload,
+                size_bytes=size_bytes + self.policy.auth_bytes)
 
     def observed(self):
         """Drain, then everything the two sides must agree on."""
@@ -73,11 +113,12 @@ class Fabric:
                 self.latency._rng.getstate())
 
 
-def on_both(script, **options):
+def on_both(script, policy, **options):
     """Play ``script(fabric)`` on the current fabric and on the seed's,
-    built with the same ``options``; what they observed must be
+    built with the same ``policy`` and ``options``; what they observed must be
     identical.  Returns the current side for further assertions."""
-    current, seed = Fabric(True, **options), Fabric(False, **options)
+    current = Fabric(True, policy, **options)
+    seed = Fabric(False, policy, **options)
     script(current)
     script(seed)
     observed, expected = current.observed(), seed.observed()
@@ -91,7 +132,7 @@ def on_both(script, **options):
 # Storms: everything sent at one instant
 # ----------------------------------------------------------------------
 
-def test_point_to_point_storm_matches_seed():
+def test_point_to_point_storm_matches_seed(policy):
     # Every endpoint sends to a spread of peers at one instant: 5,000
     # messages queue on nine uplinks and race across six directed links.
     def script(fabric):
@@ -101,22 +142,23 @@ def test_point_to_point_storm_matches_seed():
             dst = NAMES[(i * 5 + 1) % k]
             if src == dst:
                 dst = NAMES[(i * 5 + 2) % k]
-            fabric.net.send(src, dst, i, size_bytes=256)
+            fabric.send(src, dst, i, 256)
 
-    current = on_both(script, uplink_rate=DEFAULT_UPLINK_BYTES_PER_MS)
+    current = on_both(script, policy,
+                      uplink_rate=DEFAULT_UPLINK_BYTES_PER_MS)
     assert len(current.trace) == 5_000
 
 
-def test_broadcast_storm_matches_seed():
+def test_broadcast_storm_matches_seed(policy):
     # A leader ships one payload to its 8 peers per round, the fan-out of
     # every ordering protocol: one multicast against 8 sequential sends.
     def script(fabric):
         leader, peers = NAMES[0], list(NAMES[1:])
         for round_no in range(600):
-            fabric.net.broadcast(leader, peers, ("batch", round_no),
-                                 size_bytes=1024)
+            fabric.broadcast(leader, peers, ("batch", round_no), 1024)
 
-    current = on_both(script, uplink_rate=DEFAULT_UPLINK_BYTES_PER_MS)
+    current = on_both(script, policy,
+                      uplink_rate=DEFAULT_UPLINK_BYTES_PER_MS)
     assert len(current.trace) == 600 * 8
 
 
@@ -137,8 +179,8 @@ def echo(fabric, src, dst, payload):
     the payload, so both fabrics are asked to send the same things as
     long as they deliver the same things."""
     if isinstance(payload, int) and payload % 7 == 0:
-        fabric.net.send(dst, src, ("echo", payload),
-                        size_bytes=SIZES[payload % len(SIZES)])
+        fabric.send(dst, src, ("echo", payload),
+                    SIZES[payload % len(SIZES)])
 
 
 def random_script(seed, actions=3_000):
@@ -174,7 +216,7 @@ def play(fabric, steps):
             fabric.up[name] = not fabric.up[name]
         else:
             src, dst, payload, size = args
-            getattr(fabric.net, verb)(src, dst, payload, size_bytes=size)
+            getattr(fabric, verb)(src, dst, payload, size)
         if index % 250 == 0:
             fabric.checkpoints.append((fabric.sim.now, fabric.sim.pending,
                                        len(fabric.trace)))
@@ -184,10 +226,10 @@ def play(fabric, steps):
                          ids=("no-uplink", "uplink"))
 @pytest.mark.parametrize("fifo", (False, True), ids=("unordered", "fifo"))
 @pytest.mark.parametrize("seed", range(6))
-def test_random_trace_matches_seed(seed, fifo, uplink):
+def test_random_trace_matches_seed(seed, fifo, uplink, policy):
     steps = random_script(seed)
     current = on_both(
-        lambda fabric: play(fabric, steps), seed=seed, fifo=fifo,
+        lambda fabric: play(fabric, steps), policy, seed=seed, fifo=fifo,
         # 200 B/ms: a 4 kB message holds the uplink for 20 ms, so bursts
         # back up and departure times run ahead of send times.
         uplink_rate=200.0 if uplink else None,

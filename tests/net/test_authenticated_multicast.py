@@ -1,17 +1,29 @@
-"""Tests for the authenticated verbs: per-receiver MACs stamped by the
-transport as it fans out, with authenticator bytes in the size accounting.
-``n`` sequential ``send_authenticated`` calls are the reference for what a
-fan-out must do.
+"""Tests for the network's two verbs: per-receiver authenticators stamped
+by the transport as it fans out, with authenticator bytes in the size
+accounting.
+
+The contract: ``multicast_authenticated(src, dsts, p)`` is observationally
+identical to one ``send_authenticated(src, dst, p)`` per destination, in
+order -- same delivery order, same stats, same RNG draw order, same
+authenticators -- it just resolves the sender side once.  Sequential
+sends are the reference throughout, and every contract that does not
+depend on what an authenticator is runs under both the ``NULL`` policy
+(a plain send) and ``MAC_VECTOR``.
 """
 
 import pytest
 
+from repro.common.errors import ConfigurationError
 from repro.crypto.authenticators import MAC_VECTOR, MODELED_MAC, NULL
 from repro.crypto.primitives import KeyStore, Mac
 from repro.net.bandwidth import BandwidthModel
 from repro.net.latency import LatencyModel
 from repro.net.network import Endpoint, Network
 from repro.sim.core import Simulator
+
+#: The ``NULL`` column (a plain send) and the ``MAC_VECTOR`` column.
+POLICIES = pytest.mark.parametrize("policy", [NULL, MAC_VECTOR],
+                                   ids=["null", "mac-vector"])
 
 
 def make_net(fifo=False, bandwidth=False, jitter=0.0, seed=7):
@@ -24,40 +36,36 @@ def make_net(fifo=False, bandwidth=False, jitter=0.0, seed=7):
     return sim, Network(sim, latency, bandwidth=bw, fifo=fifo)
 
 
-class _AuthNode:
-    """A sink endpoint recording authenticated deliveries."""
+class _Node:
+    """A sink endpoint recording ``(src, body, auth, size)`` deliveries."""
 
     def __init__(self, net, name, site):
         self.inbox = []
-        self.auth_inbox = []
         self.up = True
         net.attach(Endpoint(
             name, site,
-            lambda src, p: self.inbox.append((src, p)),
-            lambda: self.up,
-            deliver_auth=lambda src, body, auth, size:
-                self.auth_inbox.append((src, body, auth, size))))
-
-
-class _PlainNode:
-    """An endpoint without an authenticated-delivery callback."""
-
-    def __init__(self, net, name, site):
-        self.inbox = []
-        net.attach(Endpoint(name, site,
-                            lambda src, p: self.inbox.append((src, p)),
-                            lambda: True))
+            lambda src, body, auth, size:
+                self.inbox.append((src, body, auth, size)),
+            lambda: self.up))
 
 
 def build(**kwargs):
     sim, net = make_net(**kwargs)
     nodes = {
-        "a": _AuthNode(net, "a", "X"),
-        "b": _AuthNode(net, "b", "Y"),
-        "c": _AuthNode(net, "c", "Y"),
-        "d": _AuthNode(net, "d", "Z"),
+        "a": _Node(net, "a", "X"),
+        "b": _Node(net, "b", "Y"),
+        "c": _Node(net, "c", "Y"),
+        "d": _Node(net, "d", "Z"),
     }
     return sim, net, nodes
+
+
+def multicast(net, dsts, body, policy, size_bytes=0, keystore=None):
+    """One fan-out from ``a`` under ``policy``."""
+    if keystore is None:
+        keystore = KeyStore()
+    net.multicast_authenticated("a", dsts, body, size_bytes,
+                                authenticator=policy, keystore=keystore)
 
 
 class TestMacStamping:
@@ -65,14 +73,11 @@ class TestMacStamping:
         sim, net, nodes = build()
         keystore = KeyStore()
         body = ("prechk", 8, 0)
-        net.multicast_authenticated("a", ["b", "c", "d"], body,
-                                    size_bytes=44,
-                                    authenticator=MAC_VECTOR,
-                                    keystore=keystore)
+        multicast(net, ["b", "c", "d"], body, MAC_VECTOR, 44, keystore)
         sim.run()
         macs = {}
         for name in ("b", "c", "d"):
-            ((src, got, auth, size),) = nodes[name].auth_inbox
+            ((src, got, auth, size),) = nodes[name].inbox
             assert src == "a" and got == body
             assert size == 44 + MAC_VECTOR.auth_bytes
             assert isinstance(auth, Mac)
@@ -82,88 +87,117 @@ class TestMacStamping:
         # Channel-bound: the three MACs are all distinct.
         assert len({m._token for m in macs.values()}) == 3
 
-    def test_payload_object_is_shared_not_copied(self):
+    @POLICIES
+    def test_payload_object_is_shared_not_copied(self, policy):
         sim, net, nodes = build()
         body = ("big", b"x" * 64)
-        net.multicast_authenticated("a", ["b", "c"], body,
-                                    authenticator=NULL,
-                                    keystore=KeyStore())
+        multicast(net, ["b", "c"], body, policy)
         sim.run()
-        got_b = nodes["b"].auth_inbox[0][1]
-        got_c = nodes["c"].auth_inbox[0][1]
-        assert got_b is body and got_c is body
-
-    def test_endpoint_without_auth_callback_gets_bare_body(self):
-        sim, net = make_net()
-        plain = _PlainNode(net, "p", "X")
-        _AuthNode(net, "a", "X")
-        net.multicast_authenticated("a", ["p"], "m",
-                                    authenticator=MAC_VECTOR,
-                                    keystore=KeyStore())
-        sim.run()
-        assert plain.inbox == [("a", "m")]
+        assert nodes["b"].inbox[0][1] is body
+        assert nodes["c"].inbox[0][1] is body
 
 
 class TestAccounting:
     def test_bytes_include_authenticator_per_receiver(self):
         _, net, _ = build()
-        net.multicast_authenticated("a", ["b", "c", "d"], "m",
-                                    size_bytes=100,
-                                    authenticator=MODELED_MAC,
-                                    keystore=KeyStore())
+        multicast(net, ["b", "c", "d"], "m", MODELED_MAC, size_bytes=100)
         assert net.stats.bytes_sent == 3 * (100 + MODELED_MAC.auth_bytes)
 
     def test_null_policy_adds_no_bytes(self):
         _, net, _ = build()
-        net.multicast_authenticated("a", ["b", "c"], "m", size_bytes=100,
-                                    authenticator=NULL,
-                                    keystore=KeyStore())
+        multicast(net, ["b", "c"], "m", NULL, size_bytes=100)
         assert net.stats.bytes_sent == 200
 
-    def test_uplink_serializes_wire_bytes(self):
-        # 980 + 20 MAC bytes = 1000 on the wire: exactly 1 ms at
-        # 1000 B/ms, so two inter-site receivers give a 2 ms backlog.
-        sim, net, _ = build(bandwidth=True)
-        net.multicast_authenticated("a", ["b", "d"], "m", size_bytes=980,
-                                    authenticator=MAC_VECTOR,
-                                    keystore=KeyStore())
-        assert net.bandwidth.backlog_ms("a", sim.now) == pytest.approx(2.0)
+    @POLICIES
+    def test_uplink_serializes_wire_bytes(self, policy):
+        # Three messages of 1000 wire bytes (authenticator included) at
+        # 1000 B/ms leave the uplink back to back: departures at 1, 2
+        # and 3 ms.
+        sim, net, nodes = build(bandwidth=True)
+        size = 1000 - policy.auth_bytes
+        multicast(net, ["b", "d"], "m", policy, size)
+        multicast(net, ["c"], "m2", policy, size)
+        assert net.bandwidth.backlog_ms("a", sim.now) == pytest.approx(3.0)
+        sim.run()
+        assert all(nodes[name].inbox for name in ("b", "c", "d"))
 
 
 class TestDropSemantics:
-    def test_partition_and_crash_drops_match_multicast(self):
+    @POLICIES
+    def test_partition_and_crash_drops_counted_per_message(self, policy):
         sim, net, nodes = build()
         net.partitions.block_pair("a", "c")
         nodes["d"].up = False
-        net.multicast_authenticated("a", ["b", "c", "d"], "m",
-                                    authenticator=MAC_VECTOR,
-                                    keystore=KeyStore())
+        multicast(net, ["b", "c", "d"], "m", policy)
         sim.run()
         assert net.stats.messages_sent == 3
         assert net.stats.messages_dropped_partition == 1
         assert net.stats.messages_dropped_crash == 1
         assert net.stats.messages_delivered == 1
-        assert len(nodes["b"].auth_inbox) == 1
+        assert len(nodes["b"].inbox) == 1
+        assert nodes["c"].inbox == [] and nodes["d"].inbox == []
 
-    def test_crashed_sender_stamps_nothing(self):
+    @POLICIES
+    def test_crashed_sender_stamps_nothing(self, policy):
         sim, net, nodes = build()
         nodes["a"].up = False
-        net.multicast_authenticated("a", ["b", "c"], "m",
-                                    authenticator=MAC_VECTOR,
-                                    keystore=KeyStore())
+        multicast(net, ["b", "c", "d"], "m", policy)
         sim.run()
-        assert net.stats.messages_dropped_crash == 2
-        assert not nodes["b"].auth_inbox and not nodes["c"].auth_inbox
+        assert net.stats.messages_sent == 3
+        assert net.stats.messages_dropped_crash == 3
+        assert net.stats.messages_delivered == 0
+        assert net.stats.auth_stamped == 0
+        assert all(node.inbox == [] for node in nodes.values())
 
-    def test_send_filter_probed_per_destination(self):
+    @POLICIES
+    def test_send_filter_probed_per_destination(self, policy):
         sim, net, nodes = build()
-        net.send_filter = lambda src, dst, payload: dst != "c"
-        net.multicast_authenticated("a", ["b", "c", "d"], "m",
-                                    authenticator=MAC_VECTOR,
-                                    keystore=KeyStore())
+        censored = []
+        net.send_filter = (
+            lambda src, dst, payload: censored.append(dst) or dst != "c")
+        multicast(net, ["b", "c", "d"], "m", policy)
         sim.run()
-        assert not nodes["c"].auth_inbox
-        assert nodes["b"].auth_inbox and nodes["d"].auth_inbox
+        assert censored == ["b", "c", "d"]
+        assert net.stats.messages_dropped_partition == 1
+        assert nodes["c"].inbox == []
+        assert nodes["b"].inbox and nodes["d"].inbox
+
+
+class TestErrors:
+    @POLICIES
+    def test_unknown_source_rejected(self, policy):
+        _, net, _ = build()
+        with pytest.raises(ConfigurationError):
+            net.multicast_authenticated("ghost", ["b"], "m",
+                                        authenticator=policy,
+                                        keystore=KeyStore())
+
+    @POLICIES
+    def test_unknown_destination_rejected(self, policy):
+        _, net, _ = build()
+        with pytest.raises(ConfigurationError):
+            multicast(net, ["b", "ghost"], "m", policy)
+
+    @POLICIES
+    def test_unknown_destination_mid_list_has_no_side_effects(self, policy):
+        # Every name is resolved before stats, RNG or the uplink are
+        # touched: a fan-out that raises must not have half-happened.
+        # (It used to count all n as sent and draw latency for the
+        # receivers before the bad name, then deliver to none of them.)
+        sim, net, nodes = build(bandwidth=True, jitter=2.0)
+        draws = []
+        sample = net.latency.sample_one_way
+        net.latency.sample_one_way = (
+            lambda *args, **kwargs: draws.append(args) or sample(
+                *args, **kwargs))
+        with pytest.raises(ConfigurationError, match="ghost"):
+            multicast(net, ["b", "ghost", "d"], "m", policy, 500)
+        assert core_stats(net) == (0, 0, 0, 0, 0, 0)
+        assert draws == []
+        assert net.bandwidth.backlog_ms("a", sim.now) == 0.0
+        assert sim.pending == 0
+        sim.run()
+        assert all(node.inbox == [] for node in nodes.values())
 
 
 def core_stats(net):
@@ -176,14 +210,15 @@ def core_stats(net):
 class TestMatchesSequentialSends:
     """``multicast_authenticated`` against ``n`` sequential
     ``send_authenticated``: same deliveries at the same instants in the
-    same order, same stats, byte-identical authenticators."""
+    same order, same stats, same events, byte-identical
+    authenticators."""
 
     def _run(self, sequential, authenticator, **kwargs):
         sim, net, nodes = build(**kwargs)
         log = []
         keystore = KeyStore()
         for node in nodes.values():
-            node.auth_inbox = log
+            node.inbox = log  # shared log records global delivery order
         for round_no in range(25):
             body = ("m", round_no)
             if sequential:
@@ -198,26 +233,29 @@ class TestMatchesSequentialSends:
         sim.run()
         wire = [(src, body, None if auth is None else tuple(auth), size)
                 for src, body, auth, size in log]
-        return wire, core_stats(net), sim.now
+        return wire, core_stats(net), sim.now, sim.stats()["executed"]
 
+    @POLICIES
     @pytest.mark.parametrize("kwargs", [
         {},  # zero jitter: same-site receivers share every arrival tick
         {"jitter": 3.0},
         {"bandwidth": True, "fifo": True},
-    ], ids=["same-tick", "jittered", "uplink-fifo"])
-    def test_mac_vector_fanout(self, kwargs):
-        multi = self._run(False, MAC_VECTOR, **kwargs)
-        assert multi == self._run(True, MAC_VECTOR, **kwargs)
-        wire, stats, _ = multi
-        assert len(wire) == 75 and stats[5] == 75
+        {"bandwidth": True, "fifo": True, "jitter": 2.0},
+    ], ids=["same-tick", "jittered", "uplink-fifo", "jittered-uplink-fifo"])
+    def test_fanout_matches_sequential_sends(self, kwargs, policy):
+        multi = self._run(False, policy, **kwargs)
+        assert multi == self._run(True, policy, **kwargs)
+        wire, stats, _, executed = multi
+        # One stamp and one delivery event per receiver.
+        assert len(wire) == 75 and stats[5] == 75 and executed == 75
+        if policy is NULL:
+            assert all(mac is None for _, _, mac, _ in wire)
+            return
         # Full MAC layout compared above, token bytes included; and
         # every one of them verifies for its own channel.
         keystore = KeyStore()
         for src, body, mac, _ in wire:
             assert keystore.verify_mac(Mac(*mac), body)
-
-    def test_null_policy_fanout(self):
-        assert self._run(False, NULL) == self._run(True, NULL)
 
 
 class TestSendTimeAndDeliveryTimeChecks:
@@ -226,78 +264,73 @@ class TestSendTimeAndDeliveryTimeChecks:
     the same sends issued one by one."""
 
     @staticmethod
-    def _send(net, sequential):
+    def _send(net, sequential, policy):
         keystore = KeyStore()
         if sequential:
             for dst in ("b", "c"):
                 net.send_authenticated("a", dst, "m", size_bytes=64,
-                                       authenticator=MAC_VECTOR,
+                                       authenticator=policy,
                                        keystore=keystore)
         else:
-            net.multicast_authenticated("a", ["b", "c"], "m", size_bytes=64,
-                                        authenticator=MAC_VECTOR,
-                                        keystore=keystore)
+            multicast(net, ["b", "c"], "m", policy, 64, keystore)
 
+    @POLICIES
     @pytest.mark.parametrize("sequential", [False, True])
-    def test_partition_at_send_time_respected_per_receiver(self, sequential):
+    def test_partition_at_send_time_respected_per_receiver(self, sequential,
+                                                           policy):
         sim, net, nodes = build()
         net.partitions.block_pair("a", "c")
-        self._send(net, sequential)
+        self._send(net, sequential, policy)
         sim.run()
-        assert (len(nodes["b"].auth_inbox), len(nodes["c"].auth_inbox),
+        assert (len(nodes["b"].inbox), len(nodes["c"].inbox),
                 net.stats.messages_dropped_partition) == (1, 0, 1)
 
+    @POLICIES
     @pytest.mark.parametrize("sequential", [False, True])
-    def test_partition_mid_flight_keeps_in_flight_messages(self, sequential):
+    def test_partition_mid_flight_keeps_in_flight_messages(self, sequential,
+                                                           policy):
         sim, net, nodes = build()
-        self._send(net, sequential)
+        self._send(net, sequential, policy)
         net.partitions.block_pair("a", "c")
         sim.run()
-        assert (len(nodes["b"].auth_inbox), len(nodes["c"].auth_inbox),
+        assert (len(nodes["b"].inbox), len(nodes["c"].inbox),
                 net.stats.messages_dropped_partition) == (1, 1, 0)
 
+    @POLICIES
     @pytest.mark.parametrize("sequential", [False, True])
-    def test_crash_mid_flight_respected_per_receiver(self, sequential):
+    def test_crash_mid_flight_respected_per_receiver(self, sequential,
+                                                     policy):
         # b and c share an arrival tick; only the crashed one loses out.
         sim, net, nodes = build()
-        self._send(net, sequential)
+        self._send(net, sequential, policy)
         nodes["c"].up = False
         sim.run()
-        assert (len(nodes["b"].auth_inbox), len(nodes["c"].auth_inbox),
+        assert (len(nodes["b"].inbox), len(nodes["c"].inbox),
                 net.stats.messages_dropped_crash) == (1, 0, 1)
-        # The MAC was stamped when the message left: a receiver that
-        # crashes mid-flight has still cost its stamp.
+        # The authenticator was stamped when the message left: a
+        # receiver that crashes mid-flight has still cost its stamp.
         assert net.stats.auth_stamped == 2
 
 
 class TestDeliveryScheduleEquivalence:
     def test_same_latency_draws_as_plain_multicast(self):
-        """The authenticated path consumes latency samples in the same
-        per-destination order as plain multicast: with equal seeds the
-        delivery schedule is identical."""
+        """``MAC_VECTOR`` consumes latency samples in the same
+        per-destination order as a plain (``NULL``) multicast: with
+        equal seeds the delivery schedule is identical."""
 
-        def run(authenticated):
+        def run(policy):
             sim, net, nodes = build(jitter=3.0)
             order = []
             for node in nodes.values():
                 node.inbox = order
-                node.auth_inbox = order
+            keystore = KeyStore()
             for round_no in range(20):
-                if authenticated:
-                    net.multicast_authenticated(
-                        "a", ["b", "c", "d"], ("m", round_no),
-                        size_bytes=64, authenticator=NULL,
-                        keystore=KeyStore())
-                else:
-                    net.multicast("a", ["b", "c", "d"], ("m", round_no),
-                                  size_bytes=64)
+                multicast(net, ["b", "c", "d"], ("m", round_no), policy,
+                          64, keystore)
             sim.run()
-            return [(src, body) if len(rest) == 0 else (src, body)
-                    for src, body, *rest in order], sim.now
+            return [(src, body) for src, body, _, _ in order], sim.now
 
-        plain = run(authenticated=False)
-        authed = run(authenticated=True)
-        assert authed == plain
+        assert run(MAC_VECTOR) == run(NULL)
 
 
 class TestNodeRuntimeVerification:

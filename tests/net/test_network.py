@@ -7,6 +7,7 @@ from repro.net.bandwidth import BandwidthModel
 from repro.net.latency import LatencyModel
 from repro.net.network import Endpoint, Network
 from repro.sim.core import Simulator
+from tests.conftest import multicast_plain, send_plain
 
 
 def make_net(fifo=False, bandwidth=None, sites=("X", "Y")):
@@ -20,9 +21,10 @@ class _Node:
     def __init__(self, net, name, site):
         self.inbox = []
         self.up = True
-        net.attach(Endpoint(name, site,
-                            lambda src, p: self.inbox.append((src, p)),
-                            lambda: self.up))
+        net.attach(Endpoint(
+            name, site,
+            lambda src, p, auth, size: self.inbox.append((src, p)),
+            lambda: self.up))
 
 
 class TestDelivery:
@@ -30,7 +32,7 @@ class TestDelivery:
         sim, net = make_net()
         a = _Node(net, "a", "X")
         b = _Node(net, "b", "Y")
-        net.send("a", "b", "hello")
+        send_plain(net, "a", "b", "hello")
         sim.run()
         assert b.inbox == [("a", "hello")]
         assert sim.now == 5.0
@@ -39,7 +41,7 @@ class TestDelivery:
         sim, net = make_net()
         a = _Node(net, "a", "X")
         b = _Node(net, "b", "X")
-        net.send("a", "b", "m")
+        send_plain(net, "a", "b", "m")
         sim.run()
         assert sim.now == net.latency.intra_site_ms
 
@@ -48,7 +50,7 @@ class TestDelivery:
         a = _Node(net, "a", "X")
         b = _Node(net, "b", "Y")
         c = _Node(net, "c", "Y")
-        net.broadcast("a", ["b", "c"], "m")
+        multicast_plain(net, "a", ["b", "c"], "m")
         sim.run()
         assert b.inbox and c.inbox
 
@@ -62,7 +64,7 @@ class TestDelivery:
         _, net = make_net()
         _Node(net, "a", "X")
         with pytest.raises(ConfigurationError):
-            net.send("a", "ghost", "m")
+            send_plain(net, "a", "ghost", "m")
 
 
 class TestFaults:
@@ -71,7 +73,7 @@ class TestFaults:
         a = _Node(net, "a", "X")
         b = _Node(net, "b", "Y")
         net.partitions.block_pair("a", "b")
-        net.send("a", "b", "m")
+        send_plain(net, "a", "b", "m")
         sim.run()
         assert b.inbox == []
         assert net.stats.messages_dropped_partition == 1
@@ -80,7 +82,7 @@ class TestFaults:
         sim, net = make_net()
         a = _Node(net, "a", "X")
         b = _Node(net, "b", "Y")
-        net.send("a", "b", "m")
+        send_plain(net, "a", "b", "m")
         sim.call_at(1.0, lambda: setattr(b, "up", False))
         sim.run()
         assert b.inbox == []
@@ -91,7 +93,7 @@ class TestFaults:
         a = _Node(net, "a", "X")
         b = _Node(net, "b", "Y")
         a.up = False
-        net.send("a", "b", "m")
+        send_plain(net, "a", "b", "m")
         sim.run()
         assert b.inbox == []
 
@@ -100,10 +102,10 @@ class TestFaults:
         a = _Node(net, "a", "X")
         b = _Node(net, "b", "Y")
         b.up = False
-        net.send("a", "b", "lost")
+        send_plain(net, "a", "b", "lost")
         sim.run()
         b.up = True
-        net.send("a", "b", "received")
+        send_plain(net, "a", "b", "received")
         sim.run()
         assert b.inbox == [("a", "received")]
 
@@ -112,8 +114,8 @@ class TestFaults:
         a = _Node(net, "a", "X")
         b = _Node(net, "b", "Y")
         net.send_filter = lambda src, dst, payload: payload != "censored"
-        net.send("a", "b", "censored")
-        net.send("a", "b", "ok")
+        send_plain(net, "a", "b", "censored")
+        send_plain(net, "a", "b", "ok")
         sim.run()
         assert b.inbox == [("a", "ok")]
 
@@ -128,7 +130,7 @@ class TestFifoMode:
         a = _Node(net, "a", "X")
         b = _Node(net, "b", "Y")
         for i in range(20):
-            net.send("a", "b", i)
+            send_plain(net, "a", "b", i)
         sim.run()
         assert [p for _, p in b.inbox] == list(range(20))
 
@@ -140,8 +142,8 @@ class TestBandwidthIntegration:
         a = _Node(net, "a", "X")
         b = _Node(net, "b", "Y")
         c = _Node(net, "c", "X")
-        net.send("a", "b", "wan", size_bytes=10_000)  # 10 ms serialization
-        net.send("a", "c", "lan", size_bytes=10_000)  # free intra-site
+        send_plain(net, "a", "b", "wan", 10_000)  # 10 ms serialization
+        send_plain(net, "a", "c", "lan", 10_000)  # free intra-site
         sim.run()
         assert bw.bytes_sent("a") == 10_000
 
@@ -150,7 +152,7 @@ class TestBandwidthIntegration:
         sim, net = make_net(bandwidth=bw)
         a = _Node(net, "a", "X")
         b = _Node(net, "b", "Y")
-        net.send("a", "b", "m", size_bytes=10_000)
+        send_plain(net, "a", "b", "m", 10_000)
         sim.run()
         # 10 ms serialization + 5 ms propagation.
         assert sim.now == pytest.approx(15.0)

@@ -18,7 +18,7 @@ from repro.smr.runtime import (
     ReplicaBase,
     ReplyTally,
 )
-from tests.conftest import make_cluster
+from tests.conftest import make_cluster, send_plain
 
 
 class _EchoNode(NodeBase):
@@ -41,7 +41,7 @@ class TestNodeBase:
         keystore = KeyStore()
         a = _EchoNode(sim, network, "a", "X", keystore)
         b = _EchoNode(sim, network, "b", "X", keystore)
-        network.send("a", "b", "hello")
+        send_plain(network, "a", "b", "hello")
         sim.run()
         assert b.received == [("a", "hello")]
         assert b.messages_received == 1
@@ -53,7 +53,7 @@ class TestNodeBase:
         a = _EchoNode(sim, network, "a", "X", keystore)
         b = _EchoNode(sim, network, "b", "X", keystore)
         b.crash()
-        network.send("a", "b", "hello")
+        send_plain(network, "a", "b", "hello")
         sim.run()
         assert b.received == []
 

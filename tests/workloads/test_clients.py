@@ -117,5 +117,5 @@ class TestWorkloadConfigValidation:
     def test_benchmark_presets(self):
         one = WorkloadConfig.one_zero()
         four = WorkloadConfig.four_zero()
-        assert (one.request_size, one.reply_size) == (1024, 0)
-        assert (four.request_size, four.reply_size) == (4096, 0)
+        assert one.request_size == 1024
+        assert four.request_size == 4096
