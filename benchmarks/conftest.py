@@ -70,12 +70,9 @@ def run_sweep(protocol: ProtocolName, workload_factory, t: int = 1,
               app_factory=None):
     """Latency-vs-throughput curve for one protocol."""
     runner = wan_runner(seed=seed, uplink=uplink, app_factory=app_factory)
-    config = paper_config(protocol, t=t)
-    points = []
-    for clients in SWEEP_CLIENTS:
-        result = runner.run_point(config, workload_factory(clients))
-        points.append(result)
-    return points
+    return runner.run_points(
+        paper_config(protocol, t=t),
+        [workload_factory(clients) for clients in SWEEP_CLIENTS])
 
 
 def print_curves(title: str, curves: dict) -> None:

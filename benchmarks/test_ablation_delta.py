@@ -9,7 +9,6 @@ paper picks Delta = 1.25 s from the 99.99th RTT percentile.
 from repro.common.config import ProtocolName, WorkloadConfig
 from repro.faults.injector import FaultSchedule
 from repro.harness.configs import paper_config
-from repro.harness.timeline import run_fault_timeline
 
 from conftest import wan_runner
 
@@ -28,8 +27,7 @@ def run_with_delta(delta_ms: float):
                               duration_ms=40_000.0, warmup_ms=2_000.0,
                               client_site="CA")
     schedule = FaultSchedule().crash_for(15_000.0, 1, 5_000.0)
-    return run_fault_timeline(runner, config, workload, schedule,
-                              window_ms=1_000.0)
+    return runner.run_point(config, workload, schedule)
 
 
 def test_delta_ablation(benchmark):
@@ -44,7 +42,10 @@ def test_delta_ablation(benchmark):
               f"longest gap={result.longest_gap_ms() / 1000.0:5.1f}s "
               f"view changes={max(result.view_changes.values())}")
 
-    # Every Delta recovers.
+    # Every Delta commits through the crash.  Not every Delta recovers:
+    # at 0.15 s a VIEW-CHANGE cannot cross in 2 Delta, the view change
+    # never ends, and the printed longest gap is the run's tail (ROADMAP
+    # item 10).
     for result in results.values():
         assert result.committed > 2_000
     # The paper's Delta keeps recovery under 10 s.

@@ -8,7 +8,6 @@ is one extra active-to-active round trip.
 from repro.common.config import ProtocolName, WorkloadConfig
 from repro.faults.injector import FaultSchedule
 from repro.harness.configs import paper_config
-from repro.harness.timeline import run_fault_timeline
 
 from conftest import one_zero, wan_runner
 
@@ -50,9 +49,7 @@ def test_fd_view_change_overhead(benchmark):
                                       duration_ms=40_000.0,
                                       warmup_ms=2_000.0, client_site="CA")
             schedule = FaultSchedule().crash_for(15_000.0, 1, 5_000.0)
-            results[use_fd] = run_fault_timeline(runner, config, workload,
-                                                 schedule,
-                                                 window_ms=1_000.0)
+            results[use_fd] = runner.run_point(config, workload, schedule)
         return results
 
     results = benchmark.pedantic(build, rounds=1, iterations=1)

@@ -8,7 +8,6 @@ that becomes active must fetch the whole prefix during the view change.
 from repro.common.config import ProtocolName, WorkloadConfig
 from repro.faults.injector import FaultSchedule
 from repro.harness.configs import paper_config
-from repro.harness.timeline import run_fault_timeline
 
 from conftest import wan_runner
 
@@ -28,8 +27,7 @@ def run_crash(lazy: bool):
                               client_site="CA")
     # Crash the follower: the passive replica must step in.
     schedule = FaultSchedule().crash_for(15_000.0, 1, 5_000.0)
-    return run_fault_timeline(runner, config, workload, schedule,
-                              window_ms=1_000.0)
+    return runner.run_point(config, workload, schedule)
 
 
 def test_lazy_replication_ablation(benchmark):

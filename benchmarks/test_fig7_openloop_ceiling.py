@@ -14,6 +14,7 @@ results are merged in protocol order and identical to a serial run.
 """
 
 import os
+from dataclasses import replace
 
 from repro.common.config import ProtocolName, WorkloadConfig
 from repro.harness.configs import paper_config
@@ -55,8 +56,12 @@ def _open_points(runner, config, ceiling_kops):
     base = WorkloadConfig(num_clients=CHANNELS, request_size=1024,
                           duration_ms=OPEN_RUN_MS, warmup_ms=WARMUP_MS,
                           client_site="CA", cohorts=4)
-    rates = [ceiling_kops * 1_000.0 * m for m in MULTIPLIERS]
-    return runner.sweep_offered_load(config, rates, base)
+    # The seed stays fixed: every rate point sees the same network draw,
+    # so the points differ only by offered load (arrival draws still
+    # differ by rate).
+    return runner.run_points(
+        config, [replace(base, offered_load_rps=ceiling_kops * 1_000.0 * m)
+                 for m in MULTIPLIERS])
 
 
 @guard_global_rng
@@ -83,14 +88,13 @@ def test_fig7_openloop_ceiling(benchmark):
     print(f"{'protocol':>8} {'closed kops':>12} "
           f"{'offered kops':>13} {'open kops':>10} {'saturated':>10}")
     for name, (ceiling, points) in results.items():
-        for point in points:
-            r = point.result
+        for r in points:
             print(f"{name:>8} {ceiling:12.3f} {r.offered_load_kops:13.1f} "
                   f"{r.throughput_kops:10.3f} "
                   f"{'yes' if r.saturated else 'no':>10}")
 
     for name, (ceiling, points) in results.items():
-        first, second = (p.result for p in points)
+        first, second = points
         # >= 100x the closed-loop ceiling actually arrived at the cluster.
         assert first.offered_load_kops >= 100.0 * ceiling * 0.9, name
         # Offered load outran service capacity: requests are queued.

@@ -15,13 +15,14 @@ shorter.
 from repro.common.config import ProtocolName, WorkloadConfig
 from repro.faults.injector import FaultSchedule
 from repro.harness.configs import paper_config
-from repro.harness.timeline import run_fault_timeline
 
 from conftest import wan_runner
 
 DURATION_MS = 125_000.0
-CRASHES = ((45_000.0, 1), (75_000.0, 0), (105_000.0, 2))  # VA, CA, JP
 DOWNTIME_MS = 5_000.0
+#: VA, CA, JP in turn at 45 / 75 / 105 s.
+SCHEDULE = FaultSchedule.rolling_crashes((1, 0, 2), 45_000.0, 30_000.0,
+                                         DOWNTIME_MS)
 
 
 def test_fig9(benchmark):
@@ -36,11 +37,7 @@ def test_fig9(benchmark):
         workload = WorkloadConfig(num_clients=32, request_size=1024,
                                   duration_ms=DURATION_MS,
                                   warmup_ms=2_000.0, client_site="CA")
-        schedule = FaultSchedule()
-        for at_ms, victim in CRASHES:
-            schedule.crash_for(at_ms, victim, DOWNTIME_MS)
-        return run_fault_timeline(runner, config, workload, schedule,
-                                  window_ms=1_000.0)
+        return runner.run_point(config, workload, SCHEDULE)
 
     result = benchmark.pedantic(build, rounds=1, iterations=1)
 
@@ -62,7 +59,7 @@ def test_fig9(benchmark):
     # The paper's headline: every outage is shorter than 10 s.
     assert result.longest_gap_ms() < 10_000.0, result.recovery_gaps_ms
     # Throughput resumed after the last crash window.
-    last_crash_end = CRASHES[-1][0] + DOWNTIME_MS
+    last_crash_end = SCHEDULE.end_ms
     tail = [kops for start, kops in result.throughput_series
             if start > last_crash_end]
     assert tail and max(tail) > 0.05
@@ -87,8 +84,7 @@ def test_fig9_views_have_different_throughput(benchmark):
         # Crash the follower permanently at 20 s: the system settles into a
         # different view (CA, JP) whose primary-follower RTT is longer.
         schedule = FaultSchedule().crash(20_000.0, 1)
-        return run_fault_timeline(runner, config, workload, schedule,
-                                  window_ms=1_000.0)
+        return runner.run_point(config, workload, schedule)
 
     result = benchmark.pedantic(build, rounds=1, iterations=1)
     before = [kops for start, kops in result.throughput_series

@@ -30,6 +30,11 @@ hash-ordered set iteration, unregistered wire messages and simulator
 hygiene -- the same invariants the runtime enforces late, caught before
 a matrix run starts (see ``docs/static-analysis.md``).
 
+``faults`` is Figure 9 in small: ``ExperimentRunner.run_point`` under a
+rolling-crash schedule.  A number no run can use (``--jobs -1``, zero
+clients or seconds, a ``--t`` other than 1 or 2) is a usage error: one
+argparse line and exit 2.
+
 ``scenarios`` and ``sweep`` accept ``--jobs N`` to farm their
 deterministic, independent cells/points to worker processes; merged
 output is byte-identical to a sequential run (``0`` = one worker per
@@ -47,9 +52,19 @@ from repro.crypto.costs import CostModel
 from repro.faults.injector import FaultSchedule
 from repro.harness.configs import paper_config
 from repro.harness.runner import ExperimentRunner
-from repro.harness.timeline import run_fault_timeline
 from repro.net.bandwidth import BandwidthModel
 from repro.net.latency import LatencyModel
+
+
+def _at_least(low, kind=int):
+    """An argparse ``type=``: a ``kind`` number no smaller than ``low``."""
+    def parse(text: str):
+        value = kind(text)
+        if not value >= low:  # also refuses nan
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {text}")
+        return value
+    parse.__name__ = kind.__name__
+    return parse
 
 
 def _runner(seed: int, uplink: float) -> ExperimentRunner:
@@ -189,12 +204,12 @@ def cmd_faults(args: argparse.Namespace) -> int:
     workload = WorkloadConfig(num_clients=args.clients, request_size=1024,
                               duration_ms=duration_ms, warmup_ms=2_000.0,
                               client_site="CA")
-    schedule = FaultSchedule()
-    downtime = duration_ms * 0.04
-    for fraction, victim in ((0.35, 1), (0.6, 0), (0.85, 2)):
-        schedule.crash_for(duration_ms * fraction, victim, downtime)
-    result = run_fault_timeline(runner, config, workload, schedule,
-                                window_ms=1_000.0)
+    # VA, CA, JP in turn, as in Figure 9 (180 / 300 / 420 s of 500 s):
+    # at 35 / 60 / 85 % of the run, each down for 4 % of it.
+    schedule = FaultSchedule.rolling_crashes(
+        (1, 0, 2), duration_ms * 0.35, duration_ms * 0.25,
+        duration_ms * 0.04)
+    result = runner.run_point(config, workload, schedule)
     print("XPaxos under rolling crashes (VA, CA, JP)")
     for start, kops in result.throughput_series[::max(1,
             int(duration_ms / 25_000))]:
@@ -291,13 +306,13 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser("sweep", help="latency-vs-throughput sweep")
     sweep.add_argument("--protocol", default="xpaxos",
                        choices=["all"] + [p.value for p in ProtocolName])
-    sweep.add_argument("--t", type=int, default=1)
-    sweep.add_argument("--clients", type=int, nargs="+",
+    sweep.add_argument("--t", type=int, default=1, choices=(1, 2))
+    sweep.add_argument("--clients", type=_at_least(1), nargs="+",
                        default=[8, 32, 96])
     sweep.add_argument("--request-size", type=int, default=1024)
-    sweep.add_argument("--duration", type=float, default=4.0,
-                       help="virtual seconds per point")
-    sweep.add_argument("--jobs", type=int, default=1,
+    sweep.add_argument("--duration", type=_at_least(0.001, float),
+                       default=4.0, help="virtual seconds per point")
+    sweep.add_argument("--jobs", type=_at_least(0), default=1,
                        help="worker processes for the sweep points "
                             "(0 = one per core); results are identical "
                             "to a sequential sweep")
@@ -311,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "(see `repro scenarios --list`)")
     profile.add_argument("--protocol", default="xpaxos",
                          choices=[p.value for p in ProtocolName])
-    profile.add_argument("--t", type=int, default=1)
+    profile.add_argument("--t", type=int, default=1, choices=(1, 2))
     profile.add_argument("--sort", default="cumulative",
                          help="pstats sort key (cumulative, tottime, ...)")
     profile.add_argument("--limit", type=int, default=25,
@@ -348,16 +363,16 @@ def build_parser() -> argparse.ArgumentParser:
     lint.set_defaults(func=cmd_lint)
 
     faults = sub.add_parser("faults", help="Figure 9-style crash timeline")
-    faults.add_argument("--clients", type=int, default=32)
-    faults.add_argument("--duration", type=float, default=125.0,
-                        help="virtual seconds")
+    faults.add_argument("--clients", type=_at_least(1), default=32)
+    faults.add_argument("--duration", type=_at_least(0.001, float),
+                        default=125.0, help="virtual seconds")
     faults.set_defaults(func=cmd_faults)
 
     scenarios = sub.add_parser(
         "scenarios", help="scenario conformance matrix")
     scenarios.add_argument("--protocol", default="all",
                            choices=["all"] + [p.value for p in ProtocolName])
-    scenarios.add_argument("--t", type=int, default=1)
+    scenarios.add_argument("--t", type=int, default=1, choices=(1, 2))
     scenarios.add_argument("--scenario", action="append", default=[],
                            metavar="NAME",
                            help="run only these scenarios (repeatable)")
@@ -365,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="list known scenarios and exit")
     scenarios.add_argument("--json", default=None, metavar="PATH",
                            help="also write the cell records as JSON")
-    scenarios.add_argument("--jobs", type=int, default=1,
+    scenarios.add_argument("--jobs", type=_at_least(0), default=1,
                            help="worker processes for matrix cells "
                                 "(0 = one per core); the merged matrix "
                                 "is byte-identical to --jobs 1")

@@ -127,6 +127,8 @@ class FaultSchedule:
 
         ``downtime_ms`` must not exceed ``interval_ms`` if at most one
         replica should be down at any instant (the Figure 9 cadence).
+        The paper's Figure 9 is ``rolling_crashes((1, 0, 2), 180_000.0,
+        120_000.0, 20_000.0)`` in Table 4's t = 1 layout: VA, CA, JP.
         """
         schedule = cls()
         for index, replica in enumerate(replicas):
@@ -146,20 +148,6 @@ class FaultSchedule:
         for flap in range(flaps):
             at = start_ms + flap * period_ms
             schedule.partition_for(at, a, b, duty * period_ms)
-        return schedule
-
-    @classmethod
-    def figure9(cls, base_ms: float = 0.0,
-                downtime_ms: float = 20_000.0) -> "FaultSchedule":
-        """The paper's Figure 9 timeline (times in virtual ms).
-
-        Replica ids follow Table 4's t=1 layout: 0 = CA (primary),
-        1 = VA (follower), 2 = JP (passive).
-        """
-        schedule = cls()
-        schedule.crash_for(base_ms + 180_000.0, 1, downtime_ms)  # VA
-        schedule.crash_for(base_ms + 300_000.0, 0, downtime_ms)  # CA
-        schedule.crash_for(base_ms + 420_000.0, 2, downtime_ms)  # JP
         return schedule
 
 

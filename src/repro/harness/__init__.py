@@ -1,20 +1,13 @@
 """Experiment harness regenerating the paper's tables and figures."""
 
-from repro.harness.runner import (
-    ExperimentResult,
-    ExperimentRunner,
-    SweepPoint,
-)
+from repro.harness.runner import ExperimentResult, ExperimentRunner
 from repro.harness.configs import replica_placement_table
 from repro.harness.matrix import CellResult, MatrixResult, MatrixRunner
-from repro.harness.timeline import run_fault_timeline
 
 __all__ = [
     "ExperimentRunner",
     "ExperimentResult",
-    "SweepPoint",
     "replica_placement_table",
-    "run_fault_timeline",
     "MatrixRunner",
     "MatrixResult",
     "CellResult",

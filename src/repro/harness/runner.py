@@ -1,23 +1,27 @@
-"""Experiment runner: one run = (protocol, deployment, workload) -> metrics.
+"""Experiment runner: one run = (protocol, deployment, workload, faults)
+-> metrics.
 
-``ExperimentRunner.run_point`` executes a single closed-loop benchmark and
-returns an :class:`ExperimentResult`; ``sweep_clients`` regenerates a
-latency-vs-throughput curve by increasing the number of closed-loop clients,
-exactly how the paper's Figures 7 and 10 are produced.
+``ExperimentRunner.run_point`` executes one closed- or open-loop benchmark,
+optionally under a :class:`~repro.faults.injector.FaultSchedule` (Figure
+9), and returns an :class:`ExperimentResult`.  ``run_points`` runs one
+point per workload -- one per client count or offered rate is a Figure 7
+or 10 curve.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, List, Optional, Sequence
+import math
+from dataclasses import dataclass, field
+from itertools import groupby
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.common.config import ClusterConfig, ProtocolName, WorkloadConfig
+from repro.common.config import ClusterConfig, WorkloadConfig
 from repro.crypto.costs import CostModel
+from repro.faults.injector import FaultInjector, FaultSchedule
 from repro.harness.parallel import guard_global_rng, parallel_map
 from repro.net.bandwidth import BandwidthModel
 from repro.net.latency import LatencyModel
 from repro.protocols.registry import build_cluster
-from repro.sim.core import Simulator
 from repro.smr.app import StateMachine
 from repro.smr.runtime import ClusterRuntime
 from repro.workloads.clients import make_driver
@@ -44,6 +48,17 @@ class ExperimentResult:
     #: after a retransmit).  Nonzero values mean the latency summary
     #: undercounts; they should stay rare.
     dropped_samples: int = 0
+    #: ``(window start ms, kops/s)`` per 1 s window with commits, the
+    #: outages between them, and replica -> view changes / final view.
+    throughput_series: List[Tuple[float, float]] = field(
+        default_factory=list)
+    recovery_gaps_ms: List[float] = field(default_factory=list)
+    view_changes: Dict[int, int] = field(default_factory=dict)
+    final_views: Dict[int, int] = field(default_factory=dict)
+
+    def longest_gap_ms(self) -> float:
+        """Longest interval of zero committed throughput."""
+        return max(self.recovery_gaps_ms, default=0.0)
 
     def __str__(self) -> str:
         lat = (f"{self.mean_latency_ms:.1f}"
@@ -53,16 +68,8 @@ class ExperimentResult:
                 f"lat={lat:>8} ms cpu={self.cpu_percent_most_loaded:6.1f}%")
 
 
-@dataclass
-class SweepPoint:
-    """One point of a latency-vs-throughput curve."""
-
-    num_clients: int
-    result: ExperimentResult
-
-
 class ExperimentRunner:
-    """Builds clusters and runs closed-loop benchmarks on them."""
+    """Builds clusters and runs benchmarks on them."""
 
     def __init__(
         self,
@@ -94,11 +101,15 @@ class ExperimentRunner:
             seed=self.seed + workload.seed,
         )
 
-    def run_point(self, config: ClusterConfig,
-                  workload: WorkloadConfig) -> ExperimentResult:
-        """Run one benchmark (closed or open loop) and collect metrics."""
+    def run_point(self, config: ClusterConfig, workload: WorkloadConfig,
+                  schedule: Optional[FaultSchedule] = None
+                  ) -> ExperimentResult:
+        """Run one benchmark (closed or open loop, under ``schedule``'s
+        faults if given) and collect metrics."""
         runtime = self.build(config, workload)
         driver = make_driver(runtime, workload)
+        if schedule is not None:
+            FaultInjector(runtime).arm(schedule)
         # Snapshot each replica's CPU busy time when warmup ends, so CPU is
         # reported over the same measured window as throughput and latency
         # (keeps the Figure 8 comparison apples-to-apples).
@@ -118,6 +129,7 @@ class ExperimentRunner:
         }
         most_loaded = max(cpu_by_replica.values()) if cpu_by_replica else 0.0
         timeouts = sum(getattr(c, "timeouts", 0) for c in runtime.clients)
+        series = driver.throughput.timeline()
         return ExperimentResult(
             protocol=config.protocol.value,
             num_clients=workload.num_clients,
@@ -132,6 +144,13 @@ class ExperimentRunner:
                                if workload.open_loop else None),
             saturated=getattr(driver, "saturated", False),
             dropped_samples=getattr(driver, "dropped_samples", 0),
+            throughput_series=series,
+            recovery_gaps_ms=_zero_gaps(
+                series, driver.throughput.window_ms, workload),
+            view_changes={r.replica_id: getattr(
+                r, "view_changes_completed", 0) for r in runtime.replicas},
+            final_views={r.replica_id: getattr(r, "view", 0)
+                         for r in runtime.replicas},
         )
 
     def run_points(
@@ -162,64 +181,18 @@ class ExperimentRunner:
             results.append(outcome.value)
         return results
 
-    def sweep_clients(
-        self,
-        config: ClusterConfig,
-        client_counts: Sequence[int],
-        base_workload: WorkloadConfig,
-        jobs: int = 1,
-    ) -> List[SweepPoint]:
-        """Latency-vs-throughput curve: one run per client count."""
-        # dataclasses.replace keeps every other workload field intact,
-        # so fields added to WorkloadConfig later are never silently
-        # dropped from sweeps.
-        workloads = [replace(base_workload, num_clients=count,
-                             seed=base_workload.seed + count)
-                     for count in client_counts]
-        results = self.run_points(config, workloads, jobs=jobs)
-        return [SweepPoint(count, result)
-                for count, result in zip(client_counts, results)]
 
-    def sweep_offered_load(
-        self,
-        config: ClusterConfig,
-        offered_rps: Sequence[float],
-        base_workload: WorkloadConfig,
-        jobs: int = 1,
-    ) -> List[SweepPoint]:
-        """Open-loop throughput curve: one run per offered arrival rate.
-
-        The client count stays fixed (it sizes the channel pool); the
-        x-axis is the offered load, which -- unlike closed-loop client
-        counts -- can be pushed orders of magnitude past the protocol's
-        capacity to expose the throughput plateau.
-        """
-        # Unlike sweep_clients, the seed stays fixed: every rate point
-        # sees the same network draw, so curve differences are pure
-        # offered-load effects (arrival draws still differ by rate).
-        workloads = [replace(base_workload, offered_load_rps=rate)
-                     for rate in offered_rps]
-        results = self.run_points(config, workloads, jobs=jobs)
-        return [SweepPoint(workload.num_clients, result)
-                for workload, result in zip(workloads, results)]
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def peak_throughput(points: List[SweepPoint]) -> float:
-        """Highest mean throughput across a sweep (the 'peak' the paper
-        quotes when comparing protocols)."""
-        return max((p.result.throughput_kops for p in points), default=0.0)
-
-    @staticmethod
-    def format_curve(points: List[SweepPoint]) -> str:
-        """Plain-text rendering of a latency-vs-throughput curve."""
-        lines = [f"{'clients':>8} {'kops/s':>9} {'lat ms':>9}"]
-        for p in points:
-            lat = (f"{p.result.mean_latency_ms:9.1f}"
-                   if p.result.mean_latency_ms is not None else "      n/a")
-            lines.append(
-                f"{p.num_clients:>8} {p.result.throughput_kops:9.3f} {lat}")
-        return "\n".join(lines)
+def _zero_gaps(series: List[Tuple[float, float]], window_ms: float,
+               workload: WorkloadConfig) -> List[float]:
+    """Lengths of the runs of windows without a commit, from the window
+    holding ``warmup_ms`` to the last before ``duration_ms`` -- so an
+    outage still open at the end of the run counts, up to the end."""
+    occupied = {int(start // window_ms) for start, _ in series}
+    windows = range(int(workload.warmup_ms // window_ms),
+                    math.ceil(workload.duration_ms / window_ms))
+    return [len(list(run)) * window_ms
+            for busy, run in groupby(windows, occupied.__contains__)
+            if not busy]
 
 
 @guard_global_rng

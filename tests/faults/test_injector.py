@@ -12,8 +12,10 @@ class TestFaultSchedule:
         kinds = [(e.kind, e.at_ms) for e in schedule.events]
         assert kinds == [("crash", 100.0), ("recover", 150.0)]
 
-    def test_figure9_timeline(self):
-        schedule = FaultSchedule.figure9()
+    def test_rolling_crashes_writes_figure9(self):
+        # The paper's Figure 9, as the rolling_crashes docstring gives it.
+        schedule = FaultSchedule.rolling_crashes(
+            (1, 0, 2), 180_000.0, 120_000.0, 20_000.0)
         crashes = [(e.at_ms, e.replica) for e in schedule.events
                    if e.kind == "crash"]
         assert crashes == [(180_000.0, 1), (300_000.0, 0), (420_000.0, 2)]

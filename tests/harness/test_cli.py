@@ -23,6 +23,26 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["sweep", "--protocol", "raft"])
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--jobs", "-1"],
+        ["sweep", "--clients", "0"],
+        ["sweep", "--duration", "0"],
+        ["sweep", "--t", "3"],
+        ["faults", "--clients", "0"],
+        ["faults", "--duration", "0"],
+        ["profile", "fault-free", "--t", "3"],
+        ["scenarios", "--scenario", "fault-free", "--t", "0"],
+        ["scenarios", "--scenario", "fault-free", "--jobs", "-1"],
+    ], ids=" ".join)
+    def test_bad_number_is_a_usage_error(self, argv, capsys):
+        # One argparse line and exit 2, not a traceback from deep inside
+        # the run (or, for scenarios, a grid of ERR cells).
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: argument {argv[-2]}" in err
+
     def test_scenarios_defaults(self):
         args = build_parser().parse_args(["scenarios"])
         assert args.protocol == "all"

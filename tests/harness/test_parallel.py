@@ -198,18 +198,18 @@ class TestSweepJobs:
                              batch_timeout_ms=2.0)
 
     def test_parallel_sweep_matches_sequential(self):
-        base = WorkloadConfig(num_clients=1, request_size=64,
-                              duration_ms=600.0, warmup_ms=100.0)
-        seq = self._runner().sweep_clients(self._config(), [1, 2, 3],
-                                           base, jobs=1)
-        par = self._runner().sweep_clients(self._config(), [1, 2, 3],
-                                           base, jobs=3)
-        assert [p.result for p in seq] == [p.result for p in par]
-        assert [p.num_clients for p in par] == [1, 2, 3]
+        workloads = [WorkloadConfig(num_clients=count, request_size=64,
+                                    duration_ms=600.0, warmup_ms=100.0,
+                                    seed=count)
+                     for count in (1, 2, 3)]
+        seq = self._runner().run_points(self._config(), workloads, jobs=1)
+        par = self._runner().run_points(self._config(), workloads, jobs=3)
+        assert seq == par
+        assert [r.num_clients for r in par] == [1, 2, 3]
 
     def test_failed_point_names_itself(self):
-        base = WorkloadConfig(num_clients=1, request_size=64,
-                              duration_ms=600.0, warmup_ms=100.0,
-                              client_site="NOT-A-SITE")
+        workload = WorkloadConfig(num_clients=1, request_size=64,
+                                  duration_ms=600.0, warmup_ms=100.0,
+                                  client_site="NOT-A-SITE")
         with pytest.raises(RuntimeError, match="sweep point"):
-            self._runner().sweep_clients(self._config(), [1], base, jobs=2)
+            self._runner().run_points(self._config(), [workload], jobs=2)

@@ -1,10 +1,9 @@
 """Tests for the experiment runner."""
 
-import pytest
-
 from repro.common.config import ClusterConfig, ProtocolName, WorkloadConfig
 from repro.crypto.costs import CostModel
-from repro.harness.runner import ExperimentRunner
+from repro.faults.injector import FaultSchedule
+from repro.harness.runner import ExperimentRunner, _zero_gaps
 from repro.net.latency import LatencyModel
 
 
@@ -58,49 +57,85 @@ class TestRunPoint:
         assert a.mean_latency_ms == b.mean_latency_ms
 
 
-class TestSweep:
+class TestRunPoints:
     def test_throughput_increases_with_clients(self):
         runner = lan_runner()
-        workload = WorkloadConfig(num_clients=1, request_size=128,
-                                  duration_ms=1_000.0, warmup_ms=100.0)
-        points = runner.sweep_clients(fast_config(), [1, 8, 32], workload)
-        throughputs = [p.result.throughput_kops for p in points]
-        assert throughputs[2] > throughputs[0]
+        workloads = [WorkloadConfig(num_clients=count, request_size=128,
+                                    duration_ms=1_000.0, warmup_ms=100.0)
+                     for count in (1, 8, 32)]
+        results = runner.run_points(fast_config(), workloads)
+        assert [r.num_clients for r in results] == [1, 8, 32]
+        assert results[2].throughput_kops > results[0].throughput_kops
 
-    def test_sweep_preserves_all_workload_fields(self):
-        # Regression: sweep_clients used to hand-copy fields, silently
-        # dropping any WorkloadConfig field added later.  With
-        # dataclasses.replace only num_clients and seed may differ.
-        import dataclasses
 
-        runner = lan_runner()
-        base = WorkloadConfig(num_clients=1, request_size=256, cohorts=3,
-                              duration_ms=400.0, warmup_ms=50.0,
-                              client_site="CA", seed=9)
-        seen = []
-        original = runner.run_point
+def fault_runner():
+    return ExperimentRunner(
+        latency_factory=lambda seed: LatencyModel.uniform(
+            ["CA", "VA", "JP"], one_way_ms=1.0, seed=seed),
+        cost_model=CostModel.free())
 
-        def spy(config, workload):
-            seen.append(workload)
-            return original(config, workload)
 
-        runner.run_point = spy
-        runner.sweep_clients(fast_config(), [1, 2], base)
-        assert [w.num_clients for w in seen] == [1, 2]
-        for workload in seen:
-            for f in dataclasses.fields(WorkloadConfig):
-                if f.name == "num_clients":
-                    continue
-                expected = (base.seed + workload.num_clients
-                            if f.name == "seed" else getattr(base, f.name))
-                assert getattr(workload, f.name) == expected, f.name
+def fault_config():
+    return ClusterConfig(t=1, protocol=ProtocolName.XPAXOS, delta_ms=50.0,
+                         request_retransmit_ms=300.0,
+                         view_change_timeout_ms=600.0, batch_timeout_ms=2.0)
 
-    def test_peak_and_format(self):
-        runner = lan_runner()
-        workload = WorkloadConfig(num_clients=1, request_size=128,
-                                  duration_ms=500.0, warmup_ms=50.0)
-        points = runner.sweep_clients(fast_config(), [1, 4], workload)
-        assert ExperimentRunner.peak_throughput(points) == max(
-            p.result.throughput_kops for p in points)
-        text = ExperimentRunner.format_curve(points)
-        assert "clients" in text and len(text.splitlines()) == 3
+
+class TestRunPointUnderFaults:
+    def test_crash_produces_gap_then_recovery(self):
+        workload = WorkloadConfig(num_clients=4, request_size=128,
+                                  duration_ms=8_000.0, warmup_ms=100.0)
+        schedule = FaultSchedule().crash_for(2_000.0, 1, 1_000.0)
+        result = fault_runner().run_point(fault_config(), workload,
+                                          schedule=schedule)
+        assert result.committed > 500
+        # Views rotated at least once per affected replica.
+        assert max(result.final_views.values()) >= 1
+        # Throughput resumed: windows exist near the end of the run.
+        last_window = max(start for start, _ in result.throughput_series)
+        assert last_window >= 7_000.0
+
+    def test_fault_free_run_has_no_gaps(self):
+        workload = WorkloadConfig(num_clients=4, request_size=128,
+                                  duration_ms=3_000.0, warmup_ms=100.0)
+        result = fault_runner().run_point(fault_config(), workload,
+                                          schedule=FaultSchedule())
+        assert result.longest_gap_ms() == 0.0
+        assert all(v == 0 for v in result.final_views.values())
+
+    def test_outage_that_never_ends_is_reported(self):
+        # Two of three replicas down for good: t = 1 cannot commit again,
+        # so the run ends inside an outage that began at the crash.
+        workload = WorkloadConfig(num_clients=4, request_size=128,
+                                  duration_ms=5_000.0, warmup_ms=100.0)
+        schedule = FaultSchedule().crash(1_500.0, 1).crash(1_500.0, 2)
+        result = fault_runner().run_point(fault_config(), workload,
+                                          schedule=schedule)
+        assert result.committed > 0
+        assert result.recovery_gaps_ms == [3_000.0]
+
+
+def _workload(duration_ms, warmup_ms=0.0):
+    return WorkloadConfig(num_clients=1, duration_ms=duration_ms,
+                          warmup_ms=warmup_ms)
+
+
+class TestZeroGaps:
+    def test_interior_gap_measured(self):
+        series = [(0.0, 1.0), (200.0, 1.0), (800.0, 1.0)]
+        # Windows 400 and 600 are empty.
+        assert _zero_gaps(series, 200.0, _workload(1_000.0)) == [400.0]
+
+    def test_no_gaps(self):
+        series = [(0.0, 1.0), (200.0, 1.0)]
+        assert _zero_gaps(series, 200.0, _workload(400.0)) == []
+
+    def test_empty_series_is_one_outage(self):
+        assert _zero_gaps([], 200.0, _workload(400.0)) == [400.0]
+
+    def test_bounded_by_the_measured_period(self):
+        # Windows 0-1 are warmup; the tail from 800 to 1200 is an outage
+        # that never ended.
+        series = [(400.0, 1.0), (600.0, 1.0)]
+        assert _zero_gaps(series, 200.0,
+                          _workload(1_200.0, warmup_ms=400.0)) == [400.0]
