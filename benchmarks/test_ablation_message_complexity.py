@@ -2,18 +2,18 @@
 
 Section 4.1 claims XPaxos's common case has "roughly speaking, the message
 pattern and complexity of communication among replicas of state-of-the-art
-CFT protocols".  We count actual messages per committed operation with the
-tracer and compare: XPaxos must sit with Paxos/Zab, well below PBFT's
-all-to-all and Zyzzyva's all-replica fan-out.
+CFT protocols".  We count the ordering messages each protocol sends per
+committed batch, through the network's ``send_filter`` hook (a filter that
+counts and never drops), and compare: XPaxos must sit with Paxos/Zab, well
+below PBFT's all-to-all and Zyzzyva's all-replica fan-out.
 """
 
 from repro.common.config import ProtocolName, WorkloadConfig
 from repro.harness.configs import paper_config
-from repro.harness.tracing import MessageTracer
 
 from conftest import wan_runner
 
-#: Message kinds that constitute each protocol's replica-to-replica
+#: Message classes that constitute each protocol's replica-to-replica
 #: ordering traffic (replies/requests excluded: identical everywhere).
 ORDERING_KINDS = {
     "xpaxos": {"Prepare", "CommitVote", "FastPrepare", "FastCommit"},
@@ -31,13 +31,20 @@ def run_traced(protocol: ProtocolName):
                               duration_ms=3_000.0, warmup_ms=0.0,
                               client_site="CA")
     runtime = runner.build(config, workload)
-    tracer = MessageTracer.attach(runtime.network)
+    kinds = ORDERING_KINDS[protocol.value]
+    sent = [0]
+
+    def count_ordering(src, dst, payload):
+        if type(payload).__name__ in kinds:
+            sent[0] += 1
+        return True  # count, never drop
+
+    runtime.network.send_filter = count_ordering
     from repro.workloads.clients import ClosedLoopDriver
 
     driver = ClosedLoopDriver(runtime, workload)
     driver.run()
-    kinds = ORDERING_KINDS[protocol.value]
-    ordering = sum(1 for e in tracer.events if e.kind in kinds)
+    ordering = sent[0]
     batches = max(1, max(r.commit_log.end for r in runtime.replicas))
     return {
         "ops": driver.throughput.total,

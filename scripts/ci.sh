@@ -18,7 +18,10 @@
 # tier1      the full unit + figure-regeneration suite (the repo's
 #            correctness gate; see ROADMAP.md), with pytest's 25 slowest
 #            tests printed at the end so the stage log says where the
-#            seconds in ci_stage_times.json went.
+#            seconds in ci_stage_times.json went, and a budget written to
+#            ci_tier1_durations.json from pytest's JUnit XML: seconds per
+#            test directory plus the session's time outside any test,
+#            rows summing to the session's total.
 # scenarios  a conformance-matrix slice through the CLI path (run with
 #            --jobs $(nproc); the merged JSON is byte-identical to a
 #            sequential run), diffed against the committed
@@ -90,7 +93,39 @@ stage_lint() {
 
 stage_tier1() {
     echo "== tier1: unit + figure-regeneration tests =="
-    python -m pytest -x -q --durations=25
+    local status=0
+    python -m pytest -x -q --durations=25 \
+        --junitxml=ci_tier1_junit.xml || status=$?
+    # Written for a failing run too: the tests that ran before the first
+    # failure are where its seconds went.
+    python - <<'EOF' || true
+import json
+import xml.etree.ElementTree as ET
+
+suite = ET.parse("ci_tier1_junit.xml").getroot().find("testsuite")
+rows = {}
+for case in suite.iter("testcase"):
+    # The dotted module path, then any test class:
+    # tests.scenarios.test_matrix.TestConformanceMatrix -> tests/scenarios
+    parts = case.get("classname", "").split(".")
+    module = next((i for i, p in enumerate(parts) if p.startswith("test_")),
+                  len(parts))
+    directory = "/".join(parts[:module]) or "."
+    rows[directory] = rows.get(directory, 0.0) + float(case.get("time"))
+# Collection and the session's own setup and teardown: what makes the
+# rows add up to the session.
+rows["(outside tests)"] = float(suite.get("time")) - sum(rows.values())
+dirs = {d: round(s, 3) for d, s in sorted(rows.items())}
+budget = {"dirs_s": dirs, "sum_s": round(sum(dirs.values()), 3)}
+with open("ci_tier1_durations.json", "w") as fh:
+    json.dump(budget, fh, indent=1)
+    fh.write("\n")
+print("== tier1 budget ==")
+for directory, seconds in sorted(dirs.items(), key=lambda row: -row[1]):
+    print(f"{seconds:9.1f}s  {directory}")
+print(f"{budget['sum_s']:9.1f}s  sum")
+EOF
+    return "$status"
 }
 
 # Subshell body: the host lock (fd 9) releases when the stage exits.

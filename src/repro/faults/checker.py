@@ -8,6 +8,10 @@ The checker implements the paper's correctness criteria directly:
   number *unless the system was in anarchy at some point* (Definition 3:
   an XFT protocol satisfies safety in all executions never in anarchy).
 * **Validity**: every executed request was invoked by a client.
+* **Exactly once**: no benign replica executes one request in two slots
+  (PBFT's rule that a client timestamp is executed at most once; Castro &
+  Liskov, OSDI '99).  Total order can hold while this breaks -- every
+  replica repeats the request at the same later slot.
 * **Anarchy tracking** (Definition 2): at any observation instant,
   ``anarchy <=> tnc > 0 and tnc + tc + tp > t``, with ``tp`` computed per
   Definition 1 from the network state.
@@ -15,7 +19,7 @@ The checker implements the paper's correctness criteria directly:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
 from repro.net.partition import partitioned_replicas
@@ -69,6 +73,23 @@ def check_total_order(traces: Dict[int, Sequence[tuple]]) -> List[SafetyViolatio
                         seqno=seqno, replica_a=ra, replica_b=rb,
                         rid_a=slots_a[seqno], rid_b=slots_b[seqno]))
     return violations
+
+
+def check_exactly_once(traces: Dict[int, Sequence[tuple]]
+                       ) -> List[Tuple[int, tuple, int, int]]:
+    """``(replica, rid, first slot, repeat slot)`` for every request a
+    replica in ``traces`` (as for :func:`check_total_order`) executed
+    again, by replica and then in execution order."""
+    repeats: List[Tuple[int, tuple, int, int]] = []
+    for replica in sorted(traces):
+        first: Dict[tuple, int] = {}
+        for seqno, rids in traces[replica]:
+            for rid in rids:
+                if rid in first:
+                    repeats.append((replica, rid, first[rid], seqno))
+                else:
+                    first[rid] = seqno
+    return repeats
 
 
 class SafetyChecker:

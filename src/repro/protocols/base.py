@@ -37,7 +37,14 @@ Every baseline survives leader faults through the same three-part layer
 
 The protocol-specific pieces are the VIEW-CHANGE payload (what state a
 replica reports) and the install step (how the new leader merges reported
-state and resumes ordering); see the pbft/zyzzyva/zab modules.
+state and resumes ordering); see the pbft/zyzzyva/zab modules.  The rest
+is shared, one way each: one :class:`NewView` announces an installed view
+(:meth:`announce_view`; Zab's NEW-EPOCH carries no entries) and is
+adopted through :meth:`adopt_new_view`, and a slot carried over from an
+earlier view goes out through :meth:`repropose`, which claims its
+requests from the sequencer so the clients' re-sends are not ordered
+twice.  Messages arrive through the one handler table of
+:class:`~repro.smr.runtime.ReplicaBase`.
 """
 
 from __future__ import annotations
@@ -89,6 +96,18 @@ class GenericReply:
 
 @register_modeled
 @dataclass(frozen=True)
+class NewView:
+    """New leader -> all: ``view`` is installed with the merged history
+    ``entries`` (``(seqno, batch)`` pairs; none from Zab)."""
+
+    view: int
+    sender: int
+    executed_upto: int
+    entries: Tuple[Tuple[int, Batch], ...]
+
+
+@register_modeled
+@dataclass(frozen=True)
 class SyncRequest:
     """Recovering/lagging replica -> peers: send me what I missed."""
 
@@ -112,9 +131,10 @@ class SyncReply:
 class BaselineReplica(ReplicaBase):
     """Skeleton replica: batching at the leader + ordered execution.
 
-    Subclasses implement :meth:`propose_batch` (leader side) and their own
-    message handlers, calling :meth:`commit_batch` when a slot becomes
-    stable and :meth:`execute_ready` afterwards.
+    Subclasses implement :meth:`propose_batch` (leader side) and register
+    their own message handlers in ``_handlers``, calling
+    :meth:`commit_batch` when a slot becomes stable and
+    :meth:`execute_ready` afterwards.
     """
 
     def __init__(self, replica_id: int, config: ClusterConfig,
@@ -123,6 +143,11 @@ class BaselineReplica(ReplicaBase):
                  cost_model: Optional[CostModel] = None) -> None:
         super().__init__(replica_id, config, sim, network, keystore,
                          app_factory, site, cost_model)
+        self._handlers.update({
+            ClientRequestMsg: self._on_client_request,
+            SyncRequest: self._on_sync_request,
+            SyncReply: self._on_sync_reply,
+        })
         # Leader-change state (see the module docstring).
         self._election_timer = Timer(self, self._on_election_timeout,
                                      "election")
@@ -146,34 +171,19 @@ class BaselineReplica(ReplicaBase):
         """Is this replica the leader of the current view?"""
         return self.replica_id == self.leader_id
 
-    # -- message dispatch -------------------------------------------------
-    def on_message(self, src: str, payload: Any) -> None:
-        if isinstance(payload, ClientRequestMsg):
-            self.handle_client_request(payload.request)
-        elif isinstance(payload, SyncRequest):
-            self._on_sync_request(payload)
-        elif isinstance(payload, SyncReply):
-            self._on_sync_reply(payload)
-        else:
-            self.on_protocol_message(src, payload)
-
-    def on_protocol_message(self, src: str, payload: Any) -> None:
-        """Handle one protocol-specific message. Subclasses implement."""
-        raise NotImplementedError
-
     # -- batching at the leader ------------------------------------------
-    def handle_client_request(self, request: Request) -> None:
+    def _on_client_request(self, src: str, m: ClientRequestMsg) -> None:
         """Entry point for client requests: answered from the reply cache
         if already executed; otherwise the leader batches it, and a
         non-leader forwards it to the leader and arms the election timer
         (the leader may be down)."""
+        request = m.request
         if self.answer_from_cache(request):
             return
         if self.is_leader:
             self.sequencer.offer(request)
             return
-        self.send_authenticated(f"r{self.leader_id}",
-                                ClientRequestMsg(request),
+        self.send_authenticated(f"r{self.leader_id}", m,
                                 size_bytes=request.size_bytes)
         if not self._election_timer.armed:
             self._election_timer.start(self.config.request_retransmit_ms)
@@ -185,6 +195,19 @@ class BaselineReplica(ReplicaBase):
     def propose_batch(self, seqno: int, batch: Batch) -> None:
         """Protocol-specific ordering exchange. Subclasses implement."""
         raise NotImplementedError
+
+    def repropose(self, seqno: int, batch: Batch) -> None:
+        """Order a batch carried over from an earlier view, first claiming
+        its requests from the sequencer (seen, and out of the queue): a
+        re-send queued while we campaigned must not be ordered again."""
+        sequencer = self.sequencer
+        rids = batch.rids()
+        sequencer.seen.update(rids)
+        if sequencer.pending:
+            claimed = set(rids)
+            sequencer.pending = [request for request in sequencer.pending
+                                 if request.rid not in claimed]
+        self.propose_batch(seqno, batch)
 
     # -- commit and execution ---------------------------------------------
     def commit_batch(self, seqno: int, batch: Batch) -> None:
@@ -262,6 +285,21 @@ class BaselineReplica(ReplicaBase):
         and protocol in-flight state already cleared."""
         raise NotImplementedError
 
+    def announce_view(self, merged: Dict[int, Batch],
+                      header_bytes: int) -> NewView:
+        """Adopt and execute the ``merged`` history, then announce it."""
+        for sn in sorted(merged):
+            if sn > self.ex and sn not in self.commit_log:
+                self.commit_log.put(
+                    sn, CommitEntry(sn, self.view, merged[sn], ()))
+        self.execute_ready()
+        announcement = NewView(self.view, self.replica_id, self.ex,
+                               tuple(sorted(merged.items())))
+        size = sum(b.size_bytes for b in merged.values()) + header_bytes
+        self.multicast_authenticated(self.other_replica_names(),
+                                     announcement, size_bytes=size)
+        return announcement
+
     def on_enter_view(self, view: int) -> None:
         """Hook: drop per-view in-flight ordering state. Default no-op."""
 
@@ -299,15 +337,16 @@ class BaselineReplica(ReplicaBase):
         # to the next view on expiry.
         self._election_timer.start(self.config.view_change_timeout_ms)
 
-    def on_view_change_msg(self, sender: int, target: int,
-                           message: Any) -> None:
-        """Called by subclasses for each received VIEW-CHANGE message."""
+    def on_view_change_msg(self, src: str, m: Any) -> None:
+        """Handler of each protocol's VIEW-CHANGE class: ``m.view`` is the
+        target, ``m.sender`` whose state it carries."""
+        target = m.view
         if target <= self.view:
             return
         if self._target_view < target:
             # A fresher campaign is under way: join it with our state.
             self._campaign(target)
-        self._note_view_change(sender, target, message)
+        self._note_view_change(m.sender, target, m)
 
     def _note_view_change(self, sender: int, target: int,
                           message: Any) -> None:
@@ -340,14 +379,9 @@ class BaselineReplica(ReplicaBase):
             self._become_leader(target, dict(msgs))
 
     def _become_leader(self, target: int, msgs: Dict[int, Any]) -> None:
-        self.view = target
-        self._target_view = max(self._target_view, target)
-        self.view_changes_completed += 1
-        self._election_timer.stop()
-        self.sequencer.stop_timer()
-        self._vc_msgs = {v: m for v, m in self._vc_msgs.items()
-                         if v > target}
-        self.on_enter_view(target)
+        # ``target`` is fresher than our view and we lead it: entering it
+        # forwards nothing.
+        self.enter_view(target)
         self.install_view(target, msgs)
         # Slots the install step re-proposed are carried state; they must
         # not count against the new leader's pipeline window.
@@ -367,6 +401,25 @@ class BaselineReplica(ReplicaBase):
         if not self.is_leader:
             self.forward_queued()
         self.on_enter_view(view)
+
+    def adopt_new_view(self, src: str, m: NewView, mac_bytes: int) -> bool:
+        """Follower side of a :class:`NewView` from the leader of a view
+        not stale: charge the MAC, log the entries, enter the view.
+        Returns whether it was adopted; the caller executes and syncs."""
+        if m.view < self.view or src != f"r{self.new_leader_of(m.view)}":
+            return False
+        self.cpu.charge_mac(mac_bytes)
+        for sn, batch in m.entries:
+            if sn > self.ex and sn not in self.commit_log:
+                self.commit_log.put(sn, CommitEntry(sn, m.view, batch, ()))
+        self.enter_view(m.view)
+        return True
+
+    def follow_proposer(self, src: str, view: int) -> None:
+        """A fresher view's leader proposing means its view change
+        completed (the NEW-VIEW may still be in flight): enter it."""
+        if view > self.view and src == f"r{self.new_leader_of(view)}":
+            self.enter_view(view)
 
     def forward_queued(self) -> None:
         """Requests batched while we believed ourselves leader belong to
@@ -395,7 +448,7 @@ class BaselineReplica(ReplicaBase):
                                 SyncRequest(self.replica_id, self.ex),
                                 size_bytes=16)
 
-    def _on_sync_request(self, m: SyncRequest) -> None:
+    def _on_sync_request(self, src: str, m: SyncRequest) -> None:
         entries = tuple((sn, entry.batch)
                         for sn, entry in self.commit_log.items()
                         if sn > m.executed_upto)
@@ -416,7 +469,7 @@ class BaselineReplica(ReplicaBase):
                 self.send_authenticated(f"r{m.sender}", own,
                                         size_bytes=self.view_change_size(own))
 
-    def _on_sync_reply(self, m: SyncReply) -> None:
+    def _on_sync_reply(self, src: str, m: SyncReply) -> None:
         self.cpu.charge_mac(64)
         if m.view > self.view:
             self.enter_view(m.view)

@@ -126,6 +126,13 @@ class PaxosReplica(BaselineReplica):
         self._acceptors: List[int] = [
             r for r in range(self.config.n)
             if r != self.replica_id][: self.config.t]
+        self._handlers.update({
+            Accept: self._on_accept,
+            Accepted: self._on_accepted,
+            Learn: self._on_learn,
+            NewBallot: self._on_new_ballot,
+            Promise: self._on_promise,
+        })
 
     # -- roles ------------------------------------------------------------
     def common_case_acceptors(self) -> List[int]:
@@ -138,19 +145,6 @@ class PaxosReplica(BaselineReplica):
         assert self.config.n is not None
         active = {self.replica_id, *self._acceptors}
         return [r for r in range(self.config.n) if r not in active]
-
-    # -- message handling ---------------------------------------------------
-    def on_protocol_message(self, src: str, payload: Any) -> None:
-        if isinstance(payload, Accept):
-            self._on_accept(src, payload)
-        elif isinstance(payload, Accepted):
-            self._on_accepted(payload)
-        elif isinstance(payload, Learn):
-            self._on_learn(payload)
-        elif isinstance(payload, NewBallot):
-            self._on_new_ballot(payload)
-        elif isinstance(payload, Promise):
-            self._on_promise(payload)
 
     # -- phase 2 (common case) ---------------------------------------------
     def may_propose(self) -> bool:
@@ -190,7 +184,7 @@ class PaxosReplica(BaselineReplica):
             Accepted(m.view, m.seqno, m.batch_digest, self.replica_id),
             size_bytes=48)
 
-    def _on_accepted(self, m: Accepted) -> None:
+    def _on_accepted(self, src: str, m: Accepted) -> None:
         if m.view != self.view or not self.is_leader:
             return
         self.cpu.charge_mac(48)
@@ -209,7 +203,7 @@ class PaxosReplica(BaselineReplica):
             self.multicast_authenticated(passives, learn,
                                          size_bytes=batch.size_bytes)
 
-    def _on_learn(self, m: Learn) -> None:
+    def _on_learn(self, src: str, m: Learn) -> None:
         self.cpu.charge_mac(m.batch.size_bytes)
         self._accepted[m.seqno] = (m.view, m.batch)
         self.commit_batch(m.seqno, m.batch)
@@ -256,12 +250,13 @@ class PaxosReplica(BaselineReplica):
         self._pending_ballot = ballot
         self._promises = {}
         message = NewBallot(ballot, self.replica_id)
-        self._fanout_with_self(self.all_replica_names(), message, 32,
-                               lambda: self._on_new_ballot(message))
+        self._fanout_with_self(
+            self.all_replica_names(), message, 32,
+            lambda: self._on_new_ballot(self.name, message))
         # If the campaign stalls (e.g. competing ballots), try again.
         self._election_timer.start(2 * self.config.request_retransmit_ms)
 
-    def _on_new_ballot(self, m: NewBallot) -> None:
+    def _on_new_ballot(self, src: str, m: NewBallot) -> None:
         if m.view <= self.view and m.sender != self.replica_id:
             return  # stale campaign
         if m.view > self.view:
@@ -291,11 +286,11 @@ class PaxosReplica(BaselineReplica):
             for seqno, (ballot, batch) in sorted(self._accepted.items()))
         promise = Promise(m.view, self.replica_id, entries, self.ex)
         if m.sender == self.replica_id:
-            self._on_promise(promise)
+            self._on_promise(self.name, promise)
         else:
             self.send_authenticated(f"r{m.sender}", promise, size_bytes=256)
 
-    def _on_promise(self, m: Promise) -> None:
+    def _on_promise(self, src: str, m: Promise) -> None:
         if self._pending_ballot is None or m.view != self._pending_ballot:
             return
         self._promises[m.sender] = m
@@ -329,7 +324,7 @@ class PaxosReplica(BaselineReplica):
                       max(merged, default=0))
         for seqno in sorted(merged):
             if seqno > behind:
-                self.propose_batch(seqno, merged[seqno][1])
+                self.repropose(seqno, merged[seqno][1])
         if ahead.executed_upto > self.ex:
             # Promisers only report their current window: what lies below
             # it we fetch from the one furthest ahead.

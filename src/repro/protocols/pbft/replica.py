@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.crypto.primitives import Digest
-from repro.protocols.base import BaselineReplica, register_modeled
+from repro.protocols.base import BaselineReplica, NewView, register_modeled
 from repro.smr.log import CommitEntry
 from repro.smr.messages import Batch
 
@@ -77,18 +77,6 @@ class ViewChange:
     prepared: Tuple[Tuple[int, Digest, Batch], ...]
 
 
-@register_modeled
-@dataclass(frozen=True)
-class NewView:
-    """New primary -> all: the view is installed; adopt the merged
-    committed prefix."""
-
-    view: int
-    sender: int
-    executed_upto: int
-    committed: Tuple[Tuple[int, Batch], ...]
-
-
 class PbftReplica(BaselineReplica):
     """One replica of the speculative PBFT deployment (n = 3t + 1)."""
 
@@ -101,6 +89,12 @@ class PbftReplica(BaselineReplica):
         self._votes: Dict[Tuple[int, Digest], Set[int]] = {}
         self._digests: Dict[int, Digest] = {}
         self._enter_active_set()
+        self._handlers.update({
+            PrePrepare: self._on_pre_prepare,
+            CommitMsg: self._on_commit,
+            ViewChange: self.on_view_change_msg,
+            NewView: self._on_new_view,
+        })
 
     # -- roles ------------------------------------------------------------
     def _enter_active_set(self) -> None:
@@ -124,17 +118,6 @@ class PbftReplica(BaselineReplica):
     def view_change_quorum(self) -> int:
         return 2 * self.config.t + 1
 
-    # -- message handling ---------------------------------------------------
-    def on_protocol_message(self, src: str, payload: Any) -> None:
-        if isinstance(payload, PrePrepare):
-            self._on_pre_prepare(src, payload)
-        elif isinstance(payload, CommitMsg):
-            self._on_commit(payload)
-        elif isinstance(payload, ViewChange):
-            self.on_view_change_msg(payload.sender, payload.view, payload)
-        elif isinstance(payload, NewView):
-            self._on_new_view(src, payload)
-
     def propose_batch(self, seqno: int, batch: Batch) -> None:
         digest = self.batch_digest(batch)
         self._batches[seqno] = batch
@@ -145,10 +128,7 @@ class PbftReplica(BaselineReplica):
         self._vote(seqno, digest)
 
     def _on_pre_prepare(self, src: str, m: PrePrepare) -> None:
-        if m.view > self.view and src == f"r{self.new_leader_of(m.view)}":
-            # A fresher view's primary is proposing: its view change
-            # completed (the NEW-VIEW may still be in flight).
-            self.enter_view(m.view)
+        self.follow_proposer(src, m.view)
         if m.view != self.view or not self.is_active or self.is_leader \
                 or self.campaigning:
             return
@@ -164,7 +144,7 @@ class PbftReplica(BaselineReplica):
         self._fanout_with_self(self._active_names, vote, 48,
                                lambda: self._record_vote(vote))
 
-    def _on_commit(self, m: CommitMsg) -> None:
+    def _on_commit(self, src: str, m: CommitMsg) -> None:
         # Votes from views ahead of ours are kept: they are keyed by
         # digest, so they can only ever complete the identical batch.
         if m.view < self.view or not self.is_active:
@@ -245,17 +225,8 @@ class PbftReplica(BaselineReplica):
             for sn, _digest, batch in m.prepared:
                 if sn not in committed:
                     prepared.setdefault(sn, batch)
-        # Adopt the merged committed prefix ourselves.
-        for sn in sorted(committed):
-            if sn > self.ex and sn not in self.commit_log:
-                self.commit_log.put(
-                    sn, CommitEntry(sn, target, committed[sn], ()))
-        self.execute_ready()
-        announcement = NewView(target, self.replica_id, self.ex,
-                               tuple(sorted(committed.items())))
-        size = sum(b.size_bytes for b in committed.values()) + 128
-        self.multicast_authenticated(self.other_replica_names(),
-                                     announcement, size_bytes=size)
+        # Adopt the merged committed prefix ourselves, and announce it.
+        self.announce_view(committed, 128)
         # Continue numbering above everything the old views touched, and
         # re-propose the carried-over prepared certificates in this view.
         top = max(self.sn, self.ex,
@@ -264,18 +235,13 @@ class PbftReplica(BaselineReplica):
         for sn in sorted(prepared):
             if sn <= self.ex or sn in self.commit_log:
                 continue
-            self.propose_batch(sn, prepared[sn])
+            self.repropose(sn, prepared[sn])
         if freshest_ex > self.ex:
             self.request_sync(freshest)
 
     def _on_new_view(self, src: str, m: NewView) -> None:
-        if m.view < self.view or src != f"r{self.new_leader_of(m.view)}":
+        if not self.adopt_new_view(src, m, 128):
             return
-        self.cpu.charge_mac(128)
-        for sn, batch in m.committed:
-            if sn > self.ex and sn not in self.commit_log:
-                self.commit_log.put(sn, CommitEntry(sn, m.view, batch, ()))
-        self.enter_view(m.view)
         self.execute_ready()
         if m.executed_upto > self.ex:
             # The merge reaches past what we can replay: fetch the rest

@@ -1,13 +1,14 @@
 """The XPaxos replica: the common case (Algorithms 1 and 2) and the five
 machines it hands everything else to.
 
-:class:`XPaxosReplica` is the core: roles, message dispatch, ordering on
-the configured path -- the ``t = 1`` fast path (Algorithm 1, Figure 2b) or
-the general one (Algorithm 2, Figure 2a), picked from ``config.t`` at
-construction -- execution, replies, and what survives a crash.  Each of
+:class:`XPaxosReplica` is the core: roles, ordering on the configured
+path -- the ``t = 1`` fast path (Algorithm 1, Figure 2b) or the general
+one (Algorithm 2, Figure 2a), picked from ``config.t`` at construction --
+execution, replies, and what survives a crash.  Each of
 the paper's other algorithms is a component that is handed the replica,
 owns the fields and timers only it uses, and registers its own message
-classes in the replica's one ``_handlers`` table: ``ViewChanger``
+classes in the replica's one ``_handlers`` table (dispatched by
+``ReplicaBase.on_message``, as for every protocol): ``ViewChanger``
 (suspicion, Algorithm 3, the hand-off to Algorithms 5-6), ``Checkpointer``
 (Section 4.5.1), ``LazyReplicator`` (Section 4.5.2), ``Retransmitter``
 (Algorithm 4) and ``ProgressWatch`` (a prepared slot that does not commit)
@@ -73,8 +74,7 @@ class XPaxosReplica(ReplicaBase):
         self._commit_votes: Dict[int, Dict[int, msg.CommitVote]] = {}
         self._fast_commits_pending: Dict[int, msg.FastCommit] = {}
         self._pending_prepares: Dict[int, Any] = {}
-        self._handlers: Dict[type, Callable[[str, Any], None]] = {
-            msg.Replicate: self._on_replicate}
+        self._handlers.update({msg.Replicate: self._on_replicate})
         self._wire_ordering_path()
         # Each component adds the message classes it handles.
         self.checkpointer = Checkpointer(self)
@@ -121,20 +121,6 @@ class XPaxosReplica(ReplicaBase):
 
     def _passive_names(self) -> List[str]:
         return [self.replica_name(r) for r in self.groups.passive(self.view)]
-
-    # ------------------------------------------------------------------
-    # Message dispatch
-    # ------------------------------------------------------------------
-    def on_message(self, src: str, payload: Any) -> None:
-        handler = self._handlers.get(type(payload))
-        if handler is None:
-            return  # unknown message types are ignored, not fatal
-        try:
-            handler(src, payload)
-        except ProtocolViolation:
-            # Section 4.3.2 case (i): a non-conforming message from an
-            # active replica triggers view-change initiation.
-            self.suspect_view(self.view)
 
     # ==================================================================
     # Common case -- Algorithms 1 and 2

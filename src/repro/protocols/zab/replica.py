@@ -22,7 +22,10 @@ its in-flight proposals the same way).  The prospective leader
 the highest epoch per zxid -- the freshest acked prefix -- announces
 ``NEW-EPOCH``, and re-proposes that history in the new epoch, which both
 re-commits anything the old quorum had accepted and synchronises lagging
-followers.
+followers.  An epoch is a view of the shared leader-change layer
+(``repro.protocols.base``): NEW-EPOCH is its :class:`NewView` with no
+entries, adopted the same way as PBFT's and Zyzzyva's, and the re-proposals
+go out through ``repropose``.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Set, Tuple
 
-from repro.protocols.base import BaselineReplica, register_modeled
+from repro.protocols.base import BaselineReplica, NewView, register_modeled
 from repro.smr.log import CommitEntry
 from repro.smr.messages import Batch
 
@@ -69,25 +72,14 @@ class CommitZab:
 class FollowerInfo:
     """Suspecting replica -> all: acked history for the target epoch.
 
-    ``entries`` is ``(seqno, epoch acked in, batch)``; the new leader keeps
-    the highest-epoch entry per slot.
+    ``view`` is the target epoch; ``entries`` is ``(seqno, epoch acked
+    in, batch)``, and the new leader keeps the highest-epoch entry per slot.
     """
 
-    epoch: int
+    view: int
     sender: int
     executed_upto: int
     entries: Tuple[Tuple[int, int, Batch], ...]
-
-
-@register_modeled
-@dataclass(frozen=True)
-class NewEpoch:
-    """New leader -> all: the epoch is installed; history follows as
-    re-proposals (lagging followers sync from the leader)."""
-
-    epoch: int
-    sender: int
-    executed_upto: int
 
 
 class ZabReplica(BaselineReplica):
@@ -102,23 +94,18 @@ class ZabReplica(BaselineReplica):
         # zxid and deliver as soon as the proposal arrives instead of
         # silently losing the commit.
         self._early_commits: Set[int] = set()
+        self._handlers.update({
+            Proposal: self._on_proposal,
+            Ack: self._on_ack,
+            CommitZab: self._on_commit,
+            FollowerInfo: self.on_view_change_msg,
+            NewView: self._on_new_view,
+        })
 
     def follower_ids(self) -> List[int]:
         """All 2t followers of the current epoch."""
         assert self.config.n is not None
         return [r for r in range(self.config.n) if r != self.leader_id]
-
-    def on_protocol_message(self, src: str, payload: Any) -> None:
-        if isinstance(payload, Proposal):
-            self._on_proposal(src, payload)
-        elif isinstance(payload, Ack):
-            self._on_ack(payload)
-        elif isinstance(payload, CommitZab):
-            self._on_commit(payload)
-        elif isinstance(payload, FollowerInfo):
-            self.on_view_change_msg(payload.sender, payload.epoch, payload)
-        elif isinstance(payload, NewEpoch):
-            self._on_new_epoch(src, payload)
 
     def propose_batch(self, seqno: int, batch: Batch) -> None:
         self._proposed[seqno] = batch
@@ -131,10 +118,7 @@ class ZabReplica(BaselineReplica):
                                      size_bytes=batch.size_bytes)
 
     def _on_proposal(self, src: str, m: Proposal) -> None:
-        if m.epoch > self.view and src == f"r{self.new_leader_of(m.epoch)}":
-            # A fresher epoch's leader is proposing: its election
-            # completed (the NEW-EPOCH may still be in flight).
-            self.enter_view(m.epoch)
+        self.follow_proposer(src, m.epoch)
         if m.epoch != self.view or self.is_leader or self.campaigning:
             return
         self.cpu.charge_mac(m.batch.size_bytes)
@@ -146,7 +130,7 @@ class ZabReplica(BaselineReplica):
             self._early_commits.discard(m.seqno)
             self._deliver(m.seqno)
 
-    def _on_ack(self, m: Ack) -> None:
+    def _on_ack(self, src: str, m: Ack) -> None:
         if m.epoch != self.view or not self.is_leader:
             return
         self.cpu.charge_mac(32)
@@ -164,7 +148,7 @@ class ZabReplica(BaselineReplica):
             self.multicast_authenticated(followers, commit, size_bytes=32)
             self.commit_batch(m.seqno, batch)
 
-    def _on_commit(self, m: CommitZab) -> None:
+    def _on_commit(self, src: str, m: CommitZab) -> None:
         self.cpu.charge_mac(32)
         if m.seqno not in self._pending_commits:
             if m.seqno > self.ex and m.seqno not in self.commit_log:
@@ -226,20 +210,14 @@ class ZabReplica(BaselineReplica):
                 current = merged.get(sn)
                 if current is None or epoch > current[0]:
                     merged[sn] = (epoch, batch)
-        announcement = NewEpoch(target, self.replica_id, self.ex)
-        self.multicast_authenticated(self.other_replica_names(),
-                                     announcement, size_bytes=64)
+        self.announce_view({}, 64)
         self.sn = max(self.sn, self.ex, max(merged, default=0))
         for sn in sorted(merged):
             if sn <= self.ex and sn in self.commit_log:
                 continue
             _, batch = merged[sn]
-            self.propose_batch(sn, batch)
+            self.repropose(sn, batch)
 
-    def _on_new_epoch(self, src: str, m: NewEpoch) -> None:
-        if m.epoch < self.view or src != f"r{self.new_leader_of(m.epoch)}":
-            return
-        self.cpu.charge_mac(64)
-        self.enter_view(m.epoch)
-        if m.executed_upto > self.ex:
+    def _on_new_view(self, src: str, m: NewView) -> None:
+        if self.adopt_new_view(src, m, 64) and m.executed_upto > self.ex:
             self.request_sync(m.sender)

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Tuple
 
 from repro.crypto.primitives import Digest, digest_of
-from repro.protocols.base import BaselineReplica, register_modeled
+from repro.protocols.base import BaselineReplica, NewView, register_modeled
 from repro.smr.log import CommitEntry
 from repro.smr.messages import Batch
 
@@ -83,17 +83,6 @@ class ViewChange:
     entries: Tuple[Tuple[int, Batch], ...]
 
 
-@register_modeled
-@dataclass(frozen=True)
-class NewView:
-    """New primary -> all: the merged history the new view starts from."""
-
-    view: int
-    sender: int
-    executed_upto: int
-    entries: Tuple[Tuple[int, Batch], ...]
-
-
 class ZyzzyvaReplica(BaselineReplica):
     """One replica of the Zyzzyva deployment (n = 3t + 1, all active)."""
 
@@ -112,19 +101,15 @@ class ZyzzyvaReplica(BaselineReplica):
         #: Primary history claims that failed verification.
         self.history_divergences = 0
         self.certs_received = 0
+        self._handlers.update({
+            OrderReq: self._on_order_req,
+            CommitCert: self._on_commit_cert,
+            ViewChange: self.on_view_change_msg,
+            NewView: self._on_new_view,
+        })
 
     def view_change_quorum(self) -> int:
         return 2 * self.config.t + 1
-
-    def on_protocol_message(self, src: str, payload: Any) -> None:
-        if isinstance(payload, OrderReq):
-            self._on_order_req(src, payload)
-        elif isinstance(payload, CommitCert):
-            self._on_commit_cert(payload)
-        elif isinstance(payload, ViewChange):
-            self.on_view_change_msg(payload.sender, payload.view, payload)
-        elif isinstance(payload, NewView):
-            self._on_new_view(src, payload)
 
     def propose_batch(self, seqno: int, batch: Batch) -> None:
         digest = self.batch_digest(batch)
@@ -140,10 +125,7 @@ class ZyzzyvaReplica(BaselineReplica):
         self.commit_batch(seqno, batch)
 
     def _on_order_req(self, src: str, m: OrderReq) -> None:
-        if m.view > self.view and src == f"r{self.new_leader_of(m.view)}":
-            # A fresher view's primary is ordering: its view change
-            # completed (the NEW-VIEW may still be in flight).
-            self.enter_view(m.view)
+        self.follow_proposer(src, m.view)
         if m.view != self.view or self.is_leader or self.campaigning:
             return
         self.cpu.charge_mac(m.batch.size_bytes)
@@ -152,7 +134,7 @@ class ZyzzyvaReplica(BaselineReplica):
         # Speculative execution: commit immediately on the primary's order.
         self.commit_batch(m.seqno, m.batch)
 
-    def _on_commit_cert(self, m: CommitCert) -> None:
+    def _on_commit_cert(self, src: str, m: CommitCert) -> None:
         self.cpu.charge_mac(96)
         self.certs_received += 1
         if m.seqno not in self.commit_log and m.seqno > self.ex:
@@ -279,29 +261,15 @@ class ZyzzyvaReplica(BaselineReplica):
                 merged.setdefault(sn, batch)
             if m.executed_upto > freshest_ex:
                 freshest, freshest_ex = m.sender, m.executed_upto
-        for sn in sorted(merged):
-            if sn > self.ex and sn not in self.commit_log:
-                self.commit_log.put(
-                    sn, CommitEntry(sn, target, merged[sn], ()))
-        self.execute_ready()
-        announcement = NewView(target, self.replica_id, self.ex,
-                               tuple(sorted(merged.items())))
-        size = sum(b.size_bytes for b in merged.values()) + 128
-        self.multicast_authenticated(self.other_replica_names(),
-                                     announcement, size_bytes=size)
+        announcement = self.announce_view(merged, 128)
         self._anchor_history(target, announcement.entries)
         self.sn = max(self.sn, self.ex, max(merged, default=0))
         if freshest_ex > self.ex:
             self.request_sync(freshest)
 
     def _on_new_view(self, src: str, m: NewView) -> None:
-        if m.view < self.view or src != f"r{self.new_leader_of(m.view)}":
+        if not self.adopt_new_view(src, m, 128):
             return
-        self.cpu.charge_mac(128)
-        for sn, batch in m.entries:
-            if sn > self.ex and sn not in self.commit_log:
-                self.commit_log.put(sn, CommitEntry(sn, m.view, batch, ()))
-        self.enter_view(m.view)
         self._anchor_history(m.view, m.entries)
         self.sn = max(self.sn, self.ex,
                       max((sn for sn, _ in m.entries), default=0))

@@ -1,8 +1,12 @@
 """Shared runtime for replicas and clients of every protocol.
 
 :class:`ReplicaBase` and :class:`SmrClientBase` wrap a :class:`Process` with
-a network endpoint, a keystore facade, and a CPU meter.  Protocol modules
-subclass these and implement ``on_message``.
+a network endpoint, a keystore facade, and a CPU meter.  A replica of any
+protocol receives through one handler table: it registers a handler per
+message class it accepts in ``_handlers`` (its constructor, or the
+component that owns the class), and :meth:`ReplicaBase.on_message` is the
+one place a delivered message is dispatched.  Clients implement
+``on_message`` themselves.
 
 :class:`ClusterRuntime` wires a full experiment together: simulator,
 network, keystore, replicas, clients -- and exposes the fault-injection and
@@ -14,7 +18,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.common.config import ClusterConfig
-from repro.common.errors import ConfigurationError
+from repro.common.errors import ConfigurationError, ProtocolViolation
 from repro.crypto.authenticators import authenticator_for
 from repro.crypto.costs import CostModel, CpuMeter
 from repro.crypto.primitives import (
@@ -133,7 +137,8 @@ class ReplicaBase(NodeBase):
     lazy replication, checkpoints) is its :meth:`after_execute`.
     Subclasses implement the ordering exchange proper, plus
     ``may_propose()`` and ``propose_batch(seqno, batch)`` for the
-    sequencer.
+    sequencer, and register a ``handler(src, message)`` per message class
+    they receive in ``_handlers``.
     """
 
     def __init__(self, replica_id: int, config: ClusterConfig,
@@ -148,6 +153,8 @@ class ReplicaBase(NodeBase):
         self.app = app_factory()
         self._app_factory = app_factory
         self.principal = replica_principal(replica_id)
+        #: The one dispatch table: message class -> ``handler(src, m)``.
+        self._handlers: Dict[type, Callable[[str, Any], None]] = {}
         #: Execution order observed by this replica, recorded for the safety
         #: checker: one ``(seqno, rids)`` entry per executed slot, ``rids``
         #: being the batch's own ``Batch.rids()`` tuple.
@@ -168,6 +175,18 @@ class ReplicaBase(NodeBase):
         self._last_reply: Dict[int, Any] = {}
         #: Metrics hook, called once per executed slot.
         self.on_commit_batch: Optional[Callable[[int, Batch], None]] = None
+
+    def on_message(self, src: str, payload: Any) -> None:
+        handler = self._handlers.get(type(payload))
+        if handler is None:
+            return  # unknown message types are ignored, not fatal
+        try:
+            handler(src, payload)
+        except ProtocolViolation:
+            # Section 4.3.2 case (i): a non-conforming message from an
+            # active replica triggers view-change initiation (every
+            # protocol's replica defines ``suspect_view``).
+            self.suspect_view(self.view)
 
     # -- execute -> reply core ------------------------------------------
     def execute_slot(self, seqno: int, batch: Batch) -> List[Any]:

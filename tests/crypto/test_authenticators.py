@@ -150,13 +150,12 @@ class TestRegistry:
 
         expected = [
             base.ClientRequestMsg, base.GenericReply, base.SyncRequest,
-            base.SyncReply,
+            base.SyncReply, base.NewView,
             paxos.Accept, paxos.Accepted, paxos.Learn, paxos.NewBallot,
             paxos.Promise,
-            pbft.PrePrepare, pbft.CommitMsg, pbft.ViewChange, pbft.NewView,
-            zyz.OrderReq, zyz.CommitCert, zyz.ViewChange, zyz.NewView,
+            pbft.PrePrepare, pbft.CommitMsg, pbft.ViewChange,
+            zyz.OrderReq, zyz.CommitCert, zyz.ViewChange,
             zab.Proposal, zab.Ack, zab.CommitZab, zab.FollowerInfo,
-            zab.NewEpoch,
             xmsg.Replicate, xmsg.Prepare, xmsg.CommitVote, xmsg.FastPrepare,
             xmsg.FastCommit, xmsg.ReplyMsg, xmsg.Suspect, xmsg.ViewChange,
             xmsg.VcFinal, xmsg.VcConfirm, xmsg.NewView, xmsg.PreChk,

@@ -2,8 +2,34 @@
 
 import pytest
 
-from repro.faults.checker import SafetyChecker, check_total_order
+from repro.faults.checker import (
+    SafetyChecker,
+    check_exactly_once,
+    check_total_order,
+)
 from tests.conftest import make_cluster
+
+
+class TestExactlyOnceChecker:
+    def test_distinct_requests_pass(self):
+        traces = {0: [(1, (("c0", 1), ("c1", 1))), (2, (("c0", 2),))],
+                  1: [(1, (("c0", 1), ("c1", 1)))]}
+        assert check_exactly_once(traces) == []
+
+    def test_planted_repeat_names_replica_request_and_both_slots(self):
+        """Total order holds -- both replicas repeat the batch at slot 3
+        -- yet each executed two requests twice."""
+        batch = (("c0", 1), ("c1", 1))
+        trace = [(1, batch), (2, (("c2", 1),)), (3, batch)]
+        traces = {2: list(trace), 0: list(trace)}
+        assert check_total_order(traces) == []
+        assert check_exactly_once(traces) == [
+            (0, ("c0", 1), 1, 3), (0, ("c1", 1), 1, 3),
+            (2, ("c0", 1), 1, 3), (2, ("c1", 1), 1, 3)]
+
+    def test_a_request_twice_in_one_slot_is_a_repeat(self):
+        assert check_exactly_once({0: [(1, (("c0", 1), ("c0", 1)))]}) == [
+            (0, ("c0", 1), 1, 1)]
 
 
 class TestTotalOrderChecker:

@@ -6,7 +6,9 @@ one-class replica cannot grow back unnoticed: no module of the package
 outgrows a screenful of algorithms, the core's constructor stays a list of
 its own state, an option is decided where a component is built and never
 in a handler body, and every message class has exactly one handler
-registration.
+registration.  That the tables of all five protocols' replicas hold
+exactly the classes each receives, dispatched by ``ReplicaBase.on_message``
+alone, is ``test_one_dispatch.py``'s.
 """
 
 import ast

@@ -77,7 +77,7 @@ class TestLeaderFailover:
         runtime = make_cluster(ProtocolName.PAXOS, num_clients=1)
         replica = runtime.replica(1)
         replica.view = 5
-        replica._on_new_ballot(NewBallot(3, 2))
+        replica.on_message("r2", NewBallot(3, 2))
         assert replica.view == 5
 
 
@@ -109,8 +109,8 @@ class TestWhomTheWinnerOrdersThrough:
         return runtime, sent, replica
 
     def promise(self, replica, sender, entries=(), executed_upto=0):
-        replica._on_promise(Promise(replica._pending_ballot, sender,
-                                    tuple(entries), executed_upto))
+        replica.on_message(f"r{sender}", Promise(
+            replica._pending_ballot, sender, tuple(entries), executed_upto))
 
     def test_view_zero_keeps_the_papers_placement(self):
         runtime = make_cluster(ProtocolName.PAXOS, t=2, num_clients=1)
@@ -150,7 +150,7 @@ class TestWhomTheWinnerOrdersThrough:
             propose_batch(seqno, batch)
 
         replica.propose_batch = spy
-        replica.handle_client_request(_request(1))
+        replica.on_message("c0", ClientRequestMsg(_request(1)))
         runtime.sim.run(until=runtime.sim.now + 50.0)
         self.promise(replica, 4)
         runtime.sim.run(until=runtime.sim.now + 50.0)
@@ -174,7 +174,7 @@ class TestWhomTheWinnerOrdersThrough:
             sent = isolate(runtime)
             replica = runtime.replica(0)
         request = _request(1)
-        replica.handle_client_request(request)  # a partial batch, queued
+        replica.on_message("c0", ClientRequestMsg(request))  # queued
         del sent[:]
         replica.on_message(f"r{campaigner}",
                            NewBallot(campaigner, campaigner))
@@ -196,6 +196,24 @@ class TestWhomTheWinnerOrdersThrough:
         reproposed = sorted({m.seqno for _, m in sent.of(Accept)})
         assert reproposed == [5, 6]
         assert replica.sn == 6
+
+    def test_a_carried_request_queued_while_campaigning_is_ordered_once(
+            self):
+        """A client's re-send that queued at the candidate is also in a
+        promiser's window: the merge re-proposes it, and the sequencer
+        must not order it a second time in the next slot."""
+        runtime, sent, replica = self.campaigning(executed=4)
+        request = _request(5)
+        replica.on_message("c0", ClientRequestMsg(request))
+        assert replica.sequencer.pending == [request]
+        window = [(5, 0, Batch((request,)))]
+        del sent[:]
+        self.promise(replica, 1, window, executed_upto=4)
+        self.promise(replica, 4, window, executed_upto=4)
+        runtime.sim.run(until=runtime.sim.now + 50.0)
+        assert sorted({m.seqno for _, m in sent.of(Accept)}) == [5]
+        assert replica.sequencer.pending == []
+        assert request.rid in replica.sequencer.seen
 
     def test_a_winner_behind_its_promisers_windows_asks_for_the_rest(self):
         runtime, sent, replica = self.campaigning()

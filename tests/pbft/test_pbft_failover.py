@@ -141,10 +141,10 @@ class TestVoteKeying:
         evil = Digest(b"\xee" * 32)
         # Three commits for a *different* digest arrive first.
         for sender in (0, 2, 3):
-            replica._on_commit(CommitMsg(0, 1, evil, sender))
+            replica.on_message(f"r{sender}", CommitMsg(0, 1, evil, sender))
         # The pre-prepare then fixes the real digest: the replica votes,
         # but the conflicting votes must not count toward this batch.
-        replica._on_pre_prepare("r0", PrePrepare(0, 1, batch, good))
+        replica.on_message("r0", PrePrepare(0, 1, batch, good))
         assert 1 not in replica.commit_log
         assert replica.ex == 0
 
@@ -153,11 +153,11 @@ class TestVoteKeying:
         batch = Batch((_request(0, 1),))
         good = replica.batch_digest(batch)
         # The second-phase votes outrun the pre-prepare (reordering).
-        replica._on_commit(CommitMsg(0, 1, good, 0))
-        replica._on_commit(CommitMsg(0, 1, good, 2))
+        replica.on_message("r0", CommitMsg(0, 1, good, 0))
+        replica.on_message("r2", CommitMsg(0, 1, good, 2))
         assert 1 not in replica.commit_log  # nothing to commit yet
         # The pre-prepare lands: replica votes and the slot completes.
-        replica._on_pre_prepare("r0", PrePrepare(0, 1, batch, good))
+        replica.on_message("r0", PrePrepare(0, 1, batch, good))
         assert replica.ex == 1
         assert replica.execution_trace == [(1, ((0, 1),))]
 
@@ -166,12 +166,12 @@ class TestVoteKeying:
         batch = Batch((_request(0, 1),))
         good = replica.batch_digest(batch)
         evil = Digest(b"\xee" * 32)
-        replica._on_commit(CommitMsg(0, 1, evil, 0))
-        replica._on_commit(CommitMsg(0, 1, evil, 2))
-        replica._on_pre_prepare("r0", PrePrepare(0, 1, batch, good))
+        replica.on_message("r0", CommitMsg(0, 1, evil, 0))
+        replica.on_message("r2", CommitMsg(0, 1, evil, 2))
+        replica.on_message("r0", PrePrepare(0, 1, batch, good))
         assert replica.ex == 0
         # Enough votes for the real digest arrive afterwards.
-        replica._on_commit(CommitMsg(0, 1, good, 0))
-        replica._on_commit(CommitMsg(0, 1, good, 2))
+        replica.on_message("r0", CommitMsg(0, 1, good, 0))
+        replica.on_message("r2", CommitMsg(0, 1, good, 2))
         assert replica.ex == 1
         assert replica.execution_trace == [(1, ((0, 1),))]

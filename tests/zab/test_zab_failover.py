@@ -79,7 +79,7 @@ def _batch(client, timestamp):
 
 
 class TestEarlyCommitBuffering:
-    """The `_on_commit` bugfix: a COMMITZAB that outruns its PROPOSAL is
+    """The commit-buffering bugfix: a COMMITZAB that outruns its PROPOSAL is
     buffered and delivered when the proposal lands, instead of being
     dropped (which permanently lost the zxid on that follower)."""
 
@@ -90,24 +90,24 @@ class TestEarlyCommitBuffering:
     def test_commit_before_proposal_is_buffered_then_delivered(self):
         follower = self.make_follower()
         batch = _batch(0, 1)
-        follower._on_commit(CommitZab(0, 1))
+        follower.on_message("r0", CommitZab(0, 1))
         assert follower.ex == 0  # nothing lost, nothing delivered yet
-        follower._on_proposal("r0", Proposal(0, 1, batch))
+        follower.on_message("r0", Proposal(0, 1, batch))
         assert follower.ex == 1
         assert follower.execution_trace == [(1, ((0, 1),))]
 
     def test_in_order_delivery_still_works(self):
         follower = self.make_follower()
-        follower._on_proposal("r0", Proposal(0, 1, _batch(0, 1)))
+        follower.on_message("r0", Proposal(0, 1, _batch(0, 1)))
         assert follower.ex == 0  # acked, awaiting commit
-        follower._on_commit(CommitZab(0, 1))
+        follower.on_message("r0", CommitZab(0, 1))
         assert follower.ex == 1
 
     def test_duplicate_commit_is_harmless(self):
         follower = self.make_follower()
-        follower._on_commit(CommitZab(0, 1))
-        follower._on_proposal("r0", Proposal(0, 1, _batch(0, 1)))
-        follower._on_commit(CommitZab(0, 1))
+        follower.on_message("r0", CommitZab(0, 1))
+        follower.on_message("r0", Proposal(0, 1, _batch(0, 1)))
+        follower.on_message("r0", CommitZab(0, 1))
         assert follower.ex == 1
         assert follower.committed_requests == 1
 
@@ -115,11 +115,11 @@ class TestEarlyCommitBuffering:
         """Commit 2 arrives before proposal 2 while slot 1 flows in
         order: both slots must execute, in order."""
         follower = self.make_follower()
-        follower._on_proposal("r0", Proposal(0, 1, _batch(0, 1)))
-        follower._on_commit(CommitZab(0, 2))      # outran proposal 2
-        follower._on_commit(CommitZab(0, 1))
+        follower.on_message("r0", Proposal(0, 1, _batch(0, 1)))
+        follower.on_message("r0", CommitZab(0, 2))      # outran proposal 2
+        follower.on_message("r0", CommitZab(0, 1))
         assert follower.ex == 1
-        follower._on_proposal("r0", Proposal(0, 2, _batch(1, 1)))
+        follower.on_message("r0", Proposal(0, 2, _batch(1, 1)))
         assert follower.ex == 2
         assert follower.execution_trace == [(1, ((0, 1),)),
                                             (2, ((1, 1),))]
