@@ -165,6 +165,17 @@ class ClusterConfig:
         assert self.n is not None
         return self.n
 
+    @property
+    def reply_quorum(self) -> int:
+        """Matching replies that commit a request at a client: Paxos,
+        Zab 1 (the leader's); Zyzzyva's fast path ``n``; else ``t + 1``."""
+        if self.protocol in (ProtocolName.PAXOS, ProtocolName.ZAB):
+            return 1
+        if self.protocol is ProtocolName.ZYZZYVA:
+            assert self.n is not None
+            return self.n
+        return self.t + 1
+
     def replica_ids(self) -> range:
         """All replica identifiers in this cluster."""
         assert self.n is not None

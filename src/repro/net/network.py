@@ -3,8 +3,9 @@
 The :class:`Network` connects named :class:`Endpoint` objects (replicas and
 clients).  Channels are reliable point-to-point (Section 2) -- no
 duplication, no corruption -- but unordered, like independent TCP
-connections racing.  An optional FIFO mode delivers messages between each
-ordered pair in send order, which some baseline protocols (Zab) assume.
+connections racing.  No protocol here relies on per-pair order: a
+message that outruns the one it depends on is buffered by its receiver
+(Zab's COMMIT before its PROPOSAL, an XPaxos PREPARE out of sequence).
 
 One delivery pipeline
 ---------------------
@@ -108,7 +109,6 @@ class Network:
         latency: one-way delay model between sites.
         bandwidth: optional uplink model; None disables serialization delay
             (unit tests).
-        fifo: deliver per ordered pair in send order.
     """
 
     def __init__(
@@ -116,16 +116,13 @@ class Network:
         sim: Simulator,
         latency: LatencyModel,
         bandwidth: Optional[BandwidthModel] = None,
-        fifo: bool = False,
     ) -> None:
         self.sim = sim
         self.latency = latency
         self.bandwidth = bandwidth
         self.partitions = PartitionController()
-        self.fifo = fifo
         self.stats = NetworkStats()
         self._endpoints: Dict[str, Endpoint] = {}
-        self._last_delivery: Dict[tuple, float] = {}
         # Bound once (the instance attribute shadows the method):
         # loading it per delivery would build a bound method each time.
         self._deliver = self._deliver
@@ -209,12 +206,6 @@ class Network:
                 depart = bandwidth.serialize(src, size_bytes, now)
             arrival = depart + self.latency.sample_one_way(
                 source.site, target.site, depart)
-            if self.fifo:
-                key = (src, dst)
-                last = self._last_delivery.get(key, 0.0)
-                if last > arrival:
-                    arrival = last
-                self._last_delivery[key] = arrival
             auth = authenticator.stamp(keystore, src, dst, context)
             stats.auth_stamped += 1
             sim.schedule(arrival, self._deliver,

@@ -14,43 +14,30 @@ what makes their CPU profile differ from XPaxos in Figure 8.
 Leader change
 -------------
 
-Every baseline survives leader faults through the same three-part layer
-(the pattern Paxos introduced, generalised here):
+* **Suspicion** (here): a non-leader that receives a client's
+  retransmitted request forwards it to the leader it believes in and arms
+  an election timer (:meth:`BaselineReplica.arm_suspicion`); executing a
+  new batch disarms it, expiry calls ``suspect_view``.
+* **Election**: PBFT, Zyzzyva and Zab run the VIEW-CHANGE campaign of
+  :mod:`repro.protocols.campaign`; Paxos runs its own ballots.  Either
+  way a new view is adopted through :meth:`BaselineReplica.enter_view`,
+  and a slot carried over from an earlier view goes out through
+  :meth:`BaselineReplica.repropose`, which claims its requests from the
+  sequencer so the clients' re-sends are not ordered twice.
+* **Catch-up** (here): a recovering replica multicasts a
+  :class:`SyncRequest`; peers answer with their committed suffix and,
+  when the requester is too far behind to replay the log, an application
+  snapshot (:class:`SyncReply`).  The same messages serve replicas that
+  learn from a new view that their horizon is stale.
 
-* **Suspicion**: a non-leader that receives a client's retransmitted
-  request forwards it to the leader it believes in and arms an election
-  timer; executing a new batch disarms it.  The timer expiring means the
-  leader failed to commit a retried request in time.
-* **Campaign**: the suspecting replica broadcasts a protocol-specific
-  VIEW-CHANGE message for ``target = max(view, last target) + 1`` carrying
-  its recovery state.  Replicas that see a campaign for a fresher view
-  join it (broadcasting their own state).  The leader of the target view
-  (``target mod n``) installs the view once it holds a
-  :meth:`view_change_quorum` of VIEW-CHANGE messages, merges the carried
-  state (:meth:`install_view`), and announces the new view; followers
-  adopt it through :meth:`enter_view`.
-* **Catch-up**: a recovering replica multicasts a :class:`SyncRequest`;
-  peers answer with their committed suffix and, when the requester is too
-  far behind to replay the log, an application snapshot
-  (:class:`SyncReply`).  The same messages serve replicas that learn from
-  a NEW-VIEW that their execution horizon is stale.
-
-The protocol-specific pieces are the VIEW-CHANGE payload (what state a
-replica reports) and the install step (how the new leader merges reported
-state and resumes ordering); see the pbft/zyzzyva/zab modules.  The rest
-is shared, one way each: one :class:`NewView` announces an installed view
-(:meth:`announce_view`; Zab's NEW-EPOCH carries no entries) and is
-adopted through :meth:`adopt_new_view`, and a slot carried over from an
-earlier view goes out through :meth:`repropose`, which claims its
-requests from the sequencer so the clients' re-sends are not ordered
-twice.  Messages arrive through the one handler table of
+Messages arrive through the one handler table of
 :class:`~repro.smr.runtime.ReplicaBase`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Iterable, List, Optional, Tuple
 
 from repro.common.config import ClusterConfig
 from repro.crypto.authenticators import MODELED_MAC, register
@@ -96,18 +83,6 @@ class GenericReply:
 
 @register_modeled
 @dataclass(frozen=True)
-class NewView:
-    """New leader -> all: ``view`` is installed with the merged history
-    ``entries`` (``(seqno, batch)`` pairs; none from Zab)."""
-
-    view: int
-    sender: int
-    executed_upto: int
-    entries: Tuple[Tuple[int, Batch], ...]
-
-
-@register_modeled
-@dataclass(frozen=True)
 class SyncRequest:
     """Recovering/lagging replica -> peers: send me what I missed."""
 
@@ -131,10 +106,10 @@ class SyncReply:
 class BaselineReplica(ReplicaBase):
     """Skeleton replica: batching at the leader + ordered execution.
 
-    Subclasses implement :meth:`propose_batch` (leader side) and register
-    their own message handlers in ``_handlers``, calling
-    :meth:`commit_batch` when a slot becomes stable and
-    :meth:`execute_ready` afterwards.
+    Subclasses implement :meth:`propose_batch` (leader side) and
+    ``suspect_view`` (their election), and register their own message
+    handlers in ``_handlers``, calling :meth:`commit_batch` when a slot
+    becomes stable and :meth:`execute_ready` afterwards.
     """
 
     def __init__(self, replica_id: int, config: ClusterConfig,
@@ -148,28 +123,26 @@ class BaselineReplica(ReplicaBase):
             SyncRequest: self._on_sync_request,
             SyncReply: self._on_sync_reply,
         })
-        # Leader-change state (see the module docstring).
         self._election_timer = Timer(self, self._on_election_timeout,
                                      "election")
-        self._vc_gather_timer = Timer(self, self._on_vc_gather_timeout,
-                                      "vc_gather")
-        self._vc_msgs: Dict[int, Dict[int, Any]] = {}
-        self._target_view = 0  # highest view this replica campaigned for
-        self._gathering: Optional[int] = None
         self.elections_started = 0
         self.view_changes_completed = 0
 
     # -- role -----------------------------------------------------------
+    def leader_of(self, view: int) -> int:
+        """The leader of ``view``: round robin over all replicas."""
+        assert self.config.n is not None
+        return view % self.config.n
+
     @property
     def leader_id(self) -> int:
-        """The leader of the current view (``view mod n``)."""
-        assert self.config.n is not None
-        return self.view % self.config.n
+        """The leader of the current view."""
+        return self.leader_of(self.view)
 
     @property
     def is_leader(self) -> bool:
         """Is this replica the leader of the current view?"""
-        return self.replica_id == self.leader_id
+        return self.replica_id == self.leader_of(self.view)
 
     # -- batching at the leader ------------------------------------------
     def _on_client_request(self, src: str, m: ClientRequestMsg) -> None:
@@ -185,12 +158,11 @@ class BaselineReplica(ReplicaBase):
             return
         self.send_authenticated(f"r{self.leader_id}", m,
                                 size_bytes=request.size_bytes)
-        if not self._election_timer.armed:
-            self._election_timer.start(self.config.request_retransmit_ms)
+        self.arm_suspicion()
 
     def may_propose(self) -> bool:
         """May this replica cut batches right now (sequencer hook)?"""
-        return self.is_leader and not self.campaigning
+        return self.is_leader
 
     def propose_batch(self, seqno: int, batch: Batch) -> None:
         """Protocol-specific ordering exchange. Subclasses implement."""
@@ -216,6 +188,14 @@ class BaselineReplica(ReplicaBase):
             self.commit_log.put(
                 seqno, CommitEntry(seqno, self.view, batch, ()))
         self.execute_ready()
+
+    def log_entries(self, entries: Iterable[Tuple[int, Batch]],
+                    view: int) -> None:
+        """Log each ``(seqno, batch)`` above ``ex`` not logged yet, as
+        decided in ``view``; the caller executes."""
+        for sn, batch in entries:
+            if sn > self.ex and sn not in self.commit_log:
+                self.commit_log.put(sn, CommitEntry(sn, view, batch, ()))
 
     def after_execute(self, seqno: int, entry: CommitEntry,
                       results: List[Any]) -> None:
@@ -259,167 +239,29 @@ class BaselineReplica(ReplicaBase):
         return batch.bodies_digest()
 
     # -- leader change ----------------------------------------------------
-    def view_change_quorum(self) -> int:
-        """VIEW-CHANGE messages needed to install a view (default:
-        majority; BFT protocols override with ``2t + 1``)."""
-        return self.config.quorum
-
-    def new_leader_of(self, view: int) -> int:
-        """Leader of ``view`` (round robin over all replicas)."""
-        assert self.config.n is not None
-        return view % self.config.n
-
-    def make_view_change(self, target: int) -> Any:
-        """Build this protocol's VIEW-CHANGE message for ``target``,
-        carrying whatever state the new leader's merge needs."""
-        raise NotImplementedError
-
-    def view_change_size(self, message: Any) -> int:
-        """Wire size of a VIEW-CHANGE message.  Subclasses account for
-        the batches they embed; the default covers headers only."""
-        return 256
-
-    def install_view(self, target: int, msgs: Dict[int, Any]) -> None:
-        """New-leader side: merge the quorum's VIEW-CHANGE state, announce
-        the view, and resume ordering.  Runs with ``self.view == target``
-        and protocol in-flight state already cleared."""
-        raise NotImplementedError
-
-    def announce_view(self, merged: Dict[int, Batch],
-                      header_bytes: int) -> NewView:
-        """Adopt and execute the ``merged`` history, then announce it."""
-        for sn in sorted(merged):
-            if sn > self.ex and sn not in self.commit_log:
-                self.commit_log.put(
-                    sn, CommitEntry(sn, self.view, merged[sn], ()))
-        self.execute_ready()
-        announcement = NewView(self.view, self.replica_id, self.ex,
-                               tuple(sorted(merged.items())))
-        size = sum(b.size_bytes for b in merged.values()) + header_bytes
-        self.multicast_authenticated(self.other_replica_names(),
-                                     announcement, size_bytes=size)
-        return announcement
-
-    def on_enter_view(self, view: int) -> None:
-        """Hook: drop per-view in-flight ordering state. Default no-op."""
-
-    @property
-    def campaigning(self) -> bool:
-        """Between joining a campaign and its view installing.
-
-        A frozen replica must stop proposing and stop accepting the old
-        view's ordering messages: anything it speculatively adopted after
-        reporting its state would be invisible to the new leader's merge
-        and could be reassigned -- a total-order violation.
-        """
-        return self._target_view > self.view
+    def arm_suspicion(self) -> None:
+        """Give the leader one retransmission timeout to execute
+        something, unless the election timer already runs."""
+        if not self._election_timer.armed:
+            self._election_timer.start(self.config.request_retransmit_ms)
 
     def _on_election_timeout(self) -> None:
         self.suspect_view(self.view)
 
-    def suspect_view(self, view: int) -> None:
-        """Campaign to replace the leader of ``view`` (also the hook the
-        fault injector's ``suspect`` event calls)."""
-        if view < self.view:
-            return
-        self._campaign(max(self.view, self._target_view) + 1)
-
-    def _campaign(self, target: int) -> None:
-        """Broadcast our VIEW-CHANGE for ``target`` and join its tally."""
-        self._target_view = target
-        self.elections_started += 1
-        message = self.make_view_change(target)
-        size = self.view_change_size(message)
-        self.multicast_authenticated(self.other_replica_names(), message,
-                                     size_bytes=size)
-        self._note_view_change(self.replica_id, target, message)
-        # If this campaign stalls (its leader may be down too), escalate
-        # to the next view on expiry.
-        self._election_timer.start(self.config.view_change_timeout_ms)
-
-    def on_view_change_msg(self, src: str, m: Any) -> None:
-        """Handler of each protocol's VIEW-CHANGE class: ``m.view`` is the
-        target, ``m.sender`` whose state it carries."""
-        target = m.view
-        if target <= self.view:
-            return
-        if self._target_view < target:
-            # A fresher campaign is under way: join it with our state.
-            self._campaign(target)
-        self._note_view_change(m.sender, target, m)
-
-    def _note_view_change(self, sender: int, target: int,
-                          message: Any) -> None:
-        msgs = self._vc_msgs.setdefault(target, {})
-        msgs[sender] = message
-        if target <= self.view \
-                or self.new_leader_of(target) != self.replica_id:
-            return
-        assert self.config.n is not None
-        if len(msgs) >= self.config.n:
-            # Everyone reported: install immediately.
-            self._vc_gather_timer.stop()
-            self._gathering = None
-            self._become_leader(target, dict(msgs))
-        elif len(msgs) >= self.view_change_quorum() \
-                and self._gathering != target:
-            # Quorum reached: give stragglers -- above all the deposed
-            # leader, whose log may hold slots it executed speculatively
-            # that nobody else reported -- one Delta to contribute their
-            # state before installing without them.
-            self._gathering = target
-            self._vc_gather_timer.start(self.config.delta_ms)
-
-    def _on_vc_gather_timeout(self) -> None:
-        target, self._gathering = self._gathering, None
-        if target is None or target <= self.view:
-            return
-        msgs = self._vc_msgs.get(target, {})
-        if len(msgs) >= self.view_change_quorum():
-            self._become_leader(target, dict(msgs))
-
-    def _become_leader(self, target: int, msgs: Dict[int, Any]) -> None:
-        # ``target`` is fresher than our view and we lead it: entering it
-        # forwards nothing.
-        self.enter_view(target)
-        self.install_view(target, msgs)
-        # Slots the install step re-proposed are carried state; they must
-        # not count against the new leader's pipeline window.
-        self.sequencer.carry_over()
-        self.sequencer.kick()
+    def on_enter_view(self, view: int) -> None:
+        """Hook: drop per-view in-flight ordering state. Default no-op."""
 
     def enter_view(self, view: int) -> None:
         """Adopt a view whose leader already installed it."""
         if view <= self.view:
             return
         self.view = view
-        self._target_view = max(self._target_view, view)
         self.view_changes_completed += 1
         self._election_timer.stop()
         self.sequencer.stop_timer()
-        self._vc_msgs = {v: m for v, m in self._vc_msgs.items() if v > view}
         if not self.is_leader:
             self.forward_queued()
         self.on_enter_view(view)
-
-    def adopt_new_view(self, src: str, m: NewView, mac_bytes: int) -> bool:
-        """Follower side of a :class:`NewView` from the leader of a view
-        not stale: charge the MAC, log the entries, enter the view.
-        Returns whether it was adopted; the caller executes and syncs."""
-        if m.view < self.view or src != f"r{self.new_leader_of(m.view)}":
-            return False
-        self.cpu.charge_mac(mac_bytes)
-        for sn, batch in m.entries:
-            if sn > self.ex and sn not in self.commit_log:
-                self.commit_log.put(sn, CommitEntry(sn, m.view, batch, ()))
-        self.enter_view(m.view)
-        return True
-
-    def follow_proposer(self, src: str, view: int) -> None:
-        """A fresher view's leader proposing means its view change
-        completed (the NEW-VIEW may still be in flight): enter it."""
-        if view > self.view and src == f"r{self.new_leader_of(view)}":
-            self.enter_view(view)
 
     def forward_queued(self) -> None:
         """Requests batched while we believed ourselves leader belong to
@@ -432,11 +274,9 @@ class BaselineReplica(ReplicaBase):
 
     # -- recovery and catch-up --------------------------------------------
     def recover(self) -> None:
-        """Rejoin after a crash: ask the peers for the current view and
-        the committed suffix we missed.  What the crash kept -- ``ex``,
-        the logs and the application they built -- is the one durability
-        model of all five protocols (``docs/execution.md``, "What
-        `recover()` forgets")."""
+        """Rejoin after a crash (what it forgets: ``ReplicaBase.recover``)
+        and ask the peers for the current view and the committed suffix
+        we missed."""
         super().recover()
         self.multicast_authenticated(self.other_replica_names(),
                                      SyncRequest(self.replica_id, self.ex),
@@ -459,15 +299,6 @@ class BaselineReplica(ReplicaBase):
             SyncReply(self.replica_id, self.view, self.ex, snapshot,
                       entries),
             size_bytes=size)
-        if self.campaigning:
-            # The requester may have missed our campaign (it was down or
-            # behind): hand it our VIEW-CHANGE, so it joins now instead of
-            # when the campaign next escalates.
-            own = self._vc_msgs.get(self._target_view, {}).get(
-                self.replica_id)
-            if own is not None:
-                self.send_authenticated(f"r{m.sender}", own,
-                                        size_bytes=self.view_change_size(own))
 
     def _on_sync_reply(self, src: str, m: SyncReply) -> None:
         self.cpu.charge_mac(64)
@@ -482,30 +313,24 @@ class BaselineReplica(ReplicaBase):
                 # Too far behind to replay the log (the peers checkpointed
                 # past our horizon): state transfer.
                 self.restore_to(m.executed_upto, m.snapshot)
-        for sn, batch in m.entries:
-            if sn > self.ex and sn not in self.commit_log:
-                self.commit_log.put(
-                    sn, CommitEntry(sn, self.view, batch, ()))
+        self.log_entries(m.entries, self.view)
         self.execute_ready()
 
 
 class QuorumClient(SmrClientBase):
-    """Closed-loop client that commits on ``reply_quorum`` matching replies.
-
-    ``reply_quorum = 1`` models CFT protocols where the leader's reply is
-    authoritative (Paxos, Zab); BFT protocols need ``t + 1`` matching
-    (PBFT) or all ``3t + 1`` speculative replies (Zyzzyva's fast path).
+    """Closed-loop client that commits on ``reply_quorum`` matching
+    replies, the number the protocol fixes
+    (:attr:`ClusterConfig.reply_quorum`): the leader's one reply for the
+    CFT protocols (Paxos, Zab), ``t + 1`` matching for PBFT, all ``3t +
+    1`` speculative replies for Zyzzyva's fast path.
     """
 
     def __init__(self, client_id: int, config: ClusterConfig,
                  sim: Simulator, network: Network, keystore: KeyStore,
-                 site: str, reply_quorum: int,
-                 cost_model: Optional[CostModel] = None) -> None:
+                 site: str, cost_model: Optional[CostModel] = None) -> None:
         super().__init__(client_id, config, sim, network, keystore, site,
                          cost_model)
-        if reply_quorum < 1:
-            raise ValueError("reply_quorum must be >= 1")
-        self.reply_quorum = reply_quorum
+        self.reply_quorum = config.reply_quorum
 
     def make_request(self, op: Any, timestamp: int,
                      size_bytes: int) -> Request:

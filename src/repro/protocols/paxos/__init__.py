@@ -1,6 +1,5 @@
 """WAN-optimized multi-Paxos (the paper's CFT baseline, Figure 6c)."""
 
 from repro.protocols.paxos.replica import PaxosReplica
-from repro.protocols.paxos.client import PaxosClient
 
-__all__ = ["PaxosReplica", "PaxosClient"]
+__all__ = ["PaxosReplica"]

@@ -151,7 +151,7 @@ class PaxosReplica(BaselineReplica):
         # A candidate adopts its ballot as ``view`` when it sends
         # NEW-BALLOT, which makes it leader of that view: it orders in it
         # only once a majority promised (phase 2 after phase 1).
-        return super().may_propose() and self._pending_ballot is None
+        return self.is_leader and self._pending_ballot is None
 
     def propose_batch(self, seqno: int, batch: Batch) -> None:
         digest = self.batch_digest(batch)
@@ -180,7 +180,7 @@ class PaxosReplica(BaselineReplica):
         # authoritative in the common case.
         self.commit_batch(m.seqno, m.batch)
         self.send_authenticated(
-            f"r{self.leader_id}",
+            f"r{self.leader_of(self.view)}",
             Accepted(m.view, m.seqno, m.batch_digest, self.replica_id),
             size_bytes=48)
 

@@ -1,6 +1,5 @@
 """Speculative PBFT (the paper's first BFT baseline, Figure 6a)."""
 
 from repro.protocols.pbft.replica import PbftReplica
-from repro.protocols.pbft.client import PbftClient
 
-__all__ = ["PbftReplica", "PbftClient"]
+__all__ = ["PbftReplica"]

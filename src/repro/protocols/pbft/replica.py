@@ -33,7 +33,8 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.crypto.primitives import Digest
-from repro.protocols.base import BaselineReplica, NewView, register_modeled
+from repro.protocols.base import register_modeled
+from repro.protocols.campaign import CampaignReplica, NewView
 from repro.smr.log import CommitEntry
 from repro.smr.messages import Batch
 
@@ -77,7 +78,7 @@ class ViewChange:
     prepared: Tuple[Tuple[int, Digest, Batch], ...]
 
 
-class PbftReplica(BaselineReplica):
+class PbftReplica(CampaignReplica):
     """One replica of the speculative PBFT deployment (n = 3t + 1)."""
 
     def __init__(self, *args, **kwargs) -> None:
@@ -114,9 +115,6 @@ class PbftReplica(BaselineReplica):
         leader = v % self.config.n
         return [(leader + i) % self.config.n
                 for i in range(2 * self.config.t + 1)]
-
-    def view_change_quorum(self) -> int:
-        return 2 * self.config.t + 1
 
     def propose_batch(self, seqno: int, batch: Batch) -> None:
         digest = self.batch_digest(batch)

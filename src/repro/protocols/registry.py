@@ -17,10 +17,11 @@ from repro.crypto.primitives import KeyStore
 from repro.net.bandwidth import BandwidthModel
 from repro.net.latency import LatencyModel
 from repro.net.network import Network
-from repro.protocols.paxos import PaxosClient, PaxosReplica
-from repro.protocols.pbft import PbftClient, PbftReplica
+from repro.protocols.base import QuorumClient
+from repro.protocols.paxos import PaxosReplica
+from repro.protocols.pbft import PbftReplica
 from repro.protocols.xpaxos import XPaxosClient, XPaxosReplica
-from repro.protocols.zab import ZabClient, ZabReplica
+from repro.protocols.zab import ZabReplica
 from repro.protocols.zyzzyva import ZyzzyvaClient, ZyzzyvaReplica
 from repro.sim.core import Simulator
 from repro.smr.app import NullService, StateMachine
@@ -29,10 +30,10 @@ from repro.smr.runtime import ClusterRuntime
 #: ``protocol -> (replica class, client class)``.
 PROTOCOL_BUILDERS = {
     ProtocolName.XPAXOS: (XPaxosReplica, XPaxosClient),
-    ProtocolName.PAXOS: (PaxosReplica, PaxosClient),
-    ProtocolName.PBFT: (PbftReplica, PbftClient),
+    ProtocolName.PAXOS: (PaxosReplica, QuorumClient),
+    ProtocolName.PBFT: (PbftReplica, QuorumClient),
     ProtocolName.ZYZZYVA: (ZyzzyvaReplica, ZyzzyvaClient),
-    ProtocolName.ZAB: (ZabReplica, ZabClient),
+    ProtocolName.ZAB: (ZabReplica, QuorumClient),
 }
 
 

@@ -36,6 +36,11 @@ class Checkpointer:
             msg.LazyChk: self._on_lazychk,
         })
 
+    def recovered(self) -> None:
+        """Forgets nothing: snapshots are as durable as the application
+        they copy, and a checkpoint whose votes straddle the crash
+        completes when the rest arrive."""
+
     def maybe_checkpoint(self, seqno: int) -> None:
         """Slot ``seqno`` executed: an active replica starts a checkpoint
         every ``checkpoint_period`` slots.  The snapshot a proof of it

@@ -84,13 +84,12 @@ class LazyReplicator:
              if name != replica.name],
             request, size_bytes=48)
         # Allow a re-fetch if the reply is lost.
-        replica.after(2 * replica.config.delta_ms, self.fetch_settled)
+        replica.after(2 * replica.config.delta_ms, self.recovered)
 
-    def fetch_settled(self) -> None:
-        """No fetch is outstanding any more: the reply came, the 2-Delta
-        window closed, or the replica crashed meanwhile -- ``Process.after``
-        runs nothing on a crashed process, so ``recover()`` must say so
-        itself or no hole would ever be fetched again."""
+    def recovered(self) -> None:
+        """No fetch is outstanding: the reply came, the 2-Delta window
+        closed, or the replica crashed -- then the window's end never
+        runs (``Process.after``), so recovery must say so."""
         self._fetch_pending = False
 
     def _on_fetch(self, src: str, m: msg.FetchEntries) -> None:
@@ -104,7 +103,7 @@ class LazyReplicator:
 
     def _on_fetch_reply(self, src: str, m: msg.FetchReply) -> None:
         replica = self.replica
-        self.fetch_settled()
+        self.recovered()
         replica.checkpointer.install(m.checkpoint)
         for entry in m.entries:
             if entry.seqno > replica.ex \

@@ -12,8 +12,9 @@ and ``ViewChanger.suspect_view`` keeps saying who may suspect.
 :class:`ProgressWatch` is handed the replica and owns the watch (the
 oldest slot prepared here and not yet committed, and since when) and
 one timer.  The core reports ``prepared`` and ``committed`` slots and
-clears the watch in ``leave_view`` and ``recover``; the watch reads
-``sn``, ``ex`` and ``commit_log``.
+ends the watch in ``leave_view`` (``view_left``); ``recover`` ends it
+through ``recovered``.  The watch reads ``sn``, ``ex`` and
+``commit_log``.
 """
 
 from __future__ import annotations
@@ -70,11 +71,13 @@ class ProgressWatch:
         if seqno == self._seqno:
             self._watch(self._oldest_outstanding(seqno + 1))
 
-    def clear(self) -> None:
-        """The view was left or the replica crashed: what was prepared
-        is the view change's business now.  The timer may stay armed;
-        it finds nothing to watch."""
+    def recovered(self) -> None:
+        """The replica crashed or left its view: what was prepared is
+        the view change's business now.  The timer may stay armed; it
+        finds nothing to watch."""
         self._seqno = None
+
+    view_left = recovered
 
     def _watch(self, seqno: Optional[int]) -> None:
         self._seqno = seqno

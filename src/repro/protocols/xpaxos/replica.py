@@ -68,9 +68,8 @@ class XPaxosReplica(ReplicaBase):
         self.detected_faulty: Set[int] = set()
         #: Fault injection (repro.faults): rewrites outgoing VIEW-CHANGEs.
         self.byzantine: Optional[Any] = None
-        # Per-slot transient state: the general path's votes, the t = 1
-        # follower's FastCommit until the primary has executed the slot and
-        # embedded it in the replies, and the out-of-order buffer.
+        # Per-slot state: the general path's votes, the t = 1 follower's
+        # FastCommit until replies embed it, and the out-of-order buffer.
         self._commit_votes: Dict[int, Dict[int, msg.CommitVote]] = {}
         self._fast_commits_pending: Dict[int, msg.FastCommit] = {}
         self._pending_prepares: Dict[int, Any] = {}
@@ -82,6 +81,8 @@ class XPaxosReplica(ReplicaBase):
         self.retransmitter = Retransmitter(self)
         self.progress = ProgressWatch(self)
         self.view_changer = ViewChanger(self)
+        self.components += [self.checkpointer, self.lazy, self.retransmitter,
+                            self.progress, self.view_changer]
 
     def _wire_ordering_path(self) -> None:
         """Only the configured ordering path is wired: the t = 1 pattern
@@ -380,7 +381,7 @@ class XPaxosReplica(ReplicaBase):
         self.sequencer.stop_timer()
         self._pending_prepares.clear()
         self._commit_votes.clear()
-        self.progress.clear()
+        self.progress.view_left()
         self.retransmitter.view_left()
 
     def start_view(self) -> None:
@@ -408,20 +409,12 @@ class XPaxosReplica(ReplicaBase):
             self.sequencer.kick()
 
     def recover(self) -> None:
-        """Recover with durable protocol state (``docs/execution.md``,
-        "What `recover()` forgets"): ``view``, ``sn``, ``ex``, both logs,
-        the stable checkpoint and the app survive.  Of the volatile
-        state, the per-slot votes and buffered prepares, the sequencer's
-        queue, the progress watch, the retransmissions and an outstanding
-        fetch are lost; the view change in progress (VCSet, VC-FINALs)
-        and the RE-SENDs buffered for the next NEW-VIEW are kept."""
+        """Besides the durable state (both logs and the stable
+        checkpoint as well) and what each component keeps, the core
+        forgets its per-slot votes and buffered prepares."""
         super().recover()
         self._commit_votes.clear()
         self._pending_prepares.clear()
-        self.sequencer.pending.clear()
-        self.progress.clear()
-        self.retransmitter.recovered()
-        self.lazy.fetch_settled()
         # A recovering replica cannot tell whether its view is stale; it
         # rejoins and relies on suspect/view-change traffic to catch up.
         self.in_view_change = False

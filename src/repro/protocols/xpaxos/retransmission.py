@@ -216,7 +216,9 @@ class Retransmitter:
 
     # -- the core's side of a crash and of a view change -------------------
     def recovered(self) -> None:
-        """The records are volatile, and their timers died in the crash."""
+        """The records are volatile, and their timers died in the crash.
+        The RE-SENDs buffered for the next NEW-VIEW are kept, for the
+        view change a crash keeps too (docs/execution.md says why)."""
         for state in list(self.waiting.values()):
             self._drop(state)
 

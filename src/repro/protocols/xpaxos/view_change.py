@@ -2,12 +2,11 @@
 insertion point (Algorithm 5).
 
 :class:`ViewChanger` is handed the replica and owns everything only a
-view change uses: which views were suspected, the one view change in
-progress, the three timers, and -- with fault detection configured -- the
-:class:`FaultDetector`, the ``FinalProof``s and the two extra handlers.
-It moves the replica between views through ``leave_view`` /
-``start_view`` and re-commits the selected slots through ``commit_log`` /
-``prepare_log`` / ``execute_ready``.
+view change uses: the views suspected, the one view change in progress,
+the three timers and, with fault detection, the :class:`FaultDetector`,
+the ``FinalProof``s and two more handlers.  It moves the replica between
+views through ``leave_view`` / ``start_view`` and re-commits the selected
+slots through ``commit_log`` / ``prepare_log`` / ``execute_ready``.
 
 What ends the gather of a replica installing view v: all n VIEW-CHANGEs
 (VC-FINAL at once); 2 Delta with every member of sg_v heard (VC-FINAL with
@@ -88,6 +87,10 @@ class ViewChanger:
                 msg.VcConfirm: self._on_vc_confirm,
                 msg.FaultAccusation: self.detector.on_accusation,
             })
+
+    def recovered(self) -> None:
+        """Forgets nothing: a replica that crashes mid-change resumes it
+        with what it had gathered (docs/execution.md says why)."""
 
     # ------------------------------------------------------------------
     # Suspicion (Section 4.3.2)

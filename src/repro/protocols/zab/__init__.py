@@ -1,6 +1,5 @@
 """Zab: ZooKeeper's native atomic broadcast (baseline for Figure 10)."""
 
 from repro.protocols.zab.replica import ZabReplica
-from repro.protocols.zab.client import ZabClient
 
-__all__ = ["ZabReplica", "ZabClient"]
+__all__ = ["ZabReplica"]

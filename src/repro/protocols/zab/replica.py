@@ -22,8 +22,8 @@ its in-flight proposals the same way).  The prospective leader
 the highest epoch per zxid -- the freshest acked prefix -- announces
 ``NEW-EPOCH``, and re-proposes that history in the new epoch, which both
 re-commits anything the old quorum had accepted and synchronises lagging
-followers.  An epoch is a view of the shared leader-change layer
-(``repro.protocols.base``): NEW-EPOCH is its :class:`NewView` with no
+followers.  An epoch is a view of the VIEW-CHANGE campaign
+(``repro.protocols.campaign``): NEW-EPOCH is its :class:`NewView` with no
 entries, adopted the same way as PBFT's and Zyzzyva's, and the re-proposals
 go out through ``repropose``.
 """
@@ -33,7 +33,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Set, Tuple
 
-from repro.protocols.base import BaselineReplica, NewView, register_modeled
+from repro.protocols.base import register_modeled
+from repro.protocols.campaign import CampaignReplica, NewView
 from repro.smr.log import CommitEntry
 from repro.smr.messages import Batch
 
@@ -82,7 +83,7 @@ class FollowerInfo:
     entries: Tuple[Tuple[int, int, Batch], ...]
 
 
-class ZabReplica(BaselineReplica):
+class ZabReplica(CampaignReplica):
     """One replica of a Zab ensemble (n = 2t + 1)."""
 
     def __init__(self, *args, **kwargs) -> None:
@@ -105,7 +106,8 @@ class ZabReplica(BaselineReplica):
     def follower_ids(self) -> List[int]:
         """All 2t followers of the current epoch."""
         assert self.config.n is not None
-        return [r for r in range(self.config.n) if r != self.leader_id]
+        leader = self.leader_of(self.view)
+        return [r for r in range(self.config.n) if r != leader]
 
     def propose_batch(self, seqno: int, batch: Batch) -> None:
         self._proposed[seqno] = batch
@@ -123,7 +125,7 @@ class ZabReplica(BaselineReplica):
             return
         self.cpu.charge_mac(m.batch.size_bytes)
         self._pending_commits[m.seqno] = m.batch
-        self.send_authenticated(f"r{self.leader_id}",
+        self.send_authenticated(f"r{self.leader_of(self.view)}",
                                 Ack(m.epoch, m.seqno, self.replica_id),
                                 size_bytes=32)
         if m.seqno in self._early_commits:

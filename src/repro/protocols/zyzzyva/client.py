@@ -16,11 +16,8 @@ class ZyzzyvaClient(QuorumClient):
     phase, with the grace period modelled by the timer.
     """
 
-    def __init__(self, client_id, config, sim, network, keystore, site,
-                 cost_model=None) -> None:
-        assert config.n is not None
-        super().__init__(client_id, config, sim, network, keystore, site,
-                         reply_quorum=config.n, cost_model=cost_model)
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
         self.fallback_commits = 0
 
     def _on_timeout(self) -> None:

@@ -41,7 +41,8 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Tuple
 
 from repro.crypto.primitives import Digest, digest_of
-from repro.protocols.base import BaselineReplica, NewView, register_modeled
+from repro.protocols.base import register_modeled
+from repro.protocols.campaign import CampaignReplica, NewView
 from repro.smr.log import CommitEntry
 from repro.smr.messages import Batch
 
@@ -83,7 +84,7 @@ class ViewChange:
     entries: Tuple[Tuple[int, Batch], ...]
 
 
-class ZyzzyvaReplica(BaselineReplica):
+class ZyzzyvaReplica(CampaignReplica):
     """One replica of the Zyzzyva deployment (n = 3t + 1, all active)."""
 
     def __init__(self, *args, **kwargs) -> None:
@@ -107,9 +108,6 @@ class ZyzzyvaReplica(BaselineReplica):
             ViewChange: self.on_view_change_msg,
             NewView: self._on_new_view,
         })
-
-    def view_change_quorum(self) -> int:
-        return 2 * self.config.t + 1
 
     def propose_batch(self, seqno: int, batch: Batch) -> None:
         digest = self.batch_digest(batch)
@@ -143,10 +141,8 @@ class ZyzzyvaReplica(BaselineReplica):
             # replica and start suspecting the primary.
             if m.repliers:
                 self.request_sync(m.repliers[0])
-            if not self.is_leader \
-                    and not self._election_timer.armed:
-                self._election_timer.start(
-                    self.config.request_retransmit_ms)
+            if not self.is_leader:
+                self.arm_suspicion()
 
     # -- history digest ---------------------------------------------------
     def _claim_history(self, seqno: int, digest: Digest) -> Digest:
@@ -198,9 +194,7 @@ class ZyzzyvaReplica(BaselineReplica):
         self._history_anchored = False
         if not self.is_leader:
             self.request_sync(self.leader_id)
-            if not self._election_timer.armed:
-                self._election_timer.start(
-                    self.config.request_retransmit_ms)
+            self.arm_suspicion()
 
     def _anchor_history(self, view: int,
                         entries: Tuple[Tuple[int, Batch], ...]) -> None:

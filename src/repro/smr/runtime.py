@@ -166,6 +166,9 @@ class ReplicaBase(NodeBase):
         self.ex = 0  # highest sequence number executed
         self.commit_log = CommitLog()
         self.sequencer = PipelinedSequencer(self)
+        #: Objects keeping state of their own, each with a
+        #: ``recovered()`` (:meth:`recover`); XPaxos appends its five.
+        self.components: List[Any] = [self.sequencer]
         #: Reply cache: client id -> this replica's reply to that client's
         #: latest executed request -- the reply itself where it was sent
         #: with the full result, else ``(slot, index)`` into a ``(view,
@@ -187,6 +190,14 @@ class ReplicaBase(NodeBase):
             # active replica triggers view-change initiation (every
             # protocol's replica defines ``suspect_view``).
             self.suspect_view(self.view)
+
+    def recover(self) -> None:
+        """Come back from a crash: ``view``, ``sn``, ``ex``, the logs and
+        the app are durable; each component says what else a crash
+        forgets (docs/execution.md, "What `recover()` forgets")."""
+        super().recover()
+        for component in self.components:
+            component.recovered()
 
     # -- execute -> reply core ------------------------------------------
     def execute_slot(self, seqno: int, batch: Batch) -> List[Any]:

@@ -137,6 +137,11 @@ class PipelinedSequencer:
             self.seen.discard(request.rid)
         return pending
 
+    def recovered(self) -> None:
+        """The queue and its ``seen`` marks are volatile (its batch timer
+        died in the crash): a client's re-send is ordered afresh."""
+        self.drain()
+
     def reset_seen(self, rids) -> None:
         """Replace the dedup set (a fresh leader rebuilds it from its
         committed log)."""

@@ -68,6 +68,25 @@ class TestClusterConfig:
     def test_replica_ids(self):
         assert list(ClusterConfig(t=1).replica_ids()) == [0, 1, 2]
 
+    @pytest.mark.parametrize("t", (1, 2))
+    @pytest.mark.parametrize("protocol, expected", [
+        (ProtocolName.XPAXOS, lambda t: t + 1),   # the synchronous group
+        (ProtocolName.PAXOS, lambda t: 1),        # the leader's reply
+        (ProtocolName.PBFT, lambda t: t + 1),     # one correct among them
+        (ProtocolName.ZYZZYVA, lambda t: 3 * t + 1),  # fast path: all n
+        (ProtocolName.ZAB, lambda t: 1),          # the leader's reply
+    ], ids=["xpaxos", "paxos", "pbft", "zyzzyva", "zab"])
+    def test_reply_quorum_per_protocol(self, protocol, expected, t):
+        assert ClusterConfig(t=t, protocol=protocol).reply_quorum \
+            == expected(t)
+
+    def test_reply_quorum_is_derived_not_settable(self):
+        config = ClusterConfig(t=1, protocol=ProtocolName.PBFT)
+        with pytest.raises(AttributeError):
+            config.reply_quorum = 1
+        with pytest.raises(TypeError):
+            ClusterConfig(t=1, reply_quorum=1)
+
 
 class TestReplicaCount:
     def test_n_formulas(self):

@@ -142,6 +142,7 @@ class TestRegistry:
         """All five protocols' wire messages carry a policy (the registry
         is what the delivery-time verification keys on)."""
         import repro.protocols.base as base
+        import repro.protocols.campaign as campaign
         import repro.protocols.paxos.replica as paxos
         import repro.protocols.pbft.replica as pbft
         import repro.protocols.xpaxos.messages as xmsg
@@ -150,7 +151,7 @@ class TestRegistry:
 
         expected = [
             base.ClientRequestMsg, base.GenericReply, base.SyncRequest,
-            base.SyncReply, base.NewView,
+            base.SyncReply, campaign.NewView,
             paxos.Accept, paxos.Accepted, paxos.Learn, paxos.NewBallot,
             paxos.Promise,
             pbft.PrePrepare, pbft.CommitMsg, pbft.ViewChange,

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from repro.crypto.primitives import (
     KeyStore,
+    Mac,
     client_principal,
     digest_of,
     replica_principal,
@@ -104,6 +105,21 @@ class TestMacs:
         mac_01 = keystore.mac("r0", "c1", "m")
         mac_02 = keystore.mac("r0", "c2", "m")
         assert mac_01 != mac_02
+
+    @pytest.mark.parametrize("forge", [
+        lambda m: Mac(m.sender, "c2", m.digest, m._token),
+        lambda m: Mac("r1", m.receiver, m.digest, m._token),
+        lambda m: Mac(m.sender, m.receiver, m.digest, bytes(len(m._token))),
+    ], ids=["readdressed", "other-sender", "forged-token"])
+    def test_mac_and_digest_checks_agree_on_forgeries(self, keystore, forge):
+        # ``verify_mac`` (payload in hand) and ``verify_mac_digest`` (the
+        # transport's digest) share one token derivation.
+        payload = ("reply", 7)
+        mac = keystore.mac("r0", "c1", payload)
+        assert keystore.verify_mac_digest(mac, digest_of(payload))
+        forged = forge(mac)
+        assert not keystore.verify_mac(forged, payload)
+        assert not keystore.verify_mac_digest(forged, digest_of(payload))
 
 
 class TestPrincipals:

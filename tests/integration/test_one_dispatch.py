@@ -14,6 +14,7 @@ owner among the components.
 import pytest
 
 import repro.protocols.base as base
+import repro.protocols.campaign as campaign
 import repro.protocols.paxos.replica as paxos
 import repro.protocols.pbft.replica as pbft
 import repro.protocols.xpaxos.messages as xmsg
@@ -51,10 +52,11 @@ CASES = [
     (ProtocolName.XPAXOS, {"t": 1, "use_fault_detection": True},
      XPAXOS_ALL - {xmsg.Prepare, xmsg.CommitVote}),
     (ProtocolName.PAXOS, {}, wire_classes(paxos) | BASELINE),
-    (ProtocolName.PBFT, {}, wire_classes(pbft) | BASELINE | {base.NewView}),
+    (ProtocolName.PBFT, {},
+     wire_classes(pbft) | BASELINE | {campaign.NewView}),
     (ProtocolName.ZYZZYVA, {},
-     wire_classes(zyzzyva) | BASELINE | {base.NewView}),
-    (ProtocolName.ZAB, {}, wire_classes(zab) | BASELINE | {base.NewView}),
+     wire_classes(zyzzyva) | BASELINE | {campaign.NewView}),
+    (ProtocolName.ZAB, {}, wire_classes(zab) | BASELINE | {campaign.NewView}),
 ]
 
 

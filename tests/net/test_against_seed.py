@@ -54,7 +54,7 @@ class Fabric:
     through :meth:`send` and :meth:`broadcast`, which speak each
     fabric's verbs."""
 
-    def __init__(self, current, policy, seed=0, fifo=False,
+    def __init__(self, current, policy, seed=0,
                  uplink_rate=None, correlation_window_ms=250.0,
                  on_delivery=None):
         self.current = current
@@ -66,7 +66,7 @@ class Fabric:
         bandwidth = (BandwidthModel(default_rate=uplink_rate)
                      if uplink_rate else None)
         self.net = (Network if current else SeedNetwork)(
-            self.sim, self.latency, bandwidth=bandwidth, fifo=fifo)
+            self.sim, self.latency, bandwidth=bandwidth)
         self.up = dict.fromkeys(NAMES, True)
         self.trace = []
         #: ``(now, pending, deliveries so far)`` samples taken mid-script.
@@ -224,12 +224,11 @@ def play(fabric, steps):
 
 @pytest.mark.parametrize("uplink", (False, True),
                          ids=("no-uplink", "uplink"))
-@pytest.mark.parametrize("fifo", (False, True), ids=("unordered", "fifo"))
 @pytest.mark.parametrize("seed", range(6))
-def test_random_trace_matches_seed(seed, fifo, uplink, policy):
+def test_random_trace_matches_seed(seed, uplink, policy):
     steps = random_script(seed)
     current = on_both(
-        lambda fabric: play(fabric, steps), policy, seed=seed, fifo=fifo,
+        lambda fabric: play(fabric, steps), policy, seed=seed,
         # 200 B/ms: a 4 kB message holds the uplink for 20 ms, so bursts
         # back up and departure times run ahead of send times.
         uplink_rate=200.0 if uplink else None,

@@ -26,14 +26,14 @@ POLICIES = pytest.mark.parametrize("policy", [NULL, MAC_VECTOR],
                                    ids=["null", "mac-vector"])
 
 
-def make_net(fifo=False, bandwidth=False, jitter=0.0, seed=7):
+def make_net(bandwidth=False, jitter=0.0, seed=7):
     sim = Simulator()
     latency = LatencyModel.uniform(("X", "Y", "Z"), one_way_ms=5.0,
                                    jitter=jitter, seed=seed)
     if jitter:
         latency.deterministic = False
     bw = BandwidthModel(default_rate=1000.0) if bandwidth else None
-    return sim, Network(sim, latency, bandwidth=bw, fifo=fifo)
+    return sim, Network(sim, latency, bandwidth=bw)
 
 
 class _Node:
@@ -239,9 +239,9 @@ class TestMatchesSequentialSends:
     @pytest.mark.parametrize("kwargs", [
         {},  # zero jitter: same-site receivers share every arrival tick
         {"jitter": 3.0},
-        {"bandwidth": True, "fifo": True},
-        {"bandwidth": True, "fifo": True, "jitter": 2.0},
-    ], ids=["same-tick", "jittered", "uplink-fifo", "jittered-uplink-fifo"])
+        {"bandwidth": True},
+        {"bandwidth": True, "jitter": 2.0},
+    ], ids=["same-tick", "jittered", "uplink", "jittered-uplink"])
     def test_fanout_matches_sequential_sends(self, kwargs, policy):
         multi = self._run(False, policy, **kwargs)
         assert multi == self._run(True, policy, **kwargs)

@@ -10,10 +10,10 @@ from repro.sim.core import Simulator
 from tests.conftest import multicast_plain, send_plain
 
 
-def make_net(fifo=False, bandwidth=None, sites=("X", "Y")):
+def make_net(bandwidth=None, sites=("X", "Y")):
     sim = Simulator()
     latency = LatencyModel.uniform(sites, one_way_ms=5.0)
-    net = Network(sim, latency, bandwidth=bandwidth, fifo=fifo)
+    net = Network(sim, latency, bandwidth=bandwidth)
     return sim, net
 
 
@@ -120,19 +120,26 @@ class TestFaults:
         assert b.inbox == [("a", "ok")]
 
 
-class TestFifoMode:
-    def test_fifo_preserves_per_pair_order(self):
+class TestUnordered:
+    def test_jitter_reorders_messages_between_one_pair(self):
+        # Channels are independent: under jitter a later send can arrive
+        # first, and receivers buffer what outruns its predecessor.  (With
+        # correlated draws, sends in one window share a delay, so the
+        # window is off here.)
         sim = Simulator()
         latency = LatencyModel.uniform(["X", "Y"], one_way_ms=5.0,
                                        jitter=3.0, seed=1)
         latency.deterministic = False
-        net = Network(sim, latency, fifo=True)
+        latency.correlation_window_ms = 0.0
+        net = Network(sim, latency)
         a = _Node(net, "a", "X")
         b = _Node(net, "b", "Y")
         for i in range(20):
             send_plain(net, "a", "b", i)
         sim.run()
-        assert [p for _, p in b.inbox] == list(range(20))
+        received = [p for _, p in b.inbox]
+        assert sorted(received) == list(range(20))
+        assert received != list(range(20))
 
 
 class TestBandwidthIntegration:

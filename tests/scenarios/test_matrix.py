@@ -3,8 +3,14 @@
 This package is the repo's standing correctness net: every protocol runs
 every in-scope scenario of the built-in library and must satisfy its
 safety/liveness invariants.  A perf or refactor PR that breaks fault
-handling fails here with the exact ``(protocol, scenario)`` cell named.
+handling fails here with the exact ``(protocol, scenario)`` cell named,
+and a cell whose record (commits, violations, detail) moves from the
+committed ``SCENARIO_matrix.json`` golden fails here too.
 """
+
+import json
+from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +26,13 @@ from repro.harness.matrix import (
 from repro.scenarios import builtin_scenarios, get_scenario
 
 SCENARIOS = builtin_scenarios()
+
+#: The full-matrix golden (seed 0, t = 1: what ``test_cell`` runs), one
+#: record per ``(scenario, protocol)``.
+GOLDEN = {(record["scenario"], record["protocol"]): record
+          for record in json.loads(
+              (Path(__file__).resolve().parents[2]
+               / "SCENARIO_matrix.json").read_text())["cells"]}
 
 #: The one known repeated execution, pinned so that a fix and a new repeat
 #: both fail the cell: r1, partitioned from 2500 to 4500 ms, queues the
@@ -41,6 +54,9 @@ class TestConformanceMatrix:
         runtimes = []
         cell = MatrixRunner(seed=0).run_cell(protocol, scenario,
                                              probe=runtimes.append)
+        # Compared as the golden stores it (JSON: tuples become lists).
+        assert json.loads(json.dumps(asdict(cell))) \
+            == GOLDEN[(scenario.name, protocol.value)]
         if not scenario.applies_to(protocol):
             assert cell.status == SKIPPED
             return
