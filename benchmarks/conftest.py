@@ -14,8 +14,6 @@ asserted.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.common.config import ProtocolName, WorkloadConfig
 from repro.crypto.costs import CostModel
 from repro.harness.configs import paper_config

@@ -13,6 +13,7 @@ whereas the XPaxos primary ships to only t followers.
 
 from repro.common.config import ProtocolName, WorkloadConfig
 from repro.harness.configs import paper_config
+from repro.workloads.clients import make_driver
 from repro.zk.service import CoordinationService, zk_write_op
 
 from conftest import RUN_MS, WARMUP_MS, wan_runner
@@ -32,18 +33,42 @@ def zk_workload(num_clients: int) -> WorkloadConfig:
                           client_site="CA")
 
 
+def run_zk_point(runner, protocol, num_clients):
+    """One Figure 10 point: every client writes its own znode with
+    :func:`zk_write_op`.  ``run_point`` would drive the null service's
+    counter ops, which the coordination service refuses as bad
+    arguments."""
+    workload = zk_workload(num_clients)
+    runtime = runner.build(paper_config(protocol), workload)
+    driver = make_driver(runtime, workload, zk_write_op)
+    driver.run()
+    assert_znodes_written(runtime)
+    return driver
+
+
+def assert_znodes_written(runtime):
+    """Every replica that executed holds ``/bench/c<i>`` for each client
+    that committed: the writes reached the replicated service.  At least
+    the common case's replicas executed; speculative PBFT's passive one
+    executes nothing while the primary stays up."""
+    writers = [c.client_id for c in runtime.clients if c.completions]
+    executed = [r for r in runtime.replicas if r.ex]
+    assert writers and len(executed) >= runtime.config.active_count
+    for replica in executed:
+        missing = [i for i in writers
+                   if not replica.app.tree.exists(f"/bench/c{i}")]
+        assert not missing, (replica.replica_id, missing)
+
+
 def test_fig10(benchmark):
     def build():
         curves = {}
         for protocol in PROTOCOLS:
             runner = wan_runner(uplink=ZK_UPLINK,
                                 app_factory=CoordinationService)
-            config = paper_config(protocol)
-            points = []
-            for clients in ZK_CLIENTS:
-                points.append(runner.run_point(config,
-                                               zk_workload(clients)))
-            curves[protocol.value] = points
+            curves[protocol.value] = [
+                run_zk_point(runner, protocol, clients)
+                for clients in ZK_CLIENTS]
         return curves
 
     curves = benchmark.pedantic(build, rounds=1, iterations=1)
@@ -55,15 +80,15 @@ def test_fig10(benchmark):
     print()
     for index, clients in enumerate(ZK_CLIENTS):
         print(f"{clients:>8}", end="")
-        for name, points in curves.items():
-            result = points[index]
-            lat = (f"{result.mean_latency_ms:8.1f}"
-                   if result.mean_latency_ms is not None else "     n/a")
-            print(f" | {result.throughput_kops:9.3f} {lat}", end="")
+        for name, drivers in curves.items():
+            driver = drivers[index]
+            latency = driver.mean_latency_ms()
+            lat = f"{latency:8.1f}" if latency is not None else "     n/a"
+            print(f" | {driver.mean_throughput_kops():9.3f} {lat}", end="")
         print()
 
-    peaks = {name: max(p.throughput_kops for p in points)
-             for name, points in curves.items()}
+    peaks = {name: max(d.mean_throughput_kops() for d in drivers)
+             for name, drivers in curves.items()}
     print(f"peaks (kops/s): {peaks}")
 
     # Shape 1: XPaxos close to Paxos.
@@ -89,10 +114,9 @@ def test_fig10_leader_bandwidth_explanation(benchmark):
             runner = wan_runner(uplink=ZK_UPLINK,
                                 app_factory=CoordinationService)
             runner.bandwidth_factory = lambda b=bandwidth: b
-            config = paper_config(protocol)
-            result = runner.run_point(config, zk_workload(64))
+            driver = run_zk_point(runner, protocol, 64)
             stats[protocol.value] = (bandwidth.bytes_sent("r0"),
-                                     result.committed)
+                                     driver.throughput.total)
         return stats
 
     stats = benchmark.pedantic(build, rounds=1, iterations=1)

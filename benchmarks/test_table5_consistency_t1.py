@@ -1,7 +1,6 @@
 """Table 5: nines of consistency for CFT, XPaxos, BFT at t = 1."""
 
 from repro.reliability.tables import (
-    consistency_cell,
     consistency_table,
     format_consistency_table,
 )

@@ -1,7 +1,6 @@
 """Table 7: nines of availability for CFT, BFT, XPaxos at t = 1."""
 
 from repro.reliability.tables import (
-    availability_cell,
     availability_table,
     format_availability_table,
 )

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import ast
 
-from repro.analysis.base import ModuleInfo, Rule, path_endswith, rule
+from repro.analysis.base import Rule, path_endswith, rule
 
 #: ``random`` module attributes that draw from (or reseed) the shared
 #: global stream.  ``Random``/``getstate``/``setstate`` are deliberately

@@ -10,7 +10,7 @@ These rules pin the invariants that keep it that way.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Set, Tuple
+from typing import Dict, Tuple
 
 from repro.analysis.base import (
     ModuleInfo,

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.common.config import ProtocolName, WorkloadConfig
 from repro.crypto.costs import CostModel

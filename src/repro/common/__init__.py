@@ -1,4 +1,4 @@
-"""Shared identifiers, configuration dataclasses, and error types."""
+"""Shared configuration dataclasses and error types."""
 
 from repro.common.config import ClusterConfig, ProtocolName, WorkloadConfig
 from repro.common.errors import (
@@ -6,7 +6,6 @@ from repro.common.errors import (
     ProtocolViolation,
     ReproError,
 )
-from repro.common.ids import ClientId, ReplicaId, RequestId, ViewNumber
 
 __all__ = [
     "ClusterConfig",
@@ -15,8 +14,4 @@ __all__ = [
     "ReproError",
     "ConfigurationError",
     "ProtocolViolation",
-    "ClientId",
-    "ReplicaId",
-    "RequestId",
-    "ViewNumber",
 ]

@@ -176,11 +176,6 @@ class ClusterConfig:
             return self.n
         return self.t + 1
 
-    def replica_ids(self) -> range:
-        """All replica identifiers in this cluster."""
-        assert self.n is not None
-        return range(self.n)
-
 
 @dataclass(frozen=True)
 class WorkloadConfig:

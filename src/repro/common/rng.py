@@ -1,17 +1,15 @@
-"""Deterministic random-number helpers.
+"""Deterministic random-number streams derived from an experiment seed.
 
-Every stochastic component (latency sampling, workload think times, fault
-schedules) draws from a stream derived from a single experiment seed, so any
-run can be replayed exactly.  Streams are derived by name, which keeps the
-draw sequence of one component independent from how often another component
-draws -- adding a new latency sample never perturbs the fault schedule.
+The latency model draws from a stream derived by name from the
+experiment's seed, so any run can be replayed exactly, and the draw
+sequence of one named component stays independent of how often another
+one draws.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
-from typing import Iterator
 
 
 def derive_seed(root_seed: int, *names: object) -> int:
@@ -32,73 +30,3 @@ def derive_seed(root_seed: int, *names: object) -> int:
 def stream(root_seed: int, *names: object) -> random.Random:
     """Return a ``random.Random`` seeded for the component path ``names``."""
     return random.Random(derive_seed(root_seed, *names))
-
-
-def lognormal_from_percentiles(
-    rng: random.Random,
-    median: float,
-    p9999: float,
-    n_sigma: float = 3.719,
-) -> float:
-    """Sample a log-normal value with a given median and 99.99th percentile.
-
-    The paper's Table 3 reports average and extreme-percentile round-trip
-    latencies; a log-normal body with the measured tail is the standard way
-    to regenerate such a distribution.  ``n_sigma`` is the standard-normal
-    quantile of the matched percentile (3.719 for 99.99%).
-
-    Args:
-        rng: the deterministic stream to draw from.
-        median: target median of the distribution (> 0).
-        p9999: target upper percentile value (>= median).
-        n_sigma: standard-normal quantile for the percentile being matched.
-
-    Returns:
-        One sample from the fitted distribution.
-    """
-    if median <= 0:
-        raise ValueError(f"median must be positive, got {median}")
-    if p9999 < median:
-        raise ValueError("p9999 must be >= median")
-    import math
-
-    mu = math.log(median)
-    sigma = (math.log(p9999) - mu) / n_sigma if p9999 > median else 0.0
-    return math.exp(rng.gauss(mu, sigma))
-
-
-def exponential_backoff(
-    base_ms: float, attempt: int, cap_ms: float = 60_000.0
-) -> float:
-    """Deterministic (jitter-free) exponential backoff used by clients."""
-    if base_ms <= 0:
-        raise ValueError("base_ms must be positive")
-    if attempt < 0:
-        raise ValueError("attempt must be >= 0")
-    return min(cap_ms, base_ms * (2 ** attempt))
-
-
-def zipf_keys(rng: random.Random, n_keys: int, skew: float) -> Iterator[int]:
-    """Infinite stream of Zipf-distributed key indices in ``[0, n_keys)``.
-
-    Used by the key-value-store workload generator.  ``skew = 0`` degenerates
-    to uniform.
-    """
-    if n_keys < 1:
-        raise ValueError("n_keys must be >= 1")
-    if skew < 0:
-        raise ValueError("skew must be >= 0")
-    if skew == 0:
-        while True:
-            yield rng.randrange(n_keys)
-    weights = [1.0 / ((i + 1) ** skew) for i in range(n_keys)]
-    total = sum(weights)
-    cumulative = []
-    acc = 0.0
-    for w in weights:
-        acc += w
-        cumulative.append(acc / total)
-    import bisect
-
-    while True:
-        yield bisect.bisect_left(cumulative, rng.random())

@@ -22,7 +22,6 @@ from repro.crypto.authenticators import (
     MAC_VECTOR,
     MODELED_MAC,
     NULL,
-    SIGNATURE,
     Authenticator,
     authenticator_for,
     register,
@@ -43,5 +42,4 @@ __all__ = [
     "MAC_VECTOR",
     "MODELED_MAC",
     "NULL",
-    "SIGNATURE",
 ]

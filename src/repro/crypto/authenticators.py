@@ -34,9 +34,6 @@ Policies
   channel binding).  Used for the channels whose authentication the
   repository actually exercises adversarially (XPaxos PreChk and client
   replies).
-* :class:`SignatureAuthenticator` -- one digital signature shared by all
-  receivers, verified on delivery.  Available for protocols that want
-  transport-level signing without embedding the signature in the payload.
 * :class:`ModeledMacAuthenticator` -- the baselines' fidelity level: the
   CPU cost and wire bytes of an HMAC vector are accounted, but no token
   is materialised and nothing is verified on delivery (the baselines are
@@ -61,22 +58,19 @@ from repro.crypto.primitives import (
     KeyStore,
     Mac,
     Principal,
-    Signature,
     _sha256,
     digest_of,
 )
 
 #: Wire size of one HMAC-SHA1 authenticator (the paper's channel MAC).
 MAC_BYTES = 20
-#: Wire size of one RSA1024 signature.
-SIG_BYTES = 128
 
 
 class Authenticator:
     """One authentication policy for a class of messages.
 
     ``begin`` runs once per fan-out and returns the shared context
-    (digest, signature, or None); ``stamp`` runs once per receiver and
+    (a digest, or None); ``stamp`` runs once per receiver and
     returns that channel's authenticator; ``verify`` runs on delivery.
     ``charge_send`` accounts the sender's CPU for an n-way fan-out.
     """
@@ -185,43 +179,6 @@ class MacVectorAuthenticator(Authenticator):
         cpu.charge_macs(receivers, size_bytes)
 
 
-class SignatureAuthenticator(Authenticator):
-    """One digital signature shared by every receiver of the fan-out."""
-
-    name = "signature"
-    auth_bytes = SIG_BYTES
-    verify_on_delivery = True
-
-    def begin(self, keystore: KeyStore, sender: Principal,
-              body: Any) -> Signature:
-        return keystore.sign(sender, body)
-
-    def stamp(self, keystore: KeyStore, sender: Principal,
-              receiver: Principal, context: Signature) -> Signature:
-        return context
-
-    def context_digest(self, context: Signature) -> Optional[Digest]:
-        # The transport signed the very body object it delivers, so the
-        # signature's digest *is* the trusted digest of that body.
-        return context.digest if context is not None else None
-
-    def verify(self, keystore: KeyStore, cpu: CpuMeter, sender: Principal,
-               receiver: Principal, body: Any, auth: Any,
-               size_bytes: int = 0,
-               body_digest: Optional[Digest] = None) -> bool:
-        cpu.charge_verify()
-        if not (isinstance(auth, Signature) and auth.signer == sender):
-            return False
-        if body_digest is not None:
-            return keystore.verify_digest(auth, body_digest)
-        return keystore.verify(auth, body)
-
-    def charge_send(self, cpu: CpuMeter, receivers: int,
-                    size_bytes: int = 0) -> None:
-        if receivers > 0:
-            cpu.charge_sign()
-
-
 class ModeledMacAuthenticator(Authenticator):
     """The CFT/BFT baselines' channel MACs: CPU and wire bytes are
     accounted, but no token is materialised and deliveries are not
@@ -240,7 +197,6 @@ class ModeledMacAuthenticator(Authenticator):
 #: Shared policy instances (policies are stateless).
 NULL = NullAuthenticator()
 MAC_VECTOR = MacVectorAuthenticator()
-SIGNATURE = SignatureAuthenticator()
 MODELED_MAC = ModeledMacAuthenticator()
 
 _REGISTRY: Dict[Type, Authenticator] = {}

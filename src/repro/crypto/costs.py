@@ -17,7 +17,7 @@ primitives on the EC2 instances used (8 vCPUs):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict
 
 

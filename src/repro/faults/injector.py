@@ -88,22 +88,14 @@ class FaultSchedule:
     def suspect(self, at_ms: float, replica: int) -> "FaultSchedule":
         """Make ``replica`` suspect its current view at ``at_ms``.
 
-        Triggers a view change without any actual crash or partition --
-        the injector calls ``replica.suspect_view(replica.view)`` on
-        protocols that support it (XPaxos); a no-op elsewhere.
+        Triggers a view change without any actual crash or partition: the
+        injector calls ``replica.suspect_view(replica.view)``, which every
+        protocol's replica defines; a crashed replica ignores it.
         """
         self.events.append(FaultEvent(at_ms, "suspect", replica=replica))
         return self
 
     # -- composition ------------------------------------------------------
-    def shift(self, offset_ms: float) -> "FaultSchedule":
-        """A copy of this schedule with every event offset by
-        ``offset_ms``."""
-        return FaultSchedule([
-            FaultEvent(e.at_ms + offset_ms, e.kind, replica=e.replica,
-                       pair=e.pair)
-            for e in self.events])
-
     def merge(self, other: "FaultSchedule") -> "FaultSchedule":
         """A new schedule containing the events of both, by time."""
         merged = FaultSchedule(list(self.events) + list(other.events))
@@ -181,34 +173,5 @@ class FaultInjector:
         elif event.kind == "suspect":
             assert event.replica is not None
             replica = self.runtime.replica(event.replica)
-            suspect = getattr(replica, "suspect_view", None)
-            if suspect is not None and not replica.crashed:
-                suspect(replica.view)
-
-    # -- immediate (unscheduled) injection --------------------------------
-    def crash_now(self, replica: int) -> None:
-        """Crash a replica immediately."""
-        self.runtime.replica(replica).crash()
-        self.injected.append(FaultEvent(self.runtime.sim.now, "crash",
-                                        replica=replica))
-
-    def recover_now(self, replica: int) -> None:
-        """Recover a replica immediately."""
-        self.runtime.replica(replica).recover()
-        self.injected.append(FaultEvent(self.runtime.sim.now, "recover",
-                                        replica=replica))
-
-    def isolate_now(self, replica: int) -> None:
-        """Partition one replica from every other node immediately."""
-        name = f"r{replica}"
-        for other in self.runtime.network.names:
-            if other != name:
-                self.runtime.network.partitions.block_pair(name, other)
-        self.injected.append(FaultEvent(self.runtime.sim.now, "partition",
-                                        pair=(name, "*")))
-
-    def heal_now(self, replica: int) -> None:
-        """Heal all partitions involving one replica immediately."""
-        self.runtime.network.partitions.heal_node(f"r{replica}")
-        self.injected.append(FaultEvent(self.runtime.sim.now, "heal",
-                                        pair=(f"r{replica}", "*")))
+            if not replica.crashed:
+                replica.suspect_view(replica.view)

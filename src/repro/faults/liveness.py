@@ -9,11 +9,10 @@ a windowed invariant over a running cluster:
     whenever the system has been *eligible* for longer than ``bound_ms``
     without a single new client-visible commit, a violation is recorded.
 
-Eligibility defaults to the strictest healthy state -- every replica up and
-no network partitions -- so stalls caused by injected faults never count,
-but the system must resume committing within ``bound_ms`` of the last
-fault healing.  Scenario authors can relax the predicate (e.g. to "a
-quorum is up") through the ``eligible`` hook.
+Eligibility is the strictest healthy state -- every replica up and no
+network partitions (:func:`default_eligible`) -- so stalls caused by
+injected faults never count, but the system must resume committing within
+``bound_ms`` of the last fault healing.
 
 Like :meth:`SafetyChecker.observe_periodically`, sampling self-reschedules
 one simulator event at a time.
@@ -22,7 +21,7 @@ one simulator event at a time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 from repro.smr.runtime import ClusterRuntime
 
@@ -55,20 +54,15 @@ class LivenessChecker:
             comfortably exceed the protocol's view-change plus client
             retransmission timeouts, otherwise recovery itself is flagged.
         period_ms: sampling period.
-        eligible: predicate deciding whether progress is currently
-            *required* (default: :func:`default_eligible`).
     """
 
     def __init__(self, runtime: ClusterRuntime, bound_ms: float,
-                 period_ms: float = 100.0,
-                 eligible: Optional[Callable[[ClusterRuntime], bool]] = None
-                 ) -> None:
+                 period_ms: float = 100.0) -> None:
         if bound_ms <= 0 or period_ms <= 0:
             raise ValueError("bound_ms and period_ms must be positive")
         self.runtime = runtime
         self.bound_ms = bound_ms
         self.period_ms = period_ms
-        self.eligible = eligible or default_eligible
         self.violations: List[LivenessViolation] = []
         self._last_count = self._committed()
         #: Start of the current commit-free eligible streak (None while
@@ -88,7 +82,7 @@ class LivenessChecker:
         count = self._committed()
         progressed = count > self._last_count
         self._last_count = count
-        if progressed or not self.eligible(self.runtime):
+        if progressed or not default_eligible(self.runtime):
             # Commits happened, or the system is excused: reset the streak.
             self._stalled_since = None
             self._flagged = False

@@ -2,15 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
-from repro.common.config import (
-    ClusterConfig,
-    ProtocolName,
-    T1_SITES,
-    T2_SITES,
-    sites_for,
-)
+from repro.common.config import ClusterConfig, ProtocolName, sites_for
 
 
 def replica_placement_table(t: int = 1) -> Dict[str, Sequence[str]]:
@@ -21,13 +15,10 @@ def replica_placement_table(t: int = 1) -> Dict[str, Sequence[str]]:
 
 
 def common_case_sites(protocol: ProtocolName, t: int) -> Tuple[str, ...]:
-    """Datacenters actually involved in the protocol's common case."""
-    sites = sites_for(protocol, t)
-    if protocol in (ProtocolName.XPAXOS, ProtocolName.PAXOS):
-        return tuple(sites[: t + 1])
-    if protocol is ProtocolName.PBFT:
-        return tuple(sites[: 2 * t + 1])
-    return tuple(sites)
+    """Datacenters actually involved in the protocol's common case: the
+    first :attr:`ClusterConfig.active_count` of its placement."""
+    config = paper_config(protocol, t)
+    return tuple(config.sites[: config.active_count])
 
 
 def paper_config(protocol: ProtocolName, t: int = 1,

@@ -128,7 +128,7 @@ class ExperimentRunner:
             for r in runtime.replicas
         }
         most_loaded = max(cpu_by_replica.values()) if cpu_by_replica else 0.0
-        timeouts = sum(getattr(c, "timeouts", 0) for c in runtime.clients)
+        timeouts = sum(c.timeouts for c in runtime.clients)
         series = driver.throughput.timeline()
         return ExperimentResult(
             protocol=config.protocol.value,
@@ -147,10 +147,9 @@ class ExperimentRunner:
             throughput_series=series,
             recovery_gaps_ms=_zero_gaps(
                 series, driver.throughput.window_ms, workload),
-            view_changes={r.replica_id: getattr(
-                r, "view_changes_completed", 0) for r in runtime.replicas},
-            final_views={r.replica_id: getattr(r, "view", 0)
-                         for r in runtime.replicas},
+            view_changes={r.replica_id: r.view_changes_completed
+                          for r in runtime.replicas},
+            final_views={r.replica_id: r.view for r in runtime.replicas},
         )
 
     def run_points(

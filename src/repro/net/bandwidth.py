@@ -44,12 +44,6 @@ class BandwidthModel:
         self._default_rate = default_rate
         self._uplinks: Dict[str, _Uplink] = {}
 
-    def set_rate(self, node: str, rate: float) -> None:
-        """Override the uplink rate of one node (heterogeneous links)."""
-        if rate <= 0:
-            raise ValueError("uplink rate must be positive")
-        self._uplink(node).rate = rate
-
     def _uplink(self, node: str) -> _Uplink:
         link = self._uplinks.get(node)
         if link is None:

@@ -13,15 +13,17 @@ over the measured WAN.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 from repro.common.errors import ConfigurationError
 from repro.common.rng import stream
 
 #: Standard-normal quantile of 99.99% -- used to fit the log-normal tail.
 _Z_9999 = 3.719
+
+#: One-way delay between two nodes in the same datacenter (ms).
+INTRA_SITE_MS = 0.3
 
 
 @dataclass(frozen=True, slots=True)
@@ -107,20 +109,18 @@ class LatencyModel:
       datacenters with Table 3 statistics.
     * :meth:`uniform` -- a flat LAN-like model for unit tests.
 
-    Intra-site delay defaults to 0.3 ms (same-datacenter hop).
+    Two nodes at the same site are :data:`INTRA_SITE_MS` apart.
     """
 
     def __init__(
         self,
         links: Mapping[Tuple[str, str], LinkStats],
         seed: int = 0,
-        intra_site_ms: float = 0.3,
         deterministic: bool = False,
         correlation_window_ms: float = 250.0,
     ) -> None:
         self._links = dict(links)
         self._rng = stream(seed, "latency")
-        self.intra_site_ms = intra_site_ms
         self.deterministic = deterministic
         #: Real WAN latency is burst-correlated: congestion slows a link
         #: for a stretch, not one packet.  When a caller supplies the
@@ -177,7 +177,7 @@ class LatencyModel:
     def mean_one_way(self, a: str, b: str) -> float:
         """Average one-way delay (half the measured average RTT)."""
         if a == b:
-            return self.intra_site_ms
+            return INTRA_SITE_MS
         return self.stats(a, b).avg_ms / 2.0
 
     def sample_one_way(self, a: str, b: str,
@@ -191,7 +191,7 @@ class LatencyModel:
         of this directed link within ``correlation_window_ms``.
         """
         if a == b:
-            return self.intra_site_ms
+            return INTRA_SITE_MS
         fit = self._fit.get((a, b))
         if fit is None:
             st = self.stats(a, b)

@@ -45,7 +45,7 @@ that bypasses the transport sees ``None`` and pays the full check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, Optional, Sequence
+from typing import Any, Callable, Dict, Optional, Sequence
 
 from repro.common.errors import ConfigurationError
 from repro.net.bandwidth import BandwidthModel
@@ -149,11 +149,6 @@ class Network:
             return self._endpoints[name]
         except KeyError:
             raise ConfigurationError(f"unknown endpoint {name}")
-
-    @property
-    def names(self) -> Iterable[str]:
-        """All registered endpoint names."""
-        return self._endpoints.keys()
 
     # ------------------------------------------------------------------
     def _fan_out(self, src: str, dsts: Sequence[str], payload: Any,

@@ -13,7 +13,7 @@ deterministically), exactly as the paper allows.
 from __future__ import annotations
 
 import itertools
-from typing import AbstractSet, Dict, FrozenSet, Iterable, List, Set, Tuple
+from typing import FrozenSet, Iterable, List, Set, Tuple
 
 
 def _pair(a: str, b: str) -> Tuple[str, str]:
@@ -50,10 +50,6 @@ class PartitionController:
         for other in others:
             if other != node:
                 self.block_pair(node, other)
-
-    def heal_node(self, node: str) -> None:
-        """Remove every blocked pair that involves ``node``."""
-        self._blocked = {p for p in self._blocked if node not in p}
 
     def split(self, group_a: Iterable[str], group_b: Iterable[str]) -> None:
         """Partition two disjoint groups from each other."""

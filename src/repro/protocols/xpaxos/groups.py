@@ -30,7 +30,7 @@ more groups led by the crashed ``s0`` before the first one without it.
 from __future__ import annotations
 
 import itertools
-from typing import Collection, List, Sequence, Tuple
+from typing import Collection, List, Tuple
 
 from repro.common.errors import ConfigurationError
 
@@ -146,17 +146,3 @@ class SynchronousGroups:
         while not set(silent).isdisjoint(self.group(following)):
             following += 1
         return following
-
-    def next_view_with_group(self, after_view: int,
-                             group: Sequence[int]) -> int:
-        """Smallest view strictly after ``after_view`` whose synchronous
-        group equals ``group`` (used by availability tests)."""
-        target = tuple(sorted(group))
-        if target not in self._groups:
-            raise ValueError(f"{group} is not a valid synchronous group")
-        index = self._groups.index(target)
-        cycle = len(self._groups)
-        base = (after_view // cycle) * cycle + index
-        while base <= after_view:
-            base += cycle
-        return base

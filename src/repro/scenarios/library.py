@@ -25,7 +25,7 @@ progress must resume.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.common.config import ClusterConfig, ProtocolName
 from repro.faults.adversary import DataLossAdversary, EquivocatingAdversary

@@ -2,7 +2,7 @@
 
 from repro.smr.app import KVStore, NullService, StateMachine
 from repro.smr.log import CommitEntry, CommitLog, PrepareEntry, PrepareLog
-from repro.smr.messages import Reply, Request
+from repro.smr.messages import Request
 from repro.smr.runtime import ClusterRuntime, ReplicaBase, SmrClientBase
 
 __all__ = [
@@ -10,7 +10,6 @@ __all__ = [
     "NullService",
     "KVStore",
     "Request",
-    "Reply",
     "PrepareEntry",
     "CommitEntry",
     "PrepareLog",

@@ -12,8 +12,8 @@ checkpointing (discarding proofs below a stable checkpoint, Section 4.5.1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, Generic, Iterator, Optional, Tuple, TypeVar
+from dataclasses import dataclass
+from typing import Dict, Generic, Iterator, Optional, Tuple, TypeVar
 
 from repro.crypto.primitives import Signature
 from repro.smr.messages import Batch

@@ -2,15 +2,15 @@
 
 A :class:`Request` is the paper's ``<REPLICATE, op, ts_c, c>_{sigma_c}``:
 client-signed, carrying an operation and the client's monotonically
-increasing timestamp.  A :class:`Reply` carries the (digest of the)
-application response; its authentication differs per protocol (MACs in
-XPaxos replies, for instance), so the envelope here only fixes the fields
-every protocol needs.
+increasing timestamp.  A :class:`Batch` is the ordered group of requests
+that occupies one sequence number.  Replies are per protocol: the
+baselines send ``GenericReply`` (``protocols/base.py``), XPaxos its
+MAC-authenticated ``ReplyMsg``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Optional, Tuple
 
 from repro.crypto.primitives import (
@@ -71,35 +71,6 @@ class Request:
 
     def __repr__(self) -> str:
         return f"Request(c{self.client}#{self.timestamp})"
-
-
-@dataclass(frozen=True)
-class Reply:
-    """A reply delivered to the client by one replica."""
-
-    replica: int
-    view: int
-    seqno: int
-    timestamp: int
-    result: Any
-    result_digest: Optional[Digest] = None
-    size_bytes: int = 0
-
-    def matches(self, other: "Reply") -> bool:
-        """Do two replies agree (same slot, same result)?
-
-        The client commits on ``t+1`` (or protocol-specific quorum) matching
-        replies; matching compares the logical content, not the sender.
-        """
-        return (
-            self.view == other.view
-            and self.seqno == other.seqno
-            and self.timestamp == other.timestamp
-            and self.result == other.result
-        )
-
-    def __repr__(self) -> str:
-        return f"Reply(r{self.replica} v{self.view} sn{self.seqno})"
 
 
 @dataclass(frozen=True)

@@ -622,10 +622,6 @@ class ClusterRuntime:
         """Replica by id."""
         return self.replicas[replica_id]
 
-    def correct_replicas(self) -> List[ReplicaBase]:
-        """All replicas currently up (the fault injector marks crashes)."""
-        return [r for r in self.replicas if not r.crashed]
-
     def run(self, until: float) -> None:
         """Advance the simulation."""
         self.sim.run(until=until)

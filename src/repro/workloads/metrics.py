@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 
 @dataclass
@@ -105,9 +105,3 @@ class ThroughputRecorder:
             (w * self.window_ms, count / self.window_ms)
             for w, count in sorted(self._windows.items())
         ]
-
-    def peak_kops(self) -> float:
-        """Highest single-window throughput."""
-        if not self._windows:
-            return 0.0
-        return max(self._windows.values()) / self.window_ms

@@ -12,7 +12,7 @@ machine must reply identically on every replica.
 
 from __future__ import annotations
 
-from typing import Any, Tuple
+from typing import Any
 
 from repro.smr.app import StateMachine
 from repro.zk.datatree import DataTree, ZkError
@@ -46,6 +46,9 @@ class CoordinationService(StateMachine):
             return self._dispatch(verb, operation)
         except ZkError as err:
             return ("error", err.code)
+        except ValueError:
+            # A known verb with the wrong number of arguments.
+            return ("error", "BadArguments")
 
     def _dispatch(self, verb: str, operation: tuple) -> Any:
         if verb == "create":

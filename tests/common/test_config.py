@@ -6,7 +6,6 @@ from repro.common.config import (
     ClusterConfig,
     ProtocolName,
     ReplicaCount,
-    WorkloadConfig,
     sites_for,
 )
 from repro.common.errors import ConfigurationError
@@ -64,9 +63,6 @@ class TestClusterConfig:
             t=2, protocol=ProtocolName.ZYZZYVA).active_count == 7     # all
         assert ClusterConfig(
             t=2, protocol=ProtocolName.ZAB).active_count == 5         # all
-
-    def test_replica_ids(self):
-        assert list(ClusterConfig(t=1).replica_ids()) == [0, 1, 2]
 
     @pytest.mark.parametrize("t", (1, 2))
     @pytest.mark.parametrize("protocol, expected", [

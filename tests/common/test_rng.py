@@ -1,15 +1,6 @@
 """Tests for deterministic random-stream derivation."""
 
-import pytest
-from hypothesis import given, strategies as st
-
-from repro.common.rng import (
-    derive_seed,
-    exponential_backoff,
-    lognormal_from_percentiles,
-    stream,
-    zipf_keys,
-)
+from repro.common.rng import derive_seed, stream
 
 
 class TestSeedDerivation:
@@ -33,60 +24,3 @@ class TestSeedDerivation:
         first = [stream(7, "x").random() for _ in range(1)][0]
         second = stream(7, "x").random()
         assert first == second
-
-
-class TestLognormal:
-    def test_median_tracks_target(self):
-        rng = stream(3, "test")
-        samples = sorted(
-            lognormal_from_percentiles(rng, median=100.0, p9999=1000.0)
-            for _ in range(4001))
-        assert samples[2000] == pytest.approx(100.0, rel=0.1)
-
-    def test_degenerate_tail_is_constant(self):
-        rng = stream(3, "test")
-        value = lognormal_from_percentiles(rng, median=50.0, p9999=50.0)
-        assert value == pytest.approx(50.0)
-
-    def test_invalid_inputs(self):
-        rng = stream(3, "test")
-        with pytest.raises(ValueError):
-            lognormal_from_percentiles(rng, median=0.0, p9999=10.0)
-        with pytest.raises(ValueError):
-            lognormal_from_percentiles(rng, median=10.0, p9999=5.0)
-
-
-class TestBackoff:
-    def test_doubles_and_caps(self):
-        assert exponential_backoff(100.0, 0) == 100.0
-        assert exponential_backoff(100.0, 3) == 800.0
-        assert exponential_backoff(100.0, 20, cap_ms=5_000.0) == 5_000.0
-
-    def test_invalid_inputs(self):
-        with pytest.raises(ValueError):
-            exponential_backoff(0.0, 1)
-        with pytest.raises(ValueError):
-            exponential_backoff(10.0, -1)
-
-
-class TestZipf:
-    def test_uniform_when_skew_zero(self):
-        keys = zipf_keys(stream(5, "z"), n_keys=10, skew=0.0)
-        drawn = [next(keys) for _ in range(1000)]
-        assert set(drawn) == set(range(10))
-
-    def test_skew_concentrates_on_low_keys(self):
-        keys = zipf_keys(stream(5, "z"), n_keys=100, skew=1.2)
-        drawn = [next(keys) for _ in range(2000)]
-        head = sum(1 for k in drawn if k < 10)
-        assert head > 0.5 * len(drawn)
-
-    def test_bounds(self):
-        keys = zipf_keys(stream(5, "z"), n_keys=7, skew=0.8)
-        assert all(0 <= next(keys) < 7 for _ in range(500))
-
-    def test_invalid_inputs(self):
-        with pytest.raises(ValueError):
-            next(zipf_keys(stream(1, "z"), n_keys=0, skew=1.0))
-        with pytest.raises(ValueError):
-            next(zipf_keys(stream(1, "z"), n_keys=5, skew=-1.0))

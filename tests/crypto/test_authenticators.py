@@ -7,14 +7,12 @@ from repro.crypto.authenticators import (
     MAC_VECTOR,
     MODELED_MAC,
     NULL,
-    SIG_BYTES,
-    SIGNATURE,
     authenticator_for,
     register,
     registered_classes,
 )
 from repro.crypto.costs import CostModel, CpuMeter
-from repro.crypto.primitives import KeyStore, Mac, digest_of
+from repro.crypto.primitives import KeyStore, digest_of
 
 
 @pytest.fixture
@@ -76,28 +74,6 @@ class TestMacVector:
 
     def test_wire_bytes(self):
         assert MAC_VECTOR.auth_bytes == MAC_BYTES == 20
-
-
-class TestSignature:
-    def test_shared_across_receivers(self, keystore, cpu):
-        body = ("vc", 3)
-        ctx = SIGNATURE.begin(keystore, "r1", body)
-        assert SIGNATURE.stamp(keystore, "r1", "r2", ctx) is ctx
-        assert SIGNATURE.verify(keystore, cpu, "r1", "r2", body, ctx)
-        assert SIGNATURE.verify(keystore, cpu, "r1", "r9", body, ctx)
-
-    def test_rejects_wrong_signer(self, keystore, cpu):
-        sig = keystore.sign("r3", ("vc", 3))
-        assert not SIGNATURE.verify(keystore, cpu, "r1", "r2", ("vc", 3),
-                                    sig)
-
-    def test_charges_one_sign(self, keystore):
-        cpu = CpuMeter(CostModel())
-        SIGNATURE.charge_send(cpu, 9, 4096)
-        assert cpu.busy_us == pytest.approx(CostModel().sign_cost())
-
-    def test_wire_bytes(self):
-        assert SIGNATURE.auth_bytes == SIG_BYTES == 128
 
 
 class TestNullAndModeled:

@@ -40,7 +40,7 @@ from repro.net.network import Endpoint, Network
 from repro.protocols.xpaxos import messages as msg
 from repro.protocols.xpaxos.messages import FastCommit, PreChk, ReplyMsg
 from repro.sim.core import Simulator
-from repro.smr.messages import Batch, Reply, Request
+from repro.smr.messages import Batch, Request
 from tests.conftest import make_cluster
 
 
@@ -63,7 +63,6 @@ class TestByteIdentity:
             Request(op=("put", "k", b"v"), timestamp=8, client=2,
                     signature=sig),
             make_batch(),
-            Reply(replica=1, view=0, seqno=5, timestamp=7, result="ok"),
             ReplyMsg(replica=0, view=1, seqno=9, timestamp=4, client=3,
                      result=None, result_digest=digest_of(("r", 9))),
             PreChk(seqno=40, view=1, state_digest=b"\x01" * 32, sender=2),

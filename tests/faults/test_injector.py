@@ -52,21 +52,11 @@ class TestFaultInjector:
         runtime.sim.run(until=250.0)
         assert not runtime.network.partitions.blocked("r0", "r1")
 
-    def test_immediate_operations(self):
-        runtime = make_cluster()
-        injector = FaultInjector(runtime)
-        injector.crash_now(2)
-        assert runtime.replica(2).crashed
-        injector.recover_now(2)
-        assert not runtime.replica(2).crashed
-        injector.isolate_now(0)
-        assert runtime.network.partitions.blocked("r0", "r1")
-        injector.heal_now(0)
-        assert not runtime.network.partitions.blocked("r0", "r1")
-
     def test_injection_log(self):
         runtime = make_cluster()
         injector = FaultInjector(runtime)
-        injector.crash_now(1)
-        injector.recover_now(1)
+        injector.arm(FaultSchedule().crash_for(100.0, 1, 100.0))
+        runtime.sim.run(until=150.0)
+        assert [e.kind for e in injector.injected] == ["crash"]
+        runtime.sim.run(until=250.0)
         assert [e.kind for e in injector.injected] == ["crash", "recover"]

@@ -33,15 +33,24 @@ class TestTable4:
 
 
 class TestCommonCaseSites:
-    def test_xpaxos_t1_common_case_is_ca_va(self):
-        assert common_case_sites(ProtocolName.XPAXOS, 1) == ("CA", "VA")
-
-    def test_pbft_t1_common_case_is_three_sites(self):
-        assert common_case_sites(ProtocolName.PBFT, 1) == \
-            ("CA", "VA", "JP")
-
-    def test_zyzzyva_uses_all(self):
-        assert len(common_case_sites(ProtocolName.ZYZZYVA, 1)) == 4
+    # XPaxos and Paxos: t + 1; speculative PBFT: 2t + 1; Zyzzyva and
+    # Zab: every replica -- a prefix of the protocol's placement.
+    @pytest.mark.parametrize("protocol, t, expected", [
+        (ProtocolName.XPAXOS, 1, ("CA", "VA")),
+        (ProtocolName.PAXOS, 1, ("CA", "VA")),
+        (ProtocolName.PBFT, 1, ("CA", "VA", "JP")),
+        (ProtocolName.ZYZZYVA, 1, ("CA", "VA", "JP", "EU")),
+        (ProtocolName.ZAB, 1, ("CA", "VA", "JP")),
+        (ProtocolName.XPAXOS, 2, ("CA", "OR", "VA")),
+        (ProtocolName.PAXOS, 2, ("CA", "OR", "VA")),
+        (ProtocolName.PBFT, 2, ("CA", "OR", "VA", "JP", "EU")),
+        (ProtocolName.ZYZZYVA, 2, ("CA", "OR", "VA", "JP", "EU", "AU",
+                                   "SG")),
+        (ProtocolName.ZAB, 2, ("CA", "OR", "VA", "JP", "EU")),
+    ])
+    def test_common_case_is_a_prefix_of_the_placement(self, protocol, t,
+                                                      expected):
+        assert common_case_sites(protocol, t) == expected
 
 
 class TestPaperConfig:

@@ -1,5 +1,7 @@
 """Tests for the experiment runner."""
 
+import pytest
+
 from repro.common.config import ClusterConfig, ProtocolName, WorkloadConfig
 from repro.crypto.costs import CostModel
 from repro.faults.injector import FaultSchedule
@@ -75,8 +77,8 @@ def fault_runner():
         cost_model=CostModel.free())
 
 
-def fault_config():
-    return ClusterConfig(t=1, protocol=ProtocolName.XPAXOS, delta_ms=50.0,
+def fault_config(protocol=ProtocolName.XPAXOS):
+    return ClusterConfig(t=1, protocol=protocol, delta_ms=50.0,
                          request_retransmit_ms=300.0,
                          view_change_timeout_ms=600.0, batch_timeout_ms=2.0)
 
@@ -94,6 +96,20 @@ class TestRunPointUnderFaults:
         # Throughput resumed: windows exist near the end of the run.
         last_window = max(start for start, _ in result.throughput_series)
         assert last_window >= 7_000.0
+
+    @pytest.mark.parametrize("protocol", list(ProtocolName),
+                             ids=[p.value for p in ProtocolName])
+    def test_suspect_event_changes_the_view(self, protocol):
+        """A scripted suspicion reaches every protocol's replica, and the
+        result reports each replica's view changes and final view."""
+        workload = WorkloadConfig(num_clients=4, request_size=128,
+                                  duration_ms=3_000.0, warmup_ms=100.0)
+        schedule = FaultSchedule().suspect(500.0, 1)
+        result = lan_runner().run_point(fault_config(protocol), workload,
+                                        schedule=schedule)
+        assert result.committed > 0
+        assert min(result.final_views.values()) >= 1
+        assert sum(result.view_changes.values()) >= 1
 
     def test_fault_free_run_has_no_gaps(self):
         workload = WorkloadConfig(num_clients=4, request_size=128,

@@ -3,11 +3,10 @@ invariants."""
 
 import pytest
 
-from repro.common.config import ClusterConfig, ProtocolName, WorkloadConfig
+from repro.common.config import ClusterConfig, ProtocolName
 from repro.faults.checker import SafetyChecker
 from repro.protocols.registry import build_cluster
 from repro.smr.app import KVStore
-from repro.workloads.clients import ClosedLoopDriver
 from tests.conftest import FAST_TIMEOUTS, make_cluster, run_workload
 
 ALL_PROTOCOLS = list(ProtocolName)

@@ -39,18 +39,9 @@ class TestSerialization:
 
 
 class TestRates:
-    def test_heterogeneous_rates(self):
-        bw = BandwidthModel(default_rate=1000.0)
-        bw.set_rate("slow", 100.0)
-        assert bw.serialize("slow", 1000, now=0.0) == pytest.approx(10.0)
-        assert bw.serialize("fast", 1000, now=0.0) == pytest.approx(1.0)
-
     def test_invalid_rate_rejected(self):
         with pytest.raises(ValueError):
             BandwidthModel(default_rate=0.0)
-        bw = BandwidthModel()
-        with pytest.raises(ValueError):
-            bw.set_rate("n", -5.0)
 
 
 class TestAccounting:

@@ -3,7 +3,13 @@
 import pytest
 
 from repro.common.errors import ConfigurationError
-from repro.net.latency import EC2_TABLE3, EC2_SITES, LatencyModel, LinkStats
+from repro.net.latency import (
+    EC2_SITES,
+    EC2_TABLE3,
+    INTRA_SITE_MS,
+    LatencyModel,
+    LinkStats,
+)
 
 
 class TestLinkStats:
@@ -51,7 +57,26 @@ class TestLatencyModel:
 
     def test_same_site_is_intra_site(self):
         model = LatencyModel.ec2()
-        assert model.mean_one_way("CA", "CA") == model.intra_site_ms
+        assert model.mean_one_way("CA", "CA") == INTRA_SITE_MS
+
+    @pytest.mark.parametrize("site", EC2_SITES)
+    def test_every_site_is_intra_site_to_itself(self, site):
+        """Mean, independent sample and windowed sample alike."""
+        model = LatencyModel.ec2(seed=1)
+        assert model.mean_one_way(site, site) == INTRA_SITE_MS
+        assert model.sample_one_way(site, site) == INTRA_SITE_MS
+        assert model.sample_one_way(site, site, now=10.0) == INTRA_SITE_MS
+        assert model.stats(site, site) is None
+
+    def test_flat_tail_samples_the_median(self):
+        """A link whose 99.99th percentile equals its average fits a
+        zero-spread log-normal: every draw is the median."""
+        flat = LinkStats(10.0, 10.0, 10.0, 10.0)
+        model = LatencyModel({("A", "B"): flat, ("B", "A"): flat}, seed=4)
+        assert not model.deterministic
+        for now in (None, 0.0, 300.0):
+            assert model.sample_one_way("A", "B", now=now) == \
+                pytest.approx(5.0)
 
     def test_deterministic_mode_returns_median(self):
         model = LatencyModel.ec2(deterministic=True)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.common.errors import ConfigurationError
 from repro.net.bandwidth import BandwidthModel
-from repro.net.latency import LatencyModel
+from repro.net.latency import INTRA_SITE_MS, LatencyModel
 from repro.net.network import Endpoint, Network
 from repro.sim.core import Simulator
 from tests.conftest import multicast_plain, send_plain
@@ -43,7 +43,7 @@ class TestDelivery:
         b = _Node(net, "b", "X")
         send_plain(net, "a", "b", "m")
         sim.run()
-        assert sim.now == net.latency.intra_site_ms
+        assert sim.now == INTRA_SITE_MS
 
     def test_broadcast(self):
         sim, net = make_net()

@@ -25,15 +25,6 @@ class TestPartitionController:
         assert pc.blocked("a", "c")
         assert not pc.blocked("b", "c")
 
-    def test_heal_node(self):
-        pc = PartitionController()
-        pc.block_pair("a", "b")
-        pc.block_pair("a", "c")
-        pc.block_pair("b", "c")
-        pc.heal_node("a")
-        assert not pc.blocked("a", "b")
-        assert pc.blocked("b", "c")
-
     def test_split(self):
         pc = PartitionController()
         pc.split(["a", "b"], ["c", "d"])

@@ -6,8 +6,6 @@ these tests drive it on the shared :class:`ClusterHarness` fixtures, plus
 message-reordering unit tests for the ``(seqno, digest)`` vote keying.
 """
 
-import pytest
-
 from repro.common.config import ProtocolName
 from repro.crypto.primitives import Digest
 from repro.faults.injector import FaultSchedule

@@ -1,7 +1,5 @@
 """Tests regenerating the paper's Appendix D tables (5-8)."""
 
-import pytest
-
 from repro.reliability.tables import (
     availability_cell,
     availability_table,

@@ -82,10 +82,12 @@ class TestWatch:
         with pytest.raises(ValueError):
             LivenessChecker(harness.runtime, bound_ms=10.0, period_ms=0.0)
 
-    def test_custom_eligibility_hook(self):
+    def test_ineligible_cluster_is_never_flagged(self):
+        """The idle run that violates above, with one replica down for
+        all of it: never eligible, so progress is never required."""
         harness = make_harness()
-        checker = LivenessChecker(harness.runtime, bound_ms=300.0,
-                                  eligible=lambda runtime: False)
+        harness.replica(1).crash()
+        checker = LivenessChecker(harness.runtime, bound_ms=300.0)
         checker.watch(3_000.0)
         harness.runtime.sim.run(until=3_000.0)
-        assert checker.violations == []  # never eligible, never required
+        assert checker.violations == []

@@ -97,13 +97,6 @@ class TestLibrary:
 
 
 class TestScheduleComposition:
-    def test_shift_offsets_every_event(self):
-        schedule = FaultSchedule().crash_for(100.0, 0, 50.0)
-        shifted = schedule.shift(1_000.0)
-        assert [e.at_ms for e in shifted.events] == [1_100.0, 1_150.0]
-        # The original is untouched.
-        assert [e.at_ms for e in schedule.events] == [100.0, 150.0]
-
     def test_merge_sorts_by_time(self):
         a = FaultSchedule().crash(500.0, 0)
         b = FaultSchedule().recover(100.0, 1)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.crypto.primitives import KeyStore
-from repro.smr.log import CommitEntry, CommitLog, PrepareEntry, PrepareLog
+from repro.smr.log import CommitEntry, CommitLog
 from repro.smr.messages import Batch, Request
 
 

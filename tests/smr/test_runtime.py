@@ -273,12 +273,6 @@ class TestClusterRuntime:
         with pytest.raises(ConfigurationError):
             runtime.add_replica(out_of_order)
 
-    def test_correct_replicas_excludes_crashed(self):
-        runtime = make_cluster()
-        runtime.replica(1).crash()
-        up = {r.replica_id for r in runtime.correct_replicas()}
-        assert up == {0, 2}
-
 
 class TestClientBase:
     def test_timestamps_monotone(self):

@@ -1,7 +1,5 @@
 """Tests for the top-level package surface (what a downstream user sees)."""
 
-import pytest
-
 import repro
 
 

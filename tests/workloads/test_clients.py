@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.common.config import ProtocolName, WorkloadConfig
+from repro.common.config import WorkloadConfig
 from repro.common.errors import ConfigurationError
 from repro.workloads.clients import ClosedLoopDriver
 from tests.conftest import make_cluster

@@ -56,13 +56,6 @@ class TestThroughputRecorder:
         recorder.record(600.0)
         assert recorder.total == 1
 
-    def test_peak(self):
-        recorder = ThroughputRecorder(window_ms=100.0)
-        for _ in range(5):
-            recorder.record(50.0)
-        recorder.record(150.0)
-        assert recorder.peak_kops() == pytest.approx(0.05)
-
     def test_bulk_counts(self):
         recorder = ThroughputRecorder()
         recorder.record(10.0, count=20)

@@ -6,8 +6,6 @@ rejected, equivocation cannot assemble valid proofs, and replayed
 signatures from old views/slots do not advance state.
 """
 
-import pytest
-
 from repro.crypto.primitives import digest_of
 from repro.protocols.xpaxos import messages as msg
 from repro.smr.messages import Batch, Request

@@ -1,9 +1,5 @@
 """Tests for checkpointing and lazy replication (Section 4.5)."""
 
-
-import pytest
-
-from repro.common.config import ProtocolName
 from repro.faults.adversary import Adversary
 from repro.faults.injector import FaultSchedule
 from repro.protocols.xpaxos import messages as msg

@@ -1,8 +1,5 @@
 """Tests for the XPaxos common case (Algorithms 1 and 2)."""
 
-import pytest
-
-from repro.common.config import ProtocolName
 from repro.faults.checker import SafetyChecker
 from repro.protocols.xpaxos import messages as msg
 from repro.smr.messages import Batch, Request

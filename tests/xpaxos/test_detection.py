@@ -1,7 +1,5 @@
 """Tests for fault detection (Section 4.4, Algorithms 5-6, Theorems 5-6)."""
 
-import pytest
-
 from repro.common.config import ProtocolName
 from repro.faults.adversary import (
     DataLossAdversary,

@@ -6,8 +6,6 @@ machinery directly: pairwise log cross-checks on real view-change
 messages, lost/forged PreChk handling, and view-change interleavings.
 """
 
-import pytest
-
 from repro.common.config import ProtocolName
 from repro.faults.adversary import DataLossAdversary, StaleViewAdversary
 from repro.faults.injector import FaultSchedule

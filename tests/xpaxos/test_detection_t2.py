@@ -5,8 +5,6 @@ obligation applies to all of them -- a different code path than the t = 1
 primary-only rule.
 """
 
-import pytest
-
 from repro.common.config import ClusterConfig, ProtocolName, WorkloadConfig
 from repro.faults.adversary import DataLossAdversary
 from repro.protocols.registry import build_cluster

@@ -81,18 +81,6 @@ class TestGeneral:
         passives = {groups.passive(v)[0] for v in range(3)}
         assert passives == {0, 1, 2}
 
-    def test_next_view_with_group(self):
-        groups = SynchronousGroups(n=3, t=1)
-        # Group (1, 2) is at view index 2 within each cycle of 3.
-        assert groups.next_view_with_group(0, (1, 2)) == 2
-        assert groups.next_view_with_group(2, (1, 2)) == 5
-        assert groups.next_view_with_group(4, (2, 1)) == 5
-
-    def test_next_view_with_invalid_group_rejected(self):
-        groups = SynchronousGroups(n=3, t=1)
-        with pytest.raises(ValueError):
-            groups.next_view_with_group(0, (0, 1, 2))
-
 
 def one_cycle(t):
     groups = SynchronousGroups(n=2 * t + 1, t=t)

@@ -12,8 +12,6 @@ Three regimes, all driven against the real protocol:
   admissible (anarchy was observed), not as a protocol bug.
 """
 
-import pytest
-
 from repro.common.config import ClusterConfig, ProtocolName, WorkloadConfig
 from repro.faults.adversary import DataLossAdversary
 from repro.faults.checker import SafetyChecker

@@ -1,10 +1,7 @@
 """Tests for the request-retransmission protocol (Algorithm 4)."""
 
-import pytest
-
 from repro.protocols.xpaxos import messages as msg
 from repro.protocols.xpaxos.signed import verify_signed
-from tests.conftest import make_cluster
 
 
 class TestClientTimeout:

@@ -4,8 +4,6 @@ the missing state from others") and view fast-forwarding."""
 import signal
 from contextlib import contextmanager
 
-import pytest
-
 from repro.protocols.xpaxos import messages as msg
 from repro.smr.log import CommitEntry
 from repro.smr.messages import Batch, Request

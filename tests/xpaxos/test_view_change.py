@@ -1,12 +1,9 @@
 """Tests for the XPaxos view change (Section 4.3, Algorithm 3)."""
 
-import pytest
-
 from repro.common.config import ProtocolName, WorkloadConfig
 from repro.faults.checker import SafetyChecker
 from repro.faults.injector import FaultInjector, FaultSchedule
 from repro.workloads.clients import ClosedLoopDriver
-from tests.conftest import make_cluster, run_workload
 
 
 def run_with_schedule(runtime, schedule, duration_ms=8_000.0):

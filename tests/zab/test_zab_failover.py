@@ -5,11 +5,9 @@ re-proposal) on the shared :class:`ClusterHarness` fixture, plus the
 commit-before-proposal reordering unit tests for the `_on_commit` buffer.
 """
 
-import pytest
-
 from repro.common.config import ProtocolName
 from repro.faults.injector import FaultSchedule
-from repro.protocols.zab.replica import Ack, CommitZab, Proposal
+from repro.protocols.zab.replica import CommitZab, Proposal
 from repro.smr.messages import Batch, Request
 from tests.conftest import make_cluster, make_harness
 

@@ -9,7 +9,7 @@ from repro.common.config import ProtocolName
 from repro.crypto.primitives import digest_of
 from repro.faults.injector import FaultSchedule
 from repro.protocols.zyzzyva.replica import OrderReq
-from tests.conftest import make_harness, run_workload
+from tests.conftest import make_harness
 
 
 @pytest.fixture

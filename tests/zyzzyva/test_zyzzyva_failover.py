@@ -1,7 +1,5 @@
 """Zyzzyva leader faults: commit-certificate fallback and view change."""
 
-import pytest
-
 from repro.common.config import ProtocolName
 from repro.faults.injector import FaultSchedule
 from tests.conftest import make_harness
