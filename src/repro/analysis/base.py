@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
+from types import ModuleType
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Type
 
 from repro.analysis.findings import Finding, Severity
@@ -138,16 +139,23 @@ def rule(cls: Type[Rule]) -> Type[Rule]:
     return cls
 
 
-def all_rule_classes() -> Dict[str, Type[Rule]]:
-    """The full registry (importing the rule modules populates it)."""
-    # Imported here so `import repro.analysis.base` alone cannot observe
-    # a half-filled registry.
-    from repro.analysis import (  # noqa: F401
+def _rule_modules() -> Tuple[ModuleType, ...]:
+    """The modules whose ``@rule`` classes fill the registry, imported."""
+    # Imported here, not at the top: they import this module.
+    from repro.analysis import (
         rules_authentication,
         rules_determinism,
         rules_simulator,
     )
 
+    return (rules_authentication, rules_determinism, rules_simulator)
+
+
+def all_rule_classes() -> Dict[str, Type[Rule]]:
+    """The full registry.  It imports the rule modules first, so
+    ``import repro.analysis.base`` alone cannot observe a half-filled
+    registry."""
+    _rule_modules()
     return dict(RULE_REGISTRY)
 
 

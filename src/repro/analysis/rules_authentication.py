@@ -41,6 +41,26 @@ def _callee_name(func: ast.AST) -> str:
     return ""
 
 
+def _payload_candidates(args: List[ast.AST],
+                        appended: Dict[str, List[ast.AST]]) -> List[ast.AST]:
+    """The expressions among a send's ``args`` that may be payloads:
+    each argument, the elements of a list or tuple literal (the items
+    of ``send``), and what was appended to a list passed by name."""
+    found: List[ast.AST] = []
+    pending = list(args)
+    seen: Set[str] = set()
+    while pending:
+        arg = pending.pop()
+        if isinstance(arg, (ast.List, ast.Tuple)):
+            pending.extend(arg.elts)
+            continue
+        found.append(arg)
+        if isinstance(arg, ast.Name) and arg.id not in seen:
+            seen.add(arg.id)
+            pending.extend(appended.get(arg.id, ()))
+    return found
+
+
 def _is_messages_module(module: ModuleInfo) -> bool:
     """Is this a wire-message definition module?
 
@@ -150,8 +170,11 @@ class UnregisteredWireMessageRule(Rule):
         (or from a helper call) in the same function body, plus one
         level of helper indirection -- a function whose ``return`` is a
         ``Cls(...)`` marks ``Cls`` sent wherever that helper's result is
-        passed to a transport verb.  That covers the codebase's send
-        idioms; anything fancier still fails at runtime.
+        passed to a transport verb.  The ``(dst, payload, size)`` items
+        of ``send`` count too, written as a list literal or appended
+        (``items.append((dst, reply, size))``) to a list passed by name.
+        That covers the codebase's send idioms; anything fancier still
+        fails at runtime.
         """
         for node in ast.walk(module.tree):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -186,12 +209,21 @@ class UnregisteredWireMessageRule(Rule):
                     returned = assigned.get(stmt.value.id)
                     if returned:
                         self._helper_returns.setdefault(node.name, returned)
+            appended: Dict[str, List[ast.AST]] = {}
+            for stmt in ast.walk(node):
+                func = getattr(stmt, "func", None)
+                if (isinstance(func, ast.Attribute) and func.attr == "append"
+                        and isinstance(func.value, ast.Name) and stmt.args):
+                    appended.setdefault(func.value.id, []).append(
+                        stmt.args[0])
             for stmt in ast.walk(node):
                 if not (isinstance(stmt, ast.Call)
                         and _callee_name(stmt.func) in _SEND_METHODS):
                     continue
                 where = (module.path, stmt.lineno)
-                args = list(stmt.args) + [kw.value for kw in stmt.keywords]
+                args = _payload_candidates(
+                    list(stmt.args) + [kw.value for kw in stmt.keywords],
+                    appended)
                 for arg in args:
                     if isinstance(arg, ast.Call):
                         cls = _callee_name(arg.func)
@@ -228,9 +260,18 @@ class UnregisteredWireMessageRule(Rule):
         return findings
 
 
+def _is_instance_dict(node: ast.AST) -> bool:
+    """``x.__dict__`` or ``vars(x)``."""
+    if isinstance(node, ast.Attribute):
+        return node.attr == "__dict__"
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "vars" and bool(node.args))
+
+
 @rule
 class FrozenMessageMutationRule(Rule):
-    """``object.__setattr__`` outside ``__post_init__`` breaks the
+    """``object.__setattr__`` outside ``__post_init__``, or a write into
+    an instance dict outside the one init helper, breaks the
     digest-cache immutability contract.
 
     The canonical encoder keeps every frozen wire message's encoding on
@@ -243,23 +284,63 @@ class FrozenMessageMutationRule(Rule):
     not escaped yet), and ``crypto/primitives.py`` owns the sanctioned
     memoization hook (:func:`cache_on_instance`); every other
     ``object.__setattr__`` is a frozen-instance mutation and is
-    flagged.
+    flagged.  A wire message's ``__init__`` writes its instance dict
+    directly; that constructor is generated by ``direct_init`` in
+    ``crypto/primitives.py``, and a write through ``x.__dict__`` or
+    ``vars(x)`` -- subscript assignment, ``del``, ``update`` or
+    ``setdefault`` -- anywhere else is flagged, ``__post_init__``
+    included: it bypasses the frozen ``__setattr__`` just as well.
     """
 
     id = "A002"
-    title = "object.__setattr__ outside __post_init__ mutates a frozen message"
+    title = ("object.__setattr__ outside __post_init__, or an instance "
+             "dict write, mutates a frozen message")
+
+    #: The one function allowed to write an instance dict.
+    INIT_HELPER = "direct_init"
 
     def __init__(self) -> None:
         super().__init__()
         self._func_stack: List[str] = []
+        self._in_primitives = False
 
     def check_module(self, module: ModuleInfo):
         # The digest-cache implementation itself is the one sanctioned
-        # mutation site.
-        if module.parts[-2:] == ("crypto", "primitives.py"):
-            return []
+        # object.__setattr__ site, and its init helper the one dict
+        # writer.
+        self._in_primitives = \
+            module.parts[-2:] == ("crypto", "primitives.py")
         self._func_stack = []
         return super().check_module(module)
+
+    def _check_dict_write(self, target: ast.AST, node: ast.AST) -> None:
+        if not _is_instance_dict(target):
+            return
+        if self._in_primitives and self.INIT_HELPER in self._func_stack:
+            return
+        self.report(
+            node,
+            "write into an instance dict bypasses the frozen "
+            "__setattr__; only crypto.primitives.direct_init's generated "
+            "__init__ may build a message that way -- derived values go "
+            "through crypto.primitives.cache_on_instance")
+
+    def visit_Assign(self, node: ast.Assign):
+        for target in node.targets:
+            if isinstance(target, ast.Subscript):
+                self._check_dict_write(target.value, node)
+        self.generic_visit(node)
+
+    def visit_AugAssign(self, node: ast.AugAssign):
+        if isinstance(node.target, ast.Subscript):
+            self._check_dict_write(node.target.value, node)
+        self.generic_visit(node)
+
+    def visit_Delete(self, node: ast.Delete):
+        for target in node.targets:
+            if isinstance(target, ast.Subscript):
+                self._check_dict_write(target.value, node)
+        self.generic_visit(node)
 
     def visit_FunctionDef(self, node: ast.FunctionDef):
         self._func_stack.append(node.name)
@@ -271,6 +352,9 @@ class FrozenMessageMutationRule(Rule):
     def visit_Call(self, node: ast.Call):
         func = node.func
         if (isinstance(func, ast.Attribute)
+                and func.attr in ("update", "setdefault")):
+            self._check_dict_write(func.value, node)
+        if (isinstance(func, ast.Attribute) and not self._in_primitives
                 and func.attr == "__setattr__"
                 and isinstance(func.value, ast.Name)
                 and func.value.id == "object"

@@ -22,8 +22,8 @@ from repro.crypto.authenticators import (
     MAC_VECTOR,
     MODELED_MAC,
     NULL,
+    POLICIES,
     Authenticator,
-    authenticator_for,
     register,
 )
 from repro.crypto.costs import CostModel, CpuMeter
@@ -37,7 +37,7 @@ __all__ = [
     "CostModel",
     "CpuMeter",
     "Authenticator",
-    "authenticator_for",
+    "POLICIES",
     "register",
     "MAC_VECTOR",
     "MODELED_MAC",

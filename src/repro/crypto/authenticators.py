@@ -60,6 +60,7 @@ from repro.crypto.primitives import (
     Principal,
     _sha256,
     digest_of,
+    direct_init,
 )
 
 #: Wire size of one HMAC-SHA1 authenticator (the paper's channel MAC).
@@ -69,8 +70,8 @@ MAC_BYTES = 20
 class Authenticator:
     """One authentication policy for a class of messages.
 
-    ``begin`` runs once per fan-out and returns the shared context
-    (a digest, or None); ``stamp`` runs once per receiver and
+    ``begin`` runs once per payload of a fan-out and returns the shared
+    context (a digest, or None); ``stamp`` runs once per receiver and
     returns that channel's authenticator; ``verify`` runs on delivery.
     ``charge_send`` accounts the sender's CPU for an n-way fan-out.
     """
@@ -80,6 +81,10 @@ class Authenticator:
     auth_bytes = 0
     #: Does the receiving runtime verify (and drop on failure)?
     verify_on_delivery = False
+    #: Does the transport call ``begin`` / ``stamp``?  A policy that
+    #: keeps both defaults sets it False, and the transport stamps
+    #: ``None`` without asking.
+    stamps = True
 
     def begin(self, keystore: KeyStore, sender: Principal,
               body: Any) -> Any:
@@ -125,6 +130,7 @@ class NullAuthenticator(Authenticator):
     (it embeds digital signatures) or the channel is not modelled."""
 
     name = "null"
+    stamps = False
 
 
 class MacVectorAuthenticator(Authenticator):
@@ -163,7 +169,8 @@ class MacVectorAuthenticator(Authenticator):
                receiver: Principal, body: Any, auth: Any,
                size_bytes: int = 0,
                body_digest: Optional[Digest] = None) -> bool:
-        cpu.charge_mac(size_bytes)
+        if not cpu.free:
+            cpu.charge_mac(size_bytes)
         # Mac is a tuple subclass laid out (sender, receiver, digest,
         # token); index access skips the property descriptors on the
         # per-delivery path.
@@ -188,6 +195,7 @@ class ModeledMacAuthenticator(Authenticator):
 
     name = "modeled-mac"
     auth_bytes = MAC_BYTES
+    stamps = False
 
     def charge_send(self, cpu: CpuMeter, receivers: int,
                     size_bytes: int = 0) -> None:
@@ -199,30 +207,30 @@ NULL = NullAuthenticator()
 MAC_VECTOR = MacVectorAuthenticator()
 MODELED_MAC = ModeledMacAuthenticator()
 
-_REGISTRY: Dict[Type, Authenticator] = {}
+#: The registry: message class -> its policy.  Read it directly where a
+#: lookup is on the per-message path (the runtime does, per send and per
+#: delivery); write it only through :func:`register`.
+POLICIES: Dict[Type, Authenticator] = {}
 
 
 def register(message_class: Type, policy: Authenticator) -> Type:
-    """Bind ``message_class`` to an authenticator policy.
+    """Bind ``message_class`` to an authenticator policy, and give it the
+    cheap constructor of :func:`~repro.crypto.primitives.direct_init`
+    (a wire message is built per send).
 
     Idempotent for the same policy; re-binding to a different policy is a
     programming error (two subsystems disagreeing about a channel's
     authentication would silently weaken one of them).
     """
-    current = _REGISTRY.get(message_class)
+    current = POLICIES.get(message_class)
     if current is not None and current is not policy:
         raise ValueError(
             f"{message_class.__name__} already registered with "
             f"{current.name}, refusing {policy.name}")
-    _REGISTRY[message_class] = policy
-    return message_class
-
-
-def authenticator_for(message_class: Type) -> Optional[Authenticator]:
-    """The policy bound to ``message_class`` (None if unregistered)."""
-    return _REGISTRY.get(message_class)
+    POLICIES[message_class] = policy
+    return direct_init(message_class)
 
 
 def registered_classes() -> Dict[Type, Authenticator]:
     """A snapshot of the registry (for tests and documentation)."""
-    return dict(_REGISTRY)
+    return dict(POLICIES)

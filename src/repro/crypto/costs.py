@@ -66,6 +66,14 @@ class CpuMeter:
 
     def __init__(self, cost_model: CostModel) -> None:
         self.cost_model = cost_model
+        #: Every cost of the model is zero.  Per-message call sites test
+        #: it and skip ``charge_mac`` and the policies' ``charge_send``,
+        #: which could only add zero; the other ``charge_*`` methods
+        #: return at once.
+        self.free = not any((
+            cost_model.sign_us, cost_model.verify_us, cost_model.mac_us,
+            cost_model.mac_per_kb_us, cost_model.digest_us,
+            cost_model.digest_per_kb_us))
         self._busy_us: float = 0.0
         self._by_category: Dict[str, float] = {}
 
@@ -90,11 +98,13 @@ class CpuMeter:
 
     def charge_sign(self) -> None:
         """Charge one signature generation."""
-        self.charge("sign", self.cost_model.sign_cost())
+        if not self.free:
+            self.charge("sign", self.cost_model.sign_cost())
 
     def charge_verify(self) -> None:
         """Charge one signature verification."""
-        self.charge("verify", self.cost_model.verify_cost())
+        if not self.free:
+            self.charge("verify", self.cost_model.verify_cost())
 
     def charge_mac(self, size_bytes: int = 0) -> None:
         """Charge one MAC computation/verification.
@@ -116,12 +126,13 @@ class CpuMeter:
     def charge_macs(self, count: int, size_bytes: int = 0) -> None:
         """Charge ``count`` identical MAC computations in one call (the
         broadcast fast path charges the whole fan-out at once)."""
-        if count > 0:
+        if count > 0 and not self.free:
             self.charge("mac", count * self.cost_model.mac_cost(size_bytes))
 
     def charge_digest(self, size_bytes: int = 0) -> None:
         """Charge one digest computation."""
-        self.charge("digest", self.cost_model.digest_cost(size_bytes))
+        if not self.free:
+            self.charge("digest", self.cost_model.digest_cost(size_bytes))
 
     def utilisation_percent(self, elapsed_ms: float,
                             busy_since_us: float = 0.0) -> float:

@@ -17,10 +17,10 @@ Implementation notes
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from functools import wraps
 from operator import attrgetter, itemgetter
-from typing import Any, Callable, Dict, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
 #: Canonical principal name of machine ``p``: replicas are ``"r<i>"``,
 #: clients ``"c<i>"``.
@@ -108,6 +108,59 @@ def _canonical_general(obj: Any) -> bytes:
     raise TypeError(f"cannot canonically encode {type(obj).__name__}")
 
 
+def direct_init(cls: type) -> type:
+    """Give frozen dataclass ``cls`` an ``__init__`` that writes its
+    instance dict directly; returns ``cls``.
+
+    A frozen dataclass's generated ``__init__`` stores every field
+    through ``object.__setattr__``, because its own ``__setattr__``
+    raises.  A wire message is built per send, and those per-field calls
+    were most of what building one cost.  The method installed here
+    takes the same parameters with the same defaults, stores the fields
+    in declaration order and then runs ``__post_init__``, if the class
+    has one.  Everything else stays the dataclass's own: ``__eq__``,
+    ``__hash__``, ``__repr__``, ``dataclasses.replace``, pickling, and
+    ``FrozenInstanceError`` on assignment.
+
+    This is the one place instance dicts are written: lint rule A002
+    flags ``x.__dict__[...] = ...`` and ``vars(x)[...] = ...`` anywhere
+    else.  Applied by :func:`repro.crypto.authenticators.register` to
+    every wire class, and as a decorator to the classes that travel
+    inside them.  Classes that are not frozen dataclasses with an
+    instance dict are returned unchanged; idempotent.
+    """
+    if (not is_dataclass(cls) or not cls.__dataclass_params__.frozen
+            or not cls.__dictoffset__
+            or getattr(cls.__init__, "__direct_init__", False)):
+        return cls
+    params: List[str] = []
+    body = ["    store = self.__dict__"]
+    defaults: Dict[str, Any] = {}
+    for f in fields(cls):
+        if not f.init or f.kw_only or f.default_factory is not MISSING:
+            raise TypeError(f"direct_init cannot build field {f.name} of "
+                            f"{cls.__name__}")
+        if f.default is MISSING:
+            params.append(f.name)
+        else:
+            defaults[f"_default_{f.name}"] = f.default
+            params.append(f"{f.name}=_default_{f.name}")
+        body.append(f"    store[{f.name!r}] = {f.name}")
+    if hasattr(cls, "__post_init__"):
+        body.append("    self.__post_init__()")
+    source = (f"def __init__(self, {', '.join(params)}):\n"
+              + "\n".join(body) + "\n")
+    namespace: Dict[str, Any] = {}
+    exec(compile(source, f"<direct_init {cls.__qualname__}>", "exec"),
+         defaults, namespace)
+    init = namespace["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    init.__direct_init__ = True
+    cls.__init__ = init
+    return cls
+
+
+@direct_init
 @dataclass(frozen=True)
 class Digest:
     """SHA-256 digest of a canonically encoded payload (the paper's D(m))."""

@@ -10,26 +10,34 @@ message that outruns the one it depends on is buffered by its receiver
 One delivery pipeline
 ---------------------
 
-The two public verbs -- :meth:`Network.send_authenticated` and
-:meth:`Network.multicast_authenticated` -- are thin entries into one
-fan-out routine, so each rule lives in one place:
+The three public entries -- :meth:`Network.send_authenticated` (one
+receiver), :meth:`Network.multicast_authenticated` (one payload, many
+receivers) and :meth:`Network.send` (a payload of its own per receiver:
+a slot's replies) -- are one-line entries into one fan-out routine,
+which takes ``(dst, payload, size_bytes)`` items.  So each rule lives in
+one place:
 
 * **Resolve first.**  Every endpoint name is looked up before stats, RNG
   or the uplink are touched; an unknown name raises with no side effects.
+* **Once per call**: the sender's endpoint, its crash check (the node's
+  plain ``crashed`` attribute, which :class:`Endpoint` reaches through
+  its ``node``), the clock and the locals.  The policy comes with the
+  call, so the runtime looks it up once per call too.
 * **Sender-side drops are judged at send time**: a crashed sender, a
   partitioned pair or a ``send_filter`` veto drops the message there and
   then.  A partition raised or healed mid-flight changes nothing for
   messages already sent.
 * **Timing**: inter-site traffic first queues on the sender's uplink
   (serialization delay), then draws a one-way delay from the latency
-  model, in destination order -- a fan-out draws exactly what the same
-  sends issued one by one would.
+  model, in item order -- one call draws exactly what the same sends
+  issued one by one would, and schedules its deliveries in that order.
 * **Authentication is a stage, not a sibling path**: every send carries
-  an authenticator policy.  Its shared context (typically the payload
-  digest) is computed once per fan-out, each receiver's authenticator is
+  an authenticator policy.  Its context (typically the payload digest)
+  is computed once per payload object -- once for a multicast, once per
+  reply of a :meth:`~Network.send` -- each receiver's authenticator is
   stamped as its delivery is scheduled, and each receiver is charged the
   authenticator bytes it sees on the wire.  A plain send is the ``NULL``
-  policy: no bytes, no RNG, and ``None`` stamped.
+  policy: no bytes, no RNG, and ``None`` stamped without asking it.
 * **Receiver crashes are judged at delivery time**, per receiver: every
   delivery is its own event, and a message to a node that crashed
   mid-flight is lost.
@@ -45,7 +53,7 @@ that bypasses the transport sees ``None`` and pays the full check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Sequence
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 from repro.common.errors import ConfigurationError
 from repro.net.bandwidth import BandwidthModel
@@ -55,22 +63,29 @@ from repro.sim.core import Simulator
 
 
 class Endpoint:
-    """A network-attached node: has a name, a site, and an inbox callback.
+    """A network-attached node: has a name, a site, an inbox callback and
+    the node it belongs to.
 
     ``deliver`` is called as ``(src, body, auth, size_bytes)``: the bare
     body, the authenticator the transport stamped for this receiver, and
-    the bytes this receiver saw on the wire.
+    the bytes this receiver saw on the wire.  ``node`` is anything with a
+    ``crashed`` attribute (a :class:`~repro.sim.process.Process`); the
+    transport reads it directly at send and at delivery time.
     """
 
-    __slots__ = ("name", "site", "deliver", "is_up")
+    __slots__ = ("name", "site", "deliver", "node")
 
     def __init__(self, name: str, site: str,
                  deliver: Callable[[str, Any, Any, int], None],
-                 is_up: Callable[[], bool]) -> None:
+                 node: Any) -> None:
         self.name = name
         self.site = site
         self.deliver = deliver
-        self.is_up = is_up
+        self.node = node
+
+    def is_up(self) -> bool:
+        """Is the node up?  (Off the per-message path.)"""
+        return not self.node.crashed
 
 
 #: Sentinel: no precomputed authenticator context was supplied.
@@ -151,43 +166,56 @@ class Network:
             raise ConfigurationError(f"unknown endpoint {name}")
 
     # ------------------------------------------------------------------
-    def _fan_out(self, src: str, dsts: Sequence[str], payload: Any,
-                 size_bytes: int, authenticator: Any, keystore: Any,
-                 context: Any) -> None:
-        """The send pipeline behind both verbs (see module notes).
+    def _fan_out(self, src: str, items: Sequence[Tuple[str, Any, int]],
+                 authenticator: Any, keystore: Any, context: Any) -> None:
+        """The send pipeline behind every entry (see module notes).
 
-        ``context`` is the fan-out's shared authenticator context, or
-        :data:`_NO_CONTEXT` to compute it here.
+        ``items`` are ``(dst, payload, size_bytes)`` triples, sent in
+        order.  ``context`` is the authenticator context of the first
+        item's payload, or :data:`_NO_CONTEXT` to compute it here.  The
+        context is computed once per payload *object*: a multicast's
+        items share one and hash it once, a slot's replies hash one each.
         """
         endpoints = self._endpoints
+        auth_bytes = authenticator.auth_bytes
+        wire_bytes = 0
         try:
             source = endpoints[src]
-            for dst in dsts:  # resolve first (cheaper than a list)
+            for dst, _, size_bytes in items:  # resolve first
                 endpoints[dst]
+                wire_bytes += size_bytes + auth_bytes
         except KeyError as unknown:
             raise ConfigurationError(
                 f"unknown endpoint {unknown.args[0]}") from None
         stats = self.stats
-        size_bytes += authenticator.auth_bytes
-        fan = len(dsts)
+        fan = len(items)
         stats.messages_sent += fan
-        stats.bytes_sent += size_bytes * fan
-        if not source.is_up():
+        stats.bytes_sent += wire_bytes
+        if source.node.crashed:
             # A crashed node cannot send; callers normally guard, but the
             # fault injector can race a crash with an in-progress handler.
             stats.messages_dropped_crash += fan
             return
-        if context is _NO_CONTEXT:
-            context = authenticator.begin(keystore, src, payload)
-        digest = authenticator.context_digest(context)
+        # Decided once per call: the policy's stamping, the sender's
+        # site and the clock; everything below varies per item.
+        stamps = authenticator.stamps
+        held = _NO_CONTEXT  # the payload ``context`` belongs to
+        auth = digest = None
+        if stamps and context is not _NO_CONTEXT:
+            held = items[0][1]
+            digest = authenticator.context_digest(context)
         partitions = self.partitions
-        bandwidth = self.bandwidth if size_bytes > 0 else None
+        bandwidth = self.bandwidth
+        latency = self.latency
+        deliver = self._deliver
         sim = self.sim
-        now = sim._now  # property bypass: once per fan-out
-        # Nothing else is hoisted: real traffic is 1.0-1.2 receivers per
-        # call (end-to-end ledger), where binding a method to a local
-        # costs more than calling it once.
-        for dst in dsts:
+        now = sim.now
+        site = source.site
+        for dst, payload, size_bytes in items:
+            if stamps and payload is not held:
+                held = payload
+                context = authenticator.begin(keystore, src, payload)
+                digest = authenticator.context_digest(context)
             target = endpoints[dst]
             if partitions._blocked and partitions.blocked(src, dst):
                 stats.messages_dropped_partition += 1
@@ -196,21 +224,24 @@ class Network:
                     src, dst, payload):
                 stats.messages_dropped_partition += 1
                 continue
+            size_bytes += auth_bytes
             depart = now
-            if bandwidth is not None and source.site != target.site:
+            if bandwidth is not None and size_bytes > 0 \
+                    and site != target.site:
                 depart = bandwidth.serialize(src, size_bytes, now)
-            arrival = depart + self.latency.sample_one_way(
-                source.site, target.site, depart)
-            auth = authenticator.stamp(keystore, src, dst, context)
+            arrival = depart + latency.sample_one_way(
+                site, target.site, depart)
+            if stamps:
+                auth = authenticator.stamp(keystore, src, dst, context)
             stats.auth_stamped += 1
-            sim.schedule(arrival, self._deliver,
+            sim.schedule(arrival, deliver,
                          (target, src, payload, auth, size_bytes, digest))
 
     def _deliver(self, target: Endpoint, src: str, payload: Any,
                  auth: Any, size_bytes: int, digest: Any) -> None:
         """Delivery-time half of every send: the receiver's crash check,
         then its inbox."""
-        if not target.is_up():
+        if target.node.crashed:
             self.stats.messages_dropped_crash += 1
             return
         self.stats.messages_delivered += 1
@@ -221,9 +252,20 @@ class Network:
             self.delivery_digest = None
 
     # ------------------------------------------------------------------
-    # The public verbs.  Each calls _fan_out directly, never the other:
-    # the end-to-end ledger counts calls to these names.
+    # The public entries.  Each calls _fan_out directly, never another
+    # entry: the end-to-end ledger counts calls to these names.
     # ------------------------------------------------------------------
+    def send(self, src: str, items: Sequence[Tuple[str, Any, int]], *,
+             authenticator, keystore) -> None:
+        """Send a payload of its own to each receiver, in one call:
+        ``items`` are ``(dst, payload, size_bytes)``, all under
+        ``authenticator`` (a slot's replies, one per client).
+
+        Observationally identical to one :meth:`send_authenticated` per
+        item, in order, with the sender side resolved once.
+        """
+        self._fan_out(src, items, authenticator, keystore, _NO_CONTEXT)
+
     def send_authenticated(self, src: str, dst: str, payload: Any,
                            size_bytes: int = 0, *,
                            authenticator, keystore) -> None:
@@ -233,7 +275,7 @@ class Network:
         self-messages still go through the event queue (keeps handler
         re-entrancy simple).
         """
-        self._fan_out(src, (dst,), payload, size_bytes, authenticator,
+        self._fan_out(src, ((dst, payload, size_bytes),), authenticator,
                       keystore, _NO_CONTEXT)
 
     def multicast_authenticated(self, src: str, dsts: Sequence[str],
@@ -254,8 +296,8 @@ class Network:
         Observationally identical to one :meth:`send_authenticated` per
         destination, in order, with the sender side resolved once.
         """
-        self._fan_out(src, dsts, payload, size_bytes, authenticator,
-                      keystore, context)
+        self._fan_out(src, [(dst, payload, size_bytes) for dst in dsts],
+                      authenticator, keystore, context)
 
     # ------------------------------------------------------------------
     def timely(self, a: str, b: str, delta_ms: float) -> bool:

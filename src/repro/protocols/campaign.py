@@ -184,7 +184,8 @@ class CampaignReplica(BaselineReplica):
         Returns whether it was adopted; the caller executes and syncs."""
         if m.view < self.view or src != f"r{self.leader_of(m.view)}":
             return False
-        self.cpu.charge_mac(mac_bytes)
+        if not self.cpu.free:
+            self.cpu.charge_mac(mac_bytes)
         self.log_entries(m.entries, m.view)
         self.enter_view(m.view)
         return True

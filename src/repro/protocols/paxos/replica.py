@@ -173,7 +173,8 @@ class PaxosReplica(BaselineReplica):
             return  # stale ballot
         if m.view > self.view:
             self.view = m.view  # adopt the higher ballot
-        self.cpu.charge_mac(m.batch.size_bytes)
+        if not self.cpu.free:
+            self.cpu.charge_mac(m.batch.size_bytes)
         self._accepted[m.seqno] = (m.view, m.batch)
         self._election_timer.stop()
         # Acceptors execute on accept: the stable leader's order is
@@ -187,7 +188,8 @@ class PaxosReplica(BaselineReplica):
     def _on_accepted(self, src: str, m: Accepted) -> None:
         if m.view != self.view or not self.is_leader:
             return
-        self.cpu.charge_mac(48)
+        if not self.cpu.free:
+            self.cpu.charge_mac(48)
         acks = self._acks.get(m.seqno)
         if acks is None:
             return
@@ -204,7 +206,8 @@ class PaxosReplica(BaselineReplica):
                                          size_bytes=batch.size_bytes)
 
     def _on_learn(self, src: str, m: Learn) -> None:
-        self.cpu.charge_mac(m.batch.size_bytes)
+        if not self.cpu.free:
+            self.cpu.charge_mac(m.batch.size_bytes)
         self._accepted[m.seqno] = (m.view, m.batch)
         self.commit_batch(m.seqno, m.batch)
 

@@ -130,7 +130,8 @@ class PbftReplica(CampaignReplica):
         if m.view != self.view or not self.is_active or self.is_leader \
                 or self.campaigning:
             return
-        self.cpu.charge_mac(m.batch.size_bytes)
+        if not self.cpu.free:
+            self.cpu.charge_mac(m.batch.size_bytes)
         self._batches[m.seqno] = m.batch
         self._digests[m.seqno] = m.batch_digest
         self._vote(m.seqno, m.batch_digest)
@@ -147,7 +148,8 @@ class PbftReplica(CampaignReplica):
         # digest, so they can only ever complete the identical batch.
         if m.view < self.view or not self.is_active:
             return
-        self.cpu.charge_mac(48)
+        if not self.cpu.free:
+            self.cpu.charge_mac(48)
         self._record_vote(m)
 
     def _record_vote(self, m: CommitMsg) -> None:

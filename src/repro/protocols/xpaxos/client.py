@@ -66,8 +66,9 @@ class XPaxosClient(SmrClientBase):
         # The reply's channel MAC was stamped and verified by the
         # transport (MAC_VECTOR policy); only content checks remain here.
         request = self.request
-        if request is None or reply.timestamp != request.timestamp:
-            return
+        if request is None or reply.timestamp != request.timestamp \
+                or reply.view < 0:
+            return  # not the request in flight, or no such view
         if reply.view > self.view:
             self.view = reply.view
 
@@ -92,7 +93,7 @@ class XPaxosClient(SmrClientBase):
         the reply's view, one of them (the primary's) with the result."""
         if reply.replica not in self.groups.group(reply.view):
             return
-        key = (reply.view, reply.seqno, reply.result_digest)
+        key = (reply.view, reply.seqno, reply.result_digest.value)
         self.tally.add(reply.replica, key, reply,
                        full=reply.result is not None)
         if not self.tally.quorum(key, self.config.t + 1):

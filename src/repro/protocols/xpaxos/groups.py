@@ -102,39 +102,59 @@ class SynchronousGroups:
             )
         self.n = n
         self.t = t
+        # Every role of every view, computed once per rotation position:
+        # each accessor below is one index, however often a replica asks.
         self._groups = _rotation(n, t)
+        self._count = len(self._groups)
+        self._primaries = [group[0] for group in self._groups]
+        self._followers = [group[1:] for group in self._groups]
+        self._passives = [tuple(r for r in range(n) if r not in group)
+                          for group in self._groups]
 
     @property
     def group_count(self) -> int:
         """Number of distinct synchronous groups, ``C(2t+1, t+1)``."""
-        return len(self._groups)
+        return self._count
+
+    @staticmethod
+    def _negative(view: int) -> ValueError:
+        return ValueError(f"view must be >= 0, got {view}")
 
     def group(self, view: int) -> Tuple[int, ...]:
         """Active replicas (sorted ids) of view ``view``."""
         if view < 0:
-            raise ValueError(f"view must be >= 0, got {view}")
-        return self._groups[view % len(self._groups)]
+            raise self._negative(view)
+        return self._groups[view % self._count]
 
     def primary(self, view: int) -> int:
         """The primary of view ``view`` (lowest id in the group)."""
-        return self.group(view)[0]
+        if view < 0:
+            raise self._negative(view)
+        return self._primaries[view % self._count]
 
     def followers(self, view: int) -> Tuple[int, ...]:
         """The ``t`` followers of view ``view``."""
-        return self.group(view)[1:]
+        if view < 0:
+            raise self._negative(view)
+        return self._followers[view % self._count]
 
     def passive(self, view: int) -> Tuple[int, ...]:
         """The ``t`` passive replicas of view ``view``."""
-        active = set(self.group(view))
-        return tuple(r for r in range(self.n) if r not in active)
+        if view < 0:
+            raise self._negative(view)
+        return self._passives[view % self._count]
 
     def is_active(self, view: int, replica: int) -> bool:
         """Is ``replica`` in the synchronous group of ``view``?"""
-        return replica in self.group(view)
+        if view < 0:
+            raise self._negative(view)
+        return replica in self._groups[view % self._count]
 
     def is_primary(self, view: int, replica: int) -> bool:
         """Is ``replica`` the primary of ``view``?"""
-        return replica == self.primary(view)
+        if view < 0:
+            raise self._negative(view)
+        return replica == self._primaries[view % self._count]
 
     def next_view_avoiding(self, view: int, silent: Collection[int]) -> int:
         """Smallest view after ``view`` whose group holds no replica of

@@ -329,10 +329,11 @@ class XPaxosReplica(ReplicaBase):
     def _reply_to_clients(self, seqno: int, batch: Batch,
                           results: List[Any]) -> None:
         """An active replica answers a committed slot: per request, cache
-        the reply (dedup + Algorithm 4), emit its signed share if a
-        retransmission is waiting on it, then send -- the full result from
-        the primary, at t = 1 embedding the follower's ``m1``, and the
-        digest alone from the t >= 2 followers."""
+        the reply (dedup + Algorithm 4) and emit its signed share if a
+        retransmission is waiting on it; the replies -- the full result
+        from the primary, at t = 1 embedding the follower's ``m1``, and
+        the digest alone from the t >= 2 followers -- leave in one send,
+        cut before each share so every send keeps its place."""
         primary = self.is_primary
         fast = None
         if primary and self.config.t == 1:
@@ -349,6 +350,7 @@ class XPaxosReplica(ReplicaBase):
         # as a silent replica does: the t + 1 shares Algorithm 4 gathers
         # must carry it even when none comes from the slot's primary.
         slot = (view, seqno, batch, results)
+        replies = []
         for index, request in enumerate(batch.requests):
             result = results[index]
             size = _wire_len(result) if primary else 32
@@ -356,8 +358,11 @@ class XPaxosReplica(ReplicaBase):
                                     fast, size)
             last_reply[request.client] = reply if primary else (slot, index)
             if waiting:
+                self.send(replies)
+                replies = []
                 self.retransmitter.executed(request)
-            self.send_authenticated(f"c{request.client}", reply, size)
+            replies.append((f"c{request.client}", reply, size))
+        self.send(replies)
 
     def _batch_digest(self, batch: Batch) -> Digest:
         self.cpu.charge_digest(batch.size_bytes)

@@ -113,8 +113,8 @@ class ViewChanger:
 
     def _on_suspect(self, src: str, m: msg.Suspect) -> None:
         replica = self.replica
-        if not self.groups.is_active(m.view, m.sender):
-            return  # only active replicas of that view may suspect it
+        if m.view < 0 or not self.groups.is_active(m.view, m.sender):
+            return  # no such view, or the sender may not suspect it
         if not verify_signed(replica, m):
             return
         key = (m.view, m.sender)

@@ -123,7 +123,8 @@ class ZabReplica(CampaignReplica):
         self.follow_proposer(src, m.epoch)
         if m.epoch != self.view or self.is_leader or self.campaigning:
             return
-        self.cpu.charge_mac(m.batch.size_bytes)
+        if not self.cpu.free:
+            self.cpu.charge_mac(m.batch.size_bytes)
         self._pending_commits[m.seqno] = m.batch
         self.send_authenticated(f"r{self.leader_of(self.view)}",
                                 Ack(m.epoch, m.seqno, self.replica_id),
@@ -135,7 +136,8 @@ class ZabReplica(CampaignReplica):
     def _on_ack(self, src: str, m: Ack) -> None:
         if m.epoch != self.view or not self.is_leader:
             return
-        self.cpu.charge_mac(32)
+        if not self.cpu.free:
+            self.cpu.charge_mac(32)
         acks = self._acks.get(m.seqno)
         if acks is None:
             return
@@ -151,7 +153,8 @@ class ZabReplica(CampaignReplica):
             self.commit_batch(m.seqno, batch)
 
     def _on_commit(self, src: str, m: CommitZab) -> None:
-        self.cpu.charge_mac(32)
+        if not self.cpu.free:
+            self.cpu.charge_mac(32)
         if m.seqno not in self._pending_commits:
             if m.seqno > self.ex and m.seqno not in self.commit_log:
                 # The commit outran its proposal: buffer the zxid until

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from repro.crypto.primitives import Digest
 from repro.protocols.base import QuorumClient
 from repro.protocols.zyzzyva.replica import CommitCert
 
@@ -32,7 +33,7 @@ class ZyzzyvaClient(QuorumClient):
             seqno, digest = key
             cert = CommitCert(
                 view=max(r.view for r in replies.values()), seqno=seqno,
-                result_digest=digest, client=self.client_id,
+                result_digest=Digest(digest), client=self.client_id,
                 timestamp=request.timestamp,
                 repliers=tuple(sorted(replies)))
             assert self.config.n is not None

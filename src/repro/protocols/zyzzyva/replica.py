@@ -126,14 +126,16 @@ class ZyzzyvaReplica(CampaignReplica):
         self.follow_proposer(src, m.view)
         if m.view != self.view or self.is_leader or self.campaigning:
             return
-        self.cpu.charge_mac(m.batch.size_bytes)
+        if not self.cpu.free:
+            self.cpu.charge_mac(m.batch.size_bytes)
         self._claimed_history[m.seqno] = m.history_digest
         self._order_digests[m.seqno] = m.batch_digest
         # Speculative execution: commit immediately on the primary's order.
         self.commit_batch(m.seqno, m.batch)
 
     def _on_commit_cert(self, src: str, m: CommitCert) -> None:
-        self.cpu.charge_mac(96)
+        if not self.cpu.free:
+            self.cpu.charge_mac(96)
         self.certs_received += 1
         if m.seqno not in self.commit_log and m.seqno > self.ex:
             # A certified slot we never received: the primary failed to

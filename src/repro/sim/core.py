@@ -97,7 +97,9 @@ class Simulator:
     """
 
     def __init__(self) -> None:
-        self._now: float = 0.0
+        #: Current virtual time in milliseconds (read it, never write it:
+        #: only :meth:`run` advances the clock).
+        self.now: float = 0.0
         self._queue: List[List[Any]] = []
         self._arena: List[List[Any]] = []
         self._sequence: int = 0
@@ -115,11 +117,6 @@ class Simulator:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Current virtual time in milliseconds."""
-        return self._now
-
     @property
     def pending(self) -> int:
         """Number of live (not cancelled, not fired) events still queued:
@@ -143,7 +140,7 @@ class Simulator:
         scheduled = self._sequence
         arena_hits = scheduled - self._arena_misses
         return {
-            "now_ms": self._now,
+            "now_ms": self.now,
             "scheduled": scheduled,
             "executed": self._executed,
             "pending": self._live,
@@ -182,9 +179,9 @@ class Simulator:
         Raises:
             SimulationError: if ``time`` is in the past.
         """
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"cannot schedule at t={time} (now is t={self._now})"
+                f"cannot schedule at t={time} (now is t={self.now})"
             )
         sequence = self._sequence
         self._sequence = sequence + 1
@@ -223,12 +220,12 @@ class Simulator:
         """
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
-        return self.call_at(self._now + delay, callback, args)
+        return self.call_at(self.now + delay, callback, args)
 
     def call_soon(self, callback: Callback,
                   args: Tuple[Any, ...] = ()) -> EventHandle:
         """Schedule ``callback`` at the current instant (after queued peers)."""
-        return self.call_at(self._now, callback, args)
+        return self.call_at(self.now, callback, args)
 
     def call_every(self, period_ms: float, callback: Callback,
                    until_ms: float) -> None:
@@ -253,8 +250,8 @@ class Simulator:
             if next_ms <= until_ms:
                 self.schedule(next_ms, tick, (next_ms,))
 
-        if self._now <= until_ms:
-            self.schedule(self._now, tick, (self._now,))
+        if self.now <= until_ms:
+            self.schedule(self.now, tick, (self.now,))
 
     # ------------------------------------------------------------------
     # Cancellation (internal; EventHandle and Timer delegate here)
@@ -336,7 +333,7 @@ class Simulator:
                 # Cleared slots make this event's handle inert and keep
                 # a parked entry from pinning a delivered payload.
                 entry[2] = entry[3] = None
-                self._now = time
+                self.now = time
                 # Stored per event: `executed` and stats() must be
                 # exact inside the callback and after it raises.
                 executed += 1
@@ -345,8 +342,8 @@ class Simulator:
                 callback(*args)
         finally:
             self._running = False
-        if until is not None and self._now < until:
-            self._now = until
+        if until is not None and self.now < until:
+            self.now = until
         return executed - first
 
     def step(self) -> bool:

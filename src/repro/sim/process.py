@@ -100,26 +100,23 @@ class Process:
     def __init__(self, sim: Simulator, name: str):
         self.sim = sim
         self.name = name
-        self._crashed = False
+        #: True while the process is down.  A plain attribute: the
+        #: transport reads it once per send and per delivery.
+        self.crashed = False
         self._timers: List[Timer] = []
 
     # ------------------------------------------------------------------
-    @property
-    def crashed(self) -> bool:
-        """True while the process is down."""
-        return self._crashed
-
     def crash(self) -> None:
         """Stop the process: all armed timers are lost, and future events
         scheduled through :meth:`after` are suppressed."""
-        self._crashed = True
+        self.crashed = True
         for timer in self._timers:
             timer.stop()
 
     def recover(self) -> None:
         """Bring the process back up.  Subclasses override to re-arm timers
         and re-join the protocol; they must call ``super().recover()``."""
-        self._crashed = False
+        self.crashed = False
 
     # ------------------------------------------------------------------
     def after(self, delay_ms: float,
@@ -129,12 +126,12 @@ class Process:
                                    (callback,))
 
     def _run_unless_crashed(self, callback: Callable[[], None]) -> None:
-        if not self._crashed:
+        if not self.crashed:
             callback()
 
     def _register_timer(self, timer: Timer) -> None:
         self._timers.append(timer)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "crashed" if self._crashed else "up"
+        state = "crashed" if self.crashed else "up"
         return f"<{type(self).__name__} {self.name} ({state})>"

@@ -18,10 +18,12 @@ from repro.crypto.primitives import (
     Signature,
     cache_on_instance,
     digest_of,
+    direct_init,
     memoized,
 )
 
 
+@direct_init
 @dataclass(frozen=True)
 class Request:
     """A signed client request (the paper's ``req``).
@@ -73,12 +75,17 @@ class Request:
         return f"Request(c{self.client}#{self.timestamp})"
 
 
+@direct_init
 @dataclass(frozen=True)
 class Batch:
     """An ordered group of requests occupying one sequence number.
 
     All evaluated protocols batch with ``B = 20`` (Section 5.1.2); a batch is
     treated as a unit by the ordering layer and unpacked at execution.
+
+    ``size_bytes``, the wire size, is the sum of the request payloads
+    (headers are negligible).  Like ``Request.rid`` it is derived once,
+    when the batch is built, and is not a field.
     """
 
     requests: Tuple[Request, ...]
@@ -86,11 +93,8 @@ class Batch:
     def __post_init__(self) -> None:
         if not self.requests:
             raise ValueError("a batch must contain at least one request")
-
-    @property
-    def size_bytes(self) -> int:
-        """Wire size: sum of request payloads (headers are negligible)."""
-        return sum(r.size_bytes for r in self.requests)
+        cache_on_instance(self, "size_bytes",
+                          sum(r.size_bytes for r in self.requests))
 
     @memoized
     def bodies_digest(self) -> Digest:

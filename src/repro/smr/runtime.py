@@ -15,11 +15,11 @@ safety-checking hooks the harness and tests use.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.config import ClusterConfig
 from repro.common.errors import ConfigurationError, ProtocolViolation
-from repro.crypto.authenticators import authenticator_for
+from repro.crypto.authenticators import POLICIES, Authenticator
 from repro.crypto.costs import CostModel, CpuMeter
 from repro.crypto.primitives import (
     KeyStore,
@@ -35,8 +35,23 @@ from repro.smr.messages import Batch, Request
 from repro.smr.sequencer import PipelinedSequencer
 
 
+def _policy_for(payload: Any) -> Authenticator:
+    """The policy of ``payload``'s class, read from the registry."""
+    try:
+        return POLICIES[payload.__class__]
+    except KeyError:
+        raise ConfigurationError(
+            f"{type(payload).__name__} has no authenticator policy; "
+            f"register it in its protocol's messages module") from None
+
+
 class NodeBase(Process):
-    """Common machinery of any network-attached node."""
+    """Common machinery of any network-attached node.
+
+    A send looks its class's policy up once per call and charges the
+    sender's modelled CPU per receiver, unless the cost model is free
+    (``cpu.free``): then nothing could be charged and nothing is called.
+    """
 
     def __init__(self, sim: Simulator, network: Network, name: str,
                  site: str, keystore: KeyStore,
@@ -46,8 +61,7 @@ class NodeBase(Process):
         self.site = site
         self.keystore = keystore
         self.cpu = CpuMeter(cost_model or CostModel.free())
-        network.attach(Endpoint(name, site, self._on_deliver_auth,
-                                lambda: not self.crashed))
+        network.attach(Endpoint(name, site, self._on_deliver_auth, self))
         #: Messages received, for debugging and protocol statistics.
         self.messages_received = 0
         #: Deliveries dropped because their channel authenticator failed.
@@ -66,7 +80,7 @@ class NodeBase(Process):
         if self.crashed:
             return
         self.messages_received += 1
-        policy = authenticator_for(type(body))
+        policy = POLICIES.get(body.__class__)
         if policy is not None and policy.verify_on_delivery:
             network = self.network
             network.stats.auth_verified += 1
@@ -84,14 +98,6 @@ class NodeBase(Process):
         """Handle one delivered message. Subclasses implement."""
         raise NotImplementedError
 
-    def _policy_for(self, payload: Any):
-        policy = authenticator_for(type(payload))
-        if policy is None:
-            raise ConfigurationError(
-                f"{type(payload).__name__} has no authenticator policy; "
-                f"register it in its protocol's messages module")
-        return policy
-
     def send_authenticated(self, dst: str, payload: Any,
                            size_bytes: int = 0) -> None:
         """Send one message under its class's authenticator policy.
@@ -101,11 +107,32 @@ class NodeBase(Process):
         modelled-cost-only MAC, or nothing.  Sender-side CPU is charged
         here; the receiver's runtime verifies before dispatch.
         """
-        policy = self._policy_for(payload)
-        policy.charge_send(self.cpu, 1, size_bytes)
+        policy = _policy_for(payload)
+        if not self.cpu.free:
+            policy.charge_send(self.cpu, 1, size_bytes)
         self.network.send_authenticated(
             self.name, dst, payload, size_bytes=size_bytes,
             authenticator=policy, keystore=self.keystore)
+
+    def send(self, items: Sequence[Tuple[str, Any, int]]) -> None:
+        """Send ``(dst, payload, size_bytes)`` items, a payload of its own
+        per receiver and all of one class, in one call (a slot's replies;
+        :meth:`Network.send`).  The same as one :meth:`send_authenticated`
+        per item, in order: each item is charged as that send would be."""
+        if not items:
+            return
+        cls = items[0][1].__class__
+        policy = _policy_for(items[0][1])
+        cpu = self.cpu
+        for _, payload, size_bytes in items:
+            if payload.__class__ is not cls:
+                raise ConfigurationError(
+                    f"one send carries one message class, not "
+                    f"{cls.__name__} and {type(payload).__name__}")
+            if not cpu.free:
+                policy.charge_send(cpu, 1, size_bytes)
+        self.network.send(self.name, items, authenticator=policy,
+                          keystore=self.keystore)
 
     def multicast_authenticated(self, dsts: Sequence[str], payload: Any,
                                 size_bytes: int = 0) -> None:
@@ -118,8 +145,9 @@ class NodeBase(Process):
         """
         if not dsts:
             return
-        policy = self._policy_for(payload)
-        policy.charge_send(self.cpu, len(dsts), size_bytes)
+        policy = _policy_for(payload)
+        if not self.cpu.free:
+            policy.charge_send(self.cpu, len(dsts), size_bytes)
         self.network.multicast_authenticated(
             self.name, dsts, payload, size_bytes=size_bytes,
             authenticator=policy, keystore=self.keystore)
@@ -341,11 +369,14 @@ class ReplicaBase(NodeBase):
             return
         me = names.index(self.name)
         before, after = names[:me], names[me + 1:]
-        policy = self._policy_for(payload)
-        policy.charge_send(self.cpu, len(before) + len(after), size_bytes)
+        policy = _policy_for(payload)
+        if not self.cpu.free:
+            policy.charge_send(self.cpu, len(before) + len(after),
+                               size_bytes)
         # One shared authenticator context (typically the payload digest)
         # across both halves of the split: still one hash per fan-out.
-        context = policy.begin(self.keystore, self.name, payload)
+        context = policy.begin(self.keystore, self.name, payload) \
+            if policy.stamps else None
         network = self.network
         if before:
             network.multicast_authenticated(
@@ -383,11 +414,13 @@ class ReplicaBase(NodeBase):
 class ReplyTally:
     """Which replicas vouch for which outcome of the in-flight request.
 
-    A reply votes for a ``key`` -- ``(seqno, result_digest)``, with the
-    view in front for XPaxos.  A replica counts once: its newer reply
-    replaces its older vote.  The first full result seen for a key is kept
-    (digest-only replies vote without one), and a quorum is only reported
-    once one is held.  O(1) per reply.
+    A reply votes for a ``key`` -- ``(seqno, result_digest.value)``, with
+    the view in front for XPaxos: the digest's bytes, which hash and
+    compare without a call into :class:`~repro.crypto.primitives.Digest`.
+    A replica counts once: its newer reply replaces its older vote.  The
+    first full result seen for a key is kept (digest-only replies vote
+    without one), and a quorum is only reported once one is held.  O(1)
+    per reply.
     """
 
     __slots__ = ("_vote", "_voters", "_result")

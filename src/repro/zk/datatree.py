@@ -50,6 +50,9 @@ def _parent_path(path: str) -> str:
 
 
 def _validate_path(path: str) -> None:
+    if path.__class__ is not str:
+        # Client-chosen: a replica must answer, not raise.
+        raise ZkError("BadArguments", repr(path))
     if not path.startswith("/"):
         raise ZkError("BadArguments", path)
     if path != "/" and path.endswith("/"):

@@ -46,8 +46,10 @@ class CoordinationService(StateMachine):
             return self._dispatch(verb, operation)
         except ZkError as err:
             return ("error", err.code)
-        except ValueError:
-            # A known verb with the wrong number of arguments.
+        except (ValueError, TypeError):
+            # A known verb with the wrong number of arguments, or an
+            # argument of the wrong type (``bytes(None)``, an unhashable
+            # session id).
             return ("error", "BadArguments")
 
     def _dispatch(self, verb: str, operation: tuple) -> Any:

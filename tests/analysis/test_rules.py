@@ -211,6 +211,51 @@ class TestA001UnregisteredWireMessage:
         # sent) must all stay silent.
         assert len(hits) == 2
 
+    def test_items_of_send_resolve_to_their_classes(self, lint_tree):
+        """``send`` takes ``(dst, payload, size)`` items: a class sent
+        only there, in a list literal or appended to a list passed by
+        name, is still seen."""
+        report = lint_tree({
+            "pkg/protocols/demo/messages.py": """\
+                from dataclasses import dataclass
+
+
+                @dataclass(frozen=True)
+                class Listed:
+                    x: int
+
+
+                @dataclass(frozen=True)
+                class Appended:
+                    x: int
+
+
+                @dataclass(frozen=True)
+                class Built:
+                    x: int
+
+
+                def build(x):
+                    return Built(x)
+
+
+                def replies(node):
+                    node.send([("c0", Listed(1), 8)])
+
+
+                def answer(node, clients):
+                    items = []
+                    for client in clients:
+                        reply = build(client)
+                        items.append((f"c{client}", reply, 8))
+                        items.append((f"c{client}", Appended(client), 8))
+                    node.send(items)
+            """,
+        })
+        assert sorted(message.split()[2] for message in (
+            f.message for f in report.findings if f.rule == "A001")) == [
+            "Appended", "Built", "Listed"]
+
     def test_signed_constructor_resolves_to_its_class(self, lint_tree):
         """``msg.Vote.signed(...)`` builds a ``Vote``: sent unregistered
         it fires, whether built inline or through a local."""
@@ -347,6 +392,57 @@ class TestA002FrozenMessageMutation:
             """,
         })
         assert found(report, "A002") == []
+
+    def test_instance_dict_writes_fire_everywhere(self, lint_tree):
+        source = """\
+            from dataclasses import dataclass
+
+
+            @dataclass(frozen=True)
+            class Entry:
+                value: int
+
+                def __post_init__(self):
+                    self.__dict__["value"] = abs(self.value)
+
+
+            def poke(entry):
+                vars(entry)["value"] = 7
+                entry.__dict__["value"] += 1
+                del vars(entry)["value"]
+                entry.__dict__.update(value=8)
+                vars(entry).setdefault("value", 9)
+
+
+            def read(entry):
+                return entry.__dict__["value"], vars(entry).get("value")
+        """
+        report = lint_tree({"pkg/protocols/demo/state.py": source})
+        lines = [line for _, line in found(report, "A002")]
+        assert lines == [line_of(source, needle) for needle in (
+            'self.__dict__["value"] =', 'vars(entry)["value"] =',
+            '+= 1', "del vars", ".update(", ".setdefault(")]
+
+    def test_only_the_init_helper_may_write_instance_dicts(self, lint_tree):
+        source = """\
+            def direct_init(cls):
+                def __init__(self, value):
+                    self.__dict__["value"] = value
+                cls.__init__ = __init__
+                return cls
+
+
+            def cache_on_instance(obj, attr, value):
+                obj.__dict__[attr] = value
+        """
+        report = lint_tree({"pkg/crypto/primitives.py": source,
+                            "pkg/smr/messages.py": source})
+        assert sorted(found(report, "A002")) == [
+            ("crypto/primitives.py",
+             line_of(source, "obj.__dict__[attr]")),
+            ("smr/messages.py", line_of(source, 'self.__dict__["value"]')),
+            ("smr/messages.py", line_of(source, "obj.__dict__[attr]")),
+        ]
 
     def test_nested_function_inside_post_init_is_allowed(self, lint_tree):
         report = lint_tree({

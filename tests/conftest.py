@@ -61,6 +61,18 @@ def multicast_plain(net, src, dsts, payload, size_bytes=0):
                                 authenticator=NULL, keystore=None)
 
 
+class Liveness:
+    """The node behind a bare test ``Endpoint``: the transport reads its
+    ``crashed`` attribute, here derived from ``is_up()``."""
+
+    def __init__(self, is_up=lambda: True):
+        self._is_up = is_up
+
+    @property
+    def crashed(self):
+        return not self._is_up()
+
+
 class Outbox(list):
     """``(src, dst, payload)`` for every message handed to the network."""
 

@@ -7,7 +7,7 @@ from repro.crypto.authenticators import (
     MAC_VECTOR,
     MODELED_MAC,
     NULL,
-    authenticator_for,
+    POLICIES,
     register,
     registered_classes,
 )
@@ -101,9 +101,9 @@ class TestRegistry:
         class Probe:
             pass
 
-        assert authenticator_for(Probe) is None
+        assert POLICIES.get(Probe) is None
         register(Probe, MAC_VECTOR)
-        assert authenticator_for(Probe) is MAC_VECTOR
+        assert POLICIES[Probe] is MAC_VECTOR
         register(Probe, MAC_VECTOR)  # idempotent
 
     def test_rebinding_to_other_policy_rejected(self):

@@ -41,7 +41,7 @@ from repro.protocols.xpaxos import messages as msg
 from repro.protocols.xpaxos.messages import FastCommit, PreChk, ReplyMsg
 from repro.sim.core import Simulator
 from repro.smr.messages import Batch, Request
-from tests.conftest import make_cluster
+from tests.conftest import Liveness, make_cluster
 
 
 def make_batch(i=0, n=4):
@@ -255,9 +255,9 @@ def _auth_net(sites):
             name, site,
             (lambda inbox: lambda src, body, auth, size:
              inbox.append(auth))(inbox),
-            lambda: True))
+            Liveness()))
     net.attach(Endpoint("s", "S", lambda src, body, auth, size: None,
-                        lambda: True))
+                        Liveness()))
     return sim, net, inboxes
 
 

@@ -22,7 +22,7 @@ import repro.protocols.xpaxos.replica as xpaxos
 import repro.protocols.zab.replica as zab
 import repro.protocols.zyzzyva.replica as zyzzyva
 from repro.common.config import ProtocolName
-from repro.crypto.authenticators import authenticator_for
+from repro.crypto.authenticators import POLICIES
 from repro.smr.runtime import ReplicaBase
 from tests.conftest import make_cluster
 
@@ -36,7 +36,7 @@ def wire_classes(module):
     """The replica-bound wire classes a module defines."""
     return {cls for cls in vars(module).values()
             if isinstance(cls, type) and cls.__module__ == module.__name__
-            and authenticator_for(cls) is not None} - CLIENT_BOUND
+            and cls in POLICIES} - CLIENT_BOUND
 
 
 XPAXOS_ALL = wire_classes(xmsg)

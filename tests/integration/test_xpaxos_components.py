@@ -15,7 +15,7 @@ import ast
 from pathlib import Path
 
 import repro
-from repro.crypto.authenticators import authenticator_for
+from repro.crypto.authenticators import POLICIES
 from repro.protocols.xpaxos import messages as msg
 
 XPAXOS = Path(repro.__file__).resolve().parent / "protocols" / "xpaxos"
@@ -113,5 +113,5 @@ def test_every_message_class_is_registered_by_exactly_one_owner():
     assert len(keys) == len(set(keys)), sorted(keys)
     wire_classes = {name for name, cls in vars(msg).items()
                     if isinstance(cls, type) and cls.__module__ == msg.__name__
-                    and authenticator_for(cls) is not None}
+                    and cls in POLICIES}
     assert set(keys) == wire_classes - CLIENT_BOUND

@@ -32,6 +32,7 @@ from repro.net.bandwidth import DEFAULT_UPLINK_BYTES_PER_MS, BandwidthModel
 from repro.net.latency import LatencyModel
 from repro.net.network import Endpoint, Network
 from repro.sim.core import Simulator
+from tests.conftest import Liveness
 
 SITES = ("CA", "VA", "JP")
 NAMES = tuple(f"n{i}" for i in range(9))
@@ -75,7 +76,7 @@ class Fabric:
             self.net.attach(Endpoint(
                 name, SITES[i % len(SITES)],
                 self._inbox(name, on_delivery),
-                lambda name=name: self.up[name]))
+                Liveness(lambda name=name: self.up[name])))
 
     def _inbox(self, name, on_delivery):
         # The seed delivers ``(src, payload)``; the current fabric adds

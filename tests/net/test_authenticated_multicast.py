@@ -20,6 +20,7 @@ from repro.net.bandwidth import BandwidthModel
 from repro.net.latency import LatencyModel
 from repro.net.network import Endpoint, Network
 from repro.sim.core import Simulator
+from tests.conftest import Liveness
 
 #: The ``NULL`` column (a plain send) and the ``MAC_VECTOR`` column.
 POLICIES = pytest.mark.parametrize("policy", [NULL, MAC_VECTOR],
@@ -46,7 +47,7 @@ class _Node:
             name, site,
             lambda src, body, auth, size:
                 self.inbox.append((src, body, auth, size)),
-            lambda: self.up))
+            Liveness(lambda: self.up)))
 
 
 def build(**kwargs):

@@ -7,7 +7,7 @@ from repro.net.bandwidth import BandwidthModel
 from repro.net.latency import INTRA_SITE_MS, LatencyModel
 from repro.net.network import Endpoint, Network
 from repro.sim.core import Simulator
-from tests.conftest import multicast_plain, send_plain
+from tests.conftest import Liveness, multicast_plain, send_plain
 
 
 def make_net(bandwidth=None, sites=("X", "Y")):
@@ -24,7 +24,7 @@ class _Node:
         net.attach(Endpoint(
             name, site,
             lambda src, p, auth, size: self.inbox.append((src, p)),
-            lambda: self.up))
+            Liveness(lambda: self.up)))
 
 
 class TestDelivery:

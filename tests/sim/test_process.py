@@ -63,7 +63,7 @@ class TestTimer:
         timer.start(10.0)
         # Crash after arming but before firing, without going through
         # process.crash() timer cleanup (simulates a race).
-        sim.call_at(5.0, lambda: setattr(process, "_crashed", True))
+        sim.call_at(5.0, lambda: setattr(process, "crashed", True))
         sim.run()
         assert seen == []
 

@@ -173,3 +173,25 @@ class TestEquivocationLimits:
         count_before = len(results)
         client._on_deliver_auth("r0", tampered, mac, 64)
         assert len(results) == count_before  # not accepted
+
+
+class TestOutOfRangeViews:
+    def test_client_drops_a_reply_naming_a_negative_view(self):
+        """An active replica may stamp a valid channel MAC on a reply for
+        view -1: the client drops it at intake (it used to raise
+        ``ValueError`` from the group lookup of the t >= 2 commit rule)
+        and still commits on the honest replies."""
+        for t in (1, 2):
+            runtime = make_cluster(t=t, num_clients=1)
+            client = runtime.clients[0]
+            results = []
+            client.on_result = results.append
+            request = client.propose("op", size_bytes=8)
+            forged = msg.ReplyMsg(
+                replica=1, view=-1, seqno=1, timestamp=request.timestamp,
+                client=0, result=None, result_digest=digest_of(b""))
+            mac = runtime.keystore.mac("r1", "c0", forged)
+            client._on_deliver_auth("r1", forged, mac, 64)
+            assert client.view == 0 and results == []
+            runtime.sim.run(until=300.0)
+            assert len(results) == 1, t

@@ -306,3 +306,25 @@ def test_a_follower_checks_the_new_view_against_its_own_selection():
         runtime.replica(0).sign, new_view=1, entries=(), checkpoint=None))
     assert (follower.view, follower.in_view_change) == (1, False)
     assert follower.view_changes_completed == 1
+
+
+@T
+@pytest.mark.parametrize("kind", ["suspect", "view-change"])
+def test_a_negative_view_is_dropped_at_intake(t, kind):
+    """A SUSPECT or VIEW-CHANGE naming a view below 0, signed by the
+    replica it names, is dropped: nothing escapes ``on_message`` (a
+    SUSPECT used to raise ``ValueError`` from the group lookup), the
+    view does not move and nothing is sent."""
+    runtime = make_cluster(t=t)
+    sent = isolate(runtime)
+    replica, sender = runtime.replica(0), runtime.replica(1)
+    if kind == "suspect":
+        m = msg.Suspect.signed(sender.sign, view=-1, sender=1)
+    else:
+        m = msg.ViewChange.signed(
+            sender.sign, new_view=-1, sender=1, commit_entries=(),
+            checkpoint=None, prepare_entries=None, prepare_view=0,
+            final_proof=None)
+    replica.on_message("r1", m)
+    assert (replica.view, replica.in_view_change) == (0, False)
+    assert list(sent) == []

@@ -57,6 +57,29 @@ class TestLocalSemantics:
         assert service.execute(operation) == ("error", "BadArguments")
         assert service.state_digest() == before
 
+    @pytest.mark.parametrize("operation", [
+        ("get", 5),
+        ("create", 5, b"x"),
+        ("set", None, b""),
+        ("delete", 5),
+        ("exists", b"/bench"),
+        ("children", ("/bench",)),
+        ("bench-write", 3, 1, 1024),
+        ("set", "/bench", None),
+        ("create", "/a", None),
+        ("expire", [1]),
+    ], ids=["get-int", "create-int", "set-none", "delete-int",
+            "exists-bytes", "children-tuple", "bench-write-int",
+            "set-none-data", "create-none-data", "expire-list"])
+    def test_wrong_argument_types_are_refused_not_raised(self, operation):
+        """A path that is not a string, or data that is not bytes, is a
+        client's choice: every replica must answer it, alike, and keep
+        its state."""
+        service = CoordinationService()
+        before = service.state_digest()
+        assert service.execute(operation) == ("error", "BadArguments")
+        assert service.state_digest() == before
+
     @pytest.mark.parametrize("operation", [7, None, "create", ["get", "/bench"],
                                            ()],
                              ids=["int", "none", "str", "list", "empty"])
