@@ -282,9 +282,9 @@ class FrozenMessageMutationRule(Rule):
     tampering detection.  Frozen dataclasses may
     initialise derived fields in ``__post_init__`` (the instance has
     not escaped yet), and ``crypto/primitives.py`` owns the sanctioned
-    memoization hook (:func:`cache_on_instance`); every other
-    ``object.__setattr__`` is a frozen-instance mutation and is
-    flagged.  A wire message's ``__init__`` writes its instance dict
+    writers (the generated constructors, :class:`derived` values and
+    kept encodings); every other ``object.__setattr__`` is a
+    frozen-instance mutation and is flagged.  A wire message's ``__init__`` writes its instance dict
     directly; that constructor is generated by ``direct_init`` in
     ``crypto/primitives.py``, and a write through ``x.__dict__`` or
     ``vars(x)`` -- subscript assignment, ``del``, ``update`` or
@@ -322,8 +322,8 @@ class FrozenMessageMutationRule(Rule):
             node,
             "write into an instance dict bypasses the frozen "
             "__setattr__; only crypto.primitives.direct_init's generated "
-            "__init__ may build a message that way -- derived values go "
-            "through crypto.primitives.cache_on_instance")
+            "__init__ may build a message that way -- derived values are "
+            "crypto.primitives.derived attributes")
 
     def visit_Assign(self, node: ast.Assign):
         for target in node.targets:
@@ -364,6 +364,6 @@ class FrozenMessageMutationRule(Rule):
                 "object.__setattr__ outside __post_init__ mutates a "
                 "frozen instance; messages are immutable once digested "
                 "(the digest memo is never invalidated) -- initialise "
-                "derived fields in __post_init__, or memoize derived "
-                "values via crypto.primitives.cache_on_instance")
+                "derived fields in __post_init__, or declare derived "
+                "values with crypto.primitives.derived")
         self.generic_visit(node)

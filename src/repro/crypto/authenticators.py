@@ -156,10 +156,9 @@ class MacVectorAuthenticator(Authenticator):
         # Inlined keystore.mac_digest (keep in sync): stamp runs once
         # per receiver per fan-out, and the delegation frame was the
         # single biggest non-hash cost on the stamping path.
-        token = _sha256(
-            keystore._mac_prefix + sender.encode() + receiver.encode()
-            + context.value
-        ).digest()
+        token = _sha256(keystore._mac_keys[sender]
+                        + keystore._names[receiver]
+                        + context.value).digest()
         return Mac(sender, receiver, context, token)
 
     def context_digest(self, context: Digest) -> Optional[Digest]:

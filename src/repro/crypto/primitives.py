@@ -18,9 +18,8 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import MISSING, dataclass, fields, is_dataclass
-from functools import wraps
-from operator import attrgetter, itemgetter
-from typing import Any, Callable, Dict, List, Tuple
+from operator import itemgetter
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 #: Canonical principal name of machine ``p``: replicas are ``"r<i>"``,
 #: clients ``"c<i>"``.
@@ -44,18 +43,32 @@ def _canonical(obj: Any) -> bytes:
     bytes, tuples/lists, dicts, dataclasses, signatures and digests.
 
     The exact-type tests up front are the hot path: wire payloads are
-    overwhelmingly tuples of ints/strs/bytes.  Every other class is
-    dispatched through ``_ENCODERS`` on its exact type: ``Digest``,
-    ``Signature``, ``Mac`` and ``None`` have fixed entries, and
-    a dataclass gets a plan compiled on first sight
-    (:func:`_compile_encoder`).  Subclasses of the structural types
-    (enums, named tuples), bools and dicts route through
-    :func:`_canonical_general`.  All paths are byte-identical to the
-    seed encoder (``tests/crypto/test_canonical_oracle.py``).
+    overwhelmingly tuples of ints/strs/bytes, and a sequence encodes its
+    ``int``, ``bytes``, ``str`` and ``Digest`` elements inline, the way
+    a dataclass plan encodes its fields (:func:`_compile_encoder`).  Every
+    other class is dispatched through ``_ENCODERS`` on its exact type:
+    ``Digest``, ``Signature``, ``Mac`` and ``None`` have fixed entries,
+    and a dataclass gets a plan compiled on first sight.  Subclasses of
+    the structural types (enums, named tuples), bools and dicts route
+    through :func:`_canonical_general`.  All paths are byte-identical to
+    the seed encoder (``tests/crypto/test_canonical_oracle.py``).
     """
     cls = obj.__class__
     if cls is tuple or cls is list:
-        parts = b"".join(map(_canonical, obj))
+        parts = bytearray()
+        for item in obj:
+            kind = item.__class__
+            if kind is int:
+                parts += b"i%d" % item
+            elif kind is bytes:
+                parts += b"b%d:%b" % (len(item), item)
+            elif kind is str:
+                data = item.encode()
+                parts += b"s%d:%b" % (len(data), data)
+            elif kind is Digest:
+                parts += b"D" + item.value
+            else:
+                parts += _canonical(item)
         return b"l%d:%b" % (len(obj), parts)
     if cls is int:
         return b"i%d" % obj
@@ -70,6 +83,11 @@ def _canonical(obj: Any) -> bytes:
     if encoder is None:
         encoder = _compile_encoder(cls)
     return encoder(obj)
+
+
+#: The public name of the one encoder, for code outside this module that
+#: keeps an encoding it will hash later (``Request.body_encoding``).
+canonical = _canonical
 
 
 def _canonical_general(obj: Any) -> bytes:
@@ -108,6 +126,51 @@ def _canonical_general(obj: Any) -> bytes:
     raise TypeError(f"cannot canonically encode {type(obj).__name__}")
 
 
+#: Writes one attribute of an instance, frozen or not: a
+#: :class:`derived` value's first read and a kept encoding
+#: (:func:`_compile_encoder`) store through it.
+_setattr = object.__setattr__
+
+
+class derived:
+    """A value derived from an immutable instance's own fields, stored on
+    the instance and read back as a plain attribute.
+
+    Decorates a zero-argument method.  The code that builds an instance
+    and already holds the value passes it to the constructor by name
+    (:func:`direct_init` gives the generated ``__init__`` a keyword-only
+    parameter per derived value), so it is written once, as the instance
+    is built; an instance built without it computes it from its fields on
+    first read.  Either way every later read is an attribute load: this
+    is a non-data descriptor, and the value stored on the instance
+    shadows it.  Only values computed from the instance's own immutable
+    fields belong here -- never one that feeds back into equality,
+    hashing or the canonical encoding.
+    """
+
+    def __init__(self, compute: Callable[[Any], Any]) -> None:
+        self.compute = compute
+        self.name = compute.__name__
+        self.__doc__ = compute.__doc__
+
+    def __get__(self, obj: Any, owner: Optional[type] = None) -> Any:
+        if obj is None:
+            return self
+        value = self.compute(obj)
+        _setattr(obj, self.name, value)
+        return value
+
+
+def _derived_names(cls: type) -> List[str]:
+    """The :class:`derived` attributes of ``cls``, base classes first."""
+    names: List[str] = []
+    for klass in reversed(cls.__mro__):
+        for name, value in vars(klass).items():
+            if isinstance(value, derived) and name not in names:
+                names.append(name)
+    return names
+
+
 def direct_init(cls: type) -> type:
     """Give frozen dataclass ``cls`` an ``__init__`` that writes its
     instance dict directly; returns ``cls``.
@@ -118,9 +181,12 @@ def direct_init(cls: type) -> type:
     were most of what building one cost.  The method installed here
     takes the same parameters with the same defaults, stores the fields
     in declaration order and then runs ``__post_init__``, if the class
-    has one.  Everything else stays the dataclass's own: ``__eq__``,
-    ``__hash__``, ``__repr__``, ``dataclasses.replace``, pickling, and
-    ``FrozenInstanceError`` on assignment.
+    has one.  Each :class:`derived` value of the class is one more
+    keyword-only parameter, stored when given.  Everything else stays
+    the dataclass's own: ``__eq__``, ``__hash__``, ``__repr__``,
+    ``dataclasses.replace`` (which passes fields only, so the copy
+    derives its values afresh), pickling, and ``FrozenInstanceError`` on
+    assignment.
 
     This is the one place instance dicts are written: lint rule A002
     flags ``x.__dict__[...] = ...`` and ``vars(x)[...] = ...`` anywhere
@@ -146,6 +212,13 @@ def direct_init(cls: type) -> type:
             defaults[f"_default_{f.name}"] = f.default
             params.append(f"{f.name}=_default_{f.name}")
         body.append(f"    store[{f.name!r}] = {f.name}")
+    names = _derived_names(cls)
+    if names:
+        params.append("*")
+    for name in names:
+        params.append(f"{name}=None")
+        body.append(f"    if {name} is not None:\n"
+                    f"        store[{name!r}] = {name}")
     if hasattr(cls, "__post_init__"):
         body.append("    self.__post_init__()")
     source = (f"def __init__(self, {', '.join(params)}):\n"
@@ -188,18 +261,20 @@ class Digest:
 
 _sha256 = hashlib.sha256
 
-#: Where a frozen dataclass instance keeps its canonical encoding.
+#: Where a frozen dataclass instance keeps its canonical encoding (the
+#: class holds ``None`` under the same name, so a read needs no default).
 _ENCODING_ATTR = "_canonical_encoding"
 
-# Memo events since process start, bumped by the compiled dataclass
-# encoders; ``digest_of`` reads them around each encode to classify the
-# call for ``digest_cache_stats``.
-_memo_hits = 0
-_memo_stores = 0
-
+# Digest calls since process start (or the last reset), numbered: the
+# kept-encoding branches of the compiled encoders note which call last
+# reused and which last kept an encoding, and classify that call once.
+# An encode outside any digest call (``canonical``) is charged to the
+# call before it.
+_calls = 0
 _calls_hit = 0
 _calls_stored = 0
-_calls_uncached = 0
+_hit_call = -1
+_store_call = -1
 
 
 def digest_of(obj: Any) -> Digest:
@@ -207,96 +282,70 @@ def digest_of(obj: Any) -> Digest:
 
     Every frozen dataclass instance met while encoding -- ``obj`` itself
     or anything nested in it -- keeps its canonical encoding after the
-    first time, so a ``FastCommit`` embedded in sixteen replies or a
-    ``ViewChange`` inside every ``VC-FINAL`` set is encoded once per
-    object rather than once per enclosing digest.  The memo is never
-    invalidated: messages are immutable by contract (lint rule A002 and
-    the mutation-after-digest guard test).  Payloads whose digest is
-    needed at several hops carry it themselves (``Request.body_digest``,
-    ``Batch.bodies_digest``, the ``payload_digest`` of signed XPaxos
-    messages) and never come back here.
+    first time, so a ``FastCommit`` embedded in sixteen replies, a
+    ``ViewChange`` inside every ``VC-FINAL`` set or a cached reply sent
+    again is encoded once per object rather than once per digest.  The
+    memo is never invalidated: messages are immutable by contract (lint
+    rule A002 and the mutation-after-digest guard test).  Payloads whose
+    digest is needed at several hops carry it themselves
+    (``Request.body_digest``, ``Batch.bodies_digest``, the
+    ``payload_digest`` of signed XPaxos messages) and never come back
+    here.
     """
-    global _calls_hit, _calls_stored, _calls_uncached
-    if obj.__class__ is bytes:
-        # Application results: no dispatch, nothing to memoize.
-        _calls_uncached += 1
+    global _calls
+    _calls += 1
+    cls = obj.__class__
+    if cls is bytes:
+        # Application results: no dispatch, nothing to keep.
         return Digest(_sha256(b"b%d:%b" % (len(obj), obj)).digest())
-    hits = _memo_hits
-    stores = _memo_stores
+    encoder = _ENCODERS.get(cls)
+    if encoder is None:  # a sequence, a scalar, or a class not seen yet
+        return Digest(_sha256(_canonical(obj)).digest())
+    return Digest(_sha256(encoder(obj)).digest())
+
+
+def encoded_digest(obj: Any) -> Tuple[bytes, Digest]:
+    """``digest_of(obj)`` and the encoding it hashed, for a caller that
+    keeps the encoding for a later digest (one call, as ``digest_of``
+    counts it; ``obj`` is a tuple or a scalar)."""
+    global _calls
+    _calls += 1
     encoding = _canonical(obj)
-    if _memo_hits != hits:
-        _calls_hit += 1
-    elif _memo_stores != stores:
-        _calls_stored += 1
-    else:
-        _calls_uncached += 1
-    return Digest(_sha256(encoding).digest())
+    return encoding, Digest(_sha256(encoding).digest())
 
 
-def cache_on_instance(obj: Any, attr: str, value: Any) -> None:
-    """Memoize a derived value on a frozen instance.
-
-    The sanctioned mutation point for frozen dataclasses: lint rule A002
-    flags any other ``object.__setattr__`` on message instances.  Only
-    derived values (encodings and digests of immutable fields) may be
-    cached -- the attribute must never feed back into equality, hashing,
-    or the wire encoding.
-    """
-    object.__setattr__(obj, attr, value)
-
-
-def memoized(method: Callable[[Any], Any]) -> Callable[[Any], Any]:
-    """Compute a zero-argument method of a frozen dataclass once per
-    instance and keep the value on it (via :func:`cache_on_instance`).
-
-    For digests derived from the instance's own immutable fields that
-    several hops need: every verifier and every client holding the same
-    in-process object shares one encode.  The value is only ever computed
-    from the instance it is stored on, so two instances never share a
-    memo, equal by value or not.
-
-    ``Class.method.seed(instance, value)`` stores a value the caller
-    already holds -- for the code that builds the instance and has just
-    signed the very payload the method digests, nobody else.
-    """
-    attr = "_memo_" + method.__name__
-
-    @wraps(method)
-    def cached(self: Any) -> Any:
-        # getattr, not ``self.__dict__``: touching ``__dict__`` makes
-        # CPython materialise a dict per instance (+64 B each).
-        value = getattr(self, attr, None)
-        if value is None:
-            value = method(self)
-            cache_on_instance(self, attr, value)
-        return value
-
-    def seed(self: Any, value: Any) -> None:
-        cache_on_instance(self, attr, value)
-
-    cached.seed = seed
-    return cached
+def digest_of_parts(parts: List[bytes]) -> Digest:
+    """``digest_of(tuple(items))`` given each item's canonical encoding,
+    kept by the items themselves (one call, as ``digest_of`` counts
+    it)."""
+    global _calls
+    _calls += 1
+    return Digest(_sha256(b"l%d:%b" % (len(parts), b"".join(parts)))
+                  .digest())
 
 
 def digest_cache_stats() -> Dict[str, int]:
-    """``digest_of`` calls by what the encoding memo did for them
-    (``repro profile``, docs/profiling.md): ``hits`` reused at least one
-    kept encoding, ``stores`` reused none but kept at least one new one,
-    ``uncached`` met no frozen dataclass at all.  The three sum to the
-    number of ``digest_of`` calls."""
+    """Digest calls by what the encoding memo did for them (``repro
+    profile``, docs/profiling.md): ``hits`` reused at least one kept
+    encoding, ``stores`` reused none but kept at least one new one,
+    ``uncached`` did neither.  The three sum to the number of
+    ``digest_of`` calls (:func:`encoded_digest` and
+    :func:`digest_of_parts` count as such)."""
     return {
         "hits": _calls_hit,
         "stores": _calls_stored,
-        "uncached": _calls_uncached,
+        "uncached": _calls - _calls_hit - _calls_stored,
     }
 
 
 def reset_digest_cache_stats() -> None:
     """Zero the digest-cache counters (profiling harness hook)."""
-    global _calls_hit, _calls_stored, _calls_uncached
+    global _calls, _calls_hit, _calls_stored, _hit_call, _store_call
+    _calls = 0
     _calls_hit = 0
     _calls_stored = 0
-    _calls_uncached = 0
+    _hit_call = -1
+    _store_call = -1
 
 
 class Signature(tuple):
@@ -382,50 +431,130 @@ _ENCODERS: Dict[type, Callable[[Any], bytes]] = {
 #: (``Signature`` and ``Mac`` are tuples).
 _STRUCTURAL = (int, float, str, bytes, tuple, list, dict, Digest)
 
+# One field of a compiled plan: the value's exact class picks an inline
+# encoding, else its registered encoder, else ``_canonical``.
+_FIELD_SOURCE = """\
+    value = obj.{name}
+    kind = value.__class__
+    if kind is int:
+        e{i} = b"i%d" % value
+    elif kind is bytes:
+        e{i} = b"b%d:%b" % (len(value), value)
+    elif kind is Digest:
+        e{i} = b"D" + value.value
+    elif kind is str:
+        e{i} = value.encode()
+        e{i} = b"s%d:%b" % (len(e{i}), e{i})
+    elif value is None:
+        e{i} = b"N"
+    else:
+        encoder = _ENCODERS.get(kind)
+        e{i} = _canonical(value) if encoder is None else encoder(value)
+"""
+
+# The kept-encoding branches: classify the current digest call once.
+_HIT_SOURCE = """\
+    encoding = obj._canonical_encoding
+    if encoding is not None:
+        if _hit_call != _calls:
+            _hit_call = _calls
+            _calls_hit += 1
+            if _store_call == _calls:
+                _calls_stored -= 1
+        return encoding
+"""
+_STORE_SOURCE = """\
+    _setattr(obj, "_canonical_encoding", encoding)
+    if _store_call != _calls:
+        _store_call = _calls
+        if _hit_call != _calls:
+            _calls_stored += 1
+"""
+
+
+def _plan_source(cls: type, function: str, keep: bool) -> str:
+    """Source of a straight-line encoder for dataclass ``cls``: one
+    bytes template holding the class name and every field name already
+    encoded, filled with the fields' encodings -- no ``fields()`` call,
+    no per-field call for the common value classes, no name encoding per
+    instance.  ``keep``: the instance keeps its encoding (and reuses a
+    kept one)."""
+    names = [f.name for f in fields(cls)]
+    # Field names are identifiers, so only the class name (which
+    # ``type()`` lets be anything) can hold a stray ``%``.
+    template = (b"c" + cls.__name__.encode().replace(b"%", b"%%")
+                + b"".join(_canonical(name) + b"%b" for name in names))
+    lines = [f"def {function}(obj):"]
+    if keep:
+        lines.append("    global _calls_hit, _calls_stored, _hit_call, "
+                     "_store_call")
+        lines.append(_HIT_SOURCE.rstrip("\n"))
+    for i, name in enumerate(names):
+        lines.append(_FIELD_SOURCE.format(name=name, i=i).rstrip("\n"))
+    filled = "".join(f"e{i}, " for i in range(len(names)))
+    lines.append(f"    encoding = {template!r} % ({filled})")
+    if keep:
+        lines.append(_STORE_SOURCE.rstrip("\n"))
+    lines.append("    return encoding")
+    return "\n".join(lines) + "\n"
+
+
+def _compile_plan(cls: type, keep: bool) -> Callable[[Any], bytes]:
+    """Generate and return a dataclass encoder (:func:`_plan_source`).
+    Its globals are this module's: the memo counters it bumps, and
+    ``_canonical`` for the values it does not encode inline."""
+    function = "keep" if keep else "encode"
+    source = _plan_source(cls, function, keep)
+    namespace: Dict[str, Any] = {}
+    exec(compile(source, f"<{function} {cls.__qualname__}>", "exec"),
+         globals(), namespace)
+    return namespace[function]
+
+
+def _planned(cls: type) -> bool:
+    """Does ``cls`` encode by a plan of its own (a dataclass that is not
+    also a structural type)?"""
+    return is_dataclass(cls) and not issubclass(cls, _STRUCTURAL)
+
+
+def _keeps(cls: type) -> bool:
+    """Do instances of planned ``cls`` keep their encoding (frozen, with
+    an instance dict)?"""
+    return bool(cls.__dataclass_params__.frozen and cls.__dictoffset__)
+
 
 def _compile_encoder(cls: type) -> Callable[[Any], bytes]:
-    """Build, register and return the encoder for instances of ``cls``.
+    """Build, register and return the encoder for instances of ``cls``
+    met inside an encoded value.
 
-    A dataclass gets a plan: one bytes template holding the class name
-    and every field name already encoded, filled with the encoded field
-    values -- no ``fields()`` call, no isinstance cascade and no name
-    encoding per instance.  Instances of a frozen dataclass also keep
-    the result (see :func:`digest_of`).  Everything else falls back to
-    :func:`_canonical_general`.
+    A dataclass gets a generated plan (:func:`_plan_source`); instances
+    of a frozen one keep the result (see :func:`digest_of`), and the
+    class holds ``None`` under the kept attribute's name.  Everything
+    else falls back to :func:`_canonical_general`.
     """
-    if not is_dataclass(cls) or issubclass(cls, _STRUCTURAL):
+    if not _planned(cls):
         encoder = _canonical_general
+    elif _keeps(cls):
+        setattr(cls, _ENCODING_ATTR, None)
+        encoder = _compile_plan(cls, keep=True)
     else:
-        names = [f.name for f in fields(cls)]
-        # Field names are identifiers, so only the class name (which
-        # ``type()`` lets be anything) can hold a stray ``%``.
-        template = (b"c" + cls.__name__.encode().replace(b"%", b"%%")
-                    + b"".join(_canonical(name) + b"%b" for name in names))
-        if len(names) > 1:
-            values = attrgetter(*names)
-        else:  # attrgetter returns a bare value for one name
-            def values(obj: Any) -> Tuple[Any, ...]:
-                return tuple(getattr(obj, name) for name in names)
-
-        def encoder(obj: Any) -> bytes:
-            return template % tuple(map(_canonical, values(obj)))
-
-        if cls.__dataclass_params__.frozen and cls.__dictoffset__:
-            encode = encoder
-
-            def encoder(obj: Any) -> bytes:
-                global _memo_hits, _memo_stores
-                encoding = getattr(obj, _ENCODING_ATTR, None)
-                if encoding is None:
-                    encoding = encode(obj)
-                    cache_on_instance(obj, _ENCODING_ATTR, encoding)
-                    _memo_stores += 1
-                else:
-                    _memo_hits += 1
-                return encoding
-
+        encoder = _compile_plan(cls, keep=False)
     _ENCODERS[cls] = encoder
     return encoder
+
+
+class _PrincipalKeys(dict):
+    """principal -> ``prefix`` followed by the principal's name in bytes,
+    built on first use: a token derivation looks its principals up here
+    instead of encoding their names per token."""
+
+    def __init__(self, prefix: bytes) -> None:
+        super().__init__()
+        self.prefix = prefix
+
+    def __missing__(self, principal: Principal) -> bytes:
+        key = self[principal] = self.prefix + principal.encode()
+        return key
 
 
 class KeyStore:
@@ -436,14 +565,22 @@ class KeyStore:
     PKI: ``sign``/``mac`` require the caller to *be* the principal (enforced
     by the protocol runtime, which only hands each node its own signing
     facade), and ``verify`` is available to everyone.
+
+    The checks take what arrives off the wire: anything but an exact
+    :class:`Signature` / :class:`Mac` holding a :class:`Digest` and
+    principal names that are strings fails verification instead of
+    raising.
     """
 
     def __init__(self, secret: bytes = b"xft-repro") -> None:
         self._secret = secret
-        # Domain-separated token prefixes, concatenated once per keystore
-        # instead of once per token derivation.
-        self._sig_prefix = b"sig" + secret
-        self._mac_prefix = b"mac" + secret
+        # Domain-separated token prefixes joined with each principal's
+        # name once per keystore instead of once per token derivation:
+        # a signature token hashes ``_sig_keys[signer] + digest``, a MAC
+        # token ``_mac_keys[sender] + _names[receiver] + digest``.
+        self._sig_keys = _PrincipalKeys(b"sig" + secret)
+        self._mac_keys = _PrincipalKeys(b"mac" + secret)
+        self._names = _PrincipalKeys(b"")
 
     # -- internal token derivations ------------------------------------
     # Single-shot hashing: SHA-256 over one concatenated buffer is
@@ -452,11 +589,9 @@ class KeyStore:
     # To skip a frame per stamp / check, two derivations are written out
     # twice; keep each pair in sync: the signature token here and in
     # ``verify_digest``, the MAC token in ``mac_digest`` and
-    # ``verify_mac_digest``.
+    # ``verify_mac_digest`` (and the transport's ``MAC_VECTOR.stamp``).
     def _sig_token(self, signer: Principal, digest: Digest) -> bytes:
-        return _sha256(
-            self._sig_prefix + signer.encode() + digest.value
-        ).digest()
+        return _sha256(self._sig_keys[signer] + digest.value).digest()
 
     # -- public API -----------------------------------------------------
     def sign(self, signer: Principal, payload: Any) -> Signature:
@@ -475,12 +610,15 @@ class KeyStore:
 
     def verify_digest(self, signature: Signature, digest: Digest) -> bool:
         """Check ``signature`` against a digest."""
+        if signature.__class__ is not Signature:
+            return False
         signer, sig_digest, token = signature
+        if sig_digest.__class__ is not Digest or signer.__class__ is not str:
+            return False
         return (
             sig_digest.value == digest.value
             and token == _sha256(
-                self._sig_prefix + signer.encode() + digest.value
-            ).digest()
+                self._sig_keys[signer] + digest.value).digest()
         )
 
     def mac(self, sender: Principal, receiver: Principal,
@@ -496,10 +634,8 @@ class KeyStore:
         payload once and derives n channel tokens from the digest, instead
         of hashing the payload n times.
         """
-        token = _sha256(
-            self._mac_prefix + sender.encode() + receiver.encode()
-            + digest.value
-        ).digest()
+        token = _sha256(self._mac_keys[sender] + self._names[receiver]
+                        + digest.value).digest()
         return Mac(sender, receiver, digest, token)
 
     def verify_mac(self, mac: Mac, payload: Any) -> bool:
@@ -514,13 +650,18 @@ class KeyStore:
         body once and hands the digest to each receiver, which then only
         derives the channel token instead of re-hashing the payload.
         """
+        if mac.__class__ is not Mac:
+            return False
         sender, receiver, mac_digest, token = mac
+        if (mac_digest.__class__ is not Digest
+                or sender.__class__ is not str
+                or receiver.__class__ is not str):
+            return False
         return (
             mac_digest.value == digest.value
-            and token == _sha256(
-                self._mac_prefix + sender.encode() + receiver.encode()
-                + digest.value
-            ).digest()
+            and token == _sha256(self._mac_keys[sender]
+                                 + self._names[receiver]
+                                 + digest.value).digest()
         )
 
     def forge_attempt(self, forger: Principal, victim: Principal,

@@ -173,7 +173,7 @@ class BaselineReplica(ReplicaBase):
         its requests from the sequencer (seen, and out of the queue): a
         re-send queued while we campaigned must not be ordered again."""
         sequencer = self.sequencer
-        rids = batch.rids()
+        rids = batch.rids
         sequencer.seen.update(rids)
         if sequencer.pending:
             claimed = set(rids)
@@ -239,7 +239,7 @@ class BaselineReplica(ReplicaBase):
     def batch_digest(self, batch: Batch) -> Digest:
         """Digest over the signed request bodies of a batch, charging CPU."""
         self.cpu.charge_digest(batch.size_bytes)
-        return batch.bodies_digest()
+        return batch.bodies_digest
 
     # -- leader change ----------------------------------------------------
     def arm_suspicion(self) -> None:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Dict, Optional
 
-from repro.crypto.primitives import replica_principal
+from repro.crypto.primitives import Signature, replica_principal
 from repro.protocols.xpaxos import messages as msg
 from repro.protocols.xpaxos.signed import verify_signed
 
@@ -126,8 +126,10 @@ class Checkpointer:
     def _on_lazychk(self, src: str, m: msg.LazyChk) -> None:
         # Modelled cost of checking the proof's signatures, paid whether
         # or not the checkpoint turns out to be news to us.
-        for _ in m.proof.sigs:
-            self.replica.cpu.charge_verify()
+        cpu = self.replica.cpu
+        if not cpu.free:
+            for _ in m.proof.sigs:
+                cpu.charge_verify()
         if self.install(m.proof):
             self.replica.execute_ready()
 
@@ -143,6 +145,8 @@ class Checkpointer:
                    for r in replica.groups.group(proof.view)}
         signers = set()
         for sig in proof.sigs:
+            if sig.__class__ is not Signature or sig[0].__class__ is not str:
+                return False
             signer = members.get(sig.signer)
             if signer is None or not replica.keystore.verify(
                     sig, msg.Chkpt.payload_of(

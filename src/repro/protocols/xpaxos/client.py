@@ -46,7 +46,7 @@ class XPaxosClient(SmrClientBase):
     def make_request(self, op: Any, timestamp: int,
                      size_bytes: int) -> Request:
         return Request.signed(op, timestamp, self.client_id, size_bytes,
-                              self.sign)
+                              self.sign_digest)
 
     def send_request(self, request: Request) -> None:
         primary = self.groups.primary(self.view)
@@ -80,7 +80,8 @@ class XPaxosClient(SmrClientBase):
     def _fast_commit_rule(self, reply: msg.ReplyMsg) -> None:
         """t = 1: one primary reply embedding the follower's m1."""
         fc = reply.follower_commit
-        if fc is None or fc.view != reply.view or fc.seqno != reply.seqno:
+        if fc.__class__ is not msg.FastCommit or fc.view != reply.view \
+                or fc.seqno != reply.seqno:
             return
         if not verify_signed(self, fc):
             return

@@ -156,6 +156,12 @@ class SynchronousGroups:
             raise self._negative(view)
         return replica == self._primaries[view % self._count]
 
+    def primary_flags(self, replica: int) -> List[bool]:
+        """Per rotation position, is ``replica`` its primary?  A replica
+        asks per request whether it is the primary of its view: indexed
+        by ``view % group_count`` this answers without a call."""
+        return [primary == replica for primary in self._primaries]
+
     def next_view_avoiding(self, view: int, silent: Collection[int]) -> int:
         """Smallest view after ``view`` whose group holds no replica of
         ``silent``; ``view + 1`` when ``silent`` is empty or larger than

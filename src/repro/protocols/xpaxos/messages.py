@@ -35,7 +35,7 @@ def batch_digest_of(batch: Batch) -> Digest:
     client) -- not just the identifiers -- so two different operations can
     never share a digest.
     """
-    return batch.bodies_digest()
+    return batch.bodies_digest
 
 
 # ---------------------------------------------------------------------------

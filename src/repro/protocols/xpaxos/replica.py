@@ -61,6 +61,7 @@ class XPaxosReplica(ReplicaBase):
                          app_factory, site, cost_model)
         assert config.n is not None
         self.groups = SynchronousGroups(config.n, config.t)
+        self._primary_at = self.groups.primary_flags(replica_id)
         self.prepare_log = PrepareLog()
         self.stable_checkpoint: Optional[msg.CheckpointProof] = None
         self.in_view_change = False
@@ -73,7 +74,6 @@ class XPaxosReplica(ReplicaBase):
         self._commit_votes: Dict[int, Dict[int, msg.CommitVote]] = {}
         self._fast_commits_pending: Dict[int, msg.FastCommit] = {}
         self._pending_prepares: Dict[int, Any] = {}
-        self._handlers.update({msg.Replicate: self._on_replicate})
         self._wire_ordering_path()
         # Each component adds the message classes it handles.
         self.checkpointer = Checkpointer(self)
@@ -85,9 +85,11 @@ class XPaxosReplica(ReplicaBase):
                             self.progress, self.view_changer]
 
     def _wire_ordering_path(self) -> None:
-        """Only the configured ordering path is wired: the t = 1 pattern
-        (FastPrepare / FastCommit) or the general one (Prepare /
-        CommitVote); the other path's messages are unknown types here."""
+        """Client requests, then only the configured ordering path: the
+        t = 1 pattern (FastPrepare / FastCommit) or the general one
+        (Prepare / CommitVote); the other path's messages are unknown
+        types here."""
+        self._handlers.update({msg.Replicate: self._on_replicate})
         if self.config.t == 1:
             self.propose_batch = self._fast_propose
             self._accept_ordered = self._accept_fast_prepare
@@ -110,7 +112,7 @@ class XPaxosReplica(ReplicaBase):
     @property
     def is_primary(self) -> bool:
         """Is this replica the current primary?"""
-        return self.groups.is_primary(self.view, self.replica_id)
+        return self._primary_at[self.view % len(self._primary_at)]
 
     @property
     def is_follower(self) -> bool:
@@ -139,9 +141,11 @@ class XPaxosReplica(ReplicaBase):
         """Verify the client's signature on a request."""
         if request.signature is None:
             return False
-        self.cpu.charge_verify()
+        cpu = self.cpu
+        if not cpu.free:
+            cpu.charge_verify()
         return self.keystore.verify_digest(request.signature,
-                                           request.body_digest())
+                                           request.body_digest)
 
     def may_propose(self) -> bool:
         """May this replica cut batches right now (sequencer hook)?"""

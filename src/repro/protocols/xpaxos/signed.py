@@ -15,8 +15,8 @@ from typing import Any, Callable, ClassVar, Tuple
 from repro.crypto.primitives import (
     Digest,
     Signature,
+    derived,
     digest_of,
-    memoized,
     replica_principal,
 )
 
@@ -33,12 +33,12 @@ class Signed:
     * :meth:`signer` -- the replica that must have made it: the ``sender``
       the message names unless the class names a role of its view.
 
-    Everything else is derived here.  :meth:`payload_digest` is computed
-    from the message's own fields on first use, or seeded by
-    :meth:`signed` -- the constructor every honest signer uses, where the
-    signature was made over exactly those fields a line earlier.  A
-    message built any other way (a forged or replayed signature attached
-    to different fields) starts unseeded, so verification always compares
+    Everything else is derived here.  :attr:`payload_digest` is written
+    by :meth:`signed` -- the constructor every honest signer uses, where
+    the signature was made over exactly those fields a line earlier --
+    as the message is built.  A message built any other way (a forged
+    or replayed signature attached to different fields) computes it
+    from its own fields on first read, so verification always compares
     against what the fields really hash to.
     """
 
@@ -58,7 +58,7 @@ class Signed:
         ignored."""
         return (cls.tag, *[fields[name] for name in cls.covers])
 
-    @memoized
+    @derived
     def payload_digest(self) -> Digest:
         """Digest of the payload the signature must cover, shared by
         every verifier holding this object."""
@@ -70,9 +70,8 @@ class Signed:
         """Build the message from its other ``fields`` around a fresh
         signature by ``sign``."""
         signature = sign(cls.payload_of(**fields))
-        message = cls(**fields, **{cls.signature_field: signature})
-        cls.payload_digest.seed(message, signature.digest)
-        return message
+        return cls(**fields, **{cls.signature_field: signature},
+                   payload_digest=signature.digest)
 
     def resigned(self, sign: Signer, **changes: Any) -> Any:
         """This message with ``changes`` applied, signed afresh by
@@ -85,10 +84,13 @@ class Signed:
 def verify_signed(node: Any, m: Signed) -> bool:
     """The one signature check of XPaxos, for a replica or a client
     (``node`` brings ``cpu``, ``keystore`` and ``groups``): charge one
-    verification, require the signature to be by the replica the message
-    declares as its signer, and to cover what the message's fields hash
-    to."""
+    verification, require a :class:`Signature` by the replica the
+    message declares as its signer, covering what the message's fields
+    hash to."""
     signature = getattr(m, m.signature_field)
-    node.cpu.charge_verify()
-    return (signature.signer == replica_principal(m.signer(node.groups))
-            and node.keystore.verify_digest(signature, m.payload_digest()))
+    cpu = node.cpu
+    if not cpu.free:
+        cpu.charge_verify()
+    return (signature.__class__ is Signature
+            and signature[0] == replica_principal(m.signer(node.groups))
+            and node.keystore.verify_digest(signature, m.payload_digest))

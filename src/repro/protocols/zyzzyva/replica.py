@@ -209,7 +209,7 @@ class ZyzzyvaReplica(CampaignReplica):
         history = digest_of(("zyzzyva-history", view))
         covered = 0
         for sn, batch in entries:
-            history = digest_of((history, batch.bodies_digest()))
+            history = digest_of((history, batch.bodies_digest))
             covered = sn
         self._history = history
         self._history_covered = covered
@@ -222,7 +222,7 @@ class ZyzzyvaReplica(CampaignReplica):
                 self._history_anchored = False
                 return
             self._history = digest_of(
-                (self._history, entry.batch.bodies_digest()))
+                (self._history, entry.batch.bodies_digest))
             self._history_covered = sn
 
     def on_enter_view(self, view: int) -> None:

@@ -16,10 +16,12 @@ from typing import Any, Callable, Optional, Tuple
 from repro.crypto.primitives import (
     Digest,
     Signature,
-    cache_on_instance,
+    canonical,
+    derived,
     digest_of,
+    digest_of_parts,
     direct_init,
-    memoized,
+    encoded_digest,
 )
 
 
@@ -28,11 +30,16 @@ from repro.crypto.primitives import (
 class Request:
     """A signed client request (the paper's ``req``).
 
-    ``rid`` is the canonical request identifier ``(client, timestamp)``:
-    one tuple per request, built with it and shared by everything that
-    files the request under its id (dedup set, execution traces, client
-    completions).  It is derived, not a field -- outside equality,
-    hashing and the canonical encoding.
+    Three values are derived from the fields (:class:`derived`: written
+    by :meth:`signed` as the request is built, else computed on first
+    read), outside equality, hashing and the canonical encoding:
+
+    * ``rid``, the canonical request identifier ``(client, timestamp)``:
+      one tuple per request, shared by everything that files the request
+      under its id (dedup set, execution traces, client completions);
+    * ``body_encoding``, the canonical encoding of :meth:`body`, which
+      ``Batch.bodies_digest`` joins instead of encoding the body again;
+    * ``body_digest``, the digest the client's signature must cover.
     """
 
     op: Any
@@ -41,14 +48,21 @@ class Request:
     size_bytes: int = 0
     signature: Optional[Signature] = None
 
-    def __post_init__(self) -> None:
-        cache_on_instance(self, "rid", (self.client, self.timestamp))
-
     def body(self) -> Tuple[Any, int, int]:
         """The signed portion (everything but the signature itself)."""
         return (self.op, self.timestamp, self.client)
 
-    @memoized
+    @derived
+    def rid(self) -> Tuple[int, int]:
+        """``(client, timestamp)``."""
+        return (self.client, self.timestamp)
+
+    @derived
+    def body_encoding(self) -> bytes:
+        """The canonical encoding of :meth:`body`."""
+        return canonical(self.body())
+
+    @derived
     def body_digest(self) -> Digest:
         """``digest_of(self.body())``, computed once per request object.
 
@@ -62,14 +76,15 @@ class Request:
 
     @classmethod
     def signed(cls, op: Any, timestamp: int, client: int, size_bytes: int,
-               sign: Callable[[Any], Signature]) -> "Request":
-        """Build a request and sign its body with ``sign`` (the client's
-        own signing facade).  The signature was made over exactly this
-        body a line earlier, so its digest seeds :meth:`body_digest`."""
-        signature = sign((op, timestamp, client))
-        request = cls(op, timestamp, client, size_bytes, signature)
-        cls.body_digest.seed(request, signature.digest)
-        return request
+               sign_digest: Callable[[Digest], Signature]) -> "Request":
+        """Build a request whose body digest, computed here from the
+        fields, is signed by ``sign_digest`` (the client's own signing
+        facade); the request keeps the digest and the encoding it
+        hashed."""
+        encoding, digest = encoded_digest((op, timestamp, client))
+        return cls(op, timestamp, client, size_bytes, sign_digest(digest),
+                   rid=(client, timestamp), body_encoding=encoding,
+                   body_digest=digest)
 
     def __repr__(self) -> str:
         return f"Request(c{self.client}#{self.timestamp})"
@@ -84,8 +99,8 @@ class Batch:
     treated as a unit by the ordering layer and unpacked at execution.
 
     ``size_bytes``, the wire size, is the sum of the request payloads
-    (headers are negligible).  Like ``Request.rid`` it is derived once,
-    when the batch is built, and is not a field.
+    (headers are negligible).  It is written when the batch is built;
+    ``bodies_digest`` and ``rids`` on first read.  None is a field.
     """
 
     requests: Tuple[Request, ...]
@@ -93,28 +108,29 @@ class Batch:
     def __post_init__(self) -> None:
         if not self.requests:
             raise ValueError("a batch must contain at least one request")
-        cache_on_instance(self, "size_bytes",
-                          sum(r.size_bytes for r in self.requests))
+        object.__setattr__(self, "size_bytes",
+                           sum([r.size_bytes for r in self.requests]))
 
-    @memoized
+    @derived
     def bodies_digest(self) -> Digest:
         """Digest over the signed request bodies, computed once per batch.
 
-        Byte-identical to ``digest_of(tuple(r.body() for r in batch))``.
-        The batch is frozen, and in-process delivery shares one Batch
-        object across every replica, so the body-tuple hash is computed
-        once per batch instead of once per (replica, certificate,
-        history-extension).  Callers still charge digest CPU per
-        derivation -- the memo models memoized code, not free hashing.
+        Byte-identical to ``digest_of(tuple(r.body() for r in batch))``,
+        joined from the bodies' kept encodings.  The batch is frozen, and
+        in-process delivery shares one Batch object across every replica,
+        so the body-tuple hash is computed once per batch instead of once
+        per (replica, certificate, history-extension).  Callers still
+        charge digest CPU per derivation -- the memo models memoized
+        code, not free hashing.
         """
-        return digest_of(tuple(r.body() for r in self.requests))
+        return digest_of_parts([r.body_encoding for r in self.requests])
 
-    @memoized
+    @derived
     def rids(self) -> Tuple[Tuple[int, int], ...]:
         """The requests' ids in batch order, built once per batch: every
         replica that executes the batch puts this very tuple into its
         execution trace."""
-        return tuple(r.rid for r in self.requests)
+        return tuple([r.rid for r in self.requests])
 
     def __len__(self) -> int:
         return len(self.requests)

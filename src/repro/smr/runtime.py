@@ -22,7 +22,9 @@ from repro.common.errors import ConfigurationError, ProtocolViolation
 from repro.crypto.authenticators import POLICIES, Authenticator
 from repro.crypto.costs import CostModel, CpuMeter
 from repro.crypto.primitives import (
+    Digest,
     KeyStore,
+    Signature,
     client_principal,
     replica_principal,
 )
@@ -185,7 +187,7 @@ class ReplicaBase(NodeBase):
         self._handlers: Dict[type, Callable[[str, Any], None]] = {}
         #: Execution order observed by this replica, recorded for the safety
         #: checker: one ``(seqno, rids)`` entry per executed slot, ``rids``
-        #: being the batch's own ``Batch.rids()`` tuple.
+        #: being the batch's own ``Batch.rids`` tuple.
         self.execution_trace: List[tuple] = []
         #: Count of committed requests (not batches).
         self.committed_requests = 0
@@ -238,7 +240,7 @@ class ReplicaBase(NodeBase):
         """
         results = self.app.execute_batch(
             [request.op for request in batch.requests])
-        rids = batch.rids()
+        rids = batch.rids
         self.execution_trace.append((seqno, rids))
         self.committed_requests += len(rids)
         # From here on the reply cache answers duplicates of these requests.
@@ -393,7 +395,9 @@ class ReplicaBase(NodeBase):
     # -- crypto convenience, charging CPU --------------------------------
     def sign(self, payload: Any):
         """Sign as this replica, charging signature CPU cost."""
-        self.cpu.charge_sign()
+        cpu = self.cpu
+        if not cpu.free:
+            cpu.charge_sign()
         return self.keystore.sign(self.principal, payload)
 
     # -- protocol hooks -----------------------------------------------
@@ -517,6 +521,9 @@ class SmrClientBase(NodeBase):
         #: ``srtt`` is None until the first sample.
         self.srtt: Optional[float] = None
         self.rttvar = 0.0
+        #: What ``timer_c`` is armed with when a request goes out: the
+        #: cap until the first sample, then re-derived from each sample.
+        self.retransmit_timeout_ms = config.request_retransmit_ms
         self.tally = ReplyTally()
         self._timer = Timer(self, self._on_timeout, "timer_c")
         #: Retry-timer expiries that led to a retransmission, all requests.
@@ -528,10 +535,13 @@ class SmrClientBase(NodeBase):
         #: Callback invoked on each commit: ``on_commit(rid, latency_ms)``.
         self.on_commit: Optional[Callable[[tuple, float], None]] = None
 
-    def sign(self, payload: Any):
-        """Sign as this client, charging CPU."""
-        self.cpu.charge_sign()
-        return self.keystore.sign(self.principal, payload)
+    def sign_digest(self, digest: Digest) -> Signature:
+        """Sign ``digest`` as this client, charging signature CPU cost
+        (``Request.signed`` hashes the body itself)."""
+        cpu = self.cpu
+        if not cpu.free:
+            cpu.charge_sign()
+        return self.keystore.sign_digest(self.principal, digest)
 
     def next_timestamp(self) -> int:
         """Monotonically increasing per-client timestamp ``ts_c``."""
@@ -558,26 +568,6 @@ class SmrClientBase(NodeBase):
         self.send_request(request)
         self._timer.start(self.retransmit_timeout_ms)
         return request
-
-    @property
-    def retransmit_timeout_ms(self) -> float:
-        """What ``timer_c`` is armed with when a request goes out."""
-        cap = self.config.request_retransmit_ms
-        if self.srtt is None:
-            return cap
-        estimate = self.srtt + max(self.config.batch_timeout_ms,
-                                   4.0 * self.rttvar)
-        return min(cap, max(self.config.delta_ms, estimate))
-
-    def _sample_round_trip(self, rtt_ms: float) -> None:
-        """Fold one measured round trip into SRTT / RTTVAR (RFC 6298
-        2.2-2.3)."""
-        if self.srtt is None:
-            self.srtt = rtt_ms
-            self.rttvar = rtt_ms / 2.0
-        else:
-            self.rttvar = 0.75 * self.rttvar + 0.25 * abs(self.srtt - rtt_ms)
-            self.srtt = 0.875 * self.srtt + 0.125 * rtt_ms
 
     def make_request(self, op: Any, timestamp: int,
                      size_bytes: int) -> Request:
@@ -609,7 +599,20 @@ class SmrClientBase(NodeBase):
         self.request = None
         self._timer.stop()
         if not self.resent:
-            self._sample_round_trip(self.sim.now - self._sent_at)
+            # Fold the round trip into SRTT / RTTVAR (RFC 6298 2.2-2.3)
+            # and re-derive the timeout from them.
+            rtt_ms = self.sim.now - self._sent_at
+            srtt = self.srtt
+            if srtt is None:
+                srtt, rttvar = rtt_ms, rtt_ms / 2.0
+            else:
+                rttvar = 0.75 * self.rttvar + 0.25 * abs(srtt - rtt_ms)
+                srtt = 0.875 * srtt + 0.125 * rtt_ms
+            self.srtt, self.rttvar = srtt, rttvar
+            config = self.config
+            estimate = srtt + max(config.batch_timeout_ms, 4.0 * rttvar)
+            self.retransmit_timeout_ms = min(config.request_retransmit_ms,
+                                             max(config.delta_ms, estimate))
         self.record_completion(request.rid, self._sent_at)
         if self.on_result is not None:
             self.on_result(result)

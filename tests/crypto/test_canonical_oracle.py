@@ -5,11 +5,21 @@ unchanged as the reference.  Whatever the current encoder does to be fast
 -- exact-type dispatch, per-dataclass plans, encodings kept on frozen
 instances -- its output must stay byte-identical, or every signature and
 MAC in the goldens would change.
+
+The generated per-dataclass plans encode ``int``, ``bytes``, ``str`` and
+``Digest`` field values inline, picked by each value's exact class at run
+time.  So every registered wire class and the five classes that travel
+inside them are encoded with each field in turn set to a value that only
+looks like one of those (a ``bool``, an ``IntEnum``, a ``Digest``
+subclass, an int past 64 bits, ...), and one class is encoded with
+different value types in two instances.
 """
 
 import dataclasses
+import enum
 from typing import Any, Optional
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,7 +33,7 @@ from repro.crypto.primitives import (
 from repro.harness.seed_reference import seed_canonical, seed_digest_of
 from repro.protocols.registry import PROTOCOL_BUILDERS
 from repro.protocols.xpaxos.messages import FastCommit
-from repro.smr.log import CommitEntry
+from repro.smr.log import CommitEntry, PrepareEntry
 from repro.smr.messages import Batch, Request
 
 KEYSTORE = KeyStore()
@@ -119,7 +129,7 @@ def _sample_values():
     included, handed out round-robin to the fields of each class."""
     sig = KEYSTORE.sign("r1", ("sample", 1))
     request = Request.signed(("put", "k", b"v" * 8), 3, 2, 64,
-                             lambda body: KEYSTORE.sign("c2", body))
+                             lambda digest: KEYSTORE.sign_digest("c2", digest))
     batch = Batch((request, Request(op=("get", "k"), timestamp=4, client=1)))
     digest = digest_of(("sample", 2))
     fast = FastCommit(0, 5, digest, digest, sig)
@@ -145,3 +155,92 @@ def test_one_instance_of_every_registered_class_matches_seed_encoder():
         message = cls(*args)
         assert _canonical(message) == seed_canonical(message), cls
         assert digest_of(message).value == seed_digest_of(message).value
+
+
+# -- the generated plans, field by field ---------------------------------
+
+class Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+@dataclasses.dataclass(frozen=True)
+class OtherDigest(Digest):
+    """A Digest subclass: encodes as a Digest, off the inline path."""
+
+
+#: Values a plan must not take for the ``int`` / ``bytes`` / ``str`` /
+#: ``Digest`` it encodes inline: each goes the general way, or inline
+#: with the same bytes.
+AWKWARD = [
+    True,
+    False,
+    Level.HIGH,
+    OtherDigest(b"\x09" * 32),
+    None,
+    "héllo ✓ \U0001f600",
+    [1, [b"x", "y", (2, None)], ()],
+    2 ** 64 + 5,
+    -17,
+    -(2 ** 70),
+]
+
+NESTED_CLASSES = (Digest, Request, Batch, PrepareEntry, CommitEntry)
+
+
+def _wire_and_nested_classes():
+    assert len(PROTOCOL_BUILDERS) == 5
+    classes = {cls for cls in registered_classes()
+               if cls.__module__.startswith("repro.")}
+    return sorted(classes | set(NESTED_CLASSES),
+                  key=lambda cls: (cls.__module__, cls.__qualname__))
+
+
+def _same_encoding(obj):
+    """``_canonical(obj)`` is the seed's bytes, or both raise alike."""
+    try:
+        expected = seed_canonical(obj)
+    except Exception as error:  # noqa: BLE001 -- compared below
+        with pytest.raises(type(error)):
+            _canonical(obj)
+        return False
+    assert _canonical(obj) == expected, obj
+    # A frozen instance now answers from its kept encoding.
+    assert _canonical(obj) == expected, obj
+    return True
+
+
+def test_every_field_of_every_class_takes_awkward_values():
+    values = _sample_values()
+    encoded = 0
+    for cls in _wire_and_nested_classes():
+        names = [f.name for f in dataclasses.fields(cls)]
+        base = [values[i % len(values)] for i in range(len(names))]
+        for index in range(len(names)):
+            for awkward in AWKWARD:
+                args = list(base)
+                args[index] = awkward
+                try:
+                    obj = cls(*args)
+                except (TypeError, ValueError, AttributeError):
+                    continue  # a constructor that refuses the value
+                encoded += _same_encoding(obj)
+    assert encoded > 1000
+
+
+def test_one_class_two_instances_with_different_value_types():
+    """The plan switches on each value's class at run time: encoding an
+    instance with an ``int`` in a field first must not fix the field's
+    encoding for the next instance of the class."""
+    digest = Digest(b"\x01" * 32)
+    sig = KEYSTORE.sign("r1", ("sample", 1))
+    kinds = [7, b"bytes", "text", digest, None, True, Level.LOW,
+             OtherDigest(b"\x02" * 32), (1, "two"), 2 ** 65, -3, 2.5]
+    for first in kinds:
+        for second in kinds:
+            pair = [FastCommit(first, 5, digest, digest, sig),
+                    FastCommit(second, 5, digest, digest, sig)]
+            for message in pair:
+                assert _canonical(message) == seed_canonical(message)
+                assert digest_of(message).value == \
+                    seed_digest_of(message).value

@@ -34,7 +34,7 @@ from repro.crypto.primitives import (
     digest_of,
     reset_digest_cache_stats,
 )
-from repro.harness.seed_reference import seed_digest_of
+from repro.harness.seed_reference import seed_canonical, seed_digest_of
 from repro.net.latency import LatencyModel
 from repro.net.network import Endpoint, Network
 from repro.protocols.xpaxos import messages as msg
@@ -164,13 +164,28 @@ class TestCarriedDigests:
     def test_honest_request_carries_the_signers_digest(self):
         keystore = KeyStore()
         reset_digest_cache_stats()
-        request = Request.signed(("put", "k", b"v"), 1, 0, 64,
-                                 lambda body: keystore.sign("c0", body))
-        assert request.body_digest() is request.signature.digest
-        assert request.body_digest().value == \
+        request = Request.signed(
+            ("put", "k", b"v"), 1, 0, 64,
+            lambda digest: keystore.sign_digest("c0", digest))
+        assert request.body_digest is request.signature.digest
+        assert request.body_digest.value == \
             seed_digest_of(request.body()).value
-        # One encode in total: the signer's.
+        # One encode in total, kept: the batch digest joins it.
         assert sum(digest_cache_stats().values()) == 1
+        assert request.body_encoding == seed_canonical(request.body())
+
+    def test_batch_digest_joins_the_kept_body_encodings(self):
+        keystore = KeyStore()
+        signed = Request.signed(
+            ("put", "k", b"v"), 2, 1, 64,
+            lambda digest: keystore.sign_digest("c1", digest))
+        plain = Request(op=("get", "k"), timestamp=3, client=2)
+        batch = Batch((signed, plain))
+        assert call_kinds(lambda: batch.bodies_digest) == {
+            "hits": 0, "stores": 0, "uncached": 1}
+        assert batch.bodies_digest.value == seed_digest_of(
+            tuple(r.body() for r in batch)).value
+        assert plain.body_encoding == seed_canonical(plain.body())
 
     def test_mismatched_signature_never_seeds_the_body_digest(self):
         keystore = KeyStore()
@@ -178,9 +193,9 @@ class TestCarriedDigests:
         stolen = keystore.sign("c0", (("put", "k", b"old"), 1, 0))
         request = Request(op=("put", "k", b"EVIL"), timestamp=1, client=0,
                           signature=stolen)
-        assert request.body_digest() == digest_of(request.body())
-        assert request.body_digest() != stolen.digest
-        assert not keystore.verify_digest(stolen, request.body_digest())
+        assert request.body_digest == digest_of(request.body())
+        assert request.body_digest != stolen.digest
+        assert not keystore.verify_digest(stolen, request.body_digest)
 
     def test_replica_rejects_request_with_mismatched_signature(self):
         runtime = make_cluster(ProtocolName.XPAXOS, t=1)
@@ -203,28 +218,28 @@ class TestCarriedDigests:
             lambda payload: keystore.sign("r1", payload), view=0, seqno=1,
             batch_digest=batch_digest,
             reply_digest=digest_of(("replies", "a")))
-        assert honest.payload_digest() is honest.m1.digest
+        assert honest.payload_digest is honest.m1.digest
         # Same m1 replayed around a different reply digest: the new
         # instance starts unseeded and hashes its own fields.
         replayed = FastCommit(0, 1, batch_digest, digest_of(("replies", "b")),
                               honest.m1)
-        assert replayed.payload_digest() != honest.payload_digest()
-        assert replayed.payload_digest() == digest_of(
+        assert replayed.payload_digest != honest.payload_digest
+        assert replayed.payload_digest == digest_of(
             ("commit1", batch_digest, 1, 0, replayed.reply_digest))
         assert not keystore.verify_digest(replayed.m1,
-                                          replayed.payload_digest())
+                                          replayed.payload_digest)
         # An equal-by-value twin shares the value, not the memo.
         twin = FastCommit(0, 1, batch_digest, honest.reply_digest, honest.m1)
         assert twin == honest
-        assert "_memo_payload_digest" not in vars(twin)
-        assert twin.payload_digest() == honest.payload_digest()
-        assert twin.payload_digest() is not honest.payload_digest()
+        assert "payload_digest" not in vars(twin)
+        assert twin.payload_digest == honest.payload_digest
+        assert twin.payload_digest is not honest.payload_digest
 
     def test_payload_digests_match_their_declared_payloads(self):
         keystore = KeyStore()
         sig = keystore.sign("r0", ("any", 0))
         batch = make_batch(6)
-        digest = batch.bodies_digest()
+        digest = batch.bodies_digest
         cases = [
             (msg.Prepare(2, 7, batch, digest, sig),
              ("prepare", digest, 7, 2)),
@@ -236,9 +251,9 @@ class TestCarriedDigests:
              ("commit1", digest, 7, 2, digest)),
         ]
         for message, payload in cases:
-            assert message.payload_digest().value == \
+            assert message.payload_digest.value == \
                 seed_digest_of(payload).value, type(message)
-            assert message.payload_digest() is message.payload_digest()
+            assert message.payload_digest is message.payload_digest
 
 
 def _auth_net(sites):
@@ -308,16 +323,16 @@ class TestMutationAfterDigestGuard:
     def test_mutation_after_digest_serves_stale_digest(self):
         request = Request(op=("put", "k", b"old"), timestamp=1, client=1)
         before = digest_of(request)
-        body_before = request.body_digest()
+        body_before = request.body_digest
         # The forbidden write A002 flags in real code -- performed here
         # deliberately to pin down the failure mode it prevents.
         object.__setattr__(request, "timestamp", 999)  # repro: lint-ok[A002]
         # Stale: neither the kept encoding nor a carried digest revalidates.
         assert digest_of(request).value == before.value
-        assert request.body_digest() is body_before
+        assert request.body_digest is body_before
         fresh = Request(op=("put", "k", b"old"), timestamp=999, client=1)
         assert digest_of(fresh).value != before.value
-        assert fresh.body_digest() != body_before
+        assert fresh.body_digest != body_before
 
     def test_unmutated_messages_never_go_stale(self):
         batch = make_batch(3)

@@ -40,7 +40,7 @@ def keystore_verify_callers(tree):
 def test_sweep_sees_a_hand_rolled_check():
     tree = ast.parse(
         "def _on_chkpt(self, m):\n"
-        "    if self.keystore.verify_digest(m.sig, m.payload_digest()):\n"
+        "    if self.keystore.verify_digest(m.sig, m.payload_digest):\n"
         "        self._record_chkpt(m)\n")
     assert keystore_verify_callers(tree) == {"_on_chkpt"}
 

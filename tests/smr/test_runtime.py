@@ -165,9 +165,9 @@ class TestExecutionCore:
             replica.execute_slot(1, batch)
             traces.append(replica.execution_trace)
         assert traces[0] == traces[1] == [(1, ((0, 1), (1, 1)))]
-        assert traces[0][0][1] is traces[1][0][1] is batch.rids()
+        assert traces[0][0][1] is traces[1][0][1] is batch.rids
         assert all(rid is request.rid
-                   for rid, request in zip(batch.rids(), batch))
+                   for rid, request in zip(batch.rids, batch))
 
     def test_executed_requests_leave_the_dedupe_set(self):
         replica = _CoreReplica()

@@ -328,15 +328,16 @@ def test_forgery_is_dropped_and_the_honest_message_accepted(builder, t,
 
 @pytest.mark.parametrize("builder, t", CASE_PARAMS)
 def test_honest_message_is_seeded_and_a_copy_rederives_the_same(builder, t):
-    """``signed`` seeds ``payload_digest`` from the signature; a message
-    rebuilt from the same fields starts unseeded and hashes to it."""
+    """``signed`` builds the message with ``payload_digest`` from the
+    signature; a message rebuilt from the same fields starts without one
+    and hashes to it."""
     case = builder(cluster_for(builder, t))
     honest = case.honest
     signature = getattr(honest, honest.signature_field)
-    assert honest.payload_digest() is signature.digest
+    assert honest.payload_digest is signature.digest
     twin = dataclasses.replace(honest)
-    assert "_memo_payload_digest" not in vars(twin)
-    assert twin.payload_digest() == signature.digest
+    assert "payload_digest" not in vars(twin)
+    assert twin.payload_digest == signature.digest
     assert verify_signed(case.receiver, twin)
 
 
