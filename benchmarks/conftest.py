@@ -17,9 +17,8 @@ from __future__ import annotations
 from repro.common.config import ProtocolName, WorkloadConfig
 from repro.crypto.costs import CostModel
 from repro.harness.configs import paper_config
-from repro.harness.runner import ExperimentRunner
+from repro.harness.runner import Cell, ExperimentRunner, sweep
 from repro.net.bandwidth import BandwidthModel
-from repro.net.latency import LatencyModel
 
 #: Client counts for latency-vs-throughput sweeps.  The paper sweeps to
 #: thousands of clients on a testbed; the simulation sweeps fewer points
@@ -36,16 +35,15 @@ WARMUP_MS = 500.0
 WAN_UPLINK = 4_000.0
 
 
-def wan_runner(seed: int = 0, uplink: float = WAN_UPLINK,
+def wan_runner(uplink: float = WAN_UPLINK,
                cost_model: CostModel | None = None,
                app_factory=None) -> ExperimentRunner:
-    """An EC2-calibrated runner (Table 3 latencies + bandwidth + crypto)."""
+    """An EC2-calibrated deployment (Table 3 latencies + bandwidth +
+    crypto)."""
     return ExperimentRunner(
-        latency_factory=lambda s: LatencyModel.ec2(seed=s),
         bandwidth_factory=lambda: BandwidthModel(default_rate=uplink),
         cost_model=cost_model or CostModel(),
         app_factory=app_factory,
-        seed=seed,
     )
 
 
@@ -67,10 +65,11 @@ def run_sweep(protocol: ProtocolName, workload_factory, t: int = 1,
               seed: int = 0, uplink: float = WAN_UPLINK,
               app_factory=None):
     """Latency-vs-throughput curve for one protocol."""
-    runner = wan_runner(seed=seed, uplink=uplink, app_factory=app_factory)
-    return runner.run_points(
-        paper_config(protocol, t=t),
-        [workload_factory(clients) for clients in SWEEP_CLIENTS])
+    deployment = wan_runner(uplink=uplink, app_factory=app_factory)
+    config = paper_config(protocol, t=t)
+    return sweep([Cell(config, workload_factory(clients),
+                       deployment=deployment, seed=seed)
+                  for clients in SWEEP_CLIENTS])
 
 
 def print_curves(title: str, curves: dict) -> None:

@@ -6,6 +6,7 @@ message; larger batches raise peak throughput until latency suffers.
 
 from repro.common.config import ProtocolName
 from repro.harness.configs import paper_config
+from repro.harness.runner import Cell, run_cell
 
 from conftest import one_zero, wan_runner
 
@@ -22,12 +23,12 @@ def test_batching_ablation(benchmark):
     def build():
         results = {}
         for batch_size in BATCH_SIZES:
-            runner = wan_runner()
+            deployment = wan_runner()
             config = paper_config(ProtocolName.XPAXOS,
                                   batch_size=batch_size,
                                   pipeline_depth=PIPELINE_DEPTH)
-            results[batch_size] = runner.run_point(config,
-                                                   one_zero(CLIENTS))
+            results[batch_size] = run_cell(Cell(
+                config, one_zero(CLIENTS), deployment=deployment))
         return results
 
     results = benchmark.pedantic(build, rounds=1, iterations=1)

@@ -9,6 +9,7 @@ paper picks Delta = 1.25 s from the 99.99th RTT percentile.
 from repro.common.config import ProtocolName, WorkloadConfig
 from repro.faults.injector import FaultSchedule
 from repro.harness.configs import paper_config
+from repro.harness.runner import Cell, run_cell
 
 from conftest import wan_runner
 
@@ -16,7 +17,7 @@ DELTAS_MS = (150.0, 1_250.0, 5_000.0)
 
 
 def run_with_delta(delta_ms: float):
-    runner = wan_runner()
+    deployment = wan_runner()
     config = paper_config(
         ProtocolName.XPAXOS,
         delta_ms=delta_ms,
@@ -27,7 +28,8 @@ def run_with_delta(delta_ms: float):
                               duration_ms=40_000.0, warmup_ms=2_000.0,
                               client_site="CA")
     schedule = FaultSchedule().crash_for(15_000.0, 1, 5_000.0)
-    return runner.run_point(config, workload, schedule)
+    return run_cell(Cell(config, workload, schedule,
+                         deployment=deployment))
 
 
 def test_delta_ablation(benchmark):

@@ -8,6 +8,7 @@ is one extra active-to-active round trip.
 from repro.common.config import ProtocolName, WorkloadConfig
 from repro.faults.injector import FaultSchedule
 from repro.harness.configs import paper_config
+from repro.harness.runner import Cell, run_cell
 
 from conftest import one_zero, wan_runner
 
@@ -16,10 +17,11 @@ def test_fd_common_case_overhead(benchmark):
     def build():
         results = {}
         for use_fd in (False, True):
-            runner = wan_runner()
+            deployment = wan_runner()
             config = paper_config(ProtocolName.XPAXOS,
                                   use_fault_detection=use_fd)
-            results[use_fd] = runner.run_point(config, one_zero(64))
+            results[use_fd] = run_cell(Cell(config, one_zero(64),
+                                            deployment=deployment))
         return results
 
     results = benchmark.pedantic(build, rounds=1, iterations=1)
@@ -38,7 +40,7 @@ def test_fd_view_change_overhead(benchmark):
     def build():
         results = {}
         for use_fd in (False, True):
-            runner = wan_runner()
+            deployment = wan_runner()
             config = paper_config(
                 ProtocolName.XPAXOS,
                 delta_ms=1_250.0,
@@ -49,7 +51,8 @@ def test_fd_view_change_overhead(benchmark):
                                       duration_ms=40_000.0,
                                       warmup_ms=2_000.0, client_site="CA")
             schedule = FaultSchedule().crash_for(15_000.0, 1, 5_000.0)
-            results[use_fd] = runner.run_point(config, workload, schedule)
+            results[use_fd] = run_cell(Cell(config, workload, schedule,
+                                            deployment=deployment))
         return results
 
     results = benchmark.pedantic(build, rounds=1, iterations=1)

@@ -8,12 +8,13 @@ that becomes active must fetch the whole prefix during the view change.
 from repro.common.config import ProtocolName, WorkloadConfig
 from repro.faults.injector import FaultSchedule
 from repro.harness.configs import paper_config
+from repro.harness.runner import Cell, run_cell
 
 from conftest import wan_runner
 
 
 def run_crash(lazy: bool):
-    runner = wan_runner()
+    deployment = wan_runner()
     config = paper_config(
         ProtocolName.XPAXOS,
         delta_ms=1_250.0,
@@ -27,7 +28,8 @@ def run_crash(lazy: bool):
                               client_site="CA")
     # Crash the follower: the passive replica must step in.
     schedule = FaultSchedule().crash_for(15_000.0, 1, 5_000.0)
-    return runner.run_point(config, workload, schedule)
+    return run_cell(Cell(config, workload, schedule,
+                         deployment=deployment))
 
 
 def test_lazy_replication_ablation(benchmark):

@@ -11,6 +11,7 @@ necessity costs by re-running XPaxos with the signature CPU price of a MAC
 from repro.common.config import ProtocolName
 from repro.crypto.costs import CostModel
 from repro.harness.configs import paper_config
+from repro.harness.runner import Cell, run_cell
 
 from conftest import one_zero, wan_runner
 
@@ -24,9 +25,10 @@ def test_signature_cost_ablation(benchmark):
         for label, cost_model in (("rsa1024", CostModel()),
                                   ("mac-priced", MAC_PRICED),
                                   ("free", CostModel.free())):
-            runner = wan_runner(cost_model=cost_model)
+            deployment = wan_runner(cost_model=cost_model)
             config = paper_config(ProtocolName.XPAXOS)
-            results[label] = runner.run_point(config, one_zero(96))
+            results[label] = run_cell(Cell(config, one_zero(96),
+                                           deployment=deployment))
         return results
 
     results = benchmark.pedantic(build, rounds=1, iterations=1)

@@ -13,8 +13,8 @@ whereas the XPaxos primary ships to only t followers.
 
 from repro.common.config import ProtocolName, WorkloadConfig
 from repro.harness.configs import paper_config
-from repro.workloads.clients import make_driver
-from repro.zk.service import CoordinationService, zk_write_op
+from repro.harness.runner import Cell, run_cell
+from repro.zk.service import CoordinationService
 
 from conftest import RUN_MS, WARMUP_MS, wan_runner
 
@@ -33,17 +33,16 @@ def zk_workload(num_clients: int) -> WorkloadConfig:
                           client_site="CA")
 
 
-def run_zk_point(runner, protocol, num_clients):
-    """One Figure 10 point: every client writes its own znode with
-    :func:`zk_write_op`.  ``run_point`` would drive the null service's
-    counter ops, which the coordination service refuses as bad
-    arguments."""
-    workload = zk_workload(num_clients)
-    runtime = runner.build(paper_config(protocol), workload)
-    driver = make_driver(runtime, workload, zk_write_op)
-    driver.run()
-    assert_znodes_written(runtime)
-    return driver
+def run_zk_point(protocol, num_clients):
+    """One Figure 10 point: every client writes its own znode, the
+    coordination service's benchmark operation
+    (:func:`~repro.zk.service.zk_write_op`)."""
+    record = run_cell(Cell(
+        paper_config(protocol), zk_workload(num_clients),
+        deployment=wan_runner(uplink=ZK_UPLINK,
+                              app_factory=CoordinationService)))
+    assert_znodes_written(record.runtime)
+    return record
 
 
 def assert_znodes_written(runtime):
@@ -64,11 +63,8 @@ def test_fig10(benchmark):
     def build():
         curves = {}
         for protocol in PROTOCOLS:
-            runner = wan_runner(uplink=ZK_UPLINK,
-                                app_factory=CoordinationService)
-            curves[protocol.value] = [
-                run_zk_point(runner, protocol, clients)
-                for clients in ZK_CLIENTS]
+            curves[protocol.value] = [run_zk_point(protocol, clients)
+                                      for clients in ZK_CLIENTS]
         return curves
 
     curves = benchmark.pedantic(build, rounds=1, iterations=1)
@@ -80,15 +76,15 @@ def test_fig10(benchmark):
     print()
     for index, clients in enumerate(ZK_CLIENTS):
         print(f"{clients:>8}", end="")
-        for name, drivers in curves.items():
-            driver = drivers[index]
-            latency = driver.mean_latency_ms()
+        for name, points in curves.items():
+            point = points[index]
+            latency = point.mean_latency_ms
             lat = f"{latency:8.1f}" if latency is not None else "     n/a"
-            print(f" | {driver.mean_throughput_kops():9.3f} {lat}", end="")
+            print(f" | {point.throughput_kops:9.3f} {lat}", end="")
         print()
 
-    peaks = {name: max(d.mean_throughput_kops() for d in drivers)
-             for name, drivers in curves.items()}
+    peaks = {name: max(p.throughput_kops for p in points)
+             for name, points in curves.items()}
     print(f"peaks (kops/s): {peaks}")
 
     # Shape 1: XPaxos close to Paxos.
@@ -108,15 +104,10 @@ def test_fig10_leader_bandwidth_explanation(benchmark):
     def build():
         stats = {}
         for protocol in (ProtocolName.XPAXOS, ProtocolName.ZAB):
-            from repro.net.bandwidth import BandwidthModel
-
-            bandwidth = BandwidthModel(default_rate=ZK_UPLINK)
-            runner = wan_runner(uplink=ZK_UPLINK,
-                                app_factory=CoordinationService)
-            runner.bandwidth_factory = lambda b=bandwidth: b
-            driver = run_zk_point(runner, protocol, 64)
+            record = run_zk_point(protocol, 64)
+            bandwidth = record.runtime.network.bandwidth
             stats[protocol.value] = (bandwidth.bytes_sent("r0"),
-                                     driver.throughput.total)
+                                     record.committed)
         return stats
 
     stats = benchmark.pedantic(build, rounds=1, iterations=1)

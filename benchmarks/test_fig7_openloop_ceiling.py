@@ -19,6 +19,7 @@ from dataclasses import replace
 from repro.common.config import ProtocolName, WorkloadConfig
 from repro.harness.configs import paper_config
 from repro.harness.parallel import guard_global_rng, parallel_map
+from repro.harness.runner import Cell, run_cell, sweep
 
 from conftest import WARMUP_MS, wan_runner
 
@@ -44,33 +45,36 @@ CHANNELS = 400
 MULTIPLIERS = (100.0, 250.0)
 
 
-def _closed_ceiling(runner, config) -> float:
+def _closed_ceiling(deployment, config) -> float:
     """Closed-loop throughput at the sweep's top client count (kops/s)."""
     workload = WorkloadConfig(num_clients=96, request_size=1024,
                               duration_ms=OPEN_RUN_MS,
                               warmup_ms=WARMUP_MS, client_site="CA")
-    return runner.run_point(config, workload).throughput_kops
+    return run_cell(Cell(config, workload,
+                         deployment=deployment)).throughput_kops
 
 
-def _open_points(runner, config, ceiling_kops):
+def _open_points(deployment, config, ceiling_kops):
     base = WorkloadConfig(num_clients=CHANNELS, request_size=1024,
                           duration_ms=OPEN_RUN_MS, warmup_ms=WARMUP_MS,
                           client_site="CA", cohorts=4)
     # The seed stays fixed: every rate point sees the same network draw,
     # so the points differ only by offered load (arrival draws still
     # differ by rate).
-    return runner.run_points(
-        config, [replace(base, offered_load_rps=ceiling_kops * 1_000.0 * m)
-                 for m in MULTIPLIERS])
+    return sweep([
+        Cell(config,
+             replace(base, offered_load_rps=ceiling_kops * 1_000.0 * m),
+             deployment=deployment)
+        for m in MULTIPLIERS])
 
 
 @guard_global_rng
 def _protocol_run(protocol):
     """Closed ceiling + open-loop points for one protocol (one worker)."""
-    runner = wan_runner()
+    deployment = wan_runner()
     config = paper_config(protocol, t=1)
-    ceiling = _closed_ceiling(runner, config)
-    return ceiling, _open_points(runner, config, ceiling)
+    ceiling = _closed_ceiling(deployment, config)
+    return ceiling, _open_points(deployment, config, ceiling)
 
 
 def test_fig7_openloop_ceiling(benchmark):

@@ -10,6 +10,7 @@ XPaxos sustains higher throughput than the BFT protocols.
 
 from repro.common.config import ProtocolName
 from repro.harness.configs import paper_config
+from repro.harness.runner import Cell, run_cell
 
 from conftest import SWEEP_CLIENTS, one_zero, four_zero, wan_runner
 
@@ -18,12 +19,13 @@ PROTOCOLS = (ProtocolName.XPAXOS, ProtocolName.PAXOS, ProtocolName.PBFT,
 
 
 def run_cpu_points(workload_factory):
-    runner = wan_runner()
+    deployment = wan_runner()
     points = {}
     for protocol in PROTOCOLS:
         config = paper_config(protocol)
-        result = runner.run_point(config,
-                                  workload_factory(max(SWEEP_CLIENTS)))
+        result = run_cell(Cell(config,
+                               workload_factory(max(SWEEP_CLIENTS)),
+                               deployment=deployment))
         points[protocol.value] = result
     return points
 

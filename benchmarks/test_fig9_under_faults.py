@@ -15,6 +15,7 @@ shorter.
 from repro.common.config import ProtocolName, WorkloadConfig
 from repro.faults.injector import FaultSchedule
 from repro.harness.configs import paper_config
+from repro.harness.runner import Cell, run_cell
 
 from conftest import wan_runner
 
@@ -27,7 +28,7 @@ SCHEDULE = FaultSchedule.rolling_crashes((1, 0, 2), 45_000.0, 30_000.0,
 
 def test_fig9(benchmark):
     def build():
-        runner = wan_runner()
+        deployment = wan_runner()
         config = paper_config(
             ProtocolName.XPAXOS,
             delta_ms=1_250.0,                   # the paper's Delta
@@ -37,7 +38,8 @@ def test_fig9(benchmark):
         workload = WorkloadConfig(num_clients=32, request_size=1024,
                                   duration_ms=DURATION_MS,
                                   warmup_ms=2_000.0, client_site="CA")
-        return runner.run_point(config, workload, SCHEDULE)
+        return run_cell(Cell(config, workload, SCHEDULE,
+                             deployment=deployment))
 
     result = benchmark.pedantic(build, rounds=1, iterations=1)
 
@@ -71,7 +73,7 @@ def test_fig9_views_have_different_throughput(benchmark):
     and clients vary from view to view.'"""
 
     def build():
-        runner = wan_runner()
+        deployment = wan_runner()
         config = paper_config(
             ProtocolName.XPAXOS,
             delta_ms=1_250.0,
@@ -84,7 +86,8 @@ def test_fig9_views_have_different_throughput(benchmark):
         # Crash the follower permanently at 20 s: the system settles into a
         # different view (CA, JP) whose primary-follower RTT is longer.
         schedule = FaultSchedule().crash(20_000.0, 1)
-        return runner.run_point(config, workload, schedule)
+        return run_cell(Cell(config, workload, schedule,
+                             deployment=deployment))
 
     result = benchmark.pedantic(build, rounds=1, iterations=1)
     before = [kops for start, kops in result.throughput_series

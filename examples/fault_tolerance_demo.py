@@ -22,8 +22,17 @@ Run:  python examples/fault_tolerance_demo.py
 
 from repro.common.config import ProtocolName
 from repro.faults.injector import FaultSchedule
-from repro.harness.matrix import MatrixRunner
+from repro.harness.matrix import CellResult, run_matrix
 from repro.scenarios import Scenario, get_scenario
+
+
+#: Every act's cells run from this seed.
+SEED = 1
+
+
+def run(protocol: ProtocolName, scenario: Scenario) -> CellResult:
+    """One graded ``(protocol, scenario)`` cell of the matrix."""
+    return run_matrix([scenario], [protocol], seed=SEED).cells[0]
 
 
 def show(title: str, cell) -> None:
@@ -37,23 +46,21 @@ def show(title: str, cell) -> None:
     print()
 
 
-def act_one_crashes(runner: MatrixRunner) -> None:
-    cell = runner.run_cell(ProtocolName.XPAXOS,
-                           get_scenario("rolling-crashes"))
+def act_one_crashes() -> None:
+    cell = run(ProtocolName.XPAXOS, get_scenario("rolling-crashes"))
     show("act 1: rolling crashes (the Figure 9 pattern)", cell)
     assert cell.ok, cell.detail
 
 
-def act_two_partitions(runner: MatrixRunner) -> None:
-    cell = runner.run_cell(ProtocolName.XPAXOS,
-                           get_scenario("follower-isolated"))
+def act_two_partitions() -> None:
+    cell = run(ProtocolName.XPAXOS, get_scenario("follower-isolated"))
     show("act 2: network fault inside the synchronous group", cell)
     assert cell.ok, cell.detail
 
 
-def act_three_byzantine(runner: MatrixRunner) -> None:
-    cell = runner.run_cell(ProtocolName.XPAXOS,
-                           get_scenario("byzantine-primary-data-loss"))
+def act_three_byzantine() -> None:
+    cell = run(ProtocolName.XPAXOS,
+               get_scenario("byzantine-primary-data-loss"))
     show("act 3: data-loss fault + fault detection", cell)
     assert cell.ok and cell.detection_ok, cell.detail
     print("  outside anarchy the fault was caught BEFORE it could pair "
@@ -76,20 +83,19 @@ def custom_scenario() -> Scenario:
     )
 
 
-def act_four_custom(runner: MatrixRunner) -> None:
+def act_four_custom() -> None:
     scenario = custom_scenario()
     for protocol in (ProtocolName.XPAXOS, ProtocolName.PAXOS):
-        cell = runner.run_cell(protocol, scenario)
+        cell = run(protocol, scenario)
         show(f"act 4: a custom scenario on {protocol.value}", cell)
         assert cell.ok, cell.detail
 
 
 def main() -> None:
-    runner = MatrixRunner(seed=1)
-    act_one_crashes(runner)
-    act_two_partitions(runner)
-    act_three_byzantine(runner)
-    act_four_custom(runner)
+    act_one_crashes()
+    act_two_partitions()
+    act_three_byzantine()
+    act_four_custom()
     print("all acts completed with total order intact")
 
 

@@ -10,11 +10,9 @@ Run:  python examples/geo_replicated_bench.py
 """
 
 from repro.common.config import ProtocolName, WorkloadConfig
-from repro.crypto.costs import CostModel
 from repro.harness.configs import paper_config
-from repro.harness.runner import ExperimentRunner
+from repro.harness.runner import Cell, ExperimentRunner, run_cell
 from repro.net.bandwidth import BandwidthModel
-from repro.net.latency import LatencyModel
 
 CLIENT_COUNTS = (8, 32, 96)
 PROTOCOLS = (ProtocolName.XPAXOS, ProtocolName.PAXOS, ProtocolName.PBFT,
@@ -22,11 +20,9 @@ PROTOCOLS = (ProtocolName.XPAXOS, ProtocolName.PAXOS, ProtocolName.PBFT,
 
 
 def main() -> None:
-    runner = ExperimentRunner(
-        latency_factory=lambda seed: LatencyModel.ec2(seed=seed),
-        bandwidth_factory=lambda: BandwidthModel(default_rate=4_000.0),
-        cost_model=CostModel(),
-    )
+    # The EC2 WAN and measured crypto costs, with 4 kB/ms uplinks.
+    deployment = ExperimentRunner(
+        bandwidth_factory=lambda: BandwidthModel(default_rate=4_000.0))
 
     print("1/0 microbenchmark (1 kB requests), t = 1, clients in CA\n")
     header = f"{'clients':>8}"
@@ -42,9 +38,10 @@ def main() -> None:
                               request_retransmit_ms=20_000.0,
                               view_change_timeout_ms=10_000.0)
         curves[protocol] = [
-            runner.run_point(config, WorkloadConfig(
+            run_cell(Cell(config, WorkloadConfig(
                 num_clients=clients, request_size=1024,
-                duration_ms=4_000.0, warmup_ms=500.0, client_site="CA"))
+                duration_ms=4_000.0, warmup_ms=500.0, client_site="CA"),
+                deployment=deployment))
             for clients in CLIENT_COUNTS
         ]
 

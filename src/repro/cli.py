@@ -4,7 +4,6 @@ Examples::
 
     python -m repro sweep --protocol xpaxos --clients 8 32 96
     python -m repro sweep --protocol all --clients 64
-    python -m repro faults --duration 60
     python -m repro scenarios --protocol all
     python -m repro reliability --nines-benign 4 --nines-correct 3 \
         --nines-synchrony 3
@@ -30,10 +29,10 @@ hash-ordered set iteration, unregistered wire messages and simulator
 hygiene -- the same invariants the runtime enforces late, caught before
 a matrix run starts (see ``docs/static-analysis.md``).
 
-``faults`` is Figure 9 in small: ``ExperimentRunner.run_point`` under a
-rolling-crash schedule.  A number no run can use (``--jobs -1``, zero
-clients or seconds, a ``--t`` other than 1 or 2) is a usage error: one
-argparse line and exit 2.
+A number no run can use (``--jobs -1``, zero clients, seconds or
+uplink, a negative request size or number of nines, a ``--t`` below 1,
+or other than 1 or 2 for a run) is a usage error: one argparse line and
+exit 2.
 
 ``scenarios`` and ``sweep`` accept ``--jobs N`` to farm their
 deterministic, independent cells/points to worker processes; merged
@@ -48,12 +47,9 @@ import sys
 from typing import Optional, Sequence
 
 from repro.common.config import ProtocolName, WorkloadConfig
-from repro.crypto.costs import CostModel
-from repro.faults.injector import FaultSchedule
 from repro.harness.configs import paper_config
-from repro.harness.runner import ExperimentRunner
+from repro.harness.runner import Cell, ExperimentRunner, sweep
 from repro.net.bandwidth import BandwidthModel
-from repro.net.latency import LatencyModel
 
 
 def _at_least(low, kind=int):
@@ -67,23 +63,17 @@ def _at_least(low, kind=int):
     return parse
 
 
-def _runner(seed: int, uplink: float) -> ExperimentRunner:
-    return ExperimentRunner(
-        latency_factory=lambda s: LatencyModel.ec2(seed=s),
-        bandwidth_factory=lambda: BandwidthModel(default_rate=uplink),
-        cost_model=CostModel(),
-        seed=seed,
-    )
+def _protocols(name: str):
+    """The protocols a ``--protocol`` value names (``all``: all five)."""
+    return list(ProtocolName) if name == "all" else [ProtocolName(name)]
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     """Latency-vs-throughput sweep for one protocol, or for all five
     (``--protocol all``; with one client count, a mini Figure 7)."""
-    if args.protocol == "all":
-        protocols = list(ProtocolName)
-    else:
-        protocols = [ProtocolName(args.protocol)]
-    runner = _runner(args.seed, args.uplink)
+    protocols = _protocols(args.protocol)
+    deployment = ExperimentRunner(
+        bandwidth_factory=lambda: BandwidthModel(default_rate=args.uplink))
     print(f"t={args.t} {args.request_size}B requests, EC2 WAN")
     print(f"{'protocol':>9} {'clients':>8} {'kops/s':>9} {'lat ms':>9} "
           f"{'cpu %':>7}")
@@ -99,8 +89,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         # Points are independent deterministic runs, so --jobs N farms
         # them to worker processes; results come back in client-count
         # order and are identical to a sequential sweep.
-        results = runner.run_points(paper_config(protocol, t=args.t),
-                                    workloads, jobs=args.jobs)
+        config = paper_config(protocol, t=args.t)
+        results = sweep([Cell(config, workload, deployment=deployment,
+                              seed=args.seed)
+                         for workload in workloads], jobs=args.jobs)
         for clients, result in zip(args.clients, results):
             lat = (f"{result.mean_latency_ms:9.1f}"
                    if result.mean_latency_ms is not None else "      n/a")
@@ -112,12 +104,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_profile(args: argparse.Namespace) -> int:
     """Profile one scenario cell: cProfile plus subsystem counters."""
-    from repro.harness.matrix import MatrixRunner
-    from repro.harness.profiling import (
-        profile_call,
-        profile_report,
-        subsystem_counters,
-    )
+    import cProfile
+
+    from repro.harness.matrix import grade, scenario_cell
+    from repro.harness.profiling import profile_report
+    from repro.harness.runner import run_cell
     from repro.scenarios.library import get_scenario
 
     try:
@@ -130,19 +121,13 @@ def cmd_profile(args: argparse.Namespace) -> int:
         print(f"scenario {scenario.name} does not apply to "
               f"{protocol.value}", file=sys.stderr)
         return 2
-    runner = MatrixRunner(seed=args.seed, t=args.t)
-    counters = {}
-
-    def collect(runtime):
-        counters.update(subsystem_counters(sim=runtime.sim,
-                                           network=runtime.network,
-                                           replicas=runtime.replicas))
-
-    cell, profiler = profile_call(
-        lambda: runner.run_cell(protocol, scenario, probe=collect))
-    print(f"{scenario.name} x {protocol.value}: {cell.status} "
-          f"({cell.committed} committed)")
-    print(profile_report(profiler, counters, sort=args.sort,
+    profiler = cProfile.Profile()
+    record = profiler.runcall(
+        run_cell, scenario_cell(protocol, scenario, seed=args.seed, t=args.t))
+    graded = grade(protocol, scenario, record, seed=args.seed)
+    print(f"{scenario.name} x {protocol.value}: {graded.status} "
+          f"({graded.committed} committed)")
+    print(profile_report(profiler, record.runtime, sort=args.sort,
                          limit=args.limit))
     if args.pstats:
         profiler.dump_stats(args.pstats)
@@ -194,35 +179,9 @@ def cmd_lint(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def cmd_faults(args: argparse.Namespace) -> int:
-    """A Figure 9-style crash timeline on XPaxos."""
-    runner = _runner(args.seed, args.uplink)
-    duration_ms = args.duration * 1_000.0
-    config = paper_config(ProtocolName.XPAXOS, delta_ms=1_250.0,
-                          request_retransmit_ms=2_500.0,
-                          view_change_timeout_ms=10_000.0)
-    workload = WorkloadConfig(num_clients=args.clients, request_size=1024,
-                              duration_ms=duration_ms, warmup_ms=2_000.0,
-                              client_site="CA")
-    # VA, CA, JP in turn, as in Figure 9 (180 / 300 / 420 s of 500 s):
-    # at 35 / 60 / 85 % of the run, each down for 4 % of it.
-    schedule = FaultSchedule.rolling_crashes(
-        (1, 0, 2), duration_ms * 0.35, duration_ms * 0.25,
-        duration_ms * 0.04)
-    result = runner.run_point(config, workload, schedule)
-    print("XPaxos under rolling crashes (VA, CA, JP)")
-    for start, kops in result.throughput_series[::max(1,
-            int(duration_ms / 25_000))]:
-        print(f"{start / 1000.0:7.0f}s {kops:7.3f} "
-              + "#" * int(kops * 150))
-    print(f"view changes: {result.view_changes}; "
-          f"longest outage {result.longest_gap_ms() / 1000.0:.1f}s")
-    return 0
-
-
 def cmd_scenarios(args: argparse.Namespace) -> int:
     """Run the scenario conformance matrix and print the grid."""
-    from repro.harness.matrix import MatrixRunner
+    from repro.harness.matrix import run_matrix
     from repro.scenarios.library import builtin_scenarios, get_scenario
 
     if args.list:
@@ -239,13 +198,9 @@ def cmd_scenarios(args: argparse.Namespace) -> int:
             return 2
     else:
         scenarios = builtin_scenarios()
-    if args.protocol == "all":
-        protocols = list(ProtocolName)
-    else:
-        protocols = [ProtocolName(args.protocol)]
-    runner = MatrixRunner(seed=args.seed, t=args.t)
-    result = runner.run_matrix(scenarios=scenarios, protocols=protocols,
-                               jobs=args.jobs)
+    result = run_matrix(scenarios=scenarios,
+                        protocols=_protocols(args.protocol),
+                        seed=args.seed, t=args.t, jobs=args.jobs)
     print(result.format_grid())
     for cell in result.failures:
         print(f"FAIL {cell.scenario} x {cell.protocol}: {cell.detail}",
@@ -299,24 +254,25 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro",
         description="XFT/XPaxos reproduction experiments")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--uplink", type=float, default=4_000.0,
+    parser.add_argument("--uplink", type=_at_least(0.001, float),
+                        default=4_000.0,
                         help="uplink bytes per virtual ms")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sweep = sub.add_parser("sweep", help="latency-vs-throughput sweep")
-    sweep.add_argument("--protocol", default="xpaxos",
+    sweep_cmd = sub.add_parser("sweep", help="latency-vs-throughput sweep")
+    sweep_cmd.add_argument("--protocol", default="xpaxos",
                        choices=["all"] + [p.value for p in ProtocolName])
-    sweep.add_argument("--t", type=int, default=1, choices=(1, 2))
-    sweep.add_argument("--clients", type=_at_least(1), nargs="+",
+    sweep_cmd.add_argument("--t", type=int, default=1, choices=(1, 2))
+    sweep_cmd.add_argument("--clients", type=_at_least(1), nargs="+",
                        default=[8, 32, 96])
-    sweep.add_argument("--request-size", type=int, default=1024)
-    sweep.add_argument("--duration", type=_at_least(0.001, float),
+    sweep_cmd.add_argument("--request-size", type=_at_least(0), default=1024)
+    sweep_cmd.add_argument("--duration", type=_at_least(0.001, float),
                        default=4.0, help="virtual seconds per point")
-    sweep.add_argument("--jobs", type=_at_least(0), default=1,
+    sweep_cmd.add_argument("--jobs", type=_at_least(0), default=1,
                        help="worker processes for the sweep points "
                             "(0 = one per core); results are identical "
                             "to a sequential sweep")
-    sweep.set_defaults(func=cmd_sweep)
+    sweep_cmd.set_defaults(func=cmd_sweep)
 
     profile = sub.add_parser(
         "profile",
@@ -362,12 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="also print suppressed and baselined findings")
     lint.set_defaults(func=cmd_lint)
 
-    faults = sub.add_parser("faults", help="Figure 9-style crash timeline")
-    faults.add_argument("--clients", type=_at_least(1), default=32)
-    faults.add_argument("--duration", type=_at_least(0.001, float),
-                        default=125.0, help="virtual seconds")
-    faults.set_defaults(func=cmd_faults)
-
     scenarios = sub.add_parser(
         "scenarios", help="scenario conformance matrix")
     scenarios.add_argument("--protocol", default="all",
@@ -388,10 +338,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     reliability = sub.add_parser("reliability",
                                  help="nines at one grid point")
-    reliability.add_argument("--t", type=int, default=1)
-    reliability.add_argument("--nines-benign", type=int, default=4)
-    reliability.add_argument("--nines-correct", type=int, default=3)
-    reliability.add_argument("--nines-synchrony", type=int, default=3)
+    reliability.add_argument("--t", type=_at_least(1), default=1)
+    reliability.add_argument("--nines-benign", type=_at_least(0), default=4)
+    reliability.add_argument("--nines-correct", type=_at_least(0),
+                             default=3)
+    reliability.add_argument("--nines-synchrony", type=_at_least(0),
+                             default=3)
     reliability.set_defaults(func=cmd_reliability)
 
     tables = sub.add_parser("tables", help="print Tables 5-8")

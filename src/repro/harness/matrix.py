@@ -1,8 +1,9 @@
 """Scenario conformance matrix: run ``(protocol x scenario)`` cells.
 
-Each cell builds a fresh deterministic cluster, injects the scenario's
-fault schedule and adversaries, drives the closed-loop workload, and
-grades the run against the scenario's invariants:
+:func:`scenario_cell` turns a scenario into a
+:class:`~repro.harness.runner.Cell` -- a fresh deterministic cluster on a
+uniform LAN with the scenario's fault schedule, adversaries and workload
+-- and :func:`grade` grades the run against the scenario's invariants:
 
 * **safety** -- total order among benign replicas
   (:class:`~repro.faults.checker.SafetyChecker`), admissible to violate
@@ -18,9 +19,10 @@ produces a byte-identical JSON record.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence
 
 from repro.common.config import (
     ClusterConfig,
@@ -28,23 +30,26 @@ from repro.common.config import (
     WorkloadConfig,
     sites_for,
 )
-from repro.faults.checker import SafetyChecker
-from repro.faults.injector import FaultInjector
-from repro.faults.liveness import LivenessChecker
+from repro.crypto.costs import CostModel
 from repro.harness.parallel import guard_global_rng, parallel_map
+from repro.harness.runner import (
+    Cell,
+    ExperimentResult,
+    ExperimentRunner,
+    run_cells,
+)
 from repro.net.latency import LatencyModel
-from repro.protocols.registry import build_cluster
 from repro.scenarios.library import builtin_scenarios
 from repro.scenarios.scenario import Scenario
-from repro.workloads.clients import WorkloadDriver, make_driver
 
 #: Statuses a cell can end in.
 PASS = "pass"
 FAIL = "fail"
 EXPECTED_VIOLATION = "expected-violation"
 SKIPPED = "skipped"
-#: The cell's worker raised or died before grading finished.  Only that
-#: cell is lost; the rest of the matrix is unaffected.
+#: The cell could not be built, or its worker raised or died before
+#: grading finished.  Only that cell is lost; the rest of the matrix is
+#: unaffected.
 ERROR = "error"
 
 #: Fast timeouts for conformance cells (scenarios are phrased in a few
@@ -57,10 +62,6 @@ CELL_TIMEOUTS = dict(
     view_change_timeout_ms=400.0,
     batch_timeout_ms=2.0,
 )
-
-#: Anarchy observation period (well under every schedule's fault windows).
-OBSERVE_PERIOD_MS = 50.0
-
 
 @dataclass
 class CellResult:
@@ -144,175 +145,157 @@ class MatrixResult:
         return "\n".join(lines)
 
 
-class MatrixRunner:
-    """Executes scenario cells deterministically."""
+@functools.lru_cache(maxsize=None)
+def _lan(sites: FrozenSet[str], one_way_ms: float) -> ExperimentRunner:
+    """The cells' deployment: ``one_way_ms`` between any two of
+    ``sites``, no uplink model, free crypto.  One object per argument
+    pair, so equal scenario cells compare equal."""
+    return ExperimentRunner(
+        latency_factory=lambda seed: LatencyModel.uniform(
+            sites, one_way_ms=one_way_ms, seed=seed),
+        bandwidth_factory=lambda: None, cost_model=CostModel.free())
 
-    def __init__(self, seed: int = 0, t: int = 1) -> None:
-        self.seed = seed
-        self.t = t
 
-    # ------------------------------------------------------------------
-    def base_config(self, protocol: ProtocolName,
-                    scenario: Scenario) -> ClusterConfig:
-        """The cell's cluster configuration.
+def scenario_cell(protocol: ProtocolName, scenario: Scenario,
+                  seed: int = 0, t: int = 1) -> Cell:
+    """The ``(protocol, scenario)`` cell: fast timeouts on the paper's
+    sites for ``t``, a uniform LAN, the scenario's workload, faults and
+    adversaries.
 
-        A scenario may override ``t`` (e.g. the t=2 cells) through
-        ``config_overrides``; the site layout follows the effective ``t``.
-        """
-        params = dict(CELL_TIMEOUTS)
-        params.update(scenario.config_overrides)
-        t = params.pop("t", self.t)
-        params.setdefault("sites", sites_for(protocol, t))
-        return ClusterConfig(t=t, protocol=protocol, **params)
+    A scenario may override ``t`` (e.g. the t=2 cells) through
+    ``config_overrides``; the site layout follows the effective ``t``.
+    """
+    params = dict(CELL_TIMEOUTS)
+    params.update(scenario.config_overrides)
+    t = params.pop("t", t)
+    params.setdefault("sites", sites_for(protocol, t))
+    config = ClusterConfig(t=t, protocol=protocol, **params)
+    return Cell(
+        config=config,
+        workload=WorkloadConfig(
+            num_clients=scenario.num_clients,
+            request_size=scenario.request_size,
+            duration_ms=scenario.duration_ms, warmup_ms=scenario.warmup_ms,
+            client_site=config.sites[0],
+            offered_load_rps=scenario.offered_load_rps,
+            cohorts=scenario.cohorts),
+        schedule=scenario.schedule(config),
+        adversaries=scenario.adversaries,
+        deployment=_lan(frozenset(config.sites), scenario.one_way_ms),
+        seed=seed,
+        liveness_bound_ms=scenario.liveness_bound_ms)
 
-    def run_cell(self, protocol: ProtocolName,
-                 scenario: Scenario,
-                 probe: Optional[Callable] = None) -> CellResult:
-        """Run one cell and grade it.
 
-        ``probe``, if given, is called with the cell's runtime after the
-        workload finishes but before grading -- ``repro profile`` uses it
-        to collect ``runtime.sim.stats()`` and network counters without
-        the runner having to know about profiling.  Probes must not
-        mutate the runtime (grading reads it next).
-        """
-        if not scenario.applies_to(protocol):
-            return CellResult(protocol=protocol.value,
-                              scenario=scenario.name, status=SKIPPED,
-                              seed=self.seed, detail="out of scope")
-        config = self.base_config(protocol, scenario)
-        assert config.sites is not None
-        client_site = config.sites[0]
-        latency = LatencyModel.uniform(
-            set(config.sites) | {client_site},
-            one_way_ms=scenario.one_way_ms, seed=self.seed)
-        runtime = build_cluster(config,
-                                num_clients=scenario.num_clients,
-                                latency=latency, client_site=client_site,
-                                seed=self.seed)
-        for replica_id, factory in sorted(scenario.adversaries.items()):
-            runtime.replica(replica_id).byzantine = factory()
+def grade(protocol: ProtocolName, scenario: Scenario,
+          record: ExperimentResult, seed: int = 0) -> CellResult:
+    """Grade one cell's record against the scenario's invariants."""
+    benign = {replica: set(convicted)
+              for replica, convicted in record.convictions.items()
+              if replica not in scenario.adversaries}
+    detection_ok = True
+    if scenario.expect_detection:
+        # Only XPaxos replicas have a detector; on anything else the
+        # expectation is unsatisfiable by definition.
+        accused = set(scenario.adversaries)
+        detection_ok = bool(accused) and any(
+            accused <= convicted for convicted in benign.values())
+    convicted = sorted(set().union(*benign.values()))
+    result = CellResult(
+        protocol=protocol.value, scenario=scenario.name, status=PASS,
+        committed=record.all_commits,
+        anarchy_observed=record.anarchy_observed,
+        safety_violations=len(record.safety_violations),
+        liveness_violations=len(record.liveness_violations),
+        detection_ok=detection_ok, convicted=convicted, seed=seed)
 
-        checker = SafetyChecker(runtime,
-                                non_crash_faulty=scenario.adversaries)
-        checker.observe_periodically(OBSERVE_PERIOD_MS,
-                                     scenario.duration_ms)
-        liveness: Optional[LivenessChecker] = None
-        if scenario.check_liveness:
-            liveness = LivenessChecker(runtime,
-                                       bound_ms=scenario.liveness_bound_ms)
-            liveness.watch(scenario.duration_ms)
-        injector = FaultInjector(runtime)
-        injector.arm(scenario.schedule(config))
-        driver = make_driver(
-            runtime, WorkloadConfig(**scenario.workload_kwargs()))
-        driver.run()
-
-        if probe is not None:
-            probe(runtime)
-        return self._grade(protocol, scenario, runtime, checker, liveness,
-                           driver)
-
-    # ------------------------------------------------------------------
-    def _grade(self, protocol: ProtocolName, scenario: Scenario, runtime,
-               checker: SafetyChecker,
-               liveness: Optional[LivenessChecker],
-               driver: WorkloadDriver) -> CellResult:
-        violations = checker.violations()
-        liveness_violations = liveness.violations if liveness else []
-        committed = sum(len(c.completions) for c in runtime.clients)
-        detection_ok = True
-        if scenario.expect_detection:
-            # Only XPaxos replicas have a detector; on anything else the
-            # expectation is unsatisfiable by definition.
-            accused = set(scenario.adversaries)
-            detection_ok = bool(accused) and any(
-                accused <= getattr(replica, "detected_faulty", set())
-                for replica in runtime.replicas
-                if replica.replica_id not in accused)
-        convicted = sorted({
-            accused
-            for replica in runtime.replicas
-            if replica.replica_id not in scenario.adversaries
-            for accused in getattr(replica, "detected_faulty", ())})
-        result = CellResult(
-            protocol=protocol.value, scenario=scenario.name, status=PASS,
-            committed=committed,
-            anarchy_observed=checker.anarchy_observed,
-            safety_violations=len(violations),
-            liveness_violations=len(liveness_violations),
-            detection_ok=detection_ok, convicted=convicted, seed=self.seed)
-
-        if scenario.expect_anarchy:
-            # Safety is only promised outside anarchy (Definition 3): the
-            # cell documents the boundary instead of asserting order.
-            if checker.anarchy_observed:
-                result.status = EXPECTED_VIOLATION
-                result.detail = "anarchy reached as scripted"
-            else:
-                result.status = FAIL
-                result.detail = "scenario never reached anarchy"
-            return result
-
-        problems: List[str] = []
-        if violations and not checker.anarchy_observed:
-            problems.append(
-                f"{len(violations)} total-order violations outside anarchy")
-        if checker.anarchy_observed:
-            problems.append("unexpected anarchy")
-        if liveness_violations:
-            problems.append(f"{len(liveness_violations)} liveness stalls "
-                            f"(first: {liveness_violations[0]})")
-        if committed < scenario.min_committed:
-            problems.append(f"committed {committed} "
-                            f"< floor {scenario.min_committed}")
-        if not detection_ok:
-            problems.append("adversary never convicted")
-        if scenario.convicted is not None \
-                and set(convicted) != set(scenario.convicted):
-            problems.append(
-                f"convicted {convicted} != expected "
-                f"{sorted(scenario.convicted)}")
-        if problems:
+    if scenario.expect_anarchy:
+        # Safety is only promised outside anarchy (Definition 3): the
+        # cell documents the boundary instead of asserting order.
+        if record.anarchy_observed:
+            result.status = EXPECTED_VIOLATION
+            result.detail = "anarchy reached as scripted"
+        else:
             result.status = FAIL
-            result.detail = "; ".join(problems)
+            result.detail = "scenario never reached anarchy"
         return result
 
-    # ------------------------------------------------------------------
-    def run_matrix(
-        self,
-        scenarios: Optional[Sequence[Scenario]] = None,
-        protocols: Optional[Iterable[ProtocolName]] = None,
-        jobs: int = 1,
-    ) -> MatrixResult:
-        """Run every requested cell (default: full library x all five).
+    problems: List[str] = []
+    if record.anarchy_observed:
+        problems.append("unexpected anarchy")
+    elif record.safety_violations:
+        problems.append(f"{result.safety_violations} total-order "
+                        f"violations outside anarchy")
+    if record.liveness_violations:
+        problems.append(f"{result.liveness_violations} liveness stalls "
+                        f"(first: {record.liveness_violations[0]})")
+    if result.committed < scenario.min_committed:
+        problems.append(f"committed {result.committed} "
+                        f"< floor {scenario.min_committed}")
+    if not detection_ok:
+        problems.append("adversary never convicted")
+    if scenario.convicted is not None \
+            and set(convicted) != set(scenario.convicted):
+        problems.append(
+            f"convicted {convicted} != expected "
+            f"{sorted(scenario.convicted)}")
+    if problems:
+        result.status = FAIL
+        result.detail = "; ".join(problems)
+    return result
 
-        ``jobs > 1`` farms cells to worker processes (``0`` = one per
-        core).  Every cell builds its cluster from the same explicit
-        seed either way and the results are merged back in canonical
-        cell order, so the matrix -- and its JSON rendering -- is
-        byte-identical to a ``jobs=1`` run.  A cell whose worker raises
-        or dies is recorded with status :data:`ERROR`; the other cells
-        are unaffected.
-        """
-        scenarios = list(scenarios) if scenarios is not None \
-            else builtin_scenarios()
-        protocols = list(protocols) if protocols is not None \
-            else list(ProtocolName)
-        tasks = [(self.seed, self.t, protocol, scenario)
-                 for scenario in scenarios
-                 for protocol in protocols]
-        outcomes = parallel_map(_run_cell_task, tasks, jobs=jobs)
-        result = MatrixResult(seed=self.seed)
-        for (_, _, protocol, scenario), outcome in zip(tasks, outcomes):
-            if outcome.ok:
-                result.cells.append(outcome.value)
-            else:
-                result.cells.append(CellResult(
-                    protocol=protocol.value, scenario=scenario.name,
-                    status=ERROR, seed=self.seed,
-                    detail=_error_summary(outcome.error)))
-        return result
+
+def run_matrix(
+    scenarios: Optional[Sequence[Scenario]] = None,
+    protocols: Optional[Iterable[ProtocolName]] = None,
+    seed: int = 0,
+    t: int = 1,
+    jobs: int = 1,
+) -> MatrixResult:
+    """Run and grade every requested cell (default: full library x all
+    five); a cell out of the scenario's scope is :data:`SKIPPED`.
+
+    ``jobs > 1`` farms cells to worker processes (``0`` = one per
+    core).  Every cell builds its cluster from the same explicit seed
+    either way and the results are merged back in canonical cell order,
+    so the matrix -- and its JSON rendering -- is byte-identical to a
+    ``jobs=1`` run.  A cell whose schedule cannot be built, or whose
+    worker raises or dies, is recorded with status :data:`ERROR`; the
+    other cells are unaffected.
+    """
+    scenarios = list(scenarios) if scenarios is not None \
+        else builtin_scenarios()
+    protocols = list(protocols) if protocols is not None \
+        else list(ProtocolName)
+    pairs = [(protocol, scenario) for scenario in scenarios
+             for protocol in protocols]
+    # Built in this process, under the same guard and error capture as
+    # a run, so a schedule factory that raises or draws from the global
+    # RNG fails only its own cell.
+    built = parallel_map(_scenario_cell_task,
+                         [(protocol, scenario, seed, t)
+                          for protocol, scenario in pairs
+                          if scenario.applies_to(protocol)])
+    runs = iter(run_cells([b.value for b in built if b.ok], jobs=jobs))
+    cells = iter(built)
+    result = MatrixResult(seed=seed)
+    for protocol, scenario in pairs:
+        if not scenario.applies_to(protocol):
+            result.cells.append(CellResult(
+                protocol=protocol.value, scenario=scenario.name,
+                status=SKIPPED, seed=seed, detail="out of scope"))
+            continue
+        outcome = next(cells)
+        if outcome.ok:
+            outcome = next(runs)
+        if outcome.ok:
+            result.cells.append(
+                grade(protocol, scenario, outcome.value, seed))
+        else:
+            result.cells.append(CellResult(
+                protocol=protocol.value, scenario=scenario.name,
+                status=ERROR, seed=seed,
+                detail=_error_summary(outcome.error)))
+    return result
 
 
 def _error_summary(trace: Optional[str]) -> str:
@@ -323,12 +306,5 @@ def _error_summary(trace: Optional[str]) -> str:
 
 
 @guard_global_rng
-def _run_cell_task(task) -> CellResult:
-    """One matrix cell, shaped for :func:`parallel_map`.
-
-    The guard asserts the cell path never draws from the module-level
-    ``random`` stream -- forked workers inherit that state, so a global
-    draw would break cross-process determinism.
-    """
-    seed, t, protocol, scenario = task
-    return MatrixRunner(seed=seed, t=t).run_cell(protocol, scenario)
+def _scenario_cell_task(task) -> Cell:
+    return scenario_cell(*task)

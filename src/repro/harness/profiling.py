@@ -3,16 +3,15 @@
 Two complementary views of where time goes:
 
 * **cProfile/pstats** -- wall-clock attribution by function, for finding
-  the next thing to optimize.  :func:`profile_call` wraps any thunk
-  and hands back the ``cProfile.Profile``, whose ``dump_stats(path)``
-  writes a ``.pstats`` file (loadable with ``python -m pstats`` or
-  snakeviz); :func:`format_stats` renders the top rows.
+  the next thing to optimize.  The caller runs the cell under a
+  ``cProfile.Profile``, whose ``dump_stats(path)`` writes a ``.pstats``
+  file (loadable with ``python -m pstats`` or snakeviz).
 * **Subsystem counters** -- the simulator's and network's own hot-loop
   counters (heap ops, cancellations, compactions, arena hit-rate,
   drops, MAC stamps/verifies), collected for free as the run executes,
-  and the sizes of what the replicas still hold when it ends.
-  :func:`format_subsystems` renders them side by side;
-  ``docs/profiling.md`` explains how to read them.
+  and the sizes of what the replicas still hold when it ends, all read
+  from the runtime the run returns.  ``docs/profiling.md`` explains how
+  to read them.
 
 The two disagree on purpose: cProfile says where *wall time* went under
 instrumentation overhead; the counters say what the hot loops *did*.
@@ -27,68 +26,33 @@ import cProfile
 import io
 import pstats
 from dataclasses import asdict, is_dataclass
-from typing import Any, Callable, Dict, Optional, Sequence, Tuple
+from typing import Any, Dict
 
 from repro.crypto.primitives import digest_cache_stats
 
-#: Default number of rows shown by :func:`format_stats`.
-DEFAULT_LIMIT = 25
 
-
-def profile_call(thunk: Callable[[], Any]) -> Tuple[Any, cProfile.Profile]:
-    """Run ``thunk`` under cProfile; returns ``(result, profiler)``.
-
-    The profiler is disabled (but not consumed) on return, even if the
-    thunk raises, so a failing run still leaves usable stats behind.
-    """
-    profiler = cProfile.Profile()
-    profiler.enable()
-    try:
-        result = thunk()
-    finally:
-        profiler.disable()
-    return result, profiler
-
-
-def format_stats(profiler: cProfile.Profile, sort: str = "cumulative",
-                 limit: int = DEFAULT_LIMIT) -> str:
-    """Top-``limit`` rows of the profile, sorted by ``sort``
-    (any pstats sort key: ``cumulative``, ``tottime``, ``ncalls``...).
-    """
-    stream = io.StringIO()
-    stats = pstats.Stats(profiler, stream=stream)
-    stats.sort_stats(sort).print_stats(limit)
-    return stream.getvalue().rstrip()
-
-
-def subsystem_counters(sim: Any = None, network: Any = None,
-                       replicas: Sequence[Any] = ()
-                       ) -> Dict[str, Dict[str, Any]]:
+def subsystem_counters(runtime: Any) -> Dict[str, Dict[str, Any]]:
     """Collect the per-subsystem hot-loop counters of one run.
 
-    ``sim`` is a :class:`repro.sim.core.Simulator` (its ``stats()``
-    dict is taken as-is); ``network`` is a
-    :class:`repro.net.network.Network` (its ``stats`` dataclass is
-    flattened); ``replicas`` are the cluster's
-    :class:`repro.smr.runtime.ReplicaBase` instances, whose
+    ``runtime`` is the :class:`repro.smr.runtime.ClusterRuntime` a run
+    returned: its simulator's ``stats()`` dict is taken as-is, its
+    network's ``stats`` dataclass is flattened, and its replicas'
     ``retained()`` sizes are reported as the largest over all of them
-    (``[state]``).  Any may be omitted.
+    (``[state]``).
     """
-    out: Dict[str, Dict[str, Any]] = {}
-    if sim is not None:
-        out["sim"] = sim.stats()
-    if network is not None:
-        stats = network.stats
-        out["network"] = (asdict(stats) if is_dataclass(stats)
-                         else dict(vars(stats)))
-    if replicas:
-        # What a replica holds on to at the end of the run: the worst
-        # replica per structure, so one that never truncates shows.
-        state: Dict[str, int] = {}
-        for replica in replicas:
-            for key, size in replica.retained().items():
-                state[key] = max(state.get(key, 0), size)
-        out["state"] = state
+    stats = runtime.network.stats
+    # What a replica holds on to at the end of the run: the worst
+    # replica per structure, so one that never truncates shows.
+    state: Dict[str, int] = {}
+    for replica in runtime.replicas:
+        for key, size in replica.retained().items():
+            state[key] = max(state.get(key, 0), size)
+    out: Dict[str, Dict[str, Any]] = {
+        "sim": runtime.sim.stats(),
+        "network": (asdict(stats) if is_dataclass(stats)
+                    else dict(vars(stats))),
+        "state": state,
+    }
     # Digest-cache counters are process-global (the cache lives on the
     # message instances, not on a sim or network), so they are always
     # reported; probes = every digest_of() call in the process.
@@ -115,15 +79,13 @@ def format_subsystems(counters: Dict[str, Dict[str, Any]]) -> str:
     return "\n".join(lines)
 
 
-def profile_report(profiler: cProfile.Profile,
-                   counters: Optional[Dict[str, Dict[str, Any]]] = None,
-                   sort: str = "cumulative",
-                   limit: int = DEFAULT_LIMIT) -> str:
-    """The combined report ``repro profile`` prints: subsystem counters
-    first (what the hot loops did), then the top of the wall-clock
-    profile (where the time went)."""
-    parts = []
-    if counters:
-        parts.append(format_subsystems(counters))
-    parts.append(format_stats(profiler, sort=sort, limit=limit))
-    return "\n\n".join(parts)
+def profile_report(profiler: cProfile.Profile, runtime: Any,
+                   sort: str = "cumulative", limit: int = 25) -> str:
+    """The report ``repro profile`` prints: the run's subsystem counters
+    first (what the hot loops did), then the top ``limit`` rows of the
+    wall-clock profile sorted by ``sort``, any pstats key (where the
+    time went)."""
+    stream = io.StringIO()
+    pstats.Stats(profiler, stream=stream).sort_stats(sort).print_stats(limit)
+    return (format_subsystems(subsystem_counters(runtime)) + "\n\n"
+            + stream.getvalue().rstrip())

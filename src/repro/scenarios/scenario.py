@@ -24,7 +24,7 @@ prove that a fixed-leader baseline stalls, which the paper already grants.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, FrozenSet, Mapping, Optional
+from typing import Any, Callable, FrozenSet, Mapping, Optional
 
 from repro.common.config import ClusterConfig, ProtocolName
 from repro.faults.injector import FaultSchedule
@@ -69,8 +69,8 @@ class Scenario:
         convicted: when set, exactly these replica ids must end the run
             convicted by the benign replicas' fault detectors -- asserting
             *which* replica is blamed, not merely that someone is.
-        check_liveness: arm the liveness checker.
-        liveness_bound_ms: tolerated commit-free window while healthy.
+        liveness_bound_ms: tolerated commit-free window while healthy;
+            None leaves the liveness checker unarmed.
         min_committed: floor on total client-visible commits.
         offered_load_rps: when set, the cell runs the open-loop cohort
             driver at this aggregate arrival rate instead of the closed
@@ -92,8 +92,7 @@ class Scenario:
     expect_anarchy: bool = False
     expect_detection: bool = False
     convicted: Optional[FrozenSet[int]] = None
-    check_liveness: bool = True
-    liveness_bound_ms: float = 2_500.0
+    liveness_bound_ms: Optional[float] = 2_500.0
     min_committed: int = 1
     offered_load_rps: Optional[float] = None
     cohorts: int = 2
@@ -114,14 +113,3 @@ class Scenario:
     def applies_to(self, protocol: ProtocolName) -> bool:
         """Is a ``(protocol, self)`` cell in scope?"""
         return self.protocols is None or protocol in self.protocols
-
-    def workload_kwargs(self) -> Dict[str, Any]:
-        """Keyword arguments for :class:`WorkloadConfig`."""
-        kwargs = dict(num_clients=self.num_clients,
-                      request_size=self.request_size,
-                      duration_ms=self.duration_ms,
-                      warmup_ms=self.warmup_ms)
-        if self.offered_load_rps is not None:
-            kwargs.update(offered_load_rps=self.offered_load_rps,
-                          cohorts=self.cohorts)
-        return kwargs

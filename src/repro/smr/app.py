@@ -55,6 +55,11 @@ class StateMachine(ABC):
     def restore(self, snapshot: Any) -> None:
         """Replace the state with ``snapshot`` (state transfer)."""
 
+    def benchmark_op(self, client_id: int, seq: int) -> Any:
+        """The operation a benchmark client sends as its ``seq``-th
+        request: by default the counter itself."""
+        return seq
+
 
 class NullService(StateMachine):
     """The microbenchmark application: no execution work, sized replies.

@@ -1,18 +1,1 @@
 """Benchmark workloads: closed/open-loop drivers and metrics collection."""
-
-from repro.workloads.clients import (
-    ClosedLoopDriver,
-    WorkloadDriver,
-    make_driver,
-)
-from repro.workloads.cohorts import CohortDriver
-from repro.workloads.metrics import LatencyRecorder, ThroughputRecorder
-
-__all__ = [
-    "ClosedLoopDriver",
-    "CohortDriver",
-    "LatencyRecorder",
-    "ThroughputRecorder",
-    "WorkloadDriver",
-    "make_driver",
-]

@@ -5,14 +5,13 @@ current request before issuing a new request" (Section 5.1.3).  The
 closed-loop driver below implements exactly that; the open-loop
 :class:`~repro.workloads.cohorts.CohortDriver` models arrival-rate-driven
 load instead.  Both share the :class:`WorkloadDriver` interface so the
-harness (`ClusterRuntime` users, the scenario matrix, the Fig 7/9/10
-benchmarks) can accept either; :func:`make_driver` picks the one the
-workload config asks for.
+run path (:func:`repro.harness.runner.run_cell`) can accept either;
+:func:`make_driver` picks the one the workload config asks for.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Callable, Optional
 
 from repro.common.config import WorkloadConfig
 from repro.smr.runtime import ClusterRuntime
@@ -25,16 +24,17 @@ class WorkloadDriver:
     Args:
         runtime: the cluster to drive.
         workload: sizes, duration, warmup, and (for the open loop) rates.
-        op_factory: builds the next operation for a client
-            (default: a monotone counter op for the null service).
+
+    Each request carries the operation the replicated application names
+    as its benchmark (:meth:`~repro.smr.app.StateMachine.benchmark_op`),
+    so an application is only ever driven with operations it accepts.
     """
 
-    def __init__(self, runtime: ClusterRuntime, workload: WorkloadConfig,
-                 op_factory: Optional[Callable[[int, int], Any]] = None
-                 ) -> None:
+    def __init__(self, runtime: ClusterRuntime,
+                 workload: WorkloadConfig) -> None:
         self.runtime = runtime
         self.workload = workload
-        self.op_factory = op_factory or (lambda client_id, seq: seq)
+        self.benchmark_op = runtime.replicas[0].app.benchmark_op
         self.latency = LatencyRecorder(warmup_ms=workload.warmup_ms)
         self.throughput = ThroughputRecorder(warmup_ms=workload.warmup_ms)
         self._issued: dict = {}
@@ -54,7 +54,7 @@ class WorkloadDriver:
         """Next (seq, op) pair for ``client_id``'s request stream."""
         seq = self._issued.get(client_id, 0) + 1
         self._issued[client_id] = seq
-        return seq, self.op_factory(client_id, seq)
+        return seq, self.benchmark_op(client_id, seq)
 
     @property
     def measured_duration_ms(self) -> float:
@@ -113,12 +113,11 @@ class ClosedLoopDriver(WorkloadDriver):
         client.propose(op, size_bytes=self.workload.request_size)
 
 
-def make_driver(runtime: ClusterRuntime, workload: WorkloadConfig,
-                op_factory: Optional[Callable[[int, int], Any]] = None
-                ) -> WorkloadDriver:
+def make_driver(runtime: ClusterRuntime,
+                workload: WorkloadConfig) -> WorkloadDriver:
     """Build the driver the workload config selects: the open-loop cohort
     driver when ``offered_load_rps`` is set, closed loop otherwise."""
     if workload.open_loop:
         from repro.workloads.cohorts import CohortDriver
-        return CohortDriver(runtime, workload, op_factory)
-    return ClosedLoopDriver(runtime, workload, op_factory)
+        return CohortDriver(runtime, workload)
+    return ClosedLoopDriver(runtime, workload)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from typing import Any, Callable, Deque, Dict, List, Optional
+from typing import Any, Callable, Deque, Dict, List
 
 from repro.common.config import WorkloadConfig
 from repro.common.errors import ConfigurationError
@@ -121,10 +121,9 @@ class CohortDriver(WorkloadDriver):
     partitioned round-robin over the cohorts as the channel pool.
     """
 
-    def __init__(self, runtime: ClusterRuntime, workload: WorkloadConfig,
-                 op_factory: Optional[Callable[[int, int], Any]] = None
-                 ) -> None:
-        super().__init__(runtime, workload, op_factory)
+    def __init__(self, runtime: ClusterRuntime,
+                 workload: WorkloadConfig) -> None:
+        super().__init__(runtime, workload)
         if not workload.open_loop:
             raise ConfigurationError(
                 "CohortDriver needs workload.offered_load_rps set")
@@ -136,7 +135,7 @@ class CohortDriver(WorkloadDriver):
         self._offered_measured = 0
         #: Commits that arrived without a matching arrival stamp
         #: (duplicate/late completions); their latency samples are
-        #: unrecoverable and the count is surfaced via ExperimentResult.
+        #: unrecoverable and the ledger reports the count.
         self.dropped_samples = 0
         self.cohorts = [
             _Cohort(self, index, channels[index::cohorts], rate_per_ms,

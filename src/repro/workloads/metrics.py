@@ -20,7 +20,6 @@ class LatencySummary:
     count: int
     mean: float
     p50: float
-    p95: float
     p99: float
     maximum: float
 
@@ -57,7 +56,6 @@ class LatencyRecorder:
             count=n,
             mean=sum(ordered) / n,
             p50=pct(0.50),
-            p95=pct(0.95),
             p99=pct(0.99),
             maximum=ordered[-1],
         )

@@ -33,6 +33,9 @@ def zk_write_op(client_id: int, seq: int,
 class CoordinationService(StateMachine):
     """Replicated ZooKeeper-like service."""
 
+    #: Figure 10's operation: each client writes its own znode.
+    benchmark_op = staticmethod(zk_write_op)
+
     def __init__(self) -> None:
         self.tree = DataTree()
         self.tree.create("/bench", b"")

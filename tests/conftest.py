@@ -12,6 +12,7 @@ from repro.crypto.authenticators import NULL
 from repro.crypto.primitives import replica_principal
 from repro.faults.checker import SafetyChecker
 from repro.faults.injector import FaultInjector, FaultSchedule
+from repro.harness import runner
 from repro.harness.matrix import CELL_TIMEOUTS
 from repro.protocols.registry import build_cluster
 from repro.protocols.xpaxos import messages as xmsg
@@ -23,6 +24,36 @@ from repro.workloads.clients import ClosedLoopDriver
 #: Tight timeouts so fault scenarios converge quickly in unit tests --
 #: the same values the scenario conformance cells run under.
 FAST_TIMEOUTS = dict(CELL_TIMEOUTS)
+
+
+@pytest.fixture(scope="session")
+def cell_runs():
+    """``(cell, record)`` for every cell :func:`shared_cells` ran."""
+    return []
+
+
+@pytest.fixture
+def shared_cells(cell_runs, monkeypatch):
+    """``run_cell`` answered from one session-wide memo keyed by the
+    :class:`~repro.harness.runner.Cell` value: a test that asks for a
+    cell already run gets the same record instead of a second identical
+    run.  The records keep no runtime: a session holding every shared
+    cell's cluster would slow each later garbage collection.  It stands
+    in for ``repro.harness.runner.run_cell`` during the test, so
+    ``run_cells`` and ``run_matrix`` share the memo too.  Tests that
+    repeat a run on purpose (the determinism checks) do not use it."""
+    run = runner.run_cell
+
+    def memo(cell):
+        for seen, record in cell_runs:
+            if seen == cell:
+                return record
+        record = dataclasses.replace(run(cell), runtime=None)
+        cell_runs.append((cell, record))
+        return record
+
+    monkeypatch.setattr(runner, "run_cell", memo)
+    return memo
 
 
 def make_cluster(protocol=ProtocolName.XPAXOS, t=1, num_clients=3,

@@ -28,20 +28,26 @@ class TestParser:
         ["sweep", "--clients", "0"],
         ["sweep", "--duration", "0"],
         ["sweep", "--t", "3"],
-        ["faults", "--clients", "0"],
-        ["faults", "--duration", "0"],
+        ["sweep", "--request-size", "-5"],
+        ["--uplink", "0", "sweep"],
         ["profile", "fault-free", "--t", "3"],
         ["scenarios", "--scenario", "fault-free", "--t", "0"],
         ["scenarios", "--scenario", "fault-free", "--jobs", "-1"],
+        ["reliability", "--t", "0"],
+        ["reliability", "--nines-benign", "-3"],
+        ["reliability", "--nines-correct", "-3"],
+        ["reliability", "--nines-synchrony", "-3"],
     ], ids=" ".join)
     def test_bad_number_is_a_usage_error(self, argv, capsys):
         # One argparse line and exit 2, not a traceback from deep inside
-        # the run (or, for scenarios, a grid of ERR cells).
+        # the run (or, for scenarios, a grid of ERR cells).  The bad
+        # number is the last option's.
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert f"error: argument {argv[-2]}" in err
+        flag = [arg for arg in argv if arg.startswith("--")][-1]
+        assert f"error: argument {flag}" in err
 
     def test_scenarios_defaults(self):
         args = build_parser().parse_args(["scenarios"])
@@ -145,7 +151,7 @@ class TestCommands:
         assert "fault-free" in out
         assert "anarchy-byzantine-plus-crash" in out
 
-    def test_scenarios_single_cell(self, capsys, tmp_path):
+    def test_scenarios_single_cell(self, capsys, tmp_path, shared_cells):
         import json
 
         out_path = tmp_path / "matrix.json"
@@ -162,10 +168,3 @@ class TestCommands:
         code = main(["scenarios", "--scenario", "no-such"])
         assert code == 2
         assert "unknown scenario" in capsys.readouterr().err
-
-    def test_faults_command_small(self, capsys):
-        code = main(["faults", "--clients", "8", "--duration", "40"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "view changes" in out
-        assert "longest outage" in out

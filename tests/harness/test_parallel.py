@@ -12,14 +12,14 @@ import pytest
 
 from repro.common.config import ClusterConfig, ProtocolName, WorkloadConfig
 from repro.harness import parallel
-from repro.harness.matrix import ERROR, PASS, MatrixRunner
+from repro.harness.matrix import ERROR, PASS, run_matrix
 from repro.harness.parallel import (
     GlobalRngDrawError,
     guard_global_rng,
     parallel_map,
     resolve_jobs,
 )
-from repro.harness.runner import ExperimentRunner
+from repro.harness.runner import Cell, ExperimentRunner, sweep
 from repro.net.latency import LatencyModel
 from repro.scenarios.scenario import Scenario
 
@@ -133,18 +133,18 @@ class TestMatrixJobs:
         # Perturb the inherited global RNG state differently before each
         # run: a cell path that (illegally) consulted it would diverge.
         random.seed(b"sequential-side")  # repro: lint-ok[D001]
-        seq = MatrixRunner(seed=3).run_matrix(
-            scenarios=[QUICK], protocols=PROTOCOLS, jobs=1)
+        seq = run_matrix(scenarios=[QUICK], protocols=PROTOCOLS, seed=3,
+                         jobs=1)
         random.seed(b"parallel-side")  # repro: lint-ok[D001]
-        par = MatrixRunner(seed=3).run_matrix(
-            scenarios=[QUICK], protocols=PROTOCOLS, jobs=4)
+        par = run_matrix(scenarios=[QUICK], protocols=PROTOCOLS, seed=3,
+                         jobs=4)
         assert seq.to_json() == par.to_json()
         assert [c.status for c in par.cells] == [PASS] * len(PROTOCOLS)
         assert par.format_grid() == seq.format_grid()
 
     def test_worker_crash_fails_that_cell_only(self):
-        result = MatrixRunner(seed=0).run_matrix(
-            scenarios=[EXPLODING, QUICK], protocols=PROTOCOLS, jobs=2)
+        result = run_matrix(scenarios=[EXPLODING, QUICK],
+                            protocols=PROTOCOLS, jobs=2)
         by_scenario = {}
         for cell in result.cells:
             by_scenario.setdefault(cell.scenario, []).append(cell)
@@ -156,17 +156,16 @@ class TestMatrixJobs:
             assert cell.status == PASS, cell.detail
         # The error rendering is itself deterministic: the sequential
         # path records the identical matrix.
-        seq = MatrixRunner(seed=0).run_matrix(
-            scenarios=[EXPLODING, QUICK], protocols=PROTOCOLS, jobs=1)
+        seq = run_matrix(scenarios=[EXPLODING, QUICK], protocols=PROTOCOLS,
+                         jobs=1)
         assert seq.to_json() == result.to_json()
 
     def test_global_rng_draw_on_cell_path_is_rejected(self):
         # The seeding audit, enforced at runtime: a cell drawing from the
         # module-level stream errors instead of silently breaking
         # cross-process determinism -- and only that cell is lost.
-        result = MatrixRunner(seed=0).run_matrix(
-            scenarios=[GLOBAL_DRAW, QUICK],
-            protocols=[ProtocolName.XPAXOS], jobs=2)
+        result = run_matrix(scenarios=[GLOBAL_DRAW, QUICK],
+                            protocols=[ProtocolName.XPAXOS], jobs=2)
         draw_cell, quick_cell = result.cells
         assert draw_cell.status == ERROR
         assert "GlobalRngDrawError" in draw_cell.detail
@@ -177,33 +176,31 @@ class TestMatrixJobs:
             raise AssertionError("jobs=1 must stay in-process")
 
         monkeypatch.setattr(parallel, "_pool_map", no_pool)
-        result = MatrixRunner(seed=0).run_matrix(
-            scenarios=[QUICK], protocols=[ProtocolName.XPAXOS], jobs=1)
+        result = run_matrix(scenarios=[QUICK],
+                            protocols=[ProtocolName.XPAXOS], jobs=1)
         assert result.cells[0].status == PASS
 
 
 class TestSweepJobs:
     @staticmethod
-    def _runner():
-        return ExperimentRunner(
+    def _cells(workloads):
+        deployment = ExperimentRunner(
             latency_factory=lambda seed: LatencyModel.uniform(
-                ["CA", "VA", "JP"], one_way_ms=1.0, seed=seed),
-            seed=2)
-
-    @staticmethod
-    def _config():
-        return ClusterConfig(t=1, protocol=ProtocolName.XPAXOS,
-                             delta_ms=50.0, request_retransmit_ms=500.0,
-                             view_change_timeout_ms=1_000.0,
-                             batch_timeout_ms=2.0)
+                ["CA", "VA", "JP"], one_way_ms=1.0, seed=seed))
+        config = ClusterConfig(t=1, protocol=ProtocolName.XPAXOS,
+                               delta_ms=50.0, request_retransmit_ms=500.0,
+                               view_change_timeout_ms=1_000.0,
+                               batch_timeout_ms=2.0)
+        return [Cell(config, workload, deployment=deployment, seed=2)
+                for workload in workloads]
 
     def test_parallel_sweep_matches_sequential(self):
         workloads = [WorkloadConfig(num_clients=count, request_size=64,
                                     duration_ms=600.0, warmup_ms=100.0,
                                     seed=count)
                      for count in (1, 2, 3)]
-        seq = self._runner().run_points(self._config(), workloads, jobs=1)
-        par = self._runner().run_points(self._config(), workloads, jobs=3)
+        seq = sweep(self._cells(workloads), jobs=1)
+        par = sweep(self._cells(workloads), jobs=3)
         assert seq == par
         assert [r.num_clients for r in par] == [1, 2, 3]
 
@@ -212,4 +209,4 @@ class TestSweepJobs:
                                   duration_ms=600.0, warmup_ms=100.0,
                                   client_site="NOT-A-SITE")
         with pytest.raises(RuntimeError, match="sweep point"):
-            self._runner().run_points(self._config(), [workload], jobs=2)
+            sweep(self._cells([workload]), jobs=2)

@@ -5,18 +5,20 @@ import pytest
 from repro.common.config import ClusterConfig, ProtocolName, WorkloadConfig
 from repro.crypto.costs import CostModel
 from repro.faults.injector import FaultSchedule
-from repro.harness.runner import ExperimentRunner, _zero_gaps
+from repro.harness.runner import (
+    Cell,
+    ExperimentRunner,
+    _zero_gaps,
+    run_cell,
+    sweep,
+)
 from repro.net.latency import LatencyModel
 
-
-def lan_runner(**kwargs):
-    return ExperimentRunner(
-        latency_factory=lambda seed: LatencyModel.uniform(
-            ["CA", "VA", "JP", "EU", "OR", "AU", "SG"], one_way_ms=1.0,
-            seed=seed),
-        cost_model=CostModel.free(),
-        **kwargs,
-    )
+LAN = ExperimentRunner(
+    latency_factory=lambda seed: LatencyModel.uniform(
+        ["CA", "VA", "JP", "EU", "OR", "AU", "SG"], one_way_ms=1.0,
+        seed=seed),
+    cost_model=CostModel.free())
 
 
 def fast_config(protocol=ProtocolName.XPAXOS, **overrides):
@@ -26,12 +28,11 @@ def fast_config(protocol=ProtocolName.XPAXOS, **overrides):
                          batch_timeout_ms=2.0, **overrides)
 
 
-class TestRunPoint:
+class TestRunCell:
     def test_result_fields_populated(self):
-        runner = lan_runner()
         workload = WorkloadConfig(num_clients=4, request_size=128,
                                   duration_ms=1_000.0, warmup_ms=100.0)
-        result = runner.run_point(fast_config(), workload)
+        result = run_cell(Cell(fast_config(), workload, deployment=LAN))
         assert result.protocol == "xpaxos"
         assert result.num_clients == 4
         assert result.throughput_kops > 0
@@ -39,57 +40,65 @@ class TestRunPoint:
         assert result.committed > 0
         assert result.timeouts == 0
         assert len(result.cpu_by_replica) == 3
+        # The checkers' verdicts and the cluster as the run left it.
+        assert result.safety_violations == []
+        assert not result.anarchy_observed
+        assert result.all_commits >= result.committed
+        assert result.runtime.sim.now == workload.duration_ms
 
     def test_cpu_accounting_nonzero_with_cost_model(self):
-        runner = ExperimentRunner(
+        deployment = ExperimentRunner(
             latency_factory=lambda seed: LatencyModel.uniform(
                 ["CA", "VA", "JP"], one_way_ms=1.0, seed=seed),
             cost_model=CostModel())
         workload = WorkloadConfig(num_clients=4, request_size=128,
                                   duration_ms=1_000.0, warmup_ms=100.0)
-        result = runner.run_point(fast_config(), workload)
+        result = run_cell(Cell(fast_config(), workload,
+                               deployment=deployment))
         assert result.cpu_percent_most_loaded > 0
 
     def test_deterministic_across_identical_runs(self):
         workload = WorkloadConfig(num_clients=3, request_size=128,
                                   duration_ms=800.0, warmup_ms=100.0)
-        a = lan_runner(seed=5).run_point(fast_config(), workload)
-        b = lan_runner(seed=5).run_point(fast_config(), workload)
+        a = run_cell(Cell(fast_config(), workload, deployment=LAN, seed=5))
+        b = run_cell(Cell(fast_config(), workload, deployment=LAN, seed=5))
         assert a.throughput_kops == b.throughput_kops
         assert a.mean_latency_ms == b.mean_latency_ms
 
 
-class TestRunPoints:
+class TestSweep:
     def test_throughput_increases_with_clients(self):
-        runner = lan_runner()
-        workloads = [WorkloadConfig(num_clients=count, request_size=128,
-                                    duration_ms=1_000.0, warmup_ms=100.0)
-                     for count in (1, 8, 32)]
-        results = runner.run_points(fast_config(), workloads)
+        results = sweep([
+            Cell(fast_config(),
+                 WorkloadConfig(num_clients=count, request_size=128,
+                                duration_ms=1_000.0, warmup_ms=100.0),
+                 deployment=LAN)
+            for count in (1, 8, 32)])
         assert [r.num_clients for r in results] == [1, 8, 32]
         assert results[2].throughput_kops > results[0].throughput_kops
 
 
-def fault_runner():
-    return ExperimentRunner(
-        latency_factory=lambda seed: LatencyModel.uniform(
-            ["CA", "VA", "JP"], one_way_ms=1.0, seed=seed),
-        cost_model=CostModel.free())
+FAULT_LAN = ExperimentRunner(
+    latency_factory=lambda seed: LatencyModel.uniform(
+        ["CA", "VA", "JP"], one_way_ms=1.0, seed=seed),
+    cost_model=CostModel.free())
 
 
-def fault_config(protocol=ProtocolName.XPAXOS):
-    return ClusterConfig(t=1, protocol=protocol, delta_ms=50.0,
-                         request_retransmit_ms=300.0,
-                         view_change_timeout_ms=600.0, batch_timeout_ms=2.0)
+def fault_cell(workload, schedule, protocol=ProtocolName.XPAXOS,
+               deployment=FAULT_LAN):
+    config = ClusterConfig(t=1, protocol=protocol, delta_ms=50.0,
+                           request_retransmit_ms=300.0,
+                           view_change_timeout_ms=600.0,
+                           batch_timeout_ms=2.0)
+    return Cell(config, workload, schedule, deployment=deployment)
 
 
-class TestRunPointUnderFaults:
+class TestRunCellUnderFaults:
     def test_crash_produces_gap_then_recovery(self):
         workload = WorkloadConfig(num_clients=4, request_size=128,
                                   duration_ms=8_000.0, warmup_ms=100.0)
         schedule = FaultSchedule().crash_for(2_000.0, 1, 1_000.0)
-        result = fault_runner().run_point(fault_config(), workload,
-                                          schedule=schedule)
+        result = run_cell(fault_cell(workload, schedule))
         assert result.committed > 500
         # Views rotated at least once per affected replica.
         assert max(result.final_views.values()) >= 1
@@ -105,8 +114,8 @@ class TestRunPointUnderFaults:
         workload = WorkloadConfig(num_clients=4, request_size=128,
                                   duration_ms=3_000.0, warmup_ms=100.0)
         schedule = FaultSchedule().suspect(500.0, 1)
-        result = lan_runner().run_point(fault_config(protocol), workload,
-                                        schedule=schedule)
+        result = run_cell(fault_cell(workload, schedule, protocol,
+                                     deployment=LAN))
         assert result.committed > 0
         assert min(result.final_views.values()) >= 1
         assert sum(result.view_changes.values()) >= 1
@@ -114,8 +123,7 @@ class TestRunPointUnderFaults:
     def test_fault_free_run_has_no_gaps(self):
         workload = WorkloadConfig(num_clients=4, request_size=128,
                                   duration_ms=3_000.0, warmup_ms=100.0)
-        result = fault_runner().run_point(fault_config(), workload,
-                                          schedule=FaultSchedule())
+        result = run_cell(fault_cell(workload, FaultSchedule()))
         assert result.longest_gap_ms() == 0.0
         assert all(v == 0 for v in result.final_views.values())
 
@@ -125,8 +133,7 @@ class TestRunPointUnderFaults:
         workload = WorkloadConfig(num_clients=4, request_size=128,
                                   duration_ms=5_000.0, warmup_ms=100.0)
         schedule = FaultSchedule().crash(1_500.0, 1).crash(1_500.0, 2)
-        result = fault_runner().run_point(fault_config(), workload,
-                                          schedule=schedule)
+        result = run_cell(fault_cell(workload, schedule))
         assert result.committed > 0
         assert result.recovery_gaps_ms == [3_000.0]
 

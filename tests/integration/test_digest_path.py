@@ -15,7 +15,8 @@ import pytest
 
 from repro.common.config import ProtocolName
 from repro.crypto.primitives import digest_cache_stats
-from repro.harness.matrix import PASS, MatrixRunner
+from repro.harness.matrix import PASS, grade, scenario_cell
+from repro.harness.runner import run_cell
 from repro.scenarios.library import get_scenario
 
 #: ``digest_of`` calls per committed request in the fault-free common case
@@ -42,21 +43,17 @@ COMMON_CASE_BUDGET = {
 }
 
 
-def run_cell(protocol, scenario):
+def run_graded(protocol, scenario):
     """Run one cell; returns its grade, the ``digest_of`` calls it made
     by kind, and the number of view changes its replicas completed."""
-    view_changes = []
-
-    def probe(runtime):
-        view_changes.append(max(r.view_changes_completed
-                                for r in runtime.replicas))
-
+    cell = scenario_cell(protocol, scenario)
     before = digest_cache_stats()
-    result = MatrixRunner(seed=0).run_cell(protocol, scenario, probe=probe)
+    record = run_cell(cell)
     after = digest_cache_stats()
+    result = grade(protocol, scenario, record)
     assert result.status == PASS, result
     digests = {key: after[key] - before[key] for key in after}
-    return result, digests, view_changes[0]
+    return result, digests, max(record.view_changes.values())
 
 
 def common_case_digests(protocol):
@@ -64,7 +61,7 @@ def common_case_digests(protocol):
     scenario = dataclasses.replace(
         get_scenario("fault-free"), duration_ms=1_000.0, warmup_ms=100.0,
         num_clients=16)
-    result, digests, view_changes = run_cell(protocol, scenario)
+    result, digests, view_changes = run_graded(protocol, scenario)
     assert result.committed > 1_000 and view_changes == 0
     return digests, result.committed
 
@@ -87,7 +84,7 @@ def test_baseline_common_case_stays_within_its_digest_budget(protocol):
 
 
 def test_memo_engages_on_the_general_path_view_change():
-    _, digests, view_changes = run_cell(
+    _, digests, view_changes = run_graded(
         ProtocolName.XPAXOS, get_scenario("crash-primary-t2"))
     assert view_changes > 0
     # VIEW-CHANGE messages re-digested inside every VC-FINAL set, and

@@ -152,7 +152,7 @@ class TestDepthOneGolden:
         monkeypatch.setattr(
             matrix_mod, "CELL_TIMEOUTS",
             dict(matrix_mod.CELL_TIMEOUTS, pipeline_depth=1))
-        result = matrix_mod.MatrixRunner().run_matrix(
+        result = matrix_mod.run_matrix(
             scenarios=[get_scenario(name) for name in SMOKE_CLOSED_LOOP])
         got = {(c["scenario"], c["protocol"]): c
                for c in json.loads(result.to_json())["cells"]}

@@ -24,6 +24,13 @@ from repro.smr.app import KVStore
 from repro.workloads.clients import ClosedLoopDriver
 
 
+class SoakStore(KVStore):
+    """Benchmark clients cycle each over 50 keys of their own."""
+
+    def benchmark_op(self, client_id, seq):
+        return ("put", f"key-{client_id}-{seq % 50}", seq)
+
+
 @pytest.mark.parametrize("seed", [11, 23])
 def test_xpaxos_soak(seed):
     config = ClusterConfig(
@@ -36,7 +43,7 @@ def test_xpaxos_soak(seed):
         use_lazy_replication=True,
     )
     runtime = build_cluster(
-        config, num_clients=8, app_factory=KVStore,
+        config, num_clients=8, app_factory=SoakStore,
         latency=LatencyModel.ec2(seed=seed),
         bandwidth=BandwidthModel(), seed=seed)
     checker = SafetyChecker(runtime)
@@ -56,8 +63,7 @@ def test_xpaxos_soak(seed):
     driver = ClosedLoopDriver(
         runtime,
         WorkloadConfig(num_clients=8, request_size=512,
-                       duration_ms=duration, warmup_ms=1_000.0),
-        op_factory=lambda cid, seq: ("put", f"key-{cid}-{seq % 50}", seq))
+                       duration_ms=duration, warmup_ms=1_000.0))
     driver.run()
     # Quiesce.
     runtime.sim.run(until=duration + 20_000.0)

@@ -15,13 +15,14 @@ from pathlib import Path
 import pytest
 
 from repro.common.config import ProtocolName
-from repro.faults.checker import check_exactly_once
 from repro.harness.matrix import (
     EXPECTED_VIOLATION,
     FAIL,
-    MatrixRunner,
     PASS,
     SKIPPED,
+    grade,
+    run_matrix,
+    scenario_cell,
 )
 from repro.scenarios import builtin_scenarios, get_scenario
 
@@ -45,15 +46,24 @@ KNOWN_REPEATS = {
 }
 
 
+def graded(shared_cells, protocol, scenario, seed=0):
+    """One in-scope cell, run (or shared) and graded."""
+    return grade(protocol, scenario,
+                 shared_cells(scenario_cell(protocol, scenario, seed)),
+                 seed)
+
+
 @pytest.mark.parametrize("protocol", list(ProtocolName),
                          ids=[p.value for p in ProtocolName])
 @pytest.mark.parametrize("scenario", SCENARIOS,
                          ids=[s.name for s in SCENARIOS])
 class TestConformanceMatrix:
-    def test_cell(self, scenario, protocol):
-        runtimes = []
-        cell = MatrixRunner(seed=0).run_cell(protocol, scenario,
-                                             probe=runtimes.append)
+    def test_cell(self, scenario, protocol, shared_cells):
+        if scenario.applies_to(protocol):
+            record = shared_cells(scenario_cell(protocol, scenario))
+            cell = grade(protocol, scenario, record)
+        else:
+            cell = run_matrix([scenario], [protocol]).cells[0]
         # Compared as the golden stores it (JSON: tuples become lists).
         assert json.loads(json.dumps(asdict(cell))) \
             == GOLDEN[(scenario.name, protocol.value)]
@@ -71,10 +81,7 @@ class TestConformanceMatrix:
         assert cell.safety_violations == 0
         assert not cell.anarchy_observed
         # Exactly once: no benign replica executes a request twice.
-        traces = {r.replica_id: r.execution_trace
-                  for r in runtimes[0].replicas
-                  if r.replica_id not in scenario.adversaries}
-        assert check_exactly_once(traces) == KNOWN_REPEATS.get(
+        assert record.repeats == KNOWN_REPEATS.get(
             (scenario.name, protocol.value), [])
 
 
@@ -82,84 +89,79 @@ class TestCellGrading:
     def test_out_of_scope_cell_is_skipped(self):
         # Byzantine scenarios need the non-crash adversary hook, which
         # only XPaxos models -- the last genuinely out-of-scope cells.
-        cell = MatrixRunner().run_cell(
-            ProtocolName.PBFT, get_scenario("byzantine-primary-data-loss"))
+        result = run_matrix([get_scenario("byzantine-primary-data-loss")],
+                            [ProtocolName.PBFT])
+        cell = result.cells[0]
         assert cell.status == SKIPPED and cell.ok
 
-    def test_crash_primary_now_in_scope_for_baselines(self):
+    def test_crash_primary_now_in_scope_for_baselines(self, shared_cells):
         """The baseline view-change work brought the leader-fault cells
         into scope: a crashed PBFT primary must no longer stall the
         protocol forever."""
-        cell = MatrixRunner(seed=0).run_cell(ProtocolName.PBFT,
-                                             get_scenario("crash-primary"))
+        cell = graded(shared_cells, ProtocolName.PBFT,
+                      get_scenario("crash-primary"))
         assert cell.status == PASS, cell.detail
         assert cell.liveness_violations == 0
 
-    def test_detection_expectation_enforced(self):
+    def test_detection_expectation_enforced(self, shared_cells):
         scenario = get_scenario("byzantine-primary-data-loss")
-        cell = MatrixRunner(seed=0).run_cell(ProtocolName.XPAXOS, scenario)
+        cell = graded(shared_cells, ProtocolName.XPAXOS, scenario)
         assert cell.status == PASS and cell.detection_ok
 
-    def test_convicted_expectation_names_the_culprit(self):
+    def test_convicted_expectation_names_the_culprit(self, shared_cells):
         """The detection scenarios assert *which* replica the fault
         detector convicts, not merely that someone is."""
         scenario = get_scenario("byzantine-primary-data-loss")
         assert scenario.convicted == frozenset({0})
-        cell = MatrixRunner(seed=0).run_cell(ProtocolName.XPAXOS, scenario)
+        cell = graded(shared_cells, ProtocolName.XPAXOS, scenario)
         assert cell.convicted == [0]
         assert cell.status == PASS
 
-    def test_wrong_convicted_expectation_fails_the_cell(self):
+    def test_wrong_convicted_expectation_fails_the_cell(self, shared_cells):
         import dataclasses
 
         scenario = dataclasses.replace(
             get_scenario("byzantine-primary-data-loss"),
             convicted=frozenset({2}))
-        cell = MatrixRunner(seed=0).run_cell(ProtocolName.XPAXOS, scenario)
+        cell = graded(shared_cells, ProtocolName.XPAXOS, scenario)
         assert cell.status == FAIL
         assert "convicted" in cell.detail
 
-    def test_t2_scenario_runs_five_replica_clusters(self):
+    def test_t2_scenario_runs_five_replica_clusters(self, shared_cells):
         scenario = get_scenario("crash-two-followers-t2")
-        runner = MatrixRunner(seed=0)
-        config = runner.base_config(ProtocolName.PAXOS, scenario)
+        config = scenario_cell(ProtocolName.PAXOS, scenario).config
         assert config.t == 2 and config.n == 5
-        cell = runner.run_cell(ProtocolName.PAXOS, scenario)
+        cell = graded(shared_cells, ProtocolName.PAXOS, scenario)
         assert cell.status == PASS, cell.detail
 
     def test_same_seed_is_byte_identical(self):
         scenario = get_scenario("crash-follower")
         runs = []
         for _ in range(2):
-            runner = MatrixRunner(seed=5)
-            result = runner.run_matrix(scenarios=[scenario],
-                                       protocols=[ProtocolName.XPAXOS])
+            result = run_matrix(scenarios=[scenario],
+                                protocols=[ProtocolName.XPAXOS], seed=5)
             runs.append(result.to_json())
         assert runs[0] == runs[1]
 
-    def test_invariants_hold_across_seeds(self):
+    def test_invariants_hold_across_seeds(self, shared_cells):
         scenario = get_scenario("fault-free")
-        cells = [MatrixRunner(seed=seed).run_cell(ProtocolName.XPAXOS,
-                                                  scenario)
+        cells = [graded(shared_cells, ProtocolName.XPAXOS, scenario, seed)
                  for seed in (0, 1)]
         assert all(c.status == PASS for c in cells)
         assert all(c.seed == seed for c, seed in zip(cells, (0, 1)))
 
-    def test_grid_formats_every_cell(self):
-        runner = MatrixRunner(seed=0)
-        result = runner.run_matrix(
-            scenarios=[get_scenario("fault-free")],
-            protocols=list(ProtocolName))
+    def test_grid_formats_every_cell(self, shared_cells):
+        result = run_matrix(scenarios=[get_scenario("fault-free")],
+                            protocols=list(ProtocolName))
         grid = result.format_grid()
         for protocol in ProtocolName:
             assert protocol.value in grid
         assert "fault-free" in grid
         assert "5 pass" in grid
 
-    def test_matrix_result_lookup_and_failures(self):
-        result = MatrixRunner(seed=0).run_matrix(
-            scenarios=[get_scenario("fault-free")],
-            protocols=[ProtocolName.PAXOS])
+    def test_matrix_result_lookup_and_failures(self, shared_cells):
+        result = run_matrix(scenarios=[get_scenario("fault-free")],
+                            protocols=[ProtocolName.PAXOS])
         cell = result.cell(ProtocolName.PAXOS, "fault-free")
         assert cell.status == PASS
         assert result.failures == []

@@ -4,6 +4,7 @@ import pytest
 
 from repro.common.config import ClusterConfig, ProtocolName
 from repro.faults.injector import FaultSchedule
+from repro.harness.matrix import scenario_cell
 from repro.scenarios import Scenario, builtin_scenarios, get_scenario
 
 
@@ -43,13 +44,16 @@ class TestScenario:
             Scenario(name="x", description="d",
                      duration_ms=100.0, warmup_ms=100.0)
 
-    def test_workload_kwargs_round_trip(self):
+    def test_cell_workload_round_trip(self):
         scenario = Scenario(name="x", description="d", num_clients=7,
                             request_size=256, duration_ms=5_000.0,
                             warmup_ms=250.0)
-        kwargs = scenario.workload_kwargs()
-        assert kwargs == dict(num_clients=7, request_size=256,
-                              duration_ms=5_000.0, warmup_ms=250.0)
+        workload = scenario_cell(ProtocolName.XPAXOS, scenario).workload
+        assert (workload.num_clients, workload.request_size,
+                workload.duration_ms, workload.warmup_ms) \
+            == (7, 256, 5_000.0, 250.0)
+        assert not workload.open_loop
+        assert workload.client_site == "CA"
 
 
 class TestLibrary:

@@ -1,6 +1,6 @@
 """Every script under ``examples/`` runs to completion as ``__main__``.
 
-The examples call the public API (``ExperimentRunner.run_point``,
+The examples call the public API (``run_cell``, ``run_matrix``,
 ``build_cluster``, the reliability tables), so an API change that breaks
 one fails here instead of only in a reader's shell.
 """

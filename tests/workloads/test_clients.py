@@ -2,10 +2,12 @@
 
 import pytest
 
-from repro.common.config import WorkloadConfig
+from repro.common.config import ClusterConfig, ProtocolName, WorkloadConfig
 from repro.common.errors import ConfigurationError
+from repro.protocols.registry import build_cluster
+from repro.smr.app import NullService
 from repro.workloads.clients import ClosedLoopDriver
-from tests.conftest import make_cluster
+from tests.conftest import FAST_TIMEOUTS, make_cluster
 
 
 class TestClosedLoop:
@@ -43,19 +45,23 @@ class TestClosedLoop:
         assert driver.mean_latency_ms() > 0
         assert driver.latency.summary().count == driver.throughput.total
 
-    def test_custom_op_factory(self):
-        runtime = make_cluster(num_clients=1)
+    def test_sends_the_apps_benchmark_op(self):
+        class CustomService(NullService):
+            def benchmark_op(self, client_id, seq):
+                return ("custom", client_id, seq)
+
+        config = ClusterConfig(t=1, protocol=ProtocolName.XPAXOS,
+                               **FAST_TIMEOUTS)
+        runtime = build_cluster(config, num_clients=1,
+                                app_factory=CustomService, seed=42)
         seen_ops = []
         runtime.replica(0).on_commit_batch = (
             lambda sn, batch: seen_ops.extend(r.op for r in batch))
         workload = WorkloadConfig(num_clients=1, request_size=64,
                                   duration_ms=200.0, warmup_ms=0.0)
-        driver = ClosedLoopDriver(
-            runtime, workload,
-            op_factory=lambda cid, seq: ("custom", cid, seq))
-        driver.run()
+        ClosedLoopDriver(runtime, workload).run()
         assert seen_ops
-        assert all(op[0] == "custom" for op in seen_ops)
+        assert {op[:2] for op in seen_ops} == {("custom", 0)}
 
 
 class TestStartStagger:
@@ -82,7 +88,9 @@ class TestStartStagger:
 
         sim = Simulator()
         clients = [self._FakeClient(sim, i) for i in range(num_clients)]
-        runtime = SimpleNamespace(sim=sim, clients=clients)
+        runtime = SimpleNamespace(
+            sim=sim, clients=clients,
+            replicas=[SimpleNamespace(app=NullService())])
         workload = WorkloadConfig(num_clients=num_clients, request_size=64,
                                   duration_ms=100.0, warmup_ms=0.0)
         driver = ClosedLoopDriver(runtime, workload)

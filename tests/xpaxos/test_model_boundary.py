@@ -21,11 +21,18 @@ from repro.workloads.clients import ClosedLoopDriver
 from tests.conftest import FAST_TIMEOUTS
 
 
+class PutStore(KVStore):
+    """Benchmark clients each overwrite a key of their own."""
+
+    def benchmark_op(self, client_id, seq):
+        return ("put", f"k{client_id}", seq)
+
+
 def build(seed=0, use_fd=False, num_clients=2):
     config = ClusterConfig(t=1, protocol=ProtocolName.XPAXOS,
                            use_fault_detection=use_fd, **FAST_TIMEOUTS)
     return build_cluster(config, num_clients=num_clients,
-                         app_factory=KVStore, seed=seed)
+                         app_factory=PutStore, seed=seed)
 
 
 def call(runtime, client, op, timeout_ms=4_000.0):
@@ -123,8 +130,7 @@ class TestAnarchyBoundaryIsTight:
         driver = ClosedLoopDriver(
             runtime, WorkloadConfig(num_clients=3, request_size=32,
                                     duration_ms=10_000.0,
-                                    warmup_ms=100.0),
-            op_factory=lambda cid, seq: ("put", f"k{cid}", seq))
+                                    warmup_ms=100.0))
         sim = runtime.sim
         sim.call_at(1_000.0, runtime.replica(0).crash)
         sim.call_at(2_000.0, runtime.replica(0).recover)

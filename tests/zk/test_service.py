@@ -1,9 +1,14 @@
 """Tests for the replicated coordination service."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.common.config import ClusterConfig, ProtocolName, WorkloadConfig
+from repro.harness.matrix import scenario_cell
+from repro.harness.runner import run_cell
 from repro.protocols.registry import build_cluster
+from repro.scenarios.scenario import Scenario
 from repro.workloads.clients import make_driver
 from repro.zk.service import CoordinationService, zk_write_op
 from tests.conftest import FAST_TIMEOUTS
@@ -84,7 +89,7 @@ class TestLocalSemantics:
                                            ()],
                              ids=["int", "none", "str", "list", "empty"])
     def test_non_tuple_operations_are_refused(self, operation):
-        """A bare ``int`` is what a driver without ``zk_write_op`` sends."""
+        """A bare ``int`` is the null service's benchmark operation."""
         service = CoordinationService()
         assert service.execute(operation) == ("error", "BadArguments")
         assert service.execute(("children", "/bench")) == ("ok", ())
@@ -178,24 +183,23 @@ class TestReplicatedService:
         assert len(digests) == 1
 
 
-def _zk_cluster(protocol, num_clients=3, seed=7):
-    config = ClusterConfig(t=1, protocol=protocol, **FAST_TIMEOUTS)
-    runtime = build_cluster(config, num_clients=num_clients,
-                            app_factory=CoordinationService, seed=seed)
-    workload = WorkloadConfig(num_clients=num_clients, request_size=1024,
-                              duration_ms=1_000.0, warmup_ms=100.0)
-    return runtime, workload
+def _zk_cell(protocol):
+    """Three clients writing 1 kB znodes for a second, as a scenario
+    cell (fast timeouts, a uniform LAN) replicating the service."""
+    cell = scenario_cell(protocol, Scenario(
+        name="zk-writes", description="closed-loop znode writes",
+        duration_ms=1_000.0, warmup_ms=100.0, request_size=1_024), seed=7)
+    return replace(cell, deployment=replace(
+        cell.deployment, app_factory=CoordinationService))
 
 
 class TestDrivenWrites:
-    """The closed-loop driver with ``zk_write_op``, as Figure 10 runs it."""
+    """The service's benchmark operation, driven as Figure 10 runs it."""
 
     @pytest.mark.parametrize("protocol", list(ProtocolName),
                              ids=[p.value for p in ProtocolName])
     def test_every_executing_replica_holds_each_writer_znode(self, protocol):
-        runtime, workload = _zk_cluster(protocol)
-        driver = make_driver(runtime, workload, zk_write_op)
-        driver.run()
+        runtime = run_cell(_zk_cell(protocol)).runtime
         writers = [c.client_id for c in runtime.clients if c.completions]
         assert writers == [c.client_id for c in runtime.clients]
         executed = [r for r in runtime.replicas if r.ex]
@@ -204,15 +208,13 @@ class TestDrivenWrites:
             children = replica.app.execute(("children", "/bench"))
             assert children == ("ok", tuple(f"c{i}" for i in writers))
 
-    def test_default_ops_are_refused_by_the_service(self):
-        """Without ``zk_write_op`` the driver's ops commit, but the
-        service refuses every one and its tree stays empty."""
-        runtime, workload = _zk_cluster(ProtocolName.XPAXOS)
-        results = []
-        for client in runtime.clients:
-            client.on_result = results.append
-        make_driver(runtime, workload).run()
-        assert results
-        assert set(results) == {("error", "BadArguments")}
-        for replica in runtime.replicas:
-            assert replica.app.execute(("children", "/bench")) == ("ok", ())
+    def test_the_driver_sends_the_services_own_operation(self):
+        """The driver binds the application's benchmark operation, so the
+        service is never driven with operations it refuses."""
+        config = ClusterConfig(t=1, protocol=ProtocolName.XPAXOS,
+                               **FAST_TIMEOUTS)
+        runtime = build_cluster(config, num_clients=1,
+                                app_factory=CoordinationService, seed=7)
+        workload = WorkloadConfig(num_clients=1, duration_ms=1_000.0,
+                                  warmup_ms=100.0)
+        assert make_driver(runtime, workload).benchmark_op is zk_write_op
