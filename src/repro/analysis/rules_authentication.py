@@ -23,9 +23,9 @@ _SEND_METHODS = frozenset({
     "_fanout_with_self",
 })
 
-#: Functions that bind a class to a policy.  ``register`` is the
-#: registry primitive; ``register_*`` covers wrappers like
-#: ``protocols.base.register_modeled`` (usable as calls or decorators).
+#: Decorators that bind a class to a policy.  ``register(policy)`` is
+#: the registry primitive; ``register_*`` covers wrappers like
+#: ``protocols.base.register_modeled``.
 def _is_register_name(name: str) -> bool:
     return name == "register" or name.startswith("register_")
 
@@ -82,11 +82,13 @@ class UnregisteredWireMessageRule(Rule):
     payload of a transport send -- constructed (``Cls(...)`` or its
     ``Cls.signed(...)`` constructor) directly inside a
     ``send*``/``multicast*`` call, or assigned to a local that is then
-    passed to one -- there must be a static ``register(<Class>,
-    <policy>)`` binding (direct call, ``register_*`` wrapper or
-    decorator, or the tuple-loop idiom ``for _cls in (A, B): ...``).
-    Without it the send raises only at runtime, on whatever rarely-taken
-    path first exercises the message.  Classes never observed in a send
+    passed to one -- there must be a ``@register(<policy>)`` or
+    ``@register_*`` decorator on the class.  Without it the send raises
+    only at runtime, on whatever rarely-taken path first exercises the
+    message.  A call after the definition does not count: ``register``
+    lays the class out anew (``crypto.primitives.wire``) and binds the
+    copy it returns, so the module's name would still be the unbound
+    class.  Classes never observed in a send
     call are exempt: envelope *contents* (``Request`` inside
     ``ClientRequestMsg``) are authenticated by their carrier.
     """
@@ -132,35 +134,12 @@ class UnregisteredWireMessageRule(Rule):
 
     def _collect_registrations(self, tree: ast.Module) -> None:
         for node in ast.walk(tree):
-            if isinstance(node, ast.Call) and _is_register_name(
-                    _callee_name(node.func)):
-                if node.args and isinstance(node.args[0], ast.Name):
-                    self._registered.add(node.args[0].id)
-            elif isinstance(node, ast.ClassDef):
+            if isinstance(node, ast.ClassDef):
                 for dec in node.decorator_list:
                     name = _callee_name(
                         dec.func if isinstance(dec, ast.Call) else dec)
                     if _is_register_name(name):
                         self._registered.add(node.name)
-            elif isinstance(node, ast.For):
-                self._collect_loop_registration(node)
-
-    def _collect_loop_registration(self, node: ast.For) -> None:
-        """``for _cls in (A, B, C): register(_cls, POLICY)``"""
-        if not (isinstance(node.target, ast.Name)
-                and isinstance(node.iter, (ast.Tuple, ast.List))):
-            return
-        loop_var = node.target.id
-        registers_loop_var = any(
-            isinstance(inner, ast.Call)
-            and _is_register_name(_callee_name(inner.func))
-            and inner.args and isinstance(inner.args[0], ast.Name)
-            and inner.args[0].id == loop_var
-            for stmt in node.body for inner in ast.walk(stmt))
-        if registers_loop_var:
-            for element in node.iter.elts:
-                if isinstance(element, ast.Name):
-                    self._registered.add(element.id)
 
     def _collect_sends(self, module: ModuleInfo) -> None:
         """Record which class names flow into transport send calls.
@@ -255,8 +234,8 @@ class UnregisteredWireMessageRule(Rule):
                 path, line,
                 f"message dataclass {name} is passed to a transport "
                 f"send ({sent_path}:{sent_line}) but never bound to an "
-                f"authenticator policy via register(); the runtime will "
-                f"refuse it at send time"))
+                f"authenticator policy by a @register decorator; the "
+                f"runtime will refuse it at send time"))
         return findings
 
 
@@ -271,25 +250,25 @@ def _is_instance_dict(node: ast.AST) -> bool:
 @rule
 class FrozenMessageMutationRule(Rule):
     """``object.__setattr__`` outside ``__post_init__``, or a write into
-    an instance dict outside the one init helper, breaks the
+    an instance dict outside the one layout generator, breaks the
     digest-cache immutability contract.
 
-    The canonical encoder keeps every frozen wire message's encoding on
-    the instance, and carried digests (``Request.body_digest``, the
+    The canonical encoder keeps every wire message's encoding on the
+    instance, and carried digests (``Request.body_digest``, the
     ``payload_digest`` of signed messages) sit there too; none is ever
     invalidated: a message mutated after its first digest would keep
     authenticating under the stale digest, silently defeating content
     tampering detection.  Frozen dataclasses may
     initialise derived fields in ``__post_init__`` (the instance has
     not escaped yet), and ``crypto/primitives.py`` owns the sanctioned
-    writers (the generated constructors, :class:`derived` values and
+    writers (the constructors ``wire`` generates, derived values and
     kept encodings); every other ``object.__setattr__`` is a
-    frozen-instance mutation and is flagged.  A wire message's ``__init__`` writes its instance dict
-    directly; that constructor is generated by ``direct_init`` in
-    ``crypto/primitives.py``, and a write through ``x.__dict__`` or
-    ``vars(x)`` -- subscript assignment, ``del``, ``update`` or
-    ``setdefault`` -- anywhere else is flagged, ``__post_init__``
-    included: it bypasses the frozen ``__setattr__`` just as well.
+    frozen-instance mutation and is flagged.  Wire messages have no
+    instance dict (``wire`` lays them out in slots), but other frozen
+    dataclasses do: a write through ``x.__dict__`` or ``vars(x)`` --
+    subscript assignment, ``del``, ``update`` or ``setdefault`` --
+    outside ``wire`` is flagged, ``__post_init__`` included: it
+    bypasses the frozen ``__setattr__`` just as well.
     """
 
     id = "A002"
@@ -297,7 +276,7 @@ class FrozenMessageMutationRule(Rule):
              "dict write, mutates a frozen message")
 
     #: The one function allowed to write an instance dict.
-    INIT_HELPER = "direct_init"
+    INIT_HELPER = "wire"
 
     def __init__(self) -> None:
         super().__init__()
@@ -321,9 +300,8 @@ class FrozenMessageMutationRule(Rule):
         self.report(
             node,
             "write into an instance dict bypasses the frozen "
-            "__setattr__; only crypto.primitives.direct_init's generated "
-            "__init__ may build a message that way -- derived values are "
-            "crypto.primitives.derived attributes")
+            "__setattr__; build wire messages with crypto.primitives.wire "
+            "-- derived values are a wire class's derived_values")
 
     def visit_Assign(self, node: ast.Assign):
         for target in node.targets:
@@ -365,5 +343,5 @@ class FrozenMessageMutationRule(Rule):
                 "frozen instance; messages are immutable once digested "
                 "(the digest memo is never invalidated) -- initialise "
                 "derived fields in __post_init__, or declare derived "
-                "values with crypto.primitives.derived")
+                "values in a wire class's derived_values")
         self.generic_visit(node)

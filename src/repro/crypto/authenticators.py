@@ -50,7 +50,7 @@ sees -- by the network layer.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Type
+from typing import Any, Callable, Dict, Optional, Type
 
 from repro.crypto.costs import CpuMeter
 from repro.crypto.primitives import (
@@ -60,7 +60,7 @@ from repro.crypto.primitives import (
     Principal,
     _sha256,
     digest_of,
-    direct_init,
+    wire,
 )
 
 #: Wire size of one HMAC-SHA1 authenticator (the paper's channel MAC).
@@ -212,24 +212,23 @@ MODELED_MAC = ModeledMacAuthenticator()
 POLICIES: Dict[Type, Authenticator] = {}
 
 
-def register(message_class: Type, policy: Authenticator) -> Type:
-    """Bind ``message_class`` to an authenticator policy, and give it the
-    cheap constructor of :func:`~repro.crypto.primitives.direct_init`
-    (a wire message is built per send).
+def register(policy: Authenticator) -> Callable[[Type], Type]:
+    """Class decorator: lay the class out as a wire class
+    (:func:`~repro.crypto.primitives.wire`; a wire message is built per
+    send) and bind the class returned to ``policy``.
 
     Idempotent for the same policy; re-binding to a different policy is a
     programming error (two subsystems disagreeing about a channel's
     authentication would silently weaken one of them).
     """
-    current = POLICIES.get(message_class)
-    if current is not None and current is not policy:
-        raise ValueError(
-            f"{message_class.__name__} already registered with "
-            f"{current.name}, refusing {policy.name}")
-    POLICIES[message_class] = policy
-    return direct_init(message_class)
+    def bind(message_class: Type) -> Type:
+        message_class = wire(message_class)
+        current = POLICIES.get(message_class)
+        if current is not None and current is not policy:
+            raise ValueError(
+                f"{message_class.__name__} already registered with "
+                f"{current.name}, refusing {policy.name}")
+        POLICIES[message_class] = policy
+        return message_class
 
-
-def registered_classes() -> Dict[Type, Authenticator]:
-    """A snapshot of the registry (for tests and documentation)."""
-    return dict(POLICIES)
+    return bind

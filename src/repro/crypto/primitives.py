@@ -17,9 +17,15 @@ Implementation notes
 from __future__ import annotations
 
 import hashlib
-from dataclasses import MISSING, dataclass, fields, is_dataclass
+from dataclasses import (
+    MISSING,
+    FrozenInstanceError,
+    dataclass,
+    fields,
+    is_dataclass,
+)
 from operator import itemgetter
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
 #: Canonical principal name of machine ``p``: replicas are ``"r<i>"``,
 #: clients ``"c<i>"``.
@@ -126,114 +132,129 @@ def _canonical_general(obj: Any) -> bytes:
     raise TypeError(f"cannot canonically encode {type(obj).__name__}")
 
 
-#: Writes one attribute of an instance, frozen or not: a
-#: :class:`derived` value's first read and a kept encoding
-#: (:func:`_compile_encoder`) store through it.
+#: Writes one attribute of an instance, frozen or not: a derived value's
+#: first read and a kept encoding (:func:`_compile_encoder`) store
+#: through it.
 _setattr = object.__setattr__
 
+#: The slot where a wire instance keeps its canonical encoding.
+_ENCODING_ATTR = "_canonical_encoding"
 
-class derived:
-    """A value derived from an immutable instance's own fields, stored on
-    the instance and read back as a plain attribute.
 
-    Decorates a zero-argument method.  The code that builds an instance
-    and already holds the value passes it to the constructor by name
-    (:func:`direct_init` gives the generated ``__init__`` a keyword-only
-    parameter per derived value), so it is written once, as the instance
-    is built; an instance built without it computes it from its fields on
-    first read.  Either way every later read is an attribute load: this
-    is a non-data descriptor, and the value stored on the instance
-    shadows it.  Only values computed from the instance's own immutable
-    fields belong here -- never one that feeds back into equality,
-    hashing or the canonical encoding.
+def _frozen(self: Any, name: str, *value: Any) -> None:
+    """``__setattr__`` and ``__delattr__`` of every wire class."""
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _reduce(self: Any) -> Tuple[Any, ...]:
+    """``__reduce__`` of every wire class: rebuild from the fields."""
+    return self.__class__, tuple(getattr(self, f.name) for f in fields(self))
+
+
+def wire(cls: type, keep: bool = True) -> type:
+    """Lay out frozen dataclass ``cls`` as a wire class and return it.
+
+    A wire message is built per send, read by every handler and dropped
+    at the next checkpoint, so its instances carry no dict: the class
+    returned is a copy of ``cls`` (same name, bases, fields and methods)
+    whose instances hold everything in ``__slots__``.  One plan -- the
+    dataclass fields, the names in the class's ``derived_values`` and,
+    if ``keep``, the kept canonical encoding -- gives:
+
+    * the layout: a slot per field, per derived value and for the
+      encoding (:func:`digest_of`; ``keep`` is False only for a class
+      with a fixed encoder, :class:`Digest`);
+    * ``__init__`` (generated as ``<wire Cls>``): the dataclass's
+      parameters and defaults plus one keyword-only parameter per
+      derived value, each stored through its slot's setter when given
+      (the class's own ``__setattr__`` raises), the encoding slot set to
+      None, then ``__post_init__`` if the class has one;
+    * ``__getattr__``: a derived value's first read, when the
+      constructor was not given it, calls the method of the same name
+      (on the class or a base) and fills the slot -- derived values
+      are computed from the instance's own fields and stay outside
+      equality, hashing and the canonical encoding (one without a
+      method is stored by ``__post_init__``, as ``Batch.size_bytes``).
+
+    Equality, hashing, ``repr`` and ``dataclasses.replace`` stay the
+    dataclass's own; a pickled copy is rebuilt from its fields and
+    derives its values afresh (:func:`_reduce`); assignment and
+    deletion raise ``FrozenInstanceError``.  Bases must not give
+    instances a dict (``__slots__ = ()``).  The encoder is compiled from
+    the same fields on the first encode (:func:`_compile_encoder`).
+    Applied by :func:`repro.crypto.authenticators.register` to every
+    wire class, and as a decorator to the classes inside them;
+    idempotent.
     """
-
-    def __init__(self, compute: Callable[[Any], Any]) -> None:
-        self.compute = compute
-        self.name = compute.__name__
-        self.__doc__ = compute.__doc__
-
-    def __get__(self, obj: Any, owner: Optional[type] = None) -> Any:
-        if obj is None:
-            return self
-        value = self.compute(obj)
-        _setattr(obj, self.name, value)
-        return value
-
-
-def _derived_names(cls: type) -> List[str]:
-    """The :class:`derived` attributes of ``cls``, base classes first."""
-    names: List[str] = []
-    for klass in reversed(cls.__mro__):
-        for name, value in vars(klass).items():
-            if isinstance(value, derived) and name not in names:
-                names.append(name)
-    return names
-
-
-def direct_init(cls: type) -> type:
-    """Give frozen dataclass ``cls`` an ``__init__`` that writes its
-    instance dict directly; returns ``cls``.
-
-    A frozen dataclass's generated ``__init__`` stores every field
-    through ``object.__setattr__``, because its own ``__setattr__``
-    raises.  A wire message is built per send, and those per-field calls
-    were most of what building one cost.  The method installed here
-    takes the same parameters with the same defaults, stores the fields
-    in declaration order and then runs ``__post_init__``, if the class
-    has one.  Each :class:`derived` value of the class is one more
-    keyword-only parameter, stored when given.  Everything else stays
-    the dataclass's own: ``__eq__``, ``__hash__``, ``__repr__``,
-    ``dataclasses.replace`` (which passes fields only, so the copy
-    derives its values afresh), pickling, and ``FrozenInstanceError`` on
-    assignment.
-
-    This is the one place instance dicts are written: lint rule A002
-    flags ``x.__dict__[...] = ...`` and ``vars(x)[...] = ...`` anywhere
-    else.  Applied by :func:`repro.crypto.authenticators.register` to
-    every wire class, and as a decorator to the classes that travel
-    inside them.  Classes that are not frozen dataclasses with an
-    instance dict are returned unchanged; idempotent.
-    """
-    if (not is_dataclass(cls) or not cls.__dataclass_params__.frozen
-            or not cls.__dictoffset__
-            or getattr(cls.__init__, "__direct_init__", False)):
+    if cls.__dict__.get("__setattr__") is _frozen:
         return cls
+    if not (is_dataclass(cls) and cls.__dataclass_params__.frozen):
+        raise TypeError(f"wire lays out frozen dataclasses, "
+                        f"not {cls.__name__}")
+    for base in cls.__bases__:
+        if base.__dictoffset__:
+            raise TypeError(f"{base.__name__} gives {cls.__name__} an "
+                            f"instance dict; declare __slots__ = ()")
+    names: List[str] = []
     params: List[str] = []
-    body = ["    store = self.__dict__"]
     defaults: Dict[str, Any] = {}
     for f in fields(cls):
         if not f.init or f.kw_only or f.default_factory is not MISSING:
-            raise TypeError(f"direct_init cannot build field {f.name} of "
+            raise TypeError(f"wire cannot build field {f.name} of "
                             f"{cls.__name__}")
+        names.append(f.name)
         if f.default is MISSING:
             params.append(f.name)
         else:
             defaults[f"_default_{f.name}"] = f.default
             params.append(f"{f.name}=_default_{f.name}")
-        body.append(f"    store[{f.name!r}] = {f.name}")
-    names = _derived_names(cls)
-    if names:
+    derived = list(getattr(cls, "derived_values", ()))
+    compute = {name: getattr(cls, name) for name in derived
+               if callable(getattr(cls, name, None))}
+    slots = names + derived + ([_ENCODING_ATTR] if keep else [])
+    namespace = {key: value for key, value in cls.__dict__.items()
+                 if key not in slots and key not in ("__dict__",
+                                                     "__weakref__")}
+    namespace["__slots__"] = tuple(slots)
+    namespace["__setattr__"] = namespace["__delattr__"] = _frozen
+    namespace["__reduce__"] = _reduce
+    if compute:
+        def __getattr__(self: Any, name: str) -> Any:
+            fill = compute.get(name)
+            if fill is None:
+                raise AttributeError(f"{type(self).__name__!r} object "
+                                     f"has no attribute {name!r}")
+            value = fill(self)
+            _setattr(self, name, value)
+            return value
+
+        namespace["__getattr__"] = __getattr__
+    new = type(cls)(cls.__name__, cls.__bases__, namespace)
+    new.__qualname__ = cls.__qualname__
+
+    body = [f"    _set_{name}(self, {name})" for name in names]
+    if derived:
         params.append("*")
-    for name in names:
+    for name in derived:
         params.append(f"{name}=None")
         body.append(f"    if {name} is not None:\n"
-                    f"        store[{name!r}] = {name}")
+                    f"        _set_{name}(self, {name})")
+    if keep:
+        body.append(f"    _set_{_ENCODING_ATTR}(self, None)")
     if hasattr(cls, "__post_init__"):
         body.append("    self.__post_init__()")
     source = (f"def __init__(self, {', '.join(params)}):\n"
-              + "\n".join(body) + "\n")
-    namespace: Dict[str, Any] = {}
-    exec(compile(source, f"<direct_init {cls.__qualname__}>", "exec"),
-         defaults, namespace)
-    init = namespace["__init__"]
+              + "\n".join(body or ["    pass"]) + "\n")
+    scope = dict(defaults)
+    scope.update((f"_set_{name}", new.__dict__[name].__set__)
+                 for name in slots)
+    exec(compile(source, f"<wire {cls.__qualname__}>", "exec"), scope)
+    init = scope["__init__"]
     init.__qualname__ = f"{cls.__qualname__}.__init__"
-    init.__direct_init__ = True
-    cls.__init__ = init
-    return cls
+    new.__init__ = init
+    return new
 
 
-@direct_init
 @dataclass(frozen=True)
 class Digest:
     """SHA-256 digest of a canonically encoded payload (the paper's D(m))."""
@@ -259,15 +280,14 @@ class Digest:
         return hash(self.value)
 
 
+#: A digest encodes by a fixed rule (``_ENCODERS``) and keeps nothing.
+Digest = wire(Digest, keep=False)  # type: ignore[misc]
+
 _sha256 = hashlib.sha256
 
-#: Where a frozen dataclass instance keeps its canonical encoding (the
-#: class holds ``None`` under the same name, so a read needs no default).
-_ENCODING_ATTR = "_canonical_encoding"
-
-# Digest calls since process start (or the last reset), numbered: the
-# kept-encoding branches of the compiled encoders note which call last
-# reused and which last kept an encoding, and classify that call once.
+# Digest calls since process start, numbered: the kept-encoding
+# branches of the compiled encoders note which call last reused and
+# which last kept an encoding, and classify that call once.
 # An encode outside any digest call (``canonical``) is charged to the
 # call before it.
 _calls = 0
@@ -280,9 +300,9 @@ _store_call = -1
 def digest_of(obj: Any) -> Digest:
     """Compute ``D(obj)`` over the canonical encoding.
 
-    Every frozen dataclass instance met while encoding -- ``obj`` itself
-    or anything nested in it -- keeps its canonical encoding after the
-    first time, so a ``FastCommit`` embedded in sixteen replies, a
+    Every wire instance (:func:`wire`) met while encoding -- ``obj``
+    itself or anything nested in it -- keeps its canonical encoding after
+    the first time, so a ``FastCommit`` embedded in sixteen replies, a
     ``ViewChange`` inside every ``VC-FINAL`` set or a cached reply sent
     again is encoded once per object rather than once per digest.  The
     memo is never invalidated: messages are immutable by contract (lint
@@ -336,16 +356,6 @@ def digest_cache_stats() -> Dict[str, int]:
         "stores": _calls_stored,
         "uncached": _calls - _calls_hit - _calls_stored,
     }
-
-
-def reset_digest_cache_stats() -> None:
-    """Zero the digest-cache counters (profiling harness hook)."""
-    global _calls, _calls_hit, _calls_stored, _hit_call, _store_call
-    _calls = 0
-    _calls_hit = 0
-    _calls_stored = 0
-    _hit_call = -1
-    _store_call = -1
 
 
 class Signature(tuple):
@@ -499,46 +509,28 @@ def _plan_source(cls: type, function: str, keep: bool) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _compile_plan(cls: type, keep: bool) -> Callable[[Any], bytes]:
-    """Generate and return a dataclass encoder (:func:`_plan_source`).
-    Its globals are this module's: the memo counters it bumps, and
-    ``_canonical`` for the values it does not encode inline."""
-    function = "keep" if keep else "encode"
-    source = _plan_source(cls, function, keep)
-    namespace: Dict[str, Any] = {}
-    exec(compile(source, f"<{function} {cls.__qualname__}>", "exec"),
-         globals(), namespace)
-    return namespace[function]
-
-
-def _planned(cls: type) -> bool:
-    """Does ``cls`` encode by a plan of its own (a dataclass that is not
-    also a structural type)?"""
-    return is_dataclass(cls) and not issubclass(cls, _STRUCTURAL)
-
-
-def _keeps(cls: type) -> bool:
-    """Do instances of planned ``cls`` keep their encoding (frozen, with
-    an instance dict)?"""
-    return bool(cls.__dataclass_params__.frozen and cls.__dictoffset__)
-
-
 def _compile_encoder(cls: type) -> Callable[[Any], bytes]:
     """Build, register and return the encoder for instances of ``cls``
     met inside an encoded value.
 
-    A dataclass gets a generated plan (:func:`_plan_source`); instances
-    of a frozen one keep the result (see :func:`digest_of`), and the
-    class holds ``None`` under the kept attribute's name.  Everything
-    else falls back to :func:`_canonical_general`.
+    A dataclass that is not also a structural type gets a generated
+    plan (:func:`_plan_source`): ``<keep Cls>`` for a wire class, whose
+    instances keep the result in their encoding slot (see :func:`wire`
+    and :func:`digest_of`), else ``<encode Cls>``.  Its globals are this
+    module's: the memo counters it bumps, and ``_canonical`` for the
+    values it does not encode inline.  Everything else falls back to
+    :func:`_canonical_general`.
     """
-    if not _planned(cls):
+    if not is_dataclass(cls) or issubclass(cls, _STRUCTURAL):
         encoder = _canonical_general
-    elif _keeps(cls):
-        setattr(cls, _ENCODING_ATTR, None)
-        encoder = _compile_plan(cls, keep=True)
     else:
-        encoder = _compile_plan(cls, keep=False)
+        keep = _ENCODING_ATTR in cls.__dict__
+        function = "keep" if keep else "encode"
+        namespace: Dict[str, Any] = {}
+        exec(compile(_plan_source(cls, function, keep),
+                     f"<{function} {cls.__qualname__}>", "exec"),
+             globals(), namespace)
+        encoder = namespace[function]
     _ENCODERS[cls] = encoder
     return encoder
 

@@ -52,10 +52,10 @@ from repro.smr.messages import Batch, Request
 from repro.smr.runtime import ReplicaBase, SmrClientBase
 
 
-def register_modeled(message_class):
-    """Bind a baseline message class to the modelled channel-MAC policy
-    (CPU + wire bytes accounted at the transport, no real tokens)."""
-    return register(message_class, MODELED_MAC)
+#: Class decorator binding a baseline message class to the modelled
+#: channel-MAC policy (CPU + wire bytes accounted at the transport, no
+#: real tokens).
+register_modeled = register(MODELED_MAC)
 
 
 @register_modeled

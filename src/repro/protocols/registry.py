@@ -7,7 +7,6 @@ they describe the deployment with :class:`ClusterConfig` and call
 
 from __future__ import annotations
 
-import gc
 from typing import Callable, Optional, Sequence
 
 from repro.common.config import ClusterConfig, ProtocolName, sites_for
@@ -25,7 +24,7 @@ from repro.protocols.zab import ZabReplica
 from repro.protocols.zyzzyva import ZyzzyvaClient, ZyzzyvaReplica
 from repro.sim.core import Simulator
 from repro.smr.app import NullService, StateMachine
-from repro.smr.runtime import ClusterRuntime
+from repro.smr.runtime import ClusterRuntime, collector_held
 
 #: ``protocol -> (replica class, client class)``.
 PROTOCOL_BUILDERS = {
@@ -87,16 +86,7 @@ def build_cluster(
 
     replica_cls, client_cls = PROTOCOL_BUILDERS[config.protocol]
     factory = app_factory or NullService
-    # Every node built below lives as long as the cluster, so a cyclic
-    # collection in here can free none of it -- but a *full* collection
-    # that happens to come due mid-build bills the previous cell's
-    # garbage (25-55 ms) to this cell's set-up, and whether it does
-    # flips with any change to allocation counts elsewhere (the e2e
-    # ledger's ``setup_s`` on ``wan-open-ladder`` moved +-20% on that
-    # alone).  Hold the collector until the cluster stands.
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
+    with collector_held():
         for replica_id in range(config.n):
             replica = replica_cls(
                 replica_id, config, sim, network, keystore, factory,
@@ -110,7 +100,4 @@ def build_cluster(
             client = client_cls(client_id, config, sim, network, keystore,
                                 site=at_site, cost_model=cost_model)
             runtime.add_client(client)
-    finally:
-        if collecting:
-            gc.enable()
     return runtime

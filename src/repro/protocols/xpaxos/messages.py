@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Any, Optional, Tuple
 
 from repro.crypto.authenticators import MAC_VECTOR, NULL, register
-from repro.crypto.primitives import Digest, Signature, digest_of
+from repro.crypto.primitives import Digest, Signature, digest_of, wire
 from repro.protocols.xpaxos.signed import Signed
 from repro.smr.log import CommitEntry, PrepareEntry
 from repro.smr.messages import Batch, Request
@@ -43,6 +43,7 @@ def batch_digest_of(batch: Batch) -> Digest:
 # ---------------------------------------------------------------------------
 
 
+@register(NULL)
 @dataclass(frozen=True)
 class Replicate:
     """Client -> primary: a signed request (``<REPLICATE, op, ts, c>``)."""
@@ -50,6 +51,7 @@ class Replicate:
     request: Request
 
 
+@register(NULL)
 @dataclass(frozen=True)
 class Prepare(Signed):
     """Primary -> followers (t >= 2): ``<req, prep>``, the primary's
@@ -69,6 +71,7 @@ class Prepare(Signed):
         return groups.primary(self.view)
 
 
+@register(NULL)
 @dataclass(frozen=True)
 class CommitVote(Signed):
     """Follower -> active replicas (t >= 2): its signed
@@ -84,6 +87,7 @@ class CommitVote(Signed):
     covers = ("batch_digest", "seqno", "view", "sender")
 
 
+@register(NULL)
 @dataclass(frozen=True)
 class FastPrepare(Signed):
     """Primary -> follower (t = 1): ``<req, m0>``, ``m0`` being the
@@ -103,6 +107,7 @@ class FastPrepare(Signed):
         return groups.primary(self.view)
 
 
+@register(NULL)
 @dataclass(frozen=True)
 class FastCommit(Signed):
     """Follower -> primary (t = 1): ``m1``, the follower's signed commit,
@@ -124,6 +129,7 @@ class FastCommit(Signed):
         return groups.followers(self.view)[0]
 
 
+@register(MAC_VECTOR)
 @dataclass(frozen=True)
 class ReplyMsg:
     """Active replica -> client (channel MAC stamped by the transport).
@@ -150,6 +156,7 @@ class ReplyMsg:
 # ---------------------------------------------------------------------------
 
 
+@register(NULL)
 @dataclass(frozen=True)
 class Suspect(Signed):
     """``<SUSPECT, i, sj>`` broadcast to all replicas (and to clients that
@@ -163,6 +170,7 @@ class Suspect(Signed):
     covers = ("view", "sender")
 
 
+@wire
 @dataclass(frozen=True)
 class CheckpointProof:
     """A stable checkpoint: sequence number, state digest, t+1 signatures,
@@ -175,6 +183,7 @@ class CheckpointProof:
     snapshot: Any
 
 
+@register(NULL)
 @dataclass(frozen=True)
 class ViewChange(Signed):
     """``<VIEW-CHANGE, i+1, sj, CommitLog, ...>``.
@@ -206,7 +215,7 @@ class ViewChange(Signed):
         proof = fields["checkpoint"]
         fields["checkpoint"] = \
             digest_of(proof.state_digest) if proof is not None else None
-        return super().payload_of(**fields)
+        return super(ViewChange, cls).payload_of(**fields)
 
     def wire_size(self) -> int:
         """Modelled bytes on the wire: grows with the logs it carries."""
@@ -219,6 +228,7 @@ class ViewChange(Signed):
         return size
 
 
+@register(NULL)
 @dataclass(frozen=True)
 class VcFinal(Signed):
     """``<VC-FINAL, i+1, sj, VCSet>``: the signature covers the digest of
@@ -234,6 +244,7 @@ class VcFinal(Signed):
     covers = ("new_view", "sender", "vcset_digest")
 
 
+@register(NULL)
 @dataclass(frozen=True)
 class VcConfirm(Signed):
     """``<VC-CONFIRM, i+1, D(VCSet)>`` (fault-detection mode only)."""
@@ -247,6 +258,7 @@ class VcConfirm(Signed):
     covers = ("new_view", "sender", "vcset_digest")
 
 
+@register(NULL)
 @dataclass(frozen=True)
 class NewView(Signed):
     """``<NEW-VIEW, i+1, PrepareLog>`` from the new primary.  The
@@ -269,6 +281,7 @@ class NewView(Signed):
 # ---------------------------------------------------------------------------
 
 
+@register(NULL)
 @dataclass(frozen=True)
 class FaultAccusation:
     """``<STATE-LOSS | FORK-I | FORK-II, ...>`` broadcast to all replicas."""
@@ -285,6 +298,7 @@ class FaultAccusation:
 # ---------------------------------------------------------------------------
 
 
+@register(MAC_VECTOR)
 @dataclass(frozen=True)
 class PreChk:
     """``<PRECHK, sn, i, D(st), sj>`` on the cheap active-to-active
@@ -296,6 +310,7 @@ class PreChk:
     sender: int
 
 
+@register(NULL)
 @dataclass(frozen=True)
 class Chkpt(Signed):
     """``<CHKPT, sn, i, D(st), sj>`` signed (the durable proof)."""
@@ -310,6 +325,7 @@ class Chkpt(Signed):
     covers = ("seqno", "view", "state_digest", "sender")
 
 
+@register(NULL)
 @dataclass(frozen=True)
 class LazyChk:
     """``<LAZYCHK, chkProof>`` pushed to passive replicas."""
@@ -317,6 +333,7 @@ class LazyChk:
     proof: CheckpointProof
 
 
+@register(NULL)
 @dataclass(frozen=True)
 class LazyCommit:
     """Lazy replication of one commit-log entry to a passive replica."""
@@ -326,6 +343,7 @@ class LazyCommit:
     entry: CommitEntry
 
 
+@register(NULL)
 @dataclass(frozen=True)
 class FetchEntries:
     """Passive/recovering replica -> active replica: request the committed
@@ -338,6 +356,7 @@ class FetchEntries:
     sender: int
 
 
+@register(NULL)
 @dataclass(frozen=True)
 class FetchReply:
     """Active replica -> requester: the requested commit-log entries plus
@@ -353,6 +372,7 @@ class FetchReply:
 # ---------------------------------------------------------------------------
 
 
+@register(NULL)
 @dataclass(frozen=True)
 class ReSend:
     """Client -> all active replicas after its timer expires."""
@@ -360,6 +380,7 @@ class ReSend:
     request: Request
 
 
+@register(NULL)
 @dataclass(frozen=True)
 class SignedReplyShare(Signed):
     """Active -> active: one replica's signed reply for a retransmitted
@@ -380,27 +401,10 @@ class SignedReplyShare(Signed):
               "sender")
 
 
+@register(NULL)
 @dataclass(frozen=True)
 class SignedReplies:
     """Active -> client: ``t + 1`` matching signed replies (line 21)."""
 
     view: int
     shares: Tuple[SignedReplyShare, ...]
-
-
-# ---------------------------------------------------------------------------
-# Transport authenticator policies per message class
-# ---------------------------------------------------------------------------
-
-#: MAC-vector channels: the paper's HMAC-authenticated paths.
-register(ReplyMsg, MAC_VECTOR)
-register(PreChk, MAC_VECTOR)
-
-#: Everything else embeds digital signatures in the payload (or forwards
-#: signed material) -- the transport adds nothing.
-for _cls in (Replicate, Prepare, CommitVote, FastPrepare, FastCommit,
-             Suspect, ViewChange, VcFinal, VcConfirm, NewView,
-             FaultAccusation, Chkpt, LazyChk, LazyCommit, FetchEntries,
-             FetchReply, ReSend, SignedReplyShare, SignedReplies):
-    register(_cls, NULL)
-del _cls

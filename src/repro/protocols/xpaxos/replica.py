@@ -138,14 +138,18 @@ class XPaxosReplica(ReplicaBase):
             self.sequencer.offer(request)
 
     def _verify_request(self, request: Request) -> bool:
-        """Verify the client's signature on a request."""
+        """Verify the client's signature on a request (an operation the
+        canonical encoder refuses has no digest to check it against)."""
         if request.signature is None:
             return False
         cpu = self.cpu
         if not cpu.free:
             cpu.charge_verify()
-        return self.keystore.verify_digest(request.signature,
-                                           request.body_digest)
+        try:
+            digest = request.body_digest
+        except TypeError:
+            return False
+        return self.keystore.verify_digest(request.signature, digest)
 
     def may_propose(self) -> bool:
         """May this replica cut batches right now (sequencer hook)?"""
@@ -176,7 +180,11 @@ class XPaxosReplica(ReplicaBase):
             return
         if src != self.replica_name(self.groups.primary(self.view)):
             return
-        if self._batch_digest(m.batch) != m.batch_digest:
+        try:
+            digest = self._batch_digest(m.batch)
+        except TypeError:  # a request the canonical encoder refuses
+            raise ProtocolViolation("prepare batch cannot be digested")
+        if digest != m.batch_digest:
             raise ProtocolViolation("prepare digest mismatch")
         if not verify_signed(self, m):
             raise ProtocolViolation("bad primary signature on prepare")

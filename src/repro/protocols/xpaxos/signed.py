@@ -15,7 +15,6 @@ from typing import Any, Callable, ClassVar, Tuple
 from repro.crypto.primitives import (
     Digest,
     Signature,
-    derived,
     digest_of,
     replica_principal,
 )
@@ -33,18 +32,22 @@ class Signed:
     * :meth:`signer` -- the replica that must have made it: the ``sender``
       the message names unless the class names a role of its view.
 
-    Everything else is derived here.  :attr:`payload_digest` is written
-    by :meth:`signed` -- the constructor every honest signer uses, where
-    the signature was made over exactly those fields a line earlier --
-    as the message is built.  A message built any other way (a forged
+    Everything else is derived here.  :attr:`payload_digest` (a derived
+    value of the wire class, :func:`~repro.crypto.primitives.wire`) is
+    given by :meth:`signed` -- the constructor every honest signer uses,
+    where the signature was made over exactly those fields a line
+    earlier -- as the message is built.  A message built any other way (a forged
     or replayed signature attached to different fields) computes it
     from its own fields on first read, so verification always compares
     against what the fields really hash to.
     """
 
+    __slots__ = ()
+
     tag: ClassVar[str]
     covers: ClassVar[Tuple[str, ...]]
     signature_field: ClassVar[str] = "sig"
+    derived_values = ("payload_digest",)
 
     def signer(self, groups: Any) -> int:
         """Id of the replica whose signature this message must carry."""
@@ -58,7 +61,6 @@ class Signed:
         ignored."""
         return (cls.tag, *[fields[name] for name in cls.covers])
 
-    @derived
     def payload_digest(self) -> Digest:
         """Digest of the payload the signature must cover, shared by
         every verifier holding this object."""
@@ -86,11 +88,17 @@ def verify_signed(node: Any, m: Signed) -> bool:
     (``node`` brings ``cpu``, ``keystore`` and ``groups``): charge one
     verification, require a :class:`Signature` by the replica the
     message declares as its signer, covering what the message's fields
-    hash to."""
+    hash to (covered values the canonical encoder refuses hash to
+    nothing, and fail)."""
     signature = getattr(m, m.signature_field)
     cpu = node.cpu
     if not cpu.free:
         cpu.charge_verify()
-    return (signature.__class__ is Signature
-            and signature[0] == replica_principal(m.signer(node.groups))
-            and node.keystore.verify_digest(signature, m.payload_digest))
+    if (signature.__class__ is not Signature
+            or signature[0] != replica_principal(m.signer(node.groups))):
+        return False
+    try:
+        digest = m.payload_digest
+    except TypeError:
+        return False
+    return node.keystore.verify_digest(signature, digest)

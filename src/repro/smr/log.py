@@ -15,11 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Generic, Iterator, Optional, Tuple, TypeVar
 
-from repro.crypto.primitives import Signature, direct_init
+from repro.crypto.primitives import Signature, wire
 from repro.smr.messages import Batch
 
 
-@direct_init
+@wire
 @dataclass(frozen=True)
 class PrepareEntry:
     """One slot of a prepare log: the batch plus the primary's signed
@@ -34,7 +34,7 @@ class PrepareEntry:
         return f"PrepareEntry(sn{self.seqno} v{self.view})"
 
 
-@direct_init
+@wire
 @dataclass(frozen=True)
 class CommitEntry:
     """One slot of a commit log: the batch plus the full proof.

@@ -17,22 +17,22 @@ from repro.crypto.primitives import (
     Digest,
     Signature,
     canonical,
-    derived,
     digest_of,
     digest_of_parts,
-    direct_init,
     encoded_digest,
+    wire,
 )
 
 
-@direct_init
+@wire
 @dataclass(frozen=True)
 class Request:
     """A signed client request (the paper's ``req``).
 
-    Three values are derived from the fields (:class:`derived`: written
-    by :meth:`signed` as the request is built, else computed on first
-    read), outside equality, hashing and the canonical encoding:
+    Three values are derived from the fields (``derived_values``: given
+    to the constructor by :meth:`signed` as the request is built, else
+    computed on first read), outside equality, hashing and the canonical
+    encoding:
 
     * ``rid``, the canonical request identifier ``(client, timestamp)``:
       one tuple per request, shared by everything that files the request
@@ -48,21 +48,20 @@ class Request:
     size_bytes: int = 0
     signature: Optional[Signature] = None
 
+    derived_values = ("rid", "body_encoding", "body_digest")
+
     def body(self) -> Tuple[Any, int, int]:
         """The signed portion (everything but the signature itself)."""
         return (self.op, self.timestamp, self.client)
 
-    @derived
     def rid(self) -> Tuple[int, int]:
         """``(client, timestamp)``."""
         return (self.client, self.timestamp)
 
-    @derived
     def body_encoding(self) -> bytes:
         """The canonical encoding of :meth:`body`."""
         return canonical(self.body())
 
-    @derived
     def body_digest(self) -> Digest:
         """``digest_of(self.body())``, computed once per request object.
 
@@ -90,7 +89,7 @@ class Request:
         return f"Request(c{self.client}#{self.timestamp})"
 
 
-@direct_init
+@wire
 @dataclass(frozen=True)
 class Batch:
     """An ordered group of requests occupying one sequence number.
@@ -99,11 +98,14 @@ class Batch:
     treated as a unit by the ordering layer and unpacked at execution.
 
     ``size_bytes``, the wire size, is the sum of the request payloads
-    (headers are negligible).  It is written when the batch is built;
-    ``bodies_digest`` and ``rids`` on first read.  None is a field.
+    (headers are negligible).  It is written by ``__post_init__`` as the
+    batch is built; ``bodies_digest`` and ``rids`` on first read.  None
+    is a field.
     """
 
     requests: Tuple[Request, ...]
+
+    derived_values = ("size_bytes", "bodies_digest", "rids")
 
     def __post_init__(self) -> None:
         if not self.requests:
@@ -111,7 +113,6 @@ class Batch:
         object.__setattr__(self, "size_bytes",
                            sum([r.size_bytes for r in self.requests]))
 
-    @derived
     def bodies_digest(self) -> Digest:
         """Digest over the signed request bodies, computed once per batch.
 
@@ -125,7 +126,6 @@ class Batch:
         """
         return digest_of_parts([r.body_encoding for r in self.requests])
 
-    @derived
     def rids(self) -> Tuple[Tuple[int, int], ...]:
         """The requests' ids in batch order, built once per batch: every
         replica that executes the batch puts this very tuple into its

@@ -15,7 +15,10 @@ safety-checking hooks the harness and tests use.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+import gc
+from contextlib import contextmanager
+from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 from repro.common.config import ClusterConfig
 from repro.common.errors import ConfigurationError, ProtocolViolation
@@ -623,6 +626,25 @@ class SmrClientBase(NodeBase):
         self.completions.append((sent_at, self.sim.now, rid))
         if self.on_commit is not None:
             self.on_commit(rid, latency)
+
+
+@contextmanager
+def collector_held() -> Iterator[None]:
+    """Build a cell's long-lived parts (``build_cluster``,
+    ``make_driver``) with the cyclic collector held: a *full* collection
+    due meanwhile would bill the previous cells' garbage (25-90 ms on the
+    ledger's ``wan-open-ladder``) to this cell's set-up, and whether one
+    comes due flips with any change to allocation counts.  On release
+    only the young objects just built are collected, which resets the
+    count: a full collection that came due waits for the run."""
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if collecting:
+            gc.collect(0)
+            gc.enable()
 
 
 class ClusterRuntime:

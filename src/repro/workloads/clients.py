@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from repro.common.config import WorkloadConfig
-from repro.smr.runtime import ClusterRuntime
+from repro.smr.runtime import ClusterRuntime, collector_held
 from repro.workloads.metrics import LatencyRecorder, ThroughputRecorder
 
 
@@ -117,7 +117,8 @@ def make_driver(runtime: ClusterRuntime,
                 workload: WorkloadConfig) -> WorkloadDriver:
     """Build the driver the workload config selects: the open-loop cohort
     driver when ``offered_load_rps`` is set, closed loop otherwise."""
-    if workload.open_loop:
-        from repro.workloads.cohorts import CohortDriver
-        return CohortDriver(runtime, workload)
-    return ClosedLoopDriver(runtime, workload)
+    with collector_held():
+        if workload.open_loop:
+            from repro.workloads.cohorts import CohortDriver
+            return CohortDriver(runtime, workload)
+        return ClosedLoopDriver(runtime, workload)

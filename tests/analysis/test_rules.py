@@ -115,12 +115,12 @@ A001_MESSAGES = """\
     from dataclasses import dataclass
 
 
-    def register(cls, policy):
-        return cls
+    def register(policy):
+        return lambda cls: cls
 
 
     def register_modeled(cls):
-        return register(cls, "modeled-mac")
+        return register("modeled-mac")(cls)
 
 
     @dataclass(frozen=True)
@@ -128,6 +128,7 @@ A001_MESSAGES = """\
         seq: int
 
 
+    @register("null")
     @dataclass(frozen=True)
     class Pong:
         seq: int
@@ -154,10 +155,7 @@ A001_MESSAGES = """\
         data: bytes
 
 
-    register(Pong, "null")
-
-    for _cls in (Probe,):
-        register(_cls, "null")
+    register("null")(Probe)
 """
 
 A001_REPLICA = """\
@@ -206,10 +204,13 @@ class TestA001UnregisteredWireMessage:
         # Accuse: reaches the transport through an annotated parameter.
         assert ("demo/messages.py",
                 line_of(A001_MESSAGES, "class Accuse")) in hits
-        # Pong (direct register), Probe (tuple-loop register), Hello
-        # (decorator register + helper-return send) and Inner (never
-        # sent) must all stay silent.
-        assert len(hits) == 2
+        # Probe: registered by a call after its definition, which binds
+        # a copy of the class and leaves the name unbound.
+        assert ("demo/messages.py",
+                line_of(A001_MESSAGES, "class Probe")) in hits
+        # Pong (decorator factory), Hello (wrapper decorator +
+        # helper-return send) and Inner (never sent) stay silent.
+        assert len(hits) == 3
 
     def test_items_of_send_resolve_to_their_classes(self, lint_tree):
         """``send`` takes ``(dst, payload, size)`` items: a class sent
@@ -263,8 +264,8 @@ class TestA001UnregisteredWireMessage:
             from dataclasses import dataclass
 
 
-            def register(cls, policy):
-                return cls
+            def register(policy):
+                return lambda cls: cls
 
 
             class Signed:
@@ -285,13 +286,11 @@ class TestA001UnregisteredWireMessage:
                 sig: object
 
 
+            @register("null")
             @dataclass(frozen=True)
             class Final(Signed):
                 seq: int
                 sig: object
-
-
-            register(Final, "null")
         """
         report = lint_tree({
             "pkg/protocols/demo/messages.py": messages,
@@ -425,7 +424,7 @@ class TestA002FrozenMessageMutation:
 
     def test_only_the_init_helper_may_write_instance_dicts(self, lint_tree):
         source = """\
-            def direct_init(cls):
+            def wire(cls):
                 def __init__(self, value):
                     self.__dict__["value"] = value
                 cls.__init__ = __init__

@@ -127,6 +127,16 @@ def isolate(runtime) -> Outbox:
     return sent
 
 
+def unfilled(message, name):
+    """Is derived value ``name`` of wire ``message`` still to be computed
+    (its slot empty, read without filling it)?"""
+    try:
+        type(message).__dict__[name].__get__(message)
+    except AttributeError:
+        return True
+    return False
+
+
 def null_state_digest(snapshot):
     """What a ``NullService`` restored from ``snapshot`` hashes to."""
     app = NullService()

@@ -1,5 +1,7 @@
 """Unit tests for the transport-level authenticator policies."""
 
+from dataclasses import dataclass
+
 import pytest
 
 from repro.crypto.authenticators import (
@@ -9,7 +11,6 @@ from repro.crypto.authenticators import (
     NULL,
     POLICIES,
     register,
-    registered_classes,
 )
 from repro.crypto.costs import CostModel, CpuMeter
 from repro.crypto.primitives import KeyStore, digest_of
@@ -98,21 +99,31 @@ class TestNullAndModeled:
 
 class TestRegistry:
     def test_register_and_lookup(self):
+        @dataclass(frozen=True)
         class Probe:
             pass
 
         assert POLICIES.get(Probe) is None
-        register(Probe, MAC_VECTOR)
-        assert POLICIES[Probe] is MAC_VECTOR
-        register(Probe, MAC_VECTOR)  # idempotent
+        probe = register(MAC_VECTOR)(Probe)
+        assert POLICIES[probe] is MAC_VECTOR
+        assert register(MAC_VECTOR)(probe) is probe  # idempotent
 
     def test_rebinding_to_other_policy_rejected(self):
+        @register(NULL)
+        @dataclass(frozen=True)
         class Probe2:
             pass
 
-        register(Probe2, NULL)
         with pytest.raises(ValueError):
-            register(Probe2, MAC_VECTOR)
+            register(MAC_VECTOR)(Probe2)
+
+    def test_only_frozen_dataclasses_are_registered(self):
+        class Plain:
+            pass
+
+        with pytest.raises(TypeError):
+            register(NULL)(Plain)
+        assert Plain not in POLICIES
 
     def test_every_protocol_wire_class_is_registered(self):
         """All five protocols' wire messages carry a policy (the registry
@@ -140,7 +151,7 @@ class TestRegistry:
             xmsg.FetchReply, xmsg.ReSend, xmsg.SignedReplyShare,
             xmsg.SignedReplies, xmsg.FaultAccusation,
         ]
-        registry = registered_classes()
+        registry = POLICIES
         missing = [cls.__name__ for cls in expected if cls not in registry]
         assert not missing, missing
         # The two MAC-vector channels are the adversarially exercised ones.

@@ -23,12 +23,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto.authenticators import registered_classes
+from repro.crypto.authenticators import POLICIES
 from repro.crypto.primitives import (
     Digest,
     KeyStore,
     _canonical,
     digest_of,
+    wire,
 )
 from repro.harness.seed_reference import seed_canonical, seed_digest_of
 from repro.protocols.registry import PROTOCOL_BUILDERS
@@ -70,9 +71,10 @@ payloads = st.recursive(
 )
 
 
+@wire
 @dataclasses.dataclass(frozen=True)
 class FrozenEnvelope:
-    """A frozen dataclass: its instances keep their encoding."""
+    """A wire class: its instances keep their encoding."""
 
     tag: str
     body: Any
@@ -143,7 +145,7 @@ def test_one_instance_of_every_registered_class_matches_seed_encoder():
     values = _sample_values()
     # Importing the five protocols' builders registered their classes.
     assert len(PROTOCOL_BUILDERS) == 5
-    classes = [cls for cls in registered_classes()
+    classes = [cls for cls in POLICIES
                if cls.__module__.startswith("repro.")]
     assert len(classes) >= 40
     cursor = 0
@@ -190,7 +192,7 @@ NESTED_CLASSES = (Digest, Request, Batch, PrepareEntry, CommitEntry)
 
 def _wire_and_nested_classes():
     assert len(PROTOCOL_BUILDERS) == 5
-    classes = {cls for cls in registered_classes()
+    classes = {cls for cls in POLICIES
                if cls.__module__.startswith("repro.")}
     return sorted(classes | set(NESTED_CLASSES),
                   key=lambda cls: (cls.__module__, cls.__qualname__))

@@ -25,14 +25,13 @@ from repro.common.config import ProtocolName
 from repro.crypto.authenticators import (
     MAC_VECTOR,
     MacVectorAuthenticator,
-    registered_classes,
+    POLICIES,
 )
 from repro.crypto.primitives import (
     Digest,
     KeyStore,
     digest_cache_stats,
     digest_of,
-    reset_digest_cache_stats,
 )
 from repro.harness.seed_reference import seed_canonical, seed_digest_of
 from repro.net.latency import LatencyModel
@@ -41,7 +40,7 @@ from repro.protocols.xpaxos import messages as msg
 from repro.protocols.xpaxos.messages import FastCommit, PreChk, ReplyMsg
 from repro.sim.core import Simulator
 from repro.smr.messages import Batch, Request
-from tests.conftest import Liveness, make_cluster
+from tests.conftest import Liveness, make_cluster, unfilled
 
 
 def make_batch(i=0, n=4):
@@ -88,7 +87,7 @@ class TestByteIdentity:
         # the wire is a frozen dataclass (and therefore cacheable).
         # The registry is process-global and other test modules register
         # ad-hoc fixture classes, so scope the sweep to the package.
-        for cls in registered_classes():
+        for cls in POLICIES:
             if not cls.__module__.startswith("repro."):
                 continue
             assert dataclasses.is_dataclass(cls), cls
@@ -117,10 +116,10 @@ class TestMemoization:
         replies = [ReplyMsg(replica=0, view=0, seqno=3, timestamp=9,
                             client=c, result=b"", result_digest=digest_of(b""),
                             follower_commit=fast) for c in range(4)]
-        reset_digest_cache_stats()
-        digests = [digest_of(reply) for reply in replies]
-        assert digest_cache_stats() == {"hits": 3, "stores": 1,
-                                        "uncached": 0}
+        digests = []
+        assert call_kinds(lambda: digests.extend(
+            digest_of(reply) for reply in replies)) == {
+                "hits": 3, "stores": 1, "uncached": 0}
         for reply, digest in zip(replies, digests):
             assert digest.value == seed_digest_of(reply).value
 
@@ -139,11 +138,10 @@ class TestMemoization:
             assert digest_of(payload).value == seed_digest_of(payload).value
 
     def test_counters_sum_to_digest_of_calls(self):
-        reset_digest_cache_stats()
         batch = make_batch(5)
-        for payload in (batch, batch, (1, 2), b"r", [batch], None):
-            digest_of(payload)
-        assert sum(digest_cache_stats().values()) == 6
+        payloads = (batch, batch, (1, 2), b"r", [batch], None)
+        kinds = call_kinds(lambda: [digest_of(p) for p in payloads])
+        assert sum(kinds.values()) == 6
 
     def test_mutable_dataclasses_are_never_memoized(self):
         @dataclasses.dataclass
@@ -163,15 +161,16 @@ class TestCarriedDigests:
 
     def test_honest_request_carries_the_signers_digest(self):
         keystore = KeyStore()
-        reset_digest_cache_stats()
-        request = Request.signed(
+        built = []
+        kinds = call_kinds(lambda: built.append(Request.signed(
             ("put", "k", b"v"), 1, 0, 64,
-            lambda digest: keystore.sign_digest("c0", digest))
+            lambda digest: keystore.sign_digest("c0", digest))))
+        request, = built
         assert request.body_digest is request.signature.digest
         assert request.body_digest.value == \
             seed_digest_of(request.body()).value
         # One encode in total, kept: the batch digest joins it.
-        assert sum(digest_cache_stats().values()) == 1
+        assert sum(kinds.values()) == 1
         assert request.body_encoding == seed_canonical(request.body())
 
     def test_batch_digest_joins_the_kept_body_encodings(self):
@@ -231,7 +230,7 @@ class TestCarriedDigests:
         # An equal-by-value twin shares the value, not the memo.
         twin = FastCommit(0, 1, batch_digest, honest.reply_digest, honest.m1)
         assert twin == honest
-        assert "payload_digest" not in vars(twin)
+        assert unfilled(twin, "payload_digest")
         assert twin.payload_digest == honest.payload_digest
         assert twin.payload_digest is not honest.payload_digest
 

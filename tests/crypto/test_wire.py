@@ -1,13 +1,14 @@
-"""``direct_init``: wire messages built by writing the instance dict.
+"""``wire``: wire messages laid out in slots, without instance dicts.
 
 Every class registered with an authenticator policy, plus the classes
 that travel inside them (``Digest``, ``Request``, ``Batch``,
-``PrepareEntry``, ``CommitEntry``), is built by the ``__init__`` that
-``repro.crypto.primitives.direct_init`` generates.  Everything but the
-build must stay the frozen dataclass's own: each class below is checked
-for its fields in order, defaults, ``__post_init__``, equality, hashing,
-``FrozenInstanceError`` on assignment, ``dataclasses.replace`` and a
-pickle round-trip.
+``PrepareEntry``, ``CommitEntry``, ``CheckpointProof``), is laid out by
+``repro.crypto.primitives.wire``: a slot per field, per derived value and
+for the kept encoding, and the ``__init__`` it generates.  Everything but
+the layout and the build must stay the frozen dataclass's own: each class
+below is checked for its fields in order, defaults, ``__post_init__``,
+equality, hashing, ``FrozenInstanceError`` on assignment,
+``dataclasses.replace`` and a pickle round-trip.
 """
 
 import dataclasses
@@ -15,17 +16,19 @@ import pickle
 
 import pytest
 
-from repro.crypto.authenticators import registered_classes
-from repro.crypto.primitives import Digest, KeyStore, direct_init
+from repro.crypto.authenticators import POLICIES
+from repro.crypto.primitives import Digest, KeyStore, wire
 from repro.protocols.registry import PROTOCOL_BUILDERS
+from repro.protocols.xpaxos.messages import CheckpointProof
 from repro.smr.log import CommitEntry, PrepareEntry
 from repro.smr.messages import Batch, Request
 
 assert len(PROTOCOL_BUILDERS) == 5  # every protocol's classes registered
 
-NESTED = (Digest, Request, Batch, PrepareEntry, CommitEntry)
+NESTED = (Digest, Request, Batch, PrepareEntry, CommitEntry,
+          CheckpointProof)
 CLASSES = sorted(
-    {cls for cls in registered_classes()
+    {cls for cls in POLICIES
      if cls.__module__.startswith("repro.")} | set(NESTED),
     key=lambda cls: (cls.__module__, cls.__qualname__))
 
@@ -51,15 +54,16 @@ def sample_args(cls, shift=0):
 
 @pytest.mark.parametrize("cls", CLASSES, ids=lambda cls: cls.__qualname__)
 class TestEveryWireClass:
-    def test_built_by_the_direct_init(self, cls):
-        assert cls.__init__.__direct_init__
-        assert direct_init(cls) is cls  # idempotent
+    def test_laid_out_by_wire(self, cls):
+        assert cls.__init__.__code__.co_filename.startswith("<wire ")
+        assert wire(cls) is cls  # idempotent
+        assert not hasattr(cls(*sample_args(cls)), "__dict__")
 
     def test_fields_stored_in_order(self, cls):
         args = sample_args(cls)
         message = cls(*args)
         names = [f.name for f in dataclasses.fields(cls)]
-        assert list(vars(message))[:len(names)] == names
+        assert list(cls.__slots__)[:len(names)] == names
         assert [getattr(message, name) for name in names] == args
         assert cls(**dict(zip(names, args))) == message
 
@@ -126,8 +130,8 @@ class TestPostInit:
             batch.size_bytes = 0
 
 
-class TestWhatItLeavesAlone:
-    def test_non_frozen_and_plain_classes_are_returned_unchanged(self):
+class TestWhatItRefuses:
+    def test_non_frozen_and_plain_classes_are_refused(self):
         @dataclasses.dataclass
         class Mutable:
             x: int
@@ -137,8 +141,8 @@ class TestWhatItLeavesAlone:
                 self.x = x
 
         for cls in (Mutable, Plain):
-            init = cls.__init__
-            assert direct_init(cls) is cls and cls.__init__ is init
+            with pytest.raises(TypeError, match=cls.__name__):
+                wire(cls)
 
     def test_field_shapes_it_cannot_build_are_refused(self):
         @dataclasses.dataclass(frozen=True)
@@ -146,4 +150,15 @@ class TestWhatItLeavesAlone:
             xs: tuple = dataclasses.field(default_factory=tuple)
 
         with pytest.raises(TypeError, match="xs"):
-            direct_init(WithFactory)
+            wire(WithFactory)
+
+    def test_a_base_with_an_instance_dict_is_refused(self):
+        class Base:
+            pass
+
+        @dataclasses.dataclass(frozen=True)
+        class Child(Base):
+            x: int
+
+        with pytest.raises(TypeError, match="__slots__"):
+            wire(Child)

@@ -67,7 +67,8 @@ class TestRelativePerformanceShapes:
 
 class TestBuildHoldsTheCollector:
     """``build_cluster`` pauses the cyclic GC while it allocates the
-    cluster and leaves the collector as it found it."""
+    cluster, collects only the youngest generation when it lets go, and
+    leaves the collector as it found it."""
 
     def build(self, **kwargs):
         # 300 clients: several times the young-generation threshold.
@@ -75,11 +76,12 @@ class TestBuildHoldsTheCollector:
                                **FAST_TIMEOUTS)
         return build_cluster(config, num_clients=300, **kwargs)
 
-    def test_no_collection_runs_during_a_build(self):
+    def test_only_the_release_collects_and_only_the_young(self):
         import gc
 
         collections = []
-        probe = lambda phase, info: collections.append(phase)  # noqa: E731
+        probe = lambda phase, info: collections.append(  # noqa: E731
+            (phase, info["generation"]))
         gc.callbacks.append(probe)
         try:
             gc.collect()
@@ -87,7 +89,8 @@ class TestBuildHoldsTheCollector:
             self.build()
         finally:
             gc.callbacks.remove(probe)
-        assert collections == [] and gc.isenabled()
+        assert collections == [("start", 0), ("stop", 0)]
+        assert gc.isenabled()
 
     def test_collector_state_is_restored(self):
         import gc

@@ -7,7 +7,7 @@ number of Python calls a commit costs does not.  This runs the ledger's
 0, under cProfile -- enabled around ``driver.run()`` only, as the
 ledger's traced repetition does -- and counts the calls of functions
 defined under ``src/repro`` and of the code ``repro.crypto.primitives``
-generates at run time: the ``<direct_init ...>`` constructors and the
+generates at run time: the ``<wire ...>`` constructors and the
 ``<encode ...>`` / ``<keep ...>`` canonical encoders.  Work moved into
 generated code is still counted.  C builtins, the standard library and
 the dataclass module's own generated methods are left out, so a
@@ -47,7 +47,7 @@ BUDGET = {
 
 _REPRO = os.sep + os.path.join("src", "repro") + os.sep
 #: Pseudo file names of the code ``repro.crypto.primitives`` generates.
-_GENERATED = ("<direct_init ", "<encode ", "<keep ")
+_GENERATED = ("<wire ", "<encode ", "<keep ")
 
 
 def counted(filename: str) -> bool:

@@ -4,7 +4,9 @@ Whatever a Byzantine sender puts where a :class:`Signature` or a
 :class:`Mac` belongs -- a bare tuple, a string, a real-looking triple
 holding raw bytes instead of a :class:`Digest`, a name that is not a
 string -- verification answers False and the receiving replica or client
-carries on.  Before, ``KeyStore.verify_digest`` unpacked or dereferenced
+carries on.  So does a signed value the canonical encoder refuses (a
+``set`` as a client's operation or a vote's batch digest): there is
+nothing to check the signature against.  Before, ``KeyStore.verify_digest`` unpacked or dereferenced
 the value and raised out of ``on_message``, ending the run.
 """
 
@@ -21,7 +23,7 @@ from repro.crypto.primitives import (
 )
 from repro.protocols.xpaxos import messages as msg
 from repro.protocols.xpaxos.signed import verify_signed
-from repro.smr.messages import Request
+from repro.smr.messages import Batch, Request
 from tests.conftest import checkpoint_proof, isolate, make_cluster
 
 KEYSTORE = KeyStore()
@@ -91,6 +93,49 @@ def test_verify_signed_refuses_a_message_whose_signature_is_not_one():
     for bad in BAD_SIGNATURES:
         forged = msg.Suspect(view=0, sender=1, sig=bad)
         assert verify_signed(runtime.replica(0), forged) is False
+
+
+#: Values the canonical encoder refuses to encode.
+UNENCODABLE = [{1, 2}, object()]
+
+
+@pytest.mark.parametrize("op", UNENCODABLE, ids=type)
+def test_the_primary_drops_a_replicate_whose_op_cannot_be_encoded(op):
+    runtime = make_cluster(t=1, num_clients=1)
+    primary = runtime.replica(0)
+    request = Request(op=op, timestamp=1, client=0,
+                      signature=runtime.keystore.sign_digest("c0", DIGEST))
+    assert primary._verify_request(request) is False
+    primary.on_message("c0", msg.Replicate(request))
+    runtime.sim.run(until=500.0)
+    assert primary.committed_requests == 0
+
+
+@pytest.mark.parametrize("op", UNENCODABLE, ids=type)
+def test_the_follower_drops_a_prepare_whose_batch_cannot_be_encoded(op):
+    runtime = make_cluster(t=1, num_clients=1)
+    primary, follower = runtime.replica(0), runtime.replica(1)
+    request = Request(op=op, timestamp=1, client=0,
+                      signature=runtime.keystore.sign_digest("c0", DIGEST))
+    prepare = msg.FastPrepare.signed(primary.sign, view=0, seqno=1,
+                                     batch=Batch((request,)),
+                                     batch_digest=DIGEST)
+    follower.on_message("r0", prepare)
+    assert follower.sn == 0 and 1 not in follower.prepare_log
+
+
+@pytest.mark.parametrize("batch_digest", UNENCODABLE, ids=type)
+def test_a_commit_vote_whose_covered_field_cannot_be_encoded_is_refused(
+        batch_digest):
+    runtime = make_cluster(t=2, num_clients=1)
+    primary = runtime.replica(0)
+    sender = primary.groups.followers(0)[0]
+    sig = runtime.replica(sender).sign(("commit", DIGEST, 1, 0, sender))
+    vote = msg.CommitVote(view=0, seqno=1, batch_digest=batch_digest,
+                          sender=sender, sig=sig)
+    assert verify_signed(primary, vote) is False
+    primary.on_message(f"r{sender}", vote)
+    assert 1 not in primary.commit_log
 
 
 def client_in_flight():
