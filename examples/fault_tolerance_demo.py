@@ -23,7 +23,8 @@ Run:  python examples/fault_tolerance_demo.py
 from repro.common.config import ProtocolName
 from repro.faults.injector import FaultSchedule
 from repro.harness.matrix import CellResult, run_matrix
-from repro.scenarios import Scenario, get_scenario
+from repro.scenarios.library import get_scenario
+from repro.scenarios.scenario import Scenario
 
 
 #: Every act's cells run from this seed.

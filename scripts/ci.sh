@@ -16,7 +16,9 @@
 #            non-baselined finding and writing lint_report.json for the
 #            CI artifact.
 # tier1      the full unit + figure-regeneration suite (the repo's
-#            correctness gate; see ROADMAP.md), with pytest's 25 slowest
+#            correctness gate; see ROADMAP.md), after timing one fresh
+#            `import repro.harness.runner` (the "imports" entry of
+#            ci_stage_times.json), with pytest's 25 slowest
 #            tests printed at the end so the stage log says where the
 #            seconds in ci_stage_times.json went, and a budget written to
 #            ci_tier1_durations.json from pytest's JUnit XML: seconds per
@@ -93,6 +95,22 @@ stage_lint() {
 
 stage_tier1() {
     echo "== tier1: unit + figure-regeneration tests =="
+    # Start-up creep: how many repro modules one fresh interpreter loads
+    # to import the runner, and the seconds that process takes; written
+    # to ci_stage_times.json as "imports" (docs/ci.md).
+    IMPORTS=$(python - <<'EOF'
+import json, subprocess, sys, time
+
+child = ("import sys, repro.harness.runner; "
+         "print(sum(m.startswith('repro') for m in sys.modules))")
+start = time.perf_counter()
+modules = subprocess.run([sys.executable, "-c", child], check=True,
+                         capture_output=True, text=True).stdout
+print(json.dumps({"modules": int(modules),
+                  "seconds": round(time.perf_counter() - start, 3)}))
+EOF
+)
+    echo "imports: $IMPORTS"
     local status=0
     python -m pytest -x -q --durations=25 \
         --junitxml=ci_tier1_junit.xml || status=$?
@@ -275,6 +293,8 @@ if [ ${#STAGES[@]} -eq 0 ]; then
     STAGES=(lint tier1 scenarios)
 fi
 STAGE_TIMES=()
+# Set by the tier1 stage: {"modules": ..., "seconds": ...}.
+IMPORTS=""
 # The stage running now; still set when the script exits = it failed.
 current_stage=""
 stage_start=0
@@ -304,6 +324,9 @@ write_stage_times() {
             sep=", "
         done
         printf '}'
+        if [ -n "$IMPORTS" ]; then
+            printf ', "imports": %s' "$IMPORTS"
+        fi
         if [ -n "$current_stage" ]; then
             printf ', "failed": "%s"' "$current_stage"
         fi

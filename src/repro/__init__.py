@@ -28,8 +28,9 @@ This package provides:
   figure of the paper's evaluation.
 """
 
+from typing import Any
+
 from repro.common.config import ClusterConfig, ProtocolName, WorkloadConfig
-from repro.scenarios.scenario import Scenario
 from repro.sim.core import Simulator
 from repro.net.latency import LatencyModel
 from repro.net.network import Network
@@ -62,3 +63,12 @@ __all__ = [
     "p_xft_available",
     "__version__",
 ]
+
+
+def __getattr__(name: str) -> Any:
+    """``repro.Scenario``, imported on first use: every run needs the
+    other names, but only a scenario run needs the fault schedules."""
+    if name == "Scenario":
+        from repro.scenarios.scenario import Scenario
+        return Scenario
+    raise AttributeError(f"module 'repro' has no attribute {name!r}")

@@ -61,25 +61,27 @@ def _payload_candidates(args: List[ast.AST],
     return found
 
 
-def _is_messages_module(module: ModuleInfo) -> bool:
-    """Is this a wire-message definition module?
+#: Besides ``register`` and its wrappers (which also bind a policy), the
+#: decorators that mark a class as a wire message: the layout generator
+#: ``wire``, and ``dataclass``, which a message class written without
+#: ``register`` may carry instead.
+_MESSAGE_DECORATORS = frozenset({"wire", "dataclass"})
 
-    The convention covered by the rule: ``protocols/<name>/messages.py``
-    and ``smr/messages.py``.
-    """
-    parts = module.parts
-    if parts[-1] != "messages.py" or len(parts) < 2:
-        return False
-    return parts[-2] == "smr" or "protocols" in parts[:-1]
+
+def _in_message_scope(module: ModuleInfo) -> bool:
+    """Is this module under ``protocols/`` or ``smr/``, where wire
+    messages are defined (``messages.py``, a baseline's ``replica.py``,
+    ``protocols/base.py``, ...)?"""
+    return "protocols" in module.parts[:-1] or "smr" in module.parts[:-1]
 
 
 @rule
 class UnregisteredWireMessageRule(Rule):
-    """A sent wire-message dataclass must register an authenticator.
+    """A sent wire message must register an authenticator.
 
-    For every ``@dataclass`` defined in a messages module
-    (``protocols/*/messages.py``, ``smr/messages.py``) that appears as a
-    payload of a transport send -- constructed (``Cls(...)`` or its
+    For every class decorated ``@register(...)``, ``@register_*``,
+    ``@wire`` or ``@dataclass`` in any module under ``protocols/`` or
+    ``smr/`` that appears as a payload of a transport send -- constructed (``Cls(...)`` or its
     ``Cls.signed(...)`` constructor) directly inside a
     ``send*``/``multicast*`` call, or assigned to a local that is then
     passed to one -- there must be a ``@register(<policy>)`` or
@@ -114,7 +116,7 @@ class UnregisteredWireMessageRule(Rule):
     def check_module(self, module: ModuleInfo):
         self._module = module
         self._findings = []
-        if _is_messages_module(module):
+        if _in_message_scope(module):
             self._collect_message_classes(module)
         self._collect_registrations(module.tree)
         self._collect_sends(module)
@@ -124,11 +126,10 @@ class UnregisteredWireMessageRule(Rule):
         for node in module.tree.body:
             if not isinstance(node, ast.ClassDef):
                 continue
-            is_dataclass = any(
-                _callee_name(d.func) == "dataclass"
-                if isinstance(d, ast.Call) else _callee_name(d) == "dataclass"
-                for d in node.decorator_list)
-            if is_dataclass:
+            names = [_callee_name(d.func if isinstance(d, ast.Call) else d)
+                     for d in node.decorator_list]
+            if any(name in _MESSAGE_DECORATORS or _is_register_name(name)
+                   for name in names):
                 self._message_classes.setdefault(
                     node.name, (module.path, node.lineno))
 
@@ -232,7 +233,7 @@ class UnregisteredWireMessageRule(Rule):
             sent_path, sent_line = sent[name]
             findings.append(self.emit(
                 path, line,
-                f"message dataclass {name} is passed to a transport "
+                f"message class {name} is passed to a transport "
                 f"send ({sent_path}:{sent_line}) but never bound to an "
                 f"authenticator policy by a @register decorator; the "
                 f"runtime will refuse it at send time"))

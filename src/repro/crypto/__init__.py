@@ -10,36 +10,3 @@ The :class:`CostModel` attaches virtual-CPU microsecond costs to each
 operation, calibrated to the paper's RSA1024 signatures and HMAC-SHA1 MACs,
 which drives the Figure 8 CPU-usage experiment.
 """
-
-from repro.crypto.primitives import (
-    Digest,
-    KeyStore,
-    Mac,
-    Signature,
-    digest_of,
-)
-from repro.crypto.authenticators import (
-    MAC_VECTOR,
-    MODELED_MAC,
-    NULL,
-    POLICIES,
-    Authenticator,
-    register,
-)
-from repro.crypto.costs import CostModel, CpuMeter
-
-__all__ = [
-    "Digest",
-    "Signature",
-    "Mac",
-    "KeyStore",
-    "digest_of",
-    "CostModel",
-    "CpuMeter",
-    "Authenticator",
-    "POLICIES",
-    "register",
-    "MAC_VECTOR",
-    "MODELED_MAC",
-    "NULL",
-]

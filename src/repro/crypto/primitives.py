@@ -152,23 +152,30 @@ def _reduce(self: Any) -> Tuple[Any, ...]:
 
 
 def wire(cls: type, keep: bool = True) -> type:
-    """Lay out frozen dataclass ``cls`` as a wire class and return it.
+    """Make ``cls``, written as annotated fields and methods, a frozen
+    dataclass laid out as a wire class, and return it.
 
     A wire message is built per send, read by every handler and dropped
     at the next checkpoint, so its instances carry no dict: the class
     returned is a copy of ``cls`` (same name, bases, fields and methods)
-    whose instances hold everything in ``__slots__``.  One plan -- the
-    dataclass fields, the names in the class's ``derived_values`` and,
-    if ``keep``, the kept canonical encoding -- gives:
+    whose instances hold everything in ``__slots__``.
+    ``dataclasses.dataclass`` runs once with nothing to generate, for
+    the fields themselves (``fields``, ``replace`` and ``is_dataclass``
+    read as for any frozen dataclass).  One plan -- those fields, the
+    names in the class's ``derived_values`` and, if ``keep``, the kept
+    canonical encoding -- then gives:
 
     * the layout: a slot per field, per derived value and for the
       encoding (:func:`digest_of`; ``keep`` is False only for a class
       with a fixed encoder, :class:`Digest`);
-    * ``__init__`` (generated as ``<wire Cls>``): the dataclass's
-      parameters and defaults plus one keyword-only parameter per
-      derived value, each stored through its slot's setter when given
-      (the class's own ``__setattr__`` raises), the encoding slot set to
-      None, then ``__post_init__`` if the class has one;
+    * one compiled source (``<wire Cls>``) holding ``__init__``, the
+      fields as parameters with their defaults plus one keyword-only
+      parameter per derived value, each stored through its slot's
+      setter when given (the class's own ``__setattr__`` raises), the
+      encoding slot set to None, then ``__post_init__`` if the class has
+      one; and the frozen dataclass's ``__eq__`` (same class, equal
+      field tuples), ``__hash__`` (of the field tuple) and ``__repr__``,
+      each unless the class defines its own;
     * ``__getattr__``: a derived value's first read, when the
       constructor was not given it, calls the method of the same name
       (on the class or a base) and fills the slot -- derived values
@@ -176,45 +183,88 @@ def wire(cls: type, keep: bool = True) -> type:
       equality, hashing and the canonical encoding (one without a
       method is stored by ``__post_init__``, as ``Batch.size_bytes``).
 
-    Equality, hashing, ``repr`` and ``dataclasses.replace`` stay the
-    dataclass's own; a pickled copy is rebuilt from its fields and
-    derives its values afresh (:func:`_reduce`); assignment and
-    deletion raise ``FrozenInstanceError``.  Bases must not give
-    instances a dict (``__slots__ = ()``).  The encoder is compiled from
-    the same fields on the first encode (:func:`_compile_encoder`).
-    Applied by :func:`repro.crypto.authenticators.register` to every
-    wire class, and as a decorator to the classes inside them;
-    idempotent.
+    A pickled copy is rebuilt from its fields and derives its values
+    afresh (:func:`_reduce`); assignment and deletion raise
+    ``FrozenInstanceError``.  Bases must not give instances a dict
+    (``__slots__ = ()``), and the class must not be a dataclass already
+    nor define ``__init__``.  The encoder is compiled from the same
+    fields on the first encode (:func:`_compile_encoder`).  Applied by
+    :func:`repro.crypto.authenticators.register` to every wire class,
+    and as a decorator to the classes inside them; idempotent.
     """
     if cls.__dict__.get("__setattr__") is _frozen:
         return cls
-    if not (is_dataclass(cls) and cls.__dataclass_params__.frozen):
-        raise TypeError(f"wire lays out frozen dataclasses, "
-                        f"not {cls.__name__}")
+    if is_dataclass(cls):
+        raise TypeError(f"{cls.__name__} is a dataclass already; wire "
+                        f"makes the frozen dataclass itself")
+    if "__init__" in cls.__dict__:
+        raise TypeError(f"wire generates the __init__ of {cls.__name__}; "
+                        f"declare its fields instead")
     for base in cls.__bases__:
         if base.__dictoffset__:
             raise TypeError(f"{base.__name__} gives {cls.__name__} an "
                             f"instance dict; declare __slots__ = ()")
+    dataclass(cls, init=False, repr=False, eq=False)
+    params = cls.__dataclass_params__
+    params.init = params.repr = params.eq = params.frozen = True
     names: List[str] = []
-    params: List[str] = []
+    args: List[str] = []
     defaults: Dict[str, Any] = {}
     for f in fields(cls):
-        if not f.init or f.kw_only or f.default_factory is not MISSING:
+        if (not f.init or f.kw_only or f.default_factory is not MISSING
+                or not (f.compare and f.repr) or f.hash is not None):
             raise TypeError(f"wire cannot build field {f.name} of "
                             f"{cls.__name__}")
         names.append(f.name)
         if f.default is MISSING:
-            params.append(f.name)
+            args.append(f.name)
         else:
             defaults[f"_default_{f.name}"] = f.default
-            params.append(f"{f.name}=_default_{f.name}")
+            args.append(f"{f.name}=_default_{f.name}")
     derived = list(getattr(cls, "derived_values", ()))
     compute = {name: getattr(cls, name) for name in derived
                if callable(getattr(cls, name, None))}
     slots = names + derived + ([_ENCODING_ATTR] if keep else [])
-    namespace = {key: value for key, value in cls.__dict__.items()
+
+    init = [f"    _set_{name}(self, {name})" for name in names]
+    if derived:
+        args.append("*")
+    for name in derived:
+        args.append(f"{name}=None")
+        init.append(f"    if {name} is not None:\n"
+                    f"        _set_{name}(self, {name})")
+    if keep:
+        init.append(f"    _set_{_ENCODING_ATTR}(self, None)")
+    if hasattr(cls, "__post_init__"):
+        init.append("    self.__post_init__()")
+    source = [f"def __init__(self, {', '.join(args)}):",
+              *(init or ["    pass"])]
+    own = cls.__dict__
+    values = "".join(f"self.{name}, " for name in names)
+    if "__eq__" not in own:
+        others = "".join(f"other.{name}, " for name in names)
+        source += ["def __eq__(self, other):",
+                   "    if other.__class__ is self.__class__:",
+                   f"        return ({values}) == ({others})",
+                   "    return NotImplemented"]
+    own_hash = own.get("__hash__", MISSING)
+    if own_hash is MISSING or (own_hash is None and "__eq__" in own):
+        source += ["def __hash__(self):", f"    return hash(({values}))"]
+    if "__repr__" not in own:
+        shown = ", ".join(f"{name}={{self.{name}!r}}" for name in names)
+        source += ["def __repr__(self):",
+                   f'    return f"{{self.__class__.__qualname__}}({shown})"']
+    scope = dict(defaults)
+    exec(compile("\n".join(source) + "\n", f"<wire {cls.__qualname__}>",
+                 "exec"), scope)
+
+    namespace = {key: value for key, value in own.items()
                  if key not in slots and key not in ("__dict__",
                                                      "__weakref__")}
+    for method in ("__init__", "__eq__", "__hash__", "__repr__"):
+        if method in scope:
+            scope[method].__qualname__ = f"{cls.__qualname__}.{method}"
+            namespace[method] = scope[method]
     namespace["__slots__"] = tuple(slots)
     namespace["__setattr__"] = namespace["__delattr__"] = _frozen
     namespace["__reduce__"] = _reduce
@@ -231,31 +281,12 @@ def wire(cls: type, keep: bool = True) -> type:
         namespace["__getattr__"] = __getattr__
     new = type(cls)(cls.__name__, cls.__bases__, namespace)
     new.__qualname__ = cls.__qualname__
-
-    body = [f"    _set_{name}(self, {name})" for name in names]
-    if derived:
-        params.append("*")
-    for name in derived:
-        params.append(f"{name}=None")
-        body.append(f"    if {name} is not None:\n"
-                    f"        _set_{name}(self, {name})")
-    if keep:
-        body.append(f"    _set_{_ENCODING_ATTR}(self, None)")
-    if hasattr(cls, "__post_init__"):
-        body.append("    self.__post_init__()")
-    source = (f"def __init__(self, {', '.join(params)}):\n"
-              + "\n".join(body or ["    pass"]) + "\n")
-    scope = dict(defaults)
+    # The generated functions find their slot setters as globals.
     scope.update((f"_set_{name}", new.__dict__[name].__set__)
                  for name in slots)
-    exec(compile(source, f"<wire {cls.__qualname__}>", "exec"), scope)
-    init = scope["__init__"]
-    init.__qualname__ = f"{cls.__qualname__}.__init__"
-    new.__init__ = init
     return new
 
 
-@dataclass(frozen=True)
 class Digest:
     """SHA-256 digest of a canonically encoded payload (the paper's D(m))."""
 

@@ -1,22 +1,1 @@
 """Fault injection and the anarchy-aware safety checker."""
-
-from repro.faults.injector import FaultInjector, FaultSchedule
-from repro.faults.adversary import (
-    DataLossAdversary,
-    EquivocatingAdversary,
-    SilentAdversary,
-)
-from repro.faults.checker import SafetyChecker, check_total_order
-from repro.faults.liveness import LivenessChecker, LivenessViolation
-
-__all__ = [
-    "FaultInjector",
-    "FaultSchedule",
-    "DataLossAdversary",
-    "EquivocatingAdversary",
-    "SilentAdversary",
-    "SafetyChecker",
-    "check_total_order",
-    "LivenessChecker",
-    "LivenessViolation",
-]

@@ -33,7 +33,6 @@ for cores would inflate them (see ``docs/parallelism.md``).
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import random
 import traceback
@@ -145,7 +144,15 @@ def _pool_map(fn: Callable[[Any], Any], tasks: Sequence[Any],
     scenario schedule factories are plain callables, not picklable
     specs.  One short-lived process per task keeps crash isolation
     absolute: a worker dying mid-cell only EOFs its own pipe.
+    ``multiprocessing`` is imported here, at the first fan-out: a run
+    that never forks does not load it.
     """
+    import multiprocessing.connection
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        # No fork (e.g. some exotic host): fall back to the sequential
+        # reference path rather than require picklable closures.
+        return _inline_map(fn, tasks)
     ctx = multiprocessing.get_context("fork")
     outcomes: List[Optional[Outcome]] = [None] * len(tasks)
     pending = list(range(len(tasks)))
@@ -195,9 +202,5 @@ def parallel_map(fn: Callable[[Any], Any], tasks: Sequence[Any],
     tasks = list(tasks)
     jobs = resolve_jobs(jobs)
     if jobs <= 1 or len(tasks) <= 1:
-        return _inline_map(fn, tasks)
-    if "fork" not in multiprocessing.get_all_start_methods():
-        # No fork (e.g. some exotic host): fall back to the sequential
-        # reference path rather than require picklable closures.
         return _inline_map(fn, tasks)
     return _pool_map(fn, tasks, jobs)

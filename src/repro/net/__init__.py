@@ -1,16 +1,1 @@
 """WAN network model: latency matrix, bandwidth, partitions, delivery."""
-
-from repro.net.latency import LatencyModel, LinkStats
-from repro.net.bandwidth import BandwidthModel
-from repro.net.network import Endpoint, Network
-from repro.net.partition import PartitionController, partitioned_replicas
-
-__all__ = [
-    "LatencyModel",
-    "LinkStats",
-    "BandwidthModel",
-    "Network",
-    "Endpoint",
-    "PartitionController",
-    "partitioned_replicas",
-]

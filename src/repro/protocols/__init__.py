@@ -1,5 +1,1 @@
 """Replication protocols: XPaxos and the baselines it is compared against."""
-
-from repro.protocols.registry import build_cluster, PROTOCOL_BUILDERS
-
-__all__ = ["build_cluster", "PROTOCOL_BUILDERS"]

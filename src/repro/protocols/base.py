@@ -36,7 +36,6 @@ Messages arrive through the one handler table of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable, Iterable, List, Optional, Tuple
 
 from repro.common.config import ClusterConfig
@@ -59,7 +58,6 @@ register_modeled = register(MODELED_MAC)
 
 
 @register_modeled
-@dataclass(frozen=True)
 class ClientRequestMsg:
     """Client -> leader request envelope (MAC-authenticated channel)."""
 
@@ -67,7 +65,6 @@ class ClientRequestMsg:
 
 
 @register_modeled
-@dataclass(frozen=True)
 class GenericReply:
     """Replica -> client reply, protocol-agnostic."""
 
@@ -82,7 +79,6 @@ class GenericReply:
 
 
 @register_modeled
-@dataclass(frozen=True)
 class SyncRequest:
     """Recovering/lagging replica -> peers: send me what I missed."""
 
@@ -91,7 +87,6 @@ class SyncRequest:
 
 
 @register_modeled
-@dataclass(frozen=True)
 class SyncReply:
     """Peer -> recovering replica: committed suffix plus, when the
     requester cannot replay the log contiguously, a state snapshot."""

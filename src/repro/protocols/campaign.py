@@ -17,7 +17,6 @@ handlers read :attr:`CampaignReplica.campaigning` per message.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
 from repro.protocols.base import BaselineReplica, SyncRequest, \
@@ -27,7 +26,6 @@ from repro.smr.messages import Batch
 
 
 @register_modeled
-@dataclass(frozen=True)
 class NewView:
     """New leader -> all: ``view`` is installed with the merged history
     ``entries`` (``(seqno, batch)`` pairs; none from Zab)."""

@@ -40,7 +40,6 @@ Only MACs are used -- crash faults cannot forge messages.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.crypto.primitives import Digest
@@ -50,7 +49,6 @@ from repro.smr.messages import Batch
 
 
 @register_modeled
-@dataclass(frozen=True)
 class Accept:
     """Leader -> acceptor: order ``batch`` at ``seqno`` (phase 2a)."""
 
@@ -61,7 +59,6 @@ class Accept:
 
 
 @register_modeled
-@dataclass(frozen=True)
 class Accepted:
     """Acceptor -> leader: phase-2b acknowledgement."""
 
@@ -72,7 +69,6 @@ class Accepted:
 
 
 @register_modeled
-@dataclass(frozen=True)
 class Learn:
     """Leader -> passive replicas: the decided batch (lazy propagation)."""
 
@@ -82,7 +78,6 @@ class Learn:
 
 
 @register_modeled
-@dataclass(frozen=True)
 class NewBallot:
     """Prospective leader -> all: phase 1a for ballot ``view``."""
 
@@ -91,7 +86,6 @@ class NewBallot:
 
 
 @register_modeled
-@dataclass(frozen=True)
 class Promise:
     """Replica -> prospective leader: phase 1b.
 

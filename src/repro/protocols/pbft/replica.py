@@ -29,7 +29,6 @@ catch-up vehicle for replicas entering the active set).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.crypto.primitives import Digest
@@ -40,7 +39,6 @@ from repro.smr.messages import Batch
 
 
 @register_modeled
-@dataclass(frozen=True)
 class PrePrepare:
     """Primary -> active replicas: speculative ordering of a batch."""
 
@@ -51,7 +49,6 @@ class PrePrepare:
 
 
 @register_modeled
-@dataclass(frozen=True)
 class CommitMsg:
     """Active replica -> active replicas: second-phase vote."""
 
@@ -62,7 +59,6 @@ class CommitMsg:
 
 
 @register_modeled
-@dataclass(frozen=True)
 class ViewChange:
     """Suspecting replica -> all: recovery state for ``view``.
 

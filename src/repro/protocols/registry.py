@@ -7,7 +7,7 @@ they describe the deployment with :class:`ClusterConfig` and call
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Tuple
 
 from repro.common.config import ClusterConfig, ProtocolName, sites_for
 from repro.common.errors import ConfigurationError
@@ -17,23 +17,35 @@ from repro.net.bandwidth import BandwidthModel
 from repro.net.latency import LatencyModel
 from repro.net.network import Network
 from repro.protocols.base import QuorumClient
-from repro.protocols.paxos import PaxosReplica
-from repro.protocols.pbft import PbftReplica
-from repro.protocols.xpaxos import XPaxosClient, XPaxosReplica
-from repro.protocols.zab import ZabReplica
-from repro.protocols.zyzzyva import ZyzzyvaClient, ZyzzyvaReplica
 from repro.sim.core import Simulator
 from repro.smr.app import NullService, StateMachine
 from repro.smr.runtime import ClusterRuntime, collector_held
 
-#: ``protocol -> (replica class, client class)``.
-PROTOCOL_BUILDERS = {
-    ProtocolName.XPAXOS: (XPaxosReplica, XPaxosClient),
-    ProtocolName.PAXOS: (PaxosReplica, QuorumClient),
-    ProtocolName.PBFT: (PbftReplica, QuorumClient),
-    ProtocolName.ZYZZYVA: (ZyzzyvaReplica, ZyzzyvaClient),
-    ProtocolName.ZAB: (ZabReplica, QuorumClient),
-}
+def protocol_classes(protocol: ProtocolName) -> Tuple[type, type]:
+    """``(replica class, client class)`` of ``protocol``.
+
+    Each protocol's modules are imported here, when the protocol is
+    first built, so a run loads (and registers the wire classes of)
+    only the protocols it builds.
+    """
+    if protocol is ProtocolName.XPAXOS:
+        from repro.protocols.xpaxos.client import XPaxosClient
+        from repro.protocols.xpaxos.replica import XPaxosReplica
+        return XPaxosReplica, XPaxosClient
+    if protocol is ProtocolName.PAXOS:
+        from repro.protocols.paxos.replica import PaxosReplica
+        return PaxosReplica, QuorumClient
+    if protocol is ProtocolName.PBFT:
+        from repro.protocols.pbft.replica import PbftReplica
+        return PbftReplica, QuorumClient
+    if protocol is ProtocolName.ZYZZYVA:
+        from repro.protocols.zyzzyva.client import ZyzzyvaClient
+        from repro.protocols.zyzzyva.replica import ZyzzyvaReplica
+        return ZyzzyvaReplica, ZyzzyvaClient
+    if protocol is ProtocolName.ZAB:
+        from repro.protocols.zab.replica import ZabReplica
+        return ZabReplica, QuorumClient
+    raise ConfigurationError(f"unknown protocol {protocol!r}")
 
 
 def build_cluster(
@@ -84,7 +96,7 @@ def build_cluster(
     keystore = KeyStore()
     runtime = ClusterRuntime(config, sim, network, keystore)
 
-    replica_cls, client_cls = PROTOCOL_BUILDERS[config.protocol]
+    replica_cls, client_cls = protocol_classes(config.protocol)
     factory = app_factory or NullService
     with collector_held():
         for replica_id in range(config.n):

@@ -24,7 +24,7 @@ from repro.crypto.costs import CostModel
 from repro.crypto.primitives import KeyStore, digest_of
 from repro.net.network import Network
 from repro.protocols.xpaxos import messages as msg
-from repro.protocols.xpaxos.groups import SynchronousGroups
+from repro.protocols.xpaxos.groups import synchronous_groups
 from repro.protocols.xpaxos.signed import verify_signed
 from repro.sim.core import Simulator
 from repro.smr.messages import Request
@@ -40,7 +40,7 @@ class XPaxosClient(SmrClientBase):
         super().__init__(client_id, config, sim, network, keystore, site,
                          cost_model)
         assert config.n is not None
-        self.groups = SynchronousGroups(config.n, config.t)
+        self.groups = synchronous_groups(config.n, config.t)
 
     # ------------------------------------------------------------------
     def make_request(self, op: Any, timestamp: int,

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List, Set, Tuple
 
+from repro.common.errors import ProtocolViolation
 from repro.crypto.primitives import replica_principal
 from repro.protocols.xpaxos import messages as msg
 from repro.protocols.xpaxos.signed import verify_signed
@@ -161,7 +162,10 @@ class FaultDetector:
         replica = self.replica
         fast = replica.config.t == 1
         ordering = msg.FastPrepare if fast else msg.Prepare
-        batch_digest = msg.batch_digest_of(entry.batch)
+        try:
+            batch_digest = msg.batch_digest_of(entry.batch)
+        except ProtocolViolation:
+            return False  # nothing any signature could cover
         primary_sig, *follower_sigs = entry.proof
         if not verify_signed(replica, ordering(
                 entry.view, entry.seqno, entry.batch, batch_digest,

@@ -29,6 +29,7 @@ more groups led by the crashed ``s0`` before the first one without it.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Collection, List, Tuple
 
@@ -172,3 +173,11 @@ class SynchronousGroups:
         while not set(silent).isdisjoint(self.group(following)):
             following += 1
         return following
+
+
+@functools.lru_cache(maxsize=None)
+def synchronous_groups(n: int, t: int) -> SynchronousGroups:
+    """The one :class:`SynchronousGroups` of ``(n, t)``, shared by every
+    replica and client of every cluster: the rotation is a pure function
+    of ``(n, t)`` and nothing changes it once built."""
+    return SynchronousGroups(n, t)

@@ -18,9 +18,9 @@ on it (docs/authenticators.md, "Signed payloads").
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Optional, Tuple
 
+from repro.common.errors import ProtocolViolation
 from repro.crypto.authenticators import MAC_VECTOR, NULL, register
 from repro.crypto.primitives import Digest, Signature, digest_of, wire
 from repro.protocols.xpaxos.signed import Signed
@@ -33,9 +33,15 @@ def batch_digest_of(batch: Batch) -> Digest:
 
     Covers the full signed body of every request (operation, timestamp,
     client) -- not just the identifiers -- so two different operations can
-    never share a digest.
+    never share a digest.  A batch holding an operation the canonical
+    encoder refuses has none: no correct replica orders one (the primary
+    drops its request), so it raises :class:`ProtocolViolation`, which
+    ``on_message`` turns into suspecting the view.
     """
-    return batch.bodies_digest
+    try:
+        return batch.bodies_digest
+    except TypeError:
+        raise ProtocolViolation("batch cannot be digested") from None
 
 
 # ---------------------------------------------------------------------------
@@ -44,7 +50,6 @@ def batch_digest_of(batch: Batch) -> Digest:
 
 
 @register(NULL)
-@dataclass(frozen=True)
 class Replicate:
     """Client -> primary: a signed request (``<REPLICATE, op, ts, c>``)."""
 
@@ -52,7 +57,6 @@ class Replicate:
 
 
 @register(NULL)
-@dataclass(frozen=True)
 class Prepare(Signed):
     """Primary -> followers (t >= 2): ``<req, prep>``, the primary's
     signed ``<PREPARE, D(req), sn, i>``."""
@@ -72,7 +76,6 @@ class Prepare(Signed):
 
 
 @register(NULL)
-@dataclass(frozen=True)
 class CommitVote(Signed):
     """Follower -> active replicas (t >= 2): its signed
     ``<COMMIT, D(req), sn, i>``."""
@@ -88,7 +91,6 @@ class CommitVote(Signed):
 
 
 @register(NULL)
-@dataclass(frozen=True)
 class FastPrepare(Signed):
     """Primary -> follower (t = 1): ``<req, m0>``, ``m0`` being the
     primary's signed commit."""
@@ -108,7 +110,6 @@ class FastPrepare(Signed):
 
 
 @register(NULL)
-@dataclass(frozen=True)
 class FastCommit(Signed):
     """Follower -> primary (t = 1): ``m1``, the follower's signed commit,
     also covering the digest of the replies it computed.  The primary
@@ -130,7 +131,6 @@ class FastCommit(Signed):
 
 
 @register(MAC_VECTOR)
-@dataclass(frozen=True)
 class ReplyMsg:
     """Active replica -> client (channel MAC stamped by the transport).
 
@@ -157,7 +157,6 @@ class ReplyMsg:
 
 
 @register(NULL)
-@dataclass(frozen=True)
 class Suspect(Signed):
     """``<SUSPECT, i, sj>`` broadcast to all replicas (and to clients that
     asked for retransmission)."""
@@ -171,7 +170,6 @@ class Suspect(Signed):
 
 
 @wire
-@dataclass(frozen=True)
 class CheckpointProof:
     """A stable checkpoint: sequence number, state digest, t+1 signatures,
     and the state snapshot used for state transfer."""
@@ -184,7 +182,6 @@ class CheckpointProof:
 
 
 @register(NULL)
-@dataclass(frozen=True)
 class ViewChange(Signed):
     """``<VIEW-CHANGE, i+1, sj, CommitLog, ...>``.
 
@@ -229,7 +226,6 @@ class ViewChange(Signed):
 
 
 @register(NULL)
-@dataclass(frozen=True)
 class VcFinal(Signed):
     """``<VC-FINAL, i+1, sj, VCSet>``: the signature covers the digest of
     the set, which the receiver compares with ``digest_of(vcset)``."""
@@ -245,7 +241,6 @@ class VcFinal(Signed):
 
 
 @register(NULL)
-@dataclass(frozen=True)
 class VcConfirm(Signed):
     """``<VC-CONFIRM, i+1, D(VCSet)>`` (fault-detection mode only)."""
 
@@ -259,7 +254,6 @@ class VcConfirm(Signed):
 
 
 @register(NULL)
-@dataclass(frozen=True)
 class NewView(Signed):
     """``<NEW-VIEW, i+1, PrepareLog>`` from the new primary.  The
     checkpoint proof certifies itself and stays outside the signature."""
@@ -282,7 +276,6 @@ class NewView(Signed):
 
 
 @register(NULL)
-@dataclass(frozen=True)
 class FaultAccusation:
     """``<STATE-LOSS | FORK-I | FORK-II, ...>`` broadcast to all replicas."""
 
@@ -299,7 +292,6 @@ class FaultAccusation:
 
 
 @register(MAC_VECTOR)
-@dataclass(frozen=True)
 class PreChk:
     """``<PRECHK, sn, i, D(st), sj>`` on the cheap active-to-active
     MAC channel; the per-receiver MAC is stamped by the transport."""
@@ -311,7 +303,6 @@ class PreChk:
 
 
 @register(NULL)
-@dataclass(frozen=True)
 class Chkpt(Signed):
     """``<CHKPT, sn, i, D(st), sj>`` signed (the durable proof)."""
 
@@ -326,7 +317,6 @@ class Chkpt(Signed):
 
 
 @register(NULL)
-@dataclass(frozen=True)
 class LazyChk:
     """``<LAZYCHK, chkProof>`` pushed to passive replicas."""
 
@@ -334,7 +324,6 @@ class LazyChk:
 
 
 @register(NULL)
-@dataclass(frozen=True)
 class LazyCommit:
     """Lazy replication of one commit-log entry to a passive replica."""
 
@@ -344,7 +333,6 @@ class LazyCommit:
 
 
 @register(NULL)
-@dataclass(frozen=True)
 class FetchEntries:
     """Passive/recovering replica -> active replica: request the committed
     entries in ``[from_seqno, to_seqno]`` (state retrieval, Section 4.5.2:
@@ -357,7 +345,6 @@ class FetchEntries:
 
 
 @register(NULL)
-@dataclass(frozen=True)
 class FetchReply:
     """Active replica -> requester: the requested commit-log entries plus
     the responder's stable checkpoint (for requests below the log's
@@ -373,7 +360,6 @@ class FetchReply:
 
 
 @register(NULL)
-@dataclass(frozen=True)
 class ReSend:
     """Client -> all active replicas after its timer expires."""
 
@@ -381,7 +367,6 @@ class ReSend:
 
 
 @register(NULL)
-@dataclass(frozen=True)
 class SignedReplyShare(Signed):
     """Active -> active: one replica's signed reply for a retransmitted
     request (Algorithm 4, lines 16-17).  ``result`` travels outside the
@@ -402,7 +387,6 @@ class SignedReplyShare(Signed):
 
 
 @register(NULL)
-@dataclass(frozen=True)
 class SignedReplies:
     """Active -> client: ``t + 1`` matching signed replies (line 21)."""
 

@@ -31,7 +31,7 @@ from repro.crypto.primitives import Digest, KeyStore, digest_of
 from repro.net.network import Network
 from repro.protocols.xpaxos import messages as msg
 from repro.protocols.xpaxos.checkpoint import Checkpointer
-from repro.protocols.xpaxos.groups import SynchronousGroups
+from repro.protocols.xpaxos.groups import synchronous_groups
 from repro.protocols.xpaxos.lazy import LazyReplicator
 from repro.protocols.xpaxos.progress import ProgressWatch
 from repro.protocols.xpaxos.retransmission import Retransmitter
@@ -60,7 +60,7 @@ class XPaxosReplica(ReplicaBase):
         super().__init__(replica_id, config, sim, network, keystore,
                          app_factory, site, cost_model)
         assert config.n is not None
-        self.groups = SynchronousGroups(config.n, config.t)
+        self.groups = synchronous_groups(config.n, config.t)
         self._primary_at = self.groups.primary_flags(replica_id)
         self.prepare_log = PrepareLog()
         self.stable_checkpoint: Optional[msg.CheckpointProof] = None
@@ -180,11 +180,7 @@ class XPaxosReplica(ReplicaBase):
             return
         if src != self.replica_name(self.groups.primary(self.view)):
             return
-        try:
-            digest = self._batch_digest(m.batch)
-        except TypeError:  # a request the canonical encoder refuses
-            raise ProtocolViolation("prepare batch cannot be digested")
-        if digest != m.batch_digest:
+        if self._batch_digest(m.batch) != m.batch_digest:
             raise ProtocolViolation("prepare digest mismatch")
         if not verify_signed(self, m):
             raise ProtocolViolation("bad primary signature on prepare")

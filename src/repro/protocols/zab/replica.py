@@ -30,7 +30,6 @@ go out through ``repropose``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Dict, List, Set, Tuple
 
 from repro.protocols.base import register_modeled
@@ -40,7 +39,6 @@ from repro.smr.messages import Batch
 
 
 @register_modeled
-@dataclass(frozen=True)
 class Proposal:
     """Leader -> followers: a proposed transaction (zxid = seqno here)."""
 
@@ -50,7 +48,6 @@ class Proposal:
 
 
 @register_modeled
-@dataclass(frozen=True)
 class Ack:
     """Follower -> leader: proposal durably logged."""
 
@@ -60,7 +57,6 @@ class Ack:
 
 
 @register_modeled
-@dataclass(frozen=True)
 class CommitZab:
     """Leader -> followers: deliver the transaction."""
 
@@ -69,7 +65,6 @@ class CommitZab:
 
 
 @register_modeled
-@dataclass(frozen=True)
 class FollowerInfo:
     """Suspecting replica -> all: acked history for the target epoch.
 

@@ -37,7 +37,6 @@ present a history that contradicts what the quorum handed it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Dict, List, Tuple
 
 from repro.crypto.primitives import Digest, digest_of
@@ -48,7 +47,6 @@ from repro.smr.messages import Batch
 
 
 @register_modeled
-@dataclass(frozen=True)
 class OrderReq:
     """Primary -> all replicas: speculative ordering of a batch."""
 
@@ -60,7 +58,6 @@ class OrderReq:
 
 
 @register_modeled
-@dataclass(frozen=True)
 class CommitCert:
     """Client -> all replicas: 2t + 1 matching speculative responses for
     one slot (the fallback path's commit proof)."""
@@ -74,7 +71,6 @@ class CommitCert:
 
 
 @register_modeled
-@dataclass(frozen=True)
 class ViewChange:
     """Suspecting replica -> all: its speculative history for ``view``."""
 

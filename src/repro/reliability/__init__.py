@@ -1,35 +1,1 @@
 """Section 6 reliability analysis: nines of consistency and availability."""
-
-from repro.reliability.models import (
-    FaultToleranceRow,
-    fault_tolerance_table,
-    nines_of,
-    p_bft_available,
-    p_bft_consistent,
-    p_cft_available,
-    p_cft_consistent,
-    p_sync_bft_consistent,
-    p_xft_available,
-    p_xft_consistent,
-    probability_from_nines,
-)
-from repro.reliability.tables import (
-    consistency_table,
-    availability_table,
-)
-
-__all__ = [
-    "nines_of",
-    "probability_from_nines",
-    "p_cft_consistent",
-    "p_cft_available",
-    "p_bft_consistent",
-    "p_bft_available",
-    "p_sync_bft_consistent",
-    "p_xft_consistent",
-    "p_xft_available",
-    "FaultToleranceRow",
-    "fault_tolerance_table",
-    "consistency_table",
-    "availability_table",
-]

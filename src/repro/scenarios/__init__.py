@@ -1,17 +1,1 @@
 """Declarative fault scenarios and the conformance library."""
-
-from repro.scenarios.scenario import Scenario
-from repro.scenarios.library import (
-    builtin_scenarios,
-    get_scenario,
-    scenario_map,
-)
-from repro.scenarios.fuzz import random_schedule
-
-__all__ = [
-    "Scenario",
-    "builtin_scenarios",
-    "get_scenario",
-    "scenario_map",
-    "random_schedule",
-]

@@ -12,7 +12,6 @@ checkpointing (discarding proofs below a stable checkpoint, Section 4.5.1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Generic, Iterator, Optional, Tuple, TypeVar
 
 from repro.crypto.primitives import Signature, wire
@@ -20,7 +19,6 @@ from repro.smr.messages import Batch
 
 
 @wire
-@dataclass(frozen=True)
 class PrepareEntry:
     """One slot of a prepare log: the batch plus the primary's signed
     prepare (or, for t=1, the primary's signed commit) message."""
@@ -35,7 +33,6 @@ class PrepareEntry:
 
 
 @wire
-@dataclass(frozen=True)
 class CommitEntry:
     """One slot of a commit log: the batch plus the full proof.
 

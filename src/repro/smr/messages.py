@@ -10,7 +10,6 @@ MAC-authenticated ``ReplyMsg``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable, Optional, Tuple
 
 from repro.crypto.primitives import (
@@ -25,7 +24,6 @@ from repro.crypto.primitives import (
 
 
 @wire
-@dataclass(frozen=True)
 class Request:
     """A signed client request (the paper's ``req``).
 
@@ -90,7 +88,6 @@ class Request:
 
 
 @wire
-@dataclass(frozen=True)
 class Batch:
     """An ordered group of requests occupying one sequence number.
 

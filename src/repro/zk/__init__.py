@@ -1,7 +1,1 @@
 """A ZooKeeper-like coordination service replicated via any protocol."""
-
-from repro.zk.datatree import DataTree, Znode, ZkError
-from repro.zk.service import CoordinationService, zk_write_op
-
-__all__ = ["DataTree", "Znode", "ZkError", "CoordinationService",
-           "zk_write_op"]

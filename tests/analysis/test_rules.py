@@ -332,6 +332,49 @@ class TestA001UnregisteredWireMessage:
         })
         assert len(found(report, "A001")) == 1
 
+    def test_classes_defined_beside_their_protocol_are_in_scope(
+            self, lint_tree):
+        """A baseline defines its messages in its ``replica.py``: one
+        laid out by ``wire`` (or written as a plain dataclass) and sent
+        there without ``register`` fires; the registered one does not."""
+        replica = """\
+            from dataclasses import dataclass
+
+
+            def register(policy):
+                return lambda cls: cls
+
+
+            def wire(cls):
+                return cls
+
+
+            @wire
+            class Unbound:
+                seq: int
+
+
+            @dataclass(frozen=True)
+            class Loose:
+                seq: int
+
+
+            @register("modeled-mac")
+            class Bound:
+                seq: int
+
+
+            def broadcast(node, names):
+                node.multicast(names, Unbound(1))
+                node.multicast(names, Loose(2))
+                node.multicast(names, Bound(3))
+        """
+        report = lint_tree({"pkg/protocols/demo/replica.py": replica})
+        assert sorted(found(report, "A001")) == [
+            ("demo/replica.py", line_of(replica, "class Unbound")),
+            ("demo/replica.py", line_of(replica, "class Loose")),
+        ]
+
     def test_non_messages_modules_are_out_of_scope(self, lint_tree):
         report = lint_tree({
             "pkg/app.py": """\

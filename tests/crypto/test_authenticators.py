@@ -99,7 +99,6 @@ class TestNullAndModeled:
 
 class TestRegistry:
     def test_register_and_lookup(self):
-        @dataclass(frozen=True)
         class Probe:
             pass
 
@@ -110,7 +109,6 @@ class TestRegistry:
 
     def test_rebinding_to_other_policy_rejected(self):
         @register(NULL)
-        @dataclass(frozen=True)
         class Probe2:
             pass
 
@@ -118,12 +116,21 @@ class TestRegistry:
             register(MAC_VECTOR)(Probe2)
 
     def test_only_frozen_dataclasses_are_registered(self):
-        class Plain:
-            pass
+        """``register`` makes the frozen dataclass itself: a class that
+        is a (mutable) dataclass already, or that defines its own
+        ``__init__``, is refused."""
+        @dataclass
+        class Mutable:
+            x: int
 
-        with pytest.raises(TypeError):
-            register(NULL)(Plain)
-        assert Plain not in POLICIES
+        class Plain:
+            def __init__(self, x):
+                self.x = x
+
+        for cls in (Mutable, Plain):
+            with pytest.raises(TypeError):
+                register(NULL)(cls)
+            assert cls not in POLICIES
 
     def test_every_protocol_wire_class_is_registered(self):
         """All five protocols' wire messages carry a policy (the registry

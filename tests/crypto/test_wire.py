@@ -18,12 +18,13 @@ import pytest
 
 from repro.crypto.authenticators import POLICIES
 from repro.crypto.primitives import Digest, KeyStore, wire
-from repro.protocols.registry import PROTOCOL_BUILDERS
+from repro.protocols import paxos, pbft, xpaxos, zab, zyzzyva
 from repro.protocols.xpaxos.messages import CheckpointProof
 from repro.smr.log import CommitEntry, PrepareEntry
 from repro.smr.messages import Batch, Request
 
-assert len(PROTOCOL_BUILDERS) == 5  # every protocol's classes registered
+#: Importing the five protocol packages registered their wire classes.
+PROTOCOLS = (paxos, pbft, xpaxos, zab, zyzzyva)
 
 NESTED = (Digest, Request, Batch, PrepareEntry, CommitEntry,
           CheckpointProof)
@@ -36,6 +37,11 @@ SIGNATURE = KeyStore().sign_digest("r0", Digest(b"s" * 32))
 #: Hashable, picklable field values, cycled over a class's fields.
 SAMPLES = (7, "text", b"\x01\x02", (1, ("a", b"b")), Digest(b"d" * 32),
            SIGNATURE, 2.5, None)
+
+
+def generated(method):
+    """Was ``method`` generated by ``wire``?"""
+    return method.__code__.co_filename.startswith("<wire ")
 
 
 def sample_args(cls, shift=0):
@@ -55,7 +61,7 @@ def sample_args(cls, shift=0):
 @pytest.mark.parametrize("cls", CLASSES, ids=lambda cls: cls.__qualname__)
 class TestEveryWireClass:
     def test_laid_out_by_wire(self, cls):
-        assert cls.__init__.__code__.co_filename.startswith("<wire ")
+        assert generated(cls.__init__)
         assert wire(cls) is cls  # idempotent
         assert not hasattr(cls(*sample_args(cls)), "__dict__")
 
@@ -94,6 +100,23 @@ class TestEveryWireClass:
         assert hash(one) == hash(two)
         assert one != other
         assert repr(one) == repr(two)
+
+    def test_hash_and_repr_are_the_frozen_dataclass_s(self, cls):
+        """What ``@dataclass(frozen=True)`` would generate, unless the
+        class writes its own (``Digest``, ``Request``, the log
+        entries)."""
+        message = cls(*sample_args(cls))
+        values = tuple(getattr(message, f.name)
+                       for f in dataclasses.fields(cls))
+        if generated(cls.__hash__):
+            assert hash(message) == hash(values)
+        if generated(cls.__repr__):
+            shown = ", ".join(f"{f.name}={value!r}" for f, value in
+                              zip(dataclasses.fields(cls), values))
+            assert repr(message) == f"{cls.__qualname__}({shown})"
+        assert cls.__dataclass_params__.frozen
+        assert dataclasses.is_dataclass(cls) and dataclasses.is_dataclass(
+            message)
 
     def test_replace(self, cls):
         message = cls(*sample_args(cls))
@@ -145,7 +168,6 @@ class TestWhatItRefuses:
                 wire(cls)
 
     def test_field_shapes_it_cannot_build_are_refused(self):
-        @dataclasses.dataclass(frozen=True)
         class WithFactory:
             xs: tuple = dataclasses.field(default_factory=tuple)
 
@@ -156,7 +178,6 @@ class TestWhatItRefuses:
         class Base:
             pass
 
-        @dataclasses.dataclass(frozen=True)
         class Child(Base):
             x: int
 

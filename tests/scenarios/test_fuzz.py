@@ -1,21 +1,100 @@
 """Seeded randomized-schedule fuzzing (outside anarchy by construction).
 
 Each case generates a random-but-reproducible fault schedule under the
-constraints of :func:`repro.scenarios.fuzz.random_schedule` (no non-crash
-faults, at most one replica faulty at a time, everything heals before a
-tail window), runs it, and asserts the unconditional XFT guarantees:
-total order always, commit progress whenever the system is healthy.
+constraints of :func:`random_schedule`, runs it, and asserts the
+unconditional XFT guarantees: total order always, commit progress
+whenever the system is healthy.  The constraints keep those guarantees
+unconditional (Definition 2):
+
+* no non-crash faults are ever injected, so ``tnc = 0`` and the system
+  can never be in anarchy, whatever else happens;
+* fault windows are sequential -- at most one replica is crashed or
+  isolated at any instant, keeping the run inside the protocol's fault
+  threshold ``t``;
+* every fault heals before ``horizon_ms - tail_ms``, guaranteeing a
+  healthy tail in which the liveness checker demands progress.
+
+Everything is driven by a caller-provided :class:`random.Random`, so a
+seed reproduces the schedule bit-for-bit.
 """
 
 import random
+from typing import List, Optional, Sequence
 
 import pytest
 
-from repro.common.config import ProtocolName, sites_for
+from repro.common.config import ClusterConfig, ProtocolName, sites_for
+from repro.faults.injector import FaultSchedule
 from repro.faults.liveness import LivenessChecker
 from repro.net.latency import LatencyModel
-from repro.scenarios.fuzz import random_schedule, schedule_signature
 from tests.conftest import make_harness
+
+
+def random_schedule(
+    rng: random.Random,
+    config: ClusterConfig,
+    horizon_ms: float,
+    victims: Optional[Sequence[int]] = None,
+    kinds: Sequence[str] = ("crash", "isolate"),
+    start_ms: float = 1_500.0,
+    tail_ms: float = 2_000.0,
+    min_window_ms: float = 400.0,
+    max_window_ms: float = 1_200.0,
+    min_gap_ms: float = 600.0,
+    max_faults: int = 4,
+) -> FaultSchedule:
+    """Generate one constrained random schedule.
+
+    Args:
+        rng: the seeded source of randomness.
+        config: the cluster the schedule will run against.
+        horizon_ms: workload duration; all faults heal ``tail_ms`` before
+            it.
+        victims: replica ids eligible for faults (default: all).
+        kinds: fault kinds to draw from (``"crash"``, ``"isolate"``).
+        start_ms: earliest fault instant (leave warmup alone).
+        tail_ms: guaranteed healthy tail.
+        min_window_ms / max_window_ms: fault duration range.
+        min_gap_ms: healthy gap between consecutive fault windows.
+        max_faults: upper bound on the number of fault windows.
+
+    Returns:
+        A :class:`FaultSchedule`; possibly empty when the horizon is too
+        short for even one window.
+    """
+    assert config.n is not None
+    if victims is None:
+        victims = list(range(config.n))
+    if not victims:
+        raise ValueError("need at least one eligible victim")
+    unknown = set(kinds) - {"crash", "isolate"}
+    if unknown:
+        raise ValueError(f"unknown fault kinds: {sorted(unknown)}")
+
+    names = [f"r{i}" for i in range(config.n)]
+    schedule = FaultSchedule()
+    cursor = start_ms
+    deadline = horizon_ms - tail_ms
+    for _ in range(rng.randint(1, max_faults)):
+        window = rng.uniform(min_window_ms, max_window_ms)
+        if cursor + window > deadline:
+            break
+        victim = rng.choice(list(victims))
+        kind = rng.choice(list(kinds))
+        if kind == "crash":
+            schedule.crash_for(cursor, victim, window)
+        else:
+            others = [n for n in names if n != f"r{victim}"]
+            schedule.isolate(cursor, f"r{victim}", others)
+            schedule.heal_isolation(cursor + window, f"r{victim}", others)
+        cursor += window + rng.uniform(min_gap_ms, 2 * min_gap_ms)
+    return schedule
+
+
+def schedule_signature(schedule: FaultSchedule) -> List[tuple]:
+    """A hashable rendering of a schedule, for determinism assertions."""
+    return [(e.at_ms, e.kind, e.replica, e.pair) for e in schedule.events]
+
 
 HORIZON_MS = 6_000.0
 XPAXOS_SEEDS = [101, 202, 303, 404, 505]

@@ -24,7 +24,7 @@ from repro.harness.matrix import (
     run_matrix,
     scenario_cell,
 )
-from repro.scenarios import builtin_scenarios, get_scenario
+from repro.scenarios.library import builtin_scenarios, get_scenario
 
 SCENARIOS = builtin_scenarios()
 

@@ -5,7 +5,8 @@ import pytest
 from repro.common.config import ClusterConfig, ProtocolName
 from repro.faults.injector import FaultSchedule
 from repro.harness.matrix import scenario_cell
-from repro.scenarios import Scenario, builtin_scenarios, get_scenario
+from repro.scenarios.library import builtin_scenarios, get_scenario
+from repro.scenarios.scenario import Scenario
 
 
 class TestScenario:

@@ -7,7 +7,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.common.errors import ConfigurationError
-from repro.protocols.xpaxos.groups import SynchronousGroups
+from repro.protocols.xpaxos.groups import (
+    SynchronousGroups,
+    synchronous_groups,
+)
+from tests.conftest import make_cluster
 
 
 class TestTable2:
@@ -174,3 +178,19 @@ class TestNextViewAvoiding:
         groups, _ = one_cycle(2)
         assert 2 in groups.followers(2) and 2 in groups.group(3)
         assert groups.next_view_avoiding(2, [2]) == 4
+
+
+class TestShared:
+    """The rotation is a pure function of ``(n, t)``: every replica and
+    client of every cluster holds the same one."""
+
+    def test_one_rotation_per_n_and_t(self):
+        assert synchronous_groups(5, 2) is synchronous_groups(5, 2)
+        assert synchronous_groups(3, 1) is not synchronous_groups(5, 2)
+
+    def test_replicas_and_clients_of_two_clusters_share_it(self):
+        nodes = [node for runtime in (make_cluster(t=2, num_clients=2),
+                                      make_cluster(t=2, num_clients=1))
+                 for node in (*runtime.replicas, *runtime.clients)]
+        assert {id(node.groups) for node in nodes} \
+            == {id(synchronous_groups(5, 2))}

@@ -23,6 +23,7 @@ from repro.crypto.primitives import (
 )
 from repro.protocols.xpaxos import messages as msg
 from repro.protocols.xpaxos.signed import verify_signed
+from repro.smr.log import CommitEntry, PrepareEntry
 from repro.smr.messages import Batch, Request
 from tests.conftest import checkpoint_proof, isolate, make_cluster
 
@@ -122,6 +123,52 @@ def test_the_follower_drops_a_prepare_whose_batch_cannot_be_encoded(op):
                                      batch_digest=DIGEST)
     follower.on_message("r0", prepare)
     assert follower.sn == 0 and 1 not in follower.prepare_log
+
+
+def unencodable_batch(runtime, op):
+    request = Request(op=op, timestamp=1, client=0,
+                      signature=runtime.keystore.sign_digest("c0", DIGEST))
+    return Batch((request,))
+
+
+@pytest.mark.parametrize("op", UNENCODABLE, ids=type)
+def test_a_new_view_offering_a_batch_that_cannot_be_encoded_is_suspected(
+        op):
+    """A faulty primary's NEW-VIEW whose signature checks out (the
+    primary hands over the digest it signed) but whose entry holds a
+    batch with no digest: the follower's cross-check against its own
+    selection suspects the view, and nothing escapes ``on_message``."""
+    runtime = make_cluster(t=1)
+    sent = isolate(runtime)
+    primary, follower = runtime.replica(0), runtime.replica(2)
+    changer = follower.view_changer  # view 1 = (r0, r2)
+    changer._enter_view(1)
+    for r in (0, 1):
+        vc = runtime.replica(r).view_changer.build_view_change(1)
+        changer._on_view_change(f"r{r}", vc)
+    vcset = sent.of(msg.VcFinal)[0][1].vcset
+    changer._on_vc_final("r0", msg.VcFinal.signed(
+        primary.sign, new_view=1, sender=0, vcset=vcset,
+        vcset_digest=digest_of(vcset)))
+    entry = PrepareEntry(1, 1, unencodable_batch(runtime, op),
+                         primary.sign(("prepare", 1)))
+    sig = primary.sign(msg.NewView.payload_of(new_view=1, entries=()))
+    crafted = msg.NewView(1, (entry,), None, sig, payload_digest=sig.digest)
+    assert verify_signed(follower, crafted)
+    follower.on_message("r0", crafted)
+    assert follower.view_changes_completed == 0
+    assert {m.view for _, m in sent.of(msg.Suspect)} == {1}
+    assert follower.view == 2
+
+
+@pytest.mark.parametrize("op", UNENCODABLE, ids=type)
+def test_a_commit_entry_whose_batch_cannot_be_encoded_has_no_valid_proof(
+        op):
+    runtime = make_cluster(t=2, use_fault_detection=True)
+    replica = runtime.replica(1)
+    entry = CommitEntry(1, 0, unencodable_batch(runtime, op),
+                        (runtime.replica(0).sign(("prepare", 1)),))
+    assert replica.view_changer.detector._commit_proof_valid(entry) is False
 
 
 @pytest.mark.parametrize("batch_digest", UNENCODABLE, ids=type)
