@@ -10,11 +10,11 @@
 # ------
 # lint       byte-compiles every Python tree (and runs pyflakes when the
 #            host has it) -- catches syntax/undefined-name rot cheaply --
-#            then runs `repro lint`, the AST determinism & safety linter
-#            (src/repro/analysis/; docs/static-analysis.md): the D/A/S
-#            rule families over src+tests+benchmarks, failing on any
-#            non-baselined finding and writing lint_report.json for the
-#            CI artifact.
+#            then runs `repro lint`, the AST linter (src/repro/analysis/;
+#            docs/static-analysis.md): the D/A/S/P rule families over
+#            src+tests+benchmarks+examples, failing on any finding and
+#            writing lint_report.json (findings, suppressed; no baseline)
+#            for the CI artifact.
 # tier1      the full unit + figure-regeneration suite (the repo's
 #            correctness gate; see ROADMAP.md), after timing one fresh
 #            `import repro.harness.runner` (the "imports" entry of
@@ -83,14 +83,15 @@ stage_lint() {
     else
         echo "pyflakes not installed; byte-compile only"
     fi
-    # The determinism & safety linter: module-level RNG draws,
-    # wall-clock reads, hash-ordered set iteration, unregistered wire
-    # messages, simulator hygiene (docs/static-analysis.md).  Fails on
-    # any finding that is neither suppressed inline nor in the committed
-    # baseline (benchmarks/lint_baseline.json), and on stale baseline
-    # entries.  The JSON report is uploaded as a CI artifact.
-    echo "== lint: determinism & safety linter (repro lint) =="
-    python -m repro lint src tests benchmarks --json lint_report.json
+    # The AST linter: module-level RNG draws, wall-clock reads,
+    # hash-ordered set iteration, unregistered wire messages, simulator
+    # hygiene, and the one-path rules -- single doors, line budgets,
+    # code no entry point reaches (docs/static-analysis.md).  Fails on
+    # any finding not suppressed inline; there is no baseline, so
+    # lint_report.json has no baselined / stale_baseline keys.  The JSON
+    # report is uploaded as a CI artifact.
+    echo "== lint: determinism, safety & structure linter (repro lint) =="
+    python -m repro lint src tests benchmarks examples --json lint_report.json
 }
 
 stage_tier1() {

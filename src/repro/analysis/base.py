@@ -1,13 +1,14 @@
 """Rule framework: visitor-based rules, the registry, and path scoping.
 
-A rule is an :class:`ast.NodeVisitor` subclass with a class-level ``id``,
-``severity`` and a docstring that states the invariant it enforces (the
+A rule is an :class:`ast.NodeVisitor` subclass with a class-level ``id``
+and a docstring that states the invariant it enforces (the
 docstring is the rule catalog entry printed by ``repro lint
 --list-rules`` and quoted in ``docs/static-analysis.md``).  File-local
 rules override visitor methods and call :meth:`Rule.report`;
 cross-file rules (the A-series registration check, the S-series hot-class
-scan) additionally collect state per module and emit their findings from
-:meth:`Rule.finish_project` once every module has been seen.
+scan, the P-series reachability check) additionally collect state per
+module and emit their findings from :meth:`Rule.finish_project` once
+every module has been seen.
 
 Rules are registered with the :func:`rule` decorator; the engine
 instantiates a fresh rule object per run, so rules may keep mutable
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 from types import ModuleType
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Type
 
-from repro.analysis.findings import Finding, Severity
+from repro.analysis.findings import Finding
 
 
 @dataclass
@@ -35,7 +36,6 @@ class ModuleInfo:
 
     path: str
     tree: ast.Module
-    source: str
     lines: List[str] = field(default_factory=list)
 
     @property
@@ -76,11 +76,10 @@ class Rule(ast.NodeVisitor):
     """Base class for one lint rule (see the module docstring)."""
 
     #: Stable identifier, ``<FAMILY><NNN>`` (e.g. ``D001``); suppression
-    #: comments and baselines refer to findings by this id.
+    #: comments refer to findings by this id.
     id: str = ""
     #: One-line summary for ``--list-rules`` and the docs catalog.
     title: str = ""
-    severity: Severity = Severity.ERROR
 
     def __init__(self) -> None:
         self._findings: List[Finding] = []
@@ -112,14 +111,12 @@ class Rule(ast.NodeVisitor):
             line=line if line is not None else node.lineno,
             rule=self.id,
             message=message,
-            severity=self.severity.value,
         ))
 
     def emit(self, path: str, line: int, message: str) -> Finding:
         """Build a finding detached from the current module (for
         :meth:`finish_project`)."""
-        return Finding(file=path, line=line, rule=self.id,
-                       message=message, severity=self.severity.value)
+        return Finding(file=path, line=line, rule=self.id, message=message)
 
 
 #: id -> rule class, in registration order (which fixes report ordering
@@ -146,9 +143,11 @@ def _rule_modules() -> Tuple[ModuleType, ...]:
         rules_authentication,
         rules_determinism,
         rules_simulator,
+        rules_structure,
     )
 
-    return (rules_authentication, rules_determinism, rules_simulator)
+    return (rules_authentication, rules_determinism, rules_simulator,
+            rules_structure)
 
 
 def all_rule_classes() -> Dict[str, Type[Rule]]:

@@ -8,7 +8,7 @@ tests.  The pipeline per run:
 2. run every selected rule over every module (file-local findings), then
    give each rule its cross-file :meth:`finish_project` pass;
 3. drop findings silenced by inline ``# repro: lint-ok[ID]`` markers;
-4. partition the rest against the committed baseline.
+   every other finding fails the run.
 
 Everything is deterministic: files are visited in sorted order and
 findings are reported sorted by ``(file, line, rule)``, so two runs over
@@ -20,15 +20,16 @@ from __future__ import annotations
 import ast
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from operator import attrgetter
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.analysis.base import ModuleInfo, make_rules
-from repro.analysis.baseline import load_baseline, split_baseline
 from repro.analysis.findings import Finding
 from repro.analysis.suppressions import is_suppressed, suppressed_lines
 
-REPORT_VERSION = 1
+#: Raised whenever the report's keys change.
+REPORT_VERSION = 2
 
 #: Directory names never descended into.
 _SKIP_DIRS = frozenset({"__pycache__", ".git", ".hypothesis",
@@ -39,21 +40,17 @@ _SKIP_DIRS = frozenset({"__pycache__", ".git", ".hypothesis",
 class LintReport:
     """The outcome of one lint run."""
 
-    #: Findings that fail the run (not suppressed, not baselined).
+    #: Findings that fail the run (not suppressed).
     findings: List[Finding] = field(default_factory=list)
     #: Findings silenced by inline ``lint-ok`` markers.
     suppressed: List[Finding] = field(default_factory=list)
-    #: Findings absorbed by the committed baseline.
-    baselined: List[Finding] = field(default_factory=list)
-    #: Baseline entries nothing matched -- these fail the run too.
-    stale_baseline: List[Dict[str, Any]] = field(default_factory=list)
     files_checked: int = 0
     rules_run: List[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
-        """Does the run pass (no new findings, no stale baseline)?"""
-        return not self.findings and not self.stale_baseline
+        """Does the run pass (no findings)?"""
+        return not self.findings
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -61,10 +58,8 @@ class LintReport:
             "ok": self.ok,
             "files_checked": self.files_checked,
             "rules_run": self.rules_run,
-            "findings": [f.to_dict() for f in self.findings],
-            "suppressed": [f.to_dict() for f in self.suppressed],
-            "baselined": [f.to_dict() for f in self.baselined],
-            "stale_baseline": self.stale_baseline,
+            "findings": [asdict(f) for f in self.findings],
+            "suppressed": [asdict(f) for f in self.suppressed],
         }
 
     def to_json(self) -> str:
@@ -111,21 +106,17 @@ def parse_modules(
                 file=path, line=exc.lineno or 1, rule="E000",
                 message=f"syntax error: {exc.msg}"))
             continue
-        modules.append(ModuleInfo(path=path, tree=tree, source=source,
+        modules.append(ModuleInfo(path=path, tree=tree,
                                   lines=source.splitlines()))
     return modules, errors
 
 
-def run_lint(
-    paths: Sequence[str],
-    only: Optional[Sequence[str]] = None,
-    baseline_path: Optional[str] = None,
-) -> LintReport:
+def run_lint(paths: Sequence[str],
+             only: Optional[Sequence[str]] = None) -> LintReport:
     """Lint ``paths`` and return the merged :class:`LintReport`.
 
     ``only`` restricts the run to the named rule ids (unknown ids raise
-    ``ValueError``); ``baseline_path`` points at the committed baseline
-    (``None`` disables baseline handling entirely).
+    ``ValueError``).
     """
     rules = make_rules(only=only)
     files = iter_python_files(paths)
@@ -149,20 +140,10 @@ def run_lint(
         else:
             kept.append(finding)
 
-    entries = load_baseline(baseline_path) if baseline_path else []
-    active = set(r.id for r in rules) if only else None
-    new, baselined, stale = split_baseline(kept, entries,
-                                           active_rules=active)
-
-    def _order(f: Finding):
-        return (f.file, f.line, f.rule)
-
+    order = attrgetter("file", "line", "rule")
     return LintReport(
-        findings=sorted(new, key=_order),
-        suppressed=sorted(suppressed, key=_order),
-        baselined=sorted(baselined, key=_order),
-        stale_baseline=sorted(
-            stale, key=lambda e: (e["file"], e["line"], e["rule"])),
+        findings=sorted(kept, key=order),
+        suppressed=sorted(suppressed, key=order),
         files_checked=len(modules),
         rules_run=sorted(r.id for r in rules),
     )
@@ -173,21 +154,12 @@ def format_report(report: LintReport, verbose: bool = False) -> str:
     lines = []
     for finding in report.findings:
         lines.append(finding.format())
-    for entry in report.stale_baseline:
-        lines.append(
-            f"{entry['file']}:{entry['line']}: {entry['rule']} STALE "
-            f"baseline entry: no matching finding -- the violation was "
-            f"fixed or moved; remove the entry from the baseline")
     if verbose:
         for finding in report.suppressed:
             lines.append(f"{finding.format()} (suppressed by lint-ok)")
-        for finding in report.baselined:
-            lines.append(f"{finding.format()} (baselined)")
     summary = (
         f"{len(report.findings)} finding(s), "
-        f"{len(report.stale_baseline)} stale baseline entr(ies), "
-        f"{len(report.suppressed)} suppressed, "
-        f"{len(report.baselined)} baselined "
+        f"{len(report.suppressed)} suppressed "
         f"across {report.files_checked} file(s), "
         f"{len(report.rules_run)} rule(s)")
     lines.append(("FAIL: " if not report.ok else "lint ok: ") + summary)

@@ -1,30 +1,14 @@
-"""The linter's output vocabulary: findings and severities.
+"""The linter's output vocabulary: one finding.
 
 A :class:`Finding` is one rule violation at one source location.  The
-identity used by suppression and baseline matching is the triple
-``(file, rule, line)`` -- message text can be reworded without
-invalidating a baseline, but a finding that moves to another line is a
-*new* finding (the baseline is a ratchet, not a mute button; see
-``docs/static-analysis.md``).
+identity used by suppression is ``(file, rule, line)`` -- message text
+can be reworded freely, but a ``lint-ok`` marker silences one rule at
+one line only.  Every finding fails the run.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
-from typing import Any, Dict, Tuple
-
-
-class Severity(str, enum.Enum):
-    """How a finding affects the lint exit status.
-
-    Every shipped rule is currently ``error`` -- the CI lint stage fails
-    on any non-baselined finding.  ``warning`` exists so a future rule
-    can be introduced observe-only before being promoted.
-    """
-
-    ERROR = "error"
-    WARNING = "warning"
 
 
 @dataclass(frozen=True, order=True)
@@ -35,23 +19,7 @@ class Finding:
     line: int
     rule: str
     message: str
-    severity: str = Severity.ERROR.value
-
-    @property
-    def key(self) -> Tuple[str, str, int]:
-        """Baseline/suppression identity: ``(file, rule, line)``."""
-        return (self.file, self.rule, self.line)
 
     def format(self) -> str:
         """Human one-liner, ``file:line: RULE message`` (grep-friendly)."""
         return f"{self.file}:{self.line}: {self.rule} {self.message}"
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-report form (stable key order via dataclass field order)."""
-        return {
-            "file": self.file,
-            "line": self.line,
-            "rule": self.rule,
-            "message": self.message,
-            "severity": self.severity,
-        }

@@ -9,8 +9,7 @@ different rule still fails the lint.
 
 The policy (see ``docs/static-analysis.md``): a suppression asserts "this
 specific occurrence is intentional" and should sit next to a comment
-saying why; findings that are merely *inherited* belong in the baseline
-file instead, where staleness is tracked.
+saying why.  There is no other way to pass a finding.
 """
 
 from __future__ import annotations

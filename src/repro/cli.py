@@ -23,16 +23,18 @@ library (crash cadences, partitions, Byzantine adversaries, anarchy
 boundary crossings; see :mod:`repro.scenarios.library`) against the
 selected protocols, grading each cell's safety/liveness invariants.
 
-``lint`` runs the AST determinism & safety linter
+``lint`` runs the AST determinism, safety and structure linter
 (:mod:`repro.analysis`): module-level RNG draws, wall-clock reads,
-hash-ordered set iteration, unregistered wire messages and simulator
+hash-ordered set iteration, unregistered wire messages, simulator
 hygiene -- the same invariants the runtime enforces late, caught before
-a matrix run starts (see ``docs/static-analysis.md``).
+a matrix run starts -- and the one-path rules: single doors, line
+budgets, and code no entry point reaches (see
+``docs/static-analysis.md``).
 
 A number no run can use (``--jobs -1``, zero clients, seconds or
 uplink, a negative request size or number of nines, a ``--t`` below 1,
-or other than 1 or 2 for a run) is a usage error: one argparse line and
-exit 2.
+or other than 1 or 2 for a run, a ``profile --limit`` below 1) is a
+usage error: one argparse line and exit 2.
 
 ``scenarios`` and ``sweep`` accept ``--jobs N`` to farm their
 deterministic, independent cells/points to worker processes; merged
@@ -136,41 +138,28 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
 
 def cmd_lint(args: argparse.Namespace) -> int:
-    """AST determinism & safety linter (see ``docs/static-analysis.md``).
+    """AST linter (see ``docs/static-analysis.md``).
 
-    Exit 0 when the tree is clean (modulo inline suppressions and the
-    committed baseline); exit 1 on any new finding *or* stale baseline
-    entry; exit 2 on usage errors (unknown rule id, missing path,
-    malformed baseline).
+    Exit 0 when the tree is clean (modulo inline suppressions); exit 1
+    on any finding; exit 2 on usage errors (unknown rule id, missing
+    path).
     """
-    from repro.analysis import (
-        all_rule_classes,
-        format_report,
-        run_lint,
-        write_baseline,
-    )
+    from repro.analysis.base import all_rule_classes
+    from repro.analysis.engine import format_report, run_lint
 
     if args.list_rules:
         for rid, cls in sorted(all_rule_classes().items()):
-            print(f"{rid}  [{cls.severity.value}] {cls.title}")
+            print(f"{rid}  {cls.title}")
         return 0
     only = [rid.strip()
             for chunk in args.only for rid in chunk.split(",")
             if rid.strip()]
-    paths = args.paths or ["src", "tests", "benchmarks"]
-    baseline = None if args.no_baseline else args.baseline
+    paths = args.paths or ["src", "tests", "benchmarks", "examples"]
     try:
-        report = run_lint(paths, only=only or None, baseline_path=baseline)
+        report = run_lint(paths, only=only or None)
     except (ValueError, FileNotFoundError) as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    if args.write_baseline:
-        # Grandfather the current findings: they (plus what the baseline
-        # already absorbs) become the new committed debt.
-        write_baseline(args.baseline, report.findings + report.baselined)
-        print(f"wrote {len(report.findings) + len(report.baselined)} "
-              f"entr(ies) to {args.baseline}")
-        return 0
     print(format_report(report, verbose=args.verbose))
     if args.json:
         with open(args.json, "w") as fh:
@@ -285,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--t", type=int, default=1, choices=(1, 2))
     profile.add_argument("--sort", default="cumulative",
                          help="pstats sort key (cumulative, tottime, ...)")
-    profile.add_argument("--limit", type=int, default=25,
+    profile.add_argument("--limit", type=_at_least(1), default=25,
                          help="profile rows to print")
     profile.add_argument("--pstats", default=None, metavar="PATH",
                          help="also dump the raw pstats file")
@@ -293,29 +282,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint = sub.add_parser(
         "lint",
-        help="AST determinism & safety linter (docs/static-analysis.md)")
+        help="AST determinism, safety & structure linter "
+             "(docs/static-analysis.md)")
     lint.add_argument("paths", nargs="*",
                       help="files/directories to lint "
-                           "(default: src tests benchmarks)")
+                           "(default: src tests benchmarks examples)")
     lint.add_argument("--only", action="append", default=[],
                       metavar="RULE",
                       help="run only these rule ids (repeatable or "
                            "comma-separated, e.g. --only D001)")
     lint.add_argument("--json", default=None, metavar="PATH",
                       help="also write the full report as JSON")
-    lint.add_argument("--baseline",
-                      default="benchmarks/lint_baseline.json",
-                      help="committed baseline of grandfathered findings "
-                           "(default %(default)s)")
-    lint.add_argument("--no-baseline", action="store_true",
-                      help="ignore the baseline: report every finding")
-    lint.add_argument("--write-baseline", action="store_true",
-                      help="regenerate the baseline from the current "
-                           "findings instead of failing on them")
     lint.add_argument("--list-rules", action="store_true",
                       help="print the rule catalog and exit")
     lint.add_argument("--verbose", action="store_true",
-                      help="also print suppressed and baselined findings")
+                      help="also print suppressed findings")
     lint.set_defaults(func=cmd_lint)
 
     scenarios = sub.add_parser(

@@ -18,7 +18,6 @@ primitives on the EC2 instances used (8 vCPUs):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
 
 
 @dataclass(frozen=True)
@@ -57,7 +56,7 @@ class CostModel:
 
 
 class CpuMeter:
-    """Accumulates per-node CPU busy time, by operation category.
+    """Accumulates per-node CPU busy time.
 
     Utilisation is reported the way ``top`` reports it in the paper's
     Figure 8: percent of one core, so a fully busy 8-core machine shows
@@ -75,15 +74,14 @@ class CpuMeter:
             cost_model.mac_per_kb_us, cost_model.digest_us,
             cost_model.digest_per_kb_us))
         self._busy_us: float = 0.0
-        self._by_category: Dict[str, float] = {}
 
     @property
     def busy_us(self) -> float:
         """Total accumulated busy time in microseconds."""
         return self._busy_us
 
-    def charge(self, category: str, cost_us: float) -> None:
-        """Record ``cost_us`` of CPU work under ``category``."""
+    def charge(self, cost_us: float) -> None:
+        """Record ``cost_us`` of CPU work."""
         if not cost_us:
             # Zero-cost models (tests, latency-only studies) charge on
             # every MAC/digest; skip the bookkeeping, which is a no-op.
@@ -92,19 +90,16 @@ class CpuMeter:
         if cost_us < 0:
             raise ValueError(f"negative CPU cost {cost_us}")
         self._busy_us += cost_us
-        self._by_category[category] = (
-            self._by_category.get(category, 0.0) + cost_us
-        )
 
     def charge_sign(self) -> None:
         """Charge one signature generation."""
         if not self.free:
-            self.charge("sign", self.cost_model.sign_cost())
+            self.charge(self.cost_model.sign_cost())
 
     def charge_verify(self) -> None:
         """Charge one signature verification."""
         if not self.free:
-            self.charge("verify", self.cost_model.verify_cost())
+            self.charge(self.cost_model.verify_cost())
 
     def charge_mac(self, size_bytes: int = 0) -> None:
         """Charge one MAC computation/verification.
@@ -119,20 +114,17 @@ class CpuMeter:
         if cost_us < 0:
             raise ValueError(f"negative CPU cost {cost_us}")
         self._busy_us += cost_us
-        self._by_category["mac"] = (
-            self._by_category.get("mac", 0.0) + cost_us
-        )
 
     def charge_macs(self, count: int, size_bytes: int = 0) -> None:
         """Charge ``count`` identical MAC computations in one call (the
         broadcast fast path charges the whole fan-out at once)."""
         if count > 0 and not self.free:
-            self.charge("mac", count * self.cost_model.mac_cost(size_bytes))
+            self.charge(count * self.cost_model.mac_cost(size_bytes))
 
     def charge_digest(self, size_bytes: int = 0) -> None:
         """Charge one digest computation."""
         if not self.free:
-            self.charge("digest", self.cost_model.digest_cost(size_bytes))
+            self.charge(self.cost_model.digest_cost(size_bytes))
 
     def utilisation_percent(self, elapsed_ms: float,
                             busy_since_us: float = 0.0) -> float:
@@ -149,12 +141,3 @@ class CpuMeter:
             return 0.0
         raw = 100.0 * ((self._busy_us - busy_since_us) / 1000.0) / elapsed_ms
         return min(max(raw, 0.0), self.cost_model.cores * 100.0)
-
-    def breakdown(self) -> Dict[str, float]:
-        """Busy microseconds per operation category."""
-        return dict(self._by_category)
-
-    def reset(self) -> None:
-        """Zero the meter (used at the end of workload warmup)."""
-        self._busy_us = 0.0
-        self._by_category.clear()

@@ -169,19 +169,23 @@ def wire(cls: type, keep: bool = True) -> type:
       encoding (:func:`digest_of`; ``keep`` is False only for a class
       with a fixed encoder, :class:`Digest`);
     * one compiled source (``<wire Cls>``) holding ``__init__``, the
-      fields as parameters with their defaults plus one keyword-only
-      parameter per derived value, each stored through its slot's
-      setter when given (the class's own ``__setattr__`` raises), the
+      fields as parameters with their defaults, each stored through its
+      slot's setter (the class's own ``__setattr__`` raises), the
       encoding slot set to None, then ``__post_init__`` if the class has
       one; and the frozen dataclass's ``__eq__`` (same class, equal
       field tuples), ``__hash__`` (of the field tuple) and ``__repr__``,
       each unless the class defines its own;
-    * ``__getattr__``: a derived value's first read, when the
-      constructor was not given it, calls the method of the same name
-      (on the class or a base) and fills the slot -- derived values
-      are computed from the instance's own fields and stay outside
-      equality, hashing and the canonical encoding (one without a
-      method is stored by ``__post_init__``, as ``Batch.size_bytes``).
+    * ``__getattr__``: a derived value's first read calls the method of
+      the same name (on the class or a base) and fills the slot --
+      derived values are computed from the instance's own fields and
+      stay outside equality, hashing and the canonical encoding (one
+      without a method is stored by ``__post_init__``, as
+      ``Batch.size_bytes``).  A constructor takes no derived value: a
+      value handed in could disagree with the fields.  A builder that
+      computed one from the same fields a line earlier stores it right
+      after construction through the slot's setter,
+      ``Cls._set_<name>(instance, value)``, as ``Request.signed`` and
+      ``Signed.signed`` do.
 
     A pickled copy is rebuilt from its fields and derives its values
     afresh (:func:`_reduce`); assignment and deletion raise
@@ -227,12 +231,6 @@ def wire(cls: type, keep: bool = True) -> type:
     slots = names + derived + ([_ENCODING_ATTR] if keep else [])
 
     init = [f"    _set_{name}(self, {name})" for name in names]
-    if derived:
-        args.append("*")
-    for name in derived:
-        args.append(f"{name}=None")
-        init.append(f"    if {name} is not None:\n"
-                    f"        _set_{name}(self, {name})")
     if keep:
         init.append(f"    _set_{_ENCODING_ATTR}(self, None)")
     if hasattr(cls, "__post_init__"):
@@ -281,9 +279,12 @@ def wire(cls: type, keep: bool = True) -> type:
         namespace["__getattr__"] = __getattr__
     new = type(cls)(cls.__name__, cls.__bases__, namespace)
     new.__qualname__ = cls.__qualname__
-    # The generated functions find their slot setters as globals.
+    # The generated functions find their slot setters as globals; a
+    # derived value's is also the class's _set_<name>.
     scope.update((f"_set_{name}", new.__dict__[name].__set__)
                  for name in slots)
+    for name in derived:
+        setattr(new, f"_set_{name}", scope[f"_set_{name}"])
     return new
 
 

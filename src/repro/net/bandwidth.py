@@ -73,22 +73,3 @@ class BandwidthModel:
     def bytes_sent(self, node: str) -> int:
         """Total bytes this node has pushed onto its uplink."""
         return self._uplink(node).bytes_sent
-
-    def backlog_ms(self, node: str, now: float) -> float:
-        """How far in the future the node's uplink is booked."""
-        return max(0.0, self._uplink(node).free_at - now)
-
-    def reset(self) -> None:
-        """Clear all queues and counters, returning the model to its
-        just-built state (for reuse across back-to-back runs).
-
-        Both the byte counters *and* the booked uplink time are cleared:
-        leaving ``free_at`` in the future would make the next run's traffic
-        queue behind the previous run's backlog.  Note this is *not* called
-        at the warmup boundary of a single run -- there the backlog is real
-        steady-state behavior and clearing it would falsify the model; the
-        harness excludes warmup in its recorders instead.
-        """
-        for link in self._uplinks.values():
-            link.bytes_sent = 0
-            link.free_at = 0.0

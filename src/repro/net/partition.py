@@ -45,26 +45,6 @@ class PartitionController:
         """Heal the link. Idempotent."""
         self._blocked.discard(_pair(a, b))
 
-    def isolate(self, node: str, others: Iterable[str]) -> None:
-        """Cut ``node`` off from every node in ``others``."""
-        for other in others:
-            if other != node:
-                self.block_pair(node, other)
-
-    def split(self, group_a: Iterable[str], group_b: Iterable[str]) -> None:
-        """Partition two disjoint groups from each other."""
-        ga, gb = list(group_a), list(group_b)
-        overlap = set(ga) & set(gb)
-        if overlap:
-            raise ValueError(f"groups overlap: {overlap}")
-        for a in ga:
-            for b in gb:
-                self.block_pair(a, b)
-
-    def heal_all(self) -> None:
-        """Remove every partition."""
-        self._blocked.clear()
-
     @property
     def blocked_pairs(self) -> FrozenSet[Tuple[str, str]]:
         """Snapshot of currently blocked pairs."""

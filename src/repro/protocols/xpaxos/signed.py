@@ -34,12 +34,13 @@ class Signed:
 
     Everything else is derived here.  :attr:`payload_digest` (a derived
     value of the wire class, :func:`~repro.crypto.primitives.wire`) is
-    given by :meth:`signed` -- the constructor every honest signer uses,
-    where the signature was made over exactly those fields a line
-    earlier -- as the message is built.  A message built any other way (a forged
-    or replayed signature attached to different fields) computes it
-    from its own fields on first read, so verification always compares
-    against what the fields really hash to.
+    stored by :meth:`signed` -- the constructor every honest signer
+    uses, where the signature was made over exactly those fields a line
+    earlier -- right after the message is built.  No constructor takes
+    it, so a message built any other way (a forged or replayed
+    signature attached to different fields) computes it from its own
+    fields on first read, and verification always compares against
+    what the fields really hash to.
     """
 
     __slots__ = ()
@@ -72,8 +73,10 @@ class Signed:
         """Build the message from its other ``fields`` around a fresh
         signature by ``sign``."""
         signature = sign(cls.payload_of(**fields))
-        return cls(**fields, **{cls.signature_field: signature},
-                   payload_digest=signature.digest)
+        message = cls(**fields, **{cls.signature_field: signature})
+        # The digest just signed is what these fields hash to.
+        cls._set_payload_digest(message, signature.digest)
+        return message
 
     def resigned(self, sign: Signer, **changes: Any) -> Any:
         """This message with ``changes`` applied, signed afresh by

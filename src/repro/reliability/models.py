@@ -64,13 +64,6 @@ def nines_of_failure(q: float) -> float:
     return float(math.floor(-math.log10(q) + _NINES_GUARD))
 
 
-def probability_from_nines(nines: int) -> float:
-    """Inverse convenience: ``k`` nines -> ``1 - 10^-k``."""
-    if nines < 0:
-        raise ConfigurationError("nines must be >= 0")
-    return 1.0 - 10.0 ** (-nines)
-
-
 def epsilon_from_nines(nines: int) -> float:
     """``k`` nines -> failure probability ``10^-k`` (exact)."""
     if nines < 0:
@@ -236,15 +229,6 @@ def p_bft_consistent(p_benign: float, t: int) -> float:
     non-crash faults (Section 6.1.2)."""
     _check_probability("p_benign", p_benign)
     return 1.0 - q_bft_consistent(1.0 - p_benign, t)
-
-
-def p_sync_bft_consistent(p_benign: float, p_synchrony: float,
-                          n: int) -> float:
-    """Authenticated synchronous BFT: tolerates up to ``n - 1`` non-crash
-    faults but *zero* partitioned replicas (Table 1)."""
-    _check_probability("p_benign", p_benign)
-    _check_probability("p_synchrony", p_synchrony)
-    return p_synchrony ** n
 
 
 def p_xft_consistent(p_benign: float, p_correct: float,

@@ -98,11 +98,6 @@ class NullService(StateMachine):
     def restore(self, snapshot: Any) -> None:
         self._executed, self._order = snapshot
 
-    @property
-    def executed_count(self) -> int:
-        """Number of operations executed so far."""
-        return self._executed
-
 
 class KVStore(StateMachine):
     """A deterministic key-value store.

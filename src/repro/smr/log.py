@@ -108,13 +108,6 @@ class _SparseLog(Generic[E]):
         for sn in sorted(self._entries):
             yield sn, self._entries[sn]
 
-    def copy(self) -> "_SparseLog[E]":
-        """Shallow copy (entries are immutable dataclasses)."""
-        clone = type(self)()
-        clone._entries = dict(self._entries)
-        clone._low_water = self._low_water
-        return clone
-
 
 class PrepareLog(_SparseLog[PrepareEntry]):
     """The paper's ``PrepareLog_sj``."""

@@ -27,10 +27,9 @@ from repro.crypto.primitives import (
 class Request:
     """A signed client request (the paper's ``req``).
 
-    Three values are derived from the fields (``derived_values``: given
-    to the constructor by :meth:`signed` as the request is built, else
-    computed on first read), outside equality, hashing and the canonical
-    encoding:
+    Three values are derived from the fields (``derived_values``: stored
+    by :meth:`signed` as the request is built, else computed on first
+    read), outside equality, hashing and the canonical encoding:
 
     * ``rid``, the canonical request identifier ``(client, timestamp)``:
       one tuple per request, shared by everything that files the request
@@ -77,11 +76,13 @@ class Request:
         """Build a request whose body digest, computed here from the
         fields, is signed by ``sign_digest`` (the client's own signing
         facade); the request keeps the digest and the encoding it
-        hashed."""
+        hashed, stored through their slots' setters."""
         encoding, digest = encoded_digest((op, timestamp, client))
-        return cls(op, timestamp, client, size_bytes, sign_digest(digest),
-                   rid=(client, timestamp), body_encoding=encoding,
-                   body_digest=digest)
+        request = cls(op, timestamp, client, size_bytes, sign_digest(digest))
+        cls._set_rid(request, (client, timestamp))
+        cls._set_body_encoding(request, encoding)
+        cls._set_body_digest(request, digest)
+        return request
 
     def __repr__(self) -> str:
         return f"Request(c{self.client}#{self.timestamp})"

@@ -11,7 +11,7 @@ run path (:func:`repro.harness.runner.run_cell`) can accept either;
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
 from repro.common.config import WorkloadConfig
 from repro.smr.runtime import ClusterRuntime, collector_held
@@ -64,11 +64,6 @@ class WorkloadDriver:
     def mean_throughput_kops(self) -> float:
         """Mean committed throughput in kops/s over the measured period."""
         return self.throughput.mean_kops(self.measured_duration_ms)
-
-    def mean_latency_ms(self) -> Optional[float]:
-        """Mean commit latency, or None if nothing committed."""
-        summary = self.latency.summary()
-        return summary.mean if summary else None
 
 
 class ClosedLoopDriver(WorkloadDriver):

@@ -33,13 +33,11 @@ def line_of(source: str, needle: str) -> int:
 
 @pytest.fixture
 def lint_tree(tmp_path):
-    """``lint_tree(files) -> LintReport`` over a generated fixture tree
-    (no baseline unless the test passes one explicitly)."""
-    from repro.analysis import run_lint
+    """``lint_tree(files) -> LintReport`` over a generated fixture tree."""
+    from repro.analysis.engine import run_lint
 
     def run(files: dict, **kwargs):
         write_tree(tmp_path, files)
-        kwargs.setdefault("baseline_path", None)
         return run_lint([str(tmp_path)], **kwargs)
 
     return run

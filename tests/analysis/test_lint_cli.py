@@ -1,4 +1,4 @@
-"""The `repro lint` CLI: exit codes, --json, --only, --write-baseline."""
+"""The `repro lint` CLI: exit codes, --json, --only."""
 
 from __future__ import annotations
 
@@ -25,9 +25,7 @@ class TestParser:
     def test_lint_defaults(self):
         args = build_parser().parse_args(["lint"])
         assert args.paths == []
-        assert args.baseline == "benchmarks/lint_baseline.json"
         assert args.only == []
-        assert not args.no_baseline
 
     def test_only_accepts_repeats_and_commas(self):
         args = build_parser().parse_args(
@@ -38,13 +36,13 @@ class TestParser:
 class TestLintCommand:
     def test_clean_tree_exits_zero(self, capsys, tmp_path):
         write_tree(tmp_path, {"pkg/math.py": CLEAN})
-        code = main(["lint", str(tmp_path), "--no-baseline"])
+        code = main(["lint", str(tmp_path)])
         assert code == 0
         assert "lint ok" in capsys.readouterr().out
 
     def test_finding_exits_one_with_file_line_rule(self, capsys, tmp_path):
         write_tree(tmp_path, {"pkg/sampler.py": DIRTY})
-        code = main(["lint", str(tmp_path), "--no-baseline"])
+        code = main(["lint", str(tmp_path)])
         assert code == 1
         out = capsys.readouterr().out
         assert "sampler.py:5: D001" in out
@@ -53,7 +51,7 @@ class TestLintCommand:
     def test_json_report_written(self, capsys, tmp_path):
         write_tree(tmp_path, {"pkg/sampler.py": DIRTY})
         report_path = tmp_path / "lint_report.json"
-        code = main(["lint", str(tmp_path), "--no-baseline",
+        code = main(["lint", str(tmp_path),
                      "--json", str(report_path)])
         assert code == 1
         payload = json.loads(report_path.read_text())
@@ -73,7 +71,7 @@ class TestLintCommand:
                     return acc
             """,
         })
-        code = main(["lint", str(tmp_path), "--no-baseline",
+        code = main(["lint", str(tmp_path),
                      "--only", "S001"])
         assert code == 1
         out = capsys.readouterr().out
@@ -86,30 +84,27 @@ class TestLintCommand:
         assert "unknown rule" in capsys.readouterr().err
 
     def test_missing_path_is_usage_error(self, capsys, tmp_path):
-        code = main(["lint", str(tmp_path / "no-such-dir"),
-                     "--no-baseline"])
+        code = main(["lint", str(tmp_path / "no-such-dir")])
         assert code == 2
         assert "no-such-dir" in capsys.readouterr().err
-
-    def test_write_baseline_then_clean_run(self, capsys, tmp_path):
-        write_tree(tmp_path, {"pkg/sampler.py": DIRTY})
-        baseline = tmp_path / "baseline.json"
-        code = main(["lint", str(tmp_path),
-                     "--baseline", str(baseline), "--write-baseline"])
-        assert code == 0
-        assert "wrote 1" in capsys.readouterr().out
-        # The grandfathered finding no longer fails the run.
-        code = main(["lint", str(tmp_path), "--baseline", str(baseline)])
-        assert code == 0
-        assert "baselined" in capsys.readouterr().out
 
     def test_list_rules_prints_catalog(self, capsys):
         code = main(["lint", "--list-rules"])
         assert code == 0
         out = capsys.readouterr().out
-        for rid in ("D001", "D002", "D003", "A001",
-                    "S001", "S002", "S003", "S004"):
+        for rid in ("D001", "D002", "D003", "A001", "A002",
+                    "S001", "S002", "S003", "S004",
+                    "P001", "P002", "P003", "P004"):
             assert rid in out
+
+    def test_default_paths_include_the_examples(self, capsys, monkeypatch):
+        from repro.analysis import engine
+
+        seen = []
+        monkeypatch.setattr(engine, "run_lint", lambda paths, only: (
+            seen.append(paths) or engine.LintReport()))
+        assert main(["lint"]) == 0
+        assert seen == [["src", "tests", "benchmarks", "examples"]]
 
     def test_real_tree_is_clean(self, capsys, monkeypatch):
         # The repo's own acceptance bar: `repro lint` exits 0 at HEAD.

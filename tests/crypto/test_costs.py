@@ -29,24 +29,23 @@ class TestCostModel:
 
 
 class TestCpuMeter:
-    def test_accumulates_by_category(self):
+    def test_accumulates(self):
         meter = CpuMeter(CostModel())
         meter.charge_sign()
         meter.charge_sign()
         meter.charge_verify()
-        breakdown = meter.breakdown()
-        assert breakdown["sign"] == 2 * CostModel().sign_us
-        assert breakdown["verify"] == CostModel().verify_us
+        assert meter.busy_us == \
+            2 * CostModel().sign_us + CostModel().verify_us
 
     def test_utilisation_percent(self):
         meter = CpuMeter(CostModel())
         # 8000 us busy over 1 ms elapsed = 800% of one core = all 8 cores.
-        meter.charge("x", 8_000.0)
+        meter.charge(8_000.0)
         assert meter.utilisation_percent(1.0) == pytest.approx(800.0)
 
     def test_utilisation_capped_at_core_count(self):
         meter = CpuMeter(CostModel(cores=4))
-        meter.charge("x", 1e9)
+        meter.charge(1e9)
         assert meter.utilisation_percent(1.0) == 400.0
 
     def test_utilisation_zero_for_zero_elapsed(self):
@@ -58,9 +57,9 @@ class TestCpuMeter:
         # busy_since_us subtracts warmup-time work: 3000 us accumulated in
         # warmup, 2000 us in a 1 ms measured window -> 200%.
         meter = CpuMeter(CostModel())
-        meter.charge("x", 3_000.0)
+        meter.charge(3_000.0)
         mark = meter.busy_us
-        meter.charge("x", 2_000.0)
+        meter.charge(2_000.0)
         assert meter.utilisation_percent(
             1.0, busy_since_us=mark) == pytest.approx(200.0)
 
@@ -71,16 +70,8 @@ class TestCpuMeter:
         for _ in range(7):
             loop.charge_mac(1024)
         assert bulk.busy_us == pytest.approx(loop.busy_us)
-        assert bulk.breakdown().keys() == loop.breakdown().keys()
 
     def test_negative_charge_rejected(self):
         meter = CpuMeter(CostModel())
         with pytest.raises(ValueError):
-            meter.charge("x", -1.0)
-
-    def test_reset(self):
-        meter = CpuMeter(CostModel())
-        meter.charge_mac(1024)
-        meter.reset()
-        assert meter.busy_us == 0.0
-        assert meter.breakdown() == {}
+            meter.charge(-1.0)

@@ -166,6 +166,7 @@ class TestCarriedDigests:
             ("put", "k", b"v"), 1, 0, 64,
             lambda digest: keystore.sign_digest("c0", digest))))
         request, = built
+        assert request.rid == (0, 1)
         assert request.body_digest is request.signature.digest
         assert request.body_digest.value == \
             seed_digest_of(request.body()).value

@@ -17,7 +17,7 @@ import pickle
 import pytest
 
 from repro.crypto.authenticators import POLICIES
-from repro.crypto.primitives import Digest, KeyStore, wire
+from repro.crypto.primitives import Digest, KeyStore, digest_of, wire
 from repro.protocols import paxos, pbft, xpaxos, zab, zyzzyva
 from repro.protocols.xpaxos.messages import CheckpointProof
 from repro.smr.log import CommitEntry, PrepareEntry
@@ -140,6 +140,8 @@ class TestPostInit:
         assert request.rid == (2, 5)
         assert dataclasses.replace(request, timestamp=6).rid == (2, 6)
         assert pickle.loads(pickle.dumps(request)).rid == (2, 5)
+        with pytest.raises(TypeError):
+            Request("op", 5, 2, 64, body_digest=digest_of(("x", 5, 2)))
 
     def test_batch_derives_its_size_and_refuses_empty(self):
         batch = Batch((Request("a", 1, 0, 64), Request("b", 1, 1, 32)))

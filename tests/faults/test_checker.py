@@ -127,7 +127,8 @@ class TestAnarchyAccounting:
     def test_byzantine_plus_partition_is_anarchy(self):
         runtime = make_cluster()
         checker = SafetyChecker(runtime, non_crash_faulty=[0])
-        runtime.network.partitions.isolate("r1", ["r0", "r2"])
+        runtime.network.partitions.block_pair("r1", "r0")
+        runtime.network.partitions.block_pair("r1", "r2")
         tnc, tc, tp = checker.fault_counts()
         assert (tnc, tc, tp) == (1, 0, 1)
         assert checker.in_anarchy()

@@ -31,6 +31,8 @@ class TestParser:
         ["sweep", "--request-size", "-5"],
         ["--uplink", "0", "sweep"],
         ["profile", "fault-free", "--t", "3"],
+        ["profile", "fault-free", "--limit", "0"],
+        ["profile", "fault-free", "--limit", "-1"],
         ["scenarios", "--scenario", "fault-free", "--t", "0"],
         ["scenarios", "--scenario", "fault-free", "--jobs", "-1"],
         ["reliability", "--t", "0"],

@@ -50,7 +50,7 @@ class TestRelativePerformanceShapes:
         for protocol in ALL_PROTOCOLS:
             runtime = make_cluster(protocol, num_clients=4)
             driver = run_workload(runtime, duration_ms=2_000.0)
-            results[protocol] = driver.mean_latency_ms()
+            results[protocol] = driver.latency.summary().mean
         return results
 
     def test_xpaxos_close_to_paxos(self, latencies):

@@ -1,19 +1,17 @@
 """One execute -> reply core for all five protocols (docs/execution.md).
 
 A duplicate of a request -- in flight or already executed -- is ordered
-once and, once executed, answered from the reply cache; a reply cached
-without being sent is built only when somebody asks, and is then exactly
-the reply a sending replica would have cached; and the application and
-the two reply classes are only ever touched from one site each.
+once and, once executed, answered from the reply cache; and a reply
+cached without being sent is built only when somebody asks, and is then
+exactly the reply a sending replica would have cached.  That the
+application and the two reply classes are touched from one site each is
+``repro lint``'s P001 (``repro.analysis.rules_structure``).
 """
 
-import ast
 import itertools
-from pathlib import Path
 
 import pytest
 
-import repro
 from repro.common.config import ProtocolName
 from repro.crypto.primitives import digest_of
 from repro.protocols.base import GenericReply
@@ -287,38 +285,3 @@ def test_a_group_of_former_followers_still_hands_over_the_full_result():
     probe.assert_committed_through(list(former_followers), request)
     assert [r.committed_requests for r in harness.replicas] == executed
     assert all(r._last_reply[0].result == probe.results[0] for r in group)
-
-
-# -- one site each ----------------------------------------------------------
-def _calls(matches):
-    """``(path, line)`` of every call in the package source whose callee
-    expression satisfies ``matches``."""
-    root = Path(repro.__file__).parent
-    sites = []
-    for path in sorted(root.rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Call) and matches(node.func):
-                sites.append((path.relative_to(root).as_posix(),
-                              node.lineno))
-    return sites
-
-
-@pytest.mark.parametrize("method", [
-    pytest.param("execute_batch", id="execute"), "restore"])
-def test_application_is_touched_from_one_site_under_smr(method):
-    sites = _calls(lambda func: isinstance(func, ast.Attribute)
-                   and func.attr == method
-                   and isinstance(func.value, ast.Attribute)
-                   and func.value.attr == "app")
-    assert len(sites) == 1, sites
-    assert sites[0][0].startswith("smr/"), sites
-
-
-@pytest.mark.parametrize("reply_class, home", [
-    ("GenericReply", "protocols/base.py"),
-    ("ReplyMsg", "protocols/xpaxos/replica.py")])
-def test_each_reply_class_is_constructed_at_one_site(reply_class, home):
-    # Sent and unsent replies come out of the same ``make_reply``.
-    sites = _calls(lambda func: reply_class in (
-        getattr(func, "id", None), getattr(func, "attr", None)))
-    assert [path for path, _ in sites] == [home], sites

@@ -6,10 +6,15 @@ the replica's constructor (and, for XPaxos, each component) fills with
 the classes it receives.  This pins the table of every protocol to the
 replica-bound wire classes it uses -- each registered once, none missing,
 none a replica never receives -- and checks that no replica class grows a
-second dispatcher back.  ``test_xpaxos_components.py`` additionally
-checks, on the AST, that every XPaxos class has exactly one registering
-owner among the components.
+second dispatcher back.  On the AST it also checks that every XPaxos
+class has exactly one registering owner among the components: a second
+registration would overwrite the first without a trace at runtime.
+(The components' file and constructor budgets and their options read
+in constructors are ``repro lint``'s P002 and P003.)
 """
+
+import ast
+from pathlib import Path
 
 import pytest
 
@@ -94,3 +99,43 @@ def test_unknown_message_types_are_ignored():
     replica = runtime.replica(1)
     replica.on_message("r0", object())
     assert replica.ex == 0 and replica.elections_started == 0
+
+
+def handler_keys(tree):
+    """Message-class names used as keys of a dict literal that is assigned
+    to, or merged into, something called ``_handlers``."""
+    keys = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            table = node.value
+        elif isinstance(node, ast.Call) \
+                and isinstance(node.func, ast.Attribute) \
+                and node.func.attr == "update" and node.args:
+            targets, table = [node.func.value], node.args[0]
+        else:
+            continue
+        if isinstance(table, ast.Dict) and any(
+                isinstance(t, ast.Attribute) and t.attr == "_handlers"
+                for t in targets):
+            keys += [key.attr for key in table.keys
+                     if isinstance(key, ast.Attribute)]
+    return keys
+
+
+def test_the_sweep_sees_both_table_forms():
+    tree = ast.parse(
+        "class R:\n"
+        "    def __init__(self, config):\n"
+        "        self._handlers = {msg.Prepare: self._on_prepare}\n"
+        "    def _on_prepare(self, src, m):\n"
+        "        self.replica._handlers.update({msg.Chkpt: self.f})\n")
+    assert handler_keys(tree) == ["Prepare", "Chkpt"]
+
+
+def test_every_xpaxos_class_has_exactly_one_registering_owner():
+    keys = [key for path in sorted(Path(xpaxos.__file__).parent.glob("*.py"))
+            for key in handler_keys(ast.parse(path.read_text()))]
+    assert len(keys) == len(set(keys)), sorted(keys)
+    assert set(keys) == {cls.__name__ for cls in XPAXOS_ALL}

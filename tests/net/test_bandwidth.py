@@ -50,26 +50,3 @@ class TestAccounting:
         bw.serialize("n", 100, now=0.0)
         bw.serialize("n", 200, now=0.0)
         assert bw.bytes_sent("n") == 300
-
-    def test_backlog(self):
-        bw = BandwidthModel(default_rate=100.0)
-        bw.serialize("n", 1000, now=0.0)  # busy until t=10
-        assert bw.backlog_ms("n", now=4.0) == pytest.approx(6.0)
-        assert bw.backlog_ms("n", now=20.0) == 0.0
-
-    def test_reset_clears_counters(self):
-        bw = BandwidthModel()
-        bw.serialize("n", 100, now=0.0)
-        bw.reset()
-        assert bw.bytes_sent("n") == 0
-
-    def test_reset_clears_booked_uplink_time(self):
-        # Regression: reset() used to leave free_at booked, so post-warmup
-        # sends inherited the warmup backlog.
-        bw = BandwidthModel(default_rate=100.0)
-        bw.serialize("n", 10_000, now=0.0)  # uplink busy until t=100
-        assert bw.backlog_ms("n", now=0.0) == pytest.approx(100.0)
-        bw.reset()
-        assert bw.backlog_ms("n", now=0.0) == 0.0
-        # A fresh send right after reset departs with no inherited queueing.
-        assert bw.serialize("n", 100, now=0.0) == pytest.approx(1.0)

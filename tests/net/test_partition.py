@@ -18,31 +18,6 @@ class TestPartitionController:
         with pytest.raises(ValueError):
             PartitionController().block_pair("a", "a")
 
-    def test_isolate(self):
-        pc = PartitionController()
-        pc.isolate("a", ["a", "b", "c"])
-        assert pc.blocked("a", "b")
-        assert pc.blocked("a", "c")
-        assert not pc.blocked("b", "c")
-
-    def test_split(self):
-        pc = PartitionController()
-        pc.split(["a", "b"], ["c", "d"])
-        assert pc.blocked("a", "c")
-        assert pc.blocked("b", "d")
-        assert not pc.blocked("a", "b")
-        assert not pc.blocked("c", "d")
-
-    def test_split_overlap_rejected(self):
-        with pytest.raises(ValueError):
-            PartitionController().split(["a", "b"], ["b", "c"])
-
-    def test_heal_all(self):
-        pc = PartitionController()
-        pc.split(["a"], ["b", "c"])
-        pc.heal_all()
-        assert not pc.blocked_pairs
-
 
 class TestDefinition1:
     """The paper's Definition 1 (partitioned replicas), incl. Figure 1."""

@@ -50,5 +50,5 @@ class TestCommonCase:
         """Fig 6c: client->leader, leader<->acceptor, leader->client =
         2 client hops + 1 RTT ~ 4 one-way delays (1 ms each here)."""
         driver = run_workload(paxos_t1)
-        assert driver.mean_latency_ms() < 20.0
+        assert driver.latency.summary().mean < 20.0
 

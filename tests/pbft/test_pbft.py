@@ -50,8 +50,8 @@ class TestCommonCase:
         compared to Paxos's single round trip."""
         pbft = make_cluster(ProtocolName.PBFT, t=1)
         paxos = make_cluster(ProtocolName.PAXOS, t=1)
-        lat_pbft = run_workload(pbft).mean_latency_ms()
-        lat_paxos = run_workload(paxos).mean_latency_ms()
+        lat_pbft = run_workload(pbft).latency.summary().mean
+        lat_paxos = run_workload(paxos).latency.summary().mean
         assert lat_pbft > lat_paxos
 
     def test_t2_deployment(self):

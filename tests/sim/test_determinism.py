@@ -33,7 +33,7 @@ def run_once(seed, with_faults=False):
             FaultSchedule().crash_for(1_000.0, 1, 500.0))
     driver.run()
     trace = tuple(tuple(r.execution_trace) for r in runtime.replicas)
-    return (driver.throughput.total, driver.mean_latency_ms(), trace,
+    return (driver.throughput.total, driver.latency.summary().mean, trace,
             runtime.sim.executed)
 
 

@@ -40,7 +40,7 @@ class TestNullService:
         snapshot = service.snapshot()
         other = NullService()
         other.restore(snapshot)
-        assert other.executed_count == 5
+        assert other.snapshot()[0] == 5
 
 
 class TestKVStore:

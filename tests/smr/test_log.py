@@ -70,15 +70,6 @@ class TestSparseLog:
         assert log.get(1) is None
         log.drop(1)  # idempotent
 
-    def test_copy_is_independent(self):
-        log = CommitLog()
-        log.put(1, entry(1))
-        clone = log.copy()
-        clone.put(2, entry(2))
-        assert log.get(2) is None
-        assert clone.get(1) is not None
-        assert clone.low_water == log.low_water
-
     def test_overwrite_same_slot(self):
         log = CommitLog()
         log.put(1, entry(1, view=0))

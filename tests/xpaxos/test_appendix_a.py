@@ -60,7 +60,7 @@ class TestFigure11:
 
         # Heal, then s0 becomes non-crash-faulty (data loss) and the view
         # changes to i+2 (group s1,s2).
-        runtime.network.partitions.heal_all()
+        runtime.network.partitions.unblock_pair("r0", "r1")
         runtime.replica(0).byzantine = DataLossAdversary(keep_upto=1)
         current = runtime.replica(2).view
         runtime.replica(0).suspect_view(current)

@@ -60,7 +60,7 @@ class TestCheckpointing:
 
 def untouched(replica):
     """No state transfer happened on this (fresh) replica."""
-    return (replica.ex == 0 and replica.app.executed_count == 0
+    return (replica.ex == 0 and replica.app.snapshot()[0] == 0
             and replica.stable_checkpoint is None)
 
 
@@ -86,7 +86,7 @@ class TestCheckpointProofVerification:
         proof = checkpoint_proof(xpaxos_t1.keystore)
         passive.checkpointer._on_lazychk("r0", msg.LazyChk(proof))
         assert (passive.ex, passive.sn) == (10, 10)
-        assert passive.app.executed_count == 10
+        assert passive.app.snapshot()[0] == 10
         assert passive.stable_checkpoint is proof
 
     @forgeries
@@ -194,7 +194,7 @@ class TestCheckpointAdoptionWhenNotBehind:
         # Not the snapshot's ten: its own twelve executions.
         assert passive.ex == 12
         assert passive.app.snapshot() == state
-        assert passive.app.executed_count == 12
+        assert passive.app.snapshot()[0] == 12
 
     def test_proof_exactly_at_ex_is_adopted_without_restore(self, xpaxos_t1):
         passive = caught_up(xpaxos_t1.replica(2), 10)
@@ -249,7 +249,7 @@ class TestCheckpointAdoptionWhenNotBehind:
         assert passive.commit_log.low_water \
             == passive.stable_checkpoint.seqno
         # It executed every request itself; no snapshot was installed.
-        assert passive.app.executed_count == passive.committed_requests
+        assert passive.app.snapshot()[0] == passive.committed_requests
 
     def test_view_change_of_a_former_passive_carries_one_window(self):
         """What an ex-passive replica reports in its VIEW-CHANGE is its

@@ -139,7 +139,7 @@ def test_a_validly_signed_proof_with_a_swapped_snapshot_is_refused():
     app = passive.app
     assert passive.checkpointer.install(swapped) is False
     assert passive.stable_checkpoint is None and passive.app is app
-    assert (passive.ex, passive.sn, app.executed_count) == (0, 0, 0)
+    assert (passive.ex, passive.sn, app.snapshot()[0]) == (0, 0, 0)
     # The same signatures around the snapshot they were made for.
     assert passive.checkpointer.install(honest) is True
     assert passive.app.state_digest() == honest.state_digest

@@ -28,7 +28,7 @@ class TestFastPathT1:
         With 1 ms one-way uniform latency and sub-ms batching that is
         ~4-6 ms."""
         driver = run_workload(xpaxos_t1)
-        assert 3.0 <= driver.mean_latency_ms() <= 20.0
+        assert 3.0 <= driver.latency.summary().mean <= 20.0
 
     def test_no_client_timeouts_in_fault_free_run(self, xpaxos_t1):
         run_workload(xpaxos_t1)

@@ -134,10 +134,11 @@ def unencodable_batch(runtime, op):
 @pytest.mark.parametrize("op", UNENCODABLE, ids=type)
 def test_a_new_view_offering_a_batch_that_cannot_be_encoded_is_suspected(
         op):
-    """A faulty primary's NEW-VIEW whose signature checks out (the
-    primary hands over the digest it signed) but whose entry holds a
-    batch with no digest: the follower's cross-check against its own
-    selection suspects the view, and nothing escapes ``on_message``."""
+    """A faulty primary's NEW-VIEW whose signature covers other entries
+    than the one it carries, a batch with no digest: no constructor
+    takes the digest the primary signed, so the message's own fields
+    decide what the signature must cover, verification fails, the view
+    is suspected, and nothing escapes ``on_message``."""
     runtime = make_cluster(t=1)
     sent = isolate(runtime)
     primary, follower = runtime.replica(0), runtime.replica(2)
@@ -153,8 +154,10 @@ def test_a_new_view_offering_a_batch_that_cannot_be_encoded_is_suspected(
     entry = PrepareEntry(1, 1, unencodable_batch(runtime, op),
                          primary.sign(("prepare", 1)))
     sig = primary.sign(msg.NewView.payload_of(new_view=1, entries=()))
-    crafted = msg.NewView(1, (entry,), None, sig, payload_digest=sig.digest)
-    assert verify_signed(follower, crafted)
+    with pytest.raises(TypeError):
+        msg.NewView(1, (entry,), None, sig, payload_digest=sig.digest)
+    crafted = msg.NewView(1, (entry,), None, sig)
+    assert not verify_signed(follower, crafted)
     follower.on_message("r0", crafted)
     assert follower.view_changes_completed == 0
     assert {m.view for _, m in sent.of(msg.Suspect)} == {1}

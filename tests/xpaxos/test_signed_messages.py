@@ -503,6 +503,23 @@ def test_mutated_view_change_verifies(make, checkpointed):
     assert verify_signed(receiver, dataclasses.replace(mutated))
 
 
+def test_no_constructor_takes_the_digest_of_other_fields():
+    """A relay that changes a field of replica 2's genuine VIEW-CHANGE
+    cannot hand the copy the digest that was signed: the constructor
+    takes no derived value, and a copy built without it fails."""
+    runtime = make_cluster(ProtocolName.XPAXOS, t=1)
+    genuine = runtime.replica(2).view_changer.build_view_change(1)
+    verifier = runtime.replica(0)
+    assert verify_signed(verifier, genuine)
+    fields = {f.name: getattr(genuine, f.name)
+              for f in dataclasses.fields(genuine)}
+    with pytest.raises(TypeError):
+        msg.ViewChange(**{**fields, "prepare_view": 7},
+                       payload_digest=genuine.sig.digest)
+    assert not verify_signed(
+        verifier, dataclasses.replace(genuine, prepare_view=7))
+
+
 # ---------------------------------------------------------------------------
 # End to end: a VIEW-CHANGE in a correct replica's name
 # ---------------------------------------------------------------------------

@@ -192,7 +192,7 @@ class TestFetchReplyCheckpoint:
         passive = xpaxos_t1.replica(2)
         proof = forge(xpaxos_t1.keystore)
         passive.lazy._on_fetch_reply("r0", msg.FetchReply((), proof))
-        assert passive.ex == 0 and passive.app.executed_count == 0
+        assert passive.ex == 0 and passive.app.snapshot()[0] == 0
         assert passive.stable_checkpoint is None
 
 

@@ -37,8 +37,8 @@ class TestSpeculativeFastPath:
     def test_speculation_is_one_way_cheaper_than_pbft(self):
         zyzzyva = make_cluster(ProtocolName.ZYZZYVA, t=1)
         pbft = make_cluster(ProtocolName.PBFT, t=1)
-        lat_z = run_workload(zyzzyva).mean_latency_ms()
-        lat_p = run_workload(pbft).mean_latency_ms()
+        lat_z = run_workload(zyzzyva).latency.summary().mean
+        lat_p = run_workload(pbft).latency.summary().mean
         assert lat_z < lat_p
 
     def test_t2_deployment(self):
