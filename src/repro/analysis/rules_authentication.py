@@ -16,10 +16,10 @@ from typing import Dict, List, Set, Tuple
 from repro.analysis.base import ModuleInfo, Rule, rule
 
 #: The transport verbs whose payload argument must be a registered
-#: message class: the ``Network``/runtime primitives plus the runtime's
-#: self-including fan-out wrapper.
+#: message class: ``Network.send``, the runtime's three send verbs and
+#: its self-including fan-out wrapper.
 _SEND_METHODS = frozenset({
-    "send", "multicast", "send_authenticated", "multicast_authenticated",
+    "send", "send_authenticated", "multicast_authenticated",
     "_fanout_with_self",
 })
 

@@ -101,10 +101,9 @@ class HeapOutsideCoreRule(Rule):
 
     The event heap's invariants (uniform ``[time, sequence, callback,
     args]`` entries, in-place tombstones, recycling, compaction) live
-    behind ``Simulator.schedule`` and the handles it feeds.  A second
+    behind ``Simulator.schedule`` and ``Simulator.cancel``.  A second
     ``heapq`` user either duplicates those invariants or silently breaks
-    them -- both have cost; schedule through the ``Simulator`` API
-    instead.  Flagged at the import, one finding per module.
+    them -- both have cost; go through those two doors instead.  Flagged at the import, one finding per module.
     """
 
     id = "S002"
@@ -115,8 +114,8 @@ class HeapOutsideCoreRule(Rule):
             return
         if "heapq" in names:
             self.report(node, "direct heapq use outside sim/core.py; "
-                              "go through the Simulator "
-                              "schedule/call_at API")
+                              "go through Simulator.schedule / "
+                              "Simulator.cancel")
 
     def visit_Import(self, node: ast.Import) -> None:
         self._check_import(node, [a.name for a in node.names])

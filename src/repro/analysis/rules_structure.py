@@ -119,10 +119,13 @@ REACHABLE = Reachable(
         # visit_<node class>.
         "repro.analysis.rules_*:*Rule",
         "repro.analysis.rules_*:*Rule.visit_*",
-        # The simulator's own handle API, which the seed-oracle tests
-        # drive; the protocols cancel through sim/process.py's Timer.
-        "repro.sim.core:EventHandle.cancel",
+        # The seed-oracle tests step the simulator to compare it with
+        # the seed's event loop mid-run.
         "repro.sim.core:Simulator.step",
+        # Test probes: when an armed timer fires, and one cell of a
+        # matrix run looked up by (protocol, scenario).
+        "repro.sim.process:Timer.deadline",
+        "repro.harness.matrix:MatrixResult.cell",
         # Test apparatus: a forger's key for the forgery tests, the
         # checkers' raising forms, and two adversaries the fault tests
         # pit against the view change.
@@ -282,19 +285,25 @@ class _Unit:
     """A stretch of code that runs as one: a module's top level, a
     top-level def or class (without its methods), a method, or an entry
     script.  It is reached once its parent is and something reached
-    names it -- by a name, an attribute or an identifier string; a
-    dunder needs no name -- and then what it names and imports is."""
+    names it -- a top-level def by a name, an attribute or an identifier
+    string; a method by an attribute, a string or a bare name in its own
+    class body (``visit_ListComp = _visit_comp``), since a bare name
+    anywhere else is a local or a global, never a method; a dunder needs
+    no name -- and then what it names and imports is."""
 
     qualname: str = ""
     line: int = 1
     parent: Optional["_Unit"] = None
     children: List["_Unit"] = field(default_factory=list)
     names: Set[str] = field(default_factory=set)
+    #: What it names as an attribute or an identifier string.
+    attrs: Set[str] = field(default_factory=set)
     imports: Set[str] = field(default_factory=set)
     reached: bool = False
 
     def __post_init__(self) -> None:
         self.name = self.qualname.rpartition(".")[2]
+        self.method = "." in self.qualname
         if self.parent is not None:
             self.parent.children.append(self)
 
@@ -313,12 +322,12 @@ def _harvest(unit: _Unit, nodes: List[ast.AST], modules: Set[str]) -> _Unit:
             if isinstance(node, ast.Name):
                 unit.names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                unit.names.add(node.attr)
+                unit.attrs.add(node.attr)
             elif isinstance(node, ast.Constant) \
                     and isinstance(node.value, str) \
                     and node.value.isidentifier():
                 # derived_values, signature_field, __all__ ...
-                unit.names.add(node.value)
+                unit.attrs.add(node.value)
             elif isinstance(node, ast.Import):
                 unit.imports.update(alias.name for alias in node.names)
             elif isinstance(node, ast.ImportFrom):
@@ -331,6 +340,7 @@ def _harvest(unit: _Unit, nodes: List[ast.AST], modules: Set[str]) -> _Unit:
     unit.imports = {".".join(parts[:i]) for parts in (
         target.split(".") for target in unit.imports)
         for i in range(1, len(parts) + 1)} & modules
+    unit.names |= unit.attrs
     return unit
 
 
@@ -367,8 +377,8 @@ class ReachableRule(Rule):
     imports, or a top-level def, class or method it never names, is
     code only its unit tests run: delete it or wire it into an
     experiment.  Names match by spelling, so a method sharing a live
-    one's name passes.  A run without every entry point (``repro lint
-    src/repro/sim``) says nothing.
+    attribute's name passes.  A run without every entry point (``repro
+    lint src/repro/sim``) says nothing.
     """
 
     id = "P004"
@@ -403,7 +413,10 @@ class ReachableRule(Rule):
         for each in units.values():
             for unit in each[1:]:
                 by_name.setdefault(unit.name, []).append(unit)
+        # Named at all (reaches top-level defs), and named as an
+        # attribute or a string (reaches methods too).
         named: Set[str] = set()
+        used: Set[str] = set()
         pending: List[_Unit] = []
 
         def walk(roots: List[_Unit]) -> None:
@@ -413,13 +426,20 @@ class ReachableRule(Rule):
             while pending:
                 unit = pending.pop()
                 fresh = [child for child in unit.children
-                         if child.name in named
+                         if child.name in (used if child.method else named)
+                         or child.name in unit.names
                          or child.name[:2] == child.name[-2:] == "__"]
                 fresh += [tops[module] for module in sorted(unit.imports)]
                 for name in sorted(unit.names - named):
                     named.add(name)
                     fresh += [candidate for candidate in by_name.get(name, ())
-                              if candidate.parent.reached]
+                              if not candidate.method
+                              and candidate.parent.reached]
+                for name in sorted(unit.attrs - used):
+                    used.add(name)
+                    fresh += [candidate for candidate in by_name.get(name, ())
+                              if candidate.method
+                              and candidate.parent.reached]
                 for each in fresh:
                     if not each.reached:
                         each.reached = True

@@ -133,7 +133,8 @@ class ClusterConfig:
             )
         if self.batch_size < 1:
             raise ConfigurationError("batch_size must be >= 1")
-        if self.delta_ms <= 0:
+        # Bounds read "not x > 0" so that NaN fails them too.
+        if not self.delta_ms > 0:
             raise ConfigurationError("delta_ms must be positive")
         if self.checkpoint_period < 1:
             raise ConfigurationError("checkpoint_period must be >= 1")
@@ -209,15 +210,17 @@ class WorkloadConfig:
     def __post_init__(self) -> None:
         if self.num_clients < 1:
             raise ConfigurationError("num_clients must be >= 1")
-        if self.request_size < 0:
+        # Bounds read "not x >= 0" so that NaN fails them too.
+        if not self.request_size >= 0:
             raise ConfigurationError("request_size must be >= 0")
-        if self.duration_ms <= 0:
+        if not self.duration_ms > 0:
             raise ConfigurationError("duration_ms must be positive")
-        if self.warmup_ms < 0 or self.warmup_ms >= self.duration_ms:
+        if not 0 <= self.warmup_ms < self.duration_ms:
             raise ConfigurationError(
                 "warmup_ms must be in [0, duration_ms)"
             )
-        if self.offered_load_rps is not None and self.offered_load_rps <= 0:
+        if self.offered_load_rps is not None \
+                and not self.offered_load_rps > 0:
             raise ConfigurationError("offered_load_rps must be positive")
         if self.cohorts < 1:
             raise ConfigurationError("cohorts must be >= 1")
@@ -226,16 +229,6 @@ class WorkloadConfig:
     def open_loop(self) -> bool:
         """True when this workload selects the open-loop cohort driver."""
         return self.offered_load_rps is not None
-
-    @classmethod
-    def one_zero(cls, num_clients: int = 100, **kwargs) -> "WorkloadConfig":
-        """The paper's 1/0 benchmark: 1 kB requests, empty replies."""
-        return cls(num_clients=num_clients, request_size=1024, **kwargs)
-
-    @classmethod
-    def four_zero(cls, num_clients: int = 100, **kwargs) -> "WorkloadConfig":
-        """The paper's 4/0 benchmark: 4 kB requests, empty replies."""
-        return cls(num_clients=num_clients, request_size=4096, **kwargs)
 
 
 #: Datacenter layout used throughout Section 5 for ``t = 1`` (Table 4): the

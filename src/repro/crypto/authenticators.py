@@ -17,7 +17,7 @@ payload has two costs:
 
 This module moves authentication out of the payload and into the
 transport.  A message class is registered with an :class:`Authenticator`
-policy; :meth:`Network.multicast_authenticated` asks the policy for a
+policy; :meth:`Network.send` asks the policy for a
 per-fan-out context once (typically the payload digest) and stamps the
 per-receiver authenticator *at delivery fan-out time*.  The receiver's
 runtime verifies the authenticator before the message reaches the
@@ -153,9 +153,11 @@ class MacVectorAuthenticator(Authenticator):
 
     def stamp(self, keystore: KeyStore, sender: Principal,
               receiver: Principal, context: Digest) -> Mac:
-        # Inlined keystore.mac_digest (keep in sync): stamp runs once
-        # per receiver per fan-out, and the delegation frame was the
-        # single biggest non-hash cost on the stamping path.
+        # The one MAC derivation; KeyStore.verify_mac_digest checks the
+        # same token (keep in sync).  Derived here, not through a
+        # keystore method: stamp runs once per receiver per fan-out, and
+        # the delegation frame was the single biggest non-hash cost on
+        # the stamping path.
         token = _sha256(keystore._mac_keys[sender]
                         + keystore._names[receiver]
                         + context.value).digest()

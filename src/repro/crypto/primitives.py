@@ -612,8 +612,9 @@ class KeyStore:
     # skips four C-call round trips per token on the fan-out hot path.
     # To skip a frame per stamp / check, two derivations are written out
     # twice; keep each pair in sync: the signature token here and in
-    # ``verify_digest``, the MAC token in ``mac_digest`` and
-    # ``verify_mac_digest`` (and the transport's ``MAC_VECTOR.stamp``).
+    # ``verify_digest``, the MAC token in the transport's
+    # ``MAC_VECTOR.stamp`` (the one way to make a MAC) and in
+    # ``verify_mac_digest``.
     def _sig_token(self, signer: Principal, digest: Digest) -> bytes:
         return _sha256(self._sig_keys[signer] + digest.value).digest()
 
@@ -644,23 +645,6 @@ class KeyStore:
             and token == _sha256(
                 self._sig_keys[signer] + digest.value).digest()
         )
-
-    def mac(self, sender: Principal, receiver: Principal,
-            payload: Any) -> Mac:
-        """Authenticate ``payload`` on the pairwise channel."""
-        return self.mac_digest(sender, receiver, digest_of(payload))
-
-    def mac_digest(self, sender: Principal, receiver: Principal,
-                   digest: Digest) -> Mac:
-        """MAC an already computed digest.
-
-        The fan-out fast path: an n-way authenticated broadcast hashes the
-        payload once and derives n channel tokens from the digest, instead
-        of hashing the payload n times.
-        """
-        token = _sha256(self._mac_keys[sender] + self._names[receiver]
-                        + digest.value).digest()
-        return Mac(sender, receiver, digest, token)
 
     def verify_mac(self, mac: Mac, payload: Any) -> bool:
         """Check a MAC against a payload (a delivery that bypassed the

@@ -153,8 +153,7 @@ class FaultInjector:
     def arm(self, schedule: FaultSchedule) -> None:
         """Schedule every event on the cluster's simulator."""
         for event in schedule.events:
-            self.runtime.sim.call_at(
-                event.at_ms, lambda e=event: self._fire(e))
+            self.runtime.sim.schedule(event.at_ms, self._fire, (event,))
 
     def _fire(self, event: FaultEvent) -> None:
         self.injected.append(event)

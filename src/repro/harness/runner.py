@@ -152,7 +152,7 @@ def run_cell(cell: Cell) -> ExperimentResult:
     # reported over the same measured window as throughput and latency
     # (keeps the Figure 8 comparison apples-to-apples).
     busy_at_warmup: Dict[int, float] = {}
-    runtime.sim.call_at(
+    runtime.sim.schedule(
         workload.warmup_ms,
         lambda: busy_at_warmup.update(
             (r.replica_id, r.cpu.busy_us) for r in runtime.replicas))

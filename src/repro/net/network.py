@@ -10,12 +10,10 @@ message that outruns the one it depends on is buffered by its receiver
 One delivery pipeline
 ---------------------
 
-The three public entries -- :meth:`Network.send_authenticated` (one
-receiver), :meth:`Network.multicast_authenticated` (one payload, many
-receivers) and :meth:`Network.send` (a payload of its own per receiver:
-a slot's replies) -- are one-line entries into one fan-out routine,
-which takes ``(dst, payload, size_bytes)`` items.  So each rule lives in
-one place:
+:meth:`Network.send` is the one way onto the wire.  It takes
+``(dst, payload, size_bytes)`` items: one item for one receiver, one
+payload object in every item for a multicast, a payload of its own per
+receiver for a slot's replies.  So each rule lives in one place:
 
 * **Resolve first.**  Every endpoint name is looked up before stats, RNG
   or the uplink are touched; an unknown name raises with no side effects.
@@ -34,7 +32,7 @@ one place:
 * **Authentication is a stage, not a sibling path**: every send carries
   an authenticator policy.  Its context (typically the payload digest)
   is computed once per payload object -- once for a multicast, once per
-  reply of a :meth:`~Network.send` -- each receiver's authenticator is
+  reply of a slot -- each receiver's authenticator is
   stamped as its delivery is scheduled, and each receiver is charged the
   authenticator bytes it sees on the wire.  A plain send is the ``NULL``
   policy: no bytes, no RNG, and ``None`` stamped without asking it.
@@ -166,15 +164,17 @@ class Network:
             raise ConfigurationError(f"unknown endpoint {name}")
 
     # ------------------------------------------------------------------
-    def _fan_out(self, src: str, items: Sequence[Tuple[str, Any, int]],
-                 authenticator: Any, keystore: Any, context: Any) -> None:
-        """The send pipeline behind every entry (see module notes).
+    def send(self, src: str, items: Sequence[Tuple[str, Any, int]], *,
+             authenticator: Any, keystore: Any,
+             context: Any = _NO_CONTEXT) -> None:
+        """Send ``(dst, payload, size_bytes)`` items, in order, each under
+        ``authenticator``: the one send pipeline (see the module notes).
 
-        ``items`` are ``(dst, payload, size_bytes)`` triples, sent in
-        order.  ``context`` is the authenticator context of the first
-        item's payload, or :data:`_NO_CONTEXT` to compute it here.  The
-        context is computed once per payload *object*: a multicast's
-        items share one and hash it once, a slot's replies hash one each.
+        ``context`` is the authenticator context of the first item's
+        payload, or :data:`_NO_CONTEXT` to compute it here; a split
+        fan-out passes it in so its payload is still hashed once.
+        Loopback sends go through the event queue with intra-site
+        latency, which keeps handler re-entrancy simple.
         """
         endpoints = self._endpoints
         auth_bytes = authenticator.auth_bytes
@@ -250,54 +250,6 @@ class Network:
             target.deliver(src, payload, auth, size_bytes)
         finally:
             self.delivery_digest = None
-
-    # ------------------------------------------------------------------
-    # The public entries.  Each calls _fan_out directly, never another
-    # entry: the end-to-end ledger counts calls to these names.
-    # ------------------------------------------------------------------
-    def send(self, src: str, items: Sequence[Tuple[str, Any, int]], *,
-             authenticator, keystore) -> None:
-        """Send a payload of its own to each receiver, in one call:
-        ``items`` are ``(dst, payload, size_bytes)``, all under
-        ``authenticator`` (a slot's replies, one per client).
-
-        Observationally identical to one :meth:`send_authenticated` per
-        item, in order, with the sender side resolved once.
-        """
-        self._fan_out(src, items, authenticator, keystore, _NO_CONTEXT)
-
-    def send_authenticated(self, src: str, dst: str, payload: Any,
-                           size_bytes: int = 0, *,
-                           authenticator, keystore) -> None:
-        """Point-to-point flavour of :meth:`multicast_authenticated`.
-
-        Loopback sends are delivered with intra-site latency so a node's
-        self-messages still go through the event queue (keeps handler
-        re-entrancy simple).
-        """
-        self._fan_out(src, ((dst, payload, size_bytes),), authenticator,
-                      keystore, _NO_CONTEXT)
-
-    def multicast_authenticated(self, src: str, dsts: Sequence[str],
-                                payload: Any, size_bytes: int = 0, *,
-                                authenticator, keystore,
-                                context: Any = _NO_CONTEXT) -> None:
-        """Fan ``payload`` out with a per-receiver authenticator.
-
-        The per-receiver MAC (or shared signature) is stamped by the
-        transport, not embedded in the payload by the protocol layer: the
-        payload stays identical across receivers, the policy's shared
-        context -- typically the payload digest -- is computed once, and
-        each receiver is charged ``size_bytes + authenticator.auth_bytes``,
-        the authenticator bytes that receiver actually sees on the wire.
-        A split fan-out (self-processing mid-list) passes the shared
-        ``context`` in so the payload digest stays one-per-fan-out.
-
-        Observationally identical to one :meth:`send_authenticated` per
-        destination, in order, with the sender side resolved once.
-        """
-        self._fan_out(src, [(dst, payload, size_bytes) for dst in dsts],
-                      authenticator, keystore, context)
 
     # ------------------------------------------------------------------
     def timely(self, a: str, b: str, delta_ms: float) -> bool:

@@ -84,12 +84,18 @@ class LazyReplicator:
              if name != replica.name],
             request, size_bytes=48)
         # Allow a re-fetch if the reply is lost.
-        replica.after(2 * replica.config.delta_ms, self.recovered)
+        sim = replica.sim
+        sim.schedule(sim.now + 2 * replica.config.delta_ms,
+                     self._window_closed)
+
+    def _window_closed(self) -> None:
+        # A crash swallows the window's end, so recovery must say so.
+        if not self.replica.crashed:
+            self.recovered()
 
     def recovered(self) -> None:
         """No fetch is outstanding: the reply came, the 2-Delta window
-        closed, or the replica crashed -- then the window's end never
-        runs (``Process.after``), so recovery must say so."""
+        closed, or the replica crashed."""
         self._fetch_pending = False
 
     def _on_fetch(self, src: str, m: msg.FetchEntries) -> None:

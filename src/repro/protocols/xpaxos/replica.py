@@ -408,8 +408,8 @@ class XPaxosReplica(ReplicaBase):
             buffered = [p for _, p in sorted(self._pending_prepares.items())]
             self._pending_prepares.clear()
             for prepared in buffered:
-                self.sim.call_soon(
-                    lambda p=prepared: self._on_prepare(primary_name, p))
+                self.sim.schedule(self.sim.now, self._on_prepare,
+                                  (primary_name, prepared))
         self.retransmitter.view_installed()
         # Start afresh in the new view.
         if self.is_primary:

@@ -246,12 +246,11 @@ class Retransmitter:
         buffered, self._buffered_resends = self._buffered_resends, []
         if not replica.is_active:
             return
+        sim = replica.sim
         for resend in buffered:
-            replica.sim.call_soon(
-                lambda m=resend: self._on_resend("buffered", m))
+            sim.schedule(sim.now, self._on_resend, ("buffered", resend))
         for state in self.waiting.values():
             if state.done or state.request.signature is None:
                 continue
-            resend = msg.ReSend(state.request)
-            replica.sim.call_soon(
-                lambda m=resend: self._on_resend("replayed", m))
+            sim.schedule(sim.now, self._on_resend,
+                         ("replayed", msg.ReSend(state.request)))

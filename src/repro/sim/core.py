@@ -4,7 +4,10 @@ Design notes
 ------------
 
 * **Virtual time** is a ``float`` number of milliseconds starting at 0.
-* **One entry shape**: a protocol timer, a ``call_soon`` kick and a message
+* **One door on, one door off**: :meth:`Simulator.schedule` is the only
+  way onto the heap and :meth:`Simulator.cancel` the only way off it
+  before an event fires.
+* **One entry shape**: a protocol timer, a same-instant kick and a message
   delivery are all a 4-slot list ``[time, sequence, callback, args]`` in
   one binary heap.  Lists, not objects, because ``heapq`` then orders
   entries with C-speed element-wise comparisons that never get past the
@@ -14,17 +17,18 @@ Design notes
   due at the same instant fire in insertion order and a run is a pure
   function of (code, seed).
 * **Cancellation** is lazy: cancelling tombstones the entry (``callback =
-  None``) and the drain skips it when popped, which keeps cancellation
+  None``) and the run loop skips it when popped, which keeps cancellation
   O(1) -- protocols cancel a retransmission timer on virtually every
   reply.  When tombstones outnumber live entries the heap is compacted in
   one pass (as asyncio does), so a cancel-heavy run never drags a long
   tail of dead timers through every push and pop.
-* **Handles** (:class:`EventHandle`, :class:`repro.sim.process.Timer`) pin
-  the ``(entry, sequence)`` pair they were given.  ``sequence`` doubles as
-  the generation tag: a fired entry has no callback and a recycled one
-  carries a different sequence, so a stale handle is inert.
-* **Arena**: the drain hands every popped entry to a freelist *before* its
-  callback runs, so the entry a delivery vacates is reused by the
+* **Pinned pairs**: :meth:`Simulator.cancel` takes the ``(entry,
+  sequence)`` pair the caller pinned when it scheduled (:class:`repro.sim.process.Timer` is the one caller
+  that keeps one).  ``sequence`` doubles as the generation tag: a fired
+  entry has no callback and a recycled one carries a different sequence,
+  so cancelling a stale pair does nothing.
+* **Arena**: the run loop hands every popped entry to a freelist *before*
+  its callback runs, so the entry a delivery vacates is reused by the
   deliveries it causes and the steady state allocates nothing per event
   -- which also keeps the GC's generation-0 counter flat (entry lists are
   GC-tracked).  The arena needs no cap: it only holds entries the heap
@@ -51,45 +55,13 @@ _COMPACT_MIN_CANCELLED = 64
 _INF = float("inf")
 
 
-class EventHandle:
-    """Caller-facing handle allowing an event to be cancelled.
-
-    The handle pins the ``(entry, sequence)`` pair observed at scheduling
-    time; once the event has fired (or its entry has been recycled) the
-    handle becomes inert: ``active`` is False and ``cancel()`` is a no-op.
-    """
-
-    __slots__ = ("_sim", "_entry", "_sequence")
-
-    def __init__(self, sim: "Simulator", entry: List[Any]):
-        self._sim = sim
-        self._entry = entry
-        self._sequence = entry[1]
-
-    @property
-    def time(self) -> float:
-        """Virtual time at which the event will fire (meaningful only
-        while ``active``)."""
-        return self._entry[0]
-
-    @property
-    def active(self) -> bool:
-        """True while the event is scheduled and not yet fired/cancelled."""
-        entry = self._entry
-        return entry[1] == self._sequence and entry[2] is not None
-
-    def cancel(self) -> None:
-        """Prevent the event from firing. Idempotent."""
-        self._sim._cancel(self._entry, self._sequence)
-
-
 class Simulator:
     """A deterministic discrete-event scheduler.
 
     Typical usage::
 
         sim = Simulator()
-        sim.call_at(10.0, lambda: print("fires at t=10ms"))
+        sim.schedule(10.0, print, ("fires at t=10ms",))
         sim.run(until=100.0)
 
     The simulator never advances past an event without executing it, and it
@@ -168,18 +140,18 @@ class Simulator:
                  args: Tuple[Any, ...] = ()) -> List[Any]:
         """Schedule ``callback(*args)`` at absolute virtual ``time``.
 
-        The one way onto the heap: deliveries and one-shot kicks call it
-        directly, :meth:`call_at` adds an :class:`EventHandle` for
-        callers that may cancel.  ``args`` saves a closure per event.
+        The one way onto the heap.  ``args`` saves a closure per event.
 
         Returns:
             The heap entry; ``entry[1]`` is the generation tag a
-            canceller must pin (see :meth:`_cancel`).
+            canceller must pin (see :meth:`cancel`).
 
         Raises:
-            SimulationError: if ``time`` is in the past.
+            SimulationError: if ``time`` is in the past or NaN.
         """
-        if time < self.now:
+        # Written so that NaN fails too: NaN compares false either way,
+        # and a NaN clock would accept every time in the past.
+        if not time >= self.now:
             raise SimulationError(
                 f"cannot schedule at t={time} (now is t={self.now})"
             )
@@ -202,31 +174,6 @@ class Simulator:
             self._peak_live = live
         return entry
 
-    def call_at(self, time: float, callback: Callback,
-                args: Tuple[Any, ...] = ()) -> EventHandle:
-        """Schedule ``callback`` to run at absolute virtual ``time``.
-
-        Raises:
-            SimulationError: if ``time`` is in the past.
-        """
-        return EventHandle(self, self.schedule(time, callback, args))
-
-    def call_after(self, delay: float, callback: Callback,
-                   args: Tuple[Any, ...] = ()) -> EventHandle:
-        """Schedule ``callback`` to run ``delay`` ms from now.
-
-        Raises:
-            SimulationError: if ``delay`` is negative.
-        """
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay}")
-        return self.call_at(self.now + delay, callback, args)
-
-    def call_soon(self, callback: Callback,
-                  args: Tuple[Any, ...] = ()) -> EventHandle:
-        """Schedule ``callback`` at the current instant (after queued peers)."""
-        return self.call_at(self.now, callback, args)
-
     def call_every(self, period_ms: float, callback: Callback,
                    until_ms: float) -> None:
         """Run ``callback`` now and every ``period_ms`` until ``until_ms``
@@ -238,9 +185,9 @@ class Simulator:
         exactly ``now + k * period_ms``.
 
         Raises:
-            ValueError: if ``period_ms`` is not positive.
+            ValueError: if ``period_ms`` is not positive (or is NaN).
         """
-        if period_ms <= 0:
+        if not period_ms > 0:
             raise ValueError(
                 f"period_ms must be positive, got {period_ms}")
 
@@ -254,9 +201,9 @@ class Simulator:
             self.schedule(self.now, tick, (self.now,))
 
     # ------------------------------------------------------------------
-    # Cancellation (internal; EventHandle and Timer delegate here)
+    # Cancellation
     # ------------------------------------------------------------------
-    def _cancel(self, entry: List[Any], sequence: int) -> bool:
+    def cancel(self, entry: List[Any], sequence: int) -> bool:
         """Tombstone ``entry`` if it is still the scheduling ``sequence``
         names and has not fired; True if it was live and is now cancelled.
         The entry stays in the heap until popped or compacted away."""
@@ -330,7 +277,7 @@ class Simulator:
                     self._cancelled_queued -= 1
                     continue
                 args = entry[3]
-                # Cleared slots make this event's handle inert and keep
+                # Cleared slots make this event's pinned pair inert and keep
                 # a parked entry from pinning a delivered payload.
                 entry[2] = entry[3] = None
                 self.now = time
@@ -353,18 +300,3 @@ class Simulator:
             True if an event was executed; False if the queue was empty.
         """
         return self.run(max_events=1) == 1
-
-    def drain(self, max_events: int = 10_000_000) -> int:
-        """Run to quiescence; guard against runaway event loops.
-
-        Raises:
-            SimulationError: if ``max_events`` is exceeded, which almost
-                always indicates a timer rescheduling itself unconditionally.
-        """
-        executed = self.run(max_events=max_events)
-        if self.pending:
-            raise SimulationError(
-                f"drain exceeded {max_events} events with "
-                f"{self.pending} still pending"
-            )
-        return executed

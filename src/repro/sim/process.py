@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Any, Callable, List, Optional
 
 from repro.common.errors import SimulationError
-from repro.sim.core import EventHandle, Simulator
+from repro.sim.core import Simulator
 
 
 class Timer:
@@ -22,9 +22,9 @@ class Timer:
     ``stop`` disarms it, and re-``start`` while armed restarts it.
 
     Protocols restart these on virtually every reply, so the timer holds
-    the heap entry :meth:`Simulator.schedule` returns and cancels through
-    the scheduler directly -- no :class:`EventHandle` or closure is
-    allocated per start/stop cycle.
+    the heap entry :meth:`Simulator.schedule` returns and its sequence,
+    and cancels through :meth:`Simulator.cancel` -- nothing is allocated
+    per start/stop cycle.
     """
 
     __slots__ = ("_process", "_callback", "label", "_entry", "_sequence")
@@ -68,7 +68,7 @@ class Timer:
         """Disarm the timer. Idempotent."""
         entry = self._entry
         if entry is not None:
-            self._process.sim._cancel(entry, self._sequence)
+            self._process.sim.cancel(entry, self._sequence)
             self._entry = None
 
     def discard(self) -> None:
@@ -92,9 +92,9 @@ class Timer:
 class Process:
     """A named participant in the simulation (replica or client).
 
-    Subclasses schedule work through :meth:`after` and :class:`Timer`; both
-    automatically become no-ops while the process is crashed, so protocol
-    code never needs crash checks around timer callbacks.
+    Subclasses arm :class:`Timer` objects, which become no-ops while the
+    process is crashed, so protocol code never needs crash checks around
+    timer callbacks.
     """
 
     def __init__(self, sim: Simulator, name: str):
@@ -107,8 +107,7 @@ class Process:
 
     # ------------------------------------------------------------------
     def crash(self) -> None:
-        """Stop the process: all armed timers are lost, and future events
-        scheduled through :meth:`after` are suppressed."""
+        """Stop the process: all armed timers are lost."""
         self.crashed = True
         for timer in self._timers:
             timer.stop()
@@ -119,16 +118,6 @@ class Process:
         self.crashed = False
 
     # ------------------------------------------------------------------
-    def after(self, delay_ms: float,
-              callback: Callable[[], None]) -> EventHandle:
-        """Schedule ``callback`` unless the process is crashed when it fires."""
-        return self.sim.call_after(delay_ms, self._run_unless_crashed,
-                                   (callback,))
-
-    def _run_unless_crashed(self, callback: Callable[[], None]) -> None:
-        if not self.crashed:
-            callback()
-
     def _register_timer(self, timer: Timer) -> None:
         self._timers.append(timer)
 

@@ -115,9 +115,8 @@ class NodeBase(Process):
         policy = _policy_for(payload)
         if not self.cpu.free:
             policy.charge_send(self.cpu, 1, size_bytes)
-        self.network.send_authenticated(
-            self.name, dst, payload, size_bytes=size_bytes,
-            authenticator=policy, keystore=self.keystore)
+        self.network.send(self.name, ((dst, payload, size_bytes),),
+                          authenticator=policy, keystore=self.keystore)
 
     def send(self, items: Sequence[Tuple[str, Any, int]]) -> None:
         """Send ``(dst, payload, size_bytes)`` items, a payload of its own
@@ -142,20 +141,20 @@ class NodeBase(Process):
     def multicast_authenticated(self, dsts: Sequence[str], payload: Any,
                                 size_bytes: int = 0) -> None:
         """Fan a message out with per-receiver authenticators stamped at
-        delivery fan-out time (see :meth:`Network.multicast_authenticated`).
+        delivery fan-out time (see :meth:`Network.send`).
 
-        This is what lets MAC-vector fan-outs ride the multicast fast
-        path: the payload is identical for every receiver, only the
-        transport-level authenticator differs.
+        The payload is one object for every receiver, so its shared
+        authenticator context (typically its digest) is computed once;
+        only the transport-level authenticator differs per receiver.
         """
         if not dsts:
             return
         policy = _policy_for(payload)
         if not self.cpu.free:
             policy.charge_send(self.cpu, len(dsts), size_bytes)
-        self.network.multicast_authenticated(
-            self.name, dsts, payload, size_bytes=size_bytes,
-            authenticator=policy, keystore=self.keystore)
+        self.network.send(self.name,
+                          [(dst, payload, size_bytes) for dst in dsts],
+                          authenticator=policy, keystore=self.keystore)
 
 
 class ReplicaBase(NodeBase):
@@ -384,16 +383,16 @@ class ReplicaBase(NodeBase):
             if policy.stamps else None
         network = self.network
         if before:
-            network.multicast_authenticated(
-                self.name, before, payload, size_bytes=size_bytes,
-                authenticator=policy, keystore=self.keystore,
-                context=context)
+            network.send(self.name,
+                         [(dst, payload, size_bytes) for dst in before],
+                         authenticator=policy, keystore=self.keystore,
+                         context=context)
         self_handler()
         if after:
-            network.multicast_authenticated(
-                self.name, after, payload, size_bytes=size_bytes,
-                authenticator=policy, keystore=self.keystore,
-                context=context)
+            network.send(self.name,
+                         [(dst, payload, size_bytes) for dst in after],
+                         authenticator=policy, keystore=self.keystore,
+                         context=context)
 
     # -- crypto convenience, charging CPU --------------------------------
     def sign(self, payload: Any):

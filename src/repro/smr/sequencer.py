@@ -109,20 +109,23 @@ class PipelinedSequencer:
         self.replica.sn += 1
         self.replica.propose_batch(self.replica.sn, batch)
         if self.pending:
-            self.replica.sim.call_soon(self.flush)
+            sim = self.replica.sim
+            sim.schedule(sim.now, self.flush)
 
     def pump(self) -> None:
         """Resume a parked flush after execution advanced the window."""
         if self._parked:
             self._parked = False
             if self.pending:
-                self.replica.sim.call_soon(self.flush)
+                sim = self.replica.sim
+                sim.schedule(sim.now, self.flush)
 
     def kick(self) -> None:
         """Schedule a flush if anything is pending (leader-change entry
         points use this instead of calling :meth:`flush` inline)."""
         if self.pending:
-            self.replica.sim.call_soon(self.flush)
+            sim = self.replica.sim
+            sim.schedule(sim.now, self.flush)
 
     # -- leader-change housekeeping ---------------------------------------
     def stop_timer(self) -> None:

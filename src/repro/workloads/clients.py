@@ -82,8 +82,8 @@ class ClosedLoopDriver(WorkloadDriver):
         spacing = 0.01 if len(clients) <= 100 else 1.0 / len(clients)
         for index, client in enumerate(clients):
             client.on_commit = self._make_on_commit(client)
-            self.runtime.sim.call_at(
-                base + index * spacing, self._issue, args=(client,))
+            self.runtime.sim.schedule(
+                base + index * spacing, self._issue, (client,))
 
     def _make_on_commit(self, client) -> Callable[[tuple, float], None]:
         def on_commit(rid: tuple, latency_ms: float) -> None:

@@ -176,7 +176,7 @@ A001_REPLICA = """\
 
     def greet(net):
         h = build_hello()
-        net.multicast(["a", "b"], h)
+        net.multicast_authenticated(["a", "b"], h)
 
 
     def forward(net, accusation: Accuse):
@@ -365,9 +365,9 @@ class TestA001UnregisteredWireMessage:
 
 
             def broadcast(node, names):
-                node.multicast(names, Unbound(1))
-                node.multicast(names, Loose(2))
-                node.multicast(names, Bound(3))
+                node.multicast_authenticated(names, Unbound(1))
+                node.multicast_authenticated(names, Loose(2))
+                node.multicast_authenticated(names, Bound(3))
         """
         report = lint_tree({"pkg/protocols/demo/replica.py": replica})
         assert sorted(found(report, "A001")) == [

@@ -291,6 +291,35 @@ def test_p004_unreached_module_and_definitions_fire_at_their_lines(
     assert "module repro.harness.orphan" in messages[1]
 
 
+UTIL_WITH_METHODS = """\
+    class Meter:
+        def read(self):
+            return 1
+
+        def _sample(self):
+            return 2
+
+        sample = _sample
+
+        def total(self):
+            return 3
+
+    def helper():
+        total = Meter().read() + Meter().sample()
+        return total
+"""
+
+
+def test_p004_a_method_sharing_only_a_local_name_fires(lint_tree):
+    # A bare name is a local or a global: only an attribute, a string or
+    # the method's own class body reaches a method.
+    report = lint_tree({**TREE, "src/repro/harness/util.py":
+                        UTIL_WITH_METHODS})
+    util = [line for path, line in hits(report, "P004")
+            if path == "repro/harness/util.py"]
+    assert util == [line_of(UTIL_WITH_METHODS, "def total")]
+
+
 def test_p004_the_allow_list_keeps_test_apparatus(lint_tree, monkeypatch):
     apparatus = ("repro/faults/checker.py", line_of(CHECKER, "assert_safe"))
     assert apparatus not in hits(lint_tree(TREE), "P004")

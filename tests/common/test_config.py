@@ -40,6 +40,8 @@ class TestClusterConfig:
         with pytest.raises(ConfigurationError):
             ClusterConfig(delta_ms=0.0)
         with pytest.raises(ConfigurationError):
+            ClusterConfig(delta_ms=float("nan"))
+        with pytest.raises(ConfigurationError):
             ClusterConfig(checkpoint_period=0)
         with pytest.raises(ConfigurationError):
             ClusterConfig(pipeline_depth=0)

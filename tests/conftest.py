@@ -8,8 +8,8 @@ from dataclasses import dataclass
 import pytest
 
 from repro.common.config import ClusterConfig, ProtocolName, WorkloadConfig
-from repro.crypto.authenticators import NULL
-from repro.crypto.primitives import replica_principal
+from repro.crypto.authenticators import MAC_VECTOR, NULL
+from repro.crypto.primitives import digest_of, replica_principal
 from repro.faults.checker import SafetyChecker
 from repro.faults.injector import FaultInjector, FaultSchedule
 from repro.harness import runner
@@ -82,14 +82,20 @@ def run_workload(runtime, duration_ms=3_000.0, warmup_ms=100.0,
 def send_plain(net, src, dst, payload, size_bytes=0):
     """A plain send: ``payload`` under the ``NULL`` authenticator policy
     (no authenticator bytes, no RNG draws, ``None`` stamped)."""
-    net.send_authenticated(src, dst, payload, size_bytes,
-                           authenticator=NULL, keystore=None)
+    net.send(src, ((dst, payload, size_bytes),),
+             authenticator=NULL, keystore=None)
 
 
 def multicast_plain(net, src, dsts, payload, size_bytes=0):
     """:func:`send_plain` to each of ``dsts``, as one fan-out."""
-    net.multicast_authenticated(src, dsts, payload, size_bytes,
-                                authenticator=NULL, keystore=None)
+    net.send(src, [(dst, payload, size_bytes) for dst in dsts],
+             authenticator=NULL, keystore=None)
+
+
+def channel_mac(keystore, sender, receiver, payload):
+    """The MAC the transport stamps on ``payload`` for the ``sender`` ->
+    ``receiver`` channel (``MAC_VECTOR.stamp``, the one derivation)."""
+    return MAC_VECTOR.stamp(keystore, sender, receiver, digest_of(payload))
 
 
 class Liveness:

@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto.authenticators import POLICIES
+from repro.crypto.authenticators import MAC_VECTOR, POLICIES
 from repro.crypto.primitives import (
     Digest,
     KeyStore,
@@ -36,6 +36,7 @@ from repro.protocols import paxos, pbft, xpaxos, zab, zyzzyva
 from repro.protocols.xpaxos.messages import FastCommit
 from repro.smr.log import CommitEntry, PrepareEntry
 from repro.smr.messages import Batch, Request
+from tests.conftest import channel_mac
 
 #: Importing the five protocol packages registered their wire classes.
 PROTOCOLS = (paxos, pbft, xpaxos, zab, zyzzyva)
@@ -45,7 +46,8 @@ KEYSTORE = KeyStore()
 principals = st.sampled_from(["r0", "r1", "r12", "c0", "c7"])
 digests = st.binary(min_size=0, max_size=40).map(Digest)
 signatures = st.builds(KEYSTORE.sign_digest, principals, digests)
-macs = st.builds(KEYSTORE.mac_digest, principals, principals, digests)
+macs = st.builds(MAC_VECTOR.stamp, st.just(KEYSTORE), principals, principals,
+                 digests)
 
 scalars = st.one_of(
     st.none(),
@@ -139,7 +141,8 @@ def _sample_values():
     fast = FastCommit(0, 5, digest, digest, sig)
     entry = CommitEntry(5, 0, batch, (sig, sig))
     return [7, "text", b"\x01\x02", None, True, 2.5, digest, sig,
-            KEYSTORE.mac("r0", "c2", ("sample", 3)), request, batch, fast,
+            channel_mac(KEYSTORE, "r0", "c2", ("sample", 3)), request, batch,
+            fast,
             ((5, entry),), (sig, digest), {"k": (1, b"v")}]
 
 

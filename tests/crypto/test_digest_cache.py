@@ -40,7 +40,7 @@ from repro.protocols.xpaxos import messages as msg
 from repro.protocols.xpaxos.messages import FastCommit, PreChk, ReplyMsg
 from repro.sim.core import Simulator
 from repro.smr.messages import Batch, Request
-from tests.conftest import Liveness, make_cluster, unfilled
+from tests.conftest import Liveness, channel_mac, make_cluster, unfilled
 
 
 def make_batch(i=0, n=4):
@@ -56,7 +56,7 @@ class TestByteIdentity:
     def test_wire_messages_match_seed_encoder(self):
         keystore = KeyStore()
         sig = keystore.sign("r0", ("prepare", 1, 2))
-        mac = keystore.mac("r0", "c1", ("reply", 3))
+        mac = channel_mac(keystore, "r0", "c1", ("reply", 3))
         samples = [
             Request(op=("get", "k"), timestamp=7, client=2, size_bytes=32),
             Request(op=("put", "k", b"v"), timestamp=8, client=2,
@@ -287,14 +287,11 @@ class TestMacVectorsBothVerbs:
         body = PreChk(seqno=11, view=0, state_digest=b"\x03" * 32, sender=0)
         if sequential:
             for name in sorted(inboxes):
-                net.send_authenticated("s", name, body, size_bytes=44,
-                                       authenticator=MAC_VECTOR,
-                                       keystore=keystore)
+                net.send("s", ((name, body, 44),),
+                         authenticator=MAC_VECTOR, keystore=keystore)
         else:
-            net.multicast_authenticated("s", sorted(inboxes), body,
-                                        size_bytes=44,
-                                        authenticator=MAC_VECTOR,
-                                        keystore=keystore)
+            net.send("s", [(name, body, 44) for name in sorted(inboxes)],
+                     authenticator=MAC_VECTOR, keystore=keystore)
         sim.run()
         macs = {}
         for name, inbox in inboxes.items():
@@ -308,13 +305,15 @@ class TestMacVectorsBothVerbs:
         # the MAC vector must not notice.
         assert self.run_fanout(False) == self.run_fanout(True)
 
-    def test_transport_stamp_matches_keystore_mac_digest(self):
-        # The inlined fan-out stamp and the KeyStore API derive the
+    def test_transport_stamp_verifies_under_the_keystore(self):
+        # The transport's stamp and KeyStore.verify_mac_digest derive the
         # same token ("keep in sync" contract in authenticators.py).
         keystore = KeyStore()
         context = digest_of(("ctx", 1))
         stamped = MacVectorAuthenticator().stamp(keystore, "a", "b", context)
-        assert tuple(stamped) == tuple(keystore.mac_digest("a", "b", context))
+        assert keystore.verify_mac_digest(stamped, context)
+        other = MacVectorAuthenticator().stamp(keystore, "a", "c", context)
+        assert stamped._token != other._token
 
 
 class TestMutationAfterDigestGuard:

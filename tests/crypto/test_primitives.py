@@ -10,6 +10,7 @@ from repro.crypto.primitives import (
     digest_of,
     replica_principal,
 )
+from tests.conftest import channel_mac
 
 
 @pytest.fixture
@@ -94,16 +95,16 @@ class TestSignatures:
 
 class TestMacs:
     def test_mac_roundtrip(self, keystore):
-        mac = keystore.mac("r0", "c1", ("reply", 7))
+        mac = channel_mac(keystore, "r0", "c1", ("reply", 7))
         assert keystore.verify_mac(mac, ("reply", 7))
 
     def test_mac_rejects_tampering(self, keystore):
-        mac = keystore.mac("r0", "c1", ("reply", 7))
+        mac = channel_mac(keystore, "r0", "c1", ("reply", 7))
         assert not keystore.verify_mac(mac, ("reply", 8))
 
     def test_mac_binds_channel(self, keystore):
-        mac_01 = keystore.mac("r0", "c1", "m")
-        mac_02 = keystore.mac("r0", "c2", "m")
+        mac_01 = channel_mac(keystore, "r0", "c1", "m")
+        mac_02 = channel_mac(keystore, "r0", "c2", "m")
         assert mac_01 != mac_02
 
     @pytest.mark.parametrize("forge", [
@@ -115,7 +116,7 @@ class TestMacs:
         # ``verify_mac`` (payload in hand) and ``verify_mac_digest`` (the
         # transport's digest) share one token derivation.
         payload = ("reply", 7)
-        mac = keystore.mac("r0", "c1", payload)
+        mac = channel_mac(keystore, "r0", "c1", payload)
         assert keystore.verify_mac_digest(mac, digest_of(payload))
         forged = forge(mac)
         assert not keystore.verify_mac(forged, payload)

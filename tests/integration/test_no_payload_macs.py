@@ -1,7 +1,7 @@
 """No protocol sends per-receiver ``Mac`` objects inside payloads.
 
 Channel MACs live at the transport now (stamped by
-``Network.multicast_authenticated`` at delivery fan-out time); a ``Mac``
+``Network.send`` at delivery fan-out time); a ``Mac``
 inside a payload would silently re-lock that message class out of the
 multicast fast path.  This sweeps live traffic of all five protocols --
 including XPaxos checkpointing, fault detection and a view change, the

@@ -4,14 +4,14 @@
 of the delivery contract -- per message: sender up?, queue on the uplink,
 draw a one-way delay, clamp to FIFO, schedule a closure that checks the
 receiver at delivery time -- with none of the current fabric's machinery
-(one ``_fan_out`` behind two verbs, resolve-first, argument-carrying
+(one ``Network.send`` for every fan-out, resolve-first, argument-carrying
 heap entries, authenticator stamping).  Every test here plays one script
 against both fabrics, each on its own simulator, latency model and uplink
 model, and demands the same ``(time, src, dst, payload)`` delivery
 *trace*, the same ``pending`` count and the same latency-RNG state.
 
-The current fabric is driven the way protocols drive it, through
-``send_authenticated`` / ``multicast_authenticated``, under each of the
+The current fabric is driven the way the protocols' send verbs drive it,
+one ``Network.send`` per send or multicast, under each of the
 ``NULL``, ``MODELED_MAC`` and ``MAC_VECTOR`` policies.  The seed knows no
 authenticators: it sends each message with the bytes the policy adds on
 the wire (``size_bytes + policy.auth_bytes``).
@@ -90,18 +90,16 @@ class Fabric:
 
     def send(self, src, dst, payload, size_bytes):
         if self.current:
-            self.net.send_authenticated(
-                src, dst, payload, size_bytes,
-                authenticator=self.policy, keystore=self.keystore)
+            self.net.send(src, ((dst, payload, size_bytes),),
+                          authenticator=self.policy, keystore=self.keystore)
         else:
             self.net.send(src, dst, payload,
                           size_bytes=size_bytes + self.policy.auth_bytes)
 
     def broadcast(self, src, dsts, payload, size_bytes):
         if self.current:
-            self.net.multicast_authenticated(
-                src, dsts, payload, size_bytes,
-                authenticator=self.policy, keystore=self.keystore)
+            self.net.send(src, [(dst, payload, size_bytes) for dst in dsts],
+                          authenticator=self.policy, keystore=self.keystore)
         else:
             self.net.broadcast(
                 src, dsts, payload,

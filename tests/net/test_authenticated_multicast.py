@@ -1,10 +1,10 @@
-"""Tests for the network's two verbs: per-receiver authenticators stamped
+"""Tests for the network's fan-out: per-receiver authenticators stamped
 by the transport as it fans out, with authenticator bytes in the size
 accounting.
 
-The contract: ``multicast_authenticated(src, dsts, p)`` is observationally
-identical to one ``send_authenticated(src, dst, p)`` per destination, in
-order -- same delivery order, same stats, same RNG draw order, same
+The contract: one ``Network.send`` of payload ``p`` to ``dsts`` is
+observationally identical to one single-item ``send`` per destination,
+in order -- same delivery order, same stats, same RNG draw order, same
 authenticators -- it just resolves the sender side once.  Sequential
 sends are the reference throughout, and every contract that does not
 depend on what an authenticator is runs under both the ``NULL`` policy
@@ -20,7 +20,7 @@ from repro.net.bandwidth import BandwidthModel
 from repro.net.latency import LatencyModel
 from repro.net.network import Endpoint, Network
 from repro.sim.core import Simulator
-from tests.conftest import Liveness
+from tests.conftest import Liveness, channel_mac
 
 #: The ``NULL`` column (a plain send) and the ``MAC_VECTOR`` column.
 POLICIES = pytest.mark.parametrize("policy", [NULL, MAC_VECTOR],
@@ -65,8 +65,14 @@ def multicast(net, dsts, body, policy, size_bytes=0, keystore=None):
     """One fan-out from ``a`` under ``policy``."""
     if keystore is None:
         keystore = KeyStore()
-    net.multicast_authenticated("a", dsts, body, size_bytes,
-                                authenticator=policy, keystore=keystore)
+    net.send("a", [(dst, body, size_bytes) for dst in dsts],
+             authenticator=policy, keystore=keystore)
+
+
+def send_one(net, dst, body, policy, size_bytes, keystore):
+    """A single-receiver send from ``a``: the sequential reference."""
+    net.send("a", ((dst, body, size_bytes),), authenticator=policy,
+             keystore=keystore)
 
 
 class TestMacStamping:
@@ -170,9 +176,8 @@ class TestErrors:
     def test_unknown_source_rejected(self, policy):
         _, net, _ = build()
         with pytest.raises(ConfigurationError):
-            net.multicast_authenticated("ghost", ["b"], "m",
-                                        authenticator=policy,
-                                        keystore=KeyStore())
+            net.send("ghost", [("b", "m", 0)], authenticator=policy,
+                     keystore=KeyStore())
 
     @POLICIES
     def test_unknown_destination_rejected(self, policy):
@@ -210,8 +215,8 @@ def core_stats(net):
 
 
 class TestMatchesSequentialSends:
-    """``multicast_authenticated`` against ``n`` sequential
-    ``send_authenticated``: same deliveries at the same instants in the
+    """One fan-out against ``n`` sequential single-item sends: same
+    deliveries at the same instants in the
     same order, same stats, same events, byte-identical
     authenticators."""
 
@@ -225,13 +230,10 @@ class TestMatchesSequentialSends:
             body = ("m", round_no)
             if sequential:
                 for dst in ("b", "c", "d"):
-                    net.send_authenticated(
-                        "a", dst, body, size_bytes=256,
-                        authenticator=authenticator, keystore=keystore)
+                    send_one(net, dst, body, authenticator, 256, keystore)
             else:
-                net.multicast_authenticated(
-                    "a", ["b", "c", "d"], body, size_bytes=256,
-                    authenticator=authenticator, keystore=keystore)
+                multicast(net, ["b", "c", "d"], body, authenticator, 256,
+                          keystore)
         sim.run()
         wire = [(src, body, None if auth is None else tuple(auth), size)
                 for src, body, auth, size in log]
@@ -270,9 +272,7 @@ class TestSendTimeAndDeliveryTimeChecks:
         keystore = KeyStore()
         if sequential:
             for dst in ("b", "c"):
-                net.send_authenticated("a", dst, "m", size_bytes=64,
-                                       authenticator=policy,
-                                       keystore=keystore)
+                send_one(net, dst, "m", policy, 64, keystore)
         else:
             multicast(net, ["b", "c"], "m", policy, 64, keystore)
 
@@ -350,7 +350,7 @@ class TestNodeRuntimeVerification:
                             sender=0)
         received = r1.messages_received
         r1._on_deliver_auth("r0", prechk,
-                            runtime.keystore.mac("r0", "r1", "not-it"), 64)
+                            channel_mac(runtime.keystore, "r0", "r1", "not-it"), 64)
         assert r1.auth_failures == 1
         assert r1.messages_received == received + 1
         assert 64 not in r1.checkpointer._prechk_votes

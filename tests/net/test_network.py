@@ -83,7 +83,7 @@ class TestFaults:
         a = _Node(net, "a", "X")
         b = _Node(net, "b", "Y")
         send_plain(net, "a", "b", "m")
-        sim.call_at(1.0, lambda: setattr(b, "up", False))
+        sim.schedule(1.0, lambda: setattr(b, "up", False))
         sim.run()
         assert b.inbox == []
         assert net.stats.messages_dropped_crash == 1

@@ -1,8 +1,8 @@
 """``Network.send``: a payload of its own per receiver, in one call.
 
 The contract: ``send(src, [(dst, payload, size_bytes), ...])`` is
-observationally identical to one ``send_authenticated(src, dst, payload,
-size_bytes)`` per item, in order.  Each case below plays the same items
+observationally identical to one single-item ``send(src, [(dst, payload,
+size_bytes)])`` per item, in order.  Each case below plays the same items
 both ways, on twin fabrics, and compares everything the rest of the run
 could see: the heap entries the sends left (in scheduling order), the
 ``NetworkStats``, the authenticators stamped, the latency draws with the
@@ -82,7 +82,7 @@ def items_for(round_no=0):
 
 def both_ways(policy, prepare=lambda fabric: None, rounds=3, **options):
     """Play ``rounds`` slots of replies through one ``send`` per slot and
-    through ``send_authenticated`` per reply; what each fabric observed
+    through a single-item ``send`` per reply; what each fabric observed
     must be equal.  Returns the one-call side."""
     keystore = KeyStore()
     sides = []
@@ -95,10 +95,9 @@ def both_ways(policy, prepare=lambda fabric: None, rounds=3, **options):
                 fabric.net.send("a", items, authenticator=policy,
                                 keystore=keystore)
             else:
-                for dst, payload, size in items:
-                    fabric.net.send_authenticated(
-                        "a", dst, payload, size, authenticator=policy,
-                        keystore=keystore)
+                for item in items:
+                    fabric.net.send("a", (item,), authenticator=policy,
+                                    keystore=keystore)
         sides.append(fabric)
     one_call, sequential = sides
     assert one_call.observed() == sequential.observed()

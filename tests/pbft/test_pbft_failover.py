@@ -70,7 +70,7 @@ class TestLeaderFailover:
         harness = make_harness(ProtocolName.PBFT)
         harness.arm(FaultSchedule().crash_for(1_000.0, 0, 1_000.0))
         probe = {}
-        harness.sim.call_at(1_999.0, lambda: probe.update(
+        harness.sim.schedule(1_999.0, lambda: probe.update(
             stale=harness.replica(0).ex,
             top=max(r.ex for r in harness.replicas)))
         harness.drive(duration_ms=6_000.0)

@@ -7,51 +7,58 @@ from repro.common.errors import SimulationError
 from repro.sim.core import Simulator
 
 
+def pin(entry):
+    """What a canceller keeps: the entry and the sequence it was
+    scheduled under (the arguments of ``Simulator.cancel``)."""
+    return entry, entry[1]
+
+
 class TestScheduling:
     def test_starts_at_time_zero(self):
         assert Simulator().now == 0.0
 
-    def test_call_at_executes_at_that_time(self):
+    def test_schedule_executes_at_that_time(self):
         sim = Simulator()
         seen = []
-        sim.call_at(10.0, lambda: seen.append(sim.now))
+        sim.schedule(10.0, lambda: seen.append(sim.now))
         sim.run()
         assert seen == [10.0]
 
-    def test_call_after_is_relative(self):
+    def test_scheduling_now_runs_at_current_instant(self):
         sim = Simulator()
         seen = []
-        sim.call_at(5.0, lambda: sim.call_after(3.0,
-                                                lambda: seen.append(sim.now)))
-        sim.run()
-        assert seen == [8.0]
-
-    def test_call_soon_runs_at_current_instant(self):
-        sim = Simulator()
-        seen = []
-        sim.call_at(7.0, lambda: sim.call_soon(lambda: seen.append(sim.now)))
+        sim.schedule(7.0, lambda: sim.schedule(
+            sim.now, lambda: seen.append(sim.now)))
         sim.run()
         assert seen == [7.0]
 
     def test_scheduling_in_past_raises(self):
         sim = Simulator()
-        sim.call_at(10.0, lambda: None)
+        sim.schedule(10.0, lambda: None)
         sim.run()
         with pytest.raises(SimulationError):
-            sim.call_at(5.0, lambda: None)
+            sim.schedule(5.0, lambda: None)
 
-    def test_negative_delay_raises(self):
+    def test_nan_time_raises_and_leaves_the_clock_alone(self):
+        # A NaN event used to fire first and set the clock to NaN, after
+        # which every time in the past was accepted.
+        sim = Simulator()
         with pytest.raises(SimulationError):
-            Simulator().call_after(-1.0, lambda: None)
+            sim.schedule(float("nan"), lambda: None)
+        assert sim.pending == 0
+        sim.run(until=10.0)
+        assert sim.now == 10.0
+        with pytest.raises(SimulationError):
+            sim.schedule(5.0, lambda: None)
 
 
 class TestOrdering:
     def test_events_fire_in_time_order(self):
         sim = Simulator()
         seen = []
-        sim.call_at(30.0, lambda: seen.append("c"))
-        sim.call_at(10.0, lambda: seen.append("a"))
-        sim.call_at(20.0, lambda: seen.append("b"))
+        sim.schedule(30.0, lambda: seen.append("c"))
+        sim.schedule(10.0, lambda: seen.append("a"))
+        sim.schedule(20.0, lambda: seen.append("b"))
         sim.run()
         assert seen == ["a", "b", "c"]
 
@@ -59,7 +66,7 @@ class TestOrdering:
         sim = Simulator()
         seen = []
         for name in "abcdef":
-            sim.call_at(5.0, lambda n=name: seen.append(n))
+            sim.schedule(5.0, lambda n=name: seen.append(n))
         sim.run()
         assert seen == list("abcdef")
 
@@ -69,7 +76,7 @@ class TestOrdering:
         sim = Simulator()
         observed = []
         for t in times:
-            sim.call_at(t, lambda: observed.append(sim.now))
+            sim.schedule(t, lambda: observed.append(sim.now))
         sim.run()
         assert observed == sorted(observed)
         assert len(observed) == len(times)
@@ -79,33 +86,33 @@ class TestCancellation:
     def test_cancelled_event_does_not_fire(self):
         sim = Simulator()
         seen = []
-        handle = sim.call_at(10.0, lambda: seen.append("x"))
-        handle.cancel()
+        assert sim.cancel(*pin(sim.schedule(10.0, lambda: seen.append("x"))))
         sim.run()
         assert seen == []
 
     def test_cancel_is_idempotent(self):
         sim = Simulator()
-        handle = sim.call_at(10.0, lambda: None)
-        handle.cancel()
-        handle.cancel()
-        assert not handle.active
+        pair = pin(sim.schedule(10.0, lambda: None))
+        assert sim.cancel(*pair)
+        assert not sim.cancel(*pair)
+        assert sim.pending == 0
 
     def test_pending_excludes_cancelled(self):
         sim = Simulator()
-        keep = sim.call_at(10.0, lambda: None)
-        drop = sim.call_at(20.0, lambda: None)
-        drop.cancel()
+        seen = []
+        sim.schedule(10.0, lambda: seen.append("keep"))
+        sim.cancel(*pin(sim.schedule(20.0, lambda: seen.append("drop"))))
         assert sim.pending == 1
-        assert keep.active
+        sim.run()
+        assert seen == ["keep"]
 
 
 class TestRun:
     def test_run_until_stops_before_later_events(self):
         sim = Simulator()
         seen = []
-        sim.call_at(10.0, lambda: seen.append("early"))
-        sim.call_at(100.0, lambda: seen.append("late"))
+        sim.schedule(10.0, lambda: seen.append("early"))
+        sim.schedule(100.0, lambda: seen.append("late"))
         sim.run(until=50.0)
         assert seen == ["early"]
         assert sim.now == 50.0
@@ -118,8 +125,8 @@ class TestRun:
     def test_back_to_back_runs_compose(self):
         sim = Simulator()
         seen = []
-        sim.call_at(10.0, lambda: seen.append(1))
-        sim.call_at(60.0, lambda: seen.append(2))
+        sim.schedule(10.0, lambda: seen.append(1))
+        sim.schedule(60.0, lambda: seen.append(2))
         sim.run(until=50.0)
         sim.run(until=100.0)
         assert seen == [1, 2]
@@ -127,7 +134,7 @@ class TestRun:
     def test_max_events_budget(self):
         sim = Simulator()
         for i in range(10):
-            sim.call_at(float(i), lambda: None)
+            sim.schedule(float(i), lambda: None)
         executed = sim.run(max_events=4)
         assert executed == 4
         assert sim.pending == 6
@@ -135,28 +142,18 @@ class TestRun:
     def test_step_executes_one_event(self):
         sim = Simulator()
         seen = []
-        sim.call_at(1.0, lambda: seen.append(1))
-        sim.call_at(2.0, lambda: seen.append(2))
+        sim.schedule(1.0, lambda: seen.append(1))
+        sim.schedule(2.0, lambda: seen.append(2))
         assert sim.step()
         assert seen == [1]
 
     def test_step_on_empty_queue_returns_false(self):
         assert not Simulator().step()
 
-    def test_drain_detects_runaway_loops(self):
-        sim = Simulator()
-
-        def reschedule():
-            sim.call_after(1.0, reschedule)
-
-        sim.call_at(0.0, reschedule)
-        with pytest.raises(SimulationError):
-            sim.drain(max_events=100)
-
     def test_executed_counter(self):
         sim = Simulator()
         for i in range(5):
-            sim.call_at(float(i), lambda: None)
+            sim.schedule(float(i), lambda: None)
         sim.run()
         assert sim.executed == 5
 
@@ -181,18 +178,19 @@ class TestCountersMidRun:
         sim = Simulator()
         fired = []
         seen = []
-        doomed = [sim.call_at(90.0 + i, lambda: None) for i in range(5)]
+        doomed = [pin(sim.schedule(90.0 + i, lambda: None))
+                  for i in range(5)]
 
         def tick(i):
             fired.append(i)
             if i == 10:
-                for handle in doomed[:3]:
-                    handle.cancel()
+                for pair in doomed[:3]:
+                    sim.cancel(*pair)
                 stats = self._ledger(sim, cancels=3)
                 seen.append((stats["executed"], stats["pending"]))
 
         for i in range(20):
-            sim.call_at(float(i + 1), tick, args=(i,))
+            sim.schedule(float(i + 1), tick, (i,))
         sim.run(until=50.0)
         # The running event counts as executed; 9 ticks and 2 far-future
         # events are still pending at that moment.
@@ -207,10 +205,10 @@ class TestCountersMidRun:
             raise RuntimeError("boom")
 
         for i in range(3):
-            sim.call_at(float(i + 1), lambda: None)
-        sim.call_at(4.0, boom)
-        sim.call_at(5.0, lambda: None).cancel()
-        sim.call_at(6.0, lambda: None)
+            sim.schedule(float(i + 1), lambda: None)
+        sim.schedule(4.0, boom)
+        sim.cancel(*pin(sim.schedule(5.0, lambda: None)))
+        sim.schedule(6.0, lambda: None)
         with pytest.raises(RuntimeError):
             sim.run(until=10.0)
         assert sim.executed == 4 and sim.pending == 1 and sim.now == 4.0
@@ -220,7 +218,7 @@ class TestCountersMidRun:
 class TestReentrancy:
     def test_run_inside_a_callback_raises(self):
         sim = Simulator()
-        sim.call_at(1.0, sim.run)
+        sim.schedule(1.0, sim.run)
         with pytest.raises(SimulationError, match="re-entrant"):
             sim.run()
 
@@ -228,8 +226,8 @@ class TestReentrancy:
         # step() used to pop the outer loop's next event silently.
         sim = Simulator()
         seen = []
-        sim.call_at(1.0, sim.step)
-        sim.call_at(2.0, lambda: seen.append("later"))
+        sim.schedule(1.0, sim.step)
+        sim.schedule(2.0, lambda: seen.append("later"))
         with pytest.raises(SimulationError, match="re-entrant"):
             sim.run(until=10.0)
         assert seen == []
@@ -242,8 +240,8 @@ class TestReentrancy:
         def boom():
             raise RuntimeError("boom")
 
-        sim.call_at(1.0, boom)
-        sim.call_at(2.0, lambda: seen.append("after"))
+        sim.schedule(1.0, boom)
+        sim.schedule(2.0, lambda: seen.append("after"))
         with pytest.raises(RuntimeError):
             sim.run()
         assert sim.step()  # neither step() nor run() is wedged
@@ -256,57 +254,57 @@ class TestLiveCount:
 
     def test_cancel_decrements_immediately(self):
         sim = Simulator()
-        handles = [sim.call_at(float(i + 1), lambda: None) for i in range(5)]
+        pairs = [pin(sim.schedule(float(i + 1), lambda: None))
+                 for i in range(5)]
         assert sim.pending == 5
-        handles[0].cancel()
-        handles[3].cancel()
+        sim.cancel(*pairs[0])
+        sim.cancel(*pairs[3])
         assert sim.pending == 3
 
     def test_double_cancel_does_not_double_decrement(self):
         sim = Simulator()
-        keep = sim.call_at(1.0, lambda: None)
-        drop = sim.call_at(2.0, lambda: None)
-        drop.cancel()
-        drop.cancel()
+        sim.schedule(1.0, lambda: None)
+        drop = pin(sim.schedule(2.0, lambda: None))
+        sim.cancel(*drop)
+        sim.cancel(*drop)
         assert sim.pending == 1
-        assert keep.active
 
     def test_execution_decrements(self):
         sim = Simulator()
-        sim.call_at(1.0, lambda: None)
-        sim.call_at(2.0, lambda: None)
+        sim.schedule(1.0, lambda: None)
+        sim.schedule(2.0, lambda: None)
         sim.step()
         assert sim.pending == 1
         sim.run()
         assert sim.pending == 0
 
-    def test_handle_inert_after_fire(self):
+    def test_pair_inert_after_fire(self):
         sim = Simulator()
-        handle = sim.call_at(1.0, lambda: None)
+        pair = pin(sim.schedule(1.0, lambda: None))
         sim.run()
-        assert not handle.active
-        handle.cancel()  # must be a no-op
+        assert not sim.cancel(*pair)  # must be a no-op
         assert sim.pending == 0
 
-    def test_stale_handle_cannot_cancel_recycled_event(self):
-        # After its event fires, a handle must never affect a later event
-        # that happens to reuse the same pooled Event object.
+    def test_stale_pair_cannot_cancel_recycled_event(self):
+        # After its event fires, a pinned pair must never affect a later
+        # event that reuses the same recycled entry.
         sim = Simulator()
         seen = []
-        old = sim.call_at(1.0, lambda: None)
+        old = pin(sim.schedule(1.0, lambda: None))
         sim.run()
-        fresh = sim.call_at(2.0, lambda: seen.append("fresh"))
-        old.cancel()
-        assert fresh.active
+        fresh = sim.schedule(2.0, lambda: seen.append("fresh"))
+        assert fresh is old[0]
+        assert not sim.cancel(*old)
+        assert sim.pending == 1
         sim.run()
         assert seen == ["fresh"]
 
-    def test_drain_with_cancelled_events(self):
+    def test_run_with_cancelled_events(self):
         sim = Simulator()
         seen = []
-        sim.call_at(1.0, lambda: seen.append(1))
-        sim.call_at(2.0, lambda: None).cancel()
-        assert sim.drain() == 1
+        sim.schedule(1.0, lambda: seen.append(1))
+        sim.cancel(*pin(sim.schedule(2.0, lambda: None)))
+        assert sim.run() == 1
         assert seen == [1]
         assert sim.pending == 0
 
@@ -318,13 +316,11 @@ class TestCompactionAndPool:
     def test_mass_cancellation_preserves_order(self):
         sim = Simulator()
         seen = []
-        handles = []
-        for i in range(1000):
-            handles.append(
-                sim.call_at(float(i), lambda i=i: seen.append(i)))
-        for i, handle in enumerate(handles):
+        pairs = [pin(sim.schedule(float(i), lambda i=i: seen.append(i)))
+                 for i in range(1000)]
+        for i, pair in enumerate(pairs):
             if i % 10 != 0:
-                handle.cancel()
+                sim.cancel(*pair)
         assert sim.pending == 100
         sim.run()
         assert seen == list(range(0, 1000, 10))
@@ -343,12 +339,12 @@ class TestCompactionAndPool:
         def reply():
             state["count"] += 1
             if state["timer"] is not None:
-                state["timer"].cancel()
-            state["timer"] = sim.call_after(10_000.0, on_timer)
+                sim.cancel(*state["timer"])
+            state["timer"] = pin(sim.schedule(sim.now + 10_000.0, on_timer))
             if state["count"] < 500:
-                sim.call_after(1.0, reply)
+                sim.schedule(sim.now + 1.0, reply)
 
-        sim.call_at(0.0, reply)
+        sim.schedule(0.0, reply)
         sim.run(until=600.0)
         assert state["count"] == 500
         assert fired == []  # always re-armed before expiry
@@ -359,8 +355,8 @@ class TestCompactionAndPool:
     def test_args_passed_to_callback(self):
         sim = Simulator()
         seen = []
-        sim.call_at(1.0, seen.append, args=(42,))
-        sim.call_after(2.0, lambda a, b: seen.append(a + b), args=(1, 2))
+        sim.schedule(1.0, seen.append, (42,))
+        sim.schedule(2.0, lambda a, b: seen.append(a + b), (1, 2))
         sim.run()
         assert seen == [42, 3]
 
@@ -369,15 +365,15 @@ class TestCompactionAndPool:
         # remaining schedule must still fire in order.
         sim = Simulator()
         seen = []
-        victims = [sim.call_at(50.0 + i, lambda i=i: seen.append(i))
+        victims = [pin(sim.schedule(50.0 + i, lambda i=i: seen.append(i)))
                    for i in range(200)]
 
         def massacre():
-            for v in victims[1:]:
-                v.cancel()
+            for victim in victims[1:]:
+                sim.cancel(*victim)
 
-        sim.call_at(10.0, massacre)
-        sim.call_at(40.0, lambda: seen.append("pre"))
+        sim.schedule(10.0, massacre)
+        sim.schedule(40.0, lambda: seen.append("pre"))
         sim.run()
         assert seen == ["pre", 0]
 
@@ -389,8 +385,8 @@ class TestDeterminism:
             log = []
             # A small cascade of events with ties.
             for i in range(20):
-                sim.call_at(float(i % 5),
-                            lambda i=i: log.append((sim.now, i)))
+                sim.schedule(float(i % 5),
+                             lambda i=i: log.append((sim.now, i)))
             sim.run()
             return log
 
@@ -424,7 +420,8 @@ class TestCallEvery:
         sim.call_every(10.0, lambda: None, 100.0)
         assert sim.pending == 0
 
-    def test_rejects_nonpositive_period(self):
+    @pytest.mark.parametrize("period", [0.0, float("nan")])
+    def test_rejects_nonpositive_period(self, period):
         sim = Simulator()
         with pytest.raises(ValueError):
-            sim.call_every(0.0, lambda: None, 100.0)
+            sim.call_every(period, lambda: None, 100.0)

@@ -30,7 +30,7 @@ class TestTimer:
         seen = []
         timer = Timer(process, lambda: seen.append(sim.now))
         timer.start(10.0)
-        sim.call_at(5.0, lambda: timer.start(10.0))
+        sim.schedule(5.0, lambda: timer.start(10.0))
         sim.run()
         assert seen == [15.0]
 
@@ -63,29 +63,12 @@ class TestTimer:
         timer.start(10.0)
         # Crash after arming but before firing, without going through
         # process.crash() timer cleanup (simulates a race).
-        sim.call_at(5.0, lambda: setattr(process, "crashed", True))
+        sim.schedule(5.0, lambda: setattr(process, "crashed", True))
         sim.run()
         assert seen == []
 
 
 class TestProcess:
-    def test_after_suppressed_when_crashed(self):
-        sim = Simulator()
-        process = Process(sim, "p")
-        seen = []
-        process.after(10.0, lambda: seen.append(1))
-        process.crash()
-        sim.run()
-        assert seen == []
-
-    def test_after_fires_when_up(self):
-        sim = Simulator()
-        process = Process(sim, "p")
-        seen = []
-        process.after(10.0, lambda: seen.append(sim.now))
-        sim.run()
-        assert seen == [10.0]
-
     def test_recover_clears_crashed_flag(self):
         sim = Simulator()
         process = Process(sim, "p")
@@ -93,13 +76,3 @@ class TestProcess:
         assert process.crashed
         process.recover()
         assert not process.crashed
-
-    def test_events_scheduled_before_crash_fire_after_recover(self):
-        sim = Simulator()
-        process = Process(sim, "p")
-        seen = []
-        process.after(30.0, lambda: seen.append(sim.now))
-        sim.call_at(10.0, process.crash)
-        sim.call_at(20.0, process.recover)
-        sim.run()
-        assert seen == [30.0]

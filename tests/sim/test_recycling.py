@@ -1,10 +1,9 @@
-"""The entry arena and the bare ``schedule()`` path.
+"""The entry arena behind ``schedule()``.
 
 Every popped heap entry goes back to a freelist before its callback runs
 and is reused by the next scheduling, so a steady-state run allocates no
 entries.  These tests pin down what that machinery shows of itself -- the
-counters, actual reuse, what a parked entry holds on to -- and that
-``schedule()`` (no handle) and ``call_at()`` (handle) are one path.
+counters, actual reuse, what a parked entry holds on to.
 Execution order under recycling, cancellation and compaction is checked
 against the seed simulator in ``test_against_seed.py``.
 """
@@ -46,7 +45,7 @@ class TestArenaCounters:
         # The ledger still indexes these two; see Simulator.stats().
         sim = Simulator()
         ping_pong(sim, 10, [])
-        sim.call_soon(lambda: None)
+        sim.schedule(sim.now, lambda: None)
         sim.run()
         stats = sim.stats()
         assert stats["fast_lane"] == 0 and stats["pool_hits"] == 0
@@ -66,16 +65,15 @@ class TestArenaRecycling:
         assert stats["arena_size"] == 1  # the last entry, parked
         assert log == [(float(i + 1), i) for i in range(101)]
 
-    def test_handles_and_bare_schedules_share_the_arena(self):
+    def test_the_next_scheduling_reuses_the_vacated_entry(self):
         sim = Simulator()
         fired = []
-        sim.schedule(1.0, fired.append, (0,))
+        first = sim.schedule(1.0, fired.append, (0,))
         sim.run()
         assert sim.stats()["arena_size"] == 1
-        handle = sim.call_at(2.0, lambda: fired.append(1))
+        assert sim.schedule(2.0, lambda: fired.append(1)) is first
         assert sim.stats()["arena_hits"] == 1
         assert sim.stats()["arena_size"] == 0
-        assert handle.active
         sim.run()
         assert fired == [0, 1]
 
@@ -101,8 +99,8 @@ class TestArenaRecycling:
         payload = Payload()
         alive = weakref.ref(payload)
         sim.schedule(1.0, lambda p: None, (payload,))
-        doomed = sim.call_at(2.0, lambda p: None, (payload,))
-        doomed.cancel()
+        doomed = sim.schedule(2.0, lambda p: None, (payload,))
+        sim.cancel(doomed, doomed[1])
         del payload
         sim.run()
         gc.collect()
@@ -110,27 +108,27 @@ class TestArenaRecycling:
         assert alive() is None
 
 
-class TestBareSchedule:
-    def test_fires_in_time_and_insertion_order_with_handles_mixed_in(self):
+class TestSchedule:
+    def test_fires_in_time_and_insertion_order(self):
         sim = Simulator()
         log = []
         sim.schedule(20.0, log.append, ("b",))
         sim.schedule(10.0, log.append, ("a",))
-        sim.call_at(20.0, log.append, ("c",))
+        sim.schedule(20.0, log.append, ("c",))
         sim.schedule(20.0, log.append, ("d",))
         sim.run()
         assert log == ["a", "b", "c", "d"]
 
     def test_survives_compaction(self):
-        # Mass cancellation compacts the heap while a never-cancellable
+        # Mass cancellation compacts the heap while a never-cancelled
         # entry sits in it; it must be kept, not dropped or recycled.
         sim = Simulator()
         log = []
         sim.schedule(500.0, log.append, ("kept",))
-        victims = [sim.call_at(100.0 + i, lambda: log.append("victim"))
+        victims = [sim.schedule(100.0 + i, lambda: log.append("victim"))
                    for i in range(300)]
         for victim in victims:
-            victim.cancel()
+            sim.cancel(victim, victim[1])
         stats = sim.stats()
         assert stats["compactions"] > 0
         assert stats["compaction_dropped"] > 0

@@ -286,7 +286,7 @@ class TestClientBase:
         client = runtime.clients[0]
         seen = []
         client.on_commit = lambda rid, latency: seen.append((rid, latency))
-        runtime.sim.call_at(10.0, lambda: client.record_completion(
+        runtime.sim.schedule(10.0, lambda: client.record_completion(
             (0, 1), sent_at=4.0))
         runtime.sim.run()
         assert seen == [((0, 1), 6.0)]

@@ -27,7 +27,7 @@ class TestPublicApi:
         assert Simulator().now == 0.0
         assert nines_of(0.999) == 3
         assert LatencyModel.ec2().mean_one_way("VA", "CA") == 44.0
-        assert WorkloadConfig.one_zero().request_size == 1024
+        assert WorkloadConfig().request_size == 1024  # the paper's 1/0
         assert Network is not None
 
     def test_reliability_functions_exported(self):

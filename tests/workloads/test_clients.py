@@ -122,8 +122,9 @@ class TestWorkloadConfigValidation:
         with pytest.raises(ConfigurationError):
             WorkloadConfig(request_size=-1)
 
-    def test_benchmark_presets(self):
-        one = WorkloadConfig.one_zero()
-        four = WorkloadConfig.four_zero()
-        assert one.request_size == 1024
-        assert four.request_size == 4096
+    @pytest.mark.parametrize("field", [
+        "request_size", "duration_ms", "warmup_ms", "offered_load_rps"])
+    def test_nan_rejected(self, field):
+        # NaN compares false either way: every bound must fail it.
+        with pytest.raises(ConfigurationError):
+            WorkloadConfig(**{field: float("nan")})

@@ -9,7 +9,7 @@ signatures from old views/slots do not advance state.
 from repro.crypto.primitives import digest_of
 from repro.protocols.xpaxos import messages as msg
 from repro.smr.messages import Batch, Request
-from tests.conftest import make_cluster, run_workload
+from tests.conftest import channel_mac, make_cluster, run_workload
 
 
 def make_signed_request(runtime, client_id=0, timestamp=1, op="x"):
@@ -169,7 +169,7 @@ class TestEquivocationLimits:
             timestamp=request.timestamp, client=0,
             result=b"corrupted", result_digest=cached.result_digest,
             follower_commit=cached.follower_commit)
-        mac = xpaxos_t1.keystore.mac("r0", "c0", tampered)
+        mac = channel_mac(xpaxos_t1.keystore, "r0", "c0", tampered)
         count_before = len(results)
         client._on_deliver_auth("r0", tampered, mac, 64)
         assert len(results) == count_before  # not accepted
@@ -190,7 +190,7 @@ class TestOutOfRangeViews:
             forged = msg.ReplyMsg(
                 replica=1, view=-1, seqno=1, timestamp=request.timestamp,
                 client=0, result=None, result_digest=digest_of(b""))
-            mac = runtime.keystore.mac("r1", "c0", forged)
+            mac = channel_mac(runtime.keystore, "r1", "c0", forged)
             client._on_deliver_auth("r1", forged, mac, 64)
             assert client.view == 0 and results == []
             runtime.sim.run(until=300.0)

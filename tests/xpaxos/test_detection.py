@@ -75,7 +75,7 @@ class TestStrongAccuracy:
     def test_repeated_view_changes_stay_clean(self):
         harness = fd_harness(seed=7)
         for at in (1_500.0, 3_000.0, 4_500.0):
-            harness.sim.call_at(
+            harness.sim.schedule(
                 at,
                 lambda: harness.replica(
                     harness.replica(0).groups.primary(

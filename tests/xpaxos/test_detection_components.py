@@ -12,7 +12,7 @@ from repro.faults.injector import FaultSchedule
 from repro.protocols.xpaxos import messages as msg
 from repro.protocols.xpaxos.detection import FaultDetector
 from repro.smr.log import PrepareEntry
-from tests.conftest import make_harness
+from tests.conftest import channel_mac, make_harness
 
 
 def fd_harness(seed=21, **overrides):
@@ -237,15 +237,17 @@ class TestPreChk:
         failures = r1.auth_failures
         # MAC over the wrong body.
         r1._on_deliver_auth("r0", bad,
-                            keystore.mac("r0", "r1",
-                                         ("prechk", "wrong", "body")), 64)
+                            channel_mac(keystore, "r0", "r1",
+                                        ("prechk", "wrong", "body")), 64)
         # MAC minted for a different receiver's channel (replay).
-        r1._on_deliver_auth("r0", bad, keystore.mac("r0", "r2", bad), 64)
+        r1._on_deliver_auth("r0", bad, channel_mac(keystore, "r0", "r2", bad),
+                            64)
         assert 4096 not in r1.checkpointer._prechk_votes
         assert r1.auth_failures == failures + 2
         # A replica relaying a peer's correctly MAC'd PreChk from its own
         # address cannot inject the vote either: the source check holds.
-        r1._on_deliver_auth("r2", bad, keystore.mac("r2", "r1", bad), 64)
+        r1._on_deliver_auth("r2", bad, channel_mac(keystore, "r2", "r1", bad),
+                            64)
         assert 4096 not in r1.checkpointer._prechk_votes
 
     def test_wrong_digest_prechk_never_reaches_agreement(self):
@@ -261,7 +263,8 @@ class TestPreChk:
         # Correctly MAC'd for the r0 -> r1 channel: the faulty active can
         # vote a wrong digest, it just can never reach t+1 matching.
         r1._on_deliver_auth("r0", evil,
-                            harness.runtime.keystore.mac("r0", "r1", evil),
+                            channel_mac(harness.runtime.keystore, "r0", "r1",
+                                        evil),
                             64)
         assert r1.checkpointer._prechk_votes[seqno][0] == b"y" * 32  # vote recorded
         assert seqno not in r1.checkpointer._chkpt_sigs  # but no CHKPT signed

@@ -31,7 +31,7 @@ class TestT2Detection:
     def test_data_loss_primary_detected(self):
         runtime = fd_cluster_t2()
         runtime.replica(0).byzantine = DataLossAdversary(keep_upto=1)
-        runtime.sim.call_at(
+        runtime.sim.schedule(
             2_000.0,
             lambda: runtime.replica(1).suspect_view(
                 runtime.replica(1).view))
@@ -45,7 +45,7 @@ class TestT2Detection:
         its logs is equally convictable."""
         runtime = fd_cluster_t2(seed=22)
         runtime.replica(1).byzantine = DataLossAdversary(keep_upto=1)
-        runtime.sim.call_at(
+        runtime.sim.schedule(
             2_000.0,
             lambda: runtime.replica(0).suspect_view(
                 runtime.replica(0).view))
@@ -56,7 +56,7 @@ class TestT2Detection:
 
     def test_benign_t2_view_change_clean(self):
         runtime = fd_cluster_t2(seed=23)
-        runtime.sim.call_at(
+        runtime.sim.schedule(
             2_000.0,
             lambda: runtime.replica(0).suspect_view(
                 runtime.replica(0).view))

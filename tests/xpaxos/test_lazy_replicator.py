@@ -87,6 +87,21 @@ def test_a_hole_sends_exactly_one_fetch_until_reply_or_timeout():
     assert fetches()[4:] == [("r0", 6, 9), ("r1", 6, 9)]
 
 
+def test_a_crash_swallows_the_fetch_windows_end():
+    runtime = make_cluster(t=1)
+    isolate(runtime)
+    passive = runtime.replica(2)
+    lazy, delta = passive.lazy, runtime.config.delta_ms
+    passive.on_message("r1", msg.LazyCommit(0, 4, entry(runtime, 4)))
+    assert lazy._fetch_pending
+    passive.crash()
+    runtime.sim.run(until=runtime.sim.now + 2 * delta + 1.0)
+    # Down, the replica never sees its window close; recovery says so.
+    assert lazy._fetch_pending
+    passive.recover()
+    assert not lazy._fetch_pending
+
+
 def test_an_active_replica_serves_a_fetch_from_its_log_and_checkpoint():
     runtime = make_cluster(t=1)
     sent = isolate(runtime)

@@ -14,6 +14,7 @@ import dataclasses
 
 import pytest
 
+from repro.crypto.authenticators import MAC_VECTOR
 from repro.crypto.primitives import (
     Digest,
     KeyStore,
@@ -71,7 +72,7 @@ def test_a_signature_subclass_is_refused_and_the_real_one_accepted():
 ], ids=repr)
 def test_verify_mac_digest_refuses_what_is_not_a_mac(mac):
     assert KEYSTORE.verify_mac_digest(mac, DIGEST) is False
-    good = KEYSTORE.mac_digest("r0", "c0", DIGEST)
+    good = MAC_VECTOR.stamp(KEYSTORE, "r0", "c0", DIGEST)
     assert KEYSTORE.verify_mac_digest(good, DIGEST)
 
 

@@ -133,13 +133,13 @@ class TestAnarchyBoundaryIsTight:
                                     duration_ms=10_000.0,
                                     warmup_ms=100.0))
         sim = runtime.sim
-        sim.call_at(1_000.0, runtime.replica(0).crash)
-        sim.call_at(2_000.0, runtime.replica(0).recover)
-        sim.call_at(3_000.0, lambda: runtime.network.partitions.block_pair(
+        sim.schedule(1_000.0, runtime.replica(0).crash)
+        sim.schedule(2_000.0, runtime.replica(0).recover)
+        sim.schedule(3_000.0, lambda: runtime.network.partitions.block_pair(
             "r0", "r2"))
-        sim.call_at(4_000.0, runtime.replica(1).crash)
-        sim.call_at(5_500.0, runtime.replica(1).recover)
-        sim.call_at(6_000.0, runtime.network.partitions.unblock_pair,
+        sim.schedule(4_000.0, runtime.replica(1).crash)
+        sim.schedule(5_500.0, runtime.replica(1).recover)
+        sim.schedule(6_000.0, runtime.network.partitions.unblock_pair,
                     ("r0", "r2"))
         driver.run()
         assert not checker.anarchy_observed

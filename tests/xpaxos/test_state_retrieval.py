@@ -29,8 +29,8 @@ class TestFetchOnGap:
             xpaxos_t1,
             WorkloadConfig(num_clients=3, request_size=64,
                            duration_ms=6_000.0, warmup_ms=0.0))
-        xpaxos_t1.sim.call_at(1_000.0, passive.crash)
-        xpaxos_t1.sim.call_at(2_500.0, passive.recover)
+        xpaxos_t1.sim.schedule(1_000.0, passive.crash)
+        xpaxos_t1.sim.schedule(2_500.0, passive.recover)
         driver.run()
         primary = xpaxos_t1.replica(0)
         assert primary.committed_requests > 0

@@ -124,7 +124,7 @@ class TestStateCarriesAcrossViews:
 
         # Force a view change by crashing the follower briefly.
         runtime.replica(1).crash()
-        runtime.sim.call_at(1_500.0, runtime.replica(1).recover)
+        runtime.sim.schedule(1_500.0, runtime.replica(1).recover)
         runtime.sim.run(until=4_000.0)
 
         client.propose(("get", "key"), size_bytes=32)
