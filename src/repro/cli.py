@@ -108,6 +108,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
     """Profile one scenario cell: cProfile plus subsystem counters."""
     import cProfile
 
+    from repro.crypto.primitives import digest_cache_stats
     from repro.harness.matrix import grade, scenario_cell
     from repro.harness.profiling import profile_report
     from repro.harness.runner import run_cell
@@ -124,13 +125,14 @@ def cmd_profile(args: argparse.Namespace) -> int:
               f"{protocol.value}", file=sys.stderr)
         return 2
     profiler = cProfile.Profile()
+    digests_before = digest_cache_stats()
     record = profiler.runcall(
         run_cell, scenario_cell(protocol, scenario, seed=args.seed, t=args.t))
     graded = grade(protocol, scenario, record, seed=args.seed)
     print(f"{scenario.name} x {protocol.value}: {graded.status} "
           f"({graded.committed} committed)")
     print(profile_report(profiler, record.runtime, sort=args.sort,
-                         limit=args.limit))
+                         limit=args.limit, digests_before=digests_before))
     if args.pstats:
         profiler.dump_stats(args.pstats)
         print(f"wrote profile {args.pstats}")

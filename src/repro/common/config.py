@@ -134,8 +134,10 @@ class ClusterConfig:
         if self.batch_size < 1:
             raise ConfigurationError("batch_size must be >= 1")
         # Bounds read "not x > 0" so that NaN fails them too.
-        if not self.delta_ms > 0:
-            raise ConfigurationError("delta_ms must be positive")
+        for name in ("delta_ms", "batch_timeout_ms", "request_retransmit_ms",
+                     "view_change_timeout_ms"):
+            if not getattr(self, name) > 0:
+                raise ConfigurationError(f"{name} must be positive")
         if self.checkpoint_period < 1:
             raise ConfigurationError("checkpoint_period must be >= 1")
         if self.pipeline_depth < 1:

@@ -25,7 +25,7 @@ from dataclasses import (
     is_dataclass,
 )
 from operator import itemgetter
-from typing import Any, Callable, Dict, List, Tuple
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 #: Canonical principal name of machine ``p``: replicas are ``"r<i>"``,
 #: clients ``"c<i>"``.
@@ -316,6 +316,8 @@ class Digest:
 Digest = wire(Digest, keep=False)  # type: ignore[misc]
 
 _sha256 = hashlib.sha256
+#: Precedes every first object in :func:`digest_each`.
+_NOTHING = object()
 
 # Digest calls since process start, numbered: the kept-encoding
 # branches of the compiled encoders note which call last reused and
@@ -374,6 +376,21 @@ def digest_of_parts(parts: List[bytes]) -> Digest:
     _calls += 1
     return Digest(_sha256(b"l%d:%b" % (len(parts), b"".join(parts)))
                   .digest())
+
+
+def digest_each(objs: Sequence[Any]) -> List[Digest]:
+    """``[digest_of(obj) for obj in objs]``, hashing each run of one
+    object once: a slot's results (the reply paths of
+    ``repro.protocols``), where the null service answers every request
+    of the slot with the same object.  Nothing is kept past the call."""
+    digests: List[Digest] = []
+    previous: Any = _NOTHING
+    digest = None
+    for obj in objs:
+        if obj is not previous:
+            previous, digest = obj, digest_of(obj)
+        digests.append(digest)
+    return digests
 
 
 def digest_cache_stats() -> Dict[str, int]:

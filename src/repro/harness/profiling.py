@@ -26,19 +26,22 @@ import cProfile
 import io
 import pstats
 from dataclasses import asdict, is_dataclass
-from typing import Any, Dict
+from typing import Any, Dict, Optional
 
 from repro.crypto.primitives import digest_cache_stats
 
 
-def subsystem_counters(runtime: Any) -> Dict[str, Dict[str, Any]]:
+def subsystem_counters(runtime: Any,
+                       digests_before: Optional[Dict[str, int]] = None,
+                       ) -> Dict[str, Dict[str, Any]]:
     """Collect the per-subsystem hot-loop counters of one run.
 
     ``runtime`` is the :class:`repro.smr.runtime.ClusterRuntime` a run
     returned: its simulator's ``stats()`` dict is taken as-is, its
     network's ``stats`` dataclass is flattened, and its replicas'
     ``retained()`` sizes are reported as the largest over all of them
-    (``[state]``).
+    (``[state]``).  ``digests_before`` is ``digest_cache_stats()`` taken
+    when the run started: the digest counters are then the run's own.
     """
     stats = runtime.network.stats
     # What a replica holds on to at the end of the run: the worst
@@ -55,10 +58,15 @@ def subsystem_counters(runtime: Any) -> Dict[str, Dict[str, Any]]:
     }
     # Digest-cache counters are process-global (the cache lives on the
     # message instances, not on a sim or network), so they are always
-    # reported; probes = every digest_of() call in the process.
+    # reported; probes = every digest_of() call since ``digests_before``
+    # (else in the process), per_commit = probes per client commit.
     cache = dict(digest_cache_stats())
+    for key, count in (digests_before or {}).items():
+        cache[key] -= count
     probes = cache["hits"] + cache["stores"] + cache["uncached"]
     cache["hit_rate"] = cache["hits"] / probes if probes else 0.0
+    commits = sum(len(client.completions) for client in runtime.clients)
+    cache["per_commit"] = probes / commits if commits else 0.0
     out["digest_cache"] = cache
     return out
 
@@ -80,12 +88,14 @@ def format_subsystems(counters: Dict[str, Dict[str, Any]]) -> str:
 
 
 def profile_report(profiler: cProfile.Profile, runtime: Any,
-                   sort: str = "cumulative", limit: int = 25) -> str:
+                   sort: str = "cumulative", limit: int = 25,
+                   digests_before: Optional[Dict[str, int]] = None) -> str:
     """The report ``repro profile`` prints: the run's subsystem counters
     first (what the hot loops did), then the top ``limit`` rows of the
     wall-clock profile sorted by ``sort``, any pstats key (where the
     time went)."""
     stream = io.StringIO()
     pstats.Stats(profiler, stream=stream).sort_stats(sort).print_stats(limit)
-    return (format_subsystems(subsystem_counters(runtime)) + "\n\n"
+    counters = subsystem_counters(runtime, digests_before)
+    return (format_subsystems(counters) + "\n\n"
             + stream.getvalue().rstrip())

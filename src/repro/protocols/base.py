@@ -41,7 +41,7 @@ from typing import Any, Callable, Iterable, List, Optional, Tuple
 from repro.common.config import ClusterConfig
 from repro.crypto.authenticators import MODELED_MAC, register
 from repro.crypto.costs import CostModel
-from repro.crypto.primitives import Digest, KeyStore, digest_of
+from repro.crypto.primitives import Digest, KeyStore, digest_each
 from repro.net.network import Network
 from repro.sim.core import Simulator
 from repro.sim.process import Timer
@@ -205,12 +205,13 @@ class BaselineReplica(ReplicaBase):
                 seqno - self.config.checkpoint_period)
 
     def make_reply(self, view: int, seqno: int, request: Request,
-                   result: Any, size_bytes: int = 0) -> GenericReply:
+                   result: Any, result_digest: Digest,
+                   size_bytes: int = 0) -> GenericReply:
         """The one place a :class:`GenericReply` is built.  A reply cached
         without being sent claims no wire bytes (``size_bytes`` 0), also
         when a later leader re-sends it from the cache."""
         return GenericReply(self.replica_id, view, seqno, request.timestamp,
-                            request.client, result, digest_of(result),
+                            request.client, result, result_digest,
                             size_bytes)
 
     def reply_to_clients(self, seqno: int, batch: Batch,
@@ -222,11 +223,12 @@ class BaselineReplica(ReplicaBase):
         view = self.view
         last_reply = self._last_reply
         replies = []
-        for request, result in zip(batch.requests, results):
+        for request, result, digest in zip(batch.requests, results,
+                                           digest_each(results)):
             # 64 nominal reply bytes: keeps the sender's modeled MAC cost
             # at the seed's charge_mac(64) (the policy charges over
             # size_bytes) and puts an honest reply size on the wire.
-            reply = self.make_reply(view, seqno, request, result, 64)
+            reply = self.make_reply(view, seqno, request, result, digest, 64)
             last_reply[request.client] = reply
             replies.append((f"c{request.client}", reply, 64))
         self.send(replies)

@@ -27,7 +27,7 @@ from typing import Any, Callable, Collection, Dict, List, Optional, Set
 from repro.common.config import ClusterConfig
 from repro.common.errors import ProtocolViolation
 from repro.crypto.costs import CostModel
-from repro.crypto.primitives import Digest, KeyStore, digest_of
+from repro.crypto.primitives import Digest, KeyStore, digest_each, digest_of
 from repro.net.network import Network
 from repro.protocols.xpaxos import messages as msg
 from repro.protocols.xpaxos.checkpoint import Checkpointer
@@ -315,14 +315,14 @@ class XPaxosReplica(ReplicaBase):
         self.checkpointer.maybe_checkpoint(seqno)
 
     def make_reply(self, view: int, seqno: int, request: Request,
-                   result: Any, full: bool = True,
+                   result: Any, result_digest: Digest, full: bool = True,
                    follower_commit: Optional[msg.FastCommit] = None,
                    size_bytes: int = 0) -> msg.ReplyMsg:
         """The one place a :class:`ReplyMsg` is built.  A reply cached
         without being sent claims no wire bytes (``size_bytes`` 0)."""
         return msg.ReplyMsg(self.replica_id, view, seqno, request.timestamp,
                             request.client, result if full else None,
-                            digest_of(result), follower_commit, size_bytes)
+                            result_digest, follower_commit, size_bytes)
 
     def cache_unsent(self, seqno: int, batch: Batch,
                      results: List[Any]) -> None:
@@ -358,12 +358,13 @@ class XPaxosReplica(ReplicaBase):
         # as a silent replica does: the t + 1 shares Algorithm 4 gathers
         # must carry it even when none comes from the slot's primary.
         slot = (view, seqno, batch, results)
+        digests = digest_each(results)
         replies = []
         for index, request in enumerate(batch.requests):
             result = results[index]
             size = _wire_len(result) if primary else 32
-            reply = self.make_reply(view, seqno, request, result, primary,
-                                    fast, size)
+            reply = self.make_reply(view, seqno, request, result,
+                                    digests[index], primary, fast, size)
             last_reply[request.client] = reply if primary else (slot, index)
             if waiting:
                 self.send(replies)

@@ -24,13 +24,9 @@ from repro.common.config import ClusterConfig
 from repro.common.errors import ConfigurationError, ProtocolViolation
 from repro.crypto.authenticators import POLICIES, Authenticator
 from repro.crypto.costs import CostModel, CpuMeter
-from repro.crypto.primitives import (
-    Digest,
-    KeyStore,
-    Signature,
-    client_principal,
-    replica_principal,
-)
+from repro.crypto.primitives import (Digest, KeyStore, Signature,
+                                     client_principal, digest_of,
+                                     replica_principal)
 from repro.net.network import Endpoint, Network
 from repro.sim.core import Simulator
 from repro.sim.process import Process, Timer
@@ -38,6 +34,7 @@ from repro.smr.app import StateMachine
 from repro.smr.log import CommitEntry, CommitLog
 from repro.smr.messages import Batch, Request
 from repro.smr.sequencer import PipelinedSequencer
+from repro.workloads.metrics import Completions
 
 
 def _policy_for(payload: Any) -> Authenticator:
@@ -274,12 +271,12 @@ class ReplicaBase(NodeBase):
         already advanced: cache / send replies, checkpoint, propagate."""
 
     def make_reply(self, view: int, seqno: int, request: Request,
-                   result: Any) -> Any:
+                   result: Any, result_digest: Digest) -> Any:
         """This protocol's reply to ``request``, executed in slot
-        ``seqno`` of ``view`` with ``result``, as a replica that does not
-        send it caches it (full result, no wire bytes).  Subclasses
-        implement; their send path builds its replies through the same
-        method."""
+        ``seqno`` of ``view`` with ``result`` (digest ``result_digest``),
+        as a replica that does not send it caches it (full result, no
+        wire bytes).  Subclasses implement; their send path builds its
+        replies through the same method."""
         raise NotImplementedError
 
     def cache_unsent(self, seqno: int, batch: Batch,
@@ -304,10 +301,11 @@ class ReplicaBase(NodeBase):
             return None
         if cached.__class__ is tuple:
             (view, seqno, batch, results), index = cached
-            request = batch.requests[index]
+            request, result = batch.requests[index], results[index]
             if request.timestamp < timestamp:
                 return None
-            cached = self.make_reply(view, seqno, request, results[index])
+            cached = self.make_reply(view, seqno, request, result,
+                                     digest_of(result))
             self._last_reply[client] = cached
             return cached
         return cached if cached.timestamp >= timestamp else None
@@ -532,8 +530,8 @@ class SmrClientBase(NodeBase):
         self.timeouts = 0
         #: Called with the committed result when the in-flight op finishes.
         self.on_result: Optional[Callable[[Any], None]] = None
-        #: Completed operations: list of (send time, commit time, rid).
-        self.completions: List[tuple] = []
+        #: Completed operations: (send time, commit time, rid) each.
+        self.completions = Completions(client_id)
         #: Callback invoked on each commit: ``on_commit(rid, latency_ms)``.
         self.on_commit: Optional[Callable[[tuple, float], None]] = None
 
@@ -600,10 +598,11 @@ class SmrClientBase(NodeBase):
         assert request is not None
         self.request = None
         self._timer.stop()
+        now, sent_at = self.sim.now, self._sent_at
         if not self.resent:
             # Fold the round trip into SRTT / RTTVAR (RFC 6298 2.2-2.3)
             # and re-derive the timeout from them.
-            rtt_ms = self.sim.now - self._sent_at
+            rtt_ms = now - sent_at
             srtt = self.srtt
             if srtt is None:
                 srtt, rttvar = rtt_ms, rtt_ms / 2.0
@@ -615,16 +614,11 @@ class SmrClientBase(NodeBase):
             estimate = srtt + max(config.batch_timeout_ms, 4.0 * rttvar)
             self.retransmit_timeout_ms = min(config.request_retransmit_ms,
                                              max(config.delta_ms, estimate))
-        self.record_completion(request.rid, self._sent_at)
+        self.completions.record(sent_at, now, request.timestamp)
+        if self.on_commit is not None:
+            self.on_commit(request.rid, now - sent_at)
         if self.on_result is not None:
             self.on_result(result)
-
-    def record_completion(self, rid: tuple, sent_at: float) -> None:
-        """Record a committed request and fire the harness callback."""
-        latency = self.sim.now - sent_at
-        self.completions.append((sent_at, self.sim.now, rid))
-        if self.on_commit is not None:
-            self.on_commit(rid, latency)
 
 
 @contextmanager

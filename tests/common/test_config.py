@@ -46,6 +46,16 @@ class TestClusterConfig:
         with pytest.raises(ConfigurationError):
             ClusterConfig(pipeline_depth=0)
 
+    @pytest.mark.parametrize("value", [float("nan"), -5.0],
+                             ids=["nan", "negative"])
+    @pytest.mark.parametrize("field", [
+        "batch_timeout_ms", "request_retransmit_ms",
+        "view_change_timeout_ms"])
+    def test_timer_bounds_rejected(self, field, value):
+        # Refused at construction, not when the first such timer arms.
+        with pytest.raises(ConfigurationError, match=field):
+            ClusterConfig(**{field: value})
+
     def test_short_site_list_rejected(self):
         with pytest.raises(ConfigurationError):
             ClusterConfig(t=1, sites=("CA", "VA"))

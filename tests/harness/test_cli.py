@@ -96,6 +96,15 @@ class TestCommands:
         assert set(sizes) == {"commit_log", "sequencer_seen", "reply_cache",
                               "trace_entries"}
         assert 0 < int(sizes["commit_log"]) <= int(sizes["trace_entries"])
+        # The run's own digest calls, and per committed request: the
+        # leader's reply digests one result per slot, so well below one.
+        block = out[out.index("[digest_cache]"):].split("\n\n")[0]
+        cache = dict(line.split() for line in block.splitlines()[1:])
+        calls = sum(int(cache[k]) for k in ("hits", "stores", "uncached"))
+        committed = int(out.split("(")[1].split()[0])
+        assert 0 < float(cache["per_commit"]) < 1
+        assert float(cache["per_commit"]) == pytest.approx(
+            calls / committed, abs=1e-4)
         assert "cumulative" in out
         assert pstats_path.exists()
 

@@ -5,8 +5,8 @@ hit.  These cells pin what the end-to-end ledger (``benchmarks/e2e``)
 measures nightly, inside tier-1: the encoding memo engages, and the
 common case of XPaxos, PBFT and Zab stays at its per-commit digest
 budget -- so a change that re-introduces a per-hop (or even a per-batch)
-re-encode, or digests a result for a reply nobody reads, fails here, not
-a day later.
+re-encode, digests a result for a reply nobody reads, or hashes a slot's
+one result once per reply, fails here, not a day later.
 """
 
 import dataclasses
@@ -20,26 +20,30 @@ from repro.harness.runner import run_cell
 from repro.scenarios.library import get_scenario
 
 #: ``digest_of`` calls per committed request in the fault-free common case
-#: with 16 closed-loop clients at t = 1 (measured value in brackets).
+#: with 16 closed-loop clients at t = 1 (measured value in brackets).  A
+#: slot holds the 16 requests, and a replica that answers it hashes one
+#: result per slot (``digest_each``: the null service answers the whole
+#: slot with one object), not one per reply.
 #:
-#: XPaxos [4.32].  Per request: the client's signature, the reply's
-#: channel MAC, and the result digest at the primary and at the client
-#: (4); per batch of 16: the bodies digest, ``m0``, ``m1`` and the two
-#: reply-set digests (5/16).  The follower and the passive replica digest
-#: no result: they build no reply unless Algorithm 4 asks.  Everything
-#: else (request verification at both replicas, ``m0``/``m1``
+#: XPaxos [3.38].  Per request: the client's signature, the reply's
+#: channel MAC and the result digest at the client (3); per batch of 16:
+#: the bodies digest, ``m0``, ``m1``, the two reply-set digests and the
+#: primary's result digest (6/16).  The follower and the passive replica
+#: digest no result: they build no reply unless Algorithm 4 asks.
+#: Everything else (request verification at both replicas, ``m0``/``m1``
 #: verification at replicas and all 16 clients) rides on carried digests.
 #:
-#: PBFT [3.06].  Per request: the result digest in the reply of each of
-#: the 2t + 1 = 3 active replicas; per batch: the bodies digest.
+#: PBFT [0.25].  Per batch: the bodies digest and the result digest of
+#: each of the 2t + 1 = 3 active replicas (4/16); the clients compare the
+#: digests their replies carry.
 #:
-#: Zab [1.00].  The result digest in the leader's reply and nothing else:
-#: channels carry modelled MACs, and a follower contributes none -- it
-#: caches a pointer, not a reply (with followers digesting it would be 3).
+#: Zab [0.0625].  The leader's result digest, once per batch, and nothing
+#: else: channels carry modelled MACs, and a follower contributes none --
+#: it caches a pointer, not a reply.
 COMMON_CASE_BUDGET = {
-    ProtocolName.XPAXOS: 4.4,
-    ProtocolName.PBFT: 3.1,
-    ProtocolName.ZAB: 1.1,
+    ProtocolName.XPAXOS: 3.4,
+    ProtocolName.PBFT: 0.26,
+    ProtocolName.ZAB: 0.07,
 }
 
 

@@ -286,8 +286,10 @@ class TestClientBase:
         client = runtime.clients[0]
         seen = []
         client.on_commit = lambda rid, latency: seen.append((rid, latency))
-        runtime.sim.schedule(10.0, lambda: client.record_completion(
-            (0, 1), sent_at=4.0))
-        runtime.sim.run()
+        # No reply arrives: the test completes the request itself.
+        runtime.network.send_filter = lambda src, dst, payload: False
+        runtime.sim.schedule(4.0, lambda: client.propose("op"))
+        runtime.sim.schedule(10.0, lambda: client.complete(None))
+        runtime.sim.run(until=50.0)
         assert seen == [((0, 1), 6.0)]
-        assert client.completions[0][2] == (0, 1)
+        assert list(client.completions) == [(4.0, 10.0, (0, 1))]

@@ -2,7 +2,45 @@
 
 import pytest
 
-from repro.workloads.metrics import LatencyRecorder, ThroughputRecorder
+from repro.workloads.metrics import (
+    Completions,
+    LatencyRecorder,
+    ThroughputRecorder,
+)
+from tests.conftest import make_cluster, run_workload
+
+
+class TestCompletions:
+    def test_reads_back_exactly_like_the_list_it_replaced(self):
+        completions = Completions(client_id=3)
+        assert len(completions) == 0 and not completions
+        assert list(completions) == []
+        as_list = []
+        for timestamp, (sent, done) in enumerate(
+                [(0.0, 2.5), (2.5, 4.0625), (4.0625, 1e9 + 0.1)], start=1):
+            completions.record(sent, done, timestamp)
+            as_list.append((sent, done, (3, timestamp)))
+        assert len(completions) == len(as_list) and completions
+        assert list(completions) == as_list
+        for index in range(-len(as_list), len(as_list)):
+            assert completions[index] == as_list[index]
+            assert type(completions[index][2]) is tuple
+        assert [done for _, done, _ in completions] == [2.5, 4.0625,
+                                                        1e9 + 0.1]
+        with pytest.raises(IndexError):
+            completions[len(as_list)]
+        with pytest.raises(IndexError):
+            completions[-len(as_list) - 1]
+
+    def test_a_client_records_its_commits_columnar(self):
+        runtime = make_cluster(num_clients=2)
+        run_workload(runtime, duration_ms=300.0)
+        for client in runtime.clients:
+            assert isinstance(client.completions, Completions)
+            rids = [rid for _, _, rid in client.completions]
+            assert rids == [(client.client_id, ts) for ts in
+                                  range(1, len(client.completions) + 1)]
+            assert all(sent <= done for sent, done, _ in client.completions)
 
 
 class TestLatencyRecorder:
