@@ -150,9 +150,9 @@ class UnregisteredWireMessageRule(Rule):
         (or from a helper call) in the same function body, plus one
         level of helper indirection -- a function whose ``return`` is a
         ``Cls(...)`` marks ``Cls`` sent wherever that helper's result is
-        passed to a transport verb.  The ``(dst, payload, size)`` items
-        of ``send`` count too, written as a list literal or appended
-        (``items.append((dst, reply, size))``) to a list passed by name.
+        passed to a transport verb.  The ``(dst, payload)`` items of
+        ``send`` count too, written as a list literal or appended
+        (``items.append((dst, reply))``) to a list passed by name.
         That covers the codebase's send idioms; anything fancier still
         fails at runtime.
         """

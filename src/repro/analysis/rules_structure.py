@@ -86,6 +86,12 @@ ONE_CALLERS = (
     OneCaller("app.restore", ("repro/smr/runtime.py:restore_to",)),
     OneCaller("GenericReply", ("repro/protocols/base.py:make_reply",)),
     OneCaller("ReplyMsg", (f"{XPAXOS}/replica.py:make_reply",)),
+    # One way onto the wire: the runtime's send verbs, which size each
+    # payload by its class's wire_bytes, so no protocol names a size.
+    OneCaller("network.send", tuple(
+        f"repro/smr/runtime.py:{verb}"
+        for verb in ("send_authenticated", "send", "multicast_authenticated",
+                     "_fanout_with_self", "_fanout_with_self"))),
     # A derived value is stored only by the builder that computed it from
     # the same fields a line earlier (crypto.primitives.wire).
     OneCaller("_set_*", ("repro/smr/messages.py:signed",) * 3

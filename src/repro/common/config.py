@@ -213,8 +213,8 @@ class WorkloadConfig:
         if self.num_clients < 1:
             raise ConfigurationError("num_clients must be >= 1")
         # Bounds read "not x >= 0" so that NaN fails them too.
-        if not self.request_size >= 0:
-            raise ConfigurationError("request_size must be >= 0")
+        if type(self.request_size) is not int or not self.request_size >= 0:
+            raise ConfigurationError("request_size must be an int >= 0")
         if not self.duration_ms > 0:
             raise ConfigurationError("duration_ms must be positive")
         if not 0 <= self.warmup_ms < self.duration_ms:

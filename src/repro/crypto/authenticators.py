@@ -43,9 +43,9 @@ Policies
   in their payloads); the transport adds no bytes and no checks.  The
   transport has no unauthenticated path: a plain send is this policy.
 
-Wire accounting: each receiver is charged ``size_bytes +
-policy.auth_bytes`` -- the authenticator bytes that receiver actually
-sees -- by the network layer.
+Wire accounting: each receiver is charged the payload's ``wire_bytes``
+(stated by its class) ``+ policy.auth_bytes`` -- the authenticator bytes
+that receiver actually sees -- by the network layer.
 """
 
 from __future__ import annotations

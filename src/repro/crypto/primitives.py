@@ -191,14 +191,17 @@ def wire(cls: type, keep: bool = True) -> type:
     afresh (:func:`_reduce`); assignment and deletion raise
     ``FrozenInstanceError``.  Bases must not give instances a dict
     (``__slots__ = ()``), and the class must not be a dataclass already
-    nor define ``__init__``.  The encoder is compiled from the same
-    fields on the first encode (:func:`_compile_encoder`).  Applied by
-    :func:`repro.crypto.authenticators.register` to every wire class,
-    and as a decorator to the classes inside them; idempotent.
+    nor define ``__init__``; a subclass of a wire class that only
+    changes class constants (Zab's ``NewEpoch``) is laid out anew, its
+    inherited fields in slots of its own.  The encoder is compiled from
+    the same fields on the first encode (:func:`_compile_encoder`).
+    Applied by :func:`repro.crypto.authenticators.register` to every
+    wire class, and as a decorator to the classes inside them;
+    idempotent.
     """
     if cls.__dict__.get("__setattr__") is _frozen:
         return cls
-    if is_dataclass(cls):
+    if "__dataclass_fields__" in cls.__dict__:
         raise TypeError(f"{cls.__name__} is a dataclass already; wire "
                         f"makes the frozen dataclass itself")
     if "__init__" in cls.__dict__:
@@ -208,7 +211,10 @@ def wire(cls: type, keep: bool = True) -> type:
         if base.__dictoffset__:
             raise TypeError(f"{base.__name__} gives {cls.__name__} an "
                             f"instance dict; declare __slots__ = ()")
-    dataclass(cls, init=False, repr=False, eq=False)
+    # A subclass of a wire class says frozen, as its base does; anything
+    # else skips the two methods dataclass would generate for it.
+    dataclass(cls, init=False, repr=False, eq=False,
+              frozen=is_dataclass(cls))
     params = cls.__dataclass_params__
     params.init = params.repr = params.eq = params.frozen = True
     names: List[str] = []

@@ -36,6 +36,7 @@ Messages arrive through the one handler table of
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Any, Callable, Iterable, List, Optional, Tuple
 
 from repro.common.config import ClusterConfig
@@ -56,12 +57,18 @@ from repro.smr.runtime import ReplicaBase, SmrClientBase
 #: real tokens).
 register_modeled = register(MODELED_MAC)
 
+# Each wire class states its modelled size, ``wire_bytes``, where it is
+# defined (docs/execution.md, "Modelled sizes"); a wrapped request's or
+# batch's is read through a C-level ``attrgetter``, with no Python call.
+
 
 @register_modeled
 class ClientRequestMsg:
     """Client -> leader request envelope (MAC-authenticated channel)."""
 
     request: Request
+
+    wire_bytes = property(attrgetter("request.size_bytes"))
 
 
 @register_modeled
@@ -75,7 +82,7 @@ class GenericReply:
     client: int
     result: Any
     result_digest: Digest
-    size_bytes: int = 0
+    wire_bytes: int = 0
 
 
 @register_modeled
@@ -84,6 +91,8 @@ class SyncRequest:
 
     sender: int
     executed_upto: int
+
+    wire_bytes = 16
 
 
 @register_modeled
@@ -96,6 +105,11 @@ class SyncReply:
     executed_upto: int
     snapshot: Any
     entries: Tuple[Tuple[int, Batch], ...]
+
+    header_bytes = 64
+    #: The header and the batches; the snapshot is not counted.
+    wire_bytes = property(lambda m: m.header_bytes + sum(
+        batch.size_bytes for _, batch in m.entries))
 
 
 class BaselineReplica(ReplicaBase):
@@ -146,13 +160,15 @@ class BaselineReplica(ReplicaBase):
         non-leader forwards it to the leader and arms the election timer
         (the leader may be down)."""
         request = m.request
+        size = request.size_bytes
+        if size.__class__ is not int or size < 0:
+            return  # a size no client sends: no batch may carry it
         if self.answer_from_cache(request):
             return
         if self.is_leader:
             self.sequencer.offer(request)
             return
-        self.send_authenticated(f"r{self.leader_id}", m,
-                                size_bytes=request.size_bytes)
+        self.send_authenticated(f"r{self.leader_id}", m)
         self.arm_suspicion()
 
     def may_propose(self) -> bool:
@@ -206,13 +222,13 @@ class BaselineReplica(ReplicaBase):
 
     def make_reply(self, view: int, seqno: int, request: Request,
                    result: Any, result_digest: Digest,
-                   size_bytes: int = 0) -> GenericReply:
+                   wire_bytes: int = 0) -> GenericReply:
         """The one place a :class:`GenericReply` is built.  A reply cached
-        without being sent claims no wire bytes (``size_bytes`` 0), also
+        without being sent claims no wire bytes (``wire_bytes`` 0), also
         when a later leader re-sends it from the cache."""
         return GenericReply(self.replica_id, view, seqno, request.timestamp,
                             request.client, result, result_digest,
-                            size_bytes)
+                            wire_bytes)
 
     def reply_to_clients(self, seqno: int, batch: Batch,
                          results: List[Any]) -> None:
@@ -227,10 +243,10 @@ class BaselineReplica(ReplicaBase):
                                            digest_each(results)):
             # 64 nominal reply bytes: keeps the sender's modeled MAC cost
             # at the seed's charge_mac(64) (the policy charges over
-            # size_bytes) and puts an honest reply size on the wire.
+            # wire_bytes) and puts an honest reply size on the wire.
             reply = self.make_reply(view, seqno, request, result, digest, 64)
             last_reply[request.client] = reply
-            replies.append((f"c{request.client}", reply, 64))
+            replies.append((f"c{request.client}", reply))
         self.send(replies)
 
     def batch_digest(self, batch: Batch) -> Digest:
@@ -269,8 +285,7 @@ class BaselineReplica(ReplicaBase):
         are not dropped here as duplicates."""
         for request in self.sequencer.drain():
             self.send_authenticated(f"r{self.leader_id}",
-                                    ClientRequestMsg(request),
-                                    size_bytes=request.size_bytes)
+                                    ClientRequestMsg(request))
 
     # -- recovery and catch-up --------------------------------------------
     def recover(self) -> None:
@@ -279,30 +294,26 @@ class BaselineReplica(ReplicaBase):
         we missed."""
         super().recover()
         self.multicast_authenticated(self.other_replica_names(),
-                                     SyncRequest(self.replica_id, self.ex),
-                                     size_bytes=16)
+                                     SyncRequest(self.replica_id, self.ex))
 
     def request_sync(self, peer: int) -> None:
         """Ask one peer for the committed suffix above our horizon."""
         self.send_authenticated(f"r{peer}",
-                                SyncRequest(self.replica_id, self.ex),
-                                size_bytes=16)
+                                SyncRequest(self.replica_id, self.ex))
 
     def _on_sync_request(self, src: str, m: SyncRequest) -> None:
         entries = tuple((sn, entry.batch)
                         for sn, entry in self.commit_log.items()
                         if sn > m.executed_upto)
         snapshot = self.app.snapshot() if self.ex > m.executed_upto else None
-        size = sum(batch.size_bytes for _, batch in entries) + 64
         self.send_authenticated(
             f"r{m.sender}",
             SyncReply(self.replica_id, self.view, self.ex, snapshot,
-                      entries),
-            size_bytes=size)
+                      entries))
 
     def _on_sync_reply(self, src: str, m: SyncReply) -> None:
         if not self.cpu.free:
-            self.cpu.charge_mac(64)
+            self.cpu.charge_mac(m.header_bytes)
         if m.view > self.view:
             self.enter_view(m.view)
         if m.executed_upto > self.ex and m.snapshot is not None:
@@ -341,8 +352,7 @@ class QuorumClient(SmrClientBase):
     def send_request(self, request: Request) -> None:
         assert self.config.n is not None
         self.send_authenticated(f"r{self.view % self.config.n}",
-                                ClientRequestMsg(request),
-                                size_bytes=request.size_bytes)
+                                ClientRequestMsg(request))
 
     def on_message(self, src: str, payload: Any) -> None:
         if not isinstance(payload, GenericReply):
@@ -351,6 +361,8 @@ class QuorumClient(SmrClientBase):
         if request is None or payload.timestamp != request.timestamp:
             return
         if not self.cpu.free:
+            # Not payload.wire_bytes: a reply re-sent from the cache
+            # claims 0 B, yet its MAC is checked like any other's.
             self.cpu.charge_mac(64)
         if payload.view > self.view:
             # A leader change happened: follow the replies to the new
@@ -366,5 +378,5 @@ class QuorumClient(SmrClientBase):
         assert self.config.n is not None
         self.multicast_authenticated(
             [f"r{r}" for r in range(self.config.n)],
-            ClientRequestMsg(request), size_bytes=request.size_bytes)
+            ClientRequestMsg(request))
         self._timer.start(self.config.request_retransmit_ms)

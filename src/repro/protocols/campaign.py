@@ -6,9 +6,9 @@ max(view, last target) + 1`` carrying its recovery state; replicas that
 see a campaign for a fresher view join it.  The leader of the target view
 installs it on :meth:`CampaignReplica.view_change_quorum` of them, merges
 the carried state (:meth:`CampaignReplica.install_view`, per protocol)
-and announces the view with one :class:`NewView` (Zab's NEW-EPOCH: no
-entries), which followers adopt through
-:meth:`CampaignReplica.adopt_new_view`.
+and announces the view with one :class:`NewView` (Zab's NEW-EPOCH, its
+``NewEpoch`` subclass, carries no entries), which followers adopt
+through :meth:`CampaignReplica.adopt_new_view`.
 
 A subclass layer, not a component: every step reads and writes the
 core's ``view``, ``sequencer`` and ``commit_log``, and the ordering
@@ -35,12 +35,19 @@ class NewView:
     executed_upto: int
     entries: Tuple[Tuple[int, Batch], ...]
 
+    header_bytes = 128
+    wire_bytes = property(lambda m: m.header_bytes + sum(
+        batch.size_bytes for _, batch in m.entries))
+
 
 class CampaignReplica(BaselineReplica):
     """A baseline replica that changes views by VIEW-CHANGE campaign.
     Subclasses register their VIEW-CHANGE class with
-    :meth:`on_view_change_msg` and :class:`NewView` with their adoption
-    handler, and implement the three hooks."""
+    :meth:`on_view_change_msg` and their :attr:`announcement_class` with
+    their adoption handler, and implement the two hooks."""
+
+    #: The class :meth:`announce_view` announces a view with.
+    announcement_class = NewView
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
@@ -50,14 +57,11 @@ class CampaignReplica(BaselineReplica):
         self._target_view = 0  # highest view this replica campaigned for
         self._gathering: Optional[int] = None
 
-    # -- the three hooks --------------------------------------------------
+    # -- the two hooks ----------------------------------------------------
     def make_view_change(self, target: int) -> Any:
         """This protocol's VIEW-CHANGE for ``target``, carrying whatever
-        state the new leader's merge needs."""
-        raise NotImplementedError
-
-    def view_change_size(self, message: Any) -> int:
-        """Wire size of a VIEW-CHANGE, the batches it embeds included."""
+        state the new leader's merge needs (its class states its size,
+        the batches it embeds included)."""
         raise NotImplementedError
 
     def install_view(self, target: int, msgs: Dict[int, Any]) -> None:
@@ -99,9 +103,7 @@ class CampaignReplica(BaselineReplica):
         self._target_view = target
         self.elections_started += 1
         message = self.make_view_change(target)
-        size = self.view_change_size(message)
-        self.multicast_authenticated(self.other_replica_names(), message,
-                                     size_bytes=size)
+        self.multicast_authenticated(self.other_replica_names(), message)
         self._note_view_change(self.replica_id, target, message)
         # If this campaign stalls (its leader may be down too), escalate
         # to the next view on expiry.
@@ -164,26 +166,26 @@ class CampaignReplica(BaselineReplica):
                          if v > self.view}
 
     # -- announcing and adopting a view -----------------------------------
-    def announce_view(self, merged: Dict[int, Batch],
-                      header_bytes: int) -> NewView:
+    def announce_view(self, merged: Dict[int, Batch]) -> NewView:
         """Adopt and execute the ``merged`` history, then announce it."""
         entries = tuple(sorted(merged.items()))
         self.log_entries(entries, self.view)
         self.execute_ready()
-        announcement = NewView(self.view, self.replica_id, self.ex, entries)
-        size = sum(b.size_bytes for b in merged.values()) + header_bytes
+        announcement = self.announcement_class(self.view, self.replica_id,
+                                               self.ex, entries)
         self.multicast_authenticated(self.other_replica_names(),
-                                     announcement, size_bytes=size)
+                                     announcement)
         return announcement
 
-    def adopt_new_view(self, src: str, m: NewView, mac_bytes: int) -> bool:
+    def adopt_new_view(self, src: str, m: NewView) -> bool:
         """Follower side of a :class:`NewView` from the leader of a view
-        not stale: charge the MAC, log the entries, enter the view.
-        Returns whether it was adopted; the caller executes and syncs."""
+        not stale: charge the MAC (over the header), log the entries,
+        enter the view.  Returns whether it was adopted; the caller
+        executes and syncs."""
         if m.view < self.view or src != f"r{self.leader_of(m.view)}":
             return False
         if not self.cpu.free:
-            self.cpu.charge_mac(mac_bytes)
+            self.cpu.charge_mac(m.header_bytes)
         self.log_entries(m.entries, m.view)
         self.enter_view(m.view)
         return True
@@ -204,5 +206,4 @@ class CampaignReplica(BaselineReplica):
             own = self._vc_msgs.get(self._target_view, {}).get(
                 self.replica_id)
             if own is not None:
-                self.send_authenticated(f"r{m.sender}", own,
-                                        size_bytes=self.view_change_size(own))
+                self.send_authenticated(f"r{m.sender}", own)

@@ -40,6 +40,7 @@ Only MACs are used -- crash faults cannot forge messages.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.crypto.primitives import Digest
@@ -57,6 +58,8 @@ class Accept:
     batch: Batch
     batch_digest: Digest
 
+    wire_bytes = property(attrgetter("batch.size_bytes"))
+
 
 @register_modeled
 class Accepted:
@@ -67,6 +70,8 @@ class Accepted:
     batch_digest: Digest
     sender: int
 
+    wire_bytes = 48
+
 
 @register_modeled
 class Learn:
@@ -76,6 +81,8 @@ class Learn:
     seqno: int
     batch: Batch
 
+    wire_bytes = property(attrgetter("batch.size_bytes"))
+
 
 @register_modeled
 class NewBallot:
@@ -83,6 +90,8 @@ class NewBallot:
 
     view: int
     sender: int
+
+    wire_bytes = 32
 
 
 @register_modeled
@@ -97,6 +106,8 @@ class Promise:
     sender: int
     entries: Tuple[Tuple[int, int, Batch], ...]
     executed_upto: int
+
+    wire_bytes = 256  # nominal: the entries are not counted
 
 
 class PaxosReplica(BaselineReplica):
@@ -159,8 +170,7 @@ class PaxosReplica(BaselineReplica):
         self._accepted[seqno] = (self.view, batch)
         accept = Accept(self.view, seqno, batch, digest)
         acceptors = [f"r{a}" for a in self.common_case_acceptors()]
-        self.multicast_authenticated(acceptors, accept,
-                                     size_bytes=batch.size_bytes)
+        self.multicast_authenticated(acceptors, accept)
 
     def _on_accept(self, src: str, m: Accept) -> None:
         if m.view < self.view:
@@ -168,7 +178,7 @@ class PaxosReplica(BaselineReplica):
         if m.view > self.view:
             self.view = m.view  # adopt the higher ballot
         if not self.cpu.free:
-            self.cpu.charge_mac(m.batch.size_bytes)
+            self.cpu.charge_mac(m.wire_bytes)
         self._accepted[m.seqno] = (m.view, m.batch)
         self._election_timer.stop()
         # Acceptors execute on accept: the stable leader's order is
@@ -176,14 +186,13 @@ class PaxosReplica(BaselineReplica):
         self.commit_batch(m.seqno, m.batch)
         self.send_authenticated(
             f"r{self.leader_of(self.view)}",
-            Accepted(m.view, m.seqno, m.batch_digest, self.replica_id),
-            size_bytes=48)
+            Accepted(m.view, m.seqno, m.batch_digest, self.replica_id))
 
     def _on_accepted(self, src: str, m: Accepted) -> None:
         if m.view != self.view or not self.is_leader:
             return
         if not self.cpu.free:
-            self.cpu.charge_mac(48)
+            self.cpu.charge_mac(m.wire_bytes)
         acks = self._acks.get(m.seqno)
         if acks is None:
             return
@@ -196,12 +205,11 @@ class PaxosReplica(BaselineReplica):
             self.commit_batch(m.seqno, batch)
             learn = Learn(self.view, m.seqno, batch)
             passives = [f"r{p}" for p in self.passive_ids()]
-            self.multicast_authenticated(passives, learn,
-                                         size_bytes=batch.size_bytes)
+            self.multicast_authenticated(passives, learn)
 
     def _on_learn(self, src: str, m: Learn) -> None:
         if not self.cpu.free:
-            self.cpu.charge_mac(m.batch.size_bytes)
+            self.cpu.charge_mac(m.wire_bytes)
         self._accepted[m.seqno] = (m.view, m.batch)
         self.commit_batch(m.seqno, m.batch)
 
@@ -248,7 +256,7 @@ class PaxosReplica(BaselineReplica):
         self._promises = {}
         message = NewBallot(ballot, self.replica_id)
         self._fanout_with_self(
-            self.all_replica_names(), message, 32,
+            self.all_replica_names(), message,
             lambda: self._on_new_ballot(self.name, message))
         # If the campaign stalls (e.g. competing ballots), try again.
         self._election_timer.start(2 * self.config.request_retransmit_ms)
@@ -285,7 +293,7 @@ class PaxosReplica(BaselineReplica):
         if m.sender == self.replica_id:
             self._on_promise(self.name, promise)
         else:
-            self.send_authenticated(f"r{m.sender}", promise, size_bytes=256)
+            self.send_authenticated(f"r{m.sender}", promise)
 
     def _on_promise(self, src: str, m: Promise) -> None:
         if self._pending_ballot is None or m.view != self._pending_ballot:

@@ -29,6 +29,7 @@ catch-up vehicle for replicas entering the active set).
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.crypto.primitives import Digest
@@ -47,6 +48,8 @@ class PrePrepare:
     batch: Batch
     batch_digest: Digest
 
+    wire_bytes = property(attrgetter("batch.size_bytes"))
+
 
 @register_modeled
 class CommitMsg:
@@ -56,6 +59,8 @@ class CommitMsg:
     seqno: int
     batch_digest: Digest
     sender: int
+
+    wire_bytes = 48
 
 
 @register_modeled
@@ -72,6 +77,11 @@ class ViewChange:
     executed_upto: int
     committed: Tuple[Tuple[int, Batch], ...]
     prepared: Tuple[Tuple[int, Digest, Batch], ...]
+
+    header_bytes = 128
+    wire_bytes = property(lambda m: m.header_bytes + sum(
+        b.size_bytes + 16 for _, b in m.committed) + sum(
+        b.size_bytes + 48 for _, _, b in m.prepared))
 
 
 class PbftReplica(CampaignReplica):
@@ -117,8 +127,7 @@ class PbftReplica(CampaignReplica):
         self._batches[seqno] = batch
         self._digests[seqno] = digest
         pre_prepare = PrePrepare(self.view, seqno, batch, digest)
-        self.multicast_authenticated(self._active_peers, pre_prepare,
-                                     size_bytes=batch.size_bytes)
+        self.multicast_authenticated(self._active_peers, pre_prepare)
         self._vote(seqno, digest)
 
     def _on_pre_prepare(self, src: str, m: PrePrepare) -> None:
@@ -127,7 +136,7 @@ class PbftReplica(CampaignReplica):
                 or self.campaigning:
             return
         if not self.cpu.free:
-            self.cpu.charge_mac(m.batch.size_bytes)
+            self.cpu.charge_mac(m.wire_bytes)
         self._batches[m.seqno] = m.batch
         self._digests[m.seqno] = m.batch_digest
         self._vote(m.seqno, m.batch_digest)
@@ -136,7 +145,7 @@ class PbftReplica(CampaignReplica):
         vote = CommitMsg(self.view, seqno, digest, self.replica_id)
         # Our own vote is recorded at this replica's position in the
         # active list (see ReplicaBase._fanout_with_self).
-        self._fanout_with_self(self._active_names, vote, 48,
+        self._fanout_with_self(self._active_names, vote,
                                lambda: self._record_vote(vote))
 
     def _on_commit(self, src: str, m: CommitMsg) -> None:
@@ -145,7 +154,7 @@ class PbftReplica(CampaignReplica):
         if m.view < self.view or not self.is_active:
             return
         if not self.cpu.free:
-            self.cpu.charge_mac(48)
+            self.cpu.charge_mac(m.wire_bytes)
         self._record_vote(m)
 
     def _record_vote(self, m: CommitMsg) -> None:
@@ -202,11 +211,6 @@ class PbftReplica(CampaignReplica):
         return ViewChange(target, self.replica_id, self.ex, committed,
                           prepared)
 
-    def view_change_size(self, message: ViewChange) -> int:
-        return (sum(b.size_bytes + 16 for _, b in message.committed)
-                + sum(b.size_bytes + 48 for _, _, b in message.prepared)
-                + 128)
-
     def install_view(self, target: int, msgs: Dict[int, Any]) -> None:
         committed: Dict[int, Batch] = {}
         prepared: Dict[int, Batch] = {}
@@ -222,7 +226,7 @@ class PbftReplica(CampaignReplica):
                 if sn not in committed:
                     prepared.setdefault(sn, batch)
         # Adopt the merged committed prefix ourselves, and announce it.
-        self.announce_view(committed, 128)
+        self.announce_view(committed)
         # Continue numbering above everything the old views touched, and
         # re-propose the carried-over prepared certificates in this view.
         top = max(self.sn, self.ex,
@@ -236,7 +240,7 @@ class PbftReplica(CampaignReplica):
             self.request_sync(freshest)
 
     def _on_new_view(self, src: str, m: NewView) -> None:
-        if not self.adopt_new_view(src, m, 128):
+        if not self.adopt_new_view(src, m):
             return
         self.execute_ready()
         if m.executed_upto > self.ex:

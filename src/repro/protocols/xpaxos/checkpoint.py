@@ -55,10 +55,8 @@ class Checkpointer:
         self._snapshots[seqno] = replica.app.snapshot()
         prechk = msg.PreChk(seqno, replica.view, state_digest,
                             replica.replica_id)
-        # 44 payload bytes + the 20-byte transport MAC = the 64 bytes the
-        # embedded-MAC encoding used to put on the wire.
         replica._fanout_with_self(
-            replica._active_names(), prechk, 44,
+            replica._active_names(), prechk,
             lambda: self._record_prechk(seqno, replica.replica_id,
                                         state_digest))
 
@@ -89,7 +87,7 @@ class Checkpointer:
         chkpt = msg.Chkpt.signed(
             replica.sign, seqno=seqno, view=replica.view,
             state_digest=my_digest, sender=me)
-        replica._fanout_with_self(replica._active_names(), chkpt, 96,
+        replica._fanout_with_self(replica._active_names(), chkpt,
                                   lambda: self._record_chkpt(chkpt))
 
     def _on_chkpt(self, src: str, m: msg.Chkpt) -> None:
@@ -121,7 +119,7 @@ class Checkpointer:
             snapshot=self._snapshots[m.seqno])
         self._adopt(proof)
         replica.multicast_authenticated(replica._passive_names(),
-                                        msg.LazyChk(proof), size_bytes=512)
+                                        msg.LazyChk(proof))
 
     def _on_lazychk(self, src: str, m: msg.LazyChk) -> None:
         # Modelled cost of checking the proof's signatures, paid whether

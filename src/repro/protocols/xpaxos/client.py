@@ -50,8 +50,7 @@ class XPaxosClient(SmrClientBase):
 
     def send_request(self, request: Request) -> None:
         primary = self.groups.primary(self.view)
-        self.send_authenticated(f"r{primary}", msg.Replicate(request),
-                                size_bytes=request.size_bytes)
+        self.send_authenticated(f"r{primary}", msg.Replicate(request))
 
     # ------------------------------------------------------------------
     def on_message(self, src: str, payload: Any) -> None:
@@ -148,8 +147,7 @@ class XPaxosClient(SmrClientBase):
             return
         # Forward the suspicion to the new actives and re-send the request.
         self.multicast_authenticated(
-            [f"r{r}" for r in self.groups.group(self.view)],
-            suspect, size_bytes=48)
+            [f"r{r}" for r in self.groups.group(self.view)], suspect)
         self.resent = True
         self.send_request(self.request)
         self._timer.start(self.config.request_retransmit_ms)
@@ -164,7 +162,7 @@ class XPaxosClient(SmrClientBase):
         """
         self.multicast_authenticated(
             [f"r{r}" for r in self.groups.group(self.view)],
-            msg.ReSend(request), size_bytes=request.size_bytes)
+            msg.ReSend(request))
         backoff = (2.0 if self.retries > 1 else 1.0) \
             * self.config.request_retransmit_ms
         self._timer.start(backoff)

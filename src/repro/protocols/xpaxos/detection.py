@@ -75,7 +75,7 @@ class FaultDetector:
         replica = self.replica
         replica.detected_faulty.add(accusation.accused)
         replica.multicast_authenticated(replica.other_replica_names(),
-                                        accusation, size_bytes=256)
+                                        accusation)
 
     def on_accusation(self, src: str, m: msg.FaultAccusation) -> None:
         """A peer convicted someone: note it and pass it on, once."""
@@ -86,7 +86,7 @@ class FaultDetector:
         replica.multicast_authenticated(
             [n for n in replica.all_replica_names()
              if n != replica.name and n != src],
-            m, size_bytes=256)
+            m)
 
     # ------------------------------------------------------------------
     def _check_pair(self, new_view: int, suspect_vc: msg.ViewChange,

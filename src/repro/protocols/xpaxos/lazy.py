@@ -56,8 +56,7 @@ class LazyReplicator:
             return
         lazy = msg.LazyCommit(replica.view, entry.seqno, entry)
         replica.multicast_authenticated(
-            [replica.replica_name(target) for target in targets], lazy,
-            size_bytes=entry.batch.size_bytes)
+            [replica.replica_name(target) for target in targets], lazy)
 
     def _on_lazy_commit(self, src: str, m: msg.LazyCommit) -> None:
         replica = self.replica
@@ -82,7 +81,7 @@ class LazyReplicator:
         replica.multicast_authenticated(
             [name for name in replica._active_names()
              if name != replica.name],
-            request, size_bytes=48)
+            request)
         # Allow a re-fetch if the reply is lost.
         sim = replica.sim
         sim.schedule(sim.now + 2 * replica.config.delta_ms,
@@ -103,9 +102,8 @@ class LazyReplicator:
         replica = self.replica
         entries = tuple(entry for seqno, entry in replica.commit_log.items()
                         if m.from_seqno <= seqno <= m.to_seqno)
-        reply = msg.FetchReply(entries, replica.stable_checkpoint)
-        size = sum(e.batch.size_bytes for e in entries) + 64
-        replica.send_authenticated(src, reply, size_bytes=size)
+        replica.send_authenticated(
+            src, msg.FetchReply(entries, replica.stable_checkpoint))
 
     def _on_fetch_reply(self, src: str, m: msg.FetchReply) -> None:
         replica = self.replica

@@ -13,11 +13,14 @@ A signed message (the paper's ``<m>_sigma``) declares once, on its class,
 what its signature covers and which replica must have made it: the
 contract is :class:`~repro.protocols.xpaxos.signed.Signed`, and
 :func:`~repro.protocols.xpaxos.signed.verify_signed` the one check built
-on it (docs/authenticators.md, "Signed payloads").
+on it (docs/authenticators.md, "Signed payloads").  Every class states
+its modelled size, ``wire_bytes``, as the baselines' do
+(docs/execution.md, "Modelled sizes").
 """
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Any, Optional, Tuple
 
 from repro.common.errors import ProtocolViolation
@@ -55,6 +58,8 @@ class Replicate:
 
     request: Request
 
+    wire_bytes = property(attrgetter("request.size_bytes"))
+
 
 @register(NULL)
 class Prepare(Signed):
@@ -67,6 +72,7 @@ class Prepare(Signed):
     batch_digest: Digest
     primary_sig: Signature
 
+    wire_bytes = property(attrgetter("batch.size_bytes"))
     tag = "prepare"
     covers = ("batch_digest", "seqno", "view")
     signature_field = "primary_sig"
@@ -86,6 +92,7 @@ class CommitVote(Signed):
     sender: int
     sig: Signature
 
+    wire_bytes = 64
     tag = "commit"
     covers = ("batch_digest", "seqno", "view", "sender")
 
@@ -101,6 +108,7 @@ class FastPrepare(Signed):
     batch_digest: Digest
     m0: Signature
 
+    wire_bytes = property(attrgetter("batch.size_bytes"))
     tag = "commit0"
     covers = ("batch_digest", "seqno", "view")
     signature_field = "m0"
@@ -122,6 +130,7 @@ class FastCommit(Signed):
     reply_digest: Digest
     m1: Signature
 
+    wire_bytes = 96
     tag = "commit1"
     covers = ("batch_digest", "seqno", "view", "reply_digest")
     signature_field = "m1"
@@ -148,7 +157,7 @@ class ReplyMsg:
     result: Any
     result_digest: Digest
     follower_commit: Optional[FastCommit] = None
-    size_bytes: int = 0
+    wire_bytes: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +174,7 @@ class Suspect(Signed):
     sender: int
     sig: Signature
 
+    wire_bytes = 48
     tag = "suspect"
     covers = ("view", "sender")
 
@@ -214,15 +224,11 @@ class ViewChange(Signed):
             digest_of(proof.state_digest) if proof is not None else None
         return super(ViewChange, cls).payload_of(**fields)
 
-    def wire_size(self) -> int:
-        """Modelled bytes on the wire: grows with the logs it carries."""
-        size = 128
-        for _, entry in self.commit_entries:
-            size += entry.batch.size_bytes + 128
-        if self.prepare_entries:
-            for _, entry in self.prepare_entries:
-                size += entry.batch.size_bytes + 64
-        return size
+    header_bytes = 128
+    #: The checkpoint is not counted.
+    wire_bytes = property(lambda m: m.header_bytes + sum(
+        e.batch.size_bytes + 128 for _, e in m.commit_entries) + sum(
+        e.batch.size_bytes + 64 for _, e in m.prepare_entries or ()))
 
 
 @register(NULL)
@@ -236,6 +242,7 @@ class VcFinal(Signed):
     vcset_digest: Digest
     sig: Signature
 
+    wire_bytes = 256  # nominal: the VIEW-CHANGEs it relays are not counted
     tag = "vc-final"
     covers = ("new_view", "sender", "vcset_digest")
 
@@ -249,6 +256,7 @@ class VcConfirm(Signed):
     vcset_digest: Digest
     sig: Signature
 
+    wire_bytes = 96
     tag = "vc-confirm"
     covers = ("new_view", "sender", "vcset_digest")
 
@@ -263,6 +271,7 @@ class NewView(Signed):
     checkpoint: Optional[CheckpointProof]
     sig: Signature
 
+    wire_bytes = 1024  # nominal: entries and checkpoint are not counted
     tag = "new-view"
     covers = ("new_view", "entries")
 
@@ -285,6 +294,8 @@ class FaultAccusation:
     view: int
     evidence: Any
 
+    wire_bytes = 256
+
 
 # ---------------------------------------------------------------------------
 # Checkpointing and lazy replication (Section 4.5)
@@ -301,6 +312,10 @@ class PreChk:
     state_digest: bytes
     sender: int
 
+    # 44 payload bytes + the 20-byte transport MAC = the 64 bytes the
+    # embedded-MAC encoding used to put on the wire.
+    wire_bytes = 44
+
 
 @register(NULL)
 class Chkpt(Signed):
@@ -312,6 +327,7 @@ class Chkpt(Signed):
     sender: int
     sig: Signature
 
+    wire_bytes = 96
     tag = "chkpt"
     covers = ("seqno", "view", "state_digest", "sender")
 
@@ -322,6 +338,8 @@ class LazyChk:
 
     proof: CheckpointProof
 
+    wire_bytes = 512
+
 
 @register(NULL)
 class LazyCommit:
@@ -330,6 +348,8 @@ class LazyCommit:
     view: int
     seqno: int
     entry: CommitEntry
+
+    wire_bytes = property(attrgetter("entry.batch.size_bytes"))
 
 
 @register(NULL)
@@ -343,6 +363,8 @@ class FetchEntries:
     to_seqno: int
     sender: int
 
+    wire_bytes = 48
+
 
 @register(NULL)
 class FetchReply:
@@ -352,6 +374,11 @@ class FetchReply:
 
     entries: Tuple[CommitEntry, ...]
     checkpoint: Optional[CheckpointProof]
+
+    header_bytes = 64
+    #: The header and the batches; the checkpoint is not counted.
+    wire_bytes = property(lambda m: m.header_bytes + sum(
+        e.batch.size_bytes for e in m.entries))
 
 
 # ---------------------------------------------------------------------------
@@ -364,6 +391,8 @@ class ReSend:
     """Client -> all active replicas after its timer expires."""
 
     request: Request
+
+    wire_bytes = property(attrgetter("request.size_bytes"))
 
 
 @register(NULL)
@@ -381,6 +410,7 @@ class SignedReplyShare(Signed):
     sender: int
     sig: Signature
 
+    wire_bytes = 96
     tag = "signed-reply"
     covers = ("seqno", "view", "timestamp", "client", "reply_digest",
               "sender")
@@ -392,3 +422,5 @@ class SignedReplies:
 
     view: int
     shares: Tuple[SignedReplyShare, ...]
+
+    wire_bytes = 256

@@ -130,6 +130,9 @@ class XPaxosReplica(ReplicaBase):
     # ==================================================================
     def _on_replicate(self, src: str, m: msg.Replicate) -> None:
         request = m.request
+        size = request.size_bytes
+        if size.__class__ is not int or size < 0:
+            return  # a size no client sends: no batch may carry it
         if not self._verify_request(request):
             return
         if not self.is_primary or self.in_view_change:
@@ -165,7 +168,7 @@ class XPaxosReplica(ReplicaBase):
         self.progress.prepared(seqno)
         self.multicast_authenticated(
             [self.replica_name(f) for f in self.groups.followers(self.view)],
-            prepare, size_bytes=batch.size_bytes)
+            prepare)
 
     def _on_prepare(self, src: str, m: Any) -> None:
         """The one ordering intake of a follower, for the configured
@@ -206,7 +209,7 @@ class XPaxosReplica(ReplicaBase):
             batch_digest=m.batch_digest, sender=self.replica_id)
         # Record our own vote at this replica's position in the active list
         # so the send (and latency draw) order matches a sequential loop.
-        self._fanout_with_self(self._active_names(), vote, 64,
+        self._fanout_with_self(self._active_names(), vote,
                                lambda: self._record_commit_vote(vote))
 
     def _on_commit_vote(self, src: str, m: msg.CommitVote) -> None:
@@ -251,8 +254,7 @@ class XPaxosReplica(ReplicaBase):
         self.prepare_log.put(seqno, entry)
         self.progress.prepared(seqno)
         follower = self.groups.followers(self.view)[0]
-        self.send_authenticated(self.replica_name(follower), fast,
-                                size_bytes=batch.size_bytes)
+        self.send_authenticated(self.replica_name(follower), fast)
 
     def _accept_fast_prepare(self, m: msg.FastPrepare) -> None:
         """Follower side of the t = 1 pattern: execute, sign m1, log."""
@@ -272,8 +274,7 @@ class XPaxosReplica(ReplicaBase):
         # (Algorithm 4) can later produce its signed reply share.
         self.cache_unsent(m.seqno, m.batch, results)
         primary = self.groups.primary(self.view)
-        self.send_authenticated(self.replica_name(primary), fast_commit,
-                                size_bytes=96)
+        self.send_authenticated(self.replica_name(primary), fast_commit)
         self.lazy.replicate(entry)
         self.checkpointer.maybe_checkpoint(m.seqno)
 
@@ -317,12 +318,12 @@ class XPaxosReplica(ReplicaBase):
     def make_reply(self, view: int, seqno: int, request: Request,
                    result: Any, result_digest: Digest, full: bool = True,
                    follower_commit: Optional[msg.FastCommit] = None,
-                   size_bytes: int = 0) -> msg.ReplyMsg:
+                   wire_bytes: int = 0) -> msg.ReplyMsg:
         """The one place a :class:`ReplyMsg` is built.  A reply cached
-        without being sent claims no wire bytes (``size_bytes`` 0)."""
+        without being sent claims no wire bytes (``wire_bytes`` 0)."""
         return msg.ReplyMsg(self.replica_id, view, seqno, request.timestamp,
                             request.client, result if full else None,
-                            result_digest, follower_commit, size_bytes)
+                            result_digest, follower_commit, wire_bytes)
 
     def cache_unsent(self, seqno: int, batch: Batch,
                      results: List[Any]) -> None:
@@ -370,7 +371,7 @@ class XPaxosReplica(ReplicaBase):
                 self.send(replies)
                 replies = []
                 self.retransmitter.executed(request)
-            replies.append((f"c{request.client}", reply, size))
+            replies.append((f"c{request.client}", reply))
         self.send(replies)
 
     def _batch_digest(self, batch: Batch) -> Digest:

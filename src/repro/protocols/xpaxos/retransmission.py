@@ -66,6 +66,9 @@ class Retransmitter:
 
     def _on_resend(self, src: str, m: msg.ReSend) -> None:
         replica = self.replica
+        size = m.request.size_bytes
+        if size.__class__ is not int or size < 0:
+            return  # a size no client sends: no batch may carry it
         if replica.in_view_change:
             # The request cannot commit until the view change finishes;
             # buffer the retransmission and replay it in the new view.
@@ -83,7 +86,7 @@ class Retransmitter:
                 replica.send_authenticated(
                     replica.replica_name(
                         replica.groups.primary(replica.view)),
-                    msg.Replicate(request), size_bytes=request.size_bytes)
+                    msg.Replicate(request))
             else:
                 replica._on_replicate(src, msg.Replicate(request))
         elif cached.timestamp > request.timestamp:
@@ -150,7 +153,7 @@ class Retransmitter:
             reply_digest=cached.result_digest, result=cached.result,
             sender=replica.replica_id)
         replica._fanout_with_self(
-            replica._active_names(), share, 96,
+            replica._active_names(), share,
             lambda: self._on_signed_reply_share(replica.name, share))
 
     def _on_signed_reply_share(self, src: str,
@@ -181,8 +184,7 @@ class Retransmitter:
                 view=replica.view,
                 shares=tuple(sorted(matching,
                                     key=lambda s: s.sender)[:quorum]))
-            replica.send_authenticated(f"c{m.client}", bundle,
-                                       size_bytes=256)
+            replica.send_authenticated(f"c{m.client}", bundle)
 
     def _on_timeout(self, rid: tuple) -> None:
         state = self.waiting.get(rid)
@@ -211,8 +213,7 @@ class Retransmitter:
         suspect = msg.Suspect.signed(
             partial(replica.keystore.sign, replica.principal), view=view,
             sender=replica.replica_id)
-        replica.send_authenticated(f"c{request.client}", suspect,
-                                   size_bytes=48)
+        replica.send_authenticated(f"c{request.client}", suspect)
 
     # -- the core's side of a crash and of a view change -------------------
     def recovered(self) -> None:

@@ -108,7 +108,7 @@ class ViewChanger:
         suspect = msg.Suspect.signed(replica.sign, view=view,
                                      sender=replica.replica_id)
         replica.multicast_authenticated(replica.other_replica_names(),
-                                        suspect, size_bytes=48)
+                                        suspect)
         self._enter_view(self.groups.next_view_avoiding(view, silent))
 
     def _on_suspect(self, src: str, m: msg.Suspect) -> None:
@@ -123,7 +123,7 @@ class ViewChanger:
             replica.multicast_authenticated(
                 [n for n in replica.all_replica_names()
                  if n != replica.name and n != src],
-                m, size_bytes=48)
+                m)
         self._advance_to(m.view + 1)
 
     def _advance_to(self, view: int) -> None:
@@ -149,7 +149,7 @@ class ViewChanger:
         self._state = state = _ViewChangeState()
         vc = self.build_view_change(new_view)
         replica._fanout_with_self(
-            replica._active_names(), vc, vc.wire_size(),
+            replica._active_names(), vc,
             lambda: self._record_view_change(state, vc))
         if self.groups.is_active(new_view, replica.replica_id):
             self._net_timer.start(2 * replica.config.delta_ms)
@@ -175,8 +175,7 @@ class ViewChanger:
                 or self.groups.is_active(replica.view, replica.replica_id):
             return
         vc = self.build_view_change(replica.view)
-        replica.multicast_authenticated(replica._active_names(), vc,
-                                        size_bytes=vc.wire_size())
+        replica.multicast_authenticated(replica._active_names(), vc)
         self._vc_retx_timer.start(replica.config.view_change_timeout_ms)
 
     def saw_lazy_commit(self, view: int) -> None:
@@ -271,7 +270,7 @@ class ViewChanger:
             replica.sign, new_view=replica.view, sender=replica.replica_id,
             vcset=vcset, vcset_digest=digest_of(vcset))
         replica._fanout_with_self(
-            replica._active_names(), final, 256,
+            replica._active_names(), final,
             lambda: self._record_vc_final(state, final))
 
     def _on_vc_final(self, src: str, m: msg.VcFinal) -> None:
@@ -320,7 +319,7 @@ class ViewChanger:
             replica.sign, new_view=replica.view, sender=replica.replica_id,
             vcset_digest=digest_of(vcset))
         replica._fanout_with_self(
-            replica._active_names(), confirm, 96,
+            replica._active_names(), confirm,
             lambda: self._record_vc_confirm(state, confirm))
 
     def _on_vc_confirm(self, src: str, m: msg.VcConfirm) -> None:
@@ -366,7 +365,7 @@ class ViewChanger:
                 replica.sign, new_view=new_view, entries=entries,
                 checkpoint=checkpoint)
             replica._fanout_with_self(
-                replica._active_names(), new_view_msg, 1024,
+                replica._active_names(), new_view_msg,
                 lambda: self._adopt_new_view(state, new_view_msg))
         # Followers wait for the primary's NEW-VIEW; _vc_timer still runs.
 

@@ -23,13 +23,15 @@ the highest epoch per zxid -- the freshest acked prefix -- announces
 ``NEW-EPOCH``, and re-proposes that history in the new epoch, which both
 re-commits anything the old quorum had accepted and synchronises lagging
 followers.  An epoch is a view of the VIEW-CHANGE campaign
-(``repro.protocols.campaign``): NEW-EPOCH is its :class:`NewView` with no
-entries, adopted the same way as PBFT's and Zyzzyva's, and the re-proposals
-go out through ``repropose``.
+(``repro.protocols.campaign``): NEW-EPOCH is :class:`NewEpoch`, a
+:class:`NewView` with no entries and a header of its own, adopted the same
+way as PBFT's and Zyzzyva's, and the re-proposals go out through
+``repropose``.
 """
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Any, Dict, List, Set, Tuple
 
 from repro.protocols.base import register_modeled
@@ -46,6 +48,8 @@ class Proposal:
     seqno: int
     batch: Batch
 
+    wire_bytes = property(attrgetter("batch.size_bytes"))
+
 
 @register_modeled
 class Ack:
@@ -55,6 +59,8 @@ class Ack:
     seqno: int
     sender: int
 
+    wire_bytes = 32
+
 
 @register_modeled
 class CommitZab:
@@ -62,6 +68,8 @@ class CommitZab:
 
     epoch: int
     seqno: int
+
+    wire_bytes = 32
 
 
 @register_modeled
@@ -77,9 +85,22 @@ class FollowerInfo:
     executed_upto: int
     entries: Tuple[Tuple[int, int, Batch], ...]
 
+    header_bytes = 128
+    wire_bytes = property(lambda m: m.header_bytes + sum(
+        b.size_bytes + 24 for _, _, b in m.entries))
+
+
+@register_modeled
+class NewEpoch(NewView):
+    """New leader -> all: NEW-EPOCH, with no entries (re-proposed)."""
+
+    header_bytes = wire_bytes = 64
+
 
 class ZabReplica(CampaignReplica):
     """One replica of a Zab ensemble (n = 2t + 1)."""
+
+    announcement_class = NewEpoch
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
@@ -95,7 +116,7 @@ class ZabReplica(CampaignReplica):
             Ack: self._on_ack,
             CommitZab: self._on_commit,
             FollowerInfo: self.on_view_change_msg,
-            NewView: self._on_new_view,
+            NewEpoch: self._on_new_view,
         })
 
     def follower_ids(self) -> List[int]:
@@ -111,19 +132,17 @@ class ZabReplica(CampaignReplica):
         # The leader ships the full payload to ALL followers -- the
         # bandwidth profile that caps Zab's peak throughput in Figure 10.
         followers = [f"r{f}" for f in self.follower_ids()]
-        self.multicast_authenticated(followers, proposal,
-                                     size_bytes=batch.size_bytes)
+        self.multicast_authenticated(followers, proposal)
 
     def _on_proposal(self, src: str, m: Proposal) -> None:
         self.follow_proposer(src, m.epoch)
         if m.epoch != self.view or self.is_leader or self.campaigning:
             return
         if not self.cpu.free:
-            self.cpu.charge_mac(m.batch.size_bytes)
+            self.cpu.charge_mac(m.wire_bytes)
         self._pending_commits[m.seqno] = m.batch
         self.send_authenticated(f"r{self.leader_of(self.view)}",
-                                Ack(m.epoch, m.seqno, self.replica_id),
-                                size_bytes=32)
+                                Ack(m.epoch, m.seqno, self.replica_id))
         if m.seqno in self._early_commits:
             self._early_commits.discard(m.seqno)
             self._deliver(m.seqno)
@@ -132,7 +151,7 @@ class ZabReplica(CampaignReplica):
         if m.epoch != self.view or not self.is_leader:
             return
         if not self.cpu.free:
-            self.cpu.charge_mac(32)
+            self.cpu.charge_mac(m.wire_bytes)
         acks = self._acks.get(m.seqno)
         if acks is None:
             return
@@ -144,12 +163,12 @@ class ZabReplica(CampaignReplica):
                 return
             commit = CommitZab(self.view, m.seqno)
             followers = [f"r{f}" for f in self.follower_ids()]
-            self.multicast_authenticated(followers, commit, size_bytes=32)
+            self.multicast_authenticated(followers, commit)
             self.commit_batch(m.seqno, batch)
 
     def _on_commit(self, src: str, m: CommitZab) -> None:
         if not self.cpu.free:
-            self.cpu.charge_mac(32)
+            self.cpu.charge_mac(m.wire_bytes)
         if m.seqno not in self._pending_commits:
             if m.seqno > self.ex and m.seqno not in self.commit_log:
                 # The commit outran its proposal: buffer the zxid until
@@ -196,10 +215,6 @@ class ZabReplica(CampaignReplica):
             tuple((sn, epoch, batch)
                   for sn, (epoch, batch) in sorted(entries.items())))
 
-    def view_change_size(self, message: FollowerInfo) -> int:
-        return (sum(b.size_bytes + 24 for _, _, b in message.entries)
-                + 128)
-
     def install_view(self, target: int, msgs: Dict[int, Any]) -> None:
         # Freshest acked prefix: per slot, the entry acked in the highest
         # epoch wins (any committed slot was acked by a majority, which
@@ -210,7 +225,7 @@ class ZabReplica(CampaignReplica):
                 current = merged.get(sn)
                 if current is None or epoch > current[0]:
                     merged[sn] = (epoch, batch)
-        self.announce_view({}, 64)
+        self.announce_view({})
         self.sn = max(self.sn, self.ex, max(merged, default=0))
         for sn in sorted(merged):
             if sn <= self.ex and sn in self.commit_log:
@@ -218,6 +233,6 @@ class ZabReplica(CampaignReplica):
             _, batch = merged[sn]
             self.repropose(sn, batch)
 
-    def _on_new_view(self, src: str, m: NewView) -> None:
-        if self.adopt_new_view(src, m, 64) and m.executed_upto > self.ex:
+    def _on_new_view(self, src: str, m: NewEpoch) -> None:
+        if self.adopt_new_view(src, m) and m.executed_upto > self.ex:
             self.request_sync(m.sender)

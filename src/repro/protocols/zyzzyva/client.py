@@ -38,7 +38,7 @@ class ZyzzyvaClient(QuorumClient):
                 repliers=tuple(sorted(replies)))
             assert self.config.n is not None
             names = [f"r{r}" for r in range(self.config.n)]
-            self.multicast_authenticated(names, cert, size_bytes=96)
+            self.multicast_authenticated(names, cert)
             self.fallback_commits += 1
             self.complete(self.tally.result(key))
             return

@@ -37,6 +37,7 @@ present a history that contradicts what the quorum handed it.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Any, Dict, List, Tuple
 
 from repro.crypto.primitives import Digest, digest_of
@@ -56,6 +57,8 @@ class OrderReq:
     batch_digest: Digest
     history_digest: Digest
 
+    wire_bytes = property(attrgetter("batch.size_bytes"))
+
 
 @register_modeled
 class CommitCert:
@@ -69,6 +72,8 @@ class CommitCert:
     timestamp: int
     repliers: Tuple[int, ...]
 
+    wire_bytes = 96
+
 
 @register_modeled
 class ViewChange:
@@ -78,6 +83,10 @@ class ViewChange:
     sender: int
     executed_upto: int
     entries: Tuple[Tuple[int, Batch], ...]
+
+    header_bytes = 128
+    wire_bytes = property(lambda m: m.header_bytes + sum(
+        b.size_bytes + 16 for _, b in m.entries))
 
 
 class ZyzzyvaReplica(CampaignReplica):
@@ -113,8 +122,7 @@ class ZyzzyvaReplica(CampaignReplica):
         assert self.config.n is not None
         peers = [f"r{r}" for r in range(self.config.n)
                  if r != self.replica_id]
-        self.multicast_authenticated(peers, order,
-                                     size_bytes=batch.size_bytes)
+        self.multicast_authenticated(peers, order)
         # The primary executes speculatively too.
         self.commit_batch(seqno, batch)
 
@@ -123,7 +131,7 @@ class ZyzzyvaReplica(CampaignReplica):
         if m.view != self.view or self.is_leader or self.campaigning:
             return
         if not self.cpu.free:
-            self.cpu.charge_mac(m.batch.size_bytes)
+            self.cpu.charge_mac(m.wire_bytes)
         self._claimed_history[m.seqno] = m.history_digest
         self._order_digests[m.seqno] = m.batch_digest
         # Speculative execution: commit immediately on the primary's order.
@@ -131,7 +139,7 @@ class ZyzzyvaReplica(CampaignReplica):
 
     def _on_commit_cert(self, src: str, m: CommitCert) -> None:
         if not self.cpu.free:
-            self.cpu.charge_mac(96)
+            self.cpu.charge_mac(m.wire_bytes)
         self.certs_received += 1
         if m.seqno not in self.commit_log and m.seqno > self.ex:
             # A certified slot we never received: the primary failed to
@@ -241,9 +249,6 @@ class ZyzzyvaReplica(CampaignReplica):
                         for sn, entry in self.commit_log.items())
         return ViewChange(target, self.replica_id, self.ex, entries)
 
-    def view_change_size(self, message: ViewChange) -> int:
-        return sum(b.size_bytes + 16 for _, b in message.entries) + 128
-
     def install_view(self, target: int, msgs: Dict[int, Any]) -> None:
         merged: Dict[int, Batch] = {}
         freshest = self.replica_id
@@ -253,14 +258,14 @@ class ZyzzyvaReplica(CampaignReplica):
                 merged.setdefault(sn, batch)
             if m.executed_upto > freshest_ex:
                 freshest, freshest_ex = m.sender, m.executed_upto
-        announcement = self.announce_view(merged, 128)
+        announcement = self.announce_view(merged)
         self._anchor_history(target, announcement.entries)
         self.sn = max(self.sn, self.ex, max(merged, default=0))
         if freshest_ex > self.ex:
             self.request_sync(freshest)
 
     def _on_new_view(self, src: str, m: NewView) -> None:
-        if not self.adopt_new_view(src, m, 128):
+        if not self.adopt_new_view(src, m):
             return
         self._anchor_history(m.view, m.entries)
         self.sn = max(self.sn, self.ex,

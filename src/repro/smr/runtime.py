@@ -50,9 +50,11 @@ def _policy_for(payload: Any) -> Authenticator:
 class NodeBase(Process):
     """Common machinery of any network-attached node.
 
-    A send looks its class's policy up once per call and charges the
-    sender's modelled CPU per receiver, unless the cost model is free
-    (``cpu.free``): then nothing could be charged and nothing is called.
+    A send looks its class's policy up once per call, reads the size each
+    payload's class states (``wire_bytes``) once per payload object and
+    charges the sender's modelled CPU per receiver, unless the cost model
+    is free (``cpu.free``): then nothing could be charged and nothing is
+    called.
     """
 
     def __init__(self, sim: Simulator, network: Network, name: str,
@@ -100,8 +102,7 @@ class NodeBase(Process):
         """Handle one delivered message. Subclasses implement."""
         raise NotImplementedError
 
-    def send_authenticated(self, dst: str, payload: Any,
-                           size_bytes: int = 0) -> None:
+    def send_authenticated(self, dst: str, payload: Any) -> None:
         """Send one message under its class's authenticator policy.
 
         The policy (registered in ``repro.crypto.authenticators``) decides
@@ -110,14 +111,15 @@ class NodeBase(Process):
         here; the receiver's runtime verifies before dispatch.
         """
         policy = _policy_for(payload)
+        size = payload.wire_bytes
         if not self.cpu.free:
-            policy.charge_send(self.cpu, 1, size_bytes)
-        self.network.send(self.name, ((dst, payload, size_bytes),),
+            policy.charge_send(self.cpu, 1, size)
+        self.network.send(self.name, ((dst, payload, size),),
                           authenticator=policy, keystore=self.keystore)
 
-    def send(self, items: Sequence[Tuple[str, Any, int]]) -> None:
-        """Send ``(dst, payload, size_bytes)`` items, a payload of its own
-        per receiver and all of one class, in one call (a slot's replies;
+    def send(self, items: Sequence[Tuple[str, Any]]) -> None:
+        """Send ``(dst, payload)`` items, a payload of its own per
+        receiver and all of one class, in one call (a slot's replies;
         :meth:`Network.send`).  The same as one :meth:`send_authenticated`
         per item, in order: each item is charged as that send would be."""
         if not items:
@@ -125,18 +127,21 @@ class NodeBase(Process):
         cls = items[0][1].__class__
         policy = _policy_for(items[0][1])
         cpu = self.cpu
-        for _, payload, size_bytes in items:
+        sized = []
+        for dst, payload in items:
             if payload.__class__ is not cls:
                 raise ConfigurationError(
                     f"one send carries one message class, not "
                     f"{cls.__name__} and {type(payload).__name__}")
+            size = payload.wire_bytes
             if not cpu.free:
-                policy.charge_send(cpu, 1, size_bytes)
-        self.network.send(self.name, items, authenticator=policy,
+                policy.charge_send(cpu, 1, size)
+            sized.append((dst, payload, size))
+        self.network.send(self.name, sized, authenticator=policy,
                           keystore=self.keystore)
 
-    def multicast_authenticated(self, dsts: Sequence[str], payload: Any,
-                                size_bytes: int = 0) -> None:
+    def multicast_authenticated(self, dsts: Sequence[str],
+                                payload: Any) -> None:
         """Fan a message out with per-receiver authenticators stamped at
         delivery fan-out time (see :meth:`Network.send`).
 
@@ -147,10 +152,10 @@ class NodeBase(Process):
         if not dsts:
             return
         policy = _policy_for(payload)
+        size = payload.wire_bytes
         if not self.cpu.free:
-            policy.charge_send(self.cpu, len(dsts), size_bytes)
-        self.network.send(self.name,
-                          [(dst, payload, size_bytes) for dst in dsts],
+            policy.charge_send(self.cpu, len(dsts), size)
+        self.network.send(self.name, [(dst, payload, size) for dst in dsts],
                           authenticator=policy, keystore=self.keystore)
 
 
@@ -318,8 +323,7 @@ class ReplicaBase(NodeBase):
         if cached is None:
             return False
         if cached.timestamp == request.timestamp:
-            self.send_authenticated(f"c{request.client}", cached,
-                                    size_bytes=cached.size_bytes)
+            self.send_authenticated(f"c{request.client}", cached)
         return True
 
     def restore_to(self, seqno: int, snapshot: Any,
@@ -354,7 +358,6 @@ class ReplicaBase(NodeBase):
 
     # -- fan-out helper ---------------------------------------------------
     def _fanout_with_self(self, names: Sequence[str], payload: Any,
-                          size_bytes: int,
                           self_handler: Callable[[], None]) -> None:
         """Authenticated fan-out that keeps this replica's own processing
         at its position in ``names``, so the per-destination latency draw
@@ -366,15 +369,14 @@ class ReplicaBase(NodeBase):
         of silently desynchronizing one protocol's draw order.
         """
         if self.name not in names:
-            self.multicast_authenticated(names, payload,
-                                         size_bytes=size_bytes)
+            self.multicast_authenticated(names, payload)
             return
         me = names.index(self.name)
         before, after = names[:me], names[me + 1:]
         policy = _policy_for(payload)
+        size = payload.wire_bytes
         if not self.cpu.free:
-            policy.charge_send(self.cpu, len(before) + len(after),
-                               size_bytes)
+            policy.charge_send(self.cpu, len(before) + len(after), size)
         # One shared authenticator context (typically the payload digest)
         # across both halves of the split: still one hash per fan-out.
         context = policy.begin(self.keystore, self.name, payload) \
@@ -382,13 +384,13 @@ class ReplicaBase(NodeBase):
         network = self.network
         if before:
             network.send(self.name,
-                         [(dst, payload, size_bytes) for dst in before],
+                         [(dst, payload, size) for dst in before],
                          authenticator=policy, keystore=self.keystore,
                          context=context)
         self_handler()
         if after:
             network.send(self.name,
-                         [(dst, payload, size_bytes) for dst in after],
+                         [(dst, payload, size) for dst in after],
                          authenticator=policy, keystore=self.keystore,
                          context=context)
 

@@ -164,7 +164,7 @@ A001_REPLICA = """\
 
     def fanout(net, names):
         m = Ping(1)
-        net.multicast_authenticated(names, m, size_bytes=64)
+        net.multicast_authenticated(names, m)
         net.send("r1", Pong(2))
         probe = Probe(3)
         net.send_authenticated("r2", probe)
@@ -213,7 +213,7 @@ class TestA001UnregisteredWireMessage:
         assert len(hits) == 3
 
     def test_items_of_send_resolve_to_their_classes(self, lint_tree):
-        """``send`` takes ``(dst, payload, size)`` items: a class sent
+        """``send`` takes ``(dst, payload)`` items: a class sent
         only there, in a list literal or appended to a list passed by
         name, is still seen."""
         report = lint_tree({
@@ -241,15 +241,15 @@ class TestA001UnregisteredWireMessage:
 
 
                 def replies(node):
-                    node.send([("c0", Listed(1), 8)])
+                    node.send([("c0", Listed(1))])
 
 
                 def answer(node, clients):
                     items = []
                     for client in clients:
                         reply = build(client)
-                        items.append((f"c{client}", reply, 8))
-                        items.append((f"c{client}", Appended(client), 8))
+                        items.append((f"c{client}", reply))
+                        items.append((f"c{client}", Appended(client)))
                     node.send(items)
             """,
         })

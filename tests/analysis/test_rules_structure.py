@@ -157,6 +157,37 @@ def test_p001_a_second_reply_construction_site_fires(lint_tree):
         ("repro/protocols/zab/replica.py", 2)]
 
 
+def test_p001_a_protocol_reaching_the_wire_itself_fires(lint_tree):
+    """Only the runtime's send verbs call ``network.send``: a protocol
+    that does would put a size of its own on the wire."""
+    runtime = """\
+        class NodeBase:
+            def send_authenticated(self, dst, payload):
+                self.network.send(self.name, ((dst, payload, 1),))
+
+            def send(self, items):
+                self.network.send(self.name, items)
+
+            def multicast_authenticated(self, dsts, payload):
+                self.network.send(self.name, [(d, payload, 1) for d in dsts])
+
+            def _fanout_with_self(self, names, payload, self_handler):
+                network = self.network
+                network.send(self.name, [(n, payload, 1) for n in names])
+                self_handler()
+                network.send(self.name, [(n, payload, 1) for n in names])
+    """
+    pbft = """\
+        class PbftReplica:
+            def _vote(self, vote):
+                self.network.send(self.name, [("r1", vote, 48)])
+    """
+    report = lint_tree({"src/repro/smr/runtime.py": runtime,
+                        "src/repro/protocols/pbft/replica.py": pbft})
+    assert hits(report, "P001") == [
+        ("repro/protocols/pbft/replica.py", line_of(pbft, "network.send"))]
+
+
 def test_p001_a_derived_value_stored_outside_its_builder_fires(lint_tree):
     adversary = "def forge(vc, digest):\n" \
         "    msg.ViewChange._set_payload_digest(vc, digest)\n" \

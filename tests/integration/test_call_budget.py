@@ -17,11 +17,16 @@ Each budget is the count measured when it was set, plus 2%.  A change
 that adds per-message work fails here; one that removes some should
 lower the budget in the same change.  How the counts were cut is in
 ``docs/profiling.md`` ("Calls per commit").
+
+The same runs pin what went on the wire, exactly: messages sent and the
+bytes they claimed (each payload's ``wire_bytes``).  A changed modelled
+size moves simulated time; it must be a deliberate change here.
 """
 
 from __future__ import annotations
 
 import cProfile
+import functools
 import os
 import pstats
 import sys
@@ -45,6 +50,13 @@ BUDGET = {
     "xpaxos-lan-closed": 89.66,
 }
 
+#: Messages sent and modelled bytes on the wire in the same runs.
+WIRE = {
+    "bcast-t2-lan-closed": {"net.bytes_sent": 1216184,
+                            "net.msgs_sent": 9494},
+    "xpaxos-lan-closed": {"net.bytes_sent": 227744, "net.msgs_sent": 2291},
+}
+
 _REPRO = os.sep + os.path.join("src", "repro") + os.sep
 #: Pseudo file names of the code ``repro.crypto.primitives`` generates.
 _GENERATED = ("<wire ", "<encode ", "<keep ")
@@ -55,7 +67,9 @@ def counted(filename: str) -> bool:
     return _REPRO in filename or filename.startswith(_GENERATED)
 
 
-def calls_per_commit(name: str) -> float:
+@functools.lru_cache(maxsize=None)
+def measured(name: str):
+    """Calls per commit, and the :data:`WIRE` counts, of one run."""
     profiler = cProfile.Profile()
     result = workloads.run_workload(name, 0, SCALE, profiler, 0.0, 0.0)
     assert not result["problems"], result["problems"]
@@ -64,16 +78,24 @@ def calls_per_commit(name: str) -> float:
                 if counted(filename))
     commits = sum(cell["counts"]["commits"] for cell in result["cells"])
     assert commits > 0
-    return calls / commits
+    wire = {key: sum(cell["counts"][key] for cell in result["cells"])
+            for key in WIRE[name]}
+    return calls / commits, wire
 
 
 @pytest.mark.parametrize("name", sorted(BUDGET))
 def test_calls_per_commit_within_budget(name):
-    measured = calls_per_commit(name)
-    assert measured <= BUDGET[name] * SLACK, (
-        f"{name}: {measured:.2f} calls per commit under src/repro "
+    calls, _ = measured(name)
+    assert calls <= BUDGET[name] * SLACK, (
+        f"{name}: {calls:.2f} calls per commit under src/repro "
         f"and in generated code, "
         f"budget {BUDGET[name]:.2f} + 2%")
+
+
+@pytest.mark.parametrize("name", sorted(WIRE))
+def test_wire_counts_are_pinned(name):
+    _, wire = measured(name)
+    assert wire == WIRE[name]
 
 
 def test_generated_code_is_counted():

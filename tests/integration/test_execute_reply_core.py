@@ -73,7 +73,7 @@ def eager_reply(replica, view, seqno, request, result):
     fields = dict(replica=replica.replica_id, view=view, seqno=seqno,
                   timestamp=request.timestamp, client=request.client,
                   result=result, result_digest=digest_of(result),
-                  size_bytes=0)
+                  wire_bytes=0)
     if replica.config.protocol is ProtocolName.XPAXOS:
         return xmsg.ReplyMsg(follower_commit=None, **fields)
     return GenericReply(**fields)

@@ -61,8 +61,8 @@ def test_a_replying_replica_digests_each_distinct_result_once(
     before = digest_calls()
     getattr(replica, reply_path)(1, batch, results)
     assert digest_calls() - before == distinct
-    assert [dst for dst, _, _ in sent] == [f"c{i}" for i in range(16)]
-    for (_, reply, _), result in zip(sent, results):
+    assert [dst for dst, _ in sent] == [f"c{i}" for i in range(16)]
+    for (_, reply), result in zip(sent, results):
         assert reply.result is result
         assert reply.result_digest == digest_of(result)
 
@@ -150,7 +150,7 @@ def test_every_reply_equals_the_one_digested_per_reply(protocol, t):
             digest_only += not full
             wire = dict(full=full, follower_commit=reply.follower_commit)
         expected = log.reply(replica, reply.client, reply.timestamp,
-                             size_bytes=reply.size_bytes, **wire)
+                             wire_bytes=reply.wire_bytes, **wire)
         assert type(reply) is type(expected) and reply == expected
     # The t >= 2 followers answer with the digest alone.
     assert (digest_only > 0) == (protocol is ProtocolName.XPAXOS and t == 2)
@@ -170,5 +170,5 @@ def test_every_reply_equals_the_one_digested_per_reply(protocol, t):
                 if isinstance(reply, xmsg.ReplyMsg) else {}
             assert reply == log.reply(replica, reply.client,
                                       reply.timestamp, full=full,
-                                      size_bytes=reply.size_bytes, **wire)
+                                      wire_bytes=reply.wire_bytes, **wire)
     assert cached >= len(runtime.clients)

@@ -7,7 +7,8 @@ both ways, on twin fabrics, and compares everything the rest of the run
 could see: the heap entries the sends left (in scheduling order), the
 ``NetworkStats``, the authenticators stamped, the latency draws with the
 RNG state after them, and the uplink's serializations.  The runtime's
-``NodeBase.send`` is checked the same way, with its CPU charges, and
+``NodeBase.send`` (``(dst, payload)`` items, each sized by its payload's
+``wire_bytes``) is checked the same way, with its CPU charges, and
 still refuses an unregistered class.
 """
 
@@ -184,6 +185,7 @@ def test_unknown_receiver_raises_before_anything_happens(policy):
 class _Reply:
     client: int
     body: bytes
+    wire_bytes: int = 8
 
 
 @dataclass(frozen=True)
@@ -204,7 +206,7 @@ def test_node_send_charges_each_reply_as_its_own_send(cost_model,
     from repro.crypto import authenticators
 
     monkeypatch.setitem(authenticators.POLICIES, _Reply, MAC_VECTOR)
-    items = [(dst, _Reply(i, b"r" * i), 40 * i)
+    items = [(dst, _Reply(i, b"r" * i, 40 * i))
              for i, dst in enumerate(("b", "c", "d", "e"), start=1)]
     sides = []
     for one_call in (True, False):
@@ -213,8 +215,8 @@ def test_node_send_charges_each_reply_as_its_own_send(cost_model,
         if one_call:
             node.send(items)
         else:
-            for dst, payload, size in items:
-                node.send_authenticated(dst, payload, size)
+            for dst, payload in items:
+                node.send_authenticated(dst, payload)
         sides.append((fabric.observed(), node.cpu.busy_us))
     assert sides[0] == sides[1]
     assert (sides[0][1] > 0) == (cost_model.mac_us > 0)
@@ -224,9 +226,9 @@ def test_node_send_refuses_an_unregistered_class():
     fabric = Fabric()
     node = _node(fabric, None)
     with pytest.raises(ConfigurationError, match="_Unregistered"):
-        node.send([("b", _Unregistered(1), 8)])
+        node.send([("b", _Unregistered(1))])
     with pytest.raises(ConfigurationError, match="_Unregistered"):
-        node.send_authenticated("b", _Unregistered(1), 8)
+        node.send_authenticated("b", _Unregistered(1))
     assert fabric.net.stats.messages_sent == 0
 
 
@@ -237,7 +239,7 @@ def test_node_send_refuses_mixed_classes(monkeypatch):
     fabric = Fabric()
     node = _node(fabric, None)
     with pytest.raises(ConfigurationError, match="one message class"):
-        node.send([("b", _Reply(1, b""), 8), ("c", ("plain",), 8)])
+        node.send([("b", _Reply(1, b"")), ("c", ("plain",))])
     assert fabric.net.stats.messages_sent == 0
     node.send([])
     assert fabric.sim.pending == 0

@@ -543,7 +543,7 @@ class ImpersonatingAdversary(Adversary):
         token = Signature(
             "r1", digest_of(msg.ViewChange.payload_of(**fields)), bytes(32))
         replica.send_authenticated(
-            "r2", msg.ViewChange(sig=token, **fields), size_bytes=128)
+            "r2", msg.ViewChange(sig=token, **fields))
         self.injected += 1
         if self.loses_own_log:
             return SilentAdversary().mutate_view_change(replica, vc)

@@ -76,7 +76,7 @@ def test_forged_bundle_commits_nothing(forge, t):
     runtime, client, request, passive, results = isolated_request(t)
     bundle = msg.SignedReplies(
         view=0, shares=tuple(forge(runtime, request, passive)))
-    runtime.replica(passive).send_authenticated("c0", bundle, 256)
+    runtime.replica(passive).send_authenticated("c0", bundle)
     runtime.sim.run(until=100.0)
     assert results == [] and client.busy
     assert all(r.committed_requests == 0 for r in runtime.replicas)
@@ -91,7 +91,7 @@ def test_the_signed_result_is_taken_past_a_swapped_one(t):
               for sender in range(t + 1)]
     swapped = share(runtime, request, 0, 0, EVIL, signed_for=GOOD)
     bundle = msg.SignedReplies(view=0, shares=(swapped, *shares[1:]))
-    runtime.replica(passive).send_authenticated("c0", bundle, 256)
+    runtime.replica(passive).send_authenticated("c0", bundle)
     runtime.sim.run(until=100.0)
     assert results == [GOOD] and not client.busy
 

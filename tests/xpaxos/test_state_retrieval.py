@@ -152,10 +152,10 @@ def spy_on_fetches(replica):
     sent = []
     original = replica.multicast_authenticated
 
-    def spy(dsts, payload, size_bytes=0):
+    def spy(dsts, payload):
         if isinstance(payload, msg.FetchEntries):
             sent.extend(payload for _ in dsts)
-        original(dsts, payload, size_bytes=size_bytes)
+        original(dsts, payload)
 
     replica.multicast_authenticated = spy
     return sent
@@ -166,10 +166,10 @@ def spy_on_fetch_replies(replica):
     collected = []
     original = replica.send_authenticated
 
-    def spy(dst, payload, size_bytes=0):
+    def spy(dst, payload):
         if isinstance(payload, msg.FetchReply):
             collected.append(payload)
-        original(dst, payload, size_bytes=size_bytes)
+        original(dst, payload)
 
     replica.send_authenticated = spy
     return collected
